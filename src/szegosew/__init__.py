@@ -17,11 +17,11 @@ from .errors import (BranchTrackingError, ConvergenceError, DomainError,
                      ResonanceError, SingularMatrixError, SzegosewError)
 from .modular import (EpsGroupElement, RhoGroupElement, act_eps, act_rho,
                       det_residual, invariance_residual)
-from .numerics import (MomentMatrix, circle_quadrature, determinant, lu_solve,
-                       tail_estimate)
+from .numerics import MomentMatrix, determinant, lu_solve, tail_estimate
 from .rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
-                  RhoTorusContext, det_i_minus_t_sphere, s_kappa_sphere,
-                  s_kappa_torus, szego_genus2_rho, torus_from_sphere)
+                  RhoSphereContext, RhoTorusContext, det_i_minus_t_sphere,
+                  s_kappa_sphere, s_kappa_torus, szego_genus2_rho,
+                  torus_from_sphere)
 from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted, p1_series,
                         p1_theta, theta1, theta_char)
 from .verify import SUITE_NAMES, run_all, run_suite
@@ -36,13 +36,13 @@ __all__ = [
     "p1_theta", "p1_series", "eisenstein_twisted",
     "EpsilonModuli", "GenusTwoCharacteristicsEps", "SurfacePoint",
     "EpsilonContext", "szego_genus2_eps", "det_i_minus_q", "epsilon_bound",
-    "HandleTwist", "RhoModuliSphere", "RhoModuliTorus", "RhoTorusContext",
+    "HandleTwist", "RhoModuliSphere", "RhoModuliTorus",
+    "RhoSphereContext", "RhoTorusContext",
     "s_kappa_sphere", "s_kappa_torus", "torus_from_sphere",
     "det_i_minus_t_sphere", "szego_genus2_rho",
     "EpsGroupElement", "RhoGroupElement", "act_eps", "act_rho",
     "invariance_residual", "det_residual",
-    "MomentMatrix", "lu_solve", "determinant", "circle_quadrature",
-    "tail_estimate",
+    "MomentMatrix", "lu_solve", "determinant", "tail_estimate",
     "SUITE_NAMES", "run_suite", "run_all",
     "__version__",
 ]

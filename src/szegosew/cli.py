@@ -22,12 +22,11 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
 from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,
-                      SurfacePoint)
+                      SurfacePoint, build_q)
 from .errors import ConvergenceError, DomainError, SzegosewError
 from .numerics import determinant, tail_estimate
 from .rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
-                  RhoTorusContext, det_i_minus_t_sphere, sphere_moments,
-                  torus_from_sphere)
+                  RhoSphereContext, RhoTorusContext, det_i_minus_t_sphere)
 from .specialfn import TwistPair, p1_series
 from .verify import SUITE_NAMES, run_all, run_suite
 
@@ -137,74 +136,79 @@ def _require(args, *flags):
 # scheme assembly
 # ----------------------------------------------------------------------
 
+def _plain_point(which: int, z: complex) -> complex:
+    """Self-sewn schemes take bare coordinates; the label is unused."""
+    return z
+
+
 class _Evaluator:
-    """One parsed scheme: a kernel callable plus determinant routes."""
+    """One parsed scheme: its context, point adapter and determinant routes.
+
+    The scheme is chosen once, here; ``kernel`` and ``determinants`` only
+    read what the constructor built.
+    """
 
     def __init__(self, args, cfg: NumericConfig) -> None:
-        self.scheme = args.scheme
         self.cfg = cfg
-        self.n_order = args.order if args.order is not None else cfg.trunc_order
-        self.m_points = args.quad if args.quad is not None else cfg.quad_points
+        n = args.order if args.order is not None else cfg.trunc_order
+        m = args.quad if args.quad is not None else cfg.quad_points
         xi = _parse_xi(args.xi)
-        if self.scheme == "eps":
+        if args.scheme == "eps":
             _require(args, "--tau1", "--tau2", "--eps")
-            self.chars = GenusTwoCharacteristicsEps(_twist(args, 1),
-                                                    _twist(args, 2))
-            self.moduli = EpsilonModuli.create(
+            chars = GenusTwoCharacteristicsEps(_twist(args, 1), _twist(args, 2))
+            moduli = EpsilonModuli.create(
                 _parse_complex(args.tau1, "--tau1"),
                 _parse_complex(args.tau2, "--tau2"),
                 _parse_complex(args.eps, "--eps"), xi=xi)
-            self.ctx = EpsilonContext(self.chars, self.moduli,
-                                      self.n_order, cfg)
-        elif self.scheme == "rho-torus":
+            ctx = EpsilonContext(chars, moduli, n, cfg)
+            self._point = SurfacePoint
+
+            def det_q_block() -> complex:
+                q = build_q(ctx.f_block(1), ctx.f_block(2), moduli.xi)
+                return determinant(np.eye(2 * n, dtype=complex) - q.data)
+            self._det_routes = (("det_I_minus_Q", det_q_block),
+                                ("det_I_minus_F1F2", ctx.det))
+        elif args.scheme == "rho-torus":
             _require(args, "--tau", "--w", "--rho")
-            self.tw1 = _twist(args, 1)
             tw2 = _twist(args, 2)
-            self.handle = HandleTwist(tw2.alpha, tw2.beta)
-            self.moduli = RhoModuliTorus.create(
+            moduli = RhoModuliTorus.create(
                 _parse_complex(args.tau, "--tau"),
                 _parse_complex(args.w, "--w"),
                 _parse_complex(args.rho, "--rho"), xi=xi)
-            self.ctx = RhoTorusContext(self.tw1, self.handle, self.moduli,
-                                       self.n_order, self.m_points, cfg=cfg)
-        elif self.scheme == "rho-sphere":
+            ctx = RhoTorusContext(_twist(args, 1),
+                                  HandleTwist(tw2.alpha, tw2.beta), moduli,
+                                  n, m, cfg=cfg)
+            self._point = _plain_point
+            self._det_routes = (("det_I_minus_T", ctx.det),)
+        elif args.scheme == "rho-sphere":
             _require(args, "--rho")
             tw = _twist(args, 2)
-            self.handle = HandleTwist(tw.alpha, tw.beta)
-            self.moduli = RhoModuliSphere.create(
-                _parse_complex(args.rho, "--rho"), xi=xi)
+            handle = HandleTwist(tw.alpha, tw.beta)
+            moduli = RhoModuliSphere.create(_parse_complex(args.rho, "--rho"),
+                                            xi=xi)
+            ctx = RhoSphereContext(handle, moduli, n, cfg)
+            self._point = _plain_point
+            self._det_routes = (
+                ("det_I_minus_T_product",
+                 lambda: det_i_minus_t_sphere(handle, n, moduli)),
+                ("det_I_minus_T_matrix", ctx.det))
         else:
             raise DomainError(f"unknown scheme {args.scheme!r}")
+        self.ctx = ctx
 
     def kernel(self, wx: int, x: complex, wy: int, y: complex) -> complex:
-        if self.scheme == "eps":
-            return self.ctx.kernel(SurfacePoint(wx, x), SurfacePoint(wy, y))
-        if self.scheme == "rho-torus":
-            return self.ctx.kernel(x, y)
-        return torus_from_sphere(self.handle, x, y, self.moduli,
-                                 self.n_order, cfg=self.cfg)
+        return self.ctx.kernel(self._point(wx, x), self._point(wy, y))
 
     def oracle(self, x: complex, y: complex) -> complex:
         """Exact genus-one kernel the sewn sphere must reproduce, mapped
         back to sphere coordinates (principal logarithms)."""
         lx, ly = np.log(complex(x)), np.log(complex(y))
-        p1 = p1_series(self.handle, lx - ly, self.moduli.tau, self.cfg)
+        p1 = p1_series(self.ctx.handle, lx - ly, self.ctx.moduli.tau, self.cfg)
         return complex(p1 * np.exp(-0.5 * (lx + ly)))
 
     def determinants(self):
         """Named determinant values; dual routes where the theory has two."""
-        if self.scheme == "eps":
-            f1, f2 = self.ctx.f_block(1), self.ctx.f_block(2)
-            eye = np.eye(self.n_order, dtype=complex)
-            return [("det_I_minus_Q", self.ctx.det()),
-                    ("det_I_minus_F1F2", determinant(eye - f1 @ f2))]
-        if self.scheme == "rho-torus":
-            return [("det_I_minus_T", self.ctx.det())]
-        mom = sphere_moments(self.handle, self.n_order, self.moduli, self.cfg)
-        eye = np.eye(2 * self.n_order, dtype=complex)
-        return [("det_I_minus_T_product",
-                 det_i_minus_t_sphere(self.handle, self.n_order, self.moduli)),
-                ("det_I_minus_T_matrix", determinant(eye - mom.t.data))]
+        return [(name, route()) for name, route in self._det_routes]
 
 
 # ----------------------------------------------------------------------

@@ -25,12 +25,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError
 from .numerics import MomentMatrix, determinant, lu_solve
 from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
                         lattice_distance, p1_theta, p_k_vector)
@@ -38,8 +37,8 @@ from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
 __all__ = [
     "EpsilonModuli", "GenusTwoCharacteristicsEps", "SurfacePoint",
     "min_lattice_distance", "epsilon_bound",
-    "c_matrix", "f_matrix", "h_vector", "hbar_vector",
-    "build_q", "solve_x", "det_i_minus_q", "logdet_series",
+    "c_matrix", "f_matrix",
+    "build_q", "det_i_minus_q", "logdet_series",
     "EpsilonContext", "szego_genus2_eps",
 ]
 
@@ -57,6 +56,14 @@ def min_lattice_distance(tau: TorusModulus) -> float:
                 continue
             best = min(best, 2.0 * math.pi * abs(m * t + n))
     return best
+
+
+def _check_xi(xi) -> complex:
+    """The half-form branch of a sewing relation: xi in {+i, -i}."""
+    xi = complex(xi)
+    if abs(xi - 1j) > 1e-12 and abs(xi + 1j) > 1e-12:
+        raise DomainError("xi must be +i or -i")
+    return xi
 
 
 def epsilon_bound(tau1: TorusModulus, tau2: TorusModulus) -> float:
@@ -82,11 +89,9 @@ class EpsilonModuli:
     def __post_init__(self) -> None:
         eps = complex(self.epsilon)
         sq = complex(self.sqrt_epsilon)
-        xi = complex(self.xi)
         if abs(sq * sq - eps) > 1e-12 * max(abs(eps), 1e-300):
             raise DomainError("sqrt_epsilon**2 does not equal epsilon")
-        if abs(xi - 1j) > 1e-12 and abs(xi + 1j) > 1e-12:
-            raise DomainError("xi must be +i or -i")
+        xi = _check_xi(self.xi)
         if abs(eps) >= epsilon_bound(self.tau1, self.tau2):
             raise DomainError(
                 f"|epsilon| = {abs(eps):.3e} outside the sewing domain "
@@ -116,10 +121,6 @@ class EpsilonModuli:
         """Sewing annulus outer radius r_a."""
         return RADIUS_FACTOR * min_lattice_distance(self.tau(a))
 
-    @property
-    def bound(self) -> float:
-        return epsilon_bound(self.tau1, self.tau2)
-
     def dehn_twist(self) -> "EpsilonModuli":
         """epsilon -> e^{2 pi i} epsilon: flip (sqrt_epsilon, xi)."""
         return EpsilonModuli(tau1=self.tau1, tau2=self.tau2, epsilon=self.epsilon,
@@ -148,9 +149,6 @@ class GenusTwoCharacteristicsEps:
 
     def inverse(self) -> "GenusTwoCharacteristicsEps":
         return GenusTwoCharacteristicsEps(self.tw1.inverse(), self.tw2.inverse())
-
-    def swap(self) -> "GenusTwoCharacteristicsEps":
-        return GenusTwoCharacteristicsEps(self.tw2, self.tw1)
 
 
 @dataclass(frozen=True)
@@ -210,38 +208,8 @@ def f_matrix(tw: TwistPair, n_order: int, tau: TorusModulus,
     return powers * c
 
 
-def _quarter_root(moduli: EpsilonModuli) -> complex:
-    """Principal epsilon^{-1/4}, the normalization of the public h vectors."""
-    if moduli.epsilon == 0:
-        raise DomainError("epsilon = 0 has no h normalization")
-    return cmath.exp(-0.25 * cmath.log(moduli.epsilon))
-
-
-def h_vector(tw: TwistPair, n_order: int, x, tau: TorusModulus,
-             moduli: EpsilonModuli,
-             cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Half-form moment vector h(k,x) = epsilon^{k/2-1/4} P_k(x,tau), k=1..N.
-
-    The half-integer powers split as sqrt_epsilon^k times the principal
-    epsilon^{-1/4}; under the joint Dehn flip only odd-k entries change sign.
-    """
-    z = x.z if isinstance(x, SurfacePoint) else complex(x)
-    if moduli.epsilon == 0:
-        return np.zeros(n_order, dtype=complex)
-    pk = p_k_vector(tw, n_order, z, tau, cfg)
-    powers = moduli.sqrt_epsilon ** np.arange(1, n_order + 1)
-    return _quarter_root(moduli) * powers * pk
-
-
-def hbar_vector(tw: TwistPair, n_order: int, y, tau: TorusModulus,
-                moduli: EpsilonModuli,
-                cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Conjugate moment vector hbar[c](k,y) = -h[c^{-1}](k,y)."""
-    return -h_vector(tw.inverse(), n_order, y, tau, moduli, cfg)
-
-
 # ----------------------------------------------------------------------
-# block matrices, solve, determinant
+# block matrices and determinant
 # ----------------------------------------------------------------------
 
 def build_q(f1: np.ndarray, f2: np.ndarray, xi: complex) -> MomentMatrix:
@@ -252,49 +220,6 @@ def build_q(f1: np.ndarray, f2: np.ndarray, xi: complex) -> MomentMatrix:
         raise DomainError("F1, F2 must be square with equal shapes")
     zero = np.zeros_like(f1)
     return MomentMatrix.from_blocks(zero, xi * f1, -xi * f2, zero)
-
-
-def _spectral_radius_check(q: np.ndarray) -> None:
-    """A few deterministic power iterations; the truncated Q must contract."""
-    n = q.shape[0]
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(12):
-        w = q @ v
-        est = np.linalg.norm(w)
-        if est == 0.0:
-            return
-        v = w / est
-    if est >= 1.0:
-        raise SingularMatrixError(
-            f"spectral radius estimate {est:.3f} >= 1: epsilon too large "
-            "or degenerate characteristics")
-
-
-def solve_x(q: MomentMatrix, f: MomentMatrix,
-            cfg: NumericConfig = DEFAULT_CONFIG,
-            neumann_terms: int | None = None) -> MomentMatrix:
-    """Solve (I - Q) X = F for the moment matrix X.
-
-    Default is a dense LU solve; with ``neumann_terms`` the partial
-    Neumann sum sum_{n<=M} Q^n F is returned instead (test mode).
-    """
-    if q.trunc_order != f.trunc_order:
-        raise DomainError("Q and F truncation orders differ")
-    qm, fm = q.data, f.data
-    _spectral_radius_check(qm)
-    if neumann_terms is not None:
-        acc = fm.copy()
-        term = fm.copy()
-        for _ in range(neumann_terms):
-            term = qm @ term
-            acc = acc + term
-        return MomentMatrix(acc, q.trunc_order)
-    eye = np.eye(qm.shape[0], dtype=complex)
-    x = lu_solve(eye - qm, fm, cfg)
-    return MomentMatrix(x, q.trunc_order)
 
 
 def det_i_minus_q(f1: np.ndarray, f2: np.ndarray) -> complex:

@@ -16,6 +16,10 @@ ways -- the explicit multiplier maps and the symplectic characteristic
 law on (alpha, beta) through the Sp(4,Z) matrix of the word -- and the
 two routes are asserted to agree.
 
+``g.transform(ctx)`` walks the word of g once and returns the transformed
+evaluation context together with the point map of the word, so the
+residuals compare a context with its image without knowing the scheme.
+
 The sewn kernel is a (1/2, 1/2)-form, so a rescaled point picks up the
 half-form factor s = sqrt(c tau + d) (principal root) per point:
 invariance means S_new(g x, g y) = S_old(x, y) s_x s_y.
@@ -30,10 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
-from .errors import DomainError, SzegosewError
 from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,
                       SurfacePoint)
-from .errors import BranchTrackingError
+from .errors import BranchTrackingError, DomainError, SzegosewError
 from .rho import (X_RADIUS_FACTOR, Y_RADIUS_FACTOR, HandleTwist,
                   RhoModuliTorus, RhoTorusContext, log_a_torus)
 from .specialfn import TorusModulus, TwistPair
@@ -87,6 +90,14 @@ class EpsGroupElement:
     def compose(self, other: "EpsGroupElement") -> "EpsGroupElement":
         """Word acting as self first, then other."""
         return EpsGroupElement(self.word + other.word)
+
+    def transform(self, ctx: EpsilonContext):
+        """(transformed context, point map SurfacePoint -> (point, factor))."""
+        if not isinstance(ctx, EpsilonContext):
+            raise DomainError("epsilon-scheme words act on an EpsilonContext")
+        chars = act_eps_chars(self, ctx.chars)
+        moduli, point = _eps_walk(self, ctx.moduli)
+        return EpsilonContext(chars, moduli, ctx.n_order, ctx.cfg), point
 
     def sp4(self) -> np.ndarray:
         m = np.eye(4, dtype=int)
@@ -153,6 +164,19 @@ class RhoGroupElement:
         """Word acting as self first, then other."""
         return RhoGroupElement(self.word + other.word)
 
+    def transform(self, ctx: RhoTorusContext):
+        """(transformed context, point map z -> (z', half-form factor))."""
+        if not isinstance(ctx, RhoTorusContext):
+            raise DomainError("rho-scheme words act on a RhoTorusContext")
+        mults = _rho_mults(self, (ctx.tw1.theta, ctx.handle.theta,
+                                  ctx.tw1.phi, ctx.handle.phi))
+        moduli, point = _rho_walk(self, ctx.moduli)
+        ctx2 = RhoTorusContext(TwistPair.from_multipliers(mults[0], mults[2]),
+                               HandleTwist.from_multipliers(mults[1], mults[3]),
+                               moduli, ctx.n_order, ctx.moments.m_points,
+                               ctx.moments.radius_scale, ctx.cfg)
+        return ctx2, point
+
     def sp4(self) -> np.ndarray:
         m = np.eye(4, dtype=int)
         for kind, data in self.word:
@@ -172,31 +196,19 @@ def _int_inverse(m: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _sp4_a(n):
+def _sp4_power(mu: np.ndarray, n: int) -> np.ndarray:
+    """mu^n for an integer n; negative powers use the exact inverse."""
     m = np.eye(4, dtype=int)
-    mu = _sp4_mu(1, 0, 0) if n >= 0 else _int_inverse(_sp4_mu(1, 0, 0))
+    step = mu if n >= 0 else _int_inverse(mu)
     for _ in range(abs(n)):
-        m = mu @ m
+        m = step @ m
     return m
 
 
-def _sp4_b(n):
-    m = np.eye(4, dtype=int)
-    mu = _sp4_mu(0, 1, 0) if n >= 0 else _int_inverse(_sp4_mu(0, 1, 0))
-    for _ in range(abs(n)):
-        m = mu @ m
-    return m
-
-
-def _sp4_c(n):
-    return _sp4_mu(0, 0, n)
-
-
-def _sp4_rho_gamma1(abcd) -> np.ndarray:
-    return _sp4_gamma1(abcd)
-
-
-_RHO_SP4 = {"A": _sp4_a, "B": _sp4_b, "C": _sp4_c, "gamma1": _sp4_rho_gamma1}
+_RHO_SP4 = {"A": lambda n: _sp4_power(_sp4_mu(1, 0, 0), n),
+            "B": lambda n: _sp4_power(_sp4_mu(0, 1, 0), n),
+            "C": lambda n: _sp4_mu(0, 0, n),
+            "gamma1": _sp4_gamma1}
 
 
 # ----------------------------------------------------------------------
@@ -275,54 +287,67 @@ class _EpsState:
     xi: complex
 
 
-def _eps_atom_moduli(kind, data, st: _EpsState) -> _EpsState:
+def _eps_atom_moduli(kind, data, st: _EpsState):
+    """One generator on the moduli: (new state, point step).
+
+    The point step is None for the swap, else (a, c tau_a + d) for the
+    torus a whose points gamma_a rescales.
+    """
     if kind == "beta":
         # the swap exchanges the tori; the sewing-relation branch xi flips
         # so that the cross-torus kernel values are preserved
-        return _EpsState(st.tau2, st.tau1, st.epsilon, st.sqrt_epsilon, -st.xi)
+        return (_EpsState(st.tau2, st.tau1, st.epsilon, st.sqrt_epsilon,
+                           -st.xi), None)
     a, b, c, d = data
     tau = st.tau1 if kind == "gamma1" else st.tau2
     j = c * tau + d
     s = cmath.sqrt(j)
     tau2 = (a * tau + b) / j
     if kind == "gamma1":
-        return _EpsState(tau2, st.tau2, st.epsilon / j, st.sqrt_epsilon / s, st.xi)
-    return _EpsState(st.tau1, tau2, st.epsilon / j, st.sqrt_epsilon / s, st.xi)
+        return (_EpsState(tau2, st.tau2, st.epsilon / j, st.sqrt_epsilon / s,
+                          st.xi), (1, j))
+    return (_EpsState(st.tau1, tau2, st.epsilon / j, st.sqrt_epsilon / s,
+                      st.xi), (2, j))
 
 
-def act_eps_moduli(g: EpsGroupElement, m: EpsilonModuli) -> EpsilonModuli:
-    """Transformed sewing moduli with the square-root branch transported."""
-    st = _EpsState(m.tau1.tau, m.tau2.tau, m.epsilon, m.sqrt_epsilon, m.xi)
-    for kind, data in g.word:
-        st = _eps_atom_moduli(kind, data, st)
-    return EpsilonModuli(tau1=TorusModulus(st.tau1), tau2=TorusModulus(st.tau2),
-                         epsilon=st.epsilon, sqrt_epsilon=st.sqrt_epsilon,
-                         xi=st.xi)
-
-
-def act_eps_point(g: EpsGroupElement, m: EpsilonModuli, pt: SurfacePoint):
-    """Transformed point and its accumulated half-form factor.
+def _eps_walk(g: EpsGroupElement, m: EpsilonModuli):
+    """Transformed moduli and the point map of g, from one walk of its word.
 
     gamma_a rescales points on torus a by 1/(c tau_a + d) and contributes
     the half-form factor sqrt(c tau_a + d); beta relabels the torus a
     point lives on without moving its complex coordinate.
     """
     st = _EpsState(m.tau1.tau, m.tau2.tau, m.epsilon, m.sqrt_epsilon, m.xi)
-    which, z = pt.which, complex(pt.z)
-    factor = 1.0 + 0.0j
+    steps = []
     for kind, data in g.word:
-        if kind == "beta":
-            which = 3 - which
-        else:
-            label = 1 if kind == "gamma1" else 2
-            if which == label:
-                a, b, c, d = data
-                tau = st.tau1 if label == 1 else st.tau2
-                j = c * tau + d
-                z = z / j
-                factor *= cmath.sqrt(j)
-        st = _eps_atom_moduli(kind, data, st)
-    return SurfacePoint(which, z), factor
+        st, step = _eps_atom_moduli(kind, data, st)
+        steps.append(step)
+
+    def point(pt: SurfacePoint):
+        which, z = pt.which, complex(pt.z)
+        factor = 1.0 + 0.0j
+        for step in steps:
+            if step is None:
+                which = 3 - which
+            elif step[0] == which:
+                z = z / step[1]
+                factor *= cmath.sqrt(step[1])
+        return SurfacePoint(which, z), factor
+
+    moduli = EpsilonModuli(tau1=TorusModulus(st.tau1),
+                           tau2=TorusModulus(st.tau2), epsilon=st.epsilon,
+                           sqrt_epsilon=st.sqrt_epsilon, xi=st.xi)
+    return moduli, point
+
+
+def act_eps_moduli(g: EpsGroupElement, m: EpsilonModuli) -> EpsilonModuli:
+    """Transformed sewing moduli with the square-root branch transported."""
+    return _eps_walk(g, m)[0]
+
+
+def act_eps_point(g: EpsGroupElement, m: EpsilonModuli, pt: SurfacePoint):
+    """Transformed point and its accumulated half-form factor."""
+    return _eps_walk(g, m)[1](pt)
 
 
 def act_eps(g: EpsGroupElement, c: GenusTwoCharacteristicsEps,
@@ -409,7 +434,12 @@ def _winding_jump(st: _RhoState, a: int, b: int,
     return sheets[0]
 
 
-def _rho_atom_moduli(kind, data, st: _RhoState) -> _RhoState:
+def _rho_atom_moduli(kind, data, st: _RhoState):
+    """One generator on the moduli: (new state, point step).
+
+    The point step is c tau + d for gamma1, which rescales points, and
+    None for the generators that leave points in place.
+    """
     # Lattice shifts of the puncture, w -> w + 2 pi i (a tau + b), move the
     # branch anchor of log A(z) = log(theta1(z - w)/theta1(z)) on the
     # covering space.  Theta quasi-periodicity gives the exact law
@@ -434,7 +464,7 @@ def _rho_atom_moduli(kind, data, st: _RhoState) -> _RhoState:
                            st.rho, st.log_rho + TWO_PI_I * a, st.xi,
                            st.z_ref, st.log_a_ref + shift, winding,
                            st.contour_radius)
-        return st
+        return st, None
     if kind == "B":
         for _ in range(abs(int(data))):
             b = 1 if data > 0 else -1
@@ -443,12 +473,12 @@ def _rho_atom_moduli(kind, data, st: _RhoState) -> _RhoState:
                            st.rho, st.log_rho - TWO_PI_I * b, st.xi,
                            st.z_ref, st.log_a_ref - 1j * math.pi * b, winding,
                            st.contour_radius)
-        return st
+        return st, None
     if kind == "C":
         return _RhoState(st.tau, st.w, st.rho,
                          st.log_rho + TWO_PI_I * data, st.xi,
                          st.z_ref, st.log_a_ref, st.winding,
-                         st.contour_radius)
+                         st.contour_radius), None
     a, b, c, d = data
     j = c * st.tau + d
     # theta1 modular covariance: the Gaussian factors exp(c z^2 / (4 pi i j))
@@ -458,116 +488,89 @@ def _rho_atom_moduli(kind, data, st: _RhoState) -> _RhoState:
     return _RhoState((a * st.tau + b) / j, st.w / j, st.rho / (j * j),
                      st.log_rho - 2.0 * cmath.log(j), st.xi,
                      st.z_ref / j, st.log_a_ref + shift, st.winding,
-                     st.contour_radius / abs(j))
+                     st.contour_radius / abs(j)), j
+
+
+def _rho_walk(g: RhoGroupElement, m: RhoModuliTorus):
+    """Transformed moduli and the point map of g, from one walk of its word.
+
+    gamma1 rescales points by 1/(c tau + d) with half-form factor
+    sqrt(c tau + d); the other generators leave points in place.
+    """
+    st = _RhoState(m.tau.tau, m.w, m.rho, m.log_rho, m.xi,
+                   m.z_ref, m.log_a_ref, m.winding, m.contour_radius(2))
+    steps = []
+    for kind, data in g.word:
+        st, j = _rho_atom_moduli(kind, data, st)
+        if j is not None:
+            steps.append(j)
+
+    def point(z):
+        z = complex(z)
+        factor = 1.0 + 0.0j
+        for j in steps:
+            z = z / j
+            factor *= cmath.sqrt(j)
+        return z, factor
+
+    moduli = RhoModuliTorus(tau=TorusModulus(st.tau), w=st.w, rho=st.rho,
+                            log_rho=st.log_rho, xi=st.xi,
+                            z_ref=st.z_ref, log_a_ref=st.log_a_ref,
+                            winding=st.winding)
+    return moduli, point
+
+
+def _rho_mults(g: RhoGroupElement, mults) -> tuple:
+    """Multipliers (theta1, theta2, phi1, phi2) transported along g.
+
+    The multiplier maps and the symplectic route are asserted equal.
+    """
+    tw1 = TwistPair.from_multipliers(mults[0], mults[2])
+    tw2 = TwistPair.from_multipliers(mults[1], mults[3])
+    out = tuple(complex(v) for v in mults)
+    for kind, data in g.word:
+        out = _rho_atom_mults(kind, data, out)
+    _assert_char_routes_agree(out, g.sp4(), (tw1.alpha, tw2.alpha),
+                              (tw1.beta, tw2.beta))
+    return out
 
 
 def act_rho(g: RhoGroupElement, m: RhoModuliTorus, mults):
     """Transformed (moduli, multiplier tuple (theta1, theta2, phi1, phi2))."""
-    st = _RhoState(m.tau.tau, m.w, m.rho, m.log_rho, m.xi,
-                   m.z_ref, m.log_a_ref, m.winding, m.contour_radius(2))
-    out = tuple(complex(v) for v in mults)
-    alpha0 = (TwistPair.from_multipliers(mults[0], mults[2]).alpha,
-              TwistPair.from_multipliers(mults[1], mults[3]).alpha)
-    beta0 = (TwistPair.from_multipliers(mults[0], mults[2]).beta,
-             TwistPair.from_multipliers(mults[1], mults[3]).beta)
-    for kind, data in g.word:
-        out = _rho_atom_mults(kind, data, out)
-        st = _rho_atom_moduli(kind, data, st)
-    _assert_char_routes_agree(out, g.sp4(), alpha0, beta0)
-    m2 = RhoModuliTorus(tau=TorusModulus(st.tau), w=st.w, rho=st.rho,
-                        log_rho=st.log_rho, xi=st.xi,
-                        z_ref=st.z_ref, log_a_ref=st.log_a_ref,
-                        winding=st.winding)
-    return m2, out
+    mults = _rho_mults(g, mults)
+    return _rho_walk(g, m)[0], mults
 
 
 def act_rho_point(g: RhoGroupElement, m: RhoModuliTorus, z):
     """Transformed point coordinate and half-form factor (gamma1 rescales)."""
-    st = _RhoState(m.tau.tau, m.w, m.rho, m.log_rho, m.xi,
-                   m.z_ref, m.log_a_ref, m.winding, m.contour_radius(2))
-    z = complex(z)
-    factor = 1.0 + 0.0j
-    for kind, data in g.word:
-        if kind == "gamma1":
-            a, b, c, d = data
-            j = c * st.tau + d
-            z = z / j
-            factor *= cmath.sqrt(j)
-        st = _rho_atom_moduli(kind, data, st)
-    return z, factor
+    return _rho_walk(g, m)[1](z)
 
 
 # ----------------------------------------------------------------------
 # invariance residuals
 # ----------------------------------------------------------------------
 
-def invariance_residual(scheme: str, g, chars, moduli, points,
-                        n_order: int | None = None,
-                        m_points: int | None = None,
-                        cfg: NumericConfig = DEFAULT_CONFIG) -> float:
-    """Max relative kernel-invariance residual over sample point pairs.
+def invariance_residual(g, ctx, pairs) -> float:
+    """Max relative kernel-invariance residual of ctx under g.
 
     The kernel is compared as a half-form: the residual at a pair (x, y)
     is |S_new(g x, g y) - S_old(x, y) s_x s_y| / |S_old(x, y)| with the
-    accumulated point factors s.
-
-    epsilon scheme: ``chars`` is a GenusTwoCharacteristicsEps, ``points``
-    a sequence of SurfacePoint pairs.  rho scheme: ``chars`` is
-    (tw1, handle), ``points`` a sequence of complex pairs.
+    accumulated point factors s.  ``pairs`` holds points in the form
+    ``ctx.kernel`` takes them.
     """
-    if scheme == "eps":
-        chars2 = act_eps_chars(g, chars)
-        moduli2 = act_eps_moduli(g, moduli)
-        ctx = EpsilonContext(chars, moduli, n_order, cfg)
-        ctx2 = EpsilonContext(chars2, moduli2, n_order, cfg)
-        worst = 0.0
-        for x, y in points:
-            x2, sx = act_eps_point(g, moduli, x)
-            y2, sy = act_eps_point(g, moduli, y)
-            old = ctx.kernel(x, y)
-            new = ctx2.kernel(x2, y2)
-            worst = max(worst, abs(new - old * sx * sy) / abs(old))
-        return worst
-    if scheme == "rho":
-        tw1, handle = chars
-        mults = (tw1.theta, handle.theta, tw1.phi, handle.phi)
-        moduli2, mults2 = act_rho(g, moduli, mults)
-        tw1b = TwistPair.from_multipliers(mults2[0], mults2[2])
-        handle2 = HandleTwist.from_multipliers(mults2[1], mults2[3])
-        ctx = RhoTorusContext(tw1, handle, moduli, n_order, m_points, cfg=cfg)
-        ctx2 = RhoTorusContext(tw1b, handle2, moduli2, n_order, m_points,
-                               cfg=cfg)
-        worst = 0.0
-        for x, y in points:
-            x2, sx = act_rho_point(g, moduli, x)
-            y2, sy = act_rho_point(g, moduli, y)
-            old = ctx.kernel(x, y)
-            new = ctx2.kernel(x2, y2)
-            worst = max(worst, abs(new - old * sx * sy) / abs(old))
-        return worst
-    raise DomainError("scheme must be 'eps' or 'rho'")
+    ctx2, point = g.transform(ctx)
+    worst = 0.0
+    for x, y in pairs:
+        x2, sx = point(x)
+        y2, sy = point(y)
+        old = ctx.kernel(x, y)
+        new = ctx2.kernel(x2, y2)
+        worst = max(worst, abs(new - old * sx * sy) / abs(old))
+    return worst
 
 
-def det_residual(scheme: str, g, chars, moduli,
-                 n_order: int | None = None,
-                 m_points: int | None = None,
-                 cfg: NumericConfig = DEFAULT_CONFIG) -> float:
-    """Relative invariance residual of det(I - Q) resp. det(I - T)."""
-    if scheme == "eps":
-        chars2 = act_eps_chars(g, chars)
-        moduli2 = act_eps_moduli(g, moduli)
-        d1 = EpsilonContext(chars, moduli, n_order, cfg).det()
-        d2 = EpsilonContext(chars2, moduli2, n_order, cfg).det()
-        return abs(d2 - d1) / abs(d1)
-    if scheme == "rho":
-        tw1, handle = chars
-        mults = (tw1.theta, handle.theta, tw1.phi, handle.phi)
-        moduli2, mults2 = act_rho(g, moduli, mults)
-        tw1b = TwistPair.from_multipliers(mults2[0], mults2[2])
-        handle2 = HandleTwist.from_multipliers(mults2[1], mults2[3])
-        d1 = RhoTorusContext(tw1, handle, moduli, n_order, m_points,
-                             cfg=cfg).det()
-        d2 = RhoTorusContext(tw1b, handle2, moduli2, n_order, m_points,
-                             cfg=cfg).det()
-        return abs(d2 - d1) / abs(d1)
-    raise DomainError("scheme must be 'eps' or 'rho'")
+def det_residual(g, ctx) -> float:
+    """Relative invariance residual of the sewing determinant of ctx under g."""
+    ctx2, _ = g.transform(ctx)
+    d1 = ctx.det()
+    return abs(ctx2.det() - d1) / abs(d1)

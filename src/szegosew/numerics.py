@@ -1,6 +1,6 @@
 """Shared numerical infrastructure.
 
-Dense complex linear algebra (LU solve, determinant, condition estimate),
+Dense complex linear algebra (gated LU solve, determinant),
 spectrally accurate trapezoidal quadrature on circles, geometric tail
 fitting, and the truncated block moment matrix container used by both
 sewing schemes.
@@ -13,9 +13,7 @@ the package relies on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -29,9 +27,7 @@ __all__ = [
     "as_complex_matrix",
     "lu_solve",
     "determinant",
-    "condition_estimate",
     "circle_nodes",
-    "circle_quadrature",
     "tail_estimate",
     "MomentMatrix",
 ]
@@ -45,21 +41,6 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} contains NaN or Inf entries")
     return arr
-
-
-def condition_estimate(a) -> float:
-    """One-norm condition estimate of a square matrix via LAPACK gecon."""
-    arr = as_complex_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise DomainError("condition estimate needs a square matrix")
-    anorm = np.linalg.norm(arr, 1)
-    if anorm == 0.0:
-        return math.inf
-    lu, _ = sla.lu_factor(arr, check_finite=False)
-    rcond, info = sla.lapack.zgecon(lu, anorm, norm="1")
-    if info != 0 or rcond == 0.0:
-        return math.inf
-    return 1.0 / rcond
 
 
 def lu_solve(a, b, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -137,24 +118,6 @@ def circle_nodes(center: complex, radius: float, m: int):
     z = center + radius * unit
     w = radius * unit / m
     return z, w
-
-
-def circle_quadrature(f: Callable[[np.ndarray], np.ndarray], center: complex,
-                      radius: float, m: int) -> complex:
-    """Trapezoidal contour integral (1/2pi i) oint f(z) dz on a circle.
-
-    ``f`` must accept a vector of sample points and be smooth and
-    single-valued on the circle (fractional-power integrands are the
-    caller's responsibility to phase-track). Exact to rounding for
-    integrands band-limited below M in the angle.
-    """
-    z, w = circle_nodes(center, radius, m)
-    vals = np.asarray(f(z), dtype=complex)
-    if vals.shape != z.shape:
-        raise DomainError("integrand returned wrong shape")
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("integrand returned NaN/Inf on the contour")
-    return complex(np.sum(w * vals))
 
 
 def tail_estimate(seq, spread_factor: float = 8.0):
@@ -238,14 +201,3 @@ class MomentMatrix:
             raise DomainError("block labels must be 1 or 2")
         n = self.trunc_order
         return self.data[(a - 1) * n:a * n, (b - 1) * n:b * n].copy()
-
-    def to_json_dict(self) -> dict:
-        """Row-major blocks with complex entries as [re, im] pairs."""
-        out = {"trunc_order": self.trunc_order, "blocks": {}}
-        for a in (1, 2):
-            for b in (1, 2):
-                blk = self.block(a, b)
-                out["blocks"][f"{a}{b}"] = [
-                    [[float(v.real), float(v.imag)] for v in row] for row in blk
-                ]
-        return out

@@ -41,14 +41,14 @@ from .errors import (BranchTrackingError, DomainError, ResonanceError)
 from .numerics import MomentMatrix, determinant, lu_solve
 from .specialfn import (TorusModulus, TwistPair, _theta_g1_derivs, K,
                         lattice_distance, theta1)
-from .epsilon import RADIUS_FACTOR, min_lattice_distance
+from .epsilon import RADIUS_FACTOR, _check_xi, min_lattice_distance
 
 __all__ = [
     "HandleTwist", "RhoModuliSphere", "RhoModuliTorus", "mode_index",
     "s_kappa_sphere", "sphere_moments", "SphereMoments",
-    "det_i_minus_t_sphere", "torus_from_sphere",
-    "log_a_torus", "s_kappa_torus", "torus_moments", "TorusMoments",
-    "build_t_and_solve", "RhoTorusContext", "szego_genus2_rho",
+    "det_i_minus_t_sphere", "RhoSphereContext", "torus_from_sphere",
+    "log_a_torus", "s_kappa_torus", "TorusMoments",
+    "RhoTorusContext", "szego_genus2_rho",
 ]
 
 TWO_PI_I = 2j * np.pi
@@ -85,16 +85,21 @@ def mode_index(a: int, k, kappa: float):
 # moduli
 # ----------------------------------------------------------------------
 
-def _check_xi(xi: complex) -> complex:
-    xi = complex(xi)
-    if abs(xi - 1j) > 1e-12 and abs(xi + 1j) > 1e-12:
-        raise DomainError("xi must be +i or -i")
-    return xi
-
-
 def _check_log(value: complex, log_value: complex, name: str) -> None:
     if abs(cmath.exp(log_value) - value) > 1e-12 * abs(value):
         raise DomainError(f"log_{name} is not a logarithm of {name}")
+
+
+def _branch_log(value: complex, sqrt_value, name: str) -> complex:
+    """Principal log of value, moved one sheet when sqrt_value is the
+    other square root."""
+    if value == 0:
+        raise DomainError(f"{name} must be nonzero")
+    log_value = cmath.log(value)
+    if sqrt_value is not None and abs(sqrt_value - cmath.exp(0.5 * log_value)) \
+            > 1e-12 * abs(sqrt_value):
+        log_value = log_value + TWO_PI_I
+    return log_value
 
 
 @dataclass(frozen=True)
@@ -121,18 +126,9 @@ class RhoModuliSphere:
     @classmethod
     def create(cls, q, xi=1j, log_q=None, sqrt_q=None) -> "RhoModuliSphere":
         q = complex(q)
-        if not (0.0 < abs(q) < 1.0):
-            raise DomainError(f"need 0 < |q| < 1, got |q| = {abs(q)}")
         if log_q is None:
-            log_q = cmath.log(q)
-            if sqrt_q is not None and abs(sqrt_q - cmath.exp(0.5 * log_q)) \
-                    > 1e-12 * abs(sqrt_q):
-                log_q = log_q + TWO_PI_I
+            log_q = _branch_log(q, sqrt_q, "q")
         return cls(q=q, log_q=log_q, xi=xi)
-
-    @property
-    def sqrt_q(self) -> complex:
-        return cmath.exp(0.5 * self.log_q)
 
     @property
     def tau(self) -> TorusModulus:
@@ -141,10 +137,6 @@ class RhoModuliSphere:
     def q_pow(self, expnt):
         """q**expnt on the recorded branch, vectorized in the exponent."""
         return np.exp(np.asarray(expnt, dtype=complex) * self.log_q)
-
-    def dehn_twist(self) -> "RhoModuliSphere":
-        """q -> e^{2 pi i} q: shift the recorded logarithm."""
-        return RhoModuliSphere(q=self.q, log_q=self.log_q + TWO_PI_I, xi=self.xi)
 
 
 @dataclass(frozen=True)
@@ -215,15 +207,8 @@ class RhoModuliTorus:
         t = tau if isinstance(tau, TorusModulus) else TorusModulus(tau)
         rho = complex(rho)
         if log_rho is None:
-            log_rho = cmath.log(rho)
-            if sqrt_rho is not None and abs(sqrt_rho - cmath.exp(0.5 * log_rho)) \
-                    > 1e-12 * abs(sqrt_rho):
-                log_rho = log_rho + TWO_PI_I
+            log_rho = _branch_log(rho, sqrt_rho, "rho")
         return cls(tau=t, w=complex(w), rho=rho, log_rho=log_rho, xi=xi)
-
-    @property
-    def sqrt_rho(self) -> complex:
-        return cmath.exp(0.5 * self.log_rho)
 
     def radius(self, a: int) -> float:
         """Sewing annulus outer radius r_a (equal for both annuli)."""
@@ -248,13 +233,6 @@ class RhoModuliTorus:
     def rho_pow(self, expnt):
         """rho**expnt on the recorded branch, vectorized in the exponent."""
         return np.exp(np.asarray(expnt, dtype=complex) * self.log_rho)
-
-    def handle_dehn_twist(self) -> "RhoModuliTorus":
-        """rho -> e^{2 pi i} rho: shift the recorded logarithm."""
-        return RhoModuliTorus(tau=self.tau, w=self.w, rho=self.rho,
-                              log_rho=self.log_rho + TWO_PI_I, xi=self.xi,
-                              z_ref=self.z_ref, log_a_ref=self.log_a_ref,
-                              winding=self.winding)
 
 
 # ----------------------------------------------------------------------
@@ -366,22 +344,44 @@ def _d_theta_diag(theta_new: complex, n_order: int) -> np.ndarray:
                            np.full(n_order, -theta_new, dtype=complex)])
 
 
+class RhoSphereContext:
+    """Closed-form assembly of the self-sewn sphere for one (handle, q, N)."""
+
+    def __init__(self, handle: HandleTwist, moduli: RhoModuliSphere,
+                 n_order: int | None = None,
+                 cfg: NumericConfig = DEFAULT_CONFIG) -> None:
+        self.handle = handle
+        self.moduli = moduli
+        self.cfg = cfg
+        self.n_order = n_order if n_order is not None else cfg.trunc_order
+        self.moments = sphere_moments(handle, self.n_order, moduli, cfg)
+        self._dth = _d_theta_diag(handle.theta, self.n_order)
+
+    def kernel(self, x, y, log_x=None, log_y=None) -> complex:
+        """Sewn genus-one kernel coefficient of dx^1/2 dy^1/2.
+
+        After the half-form conversion (value times (xy)^{1/2}, with
+        X = log x, Y = log y on the supplied branches) this equals
+        P1[theta;phi](X-Y, tau) for tau = log_q / (2 pi i).
+        """
+        mom = self.moments
+        base = s_kappa_sphere(self.handle, x, y, log_x, log_y, self.cfg)
+        hb = lu_solve(np.eye(2 * self.n_order, dtype=complex) - mom.t.data,
+                      mom.hbar_vector(y, log_y), self.cfg)
+        corr = self.moduli.xi * (mom.h_vector(x, log_x) * self._dth) @ hb
+        return complex(base + corr)
+
+    def det(self) -> complex:
+        return determinant(np.eye(2 * self.n_order, dtype=complex)
+                           - self.moments.t.data)
+
+
 def torus_from_sphere(handle: HandleTwist, x, y, moduli: RhoModuliSphere,
                       n_order: int, log_x=None, log_y=None,
                       cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """Genus-one kernel by self-sewing the sphere (dx^1/2 dy^1/2 coefficient).
-
-    After the half-form conversion (value times (xy)^{1/2}, with X = log x,
-    Y = log y on the supplied branches) this equals P1[theta;phi](X-Y, tau)
-    for tau = log_q / (2 pi i).
-    """
-    mom = sphere_moments(handle, n_order, moduli, cfg)
-    base = s_kappa_sphere(handle, x, y, log_x, log_y, cfg)
-    dth = _d_theta_diag(handle.theta, n_order)
-    hb = lu_solve(np.eye(2 * n_order, dtype=complex) - mom.t.data,
-                  mom.hbar_vector(y, log_y), cfg)
-    corr = moduli.xi * (mom.h_vector(x, log_x) * dth) @ hb
-    return complex(base + corr)
+    """Genus-one kernel from a self-sewn sphere (dx^1/2 dy^1/2 coefficient)."""
+    ctx = RhoSphereContext(handle, moduli, n_order, cfg)
+    return ctx.kernel(x, y, log_x, log_y)
 
 
 # ----------------------------------------------------------------------
@@ -617,6 +617,7 @@ class TorusMoments:
             raise DomainError("need at least 8 quadrature points")
         self.cfg = cfg
         self.kappa = kap
+        self.radius_scale = radius_scale
         base = [moduli.contour_radius(a) * radius_scale for a in (1, 2)]
         for a in (1, 2):
             if X_RADIUS_FACTOR * base[a - 1] >= moduli.radius(a):
@@ -742,31 +743,9 @@ class TorusMoments:
             self.moduli.tau, self.moduli.w, self.cfg)[:, 0]
 
 
-def torus_moments(tw1: TwistPair, handle: HandleTwist, n_order: int,
-                  moduli: RhoModuliTorus, m_points: int | None = None,
-                  radius_scale: float = 1.0,
-                  cfg: NumericConfig = DEFAULT_CONFIG) -> TorusMoments:
-    """Quadrature moments (h, hbar evaluators and G) of the self-sewn torus."""
-    return TorusMoments(tw1, handle, n_order, moduli, m_points,
-                        radius_scale, cfg)
-
-
 # ----------------------------------------------------------------------
-# solve and kernel assembly
+# kernel assembly
 # ----------------------------------------------------------------------
-
-def build_t_and_solve(g: MomentMatrix, handle: HandleTwist, xi: complex,
-                      cfg: NumericConfig = DEFAULT_CONFIG):
-    """T = xi G D^theta, Y = (I-T)^{-1} G, and det(I-T)."""
-    xi = _check_xi(xi)
-    n = g.trunc_order
-    dth = _d_theta_diag(handle.theta, n)
-    t = MomentMatrix(xi * g.data * dth[None, :], n)
-    eye = np.eye(2 * n, dtype=complex)
-    y = MomentMatrix(lu_solve(eye - t.data, g.data, cfg), n)
-    det = determinant(eye - t.data)
-    return t, y, det
-
 
 class RhoTorusContext:
     """Cached genus-two assembly for one (tw1, handle, moduli, N, M)."""
@@ -780,18 +759,14 @@ class RhoTorusContext:
         self.moduli = moduli
         self.cfg = cfg
         self.n_order = n_order if n_order is not None else cfg.trunc_order
-        self.moments = torus_moments(tw1, handle, self.n_order, moduli,
-                                     m_points, radius_scale, cfg)
+        self.moments = TorusMoments(tw1, handle, self.n_order, moduli,
+                                    m_points, radius_scale, cfg)
         dth = _d_theta_diag(handle.theta, self.n_order)
         eye = np.eye(2 * self.n_order, dtype=complex)
         self._t = MomentMatrix(moduli.xi * self.moments.g.data * dth[None, :],
                                self.n_order)
         # middle factor D^theta (I - T)^{-1} applied from the left
         self._middle = dth[:, None] * lu_solve(eye - self._t.data, eye, cfg)
-
-    @property
-    def t(self) -> MomentMatrix:
-        return self._t
 
     def validate_point(self, z: complex) -> None:
         mod = self.moduli

@@ -47,7 +47,7 @@ __all__ = [
     "TorusModulus", "PeriodMatrix", "Characteristics", "TwistPair",
     "theta_char", "theta1", "theta1_deriv0", "K",
     "lattice_reduce", "lattice_distance",
-    "p1_theta", "p1_series", "p_k", "p_k_vector",
+    "p1_theta", "p1_series", "p_k_vector",
     "eisenstein_twisted", "bernoulli_poly",
 ]
 
@@ -522,12 +522,6 @@ def _p_k_theta_route(tw: TwistPair, kmax: int, z_red: complex,
         out[k - 1] = (-1.0) ** (k - 1) / fact * p_derivs[k - 1]
         fact *= k
     return out
-
-
-def p_k(tw: TwistPair, k: int, z, tau: TorusModulus,
-        cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """P_k(z) for a single order k >= 1 (k=1 coincides with p1_series)."""
-    return complex(p_k_vector(tw, k, z, tau, cfg)[k - 1])
 
 
 # ----------------------------------------------------------------------

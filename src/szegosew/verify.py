@@ -33,10 +33,11 @@ from .modular import (EpsGroupElement, RhoGroupElement, det_residual,
                       invariance_residual)
 from .numerics import circle_nodes, determinant, tail_estimate
 from .rho import (X_RADIUS_FACTOR, HandleTwist, RhoModuliSphere,
-                  RhoModuliTorus, RhoTorusContext, det_i_minus_t_sphere,
-                  sphere_moments, torus_from_sphere, torus_moments)
-from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted, p1_series,
-                        p1_theta)
+                  RhoModuliTorus, RhoSphereContext, RhoTorusContext,
+                  TorusMoments, _circle_log_a, _s_kappa_torus_grid,
+                  det_i_minus_t_sphere, log_a_torus, s_kappa_torus)
+from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
+                        lattice_distance, p1_series, p1_theta)
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
 
@@ -96,7 +97,6 @@ def _rho_torus_setup(rho_scale: float = 0.05):
 
 
 def _w_dist(tau: TorusModulus, w: complex) -> float:
-    from .specialfn import lattice_distance
     return float(lattice_distance(w, tau))
 
 
@@ -111,7 +111,6 @@ def _rho_torus_pairs(moduli: RhoModuliTorus, count: int = 4):
         u2 = 0.05 + ((0.61 + 0.2548776662466927 * i) % 1.0) * 0.9
         v2 = 0.05 + ((0.12 + 0.7548776662466927 * i) % 1.0) * 0.9
         coords.append((u1, v1, u2, v2))
-    from .specialfn import lattice_distance
     # generous clearance: quadrature error of the moment contours grows
     # rapidly for evaluation points near the contours themselves
     margin = X_RADIUS_FACTOR * 1.8 * max(moduli.contour_radius(1),
@@ -166,6 +165,11 @@ def _sphere_log_pairs(qabs: float, count: int = 4):
     return out
 
 
+def _sphere_log_kernel(ctx: RhoSphereContext):
+    """Kernel of a sphere context in log coordinates (X, Y) = (log x, log y)."""
+    return lambda lx, ly: ctx.kernel(np.exp(lx), np.exp(ly), lx, ly)
+
+
 def _check(name: str, residual: float, tolerance: float, **extra) -> dict:
     entry = {"name": name, "residual": float(residual),
              "tolerance": float(tolerance),
@@ -184,34 +188,30 @@ def _slope_check(name: str, xs, ys, minimum: float) -> dict:
 # suites
 # ----------------------------------------------------------------------
 
+def _skew_residual(kernel, kernel_inv, pairs) -> float:
+    """max |S[c](x,y) + S[c^{-1}](y,x)| / |S[c](x,y)| over the pairs."""
+    worst = 0.0
+    for x, y in pairs:
+        v1 = kernel(x, y)
+        worst = max(worst, abs(v1 + kernel_inv(y, x)) / abs(v1))
+    return worst
+
+
 def suite_skew(n_order: int | None = None, m_points: int | None = None,
                cfg: NumericConfig = DEFAULT_CONFIG) -> list[dict]:
     tol = 1e-10
-    checks = []
 
     chars, moduli, _ = _eps_setup(cfg=cfg)
-    chars_inv = GenusTwoCharacteristicsEps(chars.tw1.inverse(),
-                                           chars.tw2.inverse())
     ctx = EpsilonContext(chars, moduli, n_order or 16, cfg)
-    ctx_inv = EpsilonContext(chars_inv, moduli, n_order or 16, cfg)
-    worst = 0.0
-    for x, y in _eps_pairs(moduli, 16):
-        v1 = ctx.kernel(x, y)
-        v2 = ctx_inv.kernel(y, x)
-        worst = max(worst, abs(v1 + v2) / abs(v1))
-    checks.append(_check("two-tori kernel skew-symmetry", worst, tol))
+    ctx_inv = EpsilonContext(chars.inverse(), moduli, n_order or 16, cfg)
+    eps = _skew_residual(ctx.kernel, ctx_inv.kernel, _eps_pairs(moduli, 16))
 
-    setups = _sphere_setups()
-    lam, qabs, handle, smod = setups[0]
+    lam, qabs, handle, smod = _sphere_setups()[0]
     hinv = HandleTwist.from_multipliers(1.0 / handle.theta, 1.0 / handle.phi)
-    worst = 0.0
-    for lx, ly in _sphere_log_pairs(qabs, 16):
-        v1 = torus_from_sphere(handle, np.exp(lx), np.exp(ly), smod, 24,
-                               log_x=lx, log_y=ly, cfg=cfg)
-        v2 = torus_from_sphere(hinv, np.exp(ly), np.exp(lx), smod, 24,
-                               log_x=ly, log_y=lx, cfg=cfg)
-        worst = max(worst, abs(v1 + v2) / abs(v1))
-    checks.append(_check("self-sewn sphere kernel skew-symmetry", worst, tol))
+    sphere = _skew_residual(
+        _sphere_log_kernel(RhoSphereContext(handle, smod, 24, cfg)),
+        _sphere_log_kernel(RhoSphereContext(hinv, smod, 24, cfg)),
+        _sphere_log_pairs(qabs, 16))
 
     tw1, hndl, tmod = _rho_torus_setup()
     hinv = HandleTwist(-hndl.alpha, -hndl.beta)
@@ -219,13 +219,11 @@ def suite_skew(n_order: int | None = None, m_points: int | None = None,
                           cfg=cfg)
     ctx_inv = RhoTorusContext(tw1.inverse(), hinv, tmod, n_order or 12,
                               m_points or 64, cfg=cfg)
-    worst = 0.0
-    for x, y in _rho_torus_pairs(tmod, 16):
-        v1 = ctx.kernel(x, y)
-        v2 = ctx_inv.kernel(y, x)
-        worst = max(worst, abs(v1 + v2) / abs(v1))
-    checks.append(_check("self-sewn torus kernel skew-symmetry", worst, tol))
-    return checks
+    torus = _skew_residual(ctx.kernel, ctx_inv.kernel,
+                           _rho_torus_pairs(tmod, 16))
+    return [_check("two-tori kernel skew-symmetry", eps, tol),
+            _check("self-sewn sphere kernel skew-symmetry", sphere, tol),
+            _check("self-sewn torus kernel skew-symmetry", torus, tol)]
 
 
 def suite_dehn(n_order: int | None = None, m_points: int | None = None,
@@ -235,9 +233,7 @@ def suite_dehn(n_order: int | None = None, m_points: int | None = None,
     flip_sqrt = EpsilonModuli.create(
         moduli.tau(1), moduli.tau(2), moduli.epsilon, xi=moduli.xi,
         sqrt_epsilon=-moduli.sqrt_epsilon)
-    flip_joint = EpsilonModuli.create(
-        moduli.tau(1), moduli.tau(2), moduli.epsilon, xi=-moduli.xi,
-        sqrt_epsilon=-moduli.sqrt_epsilon)
+    flip_joint = moduli.dehn_twist()
     ctx = EpsilonContext(chars, moduli, n, cfg)
     ctx_sqrt = EpsilonContext(chars, flip_sqrt, n, cfg)
     ctx_joint = EpsilonContext(chars, flip_joint, n, cfg)
@@ -279,16 +275,15 @@ _RHO_GENERATORS = (
 def suite_modular_eps(n_order: int | None = None,
                       m_points: int | None = None,
                       cfg: NumericConfig = DEFAULT_CONFIG) -> list[dict]:
-    n = n_order or 16
     chars, moduli, _ = _eps_setup(cfg=cfg)
+    ctx = EpsilonContext(chars, moduli, n_order or 16, cfg)
     pairs = _eps_pairs(moduli, 4)
     checks = []
     for name, g in _EPS_GENERATORS:
-        r = invariance_residual("eps", g, chars, moduli, pairs,
-                                n_order=n, cfg=cfg)
+        r = invariance_residual(g, ctx, pairs)
         checks.append(_check(f"two-tori kernel invariance under {name}",
                              r, 1e-8))
-        d = det_residual("eps", g, chars, moduli, n_order=n, cfg=cfg)
+        d = det_residual(g, ctx)
         checks.append(_check(f"two-tori determinant invariance under {name}",
                              d, 1e-9))
     return checks
@@ -297,18 +292,16 @@ def suite_modular_eps(n_order: int | None = None,
 def suite_modular_rho(n_order: int | None = None,
                       m_points: int | None = None,
                       cfg: NumericConfig = DEFAULT_CONFIG) -> list[dict]:
-    n = n_order or 12
-    m = m_points or 64
     tw1, handle, moduli = _rho_torus_setup()
+    ctx = RhoTorusContext(tw1, handle, moduli, n_order or 12, m_points or 64,
+                          cfg=cfg)
     pairs = _rho_torus_pairs(moduli, 2)
     checks = []
     for name, g in _RHO_GENERATORS:
-        r = invariance_residual("rho", g, (tw1, handle), moduli, pairs,
-                                n_order=n, m_points=m, cfg=cfg)
+        r = invariance_residual(g, ctx, pairs)
         checks.append(_check(f"self-sewn torus kernel invariance under {name}",
                              r, 1e-7))
-        d = det_residual("rho", g, (tw1, handle), moduli,
-                         n_order=n, m_points=m, cfg=cfg)
+        d = det_residual(g, ctx)
         checks.append(_check(
             f"self-sewn torus determinant invariance under {name}", d, 1e-7))
     return checks
@@ -333,9 +326,8 @@ def suite_det_identity(n_order: int | None = None,
     t0 = time.time()
     worst = 0.0
     for lam, qabs, handle, smod in _sphere_setups():
-        mom = sphere_moments(handle, n, smod, cfg)
         d_prod = det_i_minus_t_sphere(handle, n, smod)
-        d_mat = determinant(np.eye(2 * n, dtype=complex) - mom.t.data)
+        d_mat = RhoSphereContext(handle, smod, n, cfg).det()
         worst = max(worst, abs(d_prod - d_mat))
     checks.append(_check(
         "sphere determinant matches truncated product form", worst, 1e-12,
@@ -369,8 +361,6 @@ def suite_integral_eq(n_order: int | None = None,
 
     # self-sewn torus scheme: S2(x,y) = S_kappa(x,y)
     #   + sum_a (1/2pi i) oint_{C_a} S_kappa(x,z) S2(z,y) dz
-    from .rho import _circle_log_a, _s_kappa_torus_grid, log_a_torus, \
-        s_kappa_torus
     tw1, handle, tmod = _rho_torus_setup()
     rctx = RhoTorusContext(tw1, handle, tmod, n_order or 12, m_points or 64,
                            cfg=cfg)
@@ -452,9 +442,9 @@ def suite_degeneration(n_order: int | None = None,
     t0 = time.time()
     worst = 0.0
     for lam, qabs, handle, smod in _sphere_setups():
+        kernel = _sphere_log_kernel(RhoSphereContext(handle, smod, 24, cfg))
         for lx, ly in _sphere_log_pairs(qabs, 4):
-            val = torus_from_sphere(handle, np.exp(lx), np.exp(ly), smod, 24,
-                                    log_x=lx, log_y=ly, cfg=cfg)
+            val = kernel(lx, ly)
             conv = val * np.exp(0.5 * (lx + ly))
             oracle = p1_series(handle, lx - ly, smod.tau, cfg)
             worst = max(worst, abs(conv - oracle) / abs(oracle))
@@ -493,11 +483,11 @@ def suite_convergence(n_order: int | None = None,
                    "rate": float(rate), "maximum": 0.7,
                    "passed": bool(rate < 0.7)})
 
-    base = torus_moments(tw1, handle, 8, tmod, 64, cfg=cfg)
+    base = TorusMoments(tw1, handle, 8, tmod, 64, cfg=cfg)
     worst = 0.0
     for scale in (0.8, 1.2):
-        mom = torus_moments(tw1, handle, 8, tmod, 64, radius_scale=scale,
-                            cfg=cfg)
+        mom = TorusMoments(tw1, handle, 8, tmod, 64, radius_scale=scale,
+                           cfg=cfg)
         worst = max(worst, float(np.max(np.abs(mom.g.data - base.g.data))))
         hx = base.h_vector(x)
         worst = max(worst, float(np.max(np.abs(mom.h_vector(x) - hx))))

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from szegosew.epsilon import (EpsilonModuli, GenusTwoCharacteristicsEps,
-                              SurfacePoint, epsilon_bound)
+from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
+                              GenusTwoCharacteristicsEps, SurfacePoint,
+                              epsilon_bound)
 from szegosew.errors import DomainError
 from szegosew.modular import (EpsGroupElement, RhoGroupElement, act_eps,
-                              act_eps_point, act_rho, act_rho_point,
-                              det_residual, invariance_residual)
+                              act_eps_moduli, act_eps_point, act_rho,
+                              act_rho_point, det_residual,
+                              invariance_residual)
 from szegosew.rho import HandleTwist, RhoModuliTorus, RhoTorusContext
 from szegosew.specialfn import TorusModulus, TwistPair, lattice_distance
 
@@ -119,6 +121,46 @@ class TestPointTransport:
         assert abs(s) > 0
         assert np.isfinite(z2.real) and np.isfinite(z2.imag)
 
+    def test_eps_transform_point_map_composes_atoms(self):
+        # the one-walk point map of a word equals the single-atom maps
+        # applied along the moduli of its prefixes
+        m = _eps_moduli()
+        atoms = [EpsGroupElement.gamma1(0, -1, 1, 0),
+                 EpsGroupElement.beta_swap(),
+                 EpsGroupElement.gamma2(1, 1, 1, 2)]
+        word = atoms[0].compose(atoms[1]).compose(atoms[2])
+        _, point = word.transform(EpsilonContext(CHARS, m, 4))
+        for pt in (_eps_pt(1, 0.23, 0.31), _eps_pt(2, 0.58, 0.27)):
+            got, s = point(pt)
+            assert (got, s) == act_eps_point(word, m, pt)
+            step, mod, factor = pt, m, 1.0
+            for atom in atoms:
+                step, f = act_eps_point(atom, mod, step)
+                mod, factor = act_eps_moduli(atom, mod), factor * f
+            assert got.which == step.which
+            assert abs(got.z - step.z) < 1e-13 * abs(step.z)
+            assert abs(s - factor) < 1e-13 * abs(factor)
+
+    def test_rho_transform_point_map_composes_atoms(self):
+        m = _rho_moduli()
+        tw1, handle = TwistPair(0.17, 0.38), HandleTwist(0.1, -0.22)
+        mults = (tw1.theta, handle.theta, tw1.phi, handle.phi)
+        atoms = [RhoGroupElement.a_shift(1),
+                 RhoGroupElement.gamma1(1, 1, 0, 1),
+                 RhoGroupElement.b_shift(-1)]
+        word = atoms[0].compose(atoms[1]).compose(atoms[2])
+        _, point = word.transform(RhoTorusContext(tw1, handle, m, 4, 16))
+        z = TWO_PI_I * (0.09 + 0.53 * TAU.tau)
+        got, s = point(z)
+        assert (got, s) == act_rho_point(word, m, z)
+        step, mod, factor = z, m, 1.0
+        for atom in atoms:
+            step, f = act_rho_point(atom, mod, step)
+            mod, mults = act_rho(atom, mod, mults)
+            factor *= f
+        assert abs(got - step) < 1e-13 * abs(step)
+        assert abs(s - factor) < 1e-13 * abs(factor)
+
 
 class TestInvariance:
     def test_eps_invariance_small_order(self):
@@ -126,9 +168,9 @@ class TestInvariance:
         pairs = [(_eps_pt(1, 0.23, 0.31), _eps_pt(2, 0.33, 0.61)),
                  (_eps_pt(2, 0.58, 0.27), _eps_pt(2, 0.19, 0.66))]
         g = EpsGroupElement.gamma1(1, 1, 0, 1)
-        assert invariance_residual("eps", g, CHARS, m, pairs, n_order=12) \
-            < 1e-8
-        assert det_residual("eps", g, CHARS, m, n_order=12) < 1e-9
+        ctx = EpsilonContext(CHARS, m, 12)
+        assert invariance_residual(g, ctx, pairs) < 1e-8
+        assert det_residual(g, ctx) < 1e-9
 
     def test_rho_invariance_small_order(self):
         m = _rho_moduli()
@@ -136,9 +178,8 @@ class TestInvariance:
         y = TWO_PI_I * (0.61 + 0.12 * TAU.tau) + W
         tw1, handle = TwistPair(0.17, 0.38), HandleTwist(0.1, -0.22)
         g = RhoGroupElement.b_shift(1)
-        r = invariance_residual("rho", g, (tw1, handle), m, [(x, y)],
-                                n_order=10, m_points=64)
-        assert r < 1e-7
+        ctx = RhoTorusContext(tw1, handle, m, 10, 64)
+        assert invariance_residual(g, ctx, [(x, y)]) < 1e-7
 
     def test_winding_survives_roundtrip(self):
         # translating the puncture up the lattice and back restores the
@@ -153,7 +194,11 @@ class TestInvariance:
         assert m2.winding == m.winding
         assert max(abs(np.array(mu2) - np.array(mults))) < 1e-12
 
-    def test_unknown_scheme_rejected(self):
+    def test_transform_rejects_other_scheme_context(self):
+        eps_ctx = EpsilonContext(CHARS, _eps_moduli(), 4)
+        rho_ctx = RhoTorusContext(TwistPair(0.17, 0.38),
+                                  HandleTwist(0.1, -0.22), _rho_moduli(), 4, 16)
         with pytest.raises(DomainError):
-            invariance_residual("nope", EpsGroupElement.identity(), CHARS,
-                                _eps_moduli(), [], n_order=4)
+            EpsGroupElement.identity().transform(rho_ctx)
+        with pytest.raises(DomainError):
+            RhoGroupElement.identity().transform(eps_ctx)

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from szegosew.config import DEFAULT_CONFIG
 from szegosew.errors import ConvergenceError, DomainError, SingularMatrixError
-from szegosew.numerics import (MomentMatrix, circle_nodes, circle_quadrature,
-                               condition_estimate, determinant, lu_solve,
-                               tail_estimate)
+from szegosew.numerics import (MomentMatrix, circle_nodes, determinant,
+                               lu_solve, tail_estimate)
 
 RNG = np.random.default_rng(20240817)
 
@@ -59,10 +58,6 @@ class TestDeterminant:
         assert abs(determinant(a) - np.prod(np.diag(a))) \
             < 1e-12 * abs(np.prod(np.diag(a)))
 
-    def test_condition_estimate_scales(self):
-        assert condition_estimate(np.eye(5, dtype=complex)) < 10.0
-        assert condition_estimate(np.diag([1.0, 1e-9])) > 1e8
-
 
 class TestCircleQuadrature:
     def test_cauchy_residue(self):
@@ -77,11 +72,6 @@ class TestCircleQuadrature:
         z, w = circle_nodes(0.0, 0.7, 32)
         for n in (0, 1, 2, 3):
             assert abs(np.sum(w * z**n)) < 1e-14
-
-    def test_circle_quadrature_laurent_coefficient(self):
-        # (1/2 pi i) oint f(z) dz picks the z^{-1} coefficient
-        val = circle_quadrature(lambda z: 3.0 / z + z**2, 0.0, 0.5, 64)
-        assert abs(val - 3.0) < 1e-13
 
 
 class TestTailEstimate:
@@ -106,15 +96,6 @@ class TestMomentMatrix:
         assert np.array_equal(m.block(1, 2), blocks[1])
         assert np.array_equal(m.block(2, 1), blocks[2])
         assert np.array_equal(m.block(2, 2), blocks[3])
-
-    def test_json_dump_labels_blocks(self):
-        n = 2
-        m = MomentMatrix(np.arange(16, dtype=complex).reshape(4, 4), n)
-        d = m.to_json_dict()
-        assert set(d["blocks"]) == {"11", "12", "21", "22"}
-        # complex entries as [re, im] pairs, row-major
-        assert d["blocks"]["11"][0][0] == [0.0, 0.0]
-        assert d["blocks"]["12"][1][1] == [7.0, 0.0]
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(DomainError):
