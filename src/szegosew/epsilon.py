@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import DomainError
 from .numerics import MomentMatrix, determinant, lu_solve
 from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
-                        lattice_distance, p1_theta, p_k_vector)
+                        lattice_distance, min_lattice_distance, p1_theta,
+                        p_k_vector)
 
 __all__ = [
     "EpsilonModuli", "GenusTwoCharacteristicsEps", "SurfacePoint",
@@ -43,19 +44,6 @@ __all__ = [
 ]
 
 RADIUS_FACTOR = 0.45  # contour radii r_a = 0.45 D(q_a), strict domain margin
-
-
-def min_lattice_distance(tau: TorusModulus) -> float:
-    """Minimal nonzero length D(q) = min |2 pi i (m tau + n)| of the lattice."""
-    t = tau.tau
-    span = int(math.ceil(2.0 / t.imag)) + 2
-    best = math.inf
-    for m in range(-span, span + 1):
-        for n in range(-span, span + 1):
-            if m == 0 and n == 0:
-                continue
-            best = min(best, 2.0 * math.pi * abs(m * t + n))
-    return best
 
 
 def _check_xi(xi) -> complex:
@@ -77,7 +65,8 @@ class EpsilonModuli:
 
     ``sqrt_epsilon`` records the chosen square root of epsilon and ``xi``
     in {+i, -i} the half-form branch of the sewing relation; a Dehn twist
-    flips both and leaves every kernel value unchanged.
+    flips both and leaves every kernel value unchanged.  The annulus radii
+    are fixed at construction.
     """
 
     tau1: TorusModulus
@@ -85,6 +74,7 @@ class EpsilonModuli:
     epsilon: complex
     sqrt_epsilon: complex
     xi: complex
+    _radii: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         eps = complex(self.epsilon)
@@ -92,13 +82,17 @@ class EpsilonModuli:
         if abs(sq * sq - eps) > 1e-12 * max(abs(eps), 1e-300):
             raise DomainError("sqrt_epsilon**2 does not equal epsilon")
         xi = _check_xi(self.xi)
-        if abs(eps) >= epsilon_bound(self.tau1, self.tau2):
+        bound = epsilon_bound(self.tau1, self.tau2)
+        if abs(eps) >= bound:
             raise DomainError(
                 f"|epsilon| = {abs(eps):.3e} outside the sewing domain "
-                f"bound {epsilon_bound(self.tau1, self.tau2):.3e}")
+                f"bound {bound:.3e}")
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "sqrt_epsilon", sq)
         object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "_radii", tuple(
+            RADIUS_FACTOR * min_lattice_distance(t)
+            for t in (self.tau1, self.tau2)))
 
     @classmethod
     def create(cls, tau1, tau2, epsilon, xi=1j, sqrt_epsilon=None) -> "EpsilonModuli":
@@ -119,7 +113,8 @@ class EpsilonModuli:
 
     def radius(self, a: int) -> float:
         """Sewing annulus outer radius r_a."""
-        return RADIUS_FACTOR * min_lattice_distance(self.tau(a))
+        self.tau(a)  # checks the label
+        return self._radii[a - 1]
 
     def dehn_twist(self) -> "EpsilonModuli":
         """epsilon -> e^{2 pi i} epsilon: flip (sqrt_epsilon, xi)."""
@@ -188,13 +183,14 @@ def c_matrix(tw: TwistPair, n_order: int, tau: TorusModulus,
     """Laurent moment matrix C(k,l) = (-1)^l binom(k+l-2,k-1) E_{k+l-1}."""
     if n_order < 1:
         raise DomainError("order must be >= 1")
-    eis = [eisenstein_twisted(tw, m, tau, cfg) for m in range(1, 2 * n_order)]
-    c = np.empty((n_order, n_order), dtype=complex)
-    for k in range(1, n_order + 1):
-        for l in range(1, n_order + 1):
-            c[k - 1, l - 1] = ((-1.0) ** l * math.comb(k + l - 2, k - 1)
-                               * eis[k + l - 2])
-    return c
+    eis = eisenstein_twisted(tw, np.arange(1, 2 * n_order), tau, cfg)
+    # binom[i, j] = binom(i + j, i) by Pascal's rule, row by row
+    binom = np.ones((n_order, n_order))
+    for i in range(1, n_order):
+        binom[i] = np.cumsum(binom[i - 1])
+    idx = np.arange(n_order)
+    sign = (-1.0) ** (idx + 1)
+    return sign * binom * eis[idx[:, None] + idx[None, :]]
 
 
 def f_matrix(tw: TwistPair, n_order: int, tau: TorusModulus,

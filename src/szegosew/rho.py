@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class RhoModuliTorus:
 
     Domain: |w - lambda| > 2 |rho|^{1/2} > 0 for every lattice point
     lambda, plus |rho| < r_1 r_2 for the sewing annulus radii so the
-    moment solve converges.
+    moment solve converges.  The radii are fixed at construction.
     """
 
     tau: TorusModulus
@@ -156,6 +156,8 @@ class RhoModuliTorus:
     z_ref: complex | None = None
     log_a_ref: complex | None = None
     winding: int = 0
+    _radius: float = field(init=False, repr=False, compare=False)
+    _contour_radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = complex(self.w)
@@ -177,6 +179,8 @@ class RhoModuliTorus:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "log_rho", complex(self.log_rho))
         object.__setattr__(self, "xi", _check_xi(self.xi))
+        object.__setattr__(self, "_radius", r)
+        object.__setattr__(self, "_contour_radius", math.sqrt(abs(rho) / r * r))
         # branch anchor of log A(z) = log(theta1(z-w)/theta1(z)): value
         # log_a_ref at the reference point z_ref.  Default anchor is w/2,
         # where A = -1 exactly by oddness of theta1.  Modular generators
@@ -214,14 +218,12 @@ class RhoModuliTorus:
         """Sewing annulus outer radius r_a (equal for both annuli)."""
         if a not in (1, 2):
             raise DomainError("annulus label must be 1 or 2")
-        return RADIUS_FACTOR * min(min_lattice_distance(self.tau),
-                                   float(lattice_distance(self.w, self.tau)))
+        return self._radius
 
     def contour_radius(self, a: int) -> float:
         """Geometric mean of the annulus inner and outer radii."""
-        outer = self.radius(a)
-        inner = abs(self.rho) / self.radius(3 - a)
-        return math.sqrt(inner * outer)
+        self.radius(a)  # checks the label
+        return self._contour_radius
 
     def center(self, a: int) -> complex:
         if a == 1:
@@ -399,8 +401,8 @@ def _a_values(z, tau: TorusModulus, w: complex, cfg: NumericConfig):
 
 def _min_singular_distance(z, tau: TorusModulus, w: complex) -> float:
     """Distance of z to the zeros (w + Lambda) and poles (Lambda) of A."""
-    return float(np.min(np.minimum(lattice_distance(z, tau),
-                                   lattice_distance(np.asarray(z) - w, tau))))
+    z = np.ravel(np.asarray(z, dtype=complex))
+    return float(np.min(lattice_distance(np.concatenate([z, z - w]), tau)))
 
 
 def _track_segment(z0: complex, z1: complex, tau: TorusModulus, w: complex,
@@ -767,17 +769,17 @@ class RhoTorusContext:
                                self.n_order)
         # middle factor D^theta (I - T)^{-1} applied from the left
         self._middle = dth[:, None] * lu_solve(eye - self._t.data, eye, cfg)
+        self._margin = X_RADIUS_FACTOR * max(moduli.contour_radius(1),
+                                             moduli.contour_radius(2)) * 1.05
 
     def validate_point(self, z: complex) -> None:
         mod = self.moduli
-        margin = X_RADIUS_FACTOR * max(mod.contour_radius(1),
-                                       mod.contour_radius(2)) * 1.05
-        d = min(float(lattice_distance(z, mod.tau)),
-                float(lattice_distance(complex(z) - mod.w, mod.tau)))
-        if d <= margin:
+        z = complex(z)
+        d = float(np.min(lattice_distance(np.array([z, z - mod.w]), mod.tau)))
+        if d <= self._margin:
             raise DomainError(
                 f"point at distance {d:.3e} from a puncture lies inside "
-                f"the sewing contours (need > {margin:.3e})")
+                f"the sewing contours (need > {self._margin:.3e})")
 
     def kernel(self, x, y, log_a_x=None, log_a_y=None) -> complex:
         """Sewn genus-two kernel coefficient of dx^1/2 dy^1/2."""

@@ -1,16 +1,20 @@
 """Two-tori sewing: domain checks, degeneration, and the determinant identity."""
 
+import math
+
 import numpy as np
 import pytest
 
+from szegosew import epsilon
 from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
                               GenusTwoCharacteristicsEps, SurfacePoint,
-                              build_q, det_i_minus_q, epsilon_bound,
+                              build_q, c_matrix, det_i_minus_q, epsilon_bound,
                               logdet_series, min_lattice_distance,
                               szego_genus2_eps)
 from szegosew.errors import DomainError
 from szegosew.numerics import determinant
-from szegosew.specialfn import TorusModulus, TwistPair, p1_theta
+from szegosew.specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
+                                p1_theta)
 
 TWO_PI_I = 2j * np.pi
 T1 = TorusModulus(0.3 + 1.0j)
@@ -104,6 +108,35 @@ class TestKernel:
             v1, v2 = ctx.kernel(x, y), ctx_inv.kernel(y, x)
             assert abs(v1 + v2) < 1e-11 * abs(v1)
 
+    def test_high_order_at_small_im_tau(self):
+        # E_n up to n = 127 at Im tau_1 = 0.3 (once NaN); N = 64 must agree
+        # with N = 32, which is already converged
+        t1 = TorusModulus(0.1 + 0.3j)
+        moduli = EpsilonModuli.create(t1, T2, 0.02 * epsilon_bound(t1, T2)
+                                      * np.exp(0.5j))
+        x1 = SurfacePoint(1, TWO_PI_I * (0.23 + 0.41 * t1.tau))
+        y1 = SurfacePoint(1, TWO_PI_I * (0.61 + 0.72 * t1.tau))
+        x2, y2 = _pt(2, 0.37, 0.55), _pt(2, 0.81, 0.22)
+        pairs = [(x1, y1), (x1, x2), (x2, y1), (x2, y2)]
+        vals = {}
+        for n in (32, 64):
+            ctx = EpsilonContext(CHARS, moduli, n)
+            vals[n] = np.array([ctx.det()]
+                               + [ctx.kernel(x, y) for x, y in pairs])
+        assert np.all(np.isfinite(vals[64]))
+        assert np.all(np.abs(vals[64] - vals[32]) < 1e-12 * np.abs(vals[32]))
+
+    def test_kernel_reuses_moduli_geometry(self, monkeypatch):
+        # annulus radii are fixed when the moduli are built
+        ctx = EpsilonContext(CHARS, _moduli(), 8)
+
+        def forbidden(tau):
+            raise AssertionError("lattice minimum recomputed per kernel call")
+        monkeypatch.setattr(epsilon, "min_lattice_distance", forbidden)
+        for x, y in [(_pt(1, 0.23, 0.31), _pt(1, 0.67, 0.52)),
+                     (_pt(1, 0.41, 0.18), _pt(2, 0.33, 0.61))]:
+            ctx.kernel(x, y)
+
     def test_truncation_converges(self):
         moduli = _moduli()
         x, y = _pt(1, 0.41, 0.18), _pt(2, 0.33, 0.61)
@@ -111,6 +144,16 @@ class TestKernel:
         v16 = EpsilonContext(CHARS, moduli, 16).kernel(x, y)
         v20 = EpsilonContext(CHARS, moduli, 20).kernel(x, y)
         assert abs(v20 - v16) < 1e-3 * abs(v16 - v8) + 1e-15
+
+
+class TestMoments:
+    def test_c_matrix_matches_loop(self):
+        n = 20  # every binomial below 2^53, so the table is exact
+        eis = eisenstein_twisted(CHARS.tw1, np.arange(1, 2 * n), T1)
+        loop = np.array([[(-1.0) ** l * math.comb(k + l - 2, k - 1)
+                          * eis[k + l - 2] for l in range(1, n + 1)]
+                         for k in range(1, n + 1)])
+        assert np.array_equal(c_matrix(CHARS.tw1, n, T1), loop)
 
 
 class TestDeterminant:

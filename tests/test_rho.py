@@ -5,6 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
+from szegosew import rho
 from szegosew.errors import DomainError, ResonanceError
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                           RhoTorusContext, det_i_minus_t_sphere, log_a_torus,
@@ -187,6 +188,16 @@ class TestTorusSewing:
                              radius_scale=1.15).kernel(x, y)
         assert abs(v - v2) < 1e-10 * abs(v)
         assert abs(v - v3) < 1e-10 * abs(v)
+
+    def test_kernel_reuses_moduli_geometry(self, monkeypatch):
+        # annulus and contour radii and the point margin are fixed when the
+        # moduli and the context are built
+        ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, 32)
+
+        def forbidden(tau):
+            raise AssertionError("lattice minimum recomputed per kernel call")
+        monkeypatch.setattr(rho, "min_lattice_distance", forbidden)
+        ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
 
     def test_convenience_wrapper_matches_context(self):
         mod = _torus_moduli()

@@ -1,22 +1,27 @@
 """Theta functions, twisted kernels and Eisenstein series.
 
 Oracles: the Jacobi triple product for theta_1, hand-derived
-quasi-periodicity factors, and the independent q-series route for the
-twisted genus-one kernel.
+quasi-periodicity factors, the independent q-series route for the
+twisted genus-one kernel, brute-force lattice enumeration, and 50-digit
+mpmath sums for the twisted Eisenstein series.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szegosew.errors import DomainError, ResonanceError
+from szegosew.config import DEFAULT_CONFIG
+from szegosew.errors import ConvergenceError, DomainError, ResonanceError
 from szegosew.specialfn import (Characteristics, K, TorusModulus, TwistPair,
-                                bernoulli_poly, eisenstein_twisted,
-                                lattice_distance, lattice_reduce, p1_series,
-                                p1_theta, theta1, theta_char)
+                                _p_k_theta_route, bernoulli_poly,
+                                eisenstein_twisted, lattice_distance,
+                                lattice_reduce, min_lattice_distance,
+                                p1_series, p1_theta, p_k_vector, theta1,
+                                theta_char)
 
 TAU = TorusModulus(0.3 + 1.0j)
 TWO_PI_I = 2j * np.pi
@@ -38,6 +43,52 @@ def _theta1_triple_product(z: complex, tau: complex) -> complex:
         prod *= (1 - q2n) * (1 - q2n * np.exp(2j * v)) \
             * (1 - q2n * np.exp(-2j * v))
     return -2.0 * qt ** 0.25 * np.sin(v) * prod
+
+
+def _brute_distance(w: np.ndarray, tau: complex) -> np.ndarray:
+    """2 pi min |w - (m tau + n)| by enumerating every row m that can win.
+
+    Within a row the nearest n is a rounding; a corner of the cell of
+    (tau, 1) lies within 1 + |tau| of w, so only rows with
+    |m - Im w / Im tau| <= (1 + |tau|) / Im tau can hold the minimum.
+    """
+    span = int(math.ceil((1.0 + abs(tau)) / tau.imag)) + 1
+    m = np.floor(w.imag / tau.imag)[:, None] + np.arange(-span, span + 1)
+    rem = w[:, None] - m * tau
+    return 2.0 * np.pi * np.min(np.abs(rem - np.round(rem.real)), axis=1)
+
+
+def _eisenstein_reference(tw: TwistPair, tau: complex, nmax: int,
+                          rmax: int = 56):
+    """E_1..E_nmax at 50 digits from the defining q-series, with the sums
+    of absolute values of their terms (the scale of the rounding error).
+
+    Returns (values, term magnitude sums, largest r = rmax term magnitude).
+    """
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(tw.lam)
+        theta = -mpmath.expjpi(-2 * mpmath.mpf(tw.beta))
+        log_q = 2j * mpmath.pi * mpmath.mpc(tau)
+        vals = [-mpmath.bernpoly(n, lam) / mpmath.factorial(n)
+                for n in range(1, nmax + 1)]
+        mags = np.array([float(abs(v)) for v in vals])
+        last = 0.0
+        for r in range(rmax + 1):
+            u = mpmath.exp(log_q * (r + lam)) / theta
+            v = theta * mpmath.exp(log_q * (r - lam))
+            for e, x, odd_sign in ((r + lam, u, 1), (r - lam, v, -1)):
+                if r == 0 and odd_sign == -1:
+                    continue  # the v-sum starts at r = 1
+                w = x / (1 - x)
+                mag, fe = float(abs(w)), float(e)  # |w| tracked in floats
+                for n in range(1, nmax + 1):
+                    vals[n - 1] += w if n % 2 == 0 else odd_sign * w
+                    mags[n - 1] += mag
+                    if r == rmax:
+                        last = max(last, mag / mags[n - 1])
+                    w = w * e / n
+                    mag *= fe / n
+        return np.array([complex(v) for v in vals]), mags, last
 
 
 class TestTheta1:
@@ -98,6 +149,30 @@ class TestLattice:
                     for m in range(-50, 51) for n in range(-50, 51)]
             assert abs(float(lattice_distance(z, tau)) - min(grid)) < 1e-12
 
+    @pytest.mark.parametrize("tau", [3.7 + 0.2j, 0.45 + 0.08j, 0.3 + 1.0j])
+    def test_lattice_distance_skewed_tau(self, tau):
+        rng = np.random.default_rng(7)
+        w = rng.uniform(-3.0, 3.0, 2000) + rng.uniform(-3.0, 3.0, 2000) * tau
+        got = lattice_distance(TWO_PI_I * w, TorusModulus(tau))
+        assert np.max(np.abs(got - _brute_distance(w, tau))) < 1e-12
+
+    @given(st.floats(-5.0, 5.0), st.floats(0.01, 3.0),
+           st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_distances_match_enumeration(self, re_tau, im_tau, u, v):
+        tau = complex(re_tau, im_tau)
+        w = u + v * tau
+        tm = TorusModulus(tau)
+        assert abs(float(lattice_distance(TWO_PI_I * w, tm))
+                   - _brute_distance(np.array([w]), tau)[0]) \
+            < 1e-12 * (1.0 + abs(w))
+        m = np.arange(-int(2.0 / im_tau) - 2, int(2.0 / im_tau) + 3)
+        n = np.round(-m * re_tau)
+        lengths = [abs(mm * tau + nn + dn) for mm, nn in zip(m, n)
+                   for dn in (-1, 0, 1) if (mm, nn + dn) != (0, 0)]
+        assert abs(min_lattice_distance(tm) - 2.0 * np.pi * min(lengths)) \
+            < 1e-12
+
     def test_lattice_reduce_inverts(self):
         z = TWO_PI_I * (5.37 - 3.61 * TAU.tau)
         z_red, m, n = lattice_reduce(z, TAU)
@@ -132,6 +207,15 @@ class TestTwistedKernel:
         tw = TwistPair(0.17, 0.38)
         for z in (1e-4 + 2e-4j, -2e-4 - 1e-4j):
             assert abs(z * p1_theta(tw, z, TAU) - 1.0) < 1e-3
+
+    def test_p_k_routes_agree(self):
+        # the q-series differentiated term by term against the analytically
+        # differentiated theta quotient, at reduced points inside the annulus
+        tw = TwistPair(0.17, 0.38)
+        for z in (-1.3 + 2.0j, -3.0 + 0.3j, -5.883 + 2.985j):
+            series = p_k_vector(tw, 6, z, TAU)
+            theta = _p_k_theta_route(tw, 6, z, TAU, DEFAULT_CONFIG)
+            assert np.all(np.abs(series - theta) < 1e-12 * np.abs(theta)), z
 
     def test_trivial_twists_rejected(self):
         with pytest.raises(ResonanceError):
@@ -172,8 +256,56 @@ class TestEisenstein:
         assert abs(eisenstein_twisted(tw, 5, TAU)) < 1e-12
 
     def test_rejects_bad_order(self):
-        with pytest.raises(DomainError):
-            eisenstein_twisted(TwistPair(0.17, 0.38), 0, TAU)
+        tw = TwistPair(0.17, 0.38)
+        for bad in (0, -1, np.array([3, 0, 2]), np.array([1.0, 2.0]),
+                    np.array([[1, 2]])):
+            with pytest.raises(DomainError):
+                eisenstein_twisted(tw, bad, TAU)
+
+    @pytest.mark.parametrize("tw,tau", [(TwistPair(0.17, 0.38), 0.3 + 1.0j),
+                                        (TwistPair(0.07, -0.29), 0.1 + 1.2j)])
+    def test_batch_matches_mpmath_reference(self, tw, tau):
+        ref, scale, last = _eisenstein_reference(tw, tau, 127)
+        assert last < 1e-30  # the reference sums are converged
+        got = eisenstein_twisted(tw, np.arange(1, 128), TorusModulus(tau))
+        # the high orders cancel, so errors are measured against the sum
+        # of the absolute values of the terms, not against |E_n|
+        assert np.all(np.abs(got - ref) < 1e-13 * scale)
+
+    def test_array_matches_scalar(self):
+        tw = TwistPair(0.17, 0.38)
+        orders = np.arange(1, 32)
+        batch = eisenstein_twisted(tw, orders, TAU)
+        single = np.array([eisenstein_twisted(tw, int(n), TAU) for n in orders])
+        assert isinstance(single[0], complex)
+        # the batch runs to the tail of its largest order, so lower orders
+        # pick up terms far below the series tolerance, plus rounding
+        assert np.max(np.abs(batch - single)) < 1e-16
+        for n in (1, 7, 31):
+            assert eisenstein_twisted(tw, np.array([n]), TAU)[0] \
+                == eisenstein_twisted(tw, n, TAU)
+        assert eisenstein_twisted(tw, np.array([], dtype=int), TAU).shape == (0,)
+
+    def test_untwisted_batch(self):
+        tw = TwistPair(0.5, 0.5)  # multipliers (1, 1)
+        vals = eisenstein_twisted(tw, np.arange(2, 7), TAU)
+        assert abs(vals[1]) < 1e-12 and abs(vals[3]) < 1e-12  # E_3, E_5
+        assert abs(vals[0] - eisenstein_twisted(tw, 2, TAU)) < 1e-15
+        with pytest.raises(ResonanceError):
+            eisenstein_twisted(tw, np.arange(1, 7), TAU)
+
+    def test_small_im_tau_finite(self):
+        # (r + lam)^{n-1} alone leaves the double range here; each term
+        # with q^{r+lam} and 1/(n-1)! applied does not
+        tw = TwistPair(0.17, 0.38)
+        for tau in (0.1 + 0.35j, 0.1 + 0.3j, 0.1 + 0.2j, 0.1 + 0.02j):
+            vals = eisenstein_twisted(tw, np.arange(1, 128), TorusModulus(tau))
+            assert np.all(np.isfinite(vals)), tau
+
+    def test_too_small_im_tau_raises(self):
+        with pytest.raises(ConvergenceError):
+            eisenstein_twisted(TwistPair(0.17, 0.38), np.arange(1, 128),
+                               TorusModulus(0.1 + 0.002j))
 
 
 def test_torus_modulus_requires_upper_half_plane():
