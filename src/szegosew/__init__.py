@@ -11,13 +11,12 @@ invariance residuals, ``verify`` the identity/property suites, and
 
 from .config import DEFAULT_CONFIG, NumericConfig
 from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,
-                      SurfacePoint, det_i_minus_q, epsilon_bound,
-                      szego_genus2_eps)
+                      SurfacePoint, epsilon_bound, szego_genus2_eps)
 from .errors import (BranchTrackingError, ConvergenceError, DomainError,
                      ResonanceError, SingularMatrixError, SzegosewError)
 from .modular import (EpsGroupElement, RhoGroupElement, act_eps, act_rho,
                       det_residual, invariance_residual)
-from .numerics import MomentMatrix, determinant, lu_solve, tail_estimate
+from .numerics import determinant, lu_solve, tail_estimate
 from .rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                   RhoSphereContext, RhoTorusContext, det_i_minus_t_sphere,
                   s_kappa_sphere, s_kappa_torus, szego_genus2_rho,
@@ -35,14 +34,14 @@ __all__ = [
     "TorusModulus", "TwistPair", "theta_char", "theta1",
     "p1_theta", "p1_series", "eisenstein_twisted",
     "EpsilonModuli", "GenusTwoCharacteristicsEps", "SurfacePoint",
-    "EpsilonContext", "szego_genus2_eps", "det_i_minus_q", "epsilon_bound",
+    "EpsilonContext", "szego_genus2_eps", "epsilon_bound",
     "HandleTwist", "RhoModuliSphere", "RhoModuliTorus",
     "RhoSphereContext", "RhoTorusContext",
     "s_kappa_sphere", "s_kappa_torus", "torus_from_sphere",
     "det_i_minus_t_sphere", "szego_genus2_rho",
     "EpsGroupElement", "RhoGroupElement", "act_eps", "act_rho",
     "invariance_residual", "det_residual",
-    "MomentMatrix", "lu_solve", "determinant", "tail_estimate",
+    "lu_solve", "determinant", "tail_estimate",
     "SUITE_NAMES", "run_suite", "run_all",
     "__version__",
 ]

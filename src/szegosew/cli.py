@@ -165,7 +165,7 @@ class _Evaluator:
 
             def det_q_block() -> complex:
                 q = build_q(ctx.f_block(1), ctx.f_block(2), moduli.xi)
-                return determinant(np.eye(2 * n, dtype=complex) - q.data)
+                return determinant(np.eye(2 * n, dtype=complex) - q)
             self._det_routes = (("det_I_minus_Q", det_q_block),
                                 ("det_I_minus_F1F2", ctx.det))
         elif args.scheme == "rho-torus":

@@ -23,14 +23,13 @@ Dehn-twist parity (same-torus even, cross odd in sqrt_epsilon, joint
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import DomainError
-from .numerics import MomentMatrix, determinant, lu_solve
+from .numerics import LU
 from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
                         lattice_distance, min_lattice_distance, p1_theta,
                         p_k_vector)
@@ -39,11 +38,19 @@ __all__ = [
     "EpsilonModuli", "GenusTwoCharacteristicsEps", "SurfacePoint",
     "min_lattice_distance", "epsilon_bound",
     "c_matrix", "f_matrix",
-    "build_q", "det_i_minus_q", "logdet_series",
+    "build_q", "logdet_series",
     "EpsilonContext", "szego_genus2_eps",
 ]
 
 RADIUS_FACTOR = 0.45  # contour radii r_a = 0.45 D(q_a), strict domain margin
+
+
+def _finite(value, name: str) -> complex:
+    """A complex modulus, branch datum or coordinate; NaN and Inf raise."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _check_xi(xi) -> complex:
@@ -77,8 +84,8 @@ class EpsilonModuli:
     _radii: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        eps = complex(self.epsilon)
-        sq = complex(self.sqrt_epsilon)
+        eps = _finite(self.epsilon, "epsilon")
+        sq = _finite(self.sqrt_epsilon, "sqrt_epsilon")
         if abs(sq * sq - eps) > 1e-12 * max(abs(eps), 1e-300):
             raise DomainError("sqrt_epsilon**2 does not equal epsilon")
         xi = _check_xi(self.xi)
@@ -156,10 +163,7 @@ class SurfacePoint:
     def __post_init__(self) -> None:
         if self.which not in (1, 2):
             raise DomainError("which must be 1 or 2")
-        z = complex(self.z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise DomainError("point coordinate must be finite")
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "z", _finite(self.z, "point coordinate"))
 
 
 def validate_point(pt: SurfacePoint, moduli: EpsilonModuli,
@@ -208,22 +212,14 @@ def f_matrix(tw: TwistPair, n_order: int, tau: TorusModulus,
 # block matrices and determinant
 # ----------------------------------------------------------------------
 
-def build_q(f1: np.ndarray, f2: np.ndarray, xi: complex) -> MomentMatrix:
-    """Block matrix Q = [[0, xi F1], [-xi F2, 0]]."""
+def build_q(f1: np.ndarray, f2: np.ndarray, xi: complex) -> np.ndarray:
+    """Block matrix Q = [[0, xi F1], [-xi F2, 0]]; det(I - Q) = det(I - F1 F2)."""
     f1 = np.asarray(f1, dtype=complex)
     f2 = np.asarray(f2, dtype=complex)
     if f1.shape != f2.shape or f1.shape[0] != f1.shape[1]:
         raise DomainError("F1, F2 must be square with equal shapes")
     zero = np.zeros_like(f1)
-    return MomentMatrix.from_blocks(zero, xi * f1, -xi * f2, zero)
-
-
-def det_i_minus_q(f1: np.ndarray, f2: np.ndarray) -> complex:
-    """det(I - F1 F2) on the N-block, equal to det(I - Q) on the 2N block."""
-    f1 = np.asarray(f1, dtype=complex)
-    f2 = np.asarray(f2, dtype=complex)
-    eye = np.eye(f1.shape[0], dtype=complex)
-    return determinant(eye - f1 @ f2)
+    return np.block([[zero, xi * f1], [-xi * f2, zero]])
 
 
 def logdet_series(f1: np.ndarray, f2: np.ndarray, terms: int = 40) -> complex:
@@ -254,7 +250,8 @@ class EpsilonContext:
         if self.n_order < 1:
             raise DomainError("truncation order must be >= 1")
         self._f = {}
-        self._lu_rhs = {}
+        self._lu = {}
+        self._solved = {}
 
     def f_block(self, a: int) -> np.ndarray:
         if a not in self._f:
@@ -262,16 +259,21 @@ class EpsilonContext:
                                   self.moduli.tau(a), self.moduli, self.cfg)
         return self._f[a]
 
-    def _middle(self, a: int, with_f: bool) -> np.ndarray:
-        """(I - F_abar F_a)^{-1} F_abar  or  (I - F_abar F_a)^{-1}."""
-        key = (a, with_f)
-        if key not in self._lu_rhs:
-            fa = self.f_block(a)
-            fb = self.f_block(3 - a)
+    def _factors(self, a: int) -> LU:
+        """LU factors of I - F_abar F_a, once per torus label."""
+        if a not in self._lu:
             eye = np.eye(self.n_order, dtype=complex)
-            rhs = fb if with_f else eye
-            self._lu_rhs[key] = lu_solve(eye - fb @ fa, rhs, self.cfg)
-        return self._lu_rhs[key]
+            self._lu[a] = LU(eye - self.f_block(3 - a) @ self.f_block(a))
+        return self._lu[a]
+
+    def _middles(self, a: int) -> tuple:
+        """(I - F_abar F_a)^{-1} F_abar and (I - F_abar F_a)^{-1}."""
+        if a not in self._solved:
+            lu = self._factors(a)
+            eye = np.eye(self.n_order, dtype=complex)
+            self._solved[a] = (lu.solve(self.f_block(3 - a), self.cfg),
+                               lu.solve(eye, self.cfg))
+        return self._solved[a]
 
     def _u(self, a: int, z: complex, inverse: bool) -> np.ndarray:
         """sqrt_epsilon^k P_k(z) for k = 1..N (h vectors without eps^{-1/4})."""
@@ -297,7 +299,7 @@ class EpsilonContext:
                 return complex(base)
             u = self._u(a, x.z, inverse=False)
             v = -self._u(a, y.z, inverse=True)
-            corr = u @ self._middle(a, with_f=True) @ v / mod.sqrt_epsilon
+            corr = u @ self._middles(a)[0] @ v / mod.sqrt_epsilon
             return complex(base + corr)
         if mod.epsilon == 0:
             return 0.0 + 0.0j
@@ -305,13 +307,14 @@ class EpsilonContext:
         u = self._u(a, x.z, inverse=False)
         v = -self._u(abar, y.z, inverse=True)
         val = mod.xi * (-1.0) ** abar \
-            * (u @ self._middle(a, with_f=False) @ v) / mod.sqrt_epsilon
+            * (u @ self._middles(a)[1] @ v) / mod.sqrt_epsilon
         return complex(val)
 
     def det(self) -> complex:
+        """det(I - F1 F2), read from the label-2 factors."""
         if self.moduli.epsilon == 0:
             return 1.0 + 0.0j
-        return det_i_minus_q(self.f_block(1), self.f_block(2))
+        return self._factors(2).det()
 
 
 def szego_genus2_eps(chars: GenusTwoCharacteristicsEps, x: SurfacePoint,

@@ -1,9 +1,8 @@
 """Shared numerical infrastructure.
 
-Dense complex linear algebra (gated LU solve, determinant),
-spectrally accurate trapezoidal quadrature on circles, geometric tail
-fitting, and the truncated block moment matrix container used by both
-sewing schemes.
+Dense complex linear algebra (one LU factorisation per matrix serving
+gated solves and the determinant), spectrally accurate trapezoidal
+quadrature on circles, and geometric tail fitting.
 
 All matrices here are small (at most a few hundred rows), so dense
 LAPACK-backed factorizations are used throughout; the operation contracts
@@ -13,7 +12,7 @@ the package relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
 
 import numpy as np
 import scipy.linalg as sla
@@ -25,11 +24,11 @@ CONDITION_THRESHOLD = 1e12
 
 __all__ = [
     "as_complex_matrix",
+    "LU",
     "lu_solve",
     "determinant",
     "circle_nodes",
     "tail_estimate",
-    "MomentMatrix",
 ]
 
 
@@ -43,62 +42,73 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def lu_solve(a, b, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Solve A X = B by dense LU with partial pivoting.
+class LU:
+    """Pivoted LU factors of one square complex matrix, computed once.
 
-    Enforces the contract ``||AX - B||_inf <= solve_residual_tol * ||B||_inf``
-    and rejects matrices whose one-norm condition estimate exceeds the
-    fixed threshold.
+    The matrix is validated, factorised and its one-norm condition
+    estimated here; every ``solve`` and ``det`` reads these factors.
     """
-    amat = as_complex_matrix(a, "A")
-    bmat = np.asarray(b, dtype=complex)
-    squeeze = bmat.ndim == 1
-    if squeeze:
-        bmat = bmat[:, None]
-    bmat = as_complex_matrix(bmat, "B")
-    n = amat.shape[0]
-    if amat.shape[1] != n:
-        raise DomainError("A must be square")
-    if bmat.shape[0] != n:
-        raise DomainError("A and B have incompatible shapes")
 
-    anorm = np.linalg.norm(amat, 1)
-    try:
-        lu, piv = sla.lu_factor(amat, check_finite=False)
-    except (ValueError, sla.LinAlgError) as exc:  # pragma: no cover
-        raise SingularMatrixError(str(exc)) from exc
-    if np.any(np.abs(np.diag(lu)) == 0.0):
-        raise SingularMatrixError("matrix is singular to working precision")
-    rcond, info = sla.lapack.zgecon(lu, anorm, norm="1")
-    if info != 0 or rcond == 0.0 or 1.0 / rcond > CONDITION_THRESHOLD:
-        raise SingularMatrixError(
-            f"condition estimate {np.inf if rcond == 0 else 1.0 / rcond:.3e} "
-            f"exceeds threshold {CONDITION_THRESHOLD:.1e}")
+    def __init__(self, a) -> None:
+        self.a = as_complex_matrix(a, "A")
+        n = self.a.shape[0]
+        if self.a.shape[1] != n:
+            raise DomainError("A must be square")
+        # an exactly singular matrix warns here; solve raises instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            self.lu, self.piv = sla.lu_factor(self.a, check_finite=False)
+        self.singular = bool(np.any(np.abs(np.diag(self.lu)) == 0.0))
+        self.cond = np.inf
+        if n and not self.singular:
+            rcond, info = sla.lapack.zgecon(
+                self.lu, np.linalg.norm(self.a, 1), norm="1")
+            if info == 0 and rcond > 0.0:
+                self.cond = 1.0 / rcond
 
-    x = sla.lu_solve((lu, piv), bmat, check_finite=False)
-    bnorm = np.linalg.norm(bmat, np.inf)
-    resid = np.linalg.norm(amat @ x - bmat, np.inf)
-    if bnorm > 0 and resid > cfg.solve_residual_tol * max(bnorm, 1.0):
-        raise SingularMatrixError(
-            f"solve residual {resid:.3e} exceeds tolerance "
-            f"{cfg.solve_residual_tol:.1e} * ||B||")
-    return x[:, 0] if squeeze else x
+    def solve(self, b, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
+        """Solve A X = B for a vector or matrix B.
+
+        Enforces ``||AX - B||_inf <= solve_residual_tol * ||B||_inf`` and
+        rejects matrices whose condition estimate exceeds the fixed
+        threshold.
+        """
+        bmat = np.asarray(b, dtype=complex)
+        squeeze = bmat.ndim == 1
+        if squeeze:
+            bmat = bmat[:, None]
+        bmat = as_complex_matrix(bmat, "B")
+        if bmat.shape[0] != self.a.shape[0]:
+            raise DomainError("A and B have incompatible shapes")
+        if self.singular:
+            raise SingularMatrixError("matrix is singular to working precision")
+        if self.cond > CONDITION_THRESHOLD:
+            raise SingularMatrixError(
+                f"condition estimate {self.cond:.3e} "
+                f"exceeds threshold {CONDITION_THRESHOLD:.1e}")
+        x = sla.lu_solve((self.lu, self.piv), bmat, check_finite=False)
+        bnorm = np.linalg.norm(bmat, np.inf)
+        resid = np.linalg.norm(self.a @ x - bmat, np.inf)
+        if bnorm > 0 and resid > cfg.solve_residual_tol * max(bnorm, 1.0):
+            raise SingularMatrixError(
+                f"solve residual {resid:.3e} exceeds tolerance "
+                f"{cfg.solve_residual_tol:.1e} * ||B||")
+        return x[:, 0] if squeeze else x
+
+    def det(self) -> complex:
+        """Determinant from the factors; not gated (singular gives 0)."""
+        swaps = np.count_nonzero(self.piv != np.arange(len(self.piv)))
+        return complex((-1.0) ** swaps * np.prod(np.diag(self.lu)))
+
+
+def lu_solve(a, b, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Solve A X = B once through a gated ``LU``."""
+    return LU(a).solve(b, cfg)
 
 
 def determinant(a) -> complex:
     """Determinant of a square complex matrix from its pivoted LU factors."""
-    arr = as_complex_matrix(a)
-    n = arr.shape[0]
-    if arr.shape[1] != n:
-        raise DomainError("determinant needs a square matrix")
-    if n == 0:
-        return 1.0 + 0.0j
-    lu, piv = sla.lu_factor(arr, check_finite=False)
-    sign = 1.0
-    for i, p in enumerate(piv):
-        if p != i:
-            sign = -sign
-    return complex(sign * np.prod(np.diag(lu)))
+    return LU(a).det()
 
 
 def circle_nodes(center: complex, radius: float, m: int):
@@ -162,42 +172,3 @@ def tail_estimate(seq, spread_factor: float = 8.0):
         raise ConvergenceError(f"tail not decaying: fitted rate {rate:.3f}")
     bound = float(diffs[-1] * rate / (1.0 - rate))
     return rate, bound
-
-
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Truncated 2x2-block moment matrix (F, Q, G, T, X or Y).
-
-    Blocks are indexed by annulus labels (a,b) in {1,2} and mode indices
-    k,l in 1..N, stored as a single 2N x 2N array with block (a,b)
-    occupying rows (a-1)N..aN and columns (b-1)N..bN.
-    """
-
-    data: np.ndarray
-    trunc_order: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        arr = as_complex_matrix(self.data, "moment matrix")
-        n = self.trunc_order or arr.shape[0] // 2
-        if arr.shape != (2 * n, 2 * n):
-            raise DomainError(
-                f"moment matrix shape {arr.shape} does not match order {n}")
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "trunc_order", n)
-
-    @classmethod
-    def from_blocks(cls, b11, b12, b21, b22) -> "MomentMatrix":
-        blocks = [as_complex_matrix(b, "block") for b in (b11, b12, b21, b22)]
-        n = blocks[0].shape[0]
-        for b in blocks:
-            if b.shape != (n, n):
-                raise DomainError("all blocks must be square of equal size")
-        data = np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])
-        return cls(data=data, trunc_order=n)
-
-    def block(self, a: int, b: int) -> np.ndarray:
-        """Return a copy of block (a,b), a,b in {1,2}."""
-        if a not in (1, 2) or b not in (1, 2):
-            raise DomainError("block labels must be 1 or 2")
-        n = self.trunc_order
-        return self.data[(a - 1) * n:a * n, (b - 1) * n:b * n].copy()

@@ -38,10 +38,10 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
-from .numerics import MomentMatrix, determinant, lu_solve
+from .numerics import LU, as_complex_matrix
 from .specialfn import (TorusModulus, TwistPair, _theta_g1_derivs, K,
                         lattice_distance, theta1)
-from .epsilon import RADIUS_FACTOR, _check_xi, min_lattice_distance
+from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
 __all__ = [
     "HandleTwist", "RhoModuliSphere", "RhoModuliTorus", "mode_index",
@@ -118,9 +118,10 @@ class RhoModuliSphere:
         q = complex(self.q)
         if not (0.0 < abs(q) < 1.0):
             raise DomainError(f"need 0 < |q| < 1, got |q| = {abs(q)}")
-        _check_log(q, complex(self.log_q), "q")
+        log_q = _finite(self.log_q, "log_q")
+        _check_log(q, log_q, "q")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "log_q", complex(self.log_q))
+        object.__setattr__(self, "log_q", log_q)
         object.__setattr__(self, "xi", _check_xi(self.xi))
 
     @classmethod
@@ -160,11 +161,12 @@ class RhoModuliTorus:
     _contour_radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        w = complex(self.w)
-        rho = complex(self.rho)
+        w = _finite(self.w, "w")
+        rho = _finite(self.rho, "rho")
+        log_rho = _finite(self.log_rho, "log_rho")
         if rho == 0:
             raise DomainError("rho must be nonzero")
-        _check_log(rho, complex(self.log_rho), "rho")
+        _check_log(rho, log_rho, "rho")
         wdist = float(lattice_distance(w, self.tau))
         if wdist <= 2.0 * math.sqrt(abs(rho)):
             raise DomainError(
@@ -177,7 +179,7 @@ class RhoModuliTorus:
                 f"r_1 r_2 = {r * r:.3e}")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "log_rho", complex(self.log_rho))
+        object.__setattr__(self, "log_rho", log_rho)
         object.__setattr__(self, "xi", _check_xi(self.xi))
         object.__setattr__(self, "_radius", r)
         object.__setattr__(self, "_contour_radius", math.sqrt(abs(rho) / r * r))
@@ -280,7 +282,7 @@ class SphereMoments:
     handle: HandleTwist
     moduli: RhoModuliSphere
     n_order: int
-    t: MomentMatrix
+    t: np.ndarray
 
     def _k(self, a: int) -> np.ndarray:
         return mode_index(a, np.arange(1, self.n_order + 1), self.handle.kappa)
@@ -323,7 +325,7 @@ def sphere_moments(handle: HandleTwist, n_order: int,
     t11 = np.diag(moduli.q_pow(mode_index(1, k, kap) - 0.5) / handle.theta)
     t22 = np.diag(moduli.q_pow(mode_index(2, k, kap) - 0.5) * handle.theta)
     zero = np.zeros((n_order, n_order), dtype=complex)
-    t = MomentMatrix.from_blocks(t11, zero, zero, t22)
+    t = np.block([[t11, zero], [zero, t22]])
     return SphereMoments(handle=handle, moduli=moduli, n_order=n_order, t=t)
 
 
@@ -358,6 +360,7 @@ class RhoSphereContext:
         self.n_order = n_order if n_order is not None else cfg.trunc_order
         self.moments = sphere_moments(handle, self.n_order, moduli, cfg)
         self._dth = _d_theta_diag(handle.theta, self.n_order)
+        self._lu = LU(np.eye(2 * self.n_order, dtype=complex) - self.moments.t)
 
     def kernel(self, x, y, log_x=None, log_y=None) -> complex:
         """Sewn genus-one kernel coefficient of dx^1/2 dy^1/2.
@@ -368,14 +371,12 @@ class RhoSphereContext:
         """
         mom = self.moments
         base = s_kappa_sphere(self.handle, x, y, log_x, log_y, self.cfg)
-        hb = lu_solve(np.eye(2 * self.n_order, dtype=complex) - mom.t.data,
-                      mom.hbar_vector(y, log_y), self.cfg)
+        hb = self._lu.solve(mom.hbar_vector(y, log_y), self.cfg)
         corr = self.moduli.xi * (mom.h_vector(x, log_x) * self._dth) @ hb
         return complex(base + corr)
 
     def det(self) -> complex:
-        return determinant(np.eye(2 * self.n_order, dtype=complex)
-                           - self.moments.t.data)
+        return self._lu.det()
 
 
 def torus_from_sphere(handle: HandleTwist, x, y, moduli: RhoModuliSphere,
@@ -664,7 +665,7 @@ class TorusMoments:
     def _k(self, a: int) -> np.ndarray:
         return mode_index(a, np.arange(1, self.n_order + 1), self.kappa)
 
-    def _build_g(self) -> MomentMatrix:
+    def _build_g(self) -> np.ndarray:
         blocks = {}
         for a in (1, 2):
             for b in (1, 2):
@@ -691,8 +692,9 @@ class TorusMoments:
                 pref = self.moduli.rho_pow(
                     0.5 * (ka[:, None] + lb[None, :] - 1.0))
                 blocks[(a, b)] = pref * blk
-        return MomentMatrix.from_blocks(blocks[(1, 1)], blocks[(1, 2)],
-                                        blocks[(2, 1)], blocks[(2, 2)])
+        return as_complex_matrix(
+            np.block([[blocks[(1, 1)], blocks[(1, 2)]],
+                      [blocks[(2, 1)], blocks[(2, 2)]]]), "moment matrix G")
 
     def _point_log_a(self, z: complex, log_a_z) -> complex:
         if self.kappa == 0.0:
@@ -765,10 +767,9 @@ class RhoTorusContext:
                                     m_points, radius_scale, cfg)
         dth = _d_theta_diag(handle.theta, self.n_order)
         eye = np.eye(2 * self.n_order, dtype=complex)
-        self._t = MomentMatrix(moduli.xi * self.moments.g.data * dth[None, :],
-                               self.n_order)
+        self._lu = LU(eye - moduli.xi * self.moments.g * dth[None, :])
         # middle factor D^theta (I - T)^{-1} applied from the left
-        self._middle = dth[:, None] * lu_solve(eye - self._t.data, eye, cfg)
+        self._middle = dth[:, None] * self._lu.solve(eye, cfg)
         self._margin = X_RADIUS_FACTOR * max(moduli.contour_radius(1),
                                              moduli.contour_radius(2)) * 1.05
 
@@ -796,8 +797,7 @@ class RhoTorusContext:
         return complex(base + self.moduli.xi * h @ self._middle @ hb)
 
     def det(self) -> complex:
-        return determinant(np.eye(2 * self.n_order, dtype=complex)
-                           - self._t.data)
+        return self._lu.det()
 
 
 def szego_genus2_rho(tw1: TwistPair, handle: HandleTwist, x, y,

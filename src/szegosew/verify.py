@@ -318,7 +318,7 @@ def suite_det_identity(n_order: int | None = None,
     f1, f2 = ctx.f_block(1), ctx.f_block(2)
     q = build_q(f1, f2, moduli.xi)
     d_small = ctx.det()
-    d_big = determinant(np.eye(2 * n, dtype=complex) - q.data)
+    d_big = determinant(np.eye(2 * n, dtype=complex) - q)
     checks.append(_check(
         "block determinant equals half-size determinant (two tori)",
         abs(d_big - d_small), 1e-12, value=[d_small.real, d_small.imag]))
@@ -488,7 +488,7 @@ def suite_convergence(n_order: int | None = None,
     for scale in (0.8, 1.2):
         mom = TorusMoments(tw1, handle, 8, tmod, 64, radius_scale=scale,
                            cfg=cfg)
-        worst = max(worst, float(np.max(np.abs(mom.g.data - base.g.data))))
+        worst = max(worst, float(np.max(np.abs(mom.g - base.g))))
         hx = base.h_vector(x)
         worst = max(worst, float(np.max(np.abs(mom.h_vector(x) - hx))))
     checks.append(_check(

@@ -1,5 +1,6 @@
 """Two-tori sewing: domain checks, degeneration, and the determinant identity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from szegosew import epsilon
 from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
                               GenusTwoCharacteristicsEps, SurfacePoint,
-                              build_q, c_matrix, det_i_minus_q, epsilon_bound,
+                              build_q, c_matrix, epsilon_bound,
                               logdet_series, min_lattice_distance,
                               szego_genus2_eps)
 from szegosew.errors import DomainError
 from szegosew.numerics import determinant
+from szegosew.rho import RhoModuliSphere, RhoModuliTorus
 from szegosew.specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
                                 p1_theta)
 
@@ -52,6 +54,17 @@ class TestDomain:
     def test_bad_xi_rejected(self):
         with pytest.raises(DomainError):
             _moduli(xi=1.0)
+
+    @pytest.mark.parametrize("field", [
+        "epsilon", "sqrt_epsilon", "w", "rho", "log_rho", "log_q"])
+    def test_non_finite_branch_data_rejected(self, field):
+        torus = RhoModuliTorus.create(0.2 + 1.1j, -1.866 + 2.315j,
+                                      0.001 + 0.0006j)
+        valid = {"epsilon": _moduli(), "sqrt_epsilon": _moduli(),
+                 "w": torus, "rho": torus, "log_rho": torus,
+                 "log_q": RhoModuliSphere.create(0.05 + 0.02j)}[field]
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            dataclasses.replace(valid, **{field: complex(math.nan, 0.0)})
 
     def test_point_label_validated(self):
         with pytest.raises(DomainError):
@@ -161,13 +174,13 @@ class TestDeterminant:
         ctx = EpsilonContext(CHARS, _moduli(), 10)
         f1, f2 = ctx.f_block(1), ctx.f_block(2)
         q = build_q(f1, f2, ctx.moduli.xi)
-        d_big = determinant(np.eye(20, dtype=complex) - q.data)
-        assert abs(d_big - det_i_minus_q(f1, f2)) < 1e-13
+        d_big = determinant(np.eye(20, dtype=complex) - q)
+        assert abs(d_big - ctx.det()) < 1e-13
 
     def test_log_series_route_agrees(self):
         ctx = EpsilonContext(CHARS, _moduli(), 10)
         f1, f2 = ctx.f_block(1), ctx.f_block(2)
-        d_lu = det_i_minus_q(f1, f2)
+        d_lu = ctx.det()
         d_series = np.exp(logdet_series(f1, f2))
         assert abs(d_lu - d_series) < 1e-12 * abs(d_lu)
 

@@ -1,14 +1,22 @@
 """Linear-algebra and quadrature helpers: solved against independent oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from szegosew import numerics
 from szegosew.config import DEFAULT_CONFIG
-from szegosew.errors import ConvergenceError, DomainError, SingularMatrixError
-from szegosew.numerics import (MomentMatrix, circle_nodes, determinant,
-                               lu_solve, tail_estimate)
+from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
+                              GenusTwoCharacteristicsEps, SurfacePoint)
+from szegosew.errors import ConvergenceError, SingularMatrixError
+from szegosew.numerics import (LU, circle_nodes, determinant, lu_solve,
+                               tail_estimate)
+from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
+                          RhoSphereContext, RhoTorusContext)
+from szegosew.specialfn import TwistPair
 
 RNG = np.random.default_rng(20240817)
 
@@ -19,22 +27,35 @@ def _random_matrix(n: int) -> np.ndarray:
     return a + 2.0 * n * np.eye(n)
 
 
+# the wrapper and the factor object are two routes through one gate
+SOLVES = (lu_solve, lambda a, b: LU(a).solve(b))
+DETS = (determinant, lambda a: LU(a).det())
+
+
 class TestLuSolve:
     def test_matches_numpy_solve(self):
         a = _random_matrix(12)
         b = RNG.normal(size=(12, 3)) + 1j * RNG.normal(size=(12, 3))
-        x = lu_solve(a, b)
-        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=1e-12)
+        for solve in SOLVES:
+            x = solve(a, b)
+            assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12,
+                               atol=1e-12)
 
     def test_singular_matrix_rejected(self):
         a = np.ones((4, 4), dtype=complex)
-        with pytest.raises(SingularMatrixError):
-            lu_solve(a, np.ones(4, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the typed error, no LinAlgWarning
+            for solve in SOLVES:
+                with pytest.raises(SingularMatrixError):
+                    solve(a, np.ones(4, dtype=complex))
+            for det in DETS:
+                assert det(a) == 0  # the ungated determinant stays 0
 
     def test_ill_conditioned_rejected(self):
         a = np.diag(np.array([1.0, 1e-15, 1.0, 1.0], dtype=complex))
-        with pytest.raises(SingularMatrixError):
-            lu_solve(a, np.ones(4, dtype=complex))
+        for solve in SOLVES:
+            with pytest.raises(SingularMatrixError):
+                solve(a, np.ones(4, dtype=complex))
 
     @given(st.integers(min_value=1, max_value=8), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -43,20 +64,72 @@ class TestLuSolve:
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) \
             + 2.0 * n * np.eye(n)
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        x = lu_solve(a, b)
-        assert np.linalg.norm(a @ x - b) <= 1e-10 * max(np.linalg.norm(b), 1.0)
+        for solve in SOLVES:
+            x = solve(a, b)
+            assert np.linalg.norm(a @ x - b) \
+                <= 1e-10 * max(np.linalg.norm(b), 1.0)
 
 
 class TestDeterminant:
     def test_matches_eigenvalue_product(self):
         a = _random_matrix(9)
         ev = np.linalg.eigvals(a)
-        assert abs(determinant(a) - np.prod(ev)) < 1e-8 * abs(np.prod(ev))
+        for det in DETS:
+            assert abs(det(a) - np.prod(ev)) < 1e-8 * abs(np.prod(ev))
 
     def test_triangular_exact(self):
         a = np.triu(_random_matrix(6))
-        assert abs(determinant(a) - np.prod(np.diag(a))) \
-            < 1e-12 * abs(np.prod(np.diag(a)))
+        for det in DETS:
+            assert abs(det(a) - np.prod(np.diag(a))) \
+                < 1e-12 * abs(np.prod(np.diag(a)))
+
+
+def _eps_context():
+    chars = GenusTwoCharacteristicsEps(TwistPair(0.17, 0.38),
+                                       TwistPair(0.07, -0.29))
+    moduli = EpsilonModuli.create(0.3 + 1.0j, 0.1 + 1.2j, 0.01 + 0.02j)
+    ctx = EpsilonContext(chars, moduli, 16)
+    pts = [(SurfacePoint(a, 0.4 + 1.1j), SurfacePoint(b, 1.5 + 2.2j))
+           for a in (1, 2) for b in (1, 2)]
+    return ctx, pts
+
+
+def _rho_torus_context():
+    moduli = RhoModuliTorus.create(0.2 + 1.1j, -1.866 + 2.315j,
+                                   0.001 + 0.0006j)
+    ctx = RhoTorusContext(TwistPair(0.17, 0.38), HandleTwist(0.1, -0.22),
+                          moduli, 8, 64)
+    pts = [(0.6 + 3.5j, -2.9 + 1.4j), (-2.9 + 1.4j, 0.6 + 3.5j),
+           (0.6 + 3.5j, 0.9 + 2.4j), (0.9 + 2.4j, -2.9 + 1.4j)]
+    return ctx, pts
+
+
+def _sphere_context():
+    moduli = RhoModuliSphere.create(0.05 + 0.02j)
+    ctx = RhoSphereContext(HandleTwist(0.1, -0.22), moduli, 16)
+    pts = [(0.2 + 0.05j, -0.15 + 0.18j), (-0.15 + 0.18j, 0.2 + 0.05j),
+           (0.3j, 0.25), (0.25, -0.1 - 0.2j)]
+    return ctx, pts
+
+
+@pytest.mark.parametrize("build,factorisations", [
+    (_eps_context, 2), (_rho_torus_context, 1), (_sphere_context, 1)],
+    ids=["eps", "rho-torus", "sphere"])
+def test_context_factorises_each_sewing_matrix_once(monkeypatch, build,
+                                                    factorisations):
+    calls = []
+    lu_factor = numerics.sla.lu_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+    monkeypatch.setattr(numerics.sla, "lu_factor", counted)
+    ctx, pts = build()
+    ctx.det()
+    for x, y in pts:
+        ctx.kernel(x, y)
+    ctx.det()
+    assert len(calls) == factorisations
 
 
 class TestCircleQuadrature:
@@ -85,21 +158,6 @@ class TestTailEstimate:
     def test_rejects_non_geometric(self):
         with pytest.raises(ConvergenceError):
             tail_estimate([1.0, 2.0, 4.0, 8.0, 16.0])
-
-
-class TestMomentMatrix:
-    def test_block_roundtrip(self):
-        n = 3
-        blocks = [RNG.normal(size=(n, n)) + 0j for _ in range(4)]
-        m = MomentMatrix.from_blocks(*blocks)
-        assert np.array_equal(m.block(1, 1), blocks[0])
-        assert np.array_equal(m.block(1, 2), blocks[1])
-        assert np.array_equal(m.block(2, 1), blocks[2])
-        assert np.array_equal(m.block(2, 2), blocks[3])
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(DomainError):
-            MomentMatrix(np.zeros((3, 3), dtype=complex), 1)
 
 
 def test_config_immutability_and_override():

@@ -3,7 +3,8 @@
 Oracles: the Jacobi triple product for theta_1, hand-derived
 quasi-periodicity factors, the independent q-series route for the
 twisted genus-one kernel, brute-force lattice enumeration, and 50-digit
-mpmath sums for the twisted Eisenstein series.
+mpmath sums for theta and its derivatives and for the twisted Eisenstein
+series.
 """
 
 import math
@@ -17,11 +18,11 @@ from hypothesis import strategies as st
 from szegosew.config import DEFAULT_CONFIG
 from szegosew.errors import ConvergenceError, DomainError, ResonanceError
 from szegosew.specialfn import (Characteristics, K, TorusModulus, TwistPair,
-                                _p_k_theta_route, bernoulli_poly,
-                                eisenstein_twisted, lattice_distance,
-                                lattice_reduce, min_lattice_distance,
-                                p1_series, p1_theta, p_k_vector, theta1,
-                                theta_char)
+                                _p_k_theta_route, _theta_g1_derivs,
+                                bernoulli_poly, eisenstein_twisted,
+                                lattice_distance, lattice_reduce,
+                                min_lattice_distance, p1_series, p1_theta,
+                                p_k_vector, theta1, theta1_deriv0, theta_char)
 
 TAU = TorusModulus(0.3 + 1.0j)
 TWO_PI_I = 2j * np.pi
@@ -56,6 +57,36 @@ def _brute_distance(w: np.ndarray, tau: complex) -> np.ndarray:
     m = np.floor(w.imag / tau.imag)[:, None] + np.arange(-span, span + 1)
     rem = w[:, None] - m * tau
     return 2.0 * np.pi * np.min(np.abs(rem - np.round(rem.real)), axis=1)
+
+
+def _theta_reference(alpha: float, beta: float, z: complex, tau: complex,
+                     nderiv: int, radius: int = 80):
+    """d^j/dz^j theta[alpha;beta](z, tau), j = 0..nderiv, at 50 digits from
+    the defining sum over |m| <= radius, with the sums of absolute values
+    of the terms (the scale of the rounding error).
+
+    Returns (values, term magnitude sums, largest |m| = radius term
+    relative to its magnitude sum).
+    """
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        shift = mpmath.mpc(z) + 2j * mpmath.pi * mpmath.mpf(beta)
+        t = mpmath.mpc(tau)
+        vals = [mpmath.mpc(0)] * (nderiv + 1)
+        mags = [mpmath.mpf(0)] * (nderiv + 1)
+        edge = [mpmath.mpf(0)] * (nderiv + 1)
+        for m in range(-radius, radius + 1):
+            ma = m + a
+            term = mpmath.exp(1j * mpmath.pi * t * ma ** 2 + ma * shift)
+            for j in range(nderiv + 1):
+                w = term * ma ** j
+                vals[j] += w
+                mags[j] += abs(w)
+                if abs(m) == radius:
+                    edge[j] = max(edge[j], abs(w))
+        last = max(float(e / g) for e, g in zip(edge, mags))
+        return (np.array([complex(v) for v in vals]),
+                np.array([float(g) for g in mags]), last)
 
 
 def _eisenstein_reference(tw: TwistPair, tau: complex, nmax: int,
@@ -118,6 +149,25 @@ class TestTheta1:
                     * np.exp(-1j * np.pi * r * r * TAU.tau - r * z)
                 scale = max(abs(shifted), abs(base))
                 assert abs(shifted - factor * base) < 1e-10 * scale, (r, s)
+
+    @pytest.mark.parametrize("tau", [0.3 + 1.0j, 0.1 + 1.2j, 0.45 + 0.08j])
+    def test_matches_mpmath_reference(self, tau):
+        torus = TorusModulus(tau)
+        tw = TwistPair(0.17, 0.38)
+        zs = np.array([TWO_PI_I * (u + v * tau)
+                       for u, v in [(0.23, 0.31), (0.67, -0.52), (-0.41, 0.18)]])
+        derivs = _theta_g1_derivs(tw.alpha, tw.beta, zs, tau, 3, DEFAULT_CONFIG)
+        odd = theta1(zs, torus)
+        # errors are measured against the sum of the absolute values of
+        # the terms, the scale of the rounding error of the sum
+        for i, z in enumerate(zs):
+            ref, scale, last = _theta_reference(tw.alpha, tw.beta, z, tau, 3)
+            assert last < 1e-30  # the reference sums are converged
+            assert np.all(np.abs(derivs[:, i] - ref) <= 1e-14 * scale), (z, i)
+            ref1, scale1, _ = _theta_reference(0.5, 0.5, z, tau, 0)
+            assert abs(odd[i] - ref1[0]) <= 1e-14 * scale1[0], z
+        ref0, scale0, _ = _theta_reference(0.5, 0.5, 0.0, tau, 1)
+        assert abs(theta1_deriv0(torus) - ref0[1]) <= 1e-14 * scale0[1]
 
     def test_genus_one_theta_char_consistent(self):
         z = TWO_PI_I * (0.23 + 0.31 * TAU.tau)
