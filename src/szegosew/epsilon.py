@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 RADIUS_FACTOR = 0.45  # contour radii r_a = 0.45 D(q_a), strict domain margin
+_LOGDET_TERMS = 40  # terms of the logdet_series cross-check
 
 
 def _finite(value, name: str) -> complex:
@@ -222,12 +223,12 @@ def build_q(f1: np.ndarray, f2: np.ndarray, xi: complex) -> np.ndarray:
     return np.block([[zero, xi * f1], [-xi * f2, zero]])
 
 
-def logdet_series(f1: np.ndarray, f2: np.ndarray, terms: int = 40) -> complex:
+def logdet_series(f1: np.ndarray, f2: np.ndarray) -> complex:
     """Cross-check: log det(I-F1F2) = -sum_{n>=1} tr((F1 F2)^n)/n."""
     prod = np.asarray(f1, dtype=complex) @ np.asarray(f2, dtype=complex)
     acc = 0.0 + 0.0j
     power = np.eye(prod.shape[0], dtype=complex)
-    for n in range(1, terms + 1):
+    for n in range(1, _LOGDET_TERMS + 1):
         power = power @ prod
         acc -= np.trace(power) / n
     return complex(acc)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -419,8 +419,10 @@ def _winding_jump(st: _RhoState, a: int, b: int,
     sheets = []
     for fac in (X_RADIUS_FACTOR, Y_RADIUS_FACTOR):
         p = st.w + fac * st.contour_radius
-        l0 = log_a_torus(p, tau, st.w, cfg, st.z_ref, st.log_a_ref)
-        l1 = log_a_torus(p + delta, tau, st.w, cfg, st.z_ref, st.log_a_ref)
+        l0 = log_a_torus(p, tau, st.w, cfg, z_ref=st.z_ref,
+                         log_a_ref=st.log_a_ref)
+        l1 = log_a_torus(p + delta, tau, st.w, cfg, z_ref=st.z_ref,
+                         log_a_ref=st.log_a_ref)
         n = (l1 - l0 - drift) / TWO_PI_I
         ni = round(n.real)
         if abs(n - ni) > 1e-8:
@@ -460,25 +462,21 @@ def _rho_atom_moduli(kind, data, st: _RhoState):
             shift = a * (st.z_ref - st.w + 1j * math.pi) \
                 - 1j * math.pi * st.tau
             winding = st.winding - a - _winding_jump(st, a, 0)
-            st = _RhoState(st.tau, st.w + TWO_PI_I * a * st.tau,
-                           st.rho, st.log_rho + TWO_PI_I * a, st.xi,
-                           st.z_ref, st.log_a_ref + shift, winding,
-                           st.contour_radius)
+            st = replace(st, w=st.w + TWO_PI_I * a * st.tau,
+                         log_rho=st.log_rho + TWO_PI_I * a,
+                         log_a_ref=st.log_a_ref + shift, winding=winding)
         return st, None
     if kind == "B":
         for _ in range(abs(int(data))):
             b = 1 if data > 0 else -1
             winding = st.winding + b - _winding_jump(st, 0, b)
-            st = _RhoState(st.tau, st.w + TWO_PI_I * b,
-                           st.rho, st.log_rho - TWO_PI_I * b, st.xi,
-                           st.z_ref, st.log_a_ref - 1j * math.pi * b, winding,
-                           st.contour_radius)
+            st = replace(st, w=st.w + TWO_PI_I * b,
+                         log_rho=st.log_rho - TWO_PI_I * b,
+                         log_a_ref=st.log_a_ref - 1j * math.pi * b,
+                         winding=winding)
         return st, None
     if kind == "C":
-        return _RhoState(st.tau, st.w, st.rho,
-                         st.log_rho + TWO_PI_I * data, st.xi,
-                         st.z_ref, st.log_a_ref, st.winding,
-                         st.contour_radius), None
+        return replace(st, log_rho=st.log_rho + TWO_PI_I * data), None
     a, b, c, d = data
     j = c * st.tau + d
     # theta1 modular covariance: the Gaussian factors exp(c z^2 / (4 pi i j))
@@ -498,7 +496,7 @@ def _rho_walk(g: RhoGroupElement, m: RhoModuliTorus):
     sqrt(c tau + d); the other generators leave points in place.
     """
     st = _RhoState(m.tau.tau, m.w, m.rho, m.log_rho, m.xi,
-                   m.z_ref, m.log_a_ref, m.winding, m.contour_radius(2))
+                   m.z_ref, m.log_a_ref, m.winding, m.contour_radius)
     steps = []
     for kind, data in g.word:
         st, j = _rho_atom_moduli(kind, data, st)

@@ -21,6 +21,7 @@ from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import ConvergenceError, DomainError, SingularMatrixError
 
 CONDITION_THRESHOLD = 1e12
+_TAIL_SPREAD = 8.0  # max spread of per-step decay ratios of a geometric tail
 
 __all__ = [
     "as_complex_matrix",
@@ -130,15 +131,12 @@ def circle_nodes(center: complex, radius: float, m: int):
     return z, w
 
 
-def tail_estimate(seq, spread_factor: float = 8.0):
+def tail_estimate(seq):
     """Fit a geometric decay rate to successive differences of partial values.
 
     Parameters
     ----------
     seq : sequence of (complex) partial values, length >= 4.
-    spread_factor : float
-        Maximal allowed ratio between the largest and smallest per-step
-        decay ratio before the behavior is flagged as non-geometric.
 
     Returns
     -------
@@ -164,7 +162,7 @@ def tail_estimate(seq, spread_factor: float = 8.0):
     ratios = diffs[1:] / diffs[:-1]
     if np.min(ratios) <= 0:
         raise ConvergenceError("non-geometric tail: vanishing interior step")
-    if np.max(ratios) / np.min(ratios) > spread_factor:
+    if np.max(ratios) / np.min(ratios) > _TAIL_SPREAD:
         raise ConvergenceError(
             f"non-geometric tail: ratio spread {np.max(ratios)/np.min(ratios):.2f}")
     rate = float(np.exp(np.mean(np.log(ratios))))

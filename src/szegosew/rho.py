@@ -39,15 +39,16 @@ import numpy as np
 from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
 from .numerics import LU, as_complex_matrix
-from .specialfn import (TorusModulus, TwistPair, _theta_g1_derivs, K,
-                        lattice_distance, theta1)
+from .specialfn import (TorusModulus, TwistPair, _theta_g1_derivs,
+                        lattice_distance, theta1, theta1_deriv0)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
 __all__ = [
     "HandleTwist", "RhoModuliSphere", "RhoModuliTorus", "mode_index",
     "s_kappa_sphere", "sphere_moments", "SphereMoments",
     "det_i_minus_t_sphere", "RhoSphereContext", "torus_from_sphere",
-    "log_a_torus", "s_kappa_torus", "TorusMoments",
+    "log_a_torus", "TorusBaseKernel", "s_kappa_torus", "TorusContour",
+    "torus_contour", "TorusMoments",
     "RhoTorusContext", "szego_genus2_rho",
 ]
 
@@ -146,7 +147,9 @@ class RhoModuliTorus:
 
     Domain: |w - lambda| > 2 |rho|^{1/2} > 0 for every lattice point
     lambda, plus |rho| < r_1 r_2 for the sewing annulus radii so the
-    moment solve converges.  The radii are fixed at construction.
+    moment solve converges.  Fixed at construction: ``radius``, the outer
+    radius r_a of both sewing annuli, and ``contour_radius``, the
+    geometric mean of their inner and outer radii.
     """
 
     tau: TorusModulus
@@ -157,8 +160,8 @@ class RhoModuliTorus:
     z_ref: complex | None = None
     log_a_ref: complex | None = None
     winding: int = 0
-    _radius: float = field(init=False, repr=False, compare=False)
-    _contour_radius: float = field(init=False, repr=False, compare=False)
+    radius: float = field(init=False, repr=False, compare=False)
+    contour_radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = _finite(self.w, "w")
@@ -181,24 +184,28 @@ class RhoModuliTorus:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "log_rho", log_rho)
         object.__setattr__(self, "xi", _check_xi(self.xi))
-        object.__setattr__(self, "_radius", r)
-        object.__setattr__(self, "_contour_radius", math.sqrt(abs(rho) / r * r))
+        object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "contour_radius", math.sqrt(abs(rho) / r * r))
         # branch anchor of log A(z) = log(theta1(z-w)/theta1(z)): value
-        # log_a_ref at the reference point z_ref.  Default anchor is w/2,
-        # where A = -1 exactly by oddness of theta1.  Modular generators
-        # that move w transport this anchor on the covering space, which
-        # keeps branches of U^kappa coherent across transformed moduli.
+        # log_a_ref at the reference point z_ref, given together or not at
+        # all.  Default anchor is w/2, where A = -1 exactly by oddness of
+        # theta1.  Modular generators that move w transport this anchor on
+        # the covering space, which keeps branches of U^kappa coherent
+        # across transformed moduli.
+        if (self.z_ref is None) != (self.log_a_ref is None):
+            raise DomainError("z_ref and log_a_ref must be given together")
         if self.z_ref is None:
-            object.__setattr__(self, "z_ref", w / 2.0)
-            object.__setattr__(self, "log_a_ref", 1j * math.pi)
+            z_ref, log_a_ref = w / 2.0, 1j * math.pi
         else:
-            object.__setattr__(self, "z_ref", complex(self.z_ref))
-            object.__setattr__(self, "log_a_ref", complex(self.log_a_ref))
-            val = complex(_a_values(self.z_ref, self.tau, w, DEFAULT_CONFIG))
-            if abs(cmath.exp(self.log_a_ref) - val) > 1e-8 * abs(val):
+            z_ref = _finite(self.z_ref, "z_ref")
+            log_a_ref = _finite(self.log_a_ref, "log_a_ref")
+            val = complex(_a_values(z_ref, self.tau, w, DEFAULT_CONFIG))
+            if abs(cmath.exp(log_a_ref) - val) > 1e-8 * abs(val):
                 raise BranchTrackingError(
                     "log_a_ref is not a logarithm of theta1(z_ref - w) / "
                     "theta1(z_ref)")
+        object.__setattr__(self, "z_ref", z_ref)
+        object.__setattr__(self, "log_a_ref", log_a_ref)
         # `winding` is the second covering datum beside log_rho: the extra
         # integer number of 2 pi i branch sheets of log A carried by the
         # sewing contours around the puncture at w, relative to the sheet
@@ -215,17 +222,6 @@ class RhoModuliTorus:
         if log_rho is None:
             log_rho = _branch_log(rho, sqrt_rho, "rho")
         return cls(tau=t, w=complex(w), rho=rho, log_rho=log_rho, xi=xi)
-
-    def radius(self, a: int) -> float:
-        """Sewing annulus outer radius r_a (equal for both annuli)."""
-        if a not in (1, 2):
-            raise DomainError("annulus label must be 1 or 2")
-        return self._radius
-
-    def contour_radius(self, a: int) -> float:
-        """Geometric mean of the annulus inner and outer radii."""
-        self.radius(a)  # checks the label
-        return self._contour_radius
 
     def center(self, a: int) -> complex:
         if a == 1:
@@ -429,29 +425,23 @@ def _track_segment(z0: complex, z1: complex, tau: TorusModulus, w: complex,
 
 
 def log_a_torus(z, tau: TorusModulus, w: complex,
-                cfg: NumericConfig = DEFAULT_CONFIG,
-                z_ref: complex | None = None,
-                log_a_ref: complex | None = None) -> complex:
+                cfg: NumericConfig = DEFAULT_CONFIG, *,
+                z_ref: complex, log_a_ref: complex) -> complex:
     """log of A(z) = theta1(z-w)/theta1(z), continued from a branch anchor.
 
-    The default anchor is z_ref = w/2 with value i pi (A(w/2) = -1 by
-    oddness of theta1); moduli transported by modular generators carry
-    their own coherent (z_ref, log_a_ref).  The logarithm is continued
-    along the straight path from the anchor to z (bent around any
-    singularity it meets).  All fractional powers U^kappa in the
-    self-sewing torus kernel use this tracker, so anchor constants
-    cancel between the base kernel and the moment bilinears.
+    The anchor (z_ref, log_a_ref) is the one a RhoModuliTorus records;
+    moduli transported by modular generators carry their own coherent
+    anchor.  The logarithm is continued along the straight path from the
+    anchor to z (bent around any singularity it meets).  All fractional
+    powers U^kappa in the self-sewing torus kernel use this tracker, so
+    anchor constants cancel between the base kernel and the moment
+    bilinears.
     """
     z = complex(z)
-    if z_ref is None:
-        anchor = w / 2.0
-        base = 1j * np.pi
-    else:
-        anchor = complex(z_ref)
-        base = complex(log_a_ref)
     if _min_singular_distance(np.array([z]), tau, w) < cfg.pole_guard:
         raise DomainError("point is at a zero or pole of theta1(z-w)/theta1(z)")
-    return base + _segment_increment(anchor, z, tau, w, cfg)
+    return complex(log_a_ref) + _segment_increment(complex(z_ref), z, tau, w,
+                                                   cfg)
 
 
 def _segment_increment(z0: complex, z1: complex, tau: TorusModulus, w: complex,
@@ -474,103 +464,122 @@ def _segment_increment(z0: complex, z1: complex, tau: TorusModulus, w: complex,
         raise
 
 
-def _circle_log_a(center: complex, radius: float, m: int, tau: TorusModulus,
-                  w: complex, cfg: NumericConfig,
-                  z_ref: complex | None = None,
-                  log_a_ref: complex | None = None):
-    """Contour nodes with angle-continuous log A, including the closure node.
-
-    Returns (points, log_local, log_a) of length m+1; index m is the
-    phi = 2 pi continuation of index 0 (same point, shifted branches).
-    """
-    phi = 2.0 * np.pi * np.arange(m + 1) / m
-    pts = center + radius * np.exp(1j * phi)
-    pts[m] = pts[0]
-    log_local = math.log(radius) + 1j * phi
-    vals = _a_values(pts, tau, w, cfg)
-    steps = np.log(vals[1:] / vals[:-1])
-    if np.any(np.abs(steps.imag) > _TRACK_ARG_LIMIT):
-        raise BranchTrackingError(
-            "contour too coarse for branch tracking; increase quadrature M")
-    la0 = log_a_torus(pts[0], tau, w, cfg, z_ref, log_a_ref)
-    log_a = la0 + np.concatenate([[0.0], np.cumsum(steps)])
-    winding = (log_a[m] - log_a[0]) / TWO_PI_I
-    if abs(winding - round(winding.real)) > 1e-8:
-        raise BranchTrackingError(
-            f"contour winding of log A not an integer: {winding}")
-    return pts, log_local, log_a
-
-
 # ----------------------------------------------------------------------
-# torus: twisted base kernel S_kappa
+# torus: twisted base kernel S_kappa and its contours
 # ----------------------------------------------------------------------
 
-def _theta_g1(alpha: float, beta: float, z, tau: TorusModulus,
-              cfg: NumericConfig):
-    return _theta_g1_derivs(alpha, beta, np.asarray(z, dtype=complex),
-                            tau.tau, 0, cfg)[0]
+class TorusBaseKernel:
+    """Twisted genus-one kernel S_kappa of one self-sewing setup.
 
-
-def _theta_const(tw1: TwistPair, kappa: float, w: complex, tau: TorusModulus,
-                 cfg: NumericConfig) -> complex:
-    val = complex(_theta_g1(tw1.alpha, tw1.beta, np.array(kappa * w), tau, cfg))
-    if abs(val) < cfg.resonance_guard:
-        raise ResonanceError(
-            "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
-    return val
-
-
-def _s_kappa_torus_grid(tw1: TwistPair, kappa: float, xs, log_ax, ys, log_ay,
-                        tau: TorusModulus, w: complex,
-                        cfg: NumericConfig) -> np.ndarray:
-    """S_kappa coefficient on the grid xs x ys with supplied log A branches."""
-    xs = np.asarray(xs, dtype=complex)
-    ys = np.asarray(ys, dtype=complex)
-    diff = xs[:, None] - ys[None, :]
-    if np.any(lattice_distance(diff, tau) < cfg.pole_guard):
-        raise DomainError("x - y hits the lattice: kernel pole")
-    th0 = _theta_const(tw1, kappa, w, tau, cfg)
-    num = _theta_g1(tw1.alpha, tw1.beta, diff + kappa * w, tau, cfg)
-    if kappa == 0.0:
-        u_pow = 1.0
-    else:
-        u_pow = np.exp(kappa * (np.asarray(log_ax, dtype=complex)[:, None]
-                                - np.asarray(log_ay, dtype=complex)[None, :]))
-    return u_pow * num / (th0 * K(diff, tau, cfg))
-
-
-def s_kappa_torus(tw1: TwistPair, handle: HandleTwist, x, y,
-                  moduli, cfg: NumericConfig = DEFAULT_CONFIG,
-                  log_a_x=None, log_a_y=None) -> complex:
-    """Twisted genus-one kernel coefficient of dx^1/2 dy^1/2.
-
-        U(x,y)^kappa theta[a1;b1](x-y+kappa w) /
-            (theta[a1;b1](kappa w) K(x-y)),
+        S_kappa(x,y) = U(x,y)^kappa theta[a1;b1](x-y+kappa w) /
+                       (theta[a1;b1](kappa w) K(x-y)),
         U(x,y) = theta1(x-w) theta1(y) / (theta1(x) theta1(y-w)),
 
     with U^kappa = exp(kappa (log A(x) - log A(y))) on the tracked branch
-    of log A (see log_a_torus); explicit branch values may be supplied.
-    ``moduli`` is a RhoModuliTorus or a bare (tau, w) pair.
+    of log A (see log_a_torus).  The kappa = -1/2 rejection, the constant
+    theta[a1;b1](kappa w) with its resonance guard, theta1'(0), and
+    whether log A is needed at all (not at kappa = 0) are settled once,
+    at construction.
     """
-    if isinstance(moduli, RhoModuliTorus):
-        tau, w = moduli.tau, moduli.w
-        z_ref, log_a_ref = moduli.z_ref, moduli.log_a_ref
+
+    def __init__(self, tw1: TwistPair, handle: HandleTwist,
+                 moduli: RhoModuliTorus,
+                 cfg: NumericConfig = DEFAULT_CONFIG) -> None:
+        kap = handle.kappa
+        if _is_half(kap):
+            raise DomainError("kappa = -1/2 torus self-sewing is not supported")
+        self.tw1 = tw1
+        self.kappa = kap
+        self.moduli = moduli
+        self.cfg = cfg
+        self.tracked = kap != 0.0
+        th0 = complex(_theta_g1_derivs(tw1.alpha, tw1.beta, kap * moduli.w,
+                                       moduli.tau.tau, 0, cfg)[0])
+        if abs(th0) < cfg.resonance_guard:
+            raise ResonanceError(
+                "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
+        self._th0 = th0
+        self._d0 = theta1_deriv0(moduli.tau, cfg)
+
+    def log_a(self, z, log_a_z=None) -> complex:
+        """Branch of log A(z): the supplied one, else tracked; 0 if untracked."""
+        if not self.tracked:
+            return 0.0 + 0.0j
+        if log_a_z is not None:
+            return complex(log_a_z)
+        mod = self.moduli
+        return log_a_torus(z, mod.tau, mod.w, self.cfg, z_ref=mod.z_ref,
+                           log_a_ref=mod.log_a_ref)
+
+    def grid(self, xs, log_ax, ys, log_ay) -> np.ndarray:
+        """S_kappa on the grid xs x ys with the given log A branches."""
+        tau, cfg = self.moduli.tau, self.cfg
+        xs = np.asarray(xs, dtype=complex)
+        ys = np.asarray(ys, dtype=complex)
+        diff = xs[:, None] - ys[None, :]
+        if np.any(lattice_distance(diff, tau) < cfg.pole_guard):
+            raise DomainError("x - y hits the lattice: kernel pole")
+        num = _theta_g1_derivs(self.tw1.alpha, self.tw1.beta,
+                               diff + self.kappa * self.moduli.w, tau.tau, 0,
+                               cfg)[0]
+        u_pow = 1.0
+        if self.tracked:
+            lax = np.asarray(log_ax, dtype=complex)
+            lay = np.asarray(log_ay, dtype=complex)
+            u_pow = np.exp(self.kappa * (lax[:, None] - lay[None, :]))
+        return u_pow * num / (self._th0 * (theta1(diff, tau, cfg) / self._d0))
+
+
+def s_kappa_torus(tw1: TwistPair, handle: HandleTwist, x, y,
+                  moduli: RhoModuliTorus, cfg: NumericConfig = DEFAULT_CONFIG,
+                  log_a_x=None, log_a_y=None) -> complex:
+    """S_kappa(x, y) of TorusBaseKernel; log A is tracked unless supplied."""
+    s = TorusBaseKernel(tw1, handle, moduli, cfg)
+    return complex(s.grid([x], [s.log_a(x, log_a_x)],
+                          [y], [s.log_a(y, log_a_y)])[0, 0])
+
+
+@dataclass(frozen=True)
+class TorusContour:
+    """m trapezoidal nodes on a circle plus the closure node.
+
+    Index m of ``points``, ``log_local`` and ``log_a`` continues index 0
+    through phi = 2 pi; (1/2 pi i) oint f dz_local = sum_{j<m} weight_j f_j.
+    """
+
+    points: np.ndarray
+    log_local: np.ndarray
+    log_a: np.ndarray
+    weight: np.ndarray
+
+
+def torus_contour(s: TorusBaseKernel, a: int, radius: float,
+                  m: int) -> TorusContour:
+    """Circle around the puncture of annulus a, log A tracked node to node
+    (integer winding, plus the moduli's winding around w; 0 at kappa = 0).
+    """
+    mod = s.moduli
+    center = mod.center(a)
+    phi = 2.0 * np.pi * np.arange(m + 1) / m
+    pts = center + radius * np.exp(1j * phi)
+    pts[m] = pts[0]
+    if s.tracked:
+        vals = _a_values(pts, mod.tau, mod.w, s.cfg)
+        steps = np.log(vals[1:] / vals[:-1])
+        if np.any(np.abs(steps.imag) > _TRACK_ARG_LIMIT):
+            raise BranchTrackingError(
+                "contour too coarse for branch tracking; increase quadrature M")
+        log_a = s.log_a(pts[0]) + np.concatenate([[0.0], np.cumsum(steps)])
+        winding = (log_a[m] - log_a[0]) / TWO_PI_I
+        if abs(winding - round(winding.real)) > 1e-8:
+            raise BranchTrackingError(
+                f"contour winding of log A not an integer: {winding}")
+        if a == 2 and mod.winding:
+            log_a = log_a + TWO_PI_I * mod.winding
     else:
-        tau, w = moduli
-        tau = tau if isinstance(tau, TorusModulus) else TorusModulus(tau)
-        w = complex(w)
-        z_ref = log_a_ref = None
-    kap = handle.kappa
-    if _is_half(kap):
-        raise DomainError("kappa = -1/2 torus self-sewing is not supported")
-    if kap != 0.0:
-        if log_a_x is None:
-            log_a_x = log_a_torus(x, tau, w, cfg, z_ref, log_a_ref)
-        if log_a_y is None:
-            log_a_y = log_a_torus(y, tau, w, cfg, z_ref, log_a_ref)
-    grid = _s_kappa_torus_grid(tw1, kap, [complex(x)], [log_a_x],
-                               [complex(y)], [log_a_y], tau, w, cfg)
-    return complex(grid[0, 0])
+        log_a = np.zeros(m + 1, dtype=complex)
+    return TorusContour(pts, math.log(radius) + 1j * phi, log_a,
+                        (pts[:m] - center) / m)
 
 
 # ----------------------------------------------------------------------
@@ -598,7 +607,8 @@ class TorusMoments:
     x and y copies split by fixed factors so same-center double contours
     never collide.  All fractional powers (local coordinate weights and
     U^kappa) are continuous in the contour angle, and single-valuedness
-    of each integrand is verified at the closure node.
+    of each integrand is verified at the closure node.  The base kernel
+    ``base``, the contours and their mode weights are built once.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
@@ -608,74 +618,41 @@ class TorusMoments:
                  cfg: NumericConfig = DEFAULT_CONFIG) -> None:
         if n_order < 1:
             raise DomainError("order must be >= 1")
-        kap = handle.kappa
-        if _is_half(kap):
-            raise DomainError("kappa = -1/2 torus self-sewing is not supported")
-        self.tw1 = tw1
-        self.handle = handle
+        self.base = TorusBaseKernel(tw1, handle, moduli, cfg)
         self.moduli = moduli
         self.n_order = n_order
         self.m_points = m_points if m_points is not None else cfg.quad_points
         if self.m_points < 8:
             raise DomainError("need at least 8 quadrature points")
-        self.cfg = cfg
-        self.kappa = kap
         self.radius_scale = radius_scale
-        base = [moduli.contour_radius(a) * radius_scale for a in (1, 2)]
+        r = moduli.contour_radius * radius_scale
+        if X_RADIUS_FACTOR * r >= moduli.radius:
+            raise DomainError(
+                "contour radius exceeds the sewing annulus; "
+                "rho too close to the domain boundary")
+        # per label a: the x contour of label abar, over which G row a and
+        # hbar_a integrate, and the y contour of label a, over which G
+        # column a and h_a integrate, each with its mode weights
+        # z_local^{-k_a} at every node including the closure node
+        self._k, self._rows, self._cols, self._pref = {}, {}, {}, {}
         for a in (1, 2):
-            if X_RADIUS_FACTOR * base[a - 1] >= moduli.radius(a):
-                raise DomainError(
-                    "contour radius exceeds the sewing annulus; "
-                    "rho too close to the domain boundary")
-        # x(row) and y(column) contours per annulus label
-        self._contour = {}
-        for a in (1, 2):
-            for role, fac in (("x", X_RADIUS_FACTOR), ("y", Y_RADIUS_FACTOR)):
-                self._contour[(a, role)] = self._make_contour(a, fac * base[a - 1])
+            ka = mode_index(a, np.arange(1, n_order + 1), handle.kappa)
+            for sides, label, fac in ((self._rows, 3 - a, X_RADIUS_FACTOR),
+                                      (self._cols, a, Y_RADIUS_FACTOR)):
+                c = torus_contour(self.base, label, fac * r, self.m_points)
+                sides[a] = (c, np.exp(-np.multiply.outer(ka, c.log_local)))
+            self._k[a] = ka
+            self._pref[a] = moduli.rho_pow(0.5 * (ka - 0.5))
         self.g = self._build_g()
 
-    def _make_contour(self, a: int, radius: float) -> dict:
-        mod = self.moduli
-        if self.kappa != 0.0:
-            pts, log_local, log_a = _circle_log_a(
-                mod.center(a), radius, self.m_points, mod.tau, mod.w, self.cfg,
-                mod.z_ref, mod.log_a_ref)
-            if a == 2 and mod.winding:
-                log_a = log_a + TWO_PI_I * mod.winding
-        else:
-            phi = 2.0 * np.pi * np.arange(self.m_points + 1) / self.m_points
-            pts = mod.center(a) + radius * np.exp(1j * phi)
-            pts[-1] = pts[0]
-            log_local = math.log(radius) + 1j * phi
-            log_a = np.zeros(self.m_points + 1, dtype=complex)
-        # weights of (1/2pi i) oint f dz_local = sum w_j f_j over j < M
-        weight = (pts[: self.m_points] - mod.center(a)) / self.m_points
-        return {"a": a, "points": pts, "log_local": log_local,
-                "log_a": log_a, "weight": weight}
-
-    def _mode_weights(self, contour: dict, k_shifted: np.ndarray) -> np.ndarray:
-        """W(k,j) = z_local^{-k_a} at every node including the closure node."""
-        return np.exp(-np.multiply.outer(k_shifted, contour["log_local"]))
-
-    def _grid(self, cx: dict, cy: dict) -> np.ndarray:
-        return _s_kappa_torus_grid(
-            self.tw1, self.kappa, cx["points"], cx["log_a"],
-            cy["points"], cy["log_a"], self.moduli.tau, self.moduli.w, self.cfg)
-
-    def _k(self, a: int) -> np.ndarray:
-        return mode_index(a, np.arange(1, self.n_order + 1), self.kappa)
-
     def _build_g(self) -> np.ndarray:
+        m = self.m_points
         blocks = {}
         for a in (1, 2):
+            cx, wx = self._rows[a]
             for b in (1, 2):
-                cx = self._contour[(3 - a, "x")]
-                cy = self._contour[(b, "y")]
-                grid = self._grid(cx, cy)
-                ka = self._k(a)
-                lb = self._k(b)
-                wx = self._mode_weights(cx, ka)
-                wy = self._mode_weights(cy, lb)
+                cy, wy = self._cols[b]
+                grid = self.base.grid(cx.points, cx.log_a, cy.points, cy.log_a)
                 # single-valuedness at the closure node, element-wise on the
                 # raw weighted integrand (before any cancelling summation)
                 _check_closure(
@@ -686,65 +663,42 @@ class TorusMoments:
                     np.stack([wy[:, 0, None] * grid[None, :, 0],
                               wy[:, -1, None] * grid[None, :, -1]]),
                     0, f"G_{a}{b} y-contour")
-                m = self.m_points
-                blk = (wx[:, :m] * cx["weight"]) @ grid[:m, :m] \
-                    @ (wy[:, :m] * cy["weight"]).T
+                blk = (wx[:, :m] * cx.weight) @ grid[:m, :m] \
+                    @ (wy[:, :m] * cy.weight).T
                 pref = self.moduli.rho_pow(
-                    0.5 * (ka[:, None] + lb[None, :] - 1.0))
+                    0.5 * (self._k[a][:, None] + self._k[b][None, :] - 1.0))
                 blocks[(a, b)] = pref * blk
         return as_complex_matrix(
             np.block([[blocks[(1, 1)], blocks[(1, 2)]],
                       [blocks[(2, 1)], blocks[(2, 2)]]]), "moment matrix G")
 
-    def _point_log_a(self, z: complex, log_a_z) -> complex:
-        if self.kappa == 0.0:
-            return 0.0 + 0.0j
-        if log_a_z is not None:
-            return complex(log_a_z)
-        return log_a_torus(z, self.moduli.tau, self.moduli.w, self.cfg,
-                           self.moduli.z_ref, self.moduli.log_a_ref)
+    def _moments(self, sides: dict, integrand, what: str) -> np.ndarray:
+        """rho^{(k_a-1/2)/2} (1/2pi i) oint z_local^{-k_a} f dz_local, a = 1, 2,
+        with f = integrand(contour) at the contour nodes."""
+        out = []
+        for a in (1, 2):
+            contour, modes = sides[a]
+            vals = _check_closure(modes * integrand(contour)[None, :], 1,
+                                  f"{what}_{a} contour")
+            out.append(self._pref[a] * (vals @ contour.weight))
+        return np.concatenate(out)
 
     def h_vector(self, x, log_a_x=None) -> np.ndarray:
         """(h_1(k,x), h_2(k,x)) stacked, k = 1..N, by contour quadrature."""
         x = complex(x)
-        lax = self._point_log_a(x, log_a_x)
-        out = []
-        for a in (1, 2):
-            cy = self._contour[(a, "y")]
-            row = self._grid_point_first(x, lax, cy)
-            ka = self._k(a)
-            wy = self._mode_weights(cy, ka)
-            vals = wy * row[None, :]
-            vals = _check_closure(vals, 1, f"h_{a} contour")
-            mom = vals @ cy["weight"]
-            out.append(self.moduli.rho_pow(0.5 * (ka - 0.5)) * mom)
-        return np.concatenate(out)
+        lax = self.base.log_a(x, log_a_x)
+        return self._moments(
+            self._cols,
+            lambda c: self.base.grid([x], [lax], c.points, c.log_a)[0], "h")
 
     def hbar_vector(self, y, log_a_y=None) -> np.ndarray:
         """(hbar_1(k,y), hbar_2(k,y)) stacked, k = 1..N, by quadrature."""
         y = complex(y)
-        lay = self._point_log_a(y, log_a_y)
-        out = []
-        for a in (1, 2):
-            cx = self._contour[(3 - a, "x")]
-            col = self._grid_point_second(cx, y, lay)
-            ka = self._k(a)
-            wx = self._mode_weights(cx, ka)
-            vals = wx * col[None, :]
-            vals = _check_closure(vals, 1, f"hbar_{a} contour")
-            mom = vals @ cx["weight"]
-            out.append(self.moduli.rho_pow(0.5 * (ka - 0.5)) * mom)
-        return np.concatenate(out)
-
-    def _grid_point_first(self, x: complex, lax: complex, cy: dict) -> np.ndarray:
-        return _s_kappa_torus_grid(
-            self.tw1, self.kappa, [x], [lax], cy["points"], cy["log_a"],
-            self.moduli.tau, self.moduli.w, self.cfg)[0]
-
-    def _grid_point_second(self, cx: dict, y: complex, lay: complex) -> np.ndarray:
-        return _s_kappa_torus_grid(
-            self.tw1, self.kappa, cx["points"], cx["log_a"], [y], [lay],
-            self.moduli.tau, self.moduli.w, self.cfg)[:, 0]
+        lay = self.base.log_a(y, log_a_y)
+        return self._moments(
+            self._rows,
+            lambda c: self.base.grid(c.points, c.log_a, [y], [lay])[:, 0],
+            "hbar")
 
 
 # ----------------------------------------------------------------------
@@ -770,13 +724,10 @@ class RhoTorusContext:
         self._lu = LU(eye - moduli.xi * self.moments.g * dth[None, :])
         # middle factor D^theta (I - T)^{-1} applied from the left
         self._middle = dth[:, None] * self._lu.solve(eye, cfg)
-        self._margin = X_RADIUS_FACTOR * max(moduli.contour_radius(1),
-                                             moduli.contour_radius(2)) * 1.05
+        self._margin = X_RADIUS_FACTOR * moduli.contour_radius * 1.05
 
     def validate_point(self, z: complex) -> None:
-        mod = self.moduli
-        z = complex(z)
-        d = float(np.min(lattice_distance(np.array([z, z - mod.w]), mod.tau)))
+        d = _min_singular_distance(complex(z), self.moduli.tau, self.moduli.w)
         if d <= self._margin:
             raise DomainError(
                 f"point at distance {d:.3e} from a puncture lies inside "
@@ -787,11 +738,9 @@ class RhoTorusContext:
         x, y = complex(x), complex(y)
         self.validate_point(x)
         self.validate_point(y)
-        lax = self.moments._point_log_a(x, log_a_x)
-        lay = self.moments._point_log_a(y, log_a_y)
-        base = s_kappa_torus(self.tw1, self.handle, x, y,
-                             (self.moduli.tau, self.moduli.w), self.cfg,
-                             log_a_x=lax, log_a_y=lay)
+        s = self.moments.base
+        lax, lay = s.log_a(x, log_a_x), s.log_a(y, log_a_y)
+        base = s.grid([x], [lax], [y], [lay])[0, 0]
         h = self.moments.h_vector(x, lax)
         hb = self.moments.hbar_vector(y, lay)
         return complex(base + self.moduli.xi * h @ self._middle @ hb)

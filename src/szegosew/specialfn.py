@@ -42,6 +42,7 @@ from .errors import ConvergenceError, DomainError, ResonanceError
 
 TWO_PI = 2.0 * np.pi
 THETA_BOX_CAP = 64
+_UNIT_TOL = 1e-9  # allowed | |multiplier| - 1 | of twist multipliers
 
 __all__ = [
     "TorusModulus", "PeriodMatrix", "Characteristics", "TwistPair",
@@ -189,13 +190,12 @@ class TwistPair:
         object.__setattr__(self, "beta", b)
 
     @classmethod
-    def from_multipliers(cls, theta: complex, phi: complex,
-                         tol: float = 1e-9) -> "TwistPair":
+    def from_multipliers(cls, theta: complex, phi: complex) -> "TwistPair":
         theta = complex(theta)
         phi = complex(phi)
-        if abs(abs(theta) - 1.0) > tol:
+        if abs(abs(theta) - 1.0) > _UNIT_TOL:
             raise DomainError(f"theta must be unit modulus, |theta|={abs(theta)}")
-        if abs(abs(phi) - 1.0) > tol:
+        if abs(abs(phi) - 1.0) > _UNIT_TOL:
             raise DomainError(f"phi must be unit modulus, |phi|={abs(phi)}")
         alpha = np.angle(-phi) / TWO_PI
         beta = -np.angle(-theta) / TWO_PI
@@ -249,15 +249,14 @@ def _box_radius(lam_min: float, cmax: float, tol: float) -> int:
     return max(radius, 1)
 
 
-def theta_char(chars: Characteristics, z, omega, trunc: int | None = None,
+def theta_char(chars: Characteristics, z, omega,
                cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
     """Genus-g theta function with real characteristics.
 
     ``z`` is a length-g complex vector (scalar at g=1) in the package's
     2 pi i scaled convention; ``omega`` is a PeriodMatrix (a TorusModulus
-    or bare complex is promoted at g=1). With ``trunc`` given, the box
-    radius is fixed and the boundary shell is checked against the
-    configured tolerance; otherwise the radius is chosen automatically.
+    or bare complex is promoted at g=1).  The box radius is chosen from
+    the configured tolerance, and the boundary shell is checked against it.
     """
     if not isinstance(omega, PeriodMatrix):
         omega = PeriodMatrix.from_tau(omega)
@@ -272,9 +271,7 @@ def theta_char(chars: Characteristics, z, omega, trunc: int | None = None,
 
     lam_min = float(np.linalg.eigvalsh(omega.omega.imag)[0])
     cmax = float(np.max(np.abs(zv.real))) if g else 0.0
-    radius = trunc if trunc is not None else _box_radius(lam_min, cmax, cfg.theta_tol)
-    if radius < 1:
-        raise DomainError("trunc must be >= 1")
+    radius = _box_radius(lam_min, cmax, cfg.theta_tol)
 
     rng = np.arange(-radius, radius + 1)
     mesh = np.meshgrid(*([rng] * g), indexing="ij")
@@ -286,7 +283,7 @@ def theta_char(chars: Characteristics, z, omega, trunc: int | None = None,
     total = complex(np.sum(terms))
 
     # boundary-shell check: the largest term on the outermost shell must be
-    # negligible, otherwise the requested truncation has not converged.
+    # negligible, otherwise the truncation has not converged.
     on_boundary = np.max(np.abs(m), axis=1) >= radius - 0.5
     if np.any(on_boundary):
         shell = float(np.max(np.abs(terms[on_boundary])))

@@ -34,8 +34,7 @@ from .modular import (EpsGroupElement, RhoGroupElement, det_residual,
 from .numerics import circle_nodes, determinant, tail_estimate
 from .rho import (X_RADIUS_FACTOR, HandleTwist, RhoModuliSphere,
                   RhoModuliTorus, RhoSphereContext, RhoTorusContext,
-                  TorusMoments, _circle_log_a, _s_kappa_torus_grid,
-                  det_i_minus_t_sphere, log_a_torus, s_kappa_torus)
+                  TorusMoments, det_i_minus_t_sphere, torus_contour)
 from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
                         lattice_distance, p1_series, p1_theta)
 
@@ -90,14 +89,11 @@ def _rho_torus_setup(rho_scale: float = 0.05):
     tau = TorusModulus(0.2 + 1.1j)
     w = TWO_PI_I * (0.31 + 0.27 * tau.tau)
     moduli = RhoModuliTorus.create(
-        tau, w, rho_scale * (_w_dist(tau, w) / 2.0) ** 2 * np.exp(0.6j))
+        tau, w, rho_scale * (float(lattice_distance(w, tau)) / 2.0) ** 2
+        * np.exp(0.6j))
     tw1 = TwistPair(0.17, 0.38)
     handle = HandleTwist(0.1, -0.22)
     return tw1, handle, moduli
-
-
-def _w_dist(tau: TorusModulus, w: complex) -> float:
-    return float(lattice_distance(w, tau))
 
 
 def _rho_torus_pairs(moduli: RhoModuliTorus, count: int = 4):
@@ -113,8 +109,7 @@ def _rho_torus_pairs(moduli: RhoModuliTorus, count: int = 4):
         coords.append((u1, v1, u2, v2))
     # generous clearance: quadrature error of the moment contours grows
     # rapidly for evaluation points near the contours themselves
-    margin = X_RADIUS_FACTOR * 1.8 * max(moduli.contour_radius(1),
-                                         moduli.contour_radius(2))
+    margin = X_RADIUS_FACTOR * 1.8 * moduli.contour_radius
 
     def clear(z: complex) -> bool:
         return min(float(lattice_distance(z, moduli.tau)),
@@ -364,27 +359,23 @@ def suite_integral_eq(n_order: int | None = None,
     tw1, handle, tmod = _rho_torus_setup()
     rctx = RhoTorusContext(tw1, handle, tmod, n_order or 12, m_points or 64,
                            cfg=cfg)
+    s = rctx.moments.base
     worst = 0.0
     for x, y in _rho_torus_pairs(tmod, 4):
-        la_x = log_a_torus(x, tmod.tau, tmod.w, cfg, tmod.z_ref,
-                           tmod.log_a_ref)
+        la_x = s.log_a(x)
         total = 0.0 + 0.0j
         for a in (1, 2):
             # the contour must separate the sewing annulus from the
             # evaluation points, which are cleared to 1.8x the moment
             # contour radius by the pair filter
-            rint = X_RADIUS_FACTOR * 1.5 * tmod.contour_radius(a)
-            pts, _, log_a = _circle_log_a(
-                tmod.center(a), rint, quad, tmod.tau, tmod.w,
-                cfg, tmod.z_ref, tmod.log_a_ref)
-            wts = (pts[:quad] - tmod.center(a)) / quad
-            row = _s_kappa_torus_grid(tw1, handle.kappa, [x], [la_x],
-                                      pts[:quad], log_a[:quad], tmod.tau,
-                                      tmod.w, cfg)[0]
+            c = torus_contour(s, a, X_RADIUS_FACTOR * 1.5 * tmod.contour_radius,
+                              quad)
+            pts, log_a = c.points[:quad], c.log_a[:quad]
+            row = s.grid([x], [la_x], pts, log_a)[0]
             col = np.array([rctx.kernel(z, y, log_a_x=la)
-                            for z, la in zip(pts[:quad], log_a[:quad])])
-            total += np.sum(wts * row * col)
-        base = s_kappa_torus(tw1, handle, x, y, tmod, cfg, log_a_x=la_x)
+                            for z, la in zip(pts, log_a)])
+            total += np.sum(c.weight * row * col)
+        base = s.grid([x], [la_x], [y], [s.log_a(y)])[0, 0]
         v = rctx.kernel(x, y, log_a_x=la_x)
         worst = max(worst, abs(base + total - v) / abs(v))
     checks.append(_check("self-sewn torus contour integral equation",

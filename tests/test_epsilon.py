@@ -56,15 +56,24 @@ class TestDomain:
             _moduli(xi=1.0)
 
     @pytest.mark.parametrize("field", [
-        "epsilon", "sqrt_epsilon", "w", "rho", "log_rho", "log_q"])
+        "epsilon", "sqrt_epsilon", "w", "rho", "log_rho", "log_q",
+        "z_ref", "log_a_ref"])
     def test_non_finite_branch_data_rejected(self, field):
         torus = RhoModuliTorus.create(0.2 + 1.1j, -1.866 + 2.315j,
                                       0.001 + 0.0006j)
         valid = {"epsilon": _moduli(), "sqrt_epsilon": _moduli(),
                  "w": torus, "rho": torus, "log_rho": torus,
-                 "log_q": RhoModuliSphere.create(0.05 + 0.02j)}[field]
+                 "log_q": RhoModuliSphere.create(0.05 + 0.02j),
+                 "z_ref": torus, "log_a_ref": torus}[field]
         with pytest.raises(DomainError, match=f"^{field} must be finite"):
             dataclasses.replace(valid, **{field: complex(math.nan, 0.0)})
+
+    @pytest.mark.parametrize("field", ["z_ref", "log_a_ref"])
+    def test_branch_anchor_needs_both_fields(self, field):
+        torus = RhoModuliTorus.create(0.2 + 1.1j, -1.866 + 2.315j,
+                                      0.001 + 0.0006j)
+        with pytest.raises(DomainError, match="given together"):
+            dataclasses.replace(torus, **{field: None})
 
     def test_point_label_validated(self):
         with pytest.raises(DomainError):

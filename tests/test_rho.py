@@ -5,7 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
-from szegosew import rho
+from szegosew import rho, specialfn
 from szegosew.errors import DomainError, ResonanceError
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                           RhoSphereContext, RhoTorusContext,
@@ -197,6 +197,44 @@ class TestTorusSewing:
             raise AssertionError("lattice minimum recomputed per kernel call")
         monkeypatch.setattr(rho, "min_lattice_distance", forbidden)
         ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
+
+    def test_kernel_reuses_base_kernel_constants(self, monkeypatch):
+        # theta[alpha1;beta1](kappa w) and theta1'(0) are evaluated once
+        # per context build and never per kernel call
+        calls = {"theta_kw": 0, "theta1_d0": 0}
+        original = specialfn._theta_g1_derivs
+
+        def counting(alpha, beta, z, tau, nderiv, cfg):
+            if np.ndim(z) == 0:
+                if (alpha, beta, nderiv) == (0.5, 0.5, 1) and z == 0:
+                    calls["theta1_d0"] += 1
+                elif (alpha, beta) == (TW1.alpha, TW1.beta):
+                    calls["theta_kw"] += 1
+            return original(alpha, beta, z, tau, nderiv, cfg)
+        monkeypatch.setattr(specialfn, "_theta_g1_derivs", counting)
+        monkeypatch.setattr(rho, "_theta_g1_derivs", counting)
+        ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, 32)
+        assert calls == {"theta_kw": 1, "theta1_d0": 1}
+        ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
+        assert calls == {"theta_kw": 1, "theta1_d0": 1}
+
+    def test_untwisted_handle(self):
+        # kappa = 0: S_kappa needs no log A; the tracked kernels at
+        # kappa = +-1e-8 approach it
+        mod = _torus_moduli()
+        zero = HandleTwist(0.0, -0.22)
+        assert zero.kappa == 0.0
+        x, y = _pt(0.09, 0.53), _pt(0.61, 0.12, offset=W)
+        ctx = RhoTorusContext(TW1, zero, mod, 10, 64)
+        inv = RhoTorusContext(TW1.inverse(), HandleTwist(0.0, 0.22), mod,
+                              10, 64)
+        v, d = ctx.kernel(x, y), ctx.det()
+        assert abs(v + inv.kernel(y, x)) < 1e-12 * abs(v)
+        for kap in (1e-8, -1e-8):
+            near = RhoTorusContext(TW1, HandleTwist(kap, -0.22), mod, 10, 64)
+            assert near.moments.base.tracked
+            assert abs(near.kernel(x, y) - v) < 1e-7 * abs(v)
+            assert abs(near.det() - d) < 1e-7 * abs(d)
 
     def test_convenience_wrapper_matches_context(self):
         mod = _torus_moduli()
