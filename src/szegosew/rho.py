@@ -39,8 +39,9 @@ import numpy as np
 from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
 from .numerics import LU, as_complex_matrix
-from .specialfn import (TorusModulus, TwistPair, _theta_g1_derivs,
-                        lattice_distance, theta1, theta1_deriv0)
+from .specialfn import (TorusModulus, TwistPair, _box_radius,
+                        _theta_g1_derivs, lattice_distance, theta1,
+                        theta1_deriv0)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
 __all__ = [
@@ -48,7 +49,7 @@ __all__ = [
     "s_kappa_sphere", "sphere_moments", "SphereMoments",
     "det_i_minus_t_sphere", "RhoSphereContext", "torus_from_sphere",
     "log_a_torus", "TorusBaseKernel", "s_kappa_torus", "TorusContour",
-    "torus_contour", "TorusMoments",
+    "GridSide", "torus_contour", "TorusMoments",
     "RhoTorusContext", "szego_genus2_rho",
 ]
 
@@ -468,6 +469,43 @@ def _segment_increment(z0: complex, z1: complex, tau: TorusModulus, w: complex,
 # torus: twisted base kernel S_kappa and its contours
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class TorusContour:
+    """m trapezoidal nodes on a circle plus the closure node.
+
+    Index m of ``points``, ``log_local`` and ``log_a`` continues index 0
+    through phi = 2 pi; (1/2 pi i) oint f dz_local = sum_{j<m} weight_j f_j.
+    """
+
+    points: np.ndarray
+    log_local: np.ndarray
+    log_a: np.ndarray
+    weight: np.ndarray
+    center: complex
+    radius: float
+
+
+@dataclass(frozen=True)
+class GridSide:
+    """One side of an S_kappa grid: points centers_k + offsets_{k,l}.
+
+    ``tables`` holds, per theta characteristic of the base kernel, the
+    array exp(sign (m + alpha) offsets) of shape (K, 2R+1, L), with sign
+    +1 on the x side and -1 on the y side; ``radius`` bounds |offsets|.
+    """
+
+    centers: np.ndarray
+    offsets: np.ndarray
+    log_a: np.ndarray
+    radius: float
+    tables: tuple
+
+
+def _theta_table(ma: np.ndarray, offsets: np.ndarray, sign: int) -> np.ndarray:
+    """exp(sign (m + alpha) offset), shape (K, 2R+1, L) for (K, L) offsets."""
+    return np.exp(sign * ma[None, :, None] * offsets[:, None, :])
+
+
 class TorusBaseKernel:
     """Twisted genus-one kernel S_kappa of one self-sewing setup.
 
@@ -480,6 +518,19 @@ class TorusBaseKernel:
     theta[a1;b1](kappa w) with its resonance guard, theta1'(0), and
     whether log A is needed at all (not at kappa = 0) are settled once,
     at construction.
+
+    Both thetas are summed separably.  With x = c_x + xi, y = c_y + eta
+    and the centre offset c = c_x - c_y (+ kappa w) = c' + 2 pi i tau n,
+    |Re c'| <= pi Im tau,
+
+        theta[a;b](c + xi - eta) = e^{-i pi tau n^2 - n (c' + xi - eta
+                                                        + 2 pi i b)}
+            sum_m e^{i pi tau (m+a)^2 + (m+a)(c' + 2 pi i b)}
+                  e^{(m+a) xi} e^{-(m+a) eta},
+
+    so a grid of contour nodes is (P x R) diag(g) (R x Q) from tables
+    built once per contour.  The box radius R depends on tau and the
+    annulus radius ``moduli.radius`` only, which bounds every contour.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
@@ -493,13 +544,22 @@ class TorusBaseKernel:
         self.moduli = moduli
         self.cfg = cfg
         self.tracked = kap != 0.0
+        tau = moduli.tau.tau
         th0 = complex(_theta_g1_derivs(tw1.alpha, tw1.beta, kap * moduli.w,
-                                       moduli.tau.tau, 0, cfg)[0])
+                                       tau, 0, cfg)[0])
         if abs(th0) < cfg.resonance_guard:
             raise ResonanceError(
                 "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
-        self._th0 = th0
-        self._d0 = theta1_deriv0(moduli.tau, cfg)
+        self._scale = theta1_deriv0(moduli.tau, cfg) / th0
+        self._lattice_min = min_lattice_distance(moduli.tau)
+        radius = _box_radius(tau.imag, math.pi * tau.imag + 2.0 * moduli.radius,
+                             cfg.theta_tol)
+        m = np.arange(-radius, radius + 1, dtype=float)
+        # (m + alpha, i pi tau (m + alpha)^2, 2 pi i beta) of theta[a1;b1]
+        # and of theta1 = theta[1/2;1/2]
+        self._chars = tuple(
+            (m + al, (1j * np.pi * tau) * (m + al) ** 2, 2j * np.pi * be)
+            for al, be in ((tw1.alpha, tw1.beta), (0.5, 0.5)))
 
     def log_a(self, z, log_a_z=None) -> complex:
         """Branch of log A(z): the supplied one, else tracked; 0 if untracked."""
@@ -511,23 +571,63 @@ class TorusBaseKernel:
         return log_a_torus(z, mod.tau, mod.w, self.cfg, z_ref=mod.z_ref,
                            log_a_ref=mod.log_a_ref)
 
+    def points_side(self, zs, log_a) -> GridSide:
+        """Grid side of single points, each its own centre."""
+        zs = np.ravel(np.asarray(zs, dtype=complex))
+        ones = np.ones((zs.size, self._chars[0][0].size, 1))
+        return GridSide(zs, np.zeros((zs.size, 1)),
+                        np.reshape(np.asarray(log_a, dtype=complex), (-1, 1)),
+                        0.0, (ones, ones))
+
+    def contour_side(self, c: TorusContour, sign: int) -> GridSide:
+        """Grid side of the nodes of c with its theta tables; sign +1 for
+        the x side, -1 for the y side."""
+        off = (c.points - c.center)[None, :]
+        return GridSide(np.array([c.center]), off, c.log_a[None, :], c.radius,
+                        tuple(_theta_table(ma, off, sign)
+                              for ma, _, _ in self._chars))
+
+    def _theta(self, char: int, xs: GridSide, ys: GridSide, c: np.ndarray):
+        """Separable theta of characteristic ``char`` on xs x ys, with
+        (K1, K2) centre offsets c: (log multiplier, n, reduced sums)."""
+        ma, quad, beta = self._chars[char]
+        tau = self.moduli.tau.tau
+        n = np.round(-c.real / (2.0 * np.pi * tau.imag))
+        cb = c - 2j * np.pi * tau * n + beta
+        g = np.exp(quad + cb[..., None] * ma)
+        sums = np.matmul(np.swapaxes(xs.tables[char], 1, 2)[:, None],
+                         g[..., None] * ys.tables[char][None])
+        return -1j * np.pi * tau * n * n - n * cb, n, sums
+
+    def grid_sides(self, xs: GridSide, ys: GridSide) -> np.ndarray:
+        """S_kappa on the grid of two sides, shape (K1 L1, K2 L2)."""
+        dc = xs.centers[:, None] - ys.centers[None, :]
+        # lower bound of |x - y - lambda| over the circles |x - c_x| = r_x,
+        # |y - c_y| = r_y and the lattice; exact for single points
+        d = lattice_distance(dc, self.moduli.tau)
+        rx, ry = xs.radius, ys.radius
+        near = np.maximum(np.maximum(d - rx - ry, abs(rx - ry) - d), 0.0)
+        gap = np.minimum(near, np.maximum(d, self._lattice_min - d) - rx - ry)
+        if np.any(gap < self.cfg.pole_guard):
+            raise DomainError("x - y hits the lattice: kernel pole")
+        log_num, n_num, num = self._theta(0, xs, ys,
+                                          dc + self.kappa * self.moduli.w)
+        log_den, n_den, den = self._theta(1, xs, ys, dc)
+        # the multipliers' xi, eta parts and U^kappa are rank one per block
+        dn = (n_num - n_den)[:, :, None, None]
+        ux = np.exp(self.kappa * xs.log_a[:, None, :, None]
+                    - dn * xs.offsets[:, None, :, None])
+        uy = np.exp(dn * ys.offsets[None, :, None, :]
+                    - self.kappa * ys.log_a[None, :, None, :])
+        mult = self._scale * np.exp(log_num - log_den)[:, :, None, None]
+        val = mult * ux * uy * num / den
+        k1, k2, l1, l2 = val.shape
+        return val.transpose(0, 2, 1, 3).reshape(k1 * l1, k2 * l2)
+
     def grid(self, xs, log_ax, ys, log_ay) -> np.ndarray:
         """S_kappa on the grid xs x ys with the given log A branches."""
-        tau, cfg = self.moduli.tau, self.cfg
-        xs = np.asarray(xs, dtype=complex)
-        ys = np.asarray(ys, dtype=complex)
-        diff = xs[:, None] - ys[None, :]
-        if np.any(lattice_distance(diff, tau) < cfg.pole_guard):
-            raise DomainError("x - y hits the lattice: kernel pole")
-        num = _theta_g1_derivs(self.tw1.alpha, self.tw1.beta,
-                               diff + self.kappa * self.moduli.w, tau.tau, 0,
-                               cfg)[0]
-        u_pow = 1.0
-        if self.tracked:
-            lax = np.asarray(log_ax, dtype=complex)
-            lay = np.asarray(log_ay, dtype=complex)
-            u_pow = np.exp(self.kappa * (lax[:, None] - lay[None, :]))
-        return u_pow * num / (self._th0 * (theta1(diff, tau, cfg) / self._d0))
+        return self.grid_sides(self.points_side(xs, log_ax),
+                               self.points_side(ys, log_ay))
 
 
 def s_kappa_torus(tw1: TwistPair, handle: HandleTwist, x, y,
@@ -539,26 +639,18 @@ def s_kappa_torus(tw1: TwistPair, handle: HandleTwist, x, y,
                           [y], [s.log_a(y, log_a_y)])[0, 0])
 
 
-@dataclass(frozen=True)
-class TorusContour:
-    """m trapezoidal nodes on a circle plus the closure node.
-
-    Index m of ``points``, ``log_local`` and ``log_a`` continues index 0
-    through phi = 2 pi; (1/2 pi i) oint f dz_local = sum_{j<m} weight_j f_j.
-    """
-
-    points: np.ndarray
-    log_local: np.ndarray
-    log_a: np.ndarray
-    weight: np.ndarray
-
-
 def torus_contour(s: TorusBaseKernel, a: int, radius: float,
                   m: int) -> TorusContour:
     """Circle around the puncture of annulus a, log A tracked node to node
     (integer winding, plus the moduli's winding around w; 0 at kappa = 0).
+    The radius must stay inside the sewing annulus, which also bounds the
+    theta box of the base kernel.
     """
     mod = s.moduli
+    if radius >= mod.radius:
+        raise DomainError(
+            "contour radius exceeds the sewing annulus; "
+            "rho too close to the domain boundary")
     center = mod.center(a)
     phi = 2.0 * np.pi * np.arange(m + 1) / m
     pts = center + radius * np.exp(1j * phi)
@@ -579,7 +671,7 @@ def torus_contour(s: TorusBaseKernel, a: int, radius: float,
     else:
         log_a = np.zeros(m + 1, dtype=complex)
     return TorusContour(pts, math.log(radius) + 1j * phi, log_a,
-                        (pts[:m] - center) / m)
+                        (pts[:m] - center) / m, center, radius)
 
 
 # ----------------------------------------------------------------------
@@ -608,7 +700,8 @@ class TorusMoments:
     never collide.  All fractional powers (local coordinate weights and
     U^kappa) are continuous in the contour angle, and single-valuedness
     of each integrand is verified at the closure node.  The base kernel
-    ``base``, the contours and their mode weights are built once.
+    ``base``, the contours with their theta tables and their mode weights
+    are built once.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
@@ -626,21 +719,20 @@ class TorusMoments:
             raise DomainError("need at least 8 quadrature points")
         self.radius_scale = radius_scale
         r = moduli.contour_radius * radius_scale
-        if X_RADIUS_FACTOR * r >= moduli.radius:
-            raise DomainError(
-                "contour radius exceeds the sewing annulus; "
-                "rho too close to the domain boundary")
         # per label a: the x contour of label abar, over which G row a and
         # hbar_a integrate, and the y contour of label a, over which G
-        # column a and h_a integrate, each with its mode weights
-        # z_local^{-k_a} at every node including the closure node
+        # column a and h_a integrate, each as a grid side with its theta
+        # tables and with its mode weights z_local^{-k_a} at every node
+        # including the closure node
         self._k, self._rows, self._cols, self._pref = {}, {}, {}, {}
         for a in (1, 2):
             ka = mode_index(a, np.arange(1, n_order + 1), handle.kappa)
-            for sides, label, fac in ((self._rows, 3 - a, X_RADIUS_FACTOR),
-                                      (self._cols, a, Y_RADIUS_FACTOR)):
+            for sides, label, fac, sign in (
+                    (self._rows, 3 - a, X_RADIUS_FACTOR, 1),
+                    (self._cols, a, Y_RADIUS_FACTOR, -1)):
                 c = torus_contour(self.base, label, fac * r, self.m_points)
-                sides[a] = (c, np.exp(-np.multiply.outer(ka, c.log_local)))
+                sides[a] = (c, self.base.contour_side(c, sign),
+                            np.exp(-np.multiply.outer(ka, c.log_local)))
             self._k[a] = ka
             self._pref[a] = moduli.rho_pow(0.5 * (ka - 0.5))
         self.g = self._build_g()
@@ -649,10 +741,10 @@ class TorusMoments:
         m = self.m_points
         blocks = {}
         for a in (1, 2):
-            cx, wx = self._rows[a]
+            cx, sx, wx = self._rows[a]
             for b in (1, 2):
-                cy, wy = self._cols[b]
-                grid = self.base.grid(cx.points, cx.log_a, cy.points, cy.log_a)
+                cy, sy, wy = self._cols[b]
+                grid = self.base.grid_sides(sx, sy)
                 # single-valuedness at the closure node, element-wise on the
                 # raw weighted integrand (before any cancelling summation)
                 _check_closure(
@@ -674,30 +766,26 @@ class TorusMoments:
 
     def _moments(self, sides: dict, integrand, what: str) -> np.ndarray:
         """rho^{(k_a-1/2)/2} (1/2pi i) oint z_local^{-k_a} f dz_local, a = 1, 2,
-        with f = integrand(contour) at the contour nodes."""
+        with f = integrand(grid side) at the contour nodes."""
         out = []
         for a in (1, 2):
-            contour, modes = sides[a]
-            vals = _check_closure(modes * integrand(contour)[None, :], 1,
+            contour, side, modes = sides[a]
+            vals = _check_closure(modes * integrand(side)[None, :], 1,
                                   f"{what}_{a} contour")
             out.append(self._pref[a] * (vals @ contour.weight))
         return np.concatenate(out)
 
     def h_vector(self, x, log_a_x=None) -> np.ndarray:
         """(h_1(k,x), h_2(k,x)) stacked, k = 1..N, by contour quadrature."""
-        x = complex(x)
-        lax = self.base.log_a(x, log_a_x)
+        pt = self.base.points_side([x], [self.base.log_a(x, log_a_x)])
         return self._moments(
-            self._cols,
-            lambda c: self.base.grid([x], [lax], c.points, c.log_a)[0], "h")
+            self._cols, lambda side: self.base.grid_sides(pt, side)[0], "h")
 
     def hbar_vector(self, y, log_a_y=None) -> np.ndarray:
         """(hbar_1(k,y), hbar_2(k,y)) stacked, k = 1..N, by quadrature."""
-        y = complex(y)
-        lay = self.base.log_a(y, log_a_y)
+        pt = self.base.points_side([y], [self.base.log_a(y, log_a_y)])
         return self._moments(
-            self._rows,
-            lambda c: self.base.grid(c.points, c.log_a, [y], [lay])[:, 0],
+            self._rows, lambda side: self.base.grid_sides(side, pt)[:, 0],
             "hbar")
 
 

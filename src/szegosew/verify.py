@@ -362,7 +362,7 @@ def suite_integral_eq(n_order: int | None = None,
     s = rctx.moments.base
     worst = 0.0
     for x, y in _rho_torus_pairs(tmod, 4):
-        la_x = s.log_a(x)
+        la_x, la_y = s.log_a(x), s.log_a(y)
         total = 0.0 + 0.0j
         for a in (1, 2):
             # the contour must separate the sewing annulus from the
@@ -372,11 +372,11 @@ def suite_integral_eq(n_order: int | None = None,
                               quad)
             pts, log_a = c.points[:quad], c.log_a[:quad]
             row = s.grid([x], [la_x], pts, log_a)[0]
-            col = np.array([rctx.kernel(z, y, log_a_x=la)
+            col = np.array([rctx.kernel(z, y, log_a_x=la, log_a_y=la_y)
                             for z, la in zip(pts, log_a)])
             total += np.sum(c.weight * row * col)
-        base = s.grid([x], [la_x], [y], [s.log_a(y)])[0, 0]
-        v = rctx.kernel(x, y, log_a_x=la_x)
+        base = s.grid([x], [la_x], [y], [la_y])[0, 0]
+        v = rctx.kernel(x, y, log_a_x=la_x, log_a_y=la_y)
         worst = max(worst, abs(base + total - v) / abs(v))
     checks.append(_check("self-sewn torus contour integral equation",
                          worst, tol))

@@ -246,3 +246,185 @@ class TestTorusSewing:
         half = HandleTwist.from_multipliers(np.exp(0.3j), 1.0)
         with pytest.raises((DomainError, ResonanceError)):
             RhoTorusContext(TW1, half, _torus_moduli(), 6, 32)
+
+
+def _moduli_at(tau_c, scale=0.05):
+    tau = TorusModulus(tau_c)
+    w = TWO_PI_I * (0.31 + 0.27 * tau.tau)
+    wd = float(lattice_distance(w, tau))
+    return RhoModuliTorus.create(tau, w, scale * (wd / 2) ** 2 * np.exp(0.6j))
+
+
+def _direct_reference(s, xs, lax, ys, lay, bump=0.0):
+    """S_kappa from direct theta sums (specialfn._theta_g1_derivs) at every
+    pair, and its error scale sum|num terms|/|num| + sum|den terms|/|den|.
+
+    ``bump`` moves the numerator sum by +bump * sum|terms| and the
+    denominator sum by -bump * sum|terms|, each along its own phase.
+    """
+    cfg, tau = s.cfg, s.moduli.tau.tau
+    diff = np.subtract.outer(np.asarray(xs), np.asarray(ys))
+
+    def sums(alpha, beta, z):
+        val = specialfn._theta_g1_derivs(alpha, beta, z, tau, 0, cfg)[0]
+        # |terms| of theta[alpha;beta](z|tau) are the terms of
+        # theta[alpha;0](Re z | i Im tau), all positive
+        size = specialfn._theta_g1_derivs(alpha, 0.0, z.real, 1j * tau.imag,
+                                          0, cfg)[0].real
+        return val, size
+
+    num, num_size = sums(s.tw1.alpha, s.tw1.beta, diff + s.kappa * s.moduli.w)
+    den, den_size = sums(0.5, 0.5, diff)
+    num = num + bump * num_size * num / np.abs(num)
+    den = den - bump * den_size * den / np.abs(den)
+    th0 = specialfn._theta_g1_derivs(s.tw1.alpha, s.tw1.beta,
+                                     s.kappa * s.moduli.w, tau, 0, cfg)[0]
+    u_pow = np.exp(s.kappa * np.subtract.outer(np.asarray(lax),
+                                               np.asarray(lay)))
+    ref = u_pow * num / (th0 * den / specialfn.theta1_deriv0(s.moduli.tau))
+    return ref, num_size / np.abs(num) + den_size / np.abs(den)
+
+
+def _within(grid, ref, scale, tol=1e-14):
+    """Element-wise |grid - ref| <= tol |ref| scale."""
+    return np.abs(grid - ref) <= tol * np.abs(ref) * scale
+
+
+class TestSeparableGrid:
+    """TorusBaseKernel grids: separable sums from contour tables, batch
+    independence, the pole contract and the work a build does."""
+
+    @pytest.mark.parametrize("kappa", [0.37, 0.0, -0.3])
+    @pytest.mark.parametrize("tau_c", [0.2 + 1.1j, 0.3 + 1.0j, 3.7 + 0.2j])
+    def test_grid_matches_direct_reference(self, tau_c, kappa):
+        mod = _moduli_at(tau_c)
+        s = rho.TorusBaseKernel(TW1, HandleTwist(kappa, -0.22), mod)
+        r = mod.contour_radius
+        cx = rho.torus_contour(s, 2, rho.X_RADIUS_FACTOR * r, 16)
+        cy = rho.torus_contour(s, 1, rho.Y_RADIUS_FACTOR * r, 16)
+        cz = rho.torus_contour(s, 2, rho.Y_RADIUS_FACTOR * r, 16)
+        t = mod.tau.tau
+        t = t - round(t.real)  # the same lattice, a shorter second period
+        # plain points, one whose offset from 0 lies on the edge
+        # |Re| = pi Im tau of the reduction strip, and one two periods out
+        pts = np.array([TWO_PI_I * (0.09 + 0.53 * t),
+                        TWO_PI_I * (0.61 + 0.12 * t) + mod.w,
+                        TWO_PI_I * (0.23 + 0.5 * t),
+                        TWO_PI_I * (0.37 + 2.21 * t)])
+        lap = np.array([s.log_a(z) for z in pts])
+        side_x = s.contour_side(cx, 1)
+        cases = [  # (grid, x points, x log A, y points, y log A)
+            (s.grid_sides(side_x, s.contour_side(cy, -1)),
+             cx.points, cx.log_a, cy.points, cy.log_a),
+            # same centre, different radii
+            (s.grid_sides(side_x, s.contour_side(cz, -1)),
+             cx.points, cx.log_a, cz.points, cz.log_a),
+            (s.grid_sides(s.points_side(pts, lap), s.contour_side(cy, -1)),
+             pts, lap, cy.points, cy.log_a),
+            (s.grid_sides(side_x, s.points_side(pts, lap)),
+             cx.points, cx.log_a, pts, lap),
+            (s.grid(pts[:1], lap[:1], pts[3:], lap[3:]),
+             pts[:1], lap[:1], pts[3:], lap[3:]),
+            (s.grid(pts[:2], lap[:2], pts[2:], lap[2:]),
+             pts[:2], lap[:2], pts[2:], lap[2:]),
+        ]
+        for grid, xs, lax, ys, lay in cases:
+            ref, scale = _direct_reference(s, xs, lax, ys, lay)
+            assert grid.shape == ref.shape
+            assert np.all(_within(grid, ref, scale))
+            # a 2e-14 move of both theta sums is caught everywhere
+            bumped, _ = _direct_reference(s, xs, lax, ys, lay, bump=2e-14)
+            assert not np.any(_within(grid, bumped, scale))
+
+    def test_values_do_not_depend_on_the_batch(self):
+        mod = _torus_moduli()
+        s = rho.TorusBaseKernel(TW1, HANDLE, mod)
+        # far points: 9 + 0.1i, and x_0 moved twenty periods, past the
+        # largest box a direct theta sum may take (log A moves by 20 w)
+        xs = np.array([_pt(0.09, 0.53), 0.3 + 0.7j, 9.0 + 0.1j])
+        ys = np.array([_pt(0.61, 0.12, offset=W), -2.5 + 3.0j])
+        lax = [s.log_a(z) for z in xs]
+        lay = [s.log_a(z) for z in ys]
+        xs = np.append(xs, xs[0] + TWO_PI_I * 20 * TAU.tau)
+        lax.append(lax[0] + 20 * W)
+        batch = s.grid(xs, lax, ys, lay)
+        for i in range(xs.size):
+            for j in range(ys.size):
+                one = s.grid(xs[i:i + 1], lax[i:i + 1], ys[j:j + 1],
+                             lay[j:j + 1])[0, 0]
+                assert abs(batch[i, j] - one) <= 1e-15 * abs(one)
+
+    @pytest.mark.parametrize("periods", [1, 6, 20])
+    def test_far_points_follow_quasi_periodicity(self, periods):
+        # S_kappa(x + 2 pi i k tau, y) = e^{-2 pi i k (beta1 - 1/2)}
+        # S_kappa(x, y) when log A(x) moves by k w; at k = 20 a direct
+        # theta sum would overflow
+        mod = _torus_moduli()
+        s = rho.TorusBaseKernel(TW1, HANDLE, mod)
+        x, y = _pt(0.09, 0.53), _pt(0.61, 0.12, offset=W)
+        lax, lay = s.log_a(x), s.log_a(y)
+        val = s.grid([x], [lax], [y], [lay])[0, 0]
+        shift = TWO_PI_I * periods * TAU.tau
+        far = s.grid([x + shift], [lax + periods * W], [y], [lay])[0, 0]
+        mult = np.exp(-TWO_PI_I * periods * (TW1.beta - 0.5))
+        # the shifted argument carries a rounding error of ulp(|shift|)
+        assert abs(far - mult * val) < 1e-14 * (1 + abs(shift)) * abs(val)
+
+    def test_kernel_poles_raise(self):
+        mod = _torus_moduli()
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
+        s = ctx.moments.base
+        c = rho.torus_contour(s, 2, mod.contour_radius, 32)
+        # a contour against itself, as nodes and as a contour pair
+        with pytest.raises(DomainError):
+            s.grid(c.points, c.log_a, c.points, c.log_a)
+        with pytest.raises(DomainError):
+            s.grid_sides(s.contour_side(c, 1), s.contour_side(c, -1))
+        # a point on a moment contour
+        y_contour = rho.torus_contour(s, 1, rho.Y_RADIUS_FACTOR
+                                      * mod.contour_radius, 32)
+        node = y_contour.points[5]
+        with pytest.raises(DomainError):
+            ctx.moments.h_vector(node, s.log_a(node))
+        with pytest.raises(DomainError):
+            s.grid_sides(s.points_side([node], [s.log_a(node)]),
+                         s.contour_side(y_contour, -1))
+        # circles whose nodes meet modulo the lattice: x node r of the
+        # circle around 0 and y node 2 pi i + r of the circle around
+        # 2 pi i + 2r
+        r = 0.5 * mod.contour_radius
+        offsets = r * np.exp(TWO_PI_I * np.arange(33) / 32)
+
+        def circle(center, pts):
+            return rho.TorusContour(pts, y_contour.log_local,
+                                    y_contour.log_a, y_contour.weight,
+                                    center, r)
+        near = circle(0.0, offsets)
+        far = circle(TWO_PI_I + 2 * r, TWO_PI_I + 2 * r - offsets)
+        assert lattice_distance(near.points[0] - far.points[0], TAU) < 1e-12
+        with pytest.raises(DomainError):
+            s.grid_sides(s.contour_side(near, 1), s.contour_side(far, -1))
+
+    def test_build_work_counts(self, monkeypatch):
+        # contour-side theta tables: once per contour and characteristic
+        # at build (4 contours x 2 thetas), never per kernel call; the
+        # pole check of a contour pair is one lattice distance, not M x M
+        tables = []
+        shapes = []
+        table, distance = rho._theta_table, rho.lattice_distance
+
+        def counting_table(ma, offsets, sign):
+            tables.append(offsets.shape)
+            return table(ma, offsets, sign)
+
+        def recording_distance(z, tau):
+            shapes.append(np.shape(z))
+            return distance(z, tau)
+        monkeypatch.setattr(rho, "_theta_table", counting_table)
+        monkeypatch.setattr(rho, "lattice_distance", recording_distance)
+        m = 32
+        ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, m)
+        assert tables == [(1, m + 1)] * 8
+        assert shapes and all(len(sh) < 2 or min(sh) == 1 for sh in shapes)
+        ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
+        assert len(tables) == 8
