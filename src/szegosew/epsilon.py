@@ -167,16 +167,30 @@ class SurfacePoint:
         object.__setattr__(self, "z", _finite(self.z, "point coordinate"))
 
 
-def validate_point(pt: SurfacePoint, moduli: EpsilonModuli,
-                   cfg: NumericConfig = DEFAULT_CONFIG) -> None:
-    """Check that pt avoids the excised disk and lattice poles on its torus."""
-    a = pt.which
-    dist = float(lattice_distance(pt.z, moduli.tau(a)))
+def _validate_label(a: int, zs, moduli: EpsilonModuli,
+                    cfg: NumericConfig) -> None:
+    """Check that the points zs on torus a avoid the excised disk and the
+    lattice poles; the first failing point raises."""
+    dist = np.ravel(lattice_distance(zs, moduli.tau(a)))
     inner = abs(moduli.epsilon) / moduli.radius(3 - a)
-    if dist <= max(inner, cfg.pole_guard):
+    bad = dist <= max(inner, cfg.pole_guard)
+    if bad.any():
         raise DomainError(
             f"point on torus {a} lies inside the excised disk or at a pole "
-            f"(lattice distance {dist:.3e}, inner radius {inner:.3e})")
+            f"(lattice distance {dist[np.argmax(bad)]:.3e}, "
+            f"inner radius {inner:.3e})")
+
+
+def _by_label(pts) -> dict:
+    """(indices, coordinates) of the points on each torus label, in label
+    order; empty labels left out."""
+    groups = {}
+    for i, p in enumerate(pts):
+        idx, zs = groups.setdefault(p.which, ([], []))
+        idx.append(i)
+        zs.append(p.z)
+    return {a: (np.array(idx), np.array(zs, dtype=complex))
+            for a, (idx, zs) in sorted(groups.items())}
 
 
 # ----------------------------------------------------------------------
@@ -253,6 +267,8 @@ class EpsilonContext:
         self._f = {}
         self._lu = {}
         self._solved = {}
+        self._sq_pow = moduli.sqrt_epsilon ** np.arange(1, self.n_order + 1)
+        self._inverse = chars.inverse()
 
     def f_block(self, a: int) -> np.ndarray:
         if a not in self._f:
@@ -276,40 +292,51 @@ class EpsilonContext:
                                lu.solve(eye, self.cfg))
         return self._solved[a]
 
-    def _u(self, a: int, z: complex, inverse: bool) -> np.ndarray:
-        """sqrt_epsilon^k P_k(z) for k = 1..N (h vectors without eps^{-1/4})."""
-        tw = self.chars.tw(a)
-        if inverse:
-            tw = tw.inverse()
-        pk = p_k_vector(tw, self.n_order, z, self.moduli.tau(a), self.cfg)
-        return self.moduli.sqrt_epsilon ** np.arange(1, self.n_order + 1) * pk
+    def _u(self, a: int, zs: np.ndarray, inverse: bool) -> np.ndarray:
+        """sqrt_epsilon^k P_k(z) for k = 1..N, one row per point (h vectors
+        without eps^{-1/4})."""
+        tw = (self._inverse if inverse else self.chars).tw(a)
+        pk = p_k_vector(tw, self.n_order, zs, self.moduli.tau(a), self.cfg)
+        return self._sq_pow * pk
+
+    def kernel_matrix(self, xs, ys) -> np.ndarray:
+        """S(x_i, y_j) for SurfacePoint sequences xs, ys: shape (P, Q).
+
+        Points are grouped by torus label and validated per group; each
+        group gets its P_k rows from one batched call, each same-label
+        block its base kernel from one p1_theta call on the x - y grid,
+        and each block is one bilinear product.
+        """
+        mod = self.moduli
+        gx, gy = _by_label(xs), _by_label(ys)
+        for a in (1, 2):
+            zs = [g[a][1] for g in (gx, gy) if a in g]
+            if zs:
+                _validate_label(a, np.concatenate(zs), mod, self.cfg)
+        out = np.zeros((len(xs), len(ys)), dtype=complex)
+        for a in gx.keys() & gy.keys():
+            (ix, zx), (iy, zy) = gx[a], gy[a]
+            # p1_theta guards the pole at x - y on the lattice
+            out[ix[:, None], iy] = p1_theta(self.chars.tw(a),
+                                            zx[:, None] - zy[None, :],
+                                            mod.tau(a), self.cfg)
+        if mod.epsilon == 0:
+            return out
+        v = {b: -self._u(b, zy, inverse=True) for b, (_, zy) in gy.items()}
+        for a, (ix, zx) in gx.items():
+            u = self._u(a, zx, inverse=False)
+            for b, (iy, _) in gy.items():
+                if b == a:
+                    corr = u @ self._middles(a)[0] @ v[b].T
+                else:
+                    corr = mod.xi * (-1.0) ** b \
+                        * (u @ self._middles(a)[1] @ v[b].T)
+                out[ix[:, None], iy] += corr / mod.sqrt_epsilon
+        return out
 
     def kernel(self, x: SurfacePoint, y: SurfacePoint) -> complex:
         """Sewn genus-two Szego kernel coefficient of dx^1/2 dy^1/2."""
-        validate_point(x, self.moduli, self.cfg)
-        validate_point(y, self.moduli, self.cfg)
-        mod = self.moduli
-        a = x.which
-        if y.which == a:
-            tau = mod.tau(a)
-            sep = float(lattice_distance(x.z - y.z, tau))
-            if sep < self.cfg.pole_guard:
-                raise DomainError("x and y coincide on the torus (kernel pole)")
-            base = p1_theta(self.chars.tw(a), x.z - y.z, tau, self.cfg)
-            if mod.epsilon == 0:
-                return complex(base)
-            u = self._u(a, x.z, inverse=False)
-            v = -self._u(a, y.z, inverse=True)
-            corr = u @ self._middles(a)[0] @ v / mod.sqrt_epsilon
-            return complex(base + corr)
-        if mod.epsilon == 0:
-            return 0.0 + 0.0j
-        abar = 3 - a
-        u = self._u(a, x.z, inverse=False)
-        v = -self._u(abar, y.z, inverse=True)
-        val = mod.xi * (-1.0) ** abar \
-            * (u @ self._middles(a)[1] @ v) / mod.sqrt_epsilon
-        return complex(val)
+        return complex(self.kernel_matrix([x], [y])[0, 0])
 
     def det(self) -> complex:
         """det(I - F1 F2), read from the label-2 factors."""

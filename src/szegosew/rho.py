@@ -39,9 +39,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
 from .numerics import LU, as_complex_matrix
-from .specialfn import (TorusModulus, TwistPair, _box_radius,
-                        _theta_g1_derivs, lattice_distance, theta1,
-                        theta1_deriv0)
+from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
+                        _theta_g1_derivs, lattice_distance, theta1_deriv0)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
 __all__ = [
@@ -284,23 +283,23 @@ class SphereMoments:
     def _k(self, a: int) -> np.ndarray:
         return mode_index(a, np.arange(1, self.n_order + 1), self.handle.kappa)
 
-    def h_vector(self, x, log_x=None) -> np.ndarray:
-        """(h_1(k,x), h_2(k,x)) stacked, k = 1..N."""
-        lx = cmath.log(complex(x)) if log_x is None else complex(log_x)
+    def h_matrix(self, log_x) -> np.ndarray:
+        """Rows (h_1(k,x), h_2(k,x)), k = 1..N, one per log x."""
+        lx = np.reshape(log_x, (-1, 1))
         k1, k2 = self._k(1), self._k(2)
         qp = self.moduli.q_pow
         h1 = -self.moduli.xi * qp(0.5 * (k1 - 0.5)) * np.exp((k1 - 1.0) * lx)
         h2 = qp(0.5 * (k2 - 0.5)) * np.exp(-k2 * lx)
-        return np.concatenate([h1, h2])
+        return np.concatenate([h1, h2], axis=1)
 
-    def hbar_vector(self, y, log_y=None) -> np.ndarray:
-        """(hbar_1(k,y), hbar_2(k,y)) stacked, k = 1..N."""
-        ly = cmath.log(complex(y)) if log_y is None else complex(log_y)
+    def hbar_matrix(self, log_y) -> np.ndarray:
+        """Rows (hbar_1(k,y), hbar_2(k,y)), k = 1..N, one per log y."""
+        ly = np.reshape(log_y, (-1, 1))
         k1, k2 = self._k(1), self._k(2)
         qp = self.moduli.q_pow
         hb1 = -qp(0.5 * (k1 - 0.5)) * np.exp(-k1 * ly)
         hb2 = self.moduli.xi * qp(0.5 * (k2 - 0.5)) * np.exp((k2 - 1.0) * ly)
-        return np.concatenate([hb1, hb2])
+        return np.concatenate([hb1, hb2], axis=1)
 
 
 def sphere_moments(handle: HandleTwist, n_order: int,
@@ -359,18 +358,27 @@ class RhoSphereContext:
         self._dth = _d_theta_diag(handle.theta, self.n_order)
         self._lu = LU(np.eye(2 * self.n_order, dtype=complex) - self.moments.t)
 
-    def kernel(self, x, y, log_x=None, log_y=None) -> complex:
-        """Sewn genus-one kernel coefficient of dx^1/2 dy^1/2.
+    def kernel_matrix(self, xs, ys, log_xs=None, log_ys=None) -> np.ndarray:
+        """Sewn genus-one kernel S(x_i, y_j), coefficient of dx^1/2 dy^1/2.
 
-        After the half-form conversion (value times (xy)^{1/2}, with
-        X = log x, Y = log y on the supplied branches) this equals
-        P1[theta;phi](X-Y, tau) for tau = log_q / (2 pi i).
+        Shape (P, Q).  After the half-form conversion (value times
+        (xy)^{1/2}, with X = log x, Y = log y on the supplied branches,
+        principal ones by default) this equals P1[theta;phi](X-Y, tau)
+        for tau = log_q / (2 pi i).
         """
-        mom = self.moments
-        base = s_kappa_sphere(self.handle, x, y, log_x, log_y, self.cfg)
-        hb = self._lu.solve(mom.hbar_vector(y, log_y), self.cfg)
-        corr = self.moduli.xi * (mom.h_vector(x, log_x) * self._dth) @ hb
-        return complex(base + corr)
+        xs = np.ravel(np.asarray(xs, dtype=complex))
+        ys = np.ravel(np.asarray(ys, dtype=complex))
+        lx = np.log(xs) if log_xs is None else np.ravel(log_xs).astype(complex)
+        ly = np.log(ys) if log_ys is None else np.ravel(log_ys).astype(complex)
+        base = s_kappa_sphere(self.handle, xs[:, None], ys[None, :],
+                              lx[:, None], ly[None, :], self.cfg)
+        hb = self._lu.solve(self.moments.hbar_matrix(ly).T, self.cfg)
+        return base + self.moduli.xi \
+            * (self.moments.h_matrix(lx) * self._dth) @ hb
+
+    def kernel(self, x, y, log_x=None, log_y=None) -> complex:
+        """One value of kernel_matrix."""
+        return complex(self.kernel_matrix(x, y, log_x, log_y)[0, 0])
 
     def det(self) -> complex:
         return self._lu.det()
@@ -393,36 +401,107 @@ _TRACK_ARG_LIMIT = 1.5  # max |arg| and |log magnitude| step per node
 
 
 def _a_values(z, tau: TorusModulus, w: complex, cfg: NumericConfig):
-    return theta1(np.asarray(z, dtype=complex) - w, tau, cfg) \
-        / theta1(np.asarray(z, dtype=complex), tau, cfg)
+    """A(z) = theta1(z - w) / theta1(z), vectorized in z.
+
+    Both arguments u are reduced to u' = u - 2 pi i tau m with
+    |Re u'| <= pi Im tau, by theta1's exact quasi-periodicity
+    theta1(u) = (-1)^m e^{-i pi tau m^2 - m u'} theta1(u'), and the two
+    multipliers are combined in log space: far points do not overflow,
+    and that bound, not the batch, fixes the theta box.
+    """
+    t = tau.tau
+    z = np.asarray(z, dtype=complex)
+    u = np.array([z - w, z])
+    m = np.round(-u.real / (TWO_PI * t.imag))
+    mult = 1.0
+    if m.any():
+        u = u - 2j * np.pi * t * m
+        mult = (-1.0) ** (m[0] - m[1]) * np.exp(
+            -1j * np.pi * t * ((m[0] - m[1]) * (m[0] + m[1]))
+            - m[0] * u[0] + m[1] * u[1])
+    th = _theta_g1_derivs(0.5, 0.5, u, t, 0, cfg, np.pi * t.imag)[0]
+    return mult * th[0] / th[1]
 
 
-def _min_singular_distance(z, tau: TorusModulus, w: complex) -> float:
-    """Distance of z to the zeros (w + Lambda) and poles (Lambda) of A."""
-    z = np.ravel(np.asarray(z, dtype=complex))
-    return float(np.min(lattice_distance(np.concatenate([z, z - w]), tau)))
+def _singular_distance(z, tau: TorusModulus, w: complex):
+    """Distance of each z to the zeros (w + Lambda) and poles (Lambda) of A."""
+    z = np.asarray(z, dtype=complex)
+    d = lattice_distance(np.array([z, z - w]), tau)
+    return np.minimum(d[0], d[1])
 
 
-def _track_segment(z0: complex, z1: complex, tau: TorusModulus, w: complex,
-                   cfg: NumericConfig) -> complex:
-    """Continuous increment log A(z1) - log A(z0) along the straight segment."""
+def _segment_steps(z0, z1, tau: TorusModulus, w: complex,
+                   cfg: NumericConfig) -> np.ndarray:
+    """Continuous increments log A(z1) - log A(z0) along straight segments.
+
+    Vectorized over the endpoints z1; z0 is one point or one per z1.
+    Each segment starts with 16 equal steps and halves its own steps,
+    evaluating A only at the new nodes, until every step of log A stays
+    below the limit; NaN marks a segment that passes too close to a zero
+    or pole of A, or does not stabilize.
+    """
+    z1 = np.ravel(np.asarray(z1, dtype=complex))
+    z0 = np.asarray(z0, dtype=complex) + np.zeros_like(z1)
+    seg = z1 - z0
+    out = np.full(z1.shape, np.nan, dtype=complex)
+    todo = np.arange(z1.size)
     n = 16
-    while n <= _TRACK_MAX_NODES:
-        t = np.linspace(0.0, 1.0, n + 1)
-        pts = z0 + (z1 - z0) * t
-        if _min_singular_distance(pts[1:-1], tau, w) < 10.0 * cfg.pole_guard:
-            raise BranchTrackingError(
-                "branch-tracking path passes too close to a zero or pole "
-                "of theta1(z-w)/theta1(z)")
-        vals = _a_values(pts, tau, w, cfg)
-        ratios = vals[1:] / vals[:-1]
-        steps = np.log(ratios)
-        if np.all(np.abs(steps.imag) < _TRACK_ARG_LIMIT) \
-                and np.all(np.abs(steps.real) < _TRACK_ARG_LIMIT):
-            return complex(np.sum(steps))
+    new = z0[:, None] + seg[:, None] * (np.arange(n + 1) / n)
+    inner = new[:, 1:-1]
+    while True:
+        clear = _singular_distance(inner, tau, w).min(axis=1) \
+            >= 10.0 * cfg.pole_guard
+        if not clear.all():
+            todo, new = todo[clear], new[clear]
+        if n == 16:
+            vals = _a_values(new, tau, w, cfg)
+        else:
+            both = np.empty((todo.size, n + 1), dtype=complex)
+            both[:, 0::2] = vals[clear]
+            both[:, 1::2] = _a_values(new, tau, w, cfg)
+            vals = both
+        steps = np.log(vals[:, 1:] / vals[:, :-1])
+        ok = ((np.abs(steps.imag) < _TRACK_ARG_LIMIT)
+              & (np.abs(steps.real) < _TRACK_ARG_LIMIT)).all(axis=1)
+        out[todo[ok]] = steps[ok].sum(axis=1)
+        todo, vals = todo[~ok], vals[~ok]
         n *= 2
-    raise BranchTrackingError(
-        "branch tracking did not stabilize; path too close to a singularity")
+        if not todo.size or n > _TRACK_MAX_NODES:
+            return out
+        # the odd nodes of the halved steps
+        new = inner = z0[todo, None] \
+            + seg[todo, None] * (np.arange(1, n, 2) / n)
+
+
+def _track_log_a(zs: np.ndarray, tau: TorusModulus, w: complex,
+                 cfg: NumericConfig, z_ref: complex,
+                 log_a_ref: complex) -> np.ndarray:
+    """log A at every point of zs, continued from the anchor in one sweep.
+
+    Each point is reached along the straight path from the anchor; a
+    path that fails is bent through a waypoint beside its midpoint, on
+    one side and then the other.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    if np.any(_singular_distance(zs, tau, w) < cfg.pole_guard):
+        raise DomainError("point is at a zero or pole of theta1(z-w)/theta1(z)")
+    inc = _segment_steps(z_ref, zs, tau, w, cfg)
+    bad = np.flatnonzero(np.isnan(inc))
+    for sign in (1.0, -1.0):
+        if not bad.size:
+            break
+        d = zs[bad] - z_ref
+        direction = np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)
+        way = z_ref + 0.5 * d \
+            + sign * 0.2j * min_lattice_distance(tau) * direction
+        inc[bad] = _segment_steps(z_ref, way, tau, w, cfg) \
+            + _segment_steps(way, zs[bad], tau, w, cfg)
+        bad = bad[np.isnan(inc[bad])]
+    if bad.size:
+        raise BranchTrackingError(
+            "branch tracking did not stabilize; path too close to a "
+            "zero or pole of theta1(z-w)/theta1(z)")
+    return log_a_ref + inc
 
 
 def log_a_torus(z, tau: TorusModulus, w: complex,
@@ -438,31 +517,8 @@ def log_a_torus(z, tau: TorusModulus, w: complex,
     anchor constants cancel between the base kernel and the moment
     bilinears.
     """
-    z = complex(z)
-    if _min_singular_distance(np.array([z]), tau, w) < cfg.pole_guard:
-        raise DomainError("point is at a zero or pole of theta1(z-w)/theta1(z)")
-    return complex(log_a_ref) + _segment_increment(complex(z_ref), z, tau, w,
-                                                   cfg)
-
-
-def _segment_increment(z0: complex, z1: complex, tau: TorusModulus, w: complex,
-                       cfg: NumericConfig) -> complex:
-    """Continuous increment of log A from z0 to z1, bending around poles."""
-    try:
-        return _track_segment(z0, z1, tau, w, cfg)
-    except BranchTrackingError:
-        # bend the path around the singularity, trying both sides
-        scale = min_lattice_distance(tau)
-        mid = 0.5 * (z0 + z1)
-        direction = (z1 - z0) / abs(z1 - z0) if z1 != z0 else 1.0
-        for sign in (1.0, -1.0):
-            way = mid + sign * 0.2j * scale * direction
-            try:
-                return _track_segment(z0, way, tau, w, cfg) \
-                    + _track_segment(way, z1, tau, w, cfg)
-            except BranchTrackingError:
-                continue
-        raise
+    return complex(_track_log_a(np.array([complex(z)]), tau, w, cfg,
+                                complex(z_ref), complex(log_a_ref))[0])
 
 
 # ----------------------------------------------------------------------
@@ -561,15 +617,19 @@ class TorusBaseKernel:
             (m + al, (1j * np.pi * tau) * (m + al) ** 2, 2j * np.pi * be)
             for al, be in ((tw1.alpha, tw1.beta), (0.5, 0.5)))
 
-    def log_a(self, z, log_a_z=None) -> complex:
-        """Branch of log A(z): the supplied one, else tracked; 0 if untracked."""
+    def log_a(self, z, log_a_z=None):
+        """Branch of log A at a point or an array of points: the supplied
+        one, else tracked (all points in one sweep); 0 if untracked."""
+        zv = np.asarray(z, dtype=complex)
         if not self.tracked:
-            return 0.0 + 0.0j
-        if log_a_z is not None:
-            return complex(log_a_z)
-        mod = self.moduli
-        return log_a_torus(z, mod.tau, mod.w, self.cfg, z_ref=mod.z_ref,
-                           log_a_ref=mod.log_a_ref)
+            val = np.zeros(zv.shape, dtype=complex)
+        elif log_a_z is not None:
+            val = np.asarray(log_a_z, dtype=complex)
+        else:
+            mod = self.moduli
+            val = _track_log_a(zv.ravel(), mod.tau, mod.w, self.cfg,
+                               mod.z_ref, mod.log_a_ref).reshape(zv.shape)
+        return val if zv.ndim else complex(val)
 
     def points_side(self, zs, log_a) -> GridSide:
         """Grid side of single points, each its own centre."""
@@ -678,17 +738,15 @@ def torus_contour(s: TorusBaseKernel, a: int, radius: float,
 # torus: quadrature moments
 # ----------------------------------------------------------------------
 
-def _check_closure(values: np.ndarray, axis: int, what: str) -> np.ndarray:
-    """Verify the phi = 2 pi node reproduces the phi = 0 node, then drop it."""
-    first = np.take(values, 0, axis=axis)
-    last = np.take(values, -1, axis=axis)
-    scale = max(float(np.max(np.abs(values))), 1e-300)
-    err = float(np.max(np.abs(last - first))) / scale
-    if err > _CLOSURE_TOL:
+def _check_closure(first, last, scale, what: str) -> None:
+    """Verify the phi = 2 pi node reproduces the phi = 0 node, element-wise:
+    max |last - first| along the last axis within _CLOSURE_TOL of scale
+    (broadcast over the leading axes, one check per point)."""
+    err = np.max(np.abs(last - first), axis=-1) / np.maximum(scale, 1e-300)
+    if np.any(err > _CLOSURE_TOL):
         raise BranchTrackingError(
             f"{what} integrand not single-valued on the contour "
-            f"(closure error {err:.2e})")
-    return np.take(values, range(values.shape[axis] - 1), axis=axis)
+            f"(closure error {np.max(err):.2e})")
 
 
 class TorusMoments:
@@ -725,14 +783,16 @@ class TorusMoments:
         # tables and with its mode weights z_local^{-k_a} at every node
         # including the closure node
         self._k, self._rows, self._cols, self._pref = {}, {}, {}, {}
+        m = self.m_points
         for a in (1, 2):
             ka = mode_index(a, np.arange(1, n_order + 1), handle.kappa)
             for sides, label, fac, sign in (
                     (self._rows, 3 - a, X_RADIUS_FACTOR, 1),
                     (self._cols, a, Y_RADIUS_FACTOR, -1)):
-                c = torus_contour(self.base, label, fac * r, self.m_points)
-                sides[a] = (c, self.base.contour_side(c, sign),
-                            np.exp(-np.multiply.outer(ka, c.log_local)))
+                c = torus_contour(self.base, label, fac * r, m)
+                modes = np.exp(-np.multiply.outer(ka, c.log_local))
+                sides[a] = (self.base.contour_side(c, sign), modes,
+                            modes[:, :m] * c.weight)
             self._k[a] = ka
             self._pref[a] = moduli.rho_pow(0.5 * (ka - 0.5))
         self.g = self._build_g()
@@ -741,52 +801,63 @@ class TorusMoments:
         m = self.m_points
         blocks = {}
         for a in (1, 2):
-            cx, sx, wx = self._rows[a]
+            sx, wx, qx = self._rows[a]
             for b in (1, 2):
-                cy, sy, wy = self._cols[b]
+                sy, wy, qy = self._cols[b]
                 grid = self.base.grid_sides(sx, sy)
                 # single-valuedness at the closure node, element-wise on the
                 # raw weighted integrand (before any cancelling summation)
-                _check_closure(
-                    np.stack([wx[:, 0, None] * grid[None, 0, :],
-                              wx[:, -1, None] * grid[None, -1, :]]),
-                    0, f"G_{a}{b} x-contour")
-                _check_closure(
-                    np.stack([wy[:, 0, None] * grid[None, :, 0],
-                              wy[:, -1, None] * grid[None, :, -1]]),
-                    0, f"G_{a}{b} y-contour")
-                blk = (wx[:, :m] * cx.weight) @ grid[:m, :m] \
-                    @ (wy[:, :m] * cy.weight).T
+                for side, first, last in (
+                        ("x", wx[:, 0, None] * grid[None, 0, :],
+                         wx[:, -1, None] * grid[None, -1, :]),
+                        ("y", wy[:, 0, None] * grid[None, :, 0],
+                         wy[:, -1, None] * grid[None, :, -1])):
+                    scale = max(np.max(np.abs(first)), np.max(np.abs(last)))
+                    _check_closure(first, last, scale,
+                                   f"G_{a}{b} {side}-contour")
                 pref = self.moduli.rho_pow(
                     0.5 * (self._k[a][:, None] + self._k[b][None, :] - 1.0))
-                blocks[(a, b)] = pref * blk
+                blocks[(a, b)] = pref * (qx @ grid[:m, :m] @ qy.T)
         return as_complex_matrix(
             np.block([[blocks[(1, 1)], blocks[(1, 2)]],
                       [blocks[(2, 1)], blocks[(2, 2)]]]), "moment matrix G")
 
     def _moments(self, sides: dict, integrand, what: str) -> np.ndarray:
         """rho^{(k_a-1/2)/2} (1/2pi i) oint z_local^{-k_a} f dz_local, a = 1, 2,
-        with f = integrand(grid side) at the contour nodes."""
+        with f = integrand(grid side) at the contour nodes, one row of f
+        and of the result per point."""
+        m = self.m_points
         out = []
         for a in (1, 2):
-            contour, side, modes = sides[a]
-            vals = _check_closure(modes * integrand(side)[None, :], 1,
-                                  f"{what}_{a} contour")
-            out.append(self._pref[a] * (vals @ contour.weight))
-        return np.concatenate(out)
+            side, modes, weighted = sides[a]
+            f = integrand(side)
+            _check_closure(f[:, :1] * modes[:, 0], f[:, -1:] * modes[:, -1],
+                           np.max(np.abs(f) * np.max(np.abs(modes), axis=0),
+                                  axis=1), f"{what}_{a} contour")
+            out.append(self._pref[a] * (f[:, :m] @ weighted.T))
+        return np.concatenate(out, axis=1)
+
+    def h_matrix(self, xs, log_a_xs=None) -> np.ndarray:
+        """Rows (h_1(k,x), h_2(k,x)), k = 1..N, one per point of xs, by
+        contour quadrature; log A is tracked unless supplied."""
+        pts = self.base.points_side(xs, self.base.log_a(xs, log_a_xs))
+        return self._moments(
+            self._cols, lambda side: self.base.grid_sides(pts, side), "h")
+
+    def hbar_matrix(self, ys, log_a_ys=None) -> np.ndarray:
+        """Rows (hbar_1(k,y), hbar_2(k,y)), k = 1..N, one per point of ys."""
+        pts = self.base.points_side(ys, self.base.log_a(ys, log_a_ys))
+        return self._moments(
+            self._rows, lambda side: self.base.grid_sides(side, pts).T,
+            "hbar")
 
     def h_vector(self, x, log_a_x=None) -> np.ndarray:
-        """(h_1(k,x), h_2(k,x)) stacked, k = 1..N, by contour quadrature."""
-        pt = self.base.points_side([x], [self.base.log_a(x, log_a_x)])
-        return self._moments(
-            self._cols, lambda side: self.base.grid_sides(pt, side)[0], "h")
+        """The one-point h_matrix."""
+        return self.h_matrix(np.ravel(x), log_a_x)[0]
 
     def hbar_vector(self, y, log_a_y=None) -> np.ndarray:
-        """(hbar_1(k,y), hbar_2(k,y)) stacked, k = 1..N, by quadrature."""
-        pt = self.base.points_side([y], [self.base.log_a(y, log_a_y)])
-        return self._moments(
-            self._rows, lambda side: self.base.grid_sides(side, pt)[:, 0],
-            "hbar")
+        """The one-point hbar_matrix."""
+        return self.hbar_matrix(np.ravel(y), log_a_y)[0]
 
 
 # ----------------------------------------------------------------------
@@ -814,24 +885,46 @@ class RhoTorusContext:
         self._middle = dth[:, None] * self._lu.solve(eye, cfg)
         self._margin = X_RADIUS_FACTOR * moduli.contour_radius * 1.05
 
-    def validate_point(self, z: complex) -> None:
-        d = _min_singular_distance(complex(z), self.moduli.tau, self.moduli.w)
-        if d <= self._margin:
+    def validate_point(self, z) -> None:
+        """Reject a point, or any point of an array, inside the sewing
+        contours."""
+        d = np.ravel(_singular_distance(np.asarray(z, dtype=complex),
+                                        self.moduli.tau, self.moduli.w))
+        bad = d <= self._margin
+        if np.any(bad):
             raise DomainError(
-                f"point at distance {d:.3e} from a puncture lies inside "
-                f"the sewing contours (need > {self._margin:.3e})")
+                f"point at distance {d[np.argmax(bad)]:.3e} from a puncture "
+                f"lies inside the sewing contours (need > {self._margin:.3e})")
+
+    def kernel_matrix(self, xs, ys, log_a_xs=None,
+                      log_a_ys=None) -> np.ndarray:
+        """Sewn genus-two kernel S(x_i, y_j), coefficient of dx^1/2 dy^1/2.
+
+        Shape (P, Q).  Every point is validated; log A at the points whose
+        branch is not supplied comes from one tracking sweep; the base
+        kernel is one grid and the correction the product
+        h (D^theta (I - T)^{-1}) hbar^T.
+        """
+        xs = np.ravel(np.asarray(xs, dtype=complex))
+        ys = np.ravel(np.asarray(ys, dtype=complex))
+        self.validate_point(np.concatenate([xs, ys]))
+        s = self.moments.base
+        lax, lay = log_a_xs, log_a_ys
+        if lax is None or lay is None:
+            swept = s.log_a(np.concatenate(
+                [z for z, la in ((xs, lax), (ys, lay)) if la is None]))
+            if lax is None:
+                lax, swept = swept[:xs.size], swept[xs.size:]
+            if lay is None:
+                lay = swept
+        base = s.grid(xs, lax, ys, lay)
+        h = self.moments.h_matrix(xs, lax)
+        hb = self.moments.hbar_matrix(ys, lay)
+        return base + (self.moduli.xi * h) @ self._middle @ hb.T
 
     def kernel(self, x, y, log_a_x=None, log_a_y=None) -> complex:
-        """Sewn genus-two kernel coefficient of dx^1/2 dy^1/2."""
-        x, y = complex(x), complex(y)
-        self.validate_point(x)
-        self.validate_point(y)
-        s = self.moments.base
-        lax, lay = s.log_a(x, log_a_x), s.log_a(y, log_a_y)
-        base = s.grid([x], [lax], [y], [lay])[0, 0]
-        h = self.moments.h_vector(x, lax)
-        hb = self.moments.hbar_vector(y, lay)
-        return complex(base + self.moduli.xi * h @ self._middle @ hb)
+        """One value of kernel_matrix."""
+        return complex(self.kernel_matrix(x, y, log_a_x, log_a_y)[0, 0])
 
     def det(self) -> complex:
         return self._lu.det()

@@ -176,18 +176,23 @@ class TwistPair:
     """Genus-one twist data: characteristics plus derived multipliers.
 
     ``theta = -e^{-2 pi i beta}`` and ``phi = -e^{2 pi i alpha}`` are the
-    multipliers around the two torus cycles; ``lam`` and ``kappa`` are the
-    additive exponents used by the q-series and the self-sewing scheme.
+    multipliers around the two torus cycles, fixed at construction;
+    ``lam`` and ``kappa`` are the additive exponents used by the q-series
+    and the self-sewing scheme.
     """
 
     alpha: float
     beta: float
+    theta: complex = field(init=False, repr=False, compare=False)
+    phi: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a, = _reduce_mod1([self.alpha])
         b, = _reduce_mod1([self.beta])
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "theta", complex(-np.exp(-2j * np.pi * b)))
+        object.__setattr__(self, "phi", complex(-np.exp(2j * np.pi * a)))
 
     @classmethod
     def from_multipliers(cls, theta: complex, phi: complex) -> "TwistPair":
@@ -200,14 +205,6 @@ class TwistPair:
         alpha = np.angle(-phi) / TWO_PI
         beta = -np.angle(-theta) / TWO_PI
         return cls(alpha=alpha, beta=beta)
-
-    @property
-    def theta(self) -> complex:
-        return -np.exp(-2j * np.pi * self.beta)
-
-    @property
-    def phi(self) -> complex:
-        return -np.exp(2j * np.pi * self.alpha)
 
     @property
     def lam(self) -> float:
@@ -295,17 +292,21 @@ def theta_char(chars: Characteristics, z, omega,
 
 
 def _theta_g1_derivs(alpha: float, beta: float, z, tau: complex, nderiv: int,
-                     cfg: NumericConfig) -> np.ndarray:
+                     cfg: NumericConfig,
+                     cmax: float | None = None) -> np.ndarray:
     """Vectorized genus-one theta and z-derivatives.
 
     Returns an array of shape (nderiv+1,) + z.shape with entry j holding
-    d^j/dz^j theta[alpha;beta](z, tau).
+    d^j/dz^j theta[alpha;beta](z, tau).  ``cmax`` bounds |Re z| and fixes
+    the summation box; by default the batch's largest |Re z| does, so a
+    caller that needs values independent of the batch passes its bound.
     """
     zv = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(zv)):
         raise DomainError("z must be finite")
     im = tau.imag
-    cmax = float(np.max(np.abs(zv.real))) if zv.size else 0.0
+    if cmax is None:
+        cmax = float(np.max(np.abs(zv.real))) if zv.size else 0.0
     radius = _box_radius(im, cmax, cfg.theta_tol)
     # polynomial weights (m+alpha)^j only shift the tail by a few entries
     radius = min(radius + (2 if nderiv else 0) + nderiv // 8, THETA_BOX_CAP)
@@ -381,11 +382,12 @@ def lattice_distance(z, tau: TorusModulus):
     b2 = 2j * np.pi * (m2 * t + n2)
     # cell coordinates: z = x b1 + y b2 for real x, y
     cross = (b1.conjugate() * b2).imag
-    x = np.floor((zv.real * b2.imag - zv.imag * b2.real) / cross)
-    y = np.floor((zv.imag * b1.real - zv.real * b1.imag) / cross)
+    zc = zv.conjugate()
+    x = np.floor((b2 * zc).imag / cross)
+    y = np.floor((zc * b1).imag / -cross)
     r = zv - (x * b1 + y * b2)
-    return np.minimum(np.minimum(np.abs(r), np.abs(r - b1)),
-                      np.minimum(np.abs(r - b2), np.abs(r - b1 - b2)))
+    corners = np.array([0.0, b1, b2, b1 + b2])
+    return np.abs(r[..., None] - corners).min(axis=-1)
 
 
 def min_lattice_distance(tau: TorusModulus) -> float:
@@ -414,9 +416,11 @@ def p1_theta(tw: TwistPair, z, tau: TorusModulus,
              cfg: NumericConfig = DEFAULT_CONFIG):
     """P1 via the theta-quotient route. Vectorized over z.
 
-    Reduces z into the fundamental annulus first and multiplies by the
-    exact lattice multiplier theta^m phi^n, so arbitrarily large arguments
-    are handled without overflow.
+    Reduces z into the fundamental annulus -2 pi Im tau < Re z <= 0 first
+    and multiplies by the exact lattice multiplier theta^m phi^n, so
+    arbitrarily large arguments are handled without overflow.  That
+    bound, not the batch, fixes the theta box, so a value does not depend
+    on the other points of its call.
     """
     _check_not_trivial(tw)
     zv = np.asarray(z, dtype=complex)
@@ -424,60 +428,69 @@ def p1_theta(tw: TwistPair, z, tau: TorusModulus,
     dist = lattice_distance(z_red, tau)
     if np.any(dist < cfg.pole_guard):
         raise DomainError("z within pole guard of a lattice point")
-    th = _theta_g1_derivs(tw.alpha, tw.beta, z_red, tau.tau, 0, cfg)[0]
-    th0 = complex(_theta_g1_derivs(tw.alpha, tw.beta, np.array(0j), tau.tau, 0, cfg)[0])
-    if abs(th0) < cfg.resonance_guard:
+    box = TWO_PI * tau.tau.imag
+    # theta[alpha;beta] at the reduced points and at 0 from one sum
+    th = _theta_g1_derivs(tw.alpha, tw.beta, np.append(z_red, 0.0), tau.tau,
+                          0, cfg, box)[0]
+    if abs(th[-1]) < cfg.resonance_guard:
         raise ResonanceError("theta[alpha;beta](0, tau) vanishes for this twist")
-    val = _multiplier(tw, m, n) * th / (th0 * K(z_red, tau, cfg))
+    k = _theta_g1_derivs(0.5, 0.5, z_red, tau.tau, 0, cfg, box)[0] \
+        / theta1_deriv0(tau, cfg)
+    val = _multiplier(tw, m, n) * th[:-1].reshape(zv.shape) / (th[-1] * k)
     return val if np.ndim(z) else complex(val)
 
 
-def _series_terms(tw: TwistPair, z_red: complex, tau: TorusModulus, jmax: int,
+def _series_terms(tw: TwistPair, z_red, tau: TorusModulus, jmax: int,
                   cfg: NumericConfig):
     """Terms t_j = q_z^{j+lam}/(1 - theta^{-1} q^{j+lam}), j = -jmax..jmax.
 
-    The j+lam < 0 half is rewritten to keep every exponential bounded.
-    Returns (exponents j+lam, terms).
+    One row per reduced point of ``z_red`` (a scalar gives one row).  The
+    j+lam < 0 half is rewritten as -theta (q_z/q)^{j+lam} /
+    (1 - theta q^{-(j+lam)}) to keep every exponential bounded.  Returns
+    (exponents j+lam, terms).
     """
-    lam = tw.lam
+    z_red = np.asarray(z_red, dtype=complex).reshape(-1, 1)
     th = tw.theta
     t = tau.tau
-    j = np.arange(-jmax, jmax + 1, dtype=float) + lam
-    terms = np.empty(j.shape, dtype=complex)
+    j = np.arange(-jmax, jmax + 1) + tw.lam
     pos = j >= 0
-    qpow = np.exp(2j * np.pi * t * j[pos])
-    den = 1.0 - qpow / th
-    if np.any(np.abs(den) < cfg.resonance_guard):
-        raise ResonanceError("resonant denominator 1 - theta^{-1} q^{k+lam}")
-    terms[pos] = np.exp(j[pos] * z_red) / den
-    neg = ~pos
-    qinv = np.exp(-2j * np.pi * t * j[neg])
-    den2 = 1.0 - th * qinv
-    if np.any(np.abs(den2) < cfg.resonance_guard):
-        raise ResonanceError("resonant denominator 1 - theta q^{-(k+lam)}")
-    terms[neg] = -th * np.exp(j[neg] * (z_red - 2j * np.pi * t)) / den2
-    return j, terms
+    # q^{|j+lam|}: q^{j+lam} on the upper half, q^{-(j+lam)} on the lower
+    qpow = np.exp((2j * np.pi * t) * np.abs(j))
+    den = np.where(pos, 1.0 - qpow / th, 1.0 - th * qpow)
+    small = np.abs(den) < cfg.resonance_guard
+    if small.any():
+        raise ResonanceError(
+            "resonant denominator 1 - theta^{-1} q^{k+lam}"
+            if (small & pos).any() else
+            "resonant denominator 1 - theta q^{-(k+lam)}")
+    base = np.where(pos, z_red, z_red - 2j * np.pi * t)
+    return j, np.exp(base * j) * np.where(pos, 1.0, -th) / den
 
 
-def _series_jmax(z_red: complex, tau: TorusModulus, weight_pow: int,
-                 cfg: NumericConfig) -> int:
-    """Truncation index for the q-series at the (reduced) point z_red."""
-    rate_pos = z_red.real                                # log |e^{z_red}|
-    rate_neg = -(z_red.real + TWO_PI * tau.tau.imag)     # log |q / e^{z_red}|
-    rate = max(rate_pos, rate_neg)
-    if rate >= -1e-9:
-        raise ConvergenceError(
-            "q-series does not converge: reduced point on the annulus boundary")
+def _series_jmax(z_red, tau: TorusModulus, weight_pow: int,
+                 cfg: NumericConfig) -> np.ndarray:
+    """Truncation index of the q-series at each (reduced) point z_red."""
+    width = TWO_PI * tau.tau.imag
     logtol = math.log(cfg.series_tol) - 6.0
-    jmax = int(math.ceil(logtol / rate)) + 4
-    if weight_pow:
-        # allow for the polynomial weight (j+lam)^{weight_pow}
-        jmax += int(math.ceil(weight_pow * math.log(jmax + weight_pow + 2) / -rate)) + 2
-    if jmax > 200_000:
-        raise ConvergenceError(
-            f"q-series truncation {jmax} unreasonably large; "
-            "point too close to the annulus boundary")
-    return jmax
+    out = []
+    for re in np.asarray(z_red).real.ravel().tolist():
+        # log |e^{z_red}| and log |q / e^{z_red}|
+        rate = max(re, -(re + width))
+        if rate >= -1e-9:
+            raise ConvergenceError(
+                "q-series does not converge: reduced point on the annulus "
+                "boundary")
+        jmax = int(math.ceil(logtol / rate)) + 4
+        if weight_pow:
+            # allow for the polynomial weight (j+lam)^{weight_pow}
+            jmax += int(math.ceil(weight_pow * math.log(jmax + weight_pow + 2)
+                                  / -rate)) + 2
+        if jmax > 200_000:
+            raise ConvergenceError(
+                f"q-series truncation {jmax} unreasonably large; "
+                "point too close to the annulus boundary")
+        out.append(jmax)
+    return np.array(out, dtype=int)
 
 
 def p1_series(tw: TwistPair, z, tau: TorusModulus,
@@ -488,8 +501,8 @@ def p1_series(tw: TwistPair, z, tau: TorusModulus,
     z_red = complex(z_red)
     if float(lattice_distance(z_red, tau)) < cfg.pole_guard:
         raise DomainError("z within pole guard of a lattice point")
-    jmax = _series_jmax(z_red, tau, 0, cfg)
-    _, terms = _series_terms(tw, z_red, tau, jmax, cfg)
+    jmax, = _series_jmax(z_red, tau, 0, cfg)
+    _, (terms,) = _series_terms(tw, z_red, tau, jmax, cfg)
     val = -np.sum(terms)
     tail = max(abs(terms[0]), abs(terms[-1]))
     if tail > 1e3 * cfg.series_tol * max(abs(val), 1.0):
@@ -502,31 +515,52 @@ _P1_BOUNDARY_MARGIN = 0.04  # fraction of the annulus log-width
 
 def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus,
                cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """P_k(z) for k = 1..kmax at a single point, term-wise analytic.
+    """P_k(z) for k = 1..kmax, term-wise analytic; shape z.shape + (kmax,).
 
     Primary route: the reduced q-series differentiated term by term,
     P_k = (-1)^{k-1}/(k-1)! * (-sum_j (j+lam)^{k-1} t_j) * theta^m phi^n.
     Near the annulus boundary (where the q-series converges too slowly)
     the analytically differentiated theta-quotient route is used instead;
     both routes are exact derivatives, never finite differences.
+    Vectorized over z: the series points share one power table, and each
+    point sums only its own -jmax..jmax terms, so a value does not depend
+    on the other points of its call.
     """
     _check_not_trivial(tw)
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    z_red, m, n = lattice_reduce(complex(z), tau)
-    z_red = complex(z_red)
-    if float(lattice_distance(z_red, tau)) < cfg.pole_guard:
-        raise DomainError("z within pole guard of a lattice point")
-    mult = _multiplier(tw, int(m), int(n))
-
+    zv = np.asarray(z, dtype=complex)
+    z_red, m, n = lattice_reduce(zv.ravel(), tau)
     width = TWO_PI * tau.tau.imag
-    interior = min(-z_red.real, z_red.real + width) > _P1_BOUNDARY_MARGIN * width
-    if interior:
-        jmax = _series_jmax(z_red, tau, kmax - 1, cfg)
-        j, terms = _series_terms(tw, z_red, tau, jmax, cfg)
-        # row k-1 holds (-(j+lam))^{k-1}/(k-1)! t_j
-        return -mult * _power_table(-j, terms, kmax - 1).sum(axis=1)
-    return mult * _p_k_theta_route(tw, kmax, z_red, tau, cfg)
+    # distance of Re z_red to the lines Re z = 0, -width that hold the
+    # lattice points: a lower bound of the lattice distance
+    edge = np.minimum(-z_red.real, z_red.real + width)
+    near = edge < cfg.pole_guard
+    if near.any() and (lattice_distance(z_red[near], tau)
+                       < cfg.pole_guard).any():
+        raise DomainError("z within pole guard of a lattice point")
+    out = np.empty((z_red.size, kmax), dtype=complex)
+    interior = edge > _P1_BOUNDARY_MARGIN * width
+    series, = interior.nonzero()
+    if series.size:
+        zi = z_red[series]
+        jmax = _series_jmax(zi, tau, kmax - 1, cfg)
+        mid = int(jmax.max())
+        j, terms = _series_terms(tw, zi, tau, mid, cfg)
+        # row k-1 holds (-(j+lam))^{k-1}/(k-1)! t_j; each point sums its
+        # own -jmax..jmax columns, so its value does not depend on the
+        # other points
+        table = _power_table(-j, terms, kmax - 1)
+        for jm in set(jmax.tolist()):
+            rows = jmax == jm
+            # a single group is read in place, not copied
+            sel = slice(None) if rows.all() else rows
+            out[series[rows]] = \
+                -table[:, sel, mid - jm:mid + jm + 1].sum(axis=2).T
+    for i in (~interior).nonzero()[0]:
+        out[i] = _p_k_theta_route(tw, kmax, complex(z_red[i]), tau, cfg)
+    out *= _multiplier(tw, m, n)[:, None]
+    return out.reshape(zv.shape + (kmax,))
 
 
 def _p_k_theta_route(tw: TwistPair, kmax: int, z_red: complex,
@@ -598,7 +632,8 @@ def bernoulli_poly(n: int, lam: float) -> float:
 
 
 def _power_table(e: np.ndarray, x: np.ndarray, jmax: int) -> np.ndarray:
-    """Rows j = 0..jmax of e^j/j! x, one column per node.
+    """Rows j = 0..jmax of e^j/j! x, one column per node (any shape of
+    nodes; e broadcasts against x).
 
     The recurrence row_j = row_{j-1} e/j carries 1/j! inside, so every
     intermediate value is itself a table entry: nothing overflows unless
@@ -606,9 +641,9 @@ def _power_table(e: np.ndarray, x: np.ndarray, jmax: int) -> np.ndarray:
     a few hundred rows such entries lie many orders of magnitude below
     the largest entry of their row.
     """
-    steps = np.empty((jmax + 1, e.size), dtype=complex)
+    steps = np.empty((jmax + 1,) + x.shape, dtype=complex)
     steps[0] = x
-    steps[1:] = e / np.arange(1, jmax + 1)[:, None]
+    steps[1:] = e / np.arange(1, jmax + 1).reshape((-1,) + (1,) * x.ndim)
     return np.cumprod(steps, axis=0)
 
 

@@ -345,39 +345,38 @@ def suite_integral_eq(n_order: int | None = None,
     for x, y in _eps_pairs(moduli, 4):
         a = x.which
         tau_a = moduli.tau(a)
-        tw_a = chars.tw1 if a == 1 else chars.tw2
+        tw_a = chars.tw(a)
         z, wq = circle_nodes(0.0, 0.6 * moduli.radius(a), quad)
-        s1 = np.array([p1_theta(tw_a, x.z - zz, tau_a, cfg) for zz in z])
-        s2 = np.array([ctx.kernel(SurfacePoint(a, zz), y) for zz in z])
+        s1 = p1_theta(tw_a, x.z - z, tau_a, cfg)
+        s2 = ctx.kernel_matrix([SurfacePoint(a, zz) for zz in z], [y])[:, 0]
         base = p1_theta(tw_a, x.z - y.z, tau_a, cfg) if y.which == a else 0.0
         v = ctx.kernel(x, y)
         worst = max(worst, abs(base + np.sum(wq * s1 * s2) - v) / abs(v))
     checks.append(_check("two-tori contour integral equation", worst, tol))
 
     # self-sewn torus scheme: S2(x,y) = S_kappa(x,y)
-    #   + sum_a (1/2pi i) oint_{C_a} S_kappa(x,z) S2(z,y) dz
+    #   + sum_a (1/2pi i) oint_{C_a} S_kappa(x,z) S2(z,y) dz,
+    # all pairs at once: row i of each grid is x_i, column i is y_i
     tw1, handle, tmod = _rho_torus_setup()
     rctx = RhoTorusContext(tw1, handle, tmod, n_order or 12, m_points or 64,
                            cfg=cfg)
     s = rctx.moments.base
-    worst = 0.0
-    for x, y in _rho_torus_pairs(tmod, 4):
-        la_x, la_y = s.log_a(x), s.log_a(y)
-        total = 0.0 + 0.0j
-        for a in (1, 2):
-            # the contour must separate the sewing annulus from the
-            # evaluation points, which are cleared to 1.8x the moment
-            # contour radius by the pair filter
-            c = torus_contour(s, a, X_RADIUS_FACTOR * 1.5 * tmod.contour_radius,
-                              quad)
-            pts, log_a = c.points[:quad], c.log_a[:quad]
-            row = s.grid([x], [la_x], pts, log_a)[0]
-            col = np.array([rctx.kernel(z, y, log_a_x=la, log_a_y=la_y)
-                            for z, la in zip(pts, log_a)])
-            total += np.sum(c.weight * row * col)
-        base = s.grid([x], [la_x], [y], [la_y])[0, 0]
-        v = rctx.kernel(x, y, log_a_x=la_x, log_a_y=la_y)
-        worst = max(worst, abs(base + total - v) / abs(v))
+    xs, ys = (np.array(p) for p in zip(*_rho_torus_pairs(tmod, 4)))
+    la_x, la_y = s.log_a(xs), s.log_a(ys)
+    total = np.zeros(xs.size, dtype=complex)
+    for a in (1, 2):
+        # the contour must separate the sewing annulus from the
+        # evaluation points, which are cleared to 1.8x the moment
+        # contour radius by the pair filter
+        c = torus_contour(s, a, X_RADIUS_FACTOR * 1.5 * tmod.contour_radius,
+                          quad)
+        pts, log_a = c.points[:quad], c.log_a[:quad]
+        row = s.grid(xs, la_x, pts, log_a)
+        col = rctx.kernel_matrix(pts, ys, log_a, la_y)
+        total += np.sum(c.weight * row * col.T, axis=1)
+    base = np.diag(s.grid(xs, la_x, ys, la_y))
+    v = np.diag(rctx.kernel_matrix(xs, ys, la_x, la_y))
+    worst = float(np.max(np.abs(base + total - v) / np.abs(v)))
     checks.append(_check("self-sewn torus contour integral equation",
                          worst, tol))
 
@@ -386,7 +385,7 @@ def suite_integral_eq(n_order: int | None = None,
     tau = TorusModulus(0.3 + 1.0j)
     tw = TwistPair(0.17, 0.38)
     z, wq = circle_nodes(0.0, 0.3, 256)
-    vals = np.array([p1_theta(tw, zz, tau, cfg) for zz in z]) - 1.0 / z
+    vals = p1_theta(tw, z, tau, cfg) - 1.0 / z
     worst = 0.0
     for m in range(1, 7):
         coeff = np.sum(wq * vals * z ** (-m))

@@ -50,3 +50,16 @@ def test_traced_layers_resolve():
         if not found:
             missing.append(f"{mod_name}.{attr}")
     assert not missing
+
+
+@pytest.mark.parametrize("context", ["EpsilonContext", "RhoTorusContext",
+                                     "RhoSphereContext"])
+def test_contexts_share_the_evaluation_interface(context):
+    # kernel is the 1x1 case of kernel_matrix; h/hbar vectors of the
+    # sphere are gone in favour of its batched moment rows
+    cls = getattr(szegosew, context)
+    assert all(callable(getattr(cls, m, None))
+               for m in ("kernel_matrix", "kernel", "det"))
+    moments = importlib.import_module("szegosew.rho").SphereMoments
+    assert not hasattr(moments, "h_vector")
+    assert not hasattr(moments, "hbar_vector")

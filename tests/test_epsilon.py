@@ -168,6 +168,56 @@ class TestKernel:
         assert abs(v20 - v16) < 1e-3 * abs(v16 - v8) + 1e-15
 
 
+def _grid_points():
+    """x and y points on both tori, labels interleaved."""
+    xs = [_pt(1, 0.23, 0.31), _pt(2, 0.33, 0.61), _pt(1, 0.72, 0.44),
+          _pt(2, 0.58, 0.27), _pt(1, 0.41, 0.86)]
+    ys = [_pt(2, 0.15, 0.73), _pt(1, 0.67, 0.52), _pt(1, 0.19, 0.66),
+          _pt(2, 0.81, 0.43)]
+    return xs, ys
+
+
+class TestKernelMatrix:
+    def test_matches_looped_kernel(self):
+        ctx = EpsilonContext(CHARS, _moduli(), 16)
+        xs, ys = _grid_points()
+        grid = ctx.kernel_matrix(xs, ys)
+        assert grid.shape == (len(xs), len(ys))
+        # the batch holds all four label combinations
+        assert {(x.which, y.which) for x in xs for y in ys} \
+            == {(1, 1), (1, 2), (2, 1), (2, 2)}
+        loop = np.array([[ctx.kernel(x, y) for y in ys] for x in xs])
+        assert np.all(np.abs(grid - loop) <= 1e-14 * np.abs(loop))
+
+    def test_values_do_not_depend_on_the_batch(self):
+        ctx = EpsilonContext(CHARS, _moduli(), 16)
+        xs, ys = _grid_points()
+        grid = ctx.kernel_matrix(xs, ys)
+        # points twenty periods out on each torus, in both arguments
+        far_x = [_pt(1, 20.37, 20.21), _pt(2, -19.6, 20.4)]
+        far_y = [_pt(1, -19.8, -20.3), _pt(2, 20.1, -19.7)]
+        wide = ctx.kernel_matrix(xs + far_x, far_y + ys)
+        assert np.all(np.abs(wide[:len(xs), len(far_y):] - grid)
+                      <= 1e-15 * np.abs(grid))
+
+    def test_bad_point_anywhere_raises_as_scalar(self):
+        ctx = EpsilonContext(CHARS, _moduli(), 8)
+        xs, ys = _grid_points()
+        inside = SurfacePoint(2, 1e-4 + 1e-4j)
+        for bad_x, bad_y in [(xs[2], xs[2]), (inside, ys[1])]:
+            with pytest.raises(DomainError) as scalar:
+                ctx.kernel(bad_x, bad_y)
+            with pytest.raises(DomainError) as batch:
+                ctx.kernel_matrix(xs[:2] + [bad_x], [bad_y] + ys)
+            assert str(batch.value) == str(scalar.value)
+
+    def test_empty_inputs(self):
+        ctx = EpsilonContext(CHARS, _moduli(), 8)
+        xs, ys = _grid_points()
+        assert ctx.kernel_matrix([], ys).shape == (0, len(ys))
+        assert ctx.kernel_matrix(xs, []).shape == (len(xs), 0)
+
+
 class TestMoments:
     def test_c_matrix_matches_loop(self):
         n = 20  # every binomial below 2^53, so the table is exact

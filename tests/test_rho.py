@@ -1,12 +1,14 @@
 """Handle-attaching schemes: sphere self-sewing and torus self-sewing."""
 
 import cmath
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from szegosew import rho, specialfn
-from szegosew.errors import DomainError, ResonanceError
+from szegosew.errors import BranchTrackingError, DomainError, ResonanceError
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                           RhoSphereContext, RhoTorusContext,
                           det_i_minus_t_sphere, log_a_torus, mode_index,
@@ -98,6 +100,21 @@ class TestSphereSewing:
         with pytest.raises(DomainError):
             RhoModuliSphere.create(0.0)
 
+    def test_kernel_matrix_matches_looped_kernel(self):
+        qabs = 0.1
+        ctx = RhoSphereContext(HANDLE, RhoModuliSphere.create(
+            qabs * np.exp(0.7j)), 24)
+        big_l = -np.log(qabs)
+        lx = np.array([-0.45 * big_l + 0.4j, -0.52 * big_l + 2.1j,
+                       -0.58 * big_l - 2.9j])
+        ly = np.array([-0.55 * big_l - 1.3j, -0.47 * big_l + 0.7j])
+        grid = ctx.kernel_matrix(np.exp(lx), np.exp(ly), lx, ly)
+        loop = np.array([[ctx.kernel(np.exp(a), np.exp(b), a, b) for b in ly]
+                         for a in lx])
+        assert grid.shape == (3, 2)
+        assert np.all(np.abs(grid - loop) <= 1e-14 * np.abs(loop))
+        assert ctx.kernel_matrix([], np.exp(ly), [], ly).shape == (0, 2)
+
     def test_mode_index_shifts(self):
         k = np.arange(1, 4)
         assert np.allclose(mode_index(1, k, 0.2), k + 0.2)
@@ -130,6 +147,35 @@ class TestTrackedLogarithm:
                            log_a_ref=mod.log_a_ref)
         n = (la_a - la - W) / TWO_PI_I
         assert abs(n - round(n.real)) < 1e-10
+
+
+class TestTrackedLogarithmFarPoints:
+    def test_far_point_matches_quotient_or_raises_typed(self):
+        # twenty periods out theta1(z) itself overflows; the reduced
+        # quotient and the tracked branch must not
+        mod = _torus_moduli()
+        z = TWO_PI_I * (0.37 + 20.21 * TAU.tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                la = log_a_torus(z, TAU, W, z_ref=mod.z_ref,
+                                 log_a_ref=mod.log_a_ref)
+            except BranchTrackingError:
+                return
+        with mpmath.workdps(40):
+            t = mpmath.mpc(TAU.tau)
+
+            def theta1_ref(u):
+                # terms peak at m + 1/2 = Re u / (2 pi Im tau)
+                u = mpmath.mpc(u)
+                centre = int(mpmath.nint(u.real / (2 * mpmath.pi * t.imag)))
+                return mpmath.fsum(
+                    mpmath.exp(1j * mpmath.pi * t * (m + 0.5) ** 2
+                               + (m + 0.5) * (u + 1j * mpmath.pi))
+                    for m in range(centre - 30, centre + 31))
+            ref = complex(theta1_ref(mpmath.mpc(z) - mpmath.mpc(W))
+                          / theta1_ref(z))
+        assert abs(np.exp(la) - ref) <= 1e-12 * abs(ref)
 
 
 class TestTorusSewing:
@@ -204,13 +250,13 @@ class TestTorusSewing:
         calls = {"theta_kw": 0, "theta1_d0": 0}
         original = specialfn._theta_g1_derivs
 
-        def counting(alpha, beta, z, tau, nderiv, cfg):
+        def counting(alpha, beta, z, tau, nderiv, cfg, *box):
             if np.ndim(z) == 0:
                 if (alpha, beta, nderiv) == (0.5, 0.5, 1) and z == 0:
                     calls["theta1_d0"] += 1
                 elif (alpha, beta) == (TW1.alpha, TW1.beta):
                     calls["theta_kw"] += 1
-            return original(alpha, beta, z, tau, nderiv, cfg)
+            return original(alpha, beta, z, tau, nderiv, cfg, *box)
         monkeypatch.setattr(specialfn, "_theta_g1_derivs", counting)
         monkeypatch.setattr(rho, "_theta_g1_derivs", counting)
         ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, 32)
@@ -246,6 +292,82 @@ class TestTorusSewing:
         half = HandleTwist.from_multipliers(np.exp(0.3j), 1.0)
         with pytest.raises((DomainError, ResonanceError)):
             RhoTorusContext(TW1, half, _torus_moduli(), 6, 32)
+
+
+def _rho_points(mod):
+    """Grid points clear of the sewing contours, around both punctures."""
+    xs = np.array([_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W),
+                   _pt(0.35, 0.81), _pt(0.77, 0.38)])
+    ys = np.array([_pt(0.61, 0.12, offset=W) + 0.4, _pt(0.52, 0.26),
+                   _pt(0.18, 0.67, offset=W)])
+    return xs, ys
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("kappa", [0.1, 0.0])
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_matches_looped_kernel(self, kappa, supplied):
+        mod = _torus_moduli()
+        ctx = RhoTorusContext(TW1, HandleTwist(kappa, -0.22), mod, 10, 64)
+        s = ctx.moments.base
+        xs, ys = _rho_points(mod)
+        lax = [s.log_a(x) for x in xs] if supplied else None
+        lay = [s.log_a(y) for y in ys] if supplied else None
+        grid = ctx.kernel_matrix(xs, ys, lax, lay)
+        assert grid.shape == (xs.size, ys.size)
+        loop = np.array([[ctx.kernel(x, y) for y in ys] for x in xs])
+        assert np.all(np.abs(grid - loop) <= 1e-14 * np.abs(loop))
+
+    def test_values_do_not_depend_on_the_batch(self):
+        mod = _torus_moduli()
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 10, 64)
+        xs, ys = _rho_points(mod)
+        grid = ctx.kernel_matrix(xs, ys)
+        # a point twenty periods out, tracked in the same sweep
+        far = xs[0] + TWO_PI_I * 20 * TAU.tau
+        wide = ctx.kernel_matrix(np.append(xs, far), np.append(far + 1.3, ys))
+        assert np.all(np.abs(wide[:xs.size, 1:] - grid)
+                      <= 1e-15 * np.abs(grid))
+
+    def test_bad_point_anywhere_raises_as_scalar(self):
+        mod = _torus_moduli()
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
+        xs, ys = _rho_points(mod)
+        inside = W + 0.5 * mod.contour_radius
+        pole = xs[2] + TWO_PI_I * TAU.tau
+        for bad_x, bad_y in [(xs[1], inside), (xs[2], pole)]:
+            with pytest.raises(DomainError) as scalar:
+                ctx.kernel(bad_x, bad_y)
+            with pytest.raises(DomainError) as batch:
+                ctx.kernel_matrix(np.append(xs[:2], bad_x),
+                                  np.append(bad_y, ys))
+            assert str(batch.value) == str(scalar.value)
+
+    def test_empty_inputs(self):
+        mod = _torus_moduli()
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
+        xs, ys = _rho_points(mod)
+        assert ctx.kernel_matrix([], ys).shape == (0, ys.size)
+        assert ctx.kernel_matrix(xs, []).shape == (xs.size, 0)
+
+    def test_one_tracking_sweep_per_call(self, monkeypatch):
+        # log A of every point comes from one vectorised sweep, not one
+        # tracking run per point
+        mod = _torus_moduli()
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
+        xs, ys = _rho_points(mod)
+        sweeps = []
+        track = rho._track_log_a
+
+        def counting(zs, *args):
+            sweeps.append(np.size(zs))
+            return track(zs, *args)
+        monkeypatch.setattr(rho, "_track_log_a", counting)
+        ctx.kernel_matrix(xs, ys)
+        assert sweeps == [xs.size + ys.size]
+        s = ctx.moments.base
+        ctx.kernel_matrix(xs, ys, [s.log_a(x) for x in xs])
+        assert sweeps[-1] == ys.size
 
 
 def _moduli_at(tau_c, scale=0.05):

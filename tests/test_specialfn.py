@@ -267,6 +267,24 @@ class TestTwistedKernel:
             theta = _p_k_theta_route(tw, 6, z, TAU, DEFAULT_CONFIG)
             assert np.all(np.abs(series - theta) < 1e-12 * np.abs(theta)), z
 
+    def test_batched_values_do_not_depend_on_the_batch(self):
+        # p1_theta's theta box comes from the reduction strip, p_k_vector
+        # keeps each point's own q-series terms (a point near the annulus
+        # boundary needs many more, one on it takes the theta route)
+        tw = TwistPair(0.17, 0.38)
+        zs = np.array([-1.3 + 2.0j, -3.0 + 0.3j, 0.4 + 1.1j])
+        far = np.array([TWO_PI_I * (0.37 + 20.21 * TAU.tau), -0.2 + 0.5j,
+                        -0.4 + 0.5j, -6.2 + 0.1j])
+        p1 = p1_theta(tw, zs, TAU)
+        pk = p_k_vector(tw, 12, zs, TAU)
+        p1_wide = p1_theta(tw, np.append(zs, far), TAU)[:zs.size]
+        pk_wide = p_k_vector(tw, 12, np.append(far, zs), TAU)[far.size:]
+        assert np.all(np.abs(p1_wide - p1) <= 1e-15 * np.abs(p1))
+        assert np.all(np.abs(pk_wide - pk) <= 1e-15 * np.abs(pk))
+        for z, row in zip(zs, pk):
+            assert np.all(np.abs(p_k_vector(tw, 12, z, TAU) - row)
+                          <= 1e-15 * np.abs(row))
+
     def test_trivial_twists_rejected(self):
         with pytest.raises(ResonanceError):
             p1_series(TwistPair(0.5, 0.5), 0.1 + 0.1j, TAU)
