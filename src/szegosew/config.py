@@ -25,8 +25,8 @@ class NumericConfig:
     solve_residual_tol : float
         Relative residual bound for dense solves.
     quad_points : int
-        Circle-quadrature sample count; must be a power of two so an
-        M vs 2M refinement can reuse samples.
+        Circle-quadrature sample count M of the self-sewn torus moments
+        (checked there, where ``--quad`` also arrives).
     trunc_order : int
         Default moment-matrix truncation order N.
     pole_guard : float
@@ -48,8 +48,6 @@ class NumericConfig:
                      "pole_guard", "resonance_guard"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"config field {name} must be positive")
-        if self.quad_points < 2 or self.quad_points & (self.quad_points - 1):
-            raise DomainError("quad_points must be a power of two >= 2")
         if self.trunc_order < 1:
             raise DomainError("trunc_order must be >= 1")
 

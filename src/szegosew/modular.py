@@ -189,24 +189,9 @@ def _sp4_mu(a: int, b: int, c: int) -> np.ndarray:
                      [0, 0, 1, -a], [0, 0, 0, 1]], dtype=int)
 
 
-def _int_inverse(m: np.ndarray) -> np.ndarray:
-    inv = np.rint(np.linalg.inv(m)).astype(int)
-    if not np.array_equal(m @ inv, np.eye(4, dtype=int)):
-        raise DomainError("matrix is not invertible over the integers")
-    return inv
-
-
-def _sp4_power(mu: np.ndarray, n: int) -> np.ndarray:
-    """mu^n for an integer n; negative powers use the exact inverse."""
-    m = np.eye(4, dtype=int)
-    step = mu if n >= 0 else _int_inverse(mu)
-    for _ in range(abs(n)):
-        m = step @ m
-    return m
-
-
-_RHO_SP4 = {"A": lambda n: _sp4_power(_sp4_mu(1, 0, 0), n),
-            "B": lambda n: _sp4_power(_sp4_mu(0, 1, 0), n),
+# mu(1,0,0)^n = mu(n,0,0) and mu(0,1,0)^n = mu(0,n,0) for every integer n
+_RHO_SP4 = {"A": lambda n: _sp4_mu(n, 0, 0),
+            "B": lambda n: _sp4_mu(0, n, 0),
             "C": lambda n: _sp4_mu(0, 0, n),
             "gamma1": _sp4_gamma1}
 
@@ -554,17 +539,16 @@ def invariance_residual(g, ctx, pairs) -> float:
     The kernel is compared as a half-form: the residual at a pair (x, y)
     is |S_new(g x, g y) - S_old(x, y) s_x s_y| / |S_old(x, y)| with the
     accumulated point factors s.  ``pairs`` holds points in the form
-    ``ctx.kernel`` takes them.
+    ``ctx.kernel_matrix`` takes them.
     """
     ctx2, point = g.transform(ctx)
-    worst = 0.0
-    for x, y in pairs:
-        x2, sx = point(x)
-        y2, sy = point(y)
-        old = ctx.kernel(x, y)
-        new = ctx2.kernel(x2, y2)
-        worst = max(worst, abs(new - old * sx * sy) / abs(old))
-    return worst
+    xs, ys = zip(*pairs)
+    (x2, sx), (y2, sy) = (zip(*map(point, pts)) for pts in (xs, ys))
+    # one kernel_matrix per context; the pairs are its diagonal
+    old = np.diagonal(ctx.kernel_matrix(xs, ys))
+    new = np.diagonal(ctx2.kernel_matrix(x2, y2))
+    return float(np.max(np.abs(new - old * np.array(sx) * np.array(sy))
+                        / np.abs(old)))
 
 
 def det_residual(g, ctx) -> float:

@@ -40,7 +40,8 @@ from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
 from .numerics import LU, as_complex_matrix
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
-                        _theta_g1_derivs, lattice_distance, theta1_deriv0)
+                        _theta_g1_derivs, _theta_reduce, lattice_distance,
+                        theta1_deriv0)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
 __all__ = [
@@ -403,24 +404,14 @@ _TRACK_ARG_LIMIT = 1.5  # max |arg| and |log magnitude| step per node
 def _a_values(z, tau: TorusModulus, w: complex, cfg: NumericConfig):
     """A(z) = theta1(z - w) / theta1(z), vectorized in z.
 
-    Both arguments u are reduced to u' = u - 2 pi i tau m with
-    |Re u'| <= pi Im tau, by theta1's exact quasi-periodicity
-    theta1(u) = (-1)^m e^{-i pi tau m^2 - m u'} theta1(u'), and the two
-    multipliers are combined in log space: far points do not overflow,
-    and that bound, not the batch, fixes the theta box.
+    Both arguments are reduced by theta1's exact quasi-periodicity and
+    the two multipliers are combined in log space, so far points do not
+    overflow and a value does not depend on the other points of its call.
     """
     t = tau.tau
-    z = np.asarray(z, dtype=complex)
-    u = np.array([z - w, z])
-    m = np.round(-u.real / (TWO_PI * t.imag))
-    mult = 1.0
-    if m.any():
-        u = u - 2j * np.pi * t * m
-        mult = (-1.0) ** (m[0] - m[1]) * np.exp(
-            -1j * np.pi * t * ((m[0] - m[1]) * (m[0] + m[1]))
-            - m[0] * u[0] + m[1] * u[1])
-    th = _theta_g1_derivs(0.5, 0.5, u, t, 0, cfg, np.pi * t.imag)[0]
-    return mult * th[0] / th[1]
+    u, _, log_mult = _theta_reduce(np.array([z - w, z], dtype=complex), t, 0.5)
+    th = _theta_g1_derivs(0.5, 0.5, u, t, 0, cfg)[0]
+    return np.exp(log_mult[0] - log_mult[1]) * th[0] / th[1]
 
 
 def _singular_distance(z, tau: TorusModulus, w: complex):
@@ -601,8 +592,9 @@ class TorusBaseKernel:
         self.cfg = cfg
         self.tracked = kap != 0.0
         tau = moduli.tau.tau
-        th0 = complex(_theta_g1_derivs(tw1.alpha, tw1.beta, kap * moduli.w,
-                                       tau, 0, cfg)[0])
+        kw, _, log_mult = _theta_reduce(kap * moduli.w, tau, tw1.beta)
+        th0 = complex(np.exp(log_mult) * _theta_g1_derivs(
+            tw1.alpha, tw1.beta, kw, tau, 0, cfg)[0])
         if abs(th0) < cfg.resonance_guard:
             raise ResonanceError(
                 "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
@@ -611,10 +603,10 @@ class TorusBaseKernel:
         radius = _box_radius(tau.imag, math.pi * tau.imag + 2.0 * moduli.radius,
                              cfg.theta_tol)
         m = np.arange(-radius, radius + 1, dtype=float)
-        # (m + alpha, i pi tau (m + alpha)^2, 2 pi i beta) of theta[a1;b1]
-        # and of theta1 = theta[1/2;1/2]
+        # (m + alpha, i pi tau (m + alpha)^2, beta) of theta[a1;b1] and of
+        # theta1 = theta[1/2;1/2]
         self._chars = tuple(
-            (m + al, (1j * np.pi * tau) * (m + al) ** 2, 2j * np.pi * be)
+            (m + al, (1j * np.pi * tau) * (m + al) ** 2, be)
             for al, be in ((tw1.alpha, tw1.beta), (0.5, 0.5)))
 
     def log_a(self, z, log_a_z=None):
@@ -651,13 +643,11 @@ class TorusBaseKernel:
         """Separable theta of characteristic ``char`` on xs x ys, with
         (K1, K2) centre offsets c: (log multiplier, n, reduced sums)."""
         ma, quad, beta = self._chars[char]
-        tau = self.moduli.tau.tau
-        n = np.round(-c.real / (2.0 * np.pi * tau.imag))
-        cb = c - 2j * np.pi * tau * n + beta
-        g = np.exp(quad + cb[..., None] * ma)
+        c_red, n, log_mult = _theta_reduce(c, self.moduli.tau.tau, beta)
+        g = np.exp(quad + (c_red + 2j * np.pi * beta)[..., None] * ma)
         sums = np.matmul(np.swapaxes(xs.tables[char], 1, 2)[:, None],
                          g[..., None] * ys.tables[char][None])
-        return -1j * np.pi * tau * n * n - n * cb, n, sums
+        return log_mult, n, sums
 
     def grid_sides(self, xs: GridSide, ys: GridSide) -> np.ndarray:
         """S_kappa on the grid of two sides, shape (K1 L1, K2 L2)."""

@@ -291,22 +291,36 @@ def theta_char(chars: Characteristics, z, omega,
     return total
 
 
+def _theta_reduce(z, tau: complex, beta: float):
+    """Reduce z by the exact quasi-periodicity of theta[alpha;beta].
+
+    Returns ``(z_red, n, log_mult)`` with z = z_red + 2 pi i tau n,
+    |Re z_red| <= pi Im tau and
+    theta[alpha;beta](z) = e^{log_mult} theta[alpha;beta](z_red),
+    log_mult = -i pi tau n^2 - n (z_red + 2 pi i beta).  Vectorized in z.
+    """
+    n = np.round(-np.real(z) / (TWO_PI * tau.imag))
+    z_red = z - 2j * np.pi * tau * n
+    return z_red, n, -1j * np.pi * tau * n * n - n * (z_red + 2j * np.pi * beta)
+
+
 def _theta_g1_derivs(alpha: float, beta: float, z, tau: complex, nderiv: int,
-                     cfg: NumericConfig,
-                     cmax: float | None = None) -> np.ndarray:
+                     cfg: NumericConfig) -> np.ndarray:
     """Vectorized genus-one theta and z-derivatives.
 
     Returns an array of shape (nderiv+1,) + z.shape with entry j holding
-    d^j/dz^j theta[alpha;beta](z, tau).  ``cmax`` bounds |Re z| and fixes
-    the summation box; by default the batch's largest |Re z| does, so a
-    caller that needs values independent of the batch passes its bound.
+    d^j/dz^j theta[alpha;beta](z, tau).  The box covers the strip
+    |Re z| <= 2 pi Im tau, which holds every reduced argument, so for
+    reduced arguments it is fixed by tau and no value depends on its
+    batch; a batch reaching further out widens it.
     """
     zv = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(zv)):
         raise DomainError("z must be finite")
     im = tau.imag
-    if cmax is None:
-        cmax = float(np.max(np.abs(zv.real))) if zv.size else 0.0
+    cmax = TWO_PI * im
+    if zv.size:
+        cmax = max(cmax, float(np.abs(zv.real).max()))
     radius = _box_radius(im, cmax, cfg.theta_tol)
     # polynomial weights (m+alpha)^j only shift the tail by a few entries
     radius = min(radius + (2 if nderiv else 0) + nderiv // 8, THETA_BOX_CAP)
@@ -323,11 +337,22 @@ def _theta_g1_derivs(alpha: float, beta: float, z, tau: complex, nderiv: int,
     return out
 
 
-def theta1(z, tau: TorusModulus, cfg: NumericConfig = DEFAULT_CONFIG,
-           deriv: int = 0):
-    """theta_1 = theta[1/2;1/2] (or its deriv-th z-derivative), vectorized in z."""
-    vals = _theta_g1_derivs(0.5, 0.5, z, tau.tau, deriv, cfg)
-    return vals[deriv]
+def theta1(z, tau: TorusModulus, cfg: NumericConfig = DEFAULT_CONFIG):
+    """theta_1 = theta[1/2;1/2], vectorized in z.
+
+    Each argument is reduced by the exact quasi-periodicity first, so a
+    value does not depend on the other points of its call; a value
+    outside the double range raises ConvergenceError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a non-finite z reduces to NaN, which the theta sum rejects
+        z_red, _, log_mult = _theta_reduce(np.asarray(z, dtype=complex),
+                                           tau.tau, 0.5)
+        val = np.exp(log_mult) \
+            * _theta_g1_derivs(0.5, 0.5, z_red, tau.tau, 0, cfg)[0]
+    if not np.all(np.isfinite(val)):
+        raise ConvergenceError("theta_1 exceeds the double range; |Re z| too large")
+    return val
 
 
 def theta1_deriv0(tau: TorusModulus, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
@@ -412,31 +437,52 @@ def _multiplier(tw: TwistPair, m, n):
     return tw.theta ** np.asarray(m) * tw.phi ** np.asarray(n)
 
 
+def _reduce_off_lattice(z, tau: TorusModulus, cfg: NumericConfig):
+    """lattice_reduce of the flattened z, with the pole guard.
+
+    Also returns each reduced point's distance to the lines Re z = 0 and
+    Re z = -2 pi Im tau that hold the lattice points: a lower bound of its
+    lattice distance, so only points within the guard of a line are
+    measured exactly.
+    """
+    z_red, m, n = lattice_reduce(np.ravel(z), tau)
+    edge = np.minimum(-z_red.real, z_red.real + TWO_PI * tau.tau.imag)
+    near = edge < cfg.pole_guard
+    if near.any() and (lattice_distance(z_red[near], tau)
+                       < cfg.pole_guard).any():
+        raise DomainError("z within pole guard of a lattice point")
+    return z_red, m, n, edge
+
+
+def _theta_quotient(tw: TwistPair, z_red, tau: TorusModulus, nderiv: int,
+                    cfg: NumericConfig):
+    """theta[alpha;beta](z) and theta[alpha;beta](0) K(z), numerator and
+    denominator of P1, with z-derivatives 0..nderiv at the reduced points
+    z_red (1-D): two arrays of shape (nderiv+1, z_red.size).  theta at the
+    points and at 0 is one sum, which also decides resonance."""
+    th = _theta_g1_derivs(tw.alpha, tw.beta, np.append(z_red, 0.0), tau.tau,
+                          nderiv, cfg)
+    th0 = th[0, -1]
+    if abs(th0) < cfg.resonance_guard:
+        raise ResonanceError("theta[alpha;beta](0, tau) vanishes for this twist")
+    k = _theta_g1_derivs(0.5, 0.5, z_red, tau.tau, nderiv, cfg) \
+        / theta1_deriv0(tau, cfg)
+    return th[:, :-1], th0 * k
+
+
 def p1_theta(tw: TwistPair, z, tau: TorusModulus,
              cfg: NumericConfig = DEFAULT_CONFIG):
     """P1 via the theta-quotient route. Vectorized over z.
 
     Reduces z into the fundamental annulus -2 pi Im tau < Re z <= 0 first
     and multiplies by the exact lattice multiplier theta^m phi^n, so
-    arbitrarily large arguments are handled without overflow.  That
-    bound, not the batch, fixes the theta box, so a value does not depend
-    on the other points of its call.
+    arbitrarily large arguments are handled without overflow, and a
+    value does not depend on the other points of its call.
     """
     _check_not_trivial(tw)
-    zv = np.asarray(z, dtype=complex)
-    z_red, m, n = lattice_reduce(zv, tau)
-    dist = lattice_distance(z_red, tau)
-    if np.any(dist < cfg.pole_guard):
-        raise DomainError("z within pole guard of a lattice point")
-    box = TWO_PI * tau.tau.imag
-    # theta[alpha;beta] at the reduced points and at 0 from one sum
-    th = _theta_g1_derivs(tw.alpha, tw.beta, np.append(z_red, 0.0), tau.tau,
-                          0, cfg, box)[0]
-    if abs(th[-1]) < cfg.resonance_guard:
-        raise ResonanceError("theta[alpha;beta](0, tau) vanishes for this twist")
-    k = _theta_g1_derivs(0.5, 0.5, z_red, tau.tau, 0, cfg, box)[0] \
-        / theta1_deriv0(tau, cfg)
-    val = _multiplier(tw, m, n) * th[:-1].reshape(zv.shape) / (th[-1] * k)
+    z_red, m, n, _ = _reduce_off_lattice(z, tau, cfg)
+    num, den = _theta_quotient(tw, z_red, tau, 0, cfg)
+    val = (_multiplier(tw, m, n) * num[0] / den[0]).reshape(np.shape(z))
     return val if np.ndim(z) else complex(val)
 
 
@@ -497,17 +543,14 @@ def p1_series(tw: TwistPair, z, tau: TorusModulus,
               cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
     """P1 via the q-series route (independent oracle for p1_theta). Scalar z."""
     _check_not_trivial(tw)
-    z_red, m, n = lattice_reduce(complex(z), tau)
-    z_red = complex(z_red)
-    if float(lattice_distance(z_red, tau)) < cfg.pole_guard:
-        raise DomainError("z within pole guard of a lattice point")
+    z_red, m, n, _ = _reduce_off_lattice(complex(z), tau, cfg)
     jmax, = _series_jmax(z_red, tau, 0, cfg)
     _, (terms,) = _series_terms(tw, z_red, tau, jmax, cfg)
     val = -np.sum(terms)
     tail = max(abs(terms[0]), abs(terms[-1]))
     if tail > 1e3 * cfg.series_tol * max(abs(val), 1.0):
         raise ConvergenceError(f"q-series tail {tail:.2e} above tolerance")
-    return complex(_multiplier(tw, int(m), int(n)) * val)
+    return complex(_multiplier(tw, int(m[0]), int(n[0])) * val)
 
 
 _P1_BOUNDARY_MARGIN = 0.04  # fraction of the annulus log-width
@@ -529,18 +572,9 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus,
     _check_not_trivial(tw)
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    zv = np.asarray(z, dtype=complex)
-    z_red, m, n = lattice_reduce(zv.ravel(), tau)
-    width = TWO_PI * tau.tau.imag
-    # distance of Re z_red to the lines Re z = 0, -width that hold the
-    # lattice points: a lower bound of the lattice distance
-    edge = np.minimum(-z_red.real, z_red.real + width)
-    near = edge < cfg.pole_guard
-    if near.any() and (lattice_distance(z_red[near], tau)
-                       < cfg.pole_guard).any():
-        raise DomainError("z within pole guard of a lattice point")
+    z_red, m, n, edge = _reduce_off_lattice(z, tau, cfg)
     out = np.empty((z_red.size, kmax), dtype=complex)
-    interior = edge > _P1_BOUNDARY_MARGIN * width
+    interior = edge > _P1_BOUNDARY_MARGIN * TWO_PI * tau.tau.imag
     series, = interior.nonzero()
     if series.size:
         zi = z_red[series]
@@ -560,37 +594,28 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus,
     for i in (~interior).nonzero()[0]:
         out[i] = _p_k_theta_route(tw, kmax, complex(z_red[i]), tau, cfg)
     out *= _multiplier(tw, m, n)[:, None]
-    return out.reshape(zv.shape + (kmax,))
+    return out.reshape(np.shape(z) + (kmax,))
 
 
 def _p_k_theta_route(tw: TwistPair, kmax: int, z_red: complex,
                      tau: TorusModulus, cfg: NumericConfig) -> np.ndarray:
     """P_k at z_red from analytic derivatives of the theta quotient.
 
-    With A(z) = theta[a;b](z)/theta[a;b](0) and B(z) = K(z,tau), the
+    With P1 = A/B, A = theta[a;b](z) and B = theta[a;b](0) K(z,tau), the
     quotient rule gives the recurrence
     P1^{(n)} = (A^{(n)} - sum_{j<n} C(n,j) P1^{(j)} B^{(n-j)}) / B.
     """
     nd = kmax - 1
-    za = np.array(z_red)
-    th = _theta_g1_derivs(tw.alpha, tw.beta, za, tau.tau, nd, cfg)
-    th0 = complex(_theta_g1_derivs(tw.alpha, tw.beta, np.array(0j), tau.tau, 0, cfg)[0])
-    if abs(th0) < cfg.resonance_guard:
-        raise ResonanceError("theta[alpha;beta](0, tau) vanishes for this twist")
-    kk = _theta_g1_derivs(0.5, 0.5, za, tau.tau, nd, cfg) / theta1_deriv0(tau, cfg)
-    a = th / th0
+    num, den = _theta_quotient(tw, np.array([z_red]), tau, nd, cfg)
+    a, kk = num[:, 0], den[:, 0]
     p_derivs = np.empty(nd + 1, dtype=complex)
     for nn in range(nd + 1):
         acc = a[nn]
         for jj in range(nn):
             acc -= math.comb(nn, jj) * p_derivs[jj] * kk[nn - jj]
         p_derivs[nn] = acc / kk[0]
-    out = np.empty(kmax, dtype=complex)
-    fact = 1.0
-    for k in range(1, kmax + 1):
-        out[k - 1] = (-1.0) ** (k - 1) / fact * p_derivs[k - 1]
-        fact *= k
-    return out
+    # P_k = (-1)^{k-1}/(k-1)! P1^{(k-1)}
+    return np.cumprod(np.append(1.0, -1.0 / np.arange(1, kmax))) * p_derivs
 
 
 # ----------------------------------------------------------------------

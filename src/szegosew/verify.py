@@ -138,7 +138,8 @@ def _sphere_setups():
 
 
 def _sphere_log_pairs(qabs: float, count: int = 4):
-    """Well-conditioned log-coordinate pairs in the sewing annulus.
+    """Well-conditioned log-coordinate pairs in the sewing annulus, as the
+    arrays (log x_i) and (log y_i).
 
     Both points sit near the middle of the fundamental annulus
     (|x| ~ |q|^{0.5}) so the moment expansion converges at the same rate
@@ -153,16 +154,9 @@ def _sphere_log_pairs(qabs: float, count: int = 4):
               (-0.42, 0.3, -0.54, -1.4), (-0.56, 1.9, -0.44, 2.5),
               (-0.48, -2.9, -0.58, -0.3), (-0.52, 1.1, -0.42, -2.2),
               (-0.45, -0.7, -0.61, 1.8), (-0.57, 2.6, -0.46, -1.1)]
-    out = []
-    for i in range(count):
-        sx, tx, sy, ty = coords[i % len(coords)]
-        out.append((sx * big_l + 1j * tx, sy * big_l + 1j * ty))
-    return out
-
-
-def _sphere_log_kernel(ctx: RhoSphereContext):
-    """Kernel of a sphere context in log coordinates (X, Y) = (log x, log y)."""
-    return lambda lx, ly: ctx.kernel(np.exp(lx), np.exp(ly), lx, ly)
+    sx, tx, sy, ty = np.array([coords[i % len(coords)]
+                               for i in range(count)]).T
+    return sx * big_l + 1j * tx, sy * big_l + 1j * ty
 
 
 def _check(name: str, residual: float, tolerance: float, **extra) -> dict:
@@ -183,13 +177,18 @@ def _slope_check(name: str, xs, ys, minimum: float) -> dict:
 # suites
 # ----------------------------------------------------------------------
 
-def _skew_residual(kernel, kernel_inv, pairs) -> float:
-    """max |S[c](x,y) + S[c^{-1}](y,x)| / |S[c](x,y)| over the pairs."""
-    worst = 0.0
-    for x, y in pairs:
-        v1 = kernel(x, y)
-        worst = max(worst, abs(v1 + kernel_inv(y, x)) / abs(v1))
-    return worst
+def _pair_values(ctx, xs, ys, *logs) -> np.ndarray:
+    """S(x_i, y_i) for the pairs (x_i, y_i): the diagonal of one
+    kernel_matrix call (the pair lists hold at most 16 pairs)."""
+    return np.diagonal(ctx.kernel_matrix(xs, ys, *logs))
+
+
+def _skew_residual(ctx, ctx_inv, xs, ys, *logs) -> float:
+    """max |S[c](x,y) + S[c^{-1}](y,x)| / |S[c](x,y)| over the pairs
+    (x_i, y_i); ``logs`` are optional branches of x and of y."""
+    v = _pair_values(ctx, xs, ys, *logs)
+    return float(np.max(np.abs(v + _pair_values(ctx_inv, ys, xs, *logs[::-1]))
+                        / np.abs(v)))
 
 
 def suite_skew(n_order: int | None = None, m_points: int | None = None,
@@ -199,14 +198,14 @@ def suite_skew(n_order: int | None = None, m_points: int | None = None,
     chars, moduli, _ = _eps_setup(cfg=cfg)
     ctx = EpsilonContext(chars, moduli, n_order or 16, cfg)
     ctx_inv = EpsilonContext(chars.inverse(), moduli, n_order or 16, cfg)
-    eps = _skew_residual(ctx.kernel, ctx_inv.kernel, _eps_pairs(moduli, 16))
+    eps = _skew_residual(ctx, ctx_inv, *zip(*_eps_pairs(moduli, 16)))
 
     lam, qabs, handle, smod = _sphere_setups()[0]
     hinv = HandleTwist.from_multipliers(1.0 / handle.theta, 1.0 / handle.phi)
-    sphere = _skew_residual(
-        _sphere_log_kernel(RhoSphereContext(handle, smod, 24, cfg)),
-        _sphere_log_kernel(RhoSphereContext(hinv, smod, 24, cfg)),
-        _sphere_log_pairs(qabs, 16))
+    lx, ly = _sphere_log_pairs(qabs, 16)
+    sphere = _skew_residual(RhoSphereContext(handle, smod, 24, cfg),
+                            RhoSphereContext(hinv, smod, 24, cfg),
+                            np.exp(lx), np.exp(ly), lx, ly)
 
     tw1, hndl, tmod = _rho_torus_setup()
     hinv = HandleTwist(-hndl.alpha, -hndl.beta)
@@ -214,8 +213,7 @@ def suite_skew(n_order: int | None = None, m_points: int | None = None,
                           cfg=cfg)
     ctx_inv = RhoTorusContext(tw1.inverse(), hinv, tmod, n_order or 12,
                               m_points or 64, cfg=cfg)
-    torus = _skew_residual(ctx.kernel, ctx_inv.kernel,
-                           _rho_torus_pairs(tmod, 16))
+    torus = _skew_residual(ctx, ctx_inv, *zip(*_rho_torus_pairs(tmod, 16)))
     return [_check("two-tori kernel skew-symmetry", eps, tol),
             _check("self-sewn sphere kernel skew-symmetry", sphere, tol),
             _check("self-sewn torus kernel skew-symmetry", torus, tol)]
@@ -232,15 +230,15 @@ def suite_dehn(n_order: int | None = None, m_points: int | None = None,
     ctx = EpsilonContext(chars, moduli, n, cfg)
     ctx_sqrt = EpsilonContext(chars, flip_sqrt, n, cfg)
     ctx_joint = EpsilonContext(chars, flip_joint, n, cfg)
-    w_joint = w_even = w_odd = 0.0
-    for x, y in _eps_pairs(moduli, 8):
-        v = ctx.kernel(x, y)
-        w_joint = max(w_joint, abs(ctx_joint.kernel(x, y) - v) / abs(v))
-        vs = ctx_sqrt.kernel(x, y)
-        if x.which == y.which:
-            w_even = max(w_even, abs(vs - v) / abs(v))
-        else:
-            w_odd = max(w_odd, abs(vs + v) / abs(v))
+    xs, ys = zip(*_eps_pairs(moduli, 8))
+    v = _pair_values(ctx, xs, ys)
+    w_joint = float(np.max(np.abs(_pair_values(ctx_joint, xs, ys) - v)
+                           / np.abs(v)))
+    # same-torus values even, cross-torus values odd
+    same = np.array([x.which == y.which for x, y in zip(xs, ys)])
+    flip = _pair_values(ctx_sqrt, xs, ys)
+    dev = np.abs(np.where(same, flip - v, flip + v)) / np.abs(v)
+    w_even, w_odd = float(np.max(dev[same])), float(np.max(dev[~same]))
     return [
         _check("joint root-and-branch flip leaves kernel invariant",
                w_joint, 1e-13),
@@ -432,12 +430,13 @@ def suite_degeneration(n_order: int | None = None,
     t0 = time.time()
     worst = 0.0
     for lam, qabs, handle, smod in _sphere_setups():
-        kernel = _sphere_log_kernel(RhoSphereContext(handle, smod, 24, cfg))
-        for lx, ly in _sphere_log_pairs(qabs, 4):
-            val = kernel(lx, ly)
-            conv = val * np.exp(0.5 * (lx + ly))
-            oracle = p1_series(handle, lx - ly, smod.tau, cfg)
-            worst = max(worst, abs(conv - oracle) / abs(oracle))
+        lx, ly = _sphere_log_pairs(qabs, 4)
+        conv = _pair_values(RhoSphereContext(handle, smod, 24, cfg),
+                            np.exp(lx), np.exp(ly), lx, ly) \
+            * np.exp(0.5 * (lx + ly))
+        for val, d in zip(conv, lx - ly):
+            oracle = p1_series(handle, d, smod.tau, cfg)
+            worst = max(worst, abs(val - oracle) / abs(oracle))
     checks.append(_check(
         "sphere-sewn torus kernel matches the exact genus-one kernel",
         worst, 1e-9, seconds=time.time() - t0))

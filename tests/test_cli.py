@@ -164,6 +164,25 @@ class TestDet:
         assert out.splitlines()[1] == "quantity,re,im"
 
 
+class TestQuadratureCount:
+    @pytest.mark.parametrize("m", [48, 4])
+    def test_flag_and_config_routes_agree(self, tmp_path, capsys, m):
+        # M is checked once, by the self-sewn torus moments: --quad and a
+        # config file's quad_points meet the same check
+        base = TORUS_ARGS[:TORUS_ARGS.index("--quad")]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"quad_points": m}))
+        via_flag = _run(capsys, ["det", *base, "--quad", str(m)])
+        via_config = _run(capsys, ["det", *base, "--config", str(cfgfile)])
+        assert via_flag == via_config
+        code, _, err = via_flag
+        if m == 4:
+            assert code == 2
+            assert err == "error: need at least 8 quadrature points\n"
+        else:
+            assert code == 0
+
+
 class TestScan:
     def test_truncation_axis_reports_rate(self, capsys):
         code, out, _ = _run(capsys, ["scan", *EPS_ARGS, *POINTS, "--axis",

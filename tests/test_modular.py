@@ -64,6 +64,14 @@ class TestGroupStructure:
         # words act left-to-right: (a.compose(b)).sp4() == b.sp4() @ a.sp4()
         assert np.array_equal(a.compose(b).sp4(), b.sp4() @ a.sp4())
 
+    @pytest.mark.parametrize("n", range(-3, 4))
+    def test_shift_powers_match_matrix_powers(self, n):
+        # A^n and B^n are built in closed form, mu(n,0,0) and mu(0,n,0)
+        for shift in (RhoGroupElement.a_shift, RhoGroupElement.b_shift):
+            power = np.rint(np.linalg.matrix_power(
+                shift(1).sp4().astype(float), n)).astype(int)
+            assert np.array_equal(shift(n).sp4(), power), (shift, n)
+
     def test_identity_acts_trivially(self):
         m = _eps_moduli()
         c2, m2 = act_eps(EpsGroupElement.identity(), CHARS, m)

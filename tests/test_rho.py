@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from szegosew import rho, specialfn
+from szegosew.config import DEFAULT_CONFIG
 from szegosew.errors import BranchTrackingError, DomainError, ResonanceError
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                           RhoSphereContext, RhoTorusContext,
@@ -176,6 +177,19 @@ class TestTrackedLogarithmFarPoints:
             ref = complex(theta1_ref(mpmath.mpc(z) - mpmath.mpc(W))
                           / theta1_ref(z))
         assert abs(np.exp(la) - ref) <= 1e-12 * abs(ref)
+
+    def test_quotient_does_not_depend_on_the_batch(self):
+        # every argument is reduced before its theta sum, so a point
+        # twenty periods out neither overflows nor widens the box
+        z = _pt(0.09, 0.53)
+        far = TWO_PI_I * (0.37 + 20.21 * TAU.tau)
+        alone = rho._a_values(np.array([z]), TAU, W, DEFAULT_CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = rho._a_values(np.array([z, far, 9.0 + 0.1j]), TAU, W,
+                                  DEFAULT_CONFIG)
+        assert batch[0] == alone[0]
+        assert np.all(np.isfinite(batch))
 
 
 class TestTorusSewing:

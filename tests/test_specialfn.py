@@ -8,6 +8,7 @@ series.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -168,6 +169,35 @@ class TestTheta1:
             assert abs(odd[i] - ref1[0]) <= 1e-14 * scale1[0], z
         ref0, scale0, _ = _theta_reference(0.5, 0.5, 0.0, tau, 1)
         assert abs(theta1_deriv0(torus) - ref0[1]) <= 1e-14 * scale0[1]
+
+    def test_values_do_not_depend_on_the_batch(self):
+        # arguments are reduced before the sum, whose box is then fixed by
+        # tau: a far point in the call changes no bit of the others
+        torus = TorusModulus(0.2 + 1.1j)
+        z = np.array([0.3 + 0.7j])
+        far = TWO_PI_I * (0.37 + 5.21 * torus.tau)
+        alone = theta1(z, torus)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for others in ([9.0 + 0.1j], [9.0 + 0.1j, far]):
+                assert theta1(np.append(z, others), torus)[0] == alone
+        tw = TwistPair(0.17, 0.38)
+        zs = np.array([-1.3 + 2.0j, 0.4 + 1.1j])
+        wide = np.append(zs, TWO_PI_I * (0.37 + 20.21 * TAU.tau))
+        assert np.array_equal(p1_theta(tw, wide, TAU)[:2], p1_theta(tw, zs, TAU))
+
+    @pytest.mark.parametrize("f", [theta1, K])
+    def test_out_of_range_raises_without_nan(self, f):
+        # twenty periods out |theta_1| is about e^{pi Im tau 20^2}, beyond
+        # the double range: a typed error, no overflow warning, no NaN
+        torus = TorusModulus(0.2 + 1.1j)
+        z = TWO_PI_I * (0.37 + 20.21 * torus.tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                f(z, torus)
+            with pytest.raises(ConvergenceError):
+                f(np.array([0.3 + 0.7j, z]), torus)
 
     def test_genus_one_theta_char_consistent(self):
         z = TWO_PI_I * (0.23 + 0.31 * TAU.tau)
