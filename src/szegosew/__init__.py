@@ -19,7 +19,7 @@ from .modular import (EpsGroupElement, RhoGroupElement, act_eps, act_rho,
 from .numerics import determinant, lu_solve, tail_estimate
 from .rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                   RhoSphereContext, RhoTorusContext, det_i_minus_t_sphere,
-                  s_kappa_sphere, s_kappa_torus, szego_genus2_rho,
+                  s_kappa_sphere, szego_genus2_rho,
                   torus_from_sphere)
 from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted, p1_series,
                         p1_theta, theta1, theta_char)
@@ -37,7 +37,7 @@ __all__ = [
     "EpsilonContext", "szego_genus2_eps", "epsilon_bound",
     "HandleTwist", "RhoModuliSphere", "RhoModuliTorus",
     "RhoSphereContext", "RhoTorusContext",
-    "s_kappa_sphere", "s_kappa_torus", "torus_from_sphere",
+    "s_kappa_sphere", "torus_from_sphere",
     "det_i_minus_t_sphere", "szego_genus2_rho",
     "EpsGroupElement", "RhoGroupElement", "act_eps", "act_rho",
     "invariance_residual", "det_residual",

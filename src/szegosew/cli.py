@@ -20,7 +20,8 @@ import sys
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, NumericConfig
+from .config import (DEFAULT_CONFIG, DEFAULT_ORDER, DEFAULT_QUAD_POINTS,
+                     NumericConfig)
 from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,
                       SurfacePoint, build_q)
 from .errors import ConvergenceError, DomainError, SzegosewError
@@ -150,8 +151,7 @@ class _Evaluator:
 
     def __init__(self, args, cfg: NumericConfig) -> None:
         self.cfg = cfg
-        n = args.order if args.order is not None else cfg.trunc_order
-        m = args.quad if args.quad is not None else cfg.quad_points
+        n, m = args.order, args.quad
         xi = _parse_xi(args.xi)
         if args.scheme == "eps":
             _require(args, "--tau1", "--tau2", "--eps")
@@ -408,10 +408,11 @@ def _add_common(p: argparse.ArgumentParser, points: bool = True) -> None:
     if points:
         p.add_argument("--points",
                        help="semicolon-separated 'which:re,im,which:re,im' pairs")
-    p.add_argument("--order", type=int, metavar="N",
-                   help="truncation order (default 16)")
-    p.add_argument("--quad", type=int, metavar="M",
-                   help="quadrature points per contour (default 64)")
+    p.add_argument("--order", type=int, metavar="N", default=DEFAULT_ORDER,
+                   help=f"truncation order (default {DEFAULT_ORDER})")
+    p.add_argument("--quad", type=int, metavar="M", default=DEFAULT_QUAD_POINTS,
+                   help="quadrature points per contour "
+                   f"(default {DEFAULT_QUAD_POINTS})")
     p.add_argument("--xi", default="+i", help="half-form branch: +i or -i (use --xi=-i)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="PATH", help="write output to PATH")

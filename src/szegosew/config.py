@@ -1,20 +1,24 @@
 """Numerical configuration carried explicitly through all computations.
 
-There is no global mutable state: every tolerance or truncation default
-travels inside a `NumericConfig` value, so concurrent callers with
-different settings never interfere.
+There is no global mutable state: every tolerance travels inside a
+`NumericConfig` value, so concurrent callers with different settings
+never interfere.  The truncation order N and the quadrature count M are
+arguments of the contexts, defaulting to the constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
+
+DEFAULT_ORDER = 16  # moment-matrix truncation order N
+DEFAULT_QUAD_POINTS = 64  # contour quadrature count M of the self-sewn torus
 
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Tolerances and truncation defaults for the whole pipeline.
+    """Tolerances for the whole pipeline.
 
     Attributes
     ----------
@@ -24,11 +28,6 @@ class NumericConfig:
         Tail bound for q-series (P1, P_k, Eisenstein).
     solve_residual_tol : float
         Relative residual bound for dense solves.
-    quad_points : int
-        Circle-quadrature sample count M of the self-sewn torus moments
-        (checked there, where ``--quad`` also arrives).
-    trunc_order : int
-        Default moment-matrix truncation order N.
     pole_guard : float
         Minimal allowed distance to kernel poles / lattice points.
     resonance_guard : float
@@ -38,18 +37,13 @@ class NumericConfig:
     theta_tol: float = 1e-14
     series_tol: float = 1e-12
     solve_residual_tol: float = 1e-12
-    quad_points: int = 64
-    trunc_order: int = 16
     pole_guard: float = 1e-8
     resonance_guard: float = 1e-13
 
     def __post_init__(self) -> None:
-        for name in ("theta_tol", "series_tol", "solve_residual_tol",
-                     "pole_guard", "resonance_guard"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"config field {name} must be positive")
-        if self.trunc_order < 1:
-            raise DomainError("trunc_order must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise DomainError(f"config field {f.name} must be positive")
 
     def with_(self, **kwargs) -> "NumericConfig":
         """Return a copy with the given fields replaced."""

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, NumericConfig
+from .config import DEFAULT_CONFIG, DEFAULT_ORDER, NumericConfig
 from .errors import DomainError
 from .numerics import LU
 from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
@@ -253,51 +254,51 @@ def logdet_series(f1: np.ndarray, f2: np.ndarray) -> complex:
 # ----------------------------------------------------------------------
 
 class EpsilonContext:
-    """Cached assembly data for one (characteristics, moduli, N) configuration."""
+    """Cached assembly data for one (characteristics, moduli, N) configuration.
+
+    I - F1 F2 is factorised once, at construction, and ``det`` reads the
+    factors ungated.  The first kernel call solves once for
+    X0 = (I - F1 F2)^{-1} and X1 = X0 F1; by push-through
+    (I - F2 F1)^{-1} F2 = F2 X0 and (I - F2 F1)^{-1} = I + F2 X1.
+    """
 
     def __init__(self, chars: GenusTwoCharacteristicsEps, moduli: EpsilonModuli,
-                 n_order: int | None = None,
+                 n_order: int = DEFAULT_ORDER,
                  cfg: NumericConfig = DEFAULT_CONFIG) -> None:
         self.chars = chars
         self.moduli = moduli
         self.cfg = cfg
-        self.n_order = n_order if n_order is not None else cfg.trunc_order
-        if self.n_order < 1:
-            raise DomainError("truncation order must be >= 1")
-        self._f = {}
-        self._lu = {}
-        self._solved = {}
-        self._sq_pow = moduli.sqrt_epsilon ** np.arange(1, self.n_order + 1)
+        self.n_order = n_order
+        self._f = tuple(f_matrix(chars.tw(a), n_order, moduli.tau(a), moduli,
+                                 cfg) for a in (1, 2))
+        self._lu = LU(np.eye(n_order, dtype=complex) - self._f[0] @ self._f[1])
+        # h(x) hbar(y) carries sqrt_epsilon^{k+l-1}: k-1 powers on the x
+        # rows, l on the y rows, so epsilon = 0 needs no division
+        self._sq_pow = moduli.sqrt_epsilon ** np.arange(n_order + 1)
         self._inverse = chars.inverse()
 
     def f_block(self, a: int) -> np.ndarray:
-        if a not in self._f:
-            self._f[a] = f_matrix(self.chars.tw(a), self.n_order,
-                                  self.moduli.tau(a), self.moduli, self.cfg)
-        return self._f[a]
+        self.moduli.tau(a)  # checks the label
+        return self._f[a - 1]
 
-    def _factors(self, a: int) -> LU:
-        """LU factors of I - F_abar F_a, once per torus label."""
-        if a not in self._lu:
-            eye = np.eye(self.n_order, dtype=complex)
-            self._lu[a] = LU(eye - self.f_block(3 - a) @ self.f_block(a))
-        return self._lu[a]
+    @cached_property
+    def _blocks(self) -> dict:
+        """Correction block (a, b) between x rows on torus a and y rows on
+        torus b, with the signs and xi (-1)^b of the cross blocks folded
+        in; one gated solve."""
+        xi = self.moduli.xi
+        f1, f2 = self._f
+        eye = np.eye(self.n_order, dtype=complex)
+        x0, x1 = np.hsplit(self._lu.solve(np.hstack([eye, f1]), self.cfg), 2)
+        return {(1, 1): f2 @ x0, (1, 2): xi * (eye + f2 @ x1),
+                (2, 1): -xi * x0, (2, 2): x1}
 
-    def _middles(self, a: int) -> tuple:
-        """(I - F_abar F_a)^{-1} F_abar and (I - F_abar F_a)^{-1}."""
-        if a not in self._solved:
-            lu = self._factors(a)
-            eye = np.eye(self.n_order, dtype=complex)
-            self._solved[a] = (lu.solve(self.f_block(3 - a), self.cfg),
-                               lu.solve(eye, self.cfg))
-        return self._solved[a]
-
-    def _u(self, a: int, zs: np.ndarray, inverse: bool) -> np.ndarray:
-        """sqrt_epsilon^k P_k(z) for k = 1..N, one row per point (h vectors
-        without eps^{-1/4})."""
+    def _rows(self, a: int, zs: np.ndarray, inverse: bool) -> np.ndarray:
+        """x rows sqrt_epsilon^{k-1} P_k(z), or y rows
+        -sqrt_epsilon^k P_k[c^{-1}](z), k = 1..N, one per point."""
         tw = (self._inverse if inverse else self.chars).tw(a)
         pk = p_k_vector(tw, self.n_order, zs, self.moduli.tau(a), self.cfg)
-        return self._sq_pow * pk
+        return -self._sq_pow[1:] * pk if inverse else self._sq_pow[:-1] * pk
 
     def kernel_matrix(self, xs, ys) -> np.ndarray:
         """S(x_i, y_j) for SurfacePoint sequences xs, ys: shape (P, Q).
@@ -305,7 +306,7 @@ class EpsilonContext:
         Points are grouped by torus label and validated per group; each
         group gets its P_k rows from one batched call, each same-label
         block its base kernel from one p1_theta call on the x - y grid,
-        and each block is one bilinear product.
+        and each label pair one product with its correction block.
         """
         mod = self.moduli
         gx, gy = _by_label(xs), _by_label(ys)
@@ -320,18 +321,11 @@ class EpsilonContext:
             out[ix[:, None], iy] = p1_theta(self.chars.tw(a),
                                             zx[:, None] - zy[None, :],
                                             mod.tau(a), self.cfg)
-        if mod.epsilon == 0:
-            return out
-        v = {b: -self._u(b, zy, inverse=True) for b, (_, zy) in gy.items()}
+        v = {b: self._rows(b, zy, inverse=True) for b, (_, zy) in gy.items()}
         for a, (ix, zx) in gx.items():
-            u = self._u(a, zx, inverse=False)
+            u = self._rows(a, zx, inverse=False)
             for b, (iy, _) in gy.items():
-                if b == a:
-                    corr = u @ self._middles(a)[0] @ v[b].T
-                else:
-                    corr = mod.xi * (-1.0) ** b \
-                        * (u @ self._middles(a)[1] @ v[b].T)
-                out[ix[:, None], iy] += corr / mod.sqrt_epsilon
+                out[ix[:, None], iy] += u @ self._blocks[(a, b)] @ v[b].T
         return out
 
     def kernel(self, x: SurfacePoint, y: SurfacePoint) -> complex:
@@ -339,15 +333,13 @@ class EpsilonContext:
         return complex(self.kernel_matrix([x], [y])[0, 0])
 
     def det(self) -> complex:
-        """det(I - F1 F2), read from the label-2 factors."""
-        if self.moduli.epsilon == 0:
-            return 1.0 + 0.0j
-        return self._factors(2).det()
+        """det(I - F1 F2) from the factors; not gated."""
+        return self._lu.det()
 
 
 def szego_genus2_eps(chars: GenusTwoCharacteristicsEps, x: SurfacePoint,
                      y: SurfacePoint, moduli: EpsilonModuli,
-                     n_order: int | None = None,
+                     n_order: int = DEFAULT_ORDER,
                      cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
     """Genus-two Szego kernel from two sewn tori (coefficient of dx^1/2 dy^1/2)."""
     return EpsilonContext(chars, moduli, n_order, cfg).kernel(x, y)

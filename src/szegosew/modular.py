@@ -398,17 +398,15 @@ def _winding_jump(st: _RhoState, a: int, b: int,
     sheet; this probe measures it at the actual contour radii so the
     atom can absorb the jump into the moduli's winding datum.
     """
-    tau = TorusModulus(st.tau)
     delta = TWO_PI_I * (a * st.tau + b)
-    drift = a * st.w
+    # probes on the x and y contour radii (rows) and their shifts (columns),
+    # tracked in one sweep
+    p = st.w + np.array([X_RADIUS_FACTOR, Y_RADIUS_FACTOR]) * st.contour_radius
+    la = log_a_torus(p[:, None] + np.array([0.0, delta]), TorusModulus(st.tau),
+                     st.w, cfg, z_ref=st.z_ref, log_a_ref=st.log_a_ref)
     sheets = []
-    for fac in (X_RADIUS_FACTOR, Y_RADIUS_FACTOR):
-        p = st.w + fac * st.contour_radius
-        l0 = log_a_torus(p, tau, st.w, cfg, z_ref=st.z_ref,
-                         log_a_ref=st.log_a_ref)
-        l1 = log_a_torus(p + delta, tau, st.w, cfg, z_ref=st.z_ref,
-                         log_a_ref=st.log_a_ref)
-        n = (l1 - l0 - drift) / TWO_PI_I
+    for l0, l1 in la:
+        n = (l1 - l0 - a * st.w) / TWO_PI_I
         ni = round(n.real)
         if abs(n - ni) > 1e-8:
             raise BranchTrackingError(
@@ -533,15 +531,16 @@ def act_rho_point(g: RhoGroupElement, m: RhoModuliTorus, z):
 # invariance residuals
 # ----------------------------------------------------------------------
 
-def invariance_residual(g, ctx, pairs) -> float:
-    """Max relative kernel-invariance residual of ctx under g.
+def invariance_residual(ctx, image, pairs) -> float:
+    """Max relative kernel-invariance residual of ctx against its image
+    ``g.transform(ctx)`` under a group element g.
 
     The kernel is compared as a half-form: the residual at a pair (x, y)
     is |S_new(g x, g y) - S_old(x, y) s_x s_y| / |S_old(x, y)| with the
     accumulated point factors s.  ``pairs`` holds points in the form
     ``ctx.kernel_matrix`` takes them.
     """
-    ctx2, point = g.transform(ctx)
+    ctx2, point = image
     xs, ys = zip(*pairs)
     (x2, sx), (y2, sy) = (zip(*map(point, pts)) for pts in (xs, ys))
     # one kernel_matrix per context; the pairs are its diagonal
@@ -551,8 +550,9 @@ def invariance_residual(g, ctx, pairs) -> float:
                         / np.abs(old)))
 
 
-def det_residual(g, ctx) -> float:
-    """Relative invariance residual of the sewing determinant of ctx under g."""
-    ctx2, _ = g.transform(ctx)
+def det_residual(ctx, image) -> float:
+    """Relative invariance residual of the sewing determinant of ctx
+    against its image ``g.transform(ctx)``."""
+    ctx2, _ = image
     d1 = ctx.det()
     return abs(ctx2.det() - d1) / abs(d1)

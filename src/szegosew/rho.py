@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, NumericConfig
+from .config import (DEFAULT_CONFIG, DEFAULT_ORDER, DEFAULT_QUAD_POINTS,
+                     NumericConfig)
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
 from .numerics import LU, as_complex_matrix
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
@@ -48,7 +49,7 @@ __all__ = [
     "HandleTwist", "RhoModuliSphere", "RhoModuliTorus", "mode_index",
     "s_kappa_sphere", "sphere_moments", "SphereMoments",
     "det_i_minus_t_sphere", "RhoSphereContext", "torus_from_sphere",
-    "log_a_torus", "TorusBaseKernel", "s_kappa_torus", "TorusContour",
+    "log_a_torus", "TorusBaseKernel", "TorusContour",
     "GridSide", "torus_contour", "TorusMoments",
     "RhoTorusContext", "szego_genus2_rho",
 ]
@@ -349,12 +350,12 @@ class RhoSphereContext:
     """Closed-form assembly of the self-sewn sphere for one (handle, q, N)."""
 
     def __init__(self, handle: HandleTwist, moduli: RhoModuliSphere,
-                 n_order: int | None = None,
+                 n_order: int = DEFAULT_ORDER,
                  cfg: NumericConfig = DEFAULT_CONFIG) -> None:
         self.handle = handle
         self.moduli = moduli
         self.cfg = cfg
-        self.n_order = n_order if n_order is not None else cfg.trunc_order
+        self.n_order = n_order
         self.moments = sphere_moments(handle, self.n_order, moduli, cfg)
         self._dth = _d_theta_diag(handle.theta, self.n_order)
         self._lu = LU(np.eye(2 * self.n_order, dtype=complex) - self.moments.t)
@@ -497,8 +498,12 @@ def _track_log_a(zs: np.ndarray, tau: TorusModulus, w: complex,
 
 def log_a_torus(z, tau: TorusModulus, w: complex,
                 cfg: NumericConfig = DEFAULT_CONFIG, *,
-                z_ref: complex, log_a_ref: complex) -> complex:
+                z_ref: complex, log_a_ref: complex):
     """log of A(z) = theta1(z-w)/theta1(z), continued from a branch anchor.
+
+    Vectorized in z: a scalar gives a complex, an array an array of its
+    shape, all points tracked in one sweep; a value does not depend on
+    the other points of its call.
 
     The anchor (z_ref, log_a_ref) is the one a RhoModuliTorus records;
     moduli transported by modular generators carry their own coherent
@@ -508,8 +513,10 @@ def log_a_torus(z, tau: TorusModulus, w: complex,
     anchor constants cancel between the base kernel and the moment
     bilinears.
     """
-    return complex(_track_log_a(np.array([complex(z)]), tau, w, cfg,
-                                complex(z_ref), complex(log_a_ref))[0])
+    zv = np.asarray(z, dtype=complex)
+    val = _track_log_a(zv.ravel(), tau, w, cfg, complex(z_ref),
+                       complex(log_a_ref)).reshape(zv.shape)
+    return val if zv.ndim else complex(val)
 
 
 # ----------------------------------------------------------------------
@@ -612,16 +619,13 @@ class TorusBaseKernel:
     def log_a(self, z, log_a_z=None):
         """Branch of log A at a point or an array of points: the supplied
         one, else tracked (all points in one sweep); 0 if untracked."""
-        zv = np.asarray(z, dtype=complex)
-        if not self.tracked:
-            val = np.zeros(zv.shape, dtype=complex)
-        elif log_a_z is not None:
-            val = np.asarray(log_a_z, dtype=complex)
-        else:
-            mod = self.moduli
-            val = _track_log_a(zv.ravel(), mod.tau, mod.w, self.cfg,
-                               mod.z_ref, mod.log_a_ref).reshape(zv.shape)
-        return val if zv.ndim else complex(val)
+        mod = self.moduli
+        if self.tracked and log_a_z is None:
+            return log_a_torus(z, mod.tau, mod.w, self.cfg, z_ref=mod.z_ref,
+                               log_a_ref=mod.log_a_ref)
+        val = np.zeros(np.shape(z), dtype=complex) if not self.tracked \
+            else np.asarray(log_a_z, dtype=complex)
+        return val if np.ndim(z) else complex(val)
 
     def points_side(self, zs, log_a) -> GridSide:
         """Grid side of single points, each its own centre."""
@@ -678,15 +682,6 @@ class TorusBaseKernel:
         """S_kappa on the grid xs x ys with the given log A branches."""
         return self.grid_sides(self.points_side(xs, log_ax),
                                self.points_side(ys, log_ay))
-
-
-def s_kappa_torus(tw1: TwistPair, handle: HandleTwist, x, y,
-                  moduli: RhoModuliTorus, cfg: NumericConfig = DEFAULT_CONFIG,
-                  log_a_x=None, log_a_y=None) -> complex:
-    """S_kappa(x, y) of TorusBaseKernel; log A is tracked unless supplied."""
-    s = TorusBaseKernel(tw1, handle, moduli, cfg)
-    return complex(s.grid([x], [s.log_a(x, log_a_x)],
-                          [y], [s.log_a(y, log_a_y)])[0, 0])
 
 
 def torus_contour(s: TorusBaseKernel, a: int, radius: float,
@@ -754,7 +749,7 @@ class TorusMoments:
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
                  n_order: int, moduli: RhoModuliTorus,
-                 m_points: int | None = None,
+                 m_points: int = DEFAULT_QUAD_POINTS,
                  radius_scale: float = 1.0,
                  cfg: NumericConfig = DEFAULT_CONFIG) -> None:
         if n_order < 1:
@@ -762,7 +757,7 @@ class TorusMoments:
         self.base = TorusBaseKernel(tw1, handle, moduli, cfg)
         self.moduli = moduli
         self.n_order = n_order
-        self.m_points = m_points if m_points is not None else cfg.quad_points
+        self.m_points = m_points
         if self.m_points < 8:
             raise DomainError("need at least 8 quadrature points")
         self.radius_scale = radius_scale
@@ -858,14 +853,14 @@ class RhoTorusContext:
     """Cached genus-two assembly for one (tw1, handle, moduli, N, M)."""
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
-                 moduli: RhoModuliTorus, n_order: int | None = None,
-                 m_points: int | None = None, radius_scale: float = 1.0,
+                 moduli: RhoModuliTorus, n_order: int = DEFAULT_ORDER,
+                 m_points: int = DEFAULT_QUAD_POINTS, radius_scale: float = 1.0,
                  cfg: NumericConfig = DEFAULT_CONFIG) -> None:
         self.tw1 = tw1
         self.handle = handle
         self.moduli = moduli
         self.cfg = cfg
-        self.n_order = n_order if n_order is not None else cfg.trunc_order
+        self.n_order = n_order
         self.moments = TorusMoments(tw1, handle, self.n_order, moduli,
                                     m_points, radius_scale, cfg)
         dth = _d_theta_diag(handle.theta, self.n_order)
@@ -921,8 +916,8 @@ class RhoTorusContext:
 
 
 def szego_genus2_rho(tw1: TwistPair, handle: HandleTwist, x, y,
-                     moduli: RhoModuliTorus, n_order: int | None = None,
-                     m_points: int | None = None,
+                     moduli: RhoModuliTorus, n_order: int = DEFAULT_ORDER,
+                     m_points: int = DEFAULT_QUAD_POINTS,
                      cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
     """Genus-two Szego kernel from a self-sewn torus (dx^1/2 dy^1/2 coeff)."""
     ctx = RhoTorusContext(tw1, handle, moduli, n_order, m_points, cfg=cfg)

@@ -225,9 +225,6 @@ class TwistPair:
         """Twist with both multipliers inverted."""
         return TwistPair(alpha=-self.alpha, beta=-self.beta)
 
-    def characteristics(self) -> Characteristics:
-        return Characteristics(alpha=(self.alpha,), beta=(self.beta,))
-
 
 # ----------------------------------------------------------------------
 # theta functions

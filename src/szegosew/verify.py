@@ -273,10 +273,11 @@ def suite_modular_eps(n_order: int | None = None,
     pairs = _eps_pairs(moduli, 4)
     checks = []
     for name, g in _EPS_GENERATORS:
-        r = invariance_residual(g, ctx, pairs)
+        image = g.transform(ctx)
+        r = invariance_residual(ctx, image, pairs)
         checks.append(_check(f"two-tori kernel invariance under {name}",
                              r, 1e-8))
-        d = det_residual(g, ctx)
+        d = det_residual(ctx, image)
         checks.append(_check(f"two-tori determinant invariance under {name}",
                              d, 1e-9))
     return checks
@@ -291,10 +292,11 @@ def suite_modular_rho(n_order: int | None = None,
     pairs = _rho_torus_pairs(moduli, 2)
     checks = []
     for name, g in _RHO_GENERATORS:
-        r = invariance_residual(g, ctx, pairs)
+        image = g.transform(ctx)
+        r = invariance_residual(ctx, image, pairs)
         checks.append(_check(f"self-sewn torus kernel invariance under {name}",
                              r, 1e-7))
-        d = det_residual(g, ctx)
+        d = det_residual(ctx, image)
         checks.append(_check(
             f"self-sewn torus determinant invariance under {name}", d, 1e-7))
     return checks

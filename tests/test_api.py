@@ -1,7 +1,10 @@
-"""Export consistency: every public name and every traced layer resolves."""
+"""Export consistency: every public name and every traced layer resolves,
+and the README example runs."""
 
 import ast
+import cmath
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ import szegosew
 
 MODULES = ("config", "errors", "specialfn", "numerics", "epsilon", "rho",
            "modular", "verify", "cli")
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _traced_functions():
@@ -63,3 +67,13 @@ def test_contexts_share_the_evaluation_interface(context):
     moments = importlib.import_module("szegosew.rho").SphereMoments
     assert not hasattr(moments, "h_vector")
     assert not hasattr(moments, "hbar_vector")
+
+
+def test_readme_python_block_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                        re.S)
+    assert blocks
+    for block in blocks:
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert cmath.isfinite(namespace["s"])

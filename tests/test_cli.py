@@ -125,13 +125,23 @@ class TestEval:
 
     def test_config_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"trunc_order": 4}))
+        cfgfile.write_text(json.dumps({"pole_guard": 1e-9}))
         code, out, _ = _run(capsys, ["eval", *EPS_ARGS, *POINTS,
                                      "--config", str(cfgfile)])
         assert code == 0
         code, _, err = _run(capsys, ["eval", *EPS_ARGS, *POINTS,
                                      "--config", str(tmp_path / "nope.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("field", ["trunc_order", "quad_points"])
+    def test_config_naming_an_order_or_quadrature_field_exit_2(
+            self, tmp_path, capsys, field):
+        # N and M are the --order and --quad flags only
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({field: 16}))
+        for argv in (["eval", *EPS_ARGS, *POINTS], ["verify", "skew"]):
+            code, _, err = _run(capsys, [*argv, "--config", str(cfgfile)])
+            assert code == 2 and field in err
 
     def test_unknown_scheme_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -166,16 +176,10 @@ class TestDet:
 
 class TestQuadratureCount:
     @pytest.mark.parametrize("m", [48, 4])
-    def test_flag_and_config_routes_agree(self, tmp_path, capsys, m):
-        # M is checked once, by the self-sewn torus moments: --quad and a
-        # config file's quad_points meet the same check
+    def test_quad_flag_meets_the_moment_check(self, capsys, m):
+        # M is checked once, by the self-sewn torus moments
         base = TORUS_ARGS[:TORUS_ARGS.index("--quad")]
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"quad_points": m}))
-        via_flag = _run(capsys, ["det", *base, "--quad", str(m)])
-        via_config = _run(capsys, ["det", *base, "--config", str(cfgfile)])
-        assert via_flag == via_config
-        code, _, err = via_flag
+        code, _, err = _run(capsys, ["det", *base, "--quad", str(m)])
         if m == 4:
             assert code == 2
             assert err == "error: need at least 8 quadrature points\n"

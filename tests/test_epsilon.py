@@ -6,17 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from szegosew import epsilon
+from szegosew import epsilon, numerics
 from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
                               GenusTwoCharacteristicsEps, SurfacePoint,
-                              build_q, c_matrix, epsilon_bound,
+                              build_q, c_matrix, epsilon_bound, f_matrix,
                               logdet_series, min_lattice_distance,
                               szego_genus2_eps)
-from szegosew.errors import DomainError
+from szegosew.errors import DomainError, SingularMatrixError
 from szegosew.numerics import determinant
 from szegosew.rho import RhoModuliSphere, RhoModuliTorus
 from szegosew.specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
-                                p1_theta)
+                                p1_theta, p_k_vector)
 
 TWO_PI_I = 2j * np.pi
 T1 = TorusModulus(0.3 + 1.0j)
@@ -210,6 +210,54 @@ class TestKernelMatrix:
             with pytest.raises(DomainError) as batch:
                 ctx.kernel_matrix(xs[:2] + [bad_x], [bad_y] + ys)
             assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("scale", [0.02, 0.3])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_matches_direct_solve_per_label(self, scale, n):
+        # reference: one np.linalg.solve with I - F_abar F_a per x label,
+        #   same torus:  P1 + h_a (I - F_abar F_a)^{-1} F_abar hbar_a^T
+        #   cross:       xi (-1)^b h_a (I - F_abar F_a)^{-1} hbar_b^T
+        moduli = _moduli(scale)
+        ctx = EpsilonContext(CHARS, moduli, n)
+        xs, ys = _grid_points()
+        sq, xi = moduli.sqrt_epsilon, moduli.xi
+        f = {a: f_matrix(CHARS.tw(a), n, moduli.tau(a), moduli)
+             for a in (1, 2)}
+        powers = sq ** np.arange(1, n + 1)
+
+        def h(c, p):
+            return powers * p_k_vector(c.tw(p.which), n, np.array([p.z]),
+                                       moduli.tau(p.which))[0]
+        ref = np.zeros((len(xs), len(ys)), dtype=complex)
+        for i, x in enumerate(xs):
+            a = x.which
+            lhs = np.eye(n) - f[3 - a] @ f[a]
+            middles = {a: np.linalg.solve(lhs, f[3 - a]),
+                       3 - a: xi * (-1.0) ** (3 - a)
+                       * np.linalg.solve(lhs, np.eye(n))}
+            for j, y in enumerate(ys):
+                b = y.which
+                ref[i, j] = h(CHARS, x) @ middles[b] \
+                    @ -h(CHARS.inverse(), y) / sq
+                if b == a:
+                    ref[i, j] += p1_theta(CHARS.tw(a), x.z - y.z,
+                                          moduli.tau(a))
+        grid = ctx.kernel_matrix(xs, ys)
+        assert {(x.which, y.which) for x in xs for y in ys} \
+            == {(1, 1), (1, 2), (2, 1), (2, 2)}
+        assert np.all(np.abs(grid - ref) <= 1e-13 * np.abs(ref))
+
+    def test_det_ungated_while_every_kernel_call_raises(self, monkeypatch):
+        ctx = EpsilonContext(CHARS, _moduli(), 12)
+        expected = EpsilonContext(CHARS, _moduli(), 12).det()
+        monkeypatch.setattr(numerics, "CONDITION_THRESHOLD", 0.5)
+        xs, ys = _grid_points()
+        for x, y in zip(xs, ys):
+            with pytest.raises(SingularMatrixError):
+                ctx.kernel(x, y)
+        with pytest.raises(SingularMatrixError):
+            ctx.kernel_matrix(xs, ys)
+        assert ctx.det() == expected
 
     def test_empty_inputs(self):
         ctx = EpsilonContext(CHARS, _moduli(), 8)

@@ -177,8 +177,9 @@ class TestInvariance:
                  (_eps_pt(2, 0.58, 0.27), _eps_pt(2, 0.19, 0.66))]
         g = EpsGroupElement.gamma1(1, 1, 0, 1)
         ctx = EpsilonContext(CHARS, m, 12)
-        assert invariance_residual(g, ctx, pairs) < 1e-8
-        assert det_residual(g, ctx) < 1e-9
+        image = g.transform(ctx)
+        assert invariance_residual(ctx, image, pairs) < 1e-8
+        assert det_residual(ctx, image) < 1e-9
 
     def test_rho_invariance_small_order(self):
         m = _rho_moduli()
@@ -187,7 +188,7 @@ class TestInvariance:
         tw1, handle = TwistPair(0.17, 0.38), HandleTwist(0.1, -0.22)
         g = RhoGroupElement.b_shift(1)
         ctx = RhoTorusContext(tw1, handle, m, 10, 64)
-        assert invariance_residual(g, ctx, [(x, y)]) < 1e-7
+        assert invariance_residual(ctx, g.transform(ctx), [(x, y)]) < 1e-7
 
     def test_winding_survives_roundtrip(self):
         # translating the puncture up the lattice and back restores the

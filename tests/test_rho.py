@@ -11,10 +11,10 @@ from szegosew import rho, specialfn
 from szegosew.config import DEFAULT_CONFIG
 from szegosew.errors import BranchTrackingError, DomainError, ResonanceError
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
-                          RhoSphereContext, RhoTorusContext,
+                          RhoSphereContext, RhoTorusContext, TorusBaseKernel,
                           det_i_minus_t_sphere, log_a_torus, mode_index,
-                          s_kappa_sphere, s_kappa_torus, sphere_moments,
-                          szego_genus2_rho, torus_from_sphere)
+                          s_kappa_sphere, sphere_moments, szego_genus2_rho,
+                          torus_from_sphere)
 from szegosew.specialfn import (TorusModulus, TwistPair, lattice_distance,
                                 p1_series, theta1)
 
@@ -33,6 +33,12 @@ def _torus_moduli(scale=0.05):
 
 def _pt(u, v, offset=0.0):
     return TWO_PI_I * (u + v * TAU.tau) + offset
+
+
+def _s_kappa(tw1, handle, x, y, mod):
+    """S_kappa(x, y), log A tracked at both points."""
+    s = TorusBaseKernel(tw1, handle, mod)
+    return complex(s.grid([x], [s.log_a(x)], [y], [s.log_a(y)])[0, 0])
 
 
 class TestSphereKernel:
@@ -209,9 +215,9 @@ class TestTorusSewing:
     def test_base_kernel_skew(self):
         mod = _torus_moduli()
         x, y = _pt(0.09, 0.53), _pt(0.61, 0.12, offset=W)
-        v1 = s_kappa_torus(TW1, HANDLE, x, y, mod)
+        v1 = _s_kappa(TW1, HANDLE, x, y, mod)
         hinv = HandleTwist(-HANDLE.alpha, -HANDLE.beta)
-        v2 = s_kappa_torus(TW1.inverse(), hinv, y, x, mod)
+        v2 = _s_kappa(TW1.inverse(), hinv, y, x, mod)
         assert abs(v1 + v2) < 1e-12 * abs(v1)
 
     def test_sewn_kernel_skew(self):
@@ -231,7 +237,7 @@ class TestTorusSewing:
         for scale in (1e-3, 1e-5):
             mod = _torus_moduli(scale=scale)
             ctx = RhoTorusContext(TW1, HANDLE, mod, 8, 64)
-            base = s_kappa_torus(TW1, HANDLE, x, y, mod)
+            base = _s_kappa(TW1, HANDLE, x, y, mod)
             devs.append(abs(ctx.kernel(x, y) - base) / abs(base))
         # the correction decays like rho^{min(1/2 +- kappa)} = rho^{0.4}
         # here, i.e. a factor ~0.16 per two decades of rho
