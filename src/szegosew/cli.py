@@ -20,8 +20,7 @@ import sys
 
 import numpy as np
 
-from .config import (DEFAULT_CONFIG, DEFAULT_ORDER, DEFAULT_QUAD_POINTS,
-                     NumericConfig)
+from .config import DEFAULT_ORDER, DEFAULT_QUAD_POINTS
 from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,
                       SurfacePoint, build_q)
 from .errors import ConvergenceError, DomainError, SzegosewError
@@ -110,23 +109,6 @@ def _twist(args, index: int) -> TwistPair:
     return TwistPair(alpha or 0.0, beta or 0.0)
 
 
-def _load_config(args) -> NumericConfig:
-    cfg = DEFAULT_CONFIG
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DomainError(f"--config: cannot read {args.config}: {exc}")
-        if not isinstance(overrides, dict):
-            raise DomainError("--config: file must hold a JSON object")
-        try:
-            cfg = cfg.with_(**overrides)
-        except TypeError as exc:
-            raise DomainError(f"--config: {exc}")
-    return cfg
-
-
 def _require(args, *flags):
     for flag in flags:
         if getattr(args, flag.lstrip("-").replace("-", "_")) is None:
@@ -149,8 +131,7 @@ class _Evaluator:
     read what the constructor built.
     """
 
-    def __init__(self, args, cfg: NumericConfig) -> None:
-        self.cfg = cfg
+    def __init__(self, args) -> None:
         n, m = args.order, args.quad
         xi = _parse_xi(args.xi)
         if args.scheme == "eps":
@@ -160,7 +141,7 @@ class _Evaluator:
                 _parse_complex(args.tau1, "--tau1"),
                 _parse_complex(args.tau2, "--tau2"),
                 _parse_complex(args.eps, "--eps"), xi=xi)
-            ctx = EpsilonContext(chars, moduli, n, cfg)
+            ctx = EpsilonContext(chars, moduli, n)
             self._point = SurfacePoint
 
             def det_q_block() -> complex:
@@ -177,7 +158,7 @@ class _Evaluator:
                 _parse_complex(args.rho, "--rho"), xi=xi)
             ctx = RhoTorusContext(_twist(args, 1),
                                   HandleTwist(tw2.alpha, tw2.beta), moduli,
-                                  n, m, cfg=cfg)
+                                  n, m)
             self._point = _plain_point
             self._det_routes = (("det_I_minus_T", ctx.det),)
         elif args.scheme == "rho-sphere":
@@ -186,7 +167,7 @@ class _Evaluator:
             handle = HandleTwist(tw.alpha, tw.beta)
             moduli = RhoModuliSphere.create(_parse_complex(args.rho, "--rho"),
                                             xi=xi)
-            ctx = RhoSphereContext(handle, moduli, n, cfg)
+            ctx = RhoSphereContext(handle, moduli, n)
             self._point = _plain_point
             self._det_routes = (
                 ("det_I_minus_T_product",
@@ -203,7 +184,7 @@ class _Evaluator:
         """Exact genus-one kernel the sewn sphere must reproduce, mapped
         back to sphere coordinates (principal logarithms)."""
         lx, ly = np.log(complex(x)), np.log(complex(y))
-        p1 = p1_series(self.ctx.handle, lx - ly, self.ctx.moduli.tau, self.cfg)
+        p1 = p1_series(self.ctx.handle, lx - ly, self.ctx.moduli.tau)
         return complex(p1 * np.exp(-0.5 * (lx + ly)))
 
     def determinants(self):
@@ -260,12 +241,11 @@ def cmd_eval(args) -> int:
     if args.schema:
         print(EVAL_SCHEMA)
         return 0
-    cfg = _load_config(args)
     if args.points is None:
         raise DomainError("--points is required")
     if args.oracle and args.scheme != "rho-sphere":
         raise DomainError("--oracle applies to --scheme rho-sphere only")
-    ev = _Evaluator(args, cfg)
+    ev = _Evaluator(args)
     pairs = _parse_points(args.points)
     header = "x_which,x_re,x_im,y_which,y_re,y_im,s_re,s_im"
     if args.oracle:
@@ -294,8 +274,7 @@ def cmd_det(args) -> int:
     if args.schema:
         print(DET_SCHEMA)
         return 0
-    cfg = _load_config(args)
-    ev = _Evaluator(args, cfg)
+    ev = _Evaluator(args)
     values = ev.determinants()
     lines = [f"# {CSV_VERSION}", "quantity,re,im"]
     lines += [f"{name},{repr(v.real)},{repr(v.imag)}" for name, v in values]
@@ -322,7 +301,7 @@ def _scan_values(args):
     return vals
 
 
-def _scan_kernel(args, cfg, value) -> complex:
+def _scan_kernel(args, value) -> complex:
     """Evaluate the first point pair with one axis value substituted."""
     sub = argparse.Namespace(**vars(args))
     if args.axis == "epsilon":
@@ -341,7 +320,7 @@ def _scan_kernel(args, cfg, value) -> complex:
         if args.scheme != "rho-torus":
             raise DomainError("axis M requires --scheme rho-torus")
         sub.quad = value
-    ev = _Evaluator(sub, cfg)
+    ev = _Evaluator(sub)
     wx, x, wy, y = _parse_points(args.points)[0]
     return ev.kernel(wx, x, wy, y)
 
@@ -350,11 +329,10 @@ def cmd_scan(args) -> int:
     if args.schema:
         print(SCAN_SCHEMA)
         return 0
-    cfg = _load_config(args)
     if args.points is None:
         raise DomainError("--points is required")
     values = _scan_values(args)
-    kernels = [_scan_kernel(args, cfg, v) for v in values]
+    kernels = [_scan_kernel(args, v) for v in values]
     try:
         rate, bound = tail_estimate(kernels)
         rate, bound = float(rate), float(bound)
@@ -374,11 +352,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    if args.suite == "all":
-        report = run_all(args.order, args.quad, cfg)
-    else:
-        report = run_suite(args.suite, args.order, args.quad, cfg)
+    report = run_all() if args.suite == "all" else run_suite(args.suite)
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -416,8 +390,6 @@ def _add_common(p: argparse.ArgumentParser, points: bool = True) -> None:
     p.add_argument("--xi", default="+i", help="half-form branch: +i or -i (use --xi=-i)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="PATH", help="write output to PATH")
-    p.add_argument("--config", metavar="PATH",
-                   help="JSON file with numeric-parameter overrides")
     p.add_argument("--schema", action="store_true",
                    help="print the output schema and exit")
 
@@ -448,10 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    pv.add_argument("--order", type=int, metavar="N")
-    pv.add_argument("--quad", type=int, metavar="M")
     pv.add_argument("--out", metavar="PATH")
-    pv.add_argument("--config", metavar="PATH")
     pv.set_defaults(func=cmd_verify)
     return ap
 

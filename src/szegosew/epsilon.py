@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, DEFAULT_ORDER, NumericConfig
+from .config import DEFAULT_ORDER, POLE_GUARD
 from .errors import DomainError
 from .numerics import LU
 from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
@@ -40,7 +40,7 @@ __all__ = [
     "min_lattice_distance", "epsilon_bound",
     "c_matrix", "f_matrix",
     "build_q", "logdet_series",
-    "EpsilonContext", "szego_genus2_eps",
+    "EpsilonContext",
 ]
 
 RADIUS_FACTOR = 0.45  # contour radii r_a = 0.45 D(q_a), strict domain margin
@@ -168,13 +168,12 @@ class SurfacePoint:
         object.__setattr__(self, "z", _finite(self.z, "point coordinate"))
 
 
-def _validate_label(a: int, zs, moduli: EpsilonModuli,
-                    cfg: NumericConfig) -> None:
+def _validate_label(a: int, zs, moduli: EpsilonModuli) -> None:
     """Check that the points zs on torus a avoid the excised disk and the
     lattice poles; the first failing point raises."""
     dist = np.ravel(lattice_distance(zs, moduli.tau(a)))
     inner = abs(moduli.epsilon) / moduli.radius(3 - a)
-    bad = dist <= max(inner, cfg.pole_guard)
+    bad = dist <= max(inner, POLE_GUARD)
     if bad.any():
         raise DomainError(
             f"point on torus {a} lies inside the excised disk or at a pole "
@@ -198,12 +197,11 @@ def _by_label(pts) -> dict:
 # moments
 # ----------------------------------------------------------------------
 
-def c_matrix(tw: TwistPair, n_order: int, tau: TorusModulus,
-             cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
+def c_matrix(tw: TwistPair, n_order: int, tau: TorusModulus) -> np.ndarray:
     """Laurent moment matrix C(k,l) = (-1)^l binom(k+l-2,k-1) E_{k+l-1}."""
     if n_order < 1:
         raise DomainError("order must be >= 1")
-    eis = eisenstein_twisted(tw, np.arange(1, 2 * n_order), tau, cfg)
+    eis = eisenstein_twisted(tw, np.arange(1, 2 * n_order), tau)
     # binom[i, j] = binom(i + j, i) by Pascal's rule, row by row
     binom = np.ones((n_order, n_order))
     for i in range(1, n_order):
@@ -214,10 +212,9 @@ def c_matrix(tw: TwistPair, n_order: int, tau: TorusModulus,
 
 
 def f_matrix(tw: TwistPair, n_order: int, tau: TorusModulus,
-             moduli: EpsilonModuli,
-             cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
+             moduli: EpsilonModuli) -> np.ndarray:
     """F_a(k,l) = epsilon^{(k+l-1)/2} C(k,l) with the recorded sqrt branch."""
-    c = c_matrix(tw, n_order, tau, cfg)
+    c = c_matrix(tw, n_order, tau)
     sq = moduli.sqrt_epsilon
     kl = np.arange(1, n_order + 1)
     powers = sq ** (kl[:, None] + kl[None, :] - 1)
@@ -263,14 +260,12 @@ class EpsilonContext:
     """
 
     def __init__(self, chars: GenusTwoCharacteristicsEps, moduli: EpsilonModuli,
-                 n_order: int = DEFAULT_ORDER,
-                 cfg: NumericConfig = DEFAULT_CONFIG) -> None:
+                 n_order: int = DEFAULT_ORDER) -> None:
         self.chars = chars
         self.moduli = moduli
-        self.cfg = cfg
         self.n_order = n_order
-        self._f = tuple(f_matrix(chars.tw(a), n_order, moduli.tau(a), moduli,
-                                 cfg) for a in (1, 2))
+        self._f = tuple(f_matrix(chars.tw(a), n_order, moduli.tau(a), moduli)
+                        for a in (1, 2))
         self._lu = LU(np.eye(n_order, dtype=complex) - self._f[0] @ self._f[1])
         # h(x) hbar(y) carries sqrt_epsilon^{k+l-1}: k-1 powers on the x
         # rows, l on the y rows, so epsilon = 0 needs no division
@@ -289,7 +284,7 @@ class EpsilonContext:
         xi = self.moduli.xi
         f1, f2 = self._f
         eye = np.eye(self.n_order, dtype=complex)
-        x0, x1 = np.hsplit(self._lu.solve(np.hstack([eye, f1]), self.cfg), 2)
+        x0, x1 = np.hsplit(self._lu.solve(np.hstack([eye, f1])), 2)
         return {(1, 1): f2 @ x0, (1, 2): xi * (eye + f2 @ x1),
                 (2, 1): -xi * x0, (2, 2): x1}
 
@@ -297,7 +292,7 @@ class EpsilonContext:
         """x rows sqrt_epsilon^{k-1} P_k(z), or y rows
         -sqrt_epsilon^k P_k[c^{-1}](z), k = 1..N, one per point."""
         tw = (self._inverse if inverse else self.chars).tw(a)
-        pk = p_k_vector(tw, self.n_order, zs, self.moduli.tau(a), self.cfg)
+        pk = p_k_vector(tw, self.n_order, zs, self.moduli.tau(a))
         return -self._sq_pow[1:] * pk if inverse else self._sq_pow[:-1] * pk
 
     def kernel_matrix(self, xs, ys) -> np.ndarray:
@@ -313,14 +308,14 @@ class EpsilonContext:
         for a in (1, 2):
             zs = [g[a][1] for g in (gx, gy) if a in g]
             if zs:
-                _validate_label(a, np.concatenate(zs), mod, self.cfg)
+                _validate_label(a, np.concatenate(zs), mod)
         out = np.zeros((len(xs), len(ys)), dtype=complex)
         for a in gx.keys() & gy.keys():
             (ix, zx), (iy, zy) = gx[a], gy[a]
             # p1_theta guards the pole at x - y on the lattice
             out[ix[:, None], iy] = p1_theta(self.chars.tw(a),
                                             zx[:, None] - zy[None, :],
-                                            mod.tau(a), self.cfg)
+                                            mod.tau(a))
         v = {b: self._rows(b, zy, inverse=True) for b, (_, zy) in gy.items()}
         for a, (ix, zx) in gx.items():
             u = self._rows(a, zx, inverse=False)
@@ -336,10 +331,3 @@ class EpsilonContext:
         """det(I - F1 F2) from the factors; not gated."""
         return self._lu.det()
 
-
-def szego_genus2_eps(chars: GenusTwoCharacteristicsEps, x: SurfacePoint,
-                     y: SurfacePoint, moduli: EpsilonModuli,
-                     n_order: int = DEFAULT_ORDER,
-                     cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """Genus-two Szego kernel from two sewn tori (coefficient of dx^1/2 dy^1/2)."""
-    return EpsilonContext(chars, moduli, n_order, cfg).kernel(x, y)

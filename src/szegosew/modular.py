@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, NumericConfig
 from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,
                       SurfacePoint)
 from .errors import BranchTrackingError, DomainError, SzegosewError
@@ -97,7 +96,7 @@ class EpsGroupElement:
             raise DomainError("epsilon-scheme words act on an EpsilonContext")
         chars = act_eps_chars(self, ctx.chars)
         moduli, point = _eps_walk(self, ctx.moduli)
-        return EpsilonContext(chars, moduli, ctx.n_order, ctx.cfg), point
+        return EpsilonContext(chars, moduli, ctx.n_order), point
 
     def sp4(self) -> np.ndarray:
         m = np.eye(4, dtype=int)
@@ -174,7 +173,7 @@ class RhoGroupElement:
         ctx2 = RhoTorusContext(TwistPair.from_multipliers(mults[0], mults[2]),
                                HandleTwist.from_multipliers(mults[1], mults[3]),
                                moduli, ctx.n_order, ctx.moments.m_points,
-                               ctx.moments.radius_scale, ctx.cfg)
+                               ctx.moments.radius_scale)
         return ctx2, point
 
     def sp4(self) -> np.ndarray:
@@ -386,8 +385,7 @@ class _RhoState:
     contour_radius: float
 
 
-def _winding_jump(st: _RhoState, a: int, b: int,
-                  cfg: NumericConfig = DEFAULT_CONFIG) -> int:
+def _winding_jump(st: _RhoState, a: int, b: int) -> int:
     """Branch-sheet jump of the sewing contours under w -> w + 2pi i(a tau + b).
 
     The moment relations between the old and shifted moduli use the
@@ -403,7 +401,7 @@ def _winding_jump(st: _RhoState, a: int, b: int,
     # tracked in one sweep
     p = st.w + np.array([X_RADIUS_FACTOR, Y_RADIUS_FACTOR]) * st.contour_radius
     la = log_a_torus(p[:, None] + np.array([0.0, delta]), TorusModulus(st.tau),
-                     st.w, cfg, z_ref=st.z_ref, log_a_ref=st.log_a_ref)
+                     st.w, z_ref=st.z_ref, log_a_ref=st.log_a_ref)
     sheets = []
     for l0, l1 in la:
         n = (l1 - l0 - a * st.w) / TWO_PI_I

@@ -17,10 +17,10 @@ import warnings
 import numpy as np
 import scipy.linalg as sla
 
-from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import ConvergenceError, DomainError, SingularMatrixError
 
 CONDITION_THRESHOLD = 1e12
+SOLVE_RESIDUAL_TOL = 1e-12  # relative residual bound of a gated solve
 _TAIL_SPREAD = 8.0  # max spread of per-step decay ratios of a geometric tail
 
 __all__ = [
@@ -67,12 +67,12 @@ class LU:
             if info == 0 and rcond > 0.0:
                 self.cond = 1.0 / rcond
 
-    def solve(self, b, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
+    def solve(self, b) -> np.ndarray:
         """Solve A X = B for a vector or matrix B.
 
-        Enforces ``||AX - B||_inf <= solve_residual_tol * ||B||_inf`` and
-        rejects matrices whose condition estimate exceeds the fixed
-        threshold.
+        Enforces ``||AX - B||_inf <= SOLVE_RESIDUAL_TOL * ||B||_inf`` and
+        rejects matrices whose condition estimate exceeds
+        ``CONDITION_THRESHOLD``.
         """
         bmat = np.asarray(b, dtype=complex)
         squeeze = bmat.ndim == 1
@@ -90,10 +90,10 @@ class LU:
         x = sla.lu_solve((self.lu, self.piv), bmat, check_finite=False)
         bnorm = np.linalg.norm(bmat, np.inf)
         resid = np.linalg.norm(self.a @ x - bmat, np.inf)
-        if bnorm > 0 and resid > cfg.solve_residual_tol * max(bnorm, 1.0):
+        if bnorm > 0 and resid > SOLVE_RESIDUAL_TOL * max(bnorm, 1.0):
             raise SingularMatrixError(
                 f"solve residual {resid:.3e} exceeds tolerance "
-                f"{cfg.solve_residual_tol:.1e} * ||B||")
+                f"{SOLVE_RESIDUAL_TOL:.1e} * ||B||")
         return x[:, 0] if squeeze else x
 
     def det(self) -> complex:
@@ -102,9 +102,9 @@ class LU:
         return complex((-1.0) ** swaps * np.prod(np.diag(self.lu)))
 
 
-def lu_solve(a, b, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
+def lu_solve(a, b) -> np.ndarray:
     """Solve A X = B once through a gated ``LU``."""
-    return LU(a).solve(b, cfg)
+    return LU(a).solve(b)
 
 
 def determinant(a) -> complex:

@@ -33,11 +33,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .config import (DEFAULT_CONFIG, DEFAULT_ORDER, DEFAULT_QUAD_POINTS,
-                     NumericConfig)
+from .config import (DEFAULT_ORDER, DEFAULT_QUAD_POINTS, POLE_GUARD,
+                     RESONANCE_GUARD, THETA_TOL)
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
 from .numerics import LU, as_complex_matrix
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
@@ -51,7 +52,7 @@ __all__ = [
     "det_i_minus_t_sphere", "RhoSphereContext", "torus_from_sphere",
     "log_a_torus", "TorusBaseKernel", "TorusContour",
     "GridSide", "torus_contour", "TorusMoments",
-    "RhoTorusContext", "szego_genus2_rho",
+    "RhoTorusContext",
 ]
 
 TWO_PI_I = 2j * np.pi
@@ -201,7 +202,7 @@ class RhoModuliTorus:
         else:
             z_ref = _finite(self.z_ref, "z_ref")
             log_a_ref = _finite(self.log_a_ref, "log_a_ref")
-            val = complex(_a_values(z_ref, self.tau, w, DEFAULT_CONFIG))
+            val = complex(_a_values(z_ref, self.tau, w))
             if abs(cmath.exp(log_a_ref) - val) > 1e-8 * abs(val):
                 raise BranchTrackingError(
                     "log_a_ref is not a logarithm of theta1(z_ref - w) / "
@@ -241,8 +242,7 @@ class RhoModuliTorus:
 # sphere: kernel, closed-form moments, determinant, assembly
 # ----------------------------------------------------------------------
 
-def s_kappa_sphere(handle: HandleTwist, x, y, log_x=None, log_y=None,
-                   cfg: NumericConfig = DEFAULT_CONFIG):
+def s_kappa_sphere(handle: HandleTwist, x, y, log_x=None, log_y=None):
     """Twisted genus-zero kernel coefficient of dx^1/2 dy^1/2.
 
         x^kappa y^{-kappa} / (x - y)
@@ -260,13 +260,13 @@ def s_kappa_sphere(handle: HandleTwist, x, y, log_x=None, log_y=None,
     ly = np.log(yv) if log_y is None else np.asarray(log_y, dtype=complex)
     diff = xv - yv
     scale = np.maximum(np.abs(xv), np.abs(yv))
-    if np.any(np.abs(diff) < cfg.pole_guard * scale):
+    if np.any(np.abs(diff) < POLE_GUARD * scale):
         raise DomainError("x = y pole of the genus-zero kernel")
     kap = handle.kappa
     val = np.exp(kap * (lx - ly)) / diff
     if _is_half(kap):
         th = handle.theta
-        if abs(1.0 - th) < cfg.resonance_guard:
+        if abs(1.0 - th) < RESONANCE_GUARD:
             raise ResonanceError(
                 "kappa = -1/2 with theta = 1: delta term denominator vanishes")
         val = val + th / (1.0 - th) * np.exp(-0.5 * (lx + ly))
@@ -305,8 +305,7 @@ class SphereMoments:
 
 
 def sphere_moments(handle: HandleTwist, n_order: int,
-                   moduli: RhoModuliSphere,
-                   cfg: NumericConfig = DEFAULT_CONFIG) -> SphereMoments:
+                   moduli: RhoModuliSphere) -> SphereMoments:
     """Closed-form moments of the self-sewn sphere.
 
     T is exactly diagonal with T_aa(k,k) = theta^{-(-1)^a} q^{k_a - 1/2}
@@ -350,13 +349,11 @@ class RhoSphereContext:
     """Closed-form assembly of the self-sewn sphere for one (handle, q, N)."""
 
     def __init__(self, handle: HandleTwist, moduli: RhoModuliSphere,
-                 n_order: int = DEFAULT_ORDER,
-                 cfg: NumericConfig = DEFAULT_CONFIG) -> None:
+                 n_order: int = DEFAULT_ORDER) -> None:
         self.handle = handle
         self.moduli = moduli
-        self.cfg = cfg
         self.n_order = n_order
-        self.moments = sphere_moments(handle, self.n_order, moduli, cfg)
+        self.moments = sphere_moments(handle, self.n_order, moduli)
         self._dth = _d_theta_diag(handle.theta, self.n_order)
         self._lu = LU(np.eye(2 * self.n_order, dtype=complex) - self.moments.t)
 
@@ -373,8 +370,8 @@ class RhoSphereContext:
         lx = np.log(xs) if log_xs is None else np.ravel(log_xs).astype(complex)
         ly = np.log(ys) if log_ys is None else np.ravel(log_ys).astype(complex)
         base = s_kappa_sphere(self.handle, xs[:, None], ys[None, :],
-                              lx[:, None], ly[None, :], self.cfg)
-        hb = self._lu.solve(self.moments.hbar_matrix(ly).T, self.cfg)
+                              lx[:, None], ly[None, :])
+        hb = self._lu.solve(self.moments.hbar_matrix(ly).T)
         return base + self.moduli.xi \
             * (self.moments.h_matrix(lx) * self._dth) @ hb
 
@@ -387,10 +384,9 @@ class RhoSphereContext:
 
 
 def torus_from_sphere(handle: HandleTwist, x, y, moduli: RhoModuliSphere,
-                      n_order: int, log_x=None, log_y=None,
-                      cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
+                      n_order: int, log_x=None, log_y=None) -> complex:
     """Genus-one kernel from a self-sewn sphere (dx^1/2 dy^1/2 coefficient)."""
-    ctx = RhoSphereContext(handle, moduli, n_order, cfg)
+    ctx = RhoSphereContext(handle, moduli, n_order)
     return ctx.kernel(x, y, log_x, log_y)
 
 
@@ -402,7 +398,7 @@ _TRACK_MAX_NODES = 4096
 _TRACK_ARG_LIMIT = 1.5  # max |arg| and |log magnitude| step per node
 
 
-def _a_values(z, tau: TorusModulus, w: complex, cfg: NumericConfig):
+def _a_values(z, tau: TorusModulus, w: complex):
     """A(z) = theta1(z - w) / theta1(z), vectorized in z.
 
     Both arguments are reduced by theta1's exact quasi-periodicity and
@@ -411,7 +407,7 @@ def _a_values(z, tau: TorusModulus, w: complex, cfg: NumericConfig):
     """
     t = tau.tau
     u, _, log_mult = _theta_reduce(np.array([z - w, z], dtype=complex), t, 0.5)
-    th = _theta_g1_derivs(0.5, 0.5, u, t, 0, cfg)[0]
+    th = _theta_g1_derivs(0.5, 0.5, u, t, 0)[0]
     return np.exp(log_mult[0] - log_mult[1]) * th[0] / th[1]
 
 
@@ -422,8 +418,7 @@ def _singular_distance(z, tau: TorusModulus, w: complex):
     return np.minimum(d[0], d[1])
 
 
-def _segment_steps(z0, z1, tau: TorusModulus, w: complex,
-                   cfg: NumericConfig) -> np.ndarray:
+def _segment_steps(z0, z1, tau: TorusModulus, w: complex) -> np.ndarray:
     """Continuous increments log A(z1) - log A(z0) along straight segments.
 
     Vectorized over the endpoints z1; z0 is one point or one per z1.
@@ -442,15 +437,15 @@ def _segment_steps(z0, z1, tau: TorusModulus, w: complex,
     inner = new[:, 1:-1]
     while True:
         clear = _singular_distance(inner, tau, w).min(axis=1) \
-            >= 10.0 * cfg.pole_guard
+            >= 10.0 * POLE_GUARD
         if not clear.all():
             todo, new = todo[clear], new[clear]
         if n == 16:
-            vals = _a_values(new, tau, w, cfg)
+            vals = _a_values(new, tau, w)
         else:
             both = np.empty((todo.size, n + 1), dtype=complex)
             both[:, 0::2] = vals[clear]
-            both[:, 1::2] = _a_values(new, tau, w, cfg)
+            both[:, 1::2] = _a_values(new, tau, w)
             vals = both
         steps = np.log(vals[:, 1:] / vals[:, :-1])
         ok = ((np.abs(steps.imag) < _TRACK_ARG_LIMIT)
@@ -466,8 +461,7 @@ def _segment_steps(z0, z1, tau: TorusModulus, w: complex,
 
 
 def _track_log_a(zs: np.ndarray, tau: TorusModulus, w: complex,
-                 cfg: NumericConfig, z_ref: complex,
-                 log_a_ref: complex) -> np.ndarray:
+                 z_ref: complex, log_a_ref: complex) -> np.ndarray:
     """log A at every point of zs, continued from the anchor in one sweep.
 
     Each point is reached along the straight path from the anchor; a
@@ -475,9 +469,9 @@ def _track_log_a(zs: np.ndarray, tau: TorusModulus, w: complex,
     one side and then the other.
     """
     zs = np.asarray(zs, dtype=complex)
-    if np.any(_singular_distance(zs, tau, w) < cfg.pole_guard):
+    if np.any(_singular_distance(zs, tau, w) < POLE_GUARD):
         raise DomainError("point is at a zero or pole of theta1(z-w)/theta1(z)")
-    inc = _segment_steps(z_ref, zs, tau, w, cfg)
+    inc = _segment_steps(z_ref, zs, tau, w)
     bad = np.flatnonzero(np.isnan(inc))
     for sign in (1.0, -1.0):
         if not bad.size:
@@ -486,8 +480,8 @@ def _track_log_a(zs: np.ndarray, tau: TorusModulus, w: complex,
         direction = np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)
         way = z_ref + 0.5 * d \
             + sign * 0.2j * min_lattice_distance(tau) * direction
-        inc[bad] = _segment_steps(z_ref, way, tau, w, cfg) \
-            + _segment_steps(way, zs[bad], tau, w, cfg)
+        inc[bad] = _segment_steps(z_ref, way, tau, w) \
+            + _segment_steps(way, zs[bad], tau, w)
         bad = bad[np.isnan(inc[bad])]
     if bad.size:
         raise BranchTrackingError(
@@ -496,8 +490,7 @@ def _track_log_a(zs: np.ndarray, tau: TorusModulus, w: complex,
     return log_a_ref + inc
 
 
-def log_a_torus(z, tau: TorusModulus, w: complex,
-                cfg: NumericConfig = DEFAULT_CONFIG, *,
+def log_a_torus(z, tau: TorusModulus, w: complex, *,
                 z_ref: complex, log_a_ref: complex):
     """log of A(z) = theta1(z-w)/theta1(z), continued from a branch anchor.
 
@@ -514,7 +507,7 @@ def log_a_torus(z, tau: TorusModulus, w: complex,
     bilinears.
     """
     zv = np.asarray(z, dtype=complex)
-    val = _track_log_a(zv.ravel(), tau, w, cfg, complex(z_ref),
+    val = _track_log_a(zv.ravel(), tau, w, complex(z_ref),
                        complex(log_a_ref)).reshape(zv.shape)
     return val if zv.ndim else complex(val)
 
@@ -588,27 +581,25 @@ class TorusBaseKernel:
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
-                 moduli: RhoModuliTorus,
-                 cfg: NumericConfig = DEFAULT_CONFIG) -> None:
+                 moduli: RhoModuliTorus) -> None:
         kap = handle.kappa
         if _is_half(kap):
             raise DomainError("kappa = -1/2 torus self-sewing is not supported")
         self.tw1 = tw1
         self.kappa = kap
         self.moduli = moduli
-        self.cfg = cfg
         self.tracked = kap != 0.0
         tau = moduli.tau.tau
         kw, _, log_mult = _theta_reduce(kap * moduli.w, tau, tw1.beta)
         th0 = complex(np.exp(log_mult) * _theta_g1_derivs(
-            tw1.alpha, tw1.beta, kw, tau, 0, cfg)[0])
-        if abs(th0) < cfg.resonance_guard:
+            tw1.alpha, tw1.beta, kw, tau, 0)[0])
+        if abs(th0) < RESONANCE_GUARD:
             raise ResonanceError(
                 "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
-        self._scale = theta1_deriv0(moduli.tau, cfg) / th0
+        self._scale = theta1_deriv0(moduli.tau) / th0
         self._lattice_min = min_lattice_distance(moduli.tau)
         radius = _box_radius(tau.imag, math.pi * tau.imag + 2.0 * moduli.radius,
-                             cfg.theta_tol)
+                             THETA_TOL)
         m = np.arange(-radius, radius + 1, dtype=float)
         # (m + alpha, i pi tau (m + alpha)^2, beta) of theta[a1;b1] and of
         # theta1 = theta[1/2;1/2]
@@ -621,7 +612,7 @@ class TorusBaseKernel:
         one, else tracked (all points in one sweep); 0 if untracked."""
         mod = self.moduli
         if self.tracked and log_a_z is None:
-            return log_a_torus(z, mod.tau, mod.w, self.cfg, z_ref=mod.z_ref,
+            return log_a_torus(z, mod.tau, mod.w, z_ref=mod.z_ref,
                                log_a_ref=mod.log_a_ref)
         val = np.zeros(np.shape(z), dtype=complex) if not self.tracked \
             else np.asarray(log_a_z, dtype=complex)
@@ -662,7 +653,7 @@ class TorusBaseKernel:
         rx, ry = xs.radius, ys.radius
         near = np.maximum(np.maximum(d - rx - ry, abs(rx - ry) - d), 0.0)
         gap = np.minimum(near, np.maximum(d, self._lattice_min - d) - rx - ry)
-        if np.any(gap < self.cfg.pole_guard):
+        if np.any(gap < POLE_GUARD):
             raise DomainError("x - y hits the lattice: kernel pole")
         log_num, n_num, num = self._theta(0, xs, ys,
                                           dc + self.kappa * self.moduli.w)
@@ -701,7 +692,7 @@ def torus_contour(s: TorusBaseKernel, a: int, radius: float,
     pts = center + radius * np.exp(1j * phi)
     pts[m] = pts[0]
     if s.tracked:
-        vals = _a_values(pts, mod.tau, mod.w, s.cfg)
+        vals = _a_values(pts, mod.tau, mod.w)
         steps = np.log(vals[1:] / vals[:-1])
         if np.any(np.abs(steps.imag) > _TRACK_ARG_LIMIT):
             raise BranchTrackingError(
@@ -750,11 +741,10 @@ class TorusMoments:
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
                  n_order: int, moduli: RhoModuliTorus,
                  m_points: int = DEFAULT_QUAD_POINTS,
-                 radius_scale: float = 1.0,
-                 cfg: NumericConfig = DEFAULT_CONFIG) -> None:
+                 radius_scale: float = 1.0) -> None:
         if n_order < 1:
             raise DomainError("order must be >= 1")
-        self.base = TorusBaseKernel(tw1, handle, moduli, cfg)
+        self.base = TorusBaseKernel(tw1, handle, moduli)
         self.moduli = moduli
         self.n_order = n_order
         self.m_points = m_points
@@ -850,25 +840,32 @@ class TorusMoments:
 # ----------------------------------------------------------------------
 
 class RhoTorusContext:
-    """Cached genus-two assembly for one (tw1, handle, moduli, N, M)."""
+    """Cached genus-two assembly for one (tw1, handle, moduli, N, M).
+
+    I - T is factorised once, at construction, and ``det`` reads the
+    factors ungated; the first kernel call makes the one gated solve.
+    """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
                  moduli: RhoModuliTorus, n_order: int = DEFAULT_ORDER,
-                 m_points: int = DEFAULT_QUAD_POINTS, radius_scale: float = 1.0,
-                 cfg: NumericConfig = DEFAULT_CONFIG) -> None:
+                 m_points: int = DEFAULT_QUAD_POINTS,
+                 radius_scale: float = 1.0) -> None:
         self.tw1 = tw1
         self.handle = handle
         self.moduli = moduli
-        self.cfg = cfg
         self.n_order = n_order
         self.moments = TorusMoments(tw1, handle, self.n_order, moduli,
-                                    m_points, radius_scale, cfg)
-        dth = _d_theta_diag(handle.theta, self.n_order)
-        eye = np.eye(2 * self.n_order, dtype=complex)
-        self._lu = LU(eye - moduli.xi * self.moments.g * dth[None, :])
-        # middle factor D^theta (I - T)^{-1} applied from the left
-        self._middle = dth[:, None] * self._lu.solve(eye, cfg)
+                                    m_points, radius_scale)
+        self._dth = _d_theta_diag(handle.theta, self.n_order)
+        self._lu = LU(np.eye(2 * self.n_order, dtype=complex)
+                      - moduli.xi * self.moments.g * self._dth[None, :])
         self._margin = X_RADIUS_FACTOR * moduli.contour_radius * 1.05
+
+    @cached_property
+    def _middle(self) -> np.ndarray:
+        """Middle factor D^theta (I - T)^{-1}; one gated solve."""
+        eye = np.eye(2 * self.n_order, dtype=complex)
+        return self._dth[:, None] * self._lu.solve(eye)
 
     def validate_point(self, z) -> None:
         """Reject a point, or any point of an array, inside the sewing
@@ -914,11 +911,3 @@ class RhoTorusContext:
     def det(self) -> complex:
         return self._lu.det()
 
-
-def szego_genus2_rho(tw1: TwistPair, handle: HandleTwist, x, y,
-                     moduli: RhoModuliTorus, n_order: int = DEFAULT_ORDER,
-                     m_points: int = DEFAULT_QUAD_POINTS,
-                     cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """Genus-two Szego kernel from a self-sewn torus (dx^1/2 dy^1/2 coeff)."""
-    ctx = RhoTorusContext(tw1, handle, moduli, n_order, m_points, cfg=cfg)
-    return ctx.kernel(x, y)

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 import scipy.special
 
-from .config import DEFAULT_CONFIG, NumericConfig
+from .config import POLE_GUARD, RESONANCE_GUARD, SERIES_TOL, THETA_TOL
 from .errors import ConvergenceError, DomainError, ResonanceError
 
 TWO_PI = 2.0 * np.pi
@@ -243,14 +243,13 @@ def _box_radius(lam_min: float, cmax: float, tol: float) -> int:
     return max(radius, 1)
 
 
-def theta_char(chars: Characteristics, z, omega,
-               cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
+def theta_char(chars: Characteristics, z, omega) -> complex:
     """Genus-g theta function with real characteristics.
 
     ``z`` is a length-g complex vector (scalar at g=1) in the package's
     2 pi i scaled convention; ``omega`` is a PeriodMatrix (a TorusModulus
     or bare complex is promoted at g=1).  The box radius is chosen from
-    the configured tolerance, and the boundary shell is checked against it.
+    ``THETA_TOL``, and the boundary shell is checked against it.
     """
     if not isinstance(omega, PeriodMatrix):
         omega = PeriodMatrix.from_tau(omega)
@@ -265,7 +264,7 @@ def theta_char(chars: Characteristics, z, omega,
 
     lam_min = float(np.linalg.eigvalsh(omega.omega.imag)[0])
     cmax = float(np.max(np.abs(zv.real))) if g else 0.0
-    radius = _box_radius(lam_min, cmax, cfg.theta_tol)
+    radius = _box_radius(lam_min, cmax, THETA_TOL)
 
     rng = np.arange(-radius, radius + 1)
     mesh = np.meshgrid(*([rng] * g), indexing="ij")
@@ -282,7 +281,7 @@ def theta_char(chars: Characteristics, z, omega,
     if np.any(on_boundary):
         shell = float(np.max(np.abs(terms[on_boundary])))
         scale = max(abs(total), 1.0)
-        if shell > 100.0 * cfg.theta_tol * scale:
+        if shell > 100.0 * THETA_TOL * scale:
             raise ConvergenceError(
                 f"theta tail {shell:.2e} above tolerance at box radius {radius}")
     return total
@@ -301,8 +300,8 @@ def _theta_reduce(z, tau: complex, beta: float):
     return z_red, n, -1j * np.pi * tau * n * n - n * (z_red + 2j * np.pi * beta)
 
 
-def _theta_g1_derivs(alpha: float, beta: float, z, tau: complex, nderiv: int,
-                     cfg: NumericConfig) -> np.ndarray:
+def _theta_g1_derivs(alpha: float, beta: float, z, tau: complex,
+                     nderiv: int) -> np.ndarray:
     """Vectorized genus-one theta and z-derivatives.
 
     Returns an array of shape (nderiv+1,) + z.shape with entry j holding
@@ -318,7 +317,7 @@ def _theta_g1_derivs(alpha: float, beta: float, z, tau: complex, nderiv: int,
     cmax = TWO_PI * im
     if zv.size:
         cmax = max(cmax, float(np.abs(zv.real).max()))
-    radius = _box_radius(im, cmax, cfg.theta_tol)
+    radius = _box_radius(im, cmax, THETA_TOL)
     # polynomial weights (m+alpha)^j only shift the tail by a few entries
     radius = min(radius + (2 if nderiv else 0) + nderiv // 8, THETA_BOX_CAP)
     ma = np.arange(-radius, radius + 1, dtype=float) + alpha
@@ -334,7 +333,7 @@ def _theta_g1_derivs(alpha: float, beta: float, z, tau: complex, nderiv: int,
     return out
 
 
-def theta1(z, tau: TorusModulus, cfg: NumericConfig = DEFAULT_CONFIG):
+def theta1(z, tau: TorusModulus):
     """theta_1 = theta[1/2;1/2], vectorized in z.
 
     Each argument is reduced by the exact quasi-periodicity first, so a
@@ -346,27 +345,27 @@ def theta1(z, tau: TorusModulus, cfg: NumericConfig = DEFAULT_CONFIG):
         z_red, _, log_mult = _theta_reduce(np.asarray(z, dtype=complex),
                                            tau.tau, 0.5)
         val = np.exp(log_mult) \
-            * _theta_g1_derivs(0.5, 0.5, z_red, tau.tau, 0, cfg)[0]
+            * _theta_g1_derivs(0.5, 0.5, z_red, tau.tau, 0)[0]
     if not np.all(np.isfinite(val)):
         raise ConvergenceError("theta_1 exceeds the double range; |Re z| too large")
     return val
 
 
-def theta1_deriv0(tau: TorusModulus, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
+def theta1_deriv0(tau: TorusModulus) -> complex:
     """d_z theta_1(0, tau), the prime-form normalization constant."""
-    val = complex(_theta_g1_derivs(0.5, 0.5, np.array(0.0 + 0.0j), tau.tau, 1, cfg)[1])
+    val = complex(_theta_g1_derivs(0.5, 0.5, np.array(0.0 + 0.0j), tau.tau, 1)[1])
     if val == 0:
         raise ConvergenceError("theta_1'(0) evaluated to zero; broken theta sum")
     return val
 
 
-def K(z, tau: TorusModulus, cfg: NumericConfig = DEFAULT_CONFIG):
+def K(z, tau: TorusModulus):
     """Genus-one prime-form factor K(z,tau) = theta_1(z,tau)/theta_1'(0,tau).
 
     Odd in z with K(z)/z -> 1 as z -> 0. Vanishes on the lattice; callers
     dividing by K are responsible for pole guards.
     """
-    return theta1(z, tau, cfg) / theta1_deriv0(tau, cfg)
+    return theta1(z, tau) / theta1_deriv0(tau)
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +433,7 @@ def _multiplier(tw: TwistPair, m, n):
     return tw.theta ** np.asarray(m) * tw.phi ** np.asarray(n)
 
 
-def _reduce_off_lattice(z, tau: TorusModulus, cfg: NumericConfig):
+def _reduce_off_lattice(z, tau: TorusModulus):
     """lattice_reduce of the flattened z, with the pole guard.
 
     Also returns each reduced point's distance to the lines Re z = 0 and
@@ -444,31 +443,28 @@ def _reduce_off_lattice(z, tau: TorusModulus, cfg: NumericConfig):
     """
     z_red, m, n = lattice_reduce(np.ravel(z), tau)
     edge = np.minimum(-z_red.real, z_red.real + TWO_PI * tau.tau.imag)
-    near = edge < cfg.pole_guard
-    if near.any() and (lattice_distance(z_red[near], tau)
-                       < cfg.pole_guard).any():
+    near = edge < POLE_GUARD
+    if near.any() and (lattice_distance(z_red[near], tau) < POLE_GUARD).any():
         raise DomainError("z within pole guard of a lattice point")
     return z_red, m, n, edge
 
 
-def _theta_quotient(tw: TwistPair, z_red, tau: TorusModulus, nderiv: int,
-                    cfg: NumericConfig):
+def _theta_quotient(tw: TwistPair, z_red, tau: TorusModulus, nderiv: int):
     """theta[alpha;beta](z) and theta[alpha;beta](0) K(z), numerator and
     denominator of P1, with z-derivatives 0..nderiv at the reduced points
     z_red (1-D): two arrays of shape (nderiv+1, z_red.size).  theta at the
     points and at 0 is one sum, which also decides resonance."""
     th = _theta_g1_derivs(tw.alpha, tw.beta, np.append(z_red, 0.0), tau.tau,
-                          nderiv, cfg)
+                          nderiv)
     th0 = th[0, -1]
-    if abs(th0) < cfg.resonance_guard:
+    if abs(th0) < RESONANCE_GUARD:
         raise ResonanceError("theta[alpha;beta](0, tau) vanishes for this twist")
-    k = _theta_g1_derivs(0.5, 0.5, z_red, tau.tau, nderiv, cfg) \
-        / theta1_deriv0(tau, cfg)
+    k = _theta_g1_derivs(0.5, 0.5, z_red, tau.tau, nderiv) \
+        / theta1_deriv0(tau)
     return th[:, :-1], th0 * k
 
 
-def p1_theta(tw: TwistPair, z, tau: TorusModulus,
-             cfg: NumericConfig = DEFAULT_CONFIG):
+def p1_theta(tw: TwistPair, z, tau: TorusModulus):
     """P1 via the theta-quotient route. Vectorized over z.
 
     Reduces z into the fundamental annulus -2 pi Im tau < Re z <= 0 first
@@ -477,14 +473,13 @@ def p1_theta(tw: TwistPair, z, tau: TorusModulus,
     value does not depend on the other points of its call.
     """
     _check_not_trivial(tw)
-    z_red, m, n, _ = _reduce_off_lattice(z, tau, cfg)
-    num, den = _theta_quotient(tw, z_red, tau, 0, cfg)
+    z_red, m, n, _ = _reduce_off_lattice(z, tau)
+    num, den = _theta_quotient(tw, z_red, tau, 0)
     val = (_multiplier(tw, m, n) * num[0] / den[0]).reshape(np.shape(z))
     return val if np.ndim(z) else complex(val)
 
 
-def _series_terms(tw: TwistPair, z_red, tau: TorusModulus, jmax: int,
-                  cfg: NumericConfig):
+def _series_terms(tw: TwistPair, z_red, tau: TorusModulus, jmax: int):
     """Terms t_j = q_z^{j+lam}/(1 - theta^{-1} q^{j+lam}), j = -jmax..jmax.
 
     One row per reduced point of ``z_red`` (a scalar gives one row).  The
@@ -500,7 +495,7 @@ def _series_terms(tw: TwistPair, z_red, tau: TorusModulus, jmax: int,
     # q^{|j+lam|}: q^{j+lam} on the upper half, q^{-(j+lam)} on the lower
     qpow = np.exp((2j * np.pi * t) * np.abs(j))
     den = np.where(pos, 1.0 - qpow / th, 1.0 - th * qpow)
-    small = np.abs(den) < cfg.resonance_guard
+    small = np.abs(den) < RESONANCE_GUARD
     if small.any():
         raise ResonanceError(
             "resonant denominator 1 - theta^{-1} q^{k+lam}"
@@ -510,11 +505,10 @@ def _series_terms(tw: TwistPair, z_red, tau: TorusModulus, jmax: int,
     return j, np.exp(base * j) * np.where(pos, 1.0, -th) / den
 
 
-def _series_jmax(z_red, tau: TorusModulus, weight_pow: int,
-                 cfg: NumericConfig) -> np.ndarray:
+def _series_jmax(z_red, tau: TorusModulus, weight_pow: int) -> np.ndarray:
     """Truncation index of the q-series at each (reduced) point z_red."""
     width = TWO_PI * tau.tau.imag
-    logtol = math.log(cfg.series_tol) - 6.0
+    logtol = math.log(SERIES_TOL) - 6.0
     out = []
     for re in np.asarray(z_red).real.ravel().tolist():
         # log |e^{z_red}| and log |q / e^{z_red}|
@@ -536,16 +530,15 @@ def _series_jmax(z_red, tau: TorusModulus, weight_pow: int,
     return np.array(out, dtype=int)
 
 
-def p1_series(tw: TwistPair, z, tau: TorusModulus,
-              cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
+def p1_series(tw: TwistPair, z, tau: TorusModulus) -> complex:
     """P1 via the q-series route (independent oracle for p1_theta). Scalar z."""
     _check_not_trivial(tw)
-    z_red, m, n, _ = _reduce_off_lattice(complex(z), tau, cfg)
-    jmax, = _series_jmax(z_red, tau, 0, cfg)
-    _, (terms,) = _series_terms(tw, z_red, tau, jmax, cfg)
+    z_red, m, n, _ = _reduce_off_lattice(complex(z), tau)
+    jmax, = _series_jmax(z_red, tau, 0)
+    _, (terms,) = _series_terms(tw, z_red, tau, jmax)
     val = -np.sum(terms)
     tail = max(abs(terms[0]), abs(terms[-1]))
-    if tail > 1e3 * cfg.series_tol * max(abs(val), 1.0):
+    if tail > 1e3 * SERIES_TOL * max(abs(val), 1.0):
         raise ConvergenceError(f"q-series tail {tail:.2e} above tolerance")
     return complex(_multiplier(tw, int(m[0]), int(n[0])) * val)
 
@@ -553,8 +546,7 @@ def p1_series(tw: TwistPair, z, tau: TorusModulus,
 _P1_BOUNDARY_MARGIN = 0.04  # fraction of the annulus log-width
 
 
-def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus,
-               cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
+def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus) -> np.ndarray:
     """P_k(z) for k = 1..kmax, term-wise analytic; shape z.shape + (kmax,).
 
     Primary route: the reduced q-series differentiated term by term,
@@ -569,15 +561,15 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus,
     _check_not_trivial(tw)
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    z_red, m, n, edge = _reduce_off_lattice(z, tau, cfg)
+    z_red, m, n, edge = _reduce_off_lattice(z, tau)
     out = np.empty((z_red.size, kmax), dtype=complex)
     interior = edge > _P1_BOUNDARY_MARGIN * TWO_PI * tau.tau.imag
     series, = interior.nonzero()
     if series.size:
         zi = z_red[series]
-        jmax = _series_jmax(zi, tau, kmax - 1, cfg)
+        jmax = _series_jmax(zi, tau, kmax - 1)
         mid = int(jmax.max())
-        j, terms = _series_terms(tw, zi, tau, mid, cfg)
+        j, terms = _series_terms(tw, zi, tau, mid)
         # row k-1 holds (-(j+lam))^{k-1}/(k-1)! t_j; each point sums its
         # own -jmax..jmax columns, so its value does not depend on the
         # other points
@@ -589,13 +581,13 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus,
             out[series[rows]] = \
                 -table[:, sel, mid - jm:mid + jm + 1].sum(axis=2).T
     for i in (~interior).nonzero()[0]:
-        out[i] = _p_k_theta_route(tw, kmax, complex(z_red[i]), tau, cfg)
+        out[i] = _p_k_theta_route(tw, kmax, complex(z_red[i]), tau)
     out *= _multiplier(tw, m, n)[:, None]
     return out.reshape(np.shape(z) + (kmax,))
 
 
 def _p_k_theta_route(tw: TwistPair, kmax: int, z_red: complex,
-                     tau: TorusModulus, cfg: NumericConfig) -> np.ndarray:
+                     tau: TorusModulus) -> np.ndarray:
     """P_k at z_red from analytic derivatives of the theta quotient.
 
     With P1 = A/B, A = theta[a;b](z) and B = theta[a;b](0) K(z,tau), the
@@ -603,7 +595,7 @@ def _p_k_theta_route(tw: TwistPair, kmax: int, z_red: complex,
     P1^{(n)} = (A^{(n)} - sum_{j<n} C(n,j) P1^{(j)} B^{(n-j)}) / B.
     """
     nd = kmax - 1
-    num, den = _theta_quotient(tw, np.array([z_red]), tau, nd, cfg)
+    num, den = _theta_quotient(tw, np.array([z_red]), tau, nd)
     a, kk = num[:, 0], den[:, 0]
     p_derivs = np.empty(nd + 1, dtype=complex)
     for nn in range(nd + 1):
@@ -669,8 +661,7 @@ def _power_table(e: np.ndarray, x: np.ndarray, jmax: int) -> np.ndarray:
     return np.cumprod(steps, axis=0)
 
 
-def eisenstein_twisted(tw: TwistPair, n, tau: TorusModulus,
-                       cfg: NumericConfig = DEFAULT_CONFIG):
+def eisenstein_twisted(tw: TwistPair, n, tau: TorusModulus):
     """Twisted Eisenstein series E_n[theta; phi](tau).
 
         E_n = -B_n(lam)/n!
@@ -685,7 +676,7 @@ def eisenstein_twisted(tw: TwistPair, n, tau: TorusModulus,
     Vectorized over the order: an int ``n`` gives a complex, a 1-D
     integer array an array.  All orders come from one (order x r) table
     truncated where the tail of the largest order is below
-    ``cfg.series_tol``, which bounds every lower order's tail too.
+    ``SERIES_TOL``, which bounds every lower order's tail too.
     """
     orders = np.asarray(n)
     if orders.ndim > 1 or not np.issubdtype(orders.dtype, np.integer):
@@ -700,7 +691,7 @@ def eisenstein_twisted(tw: TwistPair, n, tau: TorusModulus,
     theta = tw.theta
     q_abs = abs(np.exp(2j * np.pi * th))
     rate = math.log(q_abs)
-    logtol = math.log(cfg.series_tol) - 6.0
+    logtol = math.log(SERIES_TOL) - 6.0
     rmax = int(math.ceil(logtol / rate)) + 4
     rmax += int(math.ceil((nmax - 1) * math.log(rmax + nmax + 2) / -rate)) + 2
     if nmax * (rmax + 1) > _EISENSTEIN_TABLE_CAP:
@@ -711,7 +702,7 @@ def eisenstein_twisted(tw: TwistPair, n, tau: TorusModulus,
     e1 = np.arange(0, rmax + 1, dtype=float) + lam
     u = np.exp(2j * np.pi * th * e1) / theta
     den1 = 1.0 - u
-    resonant = np.abs(den1) < cfg.resonance_guard
+    resonant = np.abs(den1) < RESONANCE_GUARD
     if np.any(resonant):
         # only the r=0, lam=0, theta=1 term can resonate inside the nome disk
         if lam == 0.0 and resonant[0] and not np.any(resonant[1:]):
@@ -725,7 +716,7 @@ def eisenstein_twisted(tw: TwistPair, n, tau: TorusModulus,
     e2 = np.arange(1, rmax + 1, dtype=float) - lam
     v = theta * np.exp(2j * np.pi * th * e2)
     den2 = 1.0 - v
-    if np.any(np.abs(den2) < cfg.resonance_guard):
+    if np.any(np.abs(den2) < RESONANCE_GUARD):
         raise ResonanceError("resonant denominator in twisted Eisenstein sum")
 
     signs = (-1.0) ** np.arange(1, nmax + 1)

@@ -25,7 +25,6 @@ import time
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, NumericConfig
 from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,
                       SurfacePoint, build_q, epsilon_bound)
 from .errors import DomainError
@@ -50,11 +49,10 @@ SUITE_NAMES = ("skew", "dehn", "modular-eps", "modular-rho", "det-identity",
 # pinned configurations
 # ----------------------------------------------------------------------
 
-def _eps_setup(n_order: int = 16, eps_scale: float = 0.02,
-               cfg: NumericConfig = DEFAULT_CONFIG):
+def _eps_setup():
     t1, t2 = TorusModulus(0.3 + 1.0j), TorusModulus(0.1 + 1.2j)
     bound = epsilon_bound(t1, t2)
-    moduli = EpsilonModuli.create(t1, t2, eps_scale * bound * np.exp(0.5j))
+    moduli = EpsilonModuli.create(t1, t2, 0.02 * bound * np.exp(0.5j))
     chars = GenusTwoCharacteristicsEps(TwistPair(0.17, 0.38),
                                        TwistPair(0.07, -0.29))
     return chars, moduli, bound
@@ -191,45 +189,40 @@ def _skew_residual(ctx, ctx_inv, xs, ys, *logs) -> float:
                         / np.abs(v)))
 
 
-def suite_skew(n_order: int | None = None, m_points: int | None = None,
-               cfg: NumericConfig = DEFAULT_CONFIG) -> list[dict]:
+def suite_skew() -> list[dict]:
     tol = 1e-10
 
-    chars, moduli, _ = _eps_setup(cfg=cfg)
-    ctx = EpsilonContext(chars, moduli, n_order or 16, cfg)
-    ctx_inv = EpsilonContext(chars.inverse(), moduli, n_order or 16, cfg)
+    chars, moduli, _ = _eps_setup()
+    ctx = EpsilonContext(chars, moduli, 16)
+    ctx_inv = EpsilonContext(chars.inverse(), moduli, 16)
     eps = _skew_residual(ctx, ctx_inv, *zip(*_eps_pairs(moduli, 16)))
 
     lam, qabs, handle, smod = _sphere_setups()[0]
     hinv = HandleTwist.from_multipliers(1.0 / handle.theta, 1.0 / handle.phi)
     lx, ly = _sphere_log_pairs(qabs, 16)
-    sphere = _skew_residual(RhoSphereContext(handle, smod, 24, cfg),
-                            RhoSphereContext(hinv, smod, 24, cfg),
+    sphere = _skew_residual(RhoSphereContext(handle, smod, 24),
+                            RhoSphereContext(hinv, smod, 24),
                             np.exp(lx), np.exp(ly), lx, ly)
 
     tw1, hndl, tmod = _rho_torus_setup()
     hinv = HandleTwist(-hndl.alpha, -hndl.beta)
-    ctx = RhoTorusContext(tw1, hndl, tmod, n_order or 12, m_points or 64,
-                          cfg=cfg)
-    ctx_inv = RhoTorusContext(tw1.inverse(), hinv, tmod, n_order or 12,
-                              m_points or 64, cfg=cfg)
+    ctx = RhoTorusContext(tw1, hndl, tmod, 12, 64)
+    ctx_inv = RhoTorusContext(tw1.inverse(), hinv, tmod, 12, 64)
     torus = _skew_residual(ctx, ctx_inv, *zip(*_rho_torus_pairs(tmod, 16)))
     return [_check("two-tori kernel skew-symmetry", eps, tol),
             _check("self-sewn sphere kernel skew-symmetry", sphere, tol),
             _check("self-sewn torus kernel skew-symmetry", torus, tol)]
 
 
-def suite_dehn(n_order: int | None = None, m_points: int | None = None,
-               cfg: NumericConfig = DEFAULT_CONFIG) -> list[dict]:
-    n = n_order or 16
-    chars, moduli, _ = _eps_setup(cfg=cfg)
+def suite_dehn() -> list[dict]:
+    chars, moduli, _ = _eps_setup()
     flip_sqrt = EpsilonModuli.create(
         moduli.tau(1), moduli.tau(2), moduli.epsilon, xi=moduli.xi,
         sqrt_epsilon=-moduli.sqrt_epsilon)
     flip_joint = moduli.dehn_twist()
-    ctx = EpsilonContext(chars, moduli, n, cfg)
-    ctx_sqrt = EpsilonContext(chars, flip_sqrt, n, cfg)
-    ctx_joint = EpsilonContext(chars, flip_joint, n, cfg)
+    ctx = EpsilonContext(chars, moduli, 16)
+    ctx_sqrt = EpsilonContext(chars, flip_sqrt, 16)
+    ctx_joint = EpsilonContext(chars, flip_joint, 16)
     xs, ys = zip(*_eps_pairs(moduli, 8))
     v = _pair_values(ctx, xs, ys)
     w_joint = float(np.max(np.abs(_pair_values(ctx_joint, xs, ys) - v)
@@ -265,11 +258,9 @@ _RHO_GENERATORS = (
 )
 
 
-def suite_modular_eps(n_order: int | None = None,
-                      m_points: int | None = None,
-                      cfg: NumericConfig = DEFAULT_CONFIG) -> list[dict]:
-    chars, moduli, _ = _eps_setup(cfg=cfg)
-    ctx = EpsilonContext(chars, moduli, n_order or 16, cfg)
+def suite_modular_eps() -> list[dict]:
+    chars, moduli, _ = _eps_setup()
+    ctx = EpsilonContext(chars, moduli, 16)
     pairs = _eps_pairs(moduli, 4)
     checks = []
     for name, g in _EPS_GENERATORS:
@@ -283,12 +274,9 @@ def suite_modular_eps(n_order: int | None = None,
     return checks
 
 
-def suite_modular_rho(n_order: int | None = None,
-                      m_points: int | None = None,
-                      cfg: NumericConfig = DEFAULT_CONFIG) -> list[dict]:
+def suite_modular_rho() -> list[dict]:
     tw1, handle, moduli = _rho_torus_setup()
-    ctx = RhoTorusContext(tw1, handle, moduli, n_order or 12, m_points or 64,
-                          cfg=cfg)
+    ctx = RhoTorusContext(tw1, handle, moduli, 12, 64)
     pairs = _rho_torus_pairs(moduli, 2)
     checks = []
     for name, g in _RHO_GENERATORS:
@@ -302,14 +290,12 @@ def suite_modular_rho(n_order: int | None = None,
     return checks
 
 
-def suite_det_identity(n_order: int | None = None,
-                       m_points: int | None = None,
-                       cfg: NumericConfig = DEFAULT_CONFIG) -> list[dict]:
-    n = n_order or 32
+def suite_det_identity() -> list[dict]:
+    n = 32
     checks = []
 
-    chars, moduli, _ = _eps_setup(cfg=cfg)
-    ctx = EpsilonContext(chars, moduli, n, cfg)
+    chars, moduli, _ = _eps_setup()
+    ctx = EpsilonContext(chars, moduli, n)
     f1, f2 = ctx.f_block(1), ctx.f_block(2)
     q = build_q(f1, f2, moduli.xi)
     d_small = ctx.det()
@@ -322,7 +308,7 @@ def suite_det_identity(n_order: int | None = None,
     worst = 0.0
     for lam, qabs, handle, smod in _sphere_setups():
         d_prod = det_i_minus_t_sphere(handle, n, smod)
-        d_mat = RhoSphereContext(handle, smod, n, cfg).det()
+        d_mat = RhoSphereContext(handle, smod, n).det()
         worst = max(worst, abs(d_prod - d_mat))
     checks.append(_check(
         "sphere determinant matches truncated product form", worst, 1e-12,
@@ -330,26 +316,24 @@ def suite_det_identity(n_order: int | None = None,
     return checks
 
 
-def suite_integral_eq(n_order: int | None = None,
-                      m_points: int | None = None,
-                      cfg: NumericConfig = DEFAULT_CONFIG) -> list[dict]:
+def suite_integral_eq() -> list[dict]:
     tol = 1e-7
     quad = 128
     checks = []
 
     # two-tori scheme: S2(x,y) = delta_ab S1_a(x,y)
     #   + (1/2pi i) oint_{C_a} S1_a(x,z) S2(z,y) dz
-    chars, moduli, _ = _eps_setup(cfg=cfg)
-    ctx = EpsilonContext(chars, moduli, n_order or 16, cfg)
+    chars, moduli, _ = _eps_setup()
+    ctx = EpsilonContext(chars, moduli, 16)
     worst = 0.0
     for x, y in _eps_pairs(moduli, 4):
         a = x.which
         tau_a = moduli.tau(a)
         tw_a = chars.tw(a)
         z, wq = circle_nodes(0.0, 0.6 * moduli.radius(a), quad)
-        s1 = p1_theta(tw_a, x.z - z, tau_a, cfg)
+        s1 = p1_theta(tw_a, x.z - z, tau_a)
         s2 = ctx.kernel_matrix([SurfacePoint(a, zz) for zz in z], [y])[:, 0]
-        base = p1_theta(tw_a, x.z - y.z, tau_a, cfg) if y.which == a else 0.0
+        base = p1_theta(tw_a, x.z - y.z, tau_a) if y.which == a else 0.0
         v = ctx.kernel(x, y)
         worst = max(worst, abs(base + np.sum(wq * s1 * s2) - v) / abs(v))
     checks.append(_check("two-tori contour integral equation", worst, tol))
@@ -358,8 +342,7 @@ def suite_integral_eq(n_order: int | None = None,
     #   + sum_a (1/2pi i) oint_{C_a} S_kappa(x,z) S2(z,y) dz,
     # all pairs at once: row i of each grid is x_i, column i is y_i
     tw1, handle, tmod = _rho_torus_setup()
-    rctx = RhoTorusContext(tw1, handle, tmod, n_order or 12, m_points or 64,
-                           cfg=cfg)
+    rctx = RhoTorusContext(tw1, handle, tmod, 12, 64)
     s = rctx.moments.base
     xs, ys = (np.array(p) for p in zip(*_rho_torus_pairs(tmod, 4)))
     la_x, la_y = s.log_a(xs), s.log_a(ys)
@@ -385,42 +368,39 @@ def suite_integral_eq(n_order: int | None = None,
     tau = TorusModulus(0.3 + 1.0j)
     tw = TwistPair(0.17, 0.38)
     z, wq = circle_nodes(0.0, 0.3, 256)
-    vals = p1_theta(tw, z, tau, cfg) - 1.0 / z
+    vals = p1_theta(tw, z, tau) - 1.0 / z
     worst = 0.0
     for m in range(1, 7):
         coeff = np.sum(wq * vals * z ** (-m))
-        worst = max(worst, abs(coeff + eisenstein_twisted(tw, m, tau, cfg)))
+        worst = max(worst, abs(coeff + eisenstein_twisted(tw, m, tau)))
     checks.append(_check(
         "genus-one kernel Laurent coefficients match Eisenstein series",
         worst, 1e-8))
     tw_unit = TwistPair(0.5, 0.5)
-    worst = max(abs(eisenstein_twisted(tw_unit, 3, tau, cfg)),
-                abs(eisenstein_twisted(tw_unit, 5, tau, cfg)))
+    worst = max(abs(eisenstein_twisted(tw_unit, 3, tau)),
+                abs(eisenstein_twisted(tw_unit, 5, tau)))
     checks.append(_check("odd untwisted Eisenstein series vanish",
                          worst, 1e-12))
     return checks
 
 
-def suite_degeneration(n_order: int | None = None,
-                       m_points: int | None = None,
-                       cfg: NumericConfig = DEFAULT_CONFIG) -> list[dict]:
-    n = n_order or 16
+def suite_degeneration() -> list[dict]:
     checks = []
 
-    chars, _, bound = _eps_setup(cfg=cfg)
+    chars, _, bound = _eps_setup()
     t1 = TorusModulus(0.3 + 1.0j)
     scales = np.array([1e-2, 1e-3, 1e-4])
     d_same, d_cross = [], []
     for s in scales:
         moduli = EpsilonModuli.create(t1, TorusModulus(0.1 + 1.2j),
                                       s * bound * np.exp(0.5j))
-        ctx = EpsilonContext(chars, moduli, n, cfg)
+        ctx = EpsilonContext(chars, moduli, 16)
         xs, ys = _eps_point(moduli, 1, 0.23, 0.31), \
             _eps_point(moduli, 1, 0.67, 0.52)
         xc, yc = _eps_point(moduli, 1, 0.41, 0.18), \
             _eps_point(moduli, 2, 0.33, 0.61)
         d_same.append(abs(ctx.kernel(xs, ys)
-                          - p1_theta(chars.tw1, xs.z - ys.z, t1, cfg)))
+                          - p1_theta(chars.tw1, xs.z - ys.z, t1)))
         d_cross.append(abs(ctx.kernel(xc, yc)))
     checks.append(_slope_check(
         "same-torus deviation vanishes linearly in the sewing parameter",
@@ -433,11 +413,11 @@ def suite_degeneration(n_order: int | None = None,
     worst = 0.0
     for lam, qabs, handle, smod in _sphere_setups():
         lx, ly = _sphere_log_pairs(qabs, 4)
-        conv = _pair_values(RhoSphereContext(handle, smod, 24, cfg),
+        conv = _pair_values(RhoSphereContext(handle, smod, 24),
                             np.exp(lx), np.exp(ly), lx, ly) \
             * np.exp(0.5 * (lx + ly))
         for val, d in zip(conv, lx - ly):
-            oracle = p1_series(handle, d, smod.tau, cfg)
+            oracle = p1_series(handle, d, smod.tau)
             worst = max(worst, abs(val - oracle) / abs(oracle))
     checks.append(_check(
         "sphere-sewn torus kernel matches the exact genus-one kernel",
@@ -445,40 +425,39 @@ def suite_degeneration(n_order: int | None = None,
     return checks
 
 
-def suite_convergence(n_order: int | None = None,
-                      m_points: int | None = None,
-                      cfg: NumericConfig = DEFAULT_CONFIG) -> list[dict]:
+def suite_convergence() -> list[dict]:
     checks = []
     tw1, handle, tmod = _rho_torus_setup()
     x, y = _rho_torus_pairs(tmod, 1)[0]
 
-    v64 = RhoTorusContext(tw1, handle, tmod, 12, 64, cfg=cfg).kernel(x, y)
-    v128 = RhoTorusContext(tw1, handle, tmod, 12, 128, cfg=cfg).kernel(x, y)
+    v64 = RhoTorusContext(tw1, handle, tmod, 12, 64).kernel(x, y)
+    v128 = RhoTorusContext(tw1, handle, tmod, 12, 128).kernel(x, y)
     checks.append(_check(
         "quadrature refinement M to 2M leaves the kernel unchanged",
         abs(v64 - v128) / abs(v64), 1e-9))
 
-    vals = [RhoTorusContext(tw1, handle, tmod, n, 64, cfg=cfg).kernel(x, y)
+    vals = [RhoTorusContext(tw1, handle, tmod, n, 64).kernel(x, y)
             for n in (4, 8, 12, 16)]
     rate, _ = tail_estimate(vals)
     checks.append({"name": "self-sewn torus truncation tail is geometric",
                    "rate": float(rate), "maximum": 0.7,
                    "passed": bool(rate < 0.7)})
 
-    chars, moduli, _ = _eps_setup(cfg=cfg)
+    chars, moduli, _ = _eps_setup()
     xe, ye = _eps_pairs(moduli, 2)[1]
-    vals = [EpsilonContext(chars, moduli, n, cfg).kernel(xe, ye)
-            for n in (4, 8, 12, 16)]
+    # the pinned epsilon converges by N = 12, so the orders stop at 8:
+    # three steps above tail_estimate's floor, or no rate is fitted
+    vals = [EpsilonContext(chars, moduli, n).kernel(xe, ye)
+            for n in (2, 4, 6, 8)]
     rate, _ = tail_estimate(vals)
     checks.append({"name": "two-tori truncation tail is geometric",
                    "rate": float(rate), "maximum": 0.7,
                    "passed": bool(rate < 0.7)})
 
-    base = TorusMoments(tw1, handle, 8, tmod, 64, cfg=cfg)
+    base = TorusMoments(tw1, handle, 8, tmod, 64)
     worst = 0.0
     for scale in (0.8, 1.2):
-        mom = TorusMoments(tw1, handle, 8, tmod, 64, radius_scale=scale,
-                           cfg=cfg)
+        mom = TorusMoments(tw1, handle, 8, tmod, 64, radius_scale=scale)
         worst = max(worst, float(np.max(np.abs(mom.g - base.g))))
         hx = base.h_vector(x)
         worst = max(worst, float(np.max(np.abs(mom.h_vector(x) - hx))))
@@ -500,21 +479,18 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, n_order: int | None = None,
-              m_points: int | None = None,
-              cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
+def run_suite(name: str) -> dict:
     """Run one verification suite; returns a JSON-ready report."""
     if name not in _SUITES:
         raise DomainError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     t0 = time.time()
-    checks = _SUITES[name](n_order=n_order, m_points=m_points, cfg=cfg)
+    checks = _SUITES[name]()
     return {"suite": name, "passed": all(c["passed"] for c in checks),
             "seconds": time.time() - t0, "checks": checks}
 
 
-def run_all(n_order: int | None = None, m_points: int | None = None,
-            cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
+def run_all() -> dict:
     """Run every verification suite."""
-    reports = [run_suite(s, n_order, m_points, cfg) for s in SUITE_NAMES]
+    reports = [run_suite(s) for s in SUITE_NAMES]
     return {"passed": all(r["passed"] for r in reports), "suites": reports}

@@ -142,3 +142,11 @@ def test_criterion_12_quadrature_truncation_convergence(capsys):
     assert quad["passed"], quad
     assert rho_tail["passed"], rho_tail
     assert eps_tail["passed"], eps_tail
+
+
+def test_truncation_checks_fit_a_rate():
+    # a rate of 0.0 means too few steps above tail_estimate's floor, and
+    # the check could not fail
+    for name in ("self-sewn torus truncation", "two-tori truncation"):
+        check = _find(_suite("convergence"), name)
+        assert 0.0 < check["rate"] < 0.7, check

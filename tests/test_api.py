@@ -4,6 +4,7 @@ and the README example runs."""
 import ast
 import cmath
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -38,6 +39,27 @@ def test_module_all_resolves(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert not missing
+
+
+def test_no_public_callable_takes_a_config():
+    # tolerances are module constants, read where their check is made
+    takes_cfg = []
+    for name in MODULES:
+        module = importlib.import_module(f"szegosew.{name}")
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            members = [obj] + ([v for v in vars(obj).values() if callable(v)]
+                               if inspect.isclass(obj) else [])
+            for fn in members:
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "cfg" in params:
+                    takes_cfg.append(f"{name}.{attr}")
+    assert not takes_cfg
+    assert not hasattr(szegosew, "NumericConfig")
+    assert not hasattr(szegosew, "DEFAULT_CONFIG")
 
 
 def test_traced_layers_resolve():

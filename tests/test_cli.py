@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from szegosew import numerics
 from szegosew.cli import main
 from szegosew.specialfn import TorusModulus, TwistPair, p1_theta
 
@@ -103,13 +104,11 @@ class TestEval:
         code, _, err = _run(capsys, argv)
         assert code == 2
 
-    def test_numerical_failure_exit_3(self, tmp_path, capsys):
+    def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         # an unattainable solve tolerance turns the moment solve into a
         # reported numerical failure
-        cfgfile = tmp_path / "strict.json"
-        cfgfile.write_text(json.dumps({"solve_residual_tol": 1e-30}))
-        code, _, err = _run(capsys, ["eval", *EPS_ARGS, *POINTS,
-                                     "--config", str(cfgfile)])
+        monkeypatch.setattr(numerics, "SOLVE_RESIDUAL_TOL", 1e-30)
+        code, _, err = _run(capsys, ["eval", *EPS_ARGS, *POINTS])
         assert code == 3 and "numerical failure" in err
 
     def test_out_file(self, tmp_path, capsys):
@@ -123,25 +122,15 @@ class TestEval:
         code, out, _ = _run(capsys, ["eval", "--scheme", "eps", "--schema"])
         assert code == 0 and "x_which" in out
 
-    def test_config_override(self, tmp_path, capsys):
+    def test_removed_tolerance_and_order_flags_exit_2(self, tmp_path):
+        # tolerances are fixed and every verify suite pins its own N and M
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"pole_guard": 1e-9}))
-        code, out, _ = _run(capsys, ["eval", *EPS_ARGS, *POINTS,
-                                     "--config", str(cfgfile)])
-        assert code == 0
-        code, _, err = _run(capsys, ["eval", *EPS_ARGS, *POINTS,
-                                     "--config", str(tmp_path / "nope.json")])
-        assert code == 2
-
-    @pytest.mark.parametrize("field", ["trunc_order", "quad_points"])
-    def test_config_naming_an_order_or_quadrature_field_exit_2(
-            self, tmp_path, capsys, field):
-        # N and M are the --order and --quad flags only
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({field: 16}))
-        for argv in (["eval", *EPS_ARGS, *POINTS], ["verify", "skew"]):
-            code, _, err = _run(capsys, [*argv, "--config", str(cfgfile)])
-            assert code == 2 and field in err
+        for argv in (["eval", *EPS_ARGS, *POINTS, "--config", str(cfgfile)],
+                     ["verify", "skew", "--order", "16"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_unknown_scheme_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -228,7 +217,3 @@ class TestVerify:
             main(["verify", "nosuch"])
         assert exc.value.code == 2
 
-    def test_order_override(self, capsys):
-        code, out, _ = _run(capsys, ["verify", "det-identity",
-                                     "--order", "16"])
-        assert code == 0 and json.loads(out)["passed"]

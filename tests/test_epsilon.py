@@ -10,8 +10,7 @@ from szegosew import epsilon, numerics
 from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
                               GenusTwoCharacteristicsEps, SurfacePoint,
                               build_q, c_matrix, epsilon_bound, f_matrix,
-                              logdet_series, min_lattice_distance,
-                              szego_genus2_eps)
+                              logdet_series, min_lattice_distance)
 from szegosew.errors import DomainError, SingularMatrixError
 from szegosew.numerics import determinant
 from szegosew.rho import RhoModuliSphere, RhoModuliTorus
@@ -113,12 +112,6 @@ class TestDegeneration:
 
 
 class TestKernel:
-    def test_convenience_wrapper_matches_context(self):
-        moduli = _moduli()
-        x, y = _pt(1, 0.23, 0.31), _pt(2, 0.33, 0.61)
-        assert szego_genus2_eps(CHARS, x, y, moduli, 12) \
-            == EpsilonContext(CHARS, moduli, 12).kernel(x, y)
-
     def test_skew_symmetry(self):
         moduli = _moduli()
         ctx = EpsilonContext(CHARS, moduli, 12)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szegosew import numerics
-from szegosew.config import DEFAULT_CONFIG
+from szegosew import config
 from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
                               GenusTwoCharacteristicsEps, SurfacePoint)
 from szegosew.errors import ConvergenceError, SingularMatrixError
@@ -160,9 +160,8 @@ class TestTailEstimate:
             tail_estimate([1.0, 2.0, 4.0, 8.0, 16.0])
 
 
-def test_config_immutability_and_override():
-    cfg = DEFAULT_CONFIG
-    with pytest.raises(Exception):
-        cfg.theta_tol = 0.0
-    assert cfg.with_(pole_guard=1e-9).pole_guard == 1e-9
-    assert cfg.pole_guard == 1e-8
+def test_fixed_tolerances():
+    assert (config.THETA_TOL, config.SERIES_TOL, numerics.SOLVE_RESIDUAL_TOL,
+            config.POLE_GUARD, config.RESONANCE_GUARD) \
+        == (1e-14, 1e-12, 1e-12, 1e-8, 1e-13)
+    assert numerics.CONDITION_THRESHOLD == 1e12

@@ -7,14 +7,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from szegosew import rho, specialfn
-from szegosew.config import DEFAULT_CONFIG
-from szegosew.errors import BranchTrackingError, DomainError, ResonanceError
+from szegosew import numerics, rho, specialfn
+from szegosew.errors import (BranchTrackingError, DomainError, ResonanceError,
+                             SingularMatrixError)
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                           RhoSphereContext, RhoTorusContext, TorusBaseKernel,
                           det_i_minus_t_sphere, log_a_torus, mode_index,
-                          s_kappa_sphere, sphere_moments, szego_genus2_rho,
-                          torus_from_sphere)
+                          s_kappa_sphere, sphere_moments, torus_from_sphere)
 from szegosew.specialfn import (TorusModulus, TwistPair, lattice_distance,
                                 p1_series, theta1)
 
@@ -189,11 +188,10 @@ class TestTrackedLogarithmFarPoints:
         # twenty periods out neither overflows nor widens the box
         z = _pt(0.09, 0.53)
         far = TWO_PI_I * (0.37 + 20.21 * TAU.tau)
-        alone = rho._a_values(np.array([z]), TAU, W, DEFAULT_CONFIG)
+        alone = rho._a_values(np.array([z]), TAU, W)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = rho._a_values(np.array([z, far, 9.0 + 0.1j]), TAU, W,
-                                  DEFAULT_CONFIG)
+            batch = rho._a_values(np.array([z, far, 9.0 + 0.1j]), TAU, W)
         assert batch[0] == alone[0]
         assert np.all(np.isfinite(batch))
 
@@ -270,13 +268,13 @@ class TestTorusSewing:
         calls = {"theta_kw": 0, "theta1_d0": 0}
         original = specialfn._theta_g1_derivs
 
-        def counting(alpha, beta, z, tau, nderiv, cfg, *box):
+        def counting(alpha, beta, z, tau, nderiv, *box):
             if np.ndim(z) == 0:
                 if (alpha, beta, nderiv) == (0.5, 0.5, 1) and z == 0:
                     calls["theta1_d0"] += 1
                 elif (alpha, beta) == (TW1.alpha, TW1.beta):
                     calls["theta_kw"] += 1
-            return original(alpha, beta, z, tau, nderiv, cfg, *box)
+            return original(alpha, beta, z, tau, nderiv, *box)
         monkeypatch.setattr(specialfn, "_theta_g1_derivs", counting)
         monkeypatch.setattr(rho, "_theta_g1_derivs", counting)
         ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, 32)
@@ -301,12 +299,6 @@ class TestTorusSewing:
             assert near.moments.base.tracked
             assert abs(near.kernel(x, y) - v) < 1e-7 * abs(v)
             assert abs(near.det() - d) < 1e-7 * abs(d)
-
-    def test_convenience_wrapper_matches_context(self):
-        mod = _torus_moduli()
-        x, y = _pt(0.09, 0.53), _pt(0.61, 0.12, offset=W)
-        assert szego_genus2_rho(TW1, HANDLE, x, y, mod, 8, 64) \
-            == RhoTorusContext(TW1, HANDLE, mod, 8, 64).kernel(x, y)
 
     def test_half_kappa_handle_rejected(self):
         half = HandleTwist.from_multipliers(np.exp(0.3j), 1.0)
@@ -389,6 +381,18 @@ class TestKernelMatrix:
         ctx.kernel_matrix(xs, ys, [s.log_a(x) for x in xs])
         assert sweeps[-1] == ys.size
 
+    def test_det_ungated_while_every_kernel_call_raises(self, monkeypatch):
+        # the context builds and factorises I - T; only the kernel's
+        # solve is gated
+        mod = RhoModuliTorus.create(0.2 + 1.1j, -1.866 + 2.315j,
+                                    0.001 + 0.0006j)
+        expected = RhoTorusContext(TW1, HANDLE, mod, 8, 64).det()
+        monkeypatch.setattr(numerics, "CONDITION_THRESHOLD", 0.5)
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 8, 64)
+        assert ctx.det() == expected
+        with pytest.raises(SingularMatrixError):
+            ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=mod.w))
+
 
 def _moduli_at(tau_c, scale=0.05):
     tau = TorusModulus(tau_c)
@@ -404,15 +408,15 @@ def _direct_reference(s, xs, lax, ys, lay, bump=0.0):
     ``bump`` moves the numerator sum by +bump * sum|terms| and the
     denominator sum by -bump * sum|terms|, each along its own phase.
     """
-    cfg, tau = s.cfg, s.moduli.tau.tau
+    tau = s.moduli.tau.tau
     diff = np.subtract.outer(np.asarray(xs), np.asarray(ys))
 
     def sums(alpha, beta, z):
-        val = specialfn._theta_g1_derivs(alpha, beta, z, tau, 0, cfg)[0]
+        val = specialfn._theta_g1_derivs(alpha, beta, z, tau, 0)[0]
         # |terms| of theta[alpha;beta](z|tau) are the terms of
         # theta[alpha;0](Re z | i Im tau), all positive
         size = specialfn._theta_g1_derivs(alpha, 0.0, z.real, 1j * tau.imag,
-                                          0, cfg)[0].real
+                                          0)[0].real
         return val, size
 
     num, num_size = sums(s.tw1.alpha, s.tw1.beta, diff + s.kappa * s.moduli.w)
@@ -420,7 +424,7 @@ def _direct_reference(s, xs, lax, ys, lay, bump=0.0):
     num = num + bump * num_size * num / np.abs(num)
     den = den - bump * den_size * den / np.abs(den)
     th0 = specialfn._theta_g1_derivs(s.tw1.alpha, s.tw1.beta,
-                                     s.kappa * s.moduli.w, tau, 0, cfg)[0]
+                                     s.kappa * s.moduli.w, tau, 0)[0]
     u_pow = np.exp(s.kappa * np.subtract.outer(np.asarray(lax),
                                                np.asarray(lay)))
     ref = u_pow * num / (th0 * den / specialfn.theta1_deriv0(s.moduli.tau))

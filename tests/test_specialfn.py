@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szegosew.config import DEFAULT_CONFIG
 from szegosew.errors import ConvergenceError, DomainError, ResonanceError
 from szegosew.specialfn import (Characteristics, K, TorusModulus, TwistPair,
                                 _p_k_theta_route, _theta_g1_derivs,
@@ -157,7 +156,7 @@ class TestTheta1:
         tw = TwistPair(0.17, 0.38)
         zs = np.array([TWO_PI_I * (u + v * tau)
                        for u, v in [(0.23, 0.31), (0.67, -0.52), (-0.41, 0.18)]])
-        derivs = _theta_g1_derivs(tw.alpha, tw.beta, zs, tau, 3, DEFAULT_CONFIG)
+        derivs = _theta_g1_derivs(tw.alpha, tw.beta, zs, tau, 3)
         odd = theta1(zs, torus)
         # errors are measured against the sum of the absolute values of
         # the terms, the scale of the rounding error of the sum
@@ -294,7 +293,7 @@ class TestTwistedKernel:
         tw = TwistPair(0.17, 0.38)
         for z in (-1.3 + 2.0j, -3.0 + 0.3j, -5.883 + 2.985j):
             series = p_k_vector(tw, 6, z, TAU)
-            theta = _p_k_theta_route(tw, 6, z, TAU, DEFAULT_CONFIG)
+            theta = _p_k_theta_route(tw, 6, z, TAU)
             assert np.all(np.abs(series - theta) < 1e-12 * np.abs(theta)), z
 
     def test_batched_values_do_not_depend_on_the_batch(self):
