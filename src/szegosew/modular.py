@@ -11,10 +11,12 @@ Gamma_1 = SL(2,Z) acting on (tau, w, rho).
 
 Elements are stored as words in the generators so that branch
 bookkeeping (square roots of epsilon and rho, the half-form factors of
-point rescalings) stays exact.  Characteristic transport is computed two
-ways -- the explicit multiplier maps and the symplectic characteristic
-law on (alpha, beta) through the Sp(4,Z) matrix of the word -- and the
-two routes are asserted to agree.
+point rescalings) stays exact.  Both groups share one word core
+(identity, compose, sp4) and one set of generator atoms, each with its
+Sp(4,Z) matrix and its closed-form multiplier map.  Characteristic
+transport is computed two ways -- the multiplier maps and the symplectic
+characteristic law on (alpha, beta) through the Sp(4,Z) matrix of the
+word -- and the two routes are asserted to agree.
 
 ``g.transform(ctx)`` walks the word of g once and returns the transformed
 evaluation context together with the point map of the word, so the
@@ -28,7 +30,6 @@ invariance means S_new(g x, g y) = S_old(x, y) s_x s_y.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,11 +50,74 @@ __all__ = [
 TWO_PI_I = 2j * np.pi
 
 
-def _check_sl2(abcd) -> tuple:
-    a, b, c, d = (int(v) for v in abcd)
+def _integer(v) -> int:
+    """v as an int; DomainError unless v is integral."""
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != v:
+        raise DomainError(f"word entries must be integers, got {v!r}")
+    return n
+
+
+def _check_atom(kind, data) -> tuple:
+    """(kind, data) with data checked: None for beta, an SL(2,Z) tuple for
+    gamma1/gamma2, an integer power otherwise."""
+    if kind == "beta":
+        return kind, None
+    if kind not in ("gamma1", "gamma2"):
+        return kind, _integer(data)
+    a, b, c, d = (_integer(v) for v in data)
     if a * d - b * c != 1:
-        raise DomainError(f"(a,b,c,d)={abcd} must satisfy ad - bc = 1")
-    return a, b, c, d
+        raise DomainError(f"(a,b,c,d)={data} must satisfy ad - bc = 1")
+    return kind, (a, b, c, d)
+
+
+# ----------------------------------------------------------------------
+# generator atoms of both groups
+# ----------------------------------------------------------------------
+
+def _sp4_gamma(i: int, abcd) -> np.ndarray:
+    """SL(2,Z) element (a,b,c,d) acting on the cycles of torus i (0 or 1)."""
+    m = np.eye(4, dtype=int)
+    m[i, i], m[i, i + 2], m[i + 2, i], m[i + 2, i + 2] = abcd
+    return m
+
+
+def _sp4_mu(a: int, b: int, c: int) -> np.ndarray:
+    return np.array([[1, 0, 0, b], [a, 1, b, c],
+                     [0, 0, 1, -a], [0, 0, 0, 1]], dtype=int)
+
+
+# Sp(4,Z) matrix of each atom; mu(1,0,0)^n = mu(n,0,0) and
+# mu(0,1,0)^n = mu(0,n,0) for every integer n
+_SP4 = {"gamma1": lambda abcd: _sp4_gamma(0, abcd),
+        "gamma2": lambda abcd: _sp4_gamma(1, abcd),
+        "beta": lambda _: np.array([[0, 1, 0, 0], [1, 0, 0, 0],
+                                    [0, 0, 0, 1], [0, 0, 1, 0]], dtype=int),
+        "A": lambda n: _sp4_mu(n, 0, 0),
+        "B": lambda n: _sp4_mu(0, n, 0),
+        "C": lambda n: _sp4_mu(0, 0, n)}
+
+
+def _atom_mults(kind, data, mults):
+    """(theta1, theta2, phi1, phi2) under one generator atom."""
+    th1, th2, ph1, ph2 = mults
+    if kind == "beta":
+        return th2, th1, ph2, ph1
+    if kind == "A":
+        return th1, th2 * (-th1) ** data, ph1 / (-ph2) ** data, ph2
+    if kind == "B":
+        return th1 * (-ph2) ** data, th2 * (-ph1) ** data, ph1, ph2
+    if kind == "C":
+        # theta2 -> theta2 phi2 per full turn of rho (the symplectic
+        # characteristic law fixes this sign)
+        return th1, th2 * ph2 ** data, ph1, ph2
+    a, b, c, d = data
+    if kind == "gamma1":
+        return th1 ** a * ph1 ** b, th2, th1 ** c * ph1 ** d, ph2
+    return th1, th2 ** a * ph2 ** b, ph1, th2 ** c * ph2 ** d
 
 
 # ----------------------------------------------------------------------
@@ -61,34 +125,66 @@ def _check_sl2(abcd) -> tuple:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EpsGroupElement:
-    """Word in the epsilon-scheme generators gamma_1, gamma_2, beta_swap.
+class _Word:
+    """Word in the generators of one symmetry group; acts left-to-right.
 
-    Atoms are ("gamma1", (a,b,c,d)), ("gamma2", (a,b,c,d)) or
-    ("beta", None); the word acts left-to-right.
+    Every atom is checked at construction against the generators
+    ``_KINDS`` of the group.
     """
 
     word: tuple = ()
 
+    def __post_init__(self) -> None:
+        for kind, _ in self.word:
+            if kind not in self._KINDS:
+                raise DomainError(f"{kind!r} is not a generator of "
+                                  f"{type(self).__name__}")
+        object.__setattr__(self, "word",
+                           tuple(_check_atom(*atom) for atom in self.word))
+
     @classmethod
-    def identity(cls) -> "EpsGroupElement":
+    def identity(cls):
         return cls(())
 
     @classmethod
-    def gamma1(cls, a, b, c, d) -> "EpsGroupElement":
-        return cls((("gamma1", _check_sl2((a, b, c, d))),))
+    def gamma1(cls, a, b, c, d):
+        """SL(2,Z) element acting on the first torus, in both groups."""
+        return cls((("gamma1", (a, b, c, d)),))
+
+    @classmethod
+    def _power(cls, kind: str, n):
+        return cls(((kind, n),) if n else ())
+
+    def compose(self, other):
+        """Word acting as self first, then other (of the same group)."""
+        if type(other) is not type(self):
+            raise DomainError(f"cannot compose a {type(self).__name__} with "
+                              f"a {type(other).__name__}")
+        return type(self)(self.word + other.word)
+
+    def sp4(self) -> np.ndarray:
+        m = np.eye(4, dtype=int)
+        for kind, data in self.word:
+            m = _SP4[kind](data) @ m
+        return m
+
+
+class EpsGroupElement(_Word):
+    """Word in the epsilon-scheme generators gamma_1, gamma_2, beta_swap.
+
+    Atoms are ("gamma1", (a,b,c,d)), ("gamma2", (a,b,c,d)) or
+    ("beta", None).
+    """
+
+    _KINDS = ("gamma1", "gamma2", "beta")
 
     @classmethod
     def gamma2(cls, a, b, c, d) -> "EpsGroupElement":
-        return cls((("gamma2", _check_sl2((a, b, c, d))),))
+        return cls((("gamma2", (a, b, c, d)),))
 
     @classmethod
     def beta_swap(cls) -> "EpsGroupElement":
         return cls((("beta", None),))
-
-    def compose(self, other: "EpsGroupElement") -> "EpsGroupElement":
-        """Word acting as self first, then other."""
-        return EpsGroupElement(self.word + other.word)
 
     def transform(self, ctx: EpsilonContext):
         """(transformed context, point map SurfacePoint -> (point, factor))."""
@@ -98,105 +194,47 @@ class EpsGroupElement:
         moduli, point = _eps_walk(self, ctx.moduli)
         return EpsilonContext(chars, moduli, ctx.n_order), point
 
-    def sp4(self) -> np.ndarray:
-        m = np.eye(4, dtype=int)
-        for kind, data in self.word:
-            m = _EPS_SP4[kind](data) @ m
-        return m
 
-
-def _sp4_gamma1(abcd) -> np.ndarray:
-    a, b, c, d = abcd
-    return np.array([[a, 0, b, 0], [0, 1, 0, 0],
-                     [c, 0, d, 0], [0, 0, 0, 1]], dtype=int)
-
-
-def _sp4_gamma2(abcd) -> np.ndarray:
-    a, b, c, d = abcd
-    return np.array([[1, 0, 0, 0], [0, a, 0, b],
-                     [0, 0, 1, 0], [0, c, 0, d]], dtype=int)
-
-
-def _sp4_swap(_) -> np.ndarray:
-    return np.array([[0, 1, 0, 0], [1, 0, 0, 0],
-                     [0, 0, 0, 1], [0, 0, 1, 0]], dtype=int)
-
-
-_EPS_SP4 = {"gamma1": _sp4_gamma1, "gamma2": _sp4_gamma2, "beta": _sp4_swap}
-
-
-@dataclass(frozen=True)
-class RhoGroupElement:
+class RhoGroupElement(_Word):
     """Word in the rho-scheme generators A, B, C, gamma1.
 
     Atoms are ("A", n), ("B", n), ("C", n) with integer powers n, or
-    ("gamma1", (a,b,c,d)); the word acts left-to-right.
+    ("gamma1", (a,b,c,d)).
     """
 
-    word: tuple = ()
-
-    @classmethod
-    def identity(cls) -> "RhoGroupElement":
-        return cls(())
+    _KINDS = ("A", "B", "C", "gamma1")
 
     @classmethod
     def a_shift(cls, n: int = 1) -> "RhoGroupElement":
-        return cls((("A", int(n)),)) if n else cls(())
+        return cls._power("A", n)
 
     @classmethod
     def b_shift(cls, n: int = 1) -> "RhoGroupElement":
-        return cls((("B", int(n)),)) if n else cls(())
+        return cls._power("B", n)
 
     @classmethod
     def c_power(cls, n: int = 1) -> "RhoGroupElement":
-        return cls((("C", int(n)),)) if n else cls(())
+        return cls._power("C", n)
 
     @classmethod
     def mu(cls, a: int, b: int, c: int) -> "RhoGroupElement":
         return cls.a_shift(a).compose(cls.b_shift(b)).compose(cls.c_power(c))
 
-    @classmethod
-    def gamma1(cls, a, b, c, d) -> "RhoGroupElement":
-        return cls((("gamma1", _check_sl2((a, b, c, d))),))
-
-    def compose(self, other: "RhoGroupElement") -> "RhoGroupElement":
-        """Word acting as self first, then other."""
-        return RhoGroupElement(self.word + other.word)
-
     def transform(self, ctx: RhoTorusContext):
         """(transformed context, point map z -> (z', half-form factor))."""
         if not isinstance(ctx, RhoTorusContext):
             raise DomainError("rho-scheme words act on a RhoTorusContext")
-        mults = _rho_mults(self, (ctx.tw1.theta, ctx.handle.theta,
-                                  ctx.tw1.phi, ctx.handle.phi))
+        mults = _transport(self, (ctx.tw1.theta, ctx.handle.theta,
+                                 ctx.tw1.phi, ctx.handle.phi))
         moduli, point = _rho_walk(self, ctx.moduli)
         ctx2 = RhoTorusContext(TwistPair.from_multipliers(mults[0], mults[2]),
                                HandleTwist.from_multipliers(mults[1], mults[3]),
-                               moduli, ctx.n_order, ctx.moments.m_points,
-                               ctx.moments.radius_scale)
+                               moduli, ctx.n_order, ctx.moments.m_points)
         return ctx2, point
-
-    def sp4(self) -> np.ndarray:
-        m = np.eye(4, dtype=int)
-        for kind, data in self.word:
-            m = _RHO_SP4[kind](data) @ m
-        return m
-
-
-def _sp4_mu(a: int, b: int, c: int) -> np.ndarray:
-    return np.array([[1, 0, 0, b], [a, 1, b, c],
-                     [0, 0, 1, -a], [0, 0, 0, 1]], dtype=int)
-
-
-# mu(1,0,0)^n = mu(n,0,0) and mu(0,1,0)^n = mu(0,n,0) for every integer n
-_RHO_SP4 = {"A": lambda n: _sp4_mu(n, 0, 0),
-            "B": lambda n: _sp4_mu(0, n, 0),
-            "C": lambda n: _sp4_mu(0, 0, n),
-            "gamma1": _sp4_gamma1}
 
 
 # ----------------------------------------------------------------------
-# characteristic transport: symplectic route
+# characteristic transport
 # ----------------------------------------------------------------------
 
 def sp4_char_transport(m: np.ndarray, alpha, beta):
@@ -215,52 +253,38 @@ def sp4_char_transport(m: np.ndarray, alpha, beta):
     return al2, be2
 
 
-def _mults_from_char(alpha, beta):
-    th = -np.exp(-TWO_PI_I * np.asarray(beta, dtype=float))
-    ph = -np.exp(TWO_PI_I * np.asarray(alpha, dtype=float))
-    return (complex(th[0]), complex(th[1]), complex(ph[0]), complex(ph[1]))
+def _transport(g: _Word, mults) -> tuple:
+    """Multipliers (theta1, theta2, phi1, phi2) transported along g.
 
-
-def _assert_char_routes_agree(word_mults, sp4_mat, alpha0, beta0) -> None:
-    al2, be2 = sp4_char_transport(sp4_mat, alpha0, beta0)
-    expected = _mults_from_char(al2, be2)
-    for got, exp in zip(word_mults, expected):
-        if abs(got - exp) > 1e-9:
-            raise SzegosewError(
-                "characteristic transport routes disagree: "
-                f"multiplier map gives {word_mults}, symplectic law {expected}")
-
-
-# ----------------------------------------------------------------------
-# epsilon-scheme action
-# ----------------------------------------------------------------------
-
-def _eps_atom_mults(kind, data, mults):
-    """(theta1, theta2, phi1, phi2) under one generator atom."""
-    th1, th2, ph1, ph2 = mults
-    if kind == "beta":
-        return (th2, th1, ph2, ph1)
-    a, b, c, d = data
-    if kind == "gamma1":
-        return (th1 ** a * ph1 ** b, th2, th1 ** c * ph1 ** d, ph2)
-    if kind == "gamma2":
-        return (th1, th2 ** a * ph2 ** b, ph1, th2 ** c * ph2 ** d)
-    raise DomainError(f"unknown epsilon-scheme generator {kind}")
+    The atom multiplier maps and the symplectic characteristic law
+    through g.sp4() are asserted to agree.
+    """
+    out = tuple(complex(v) for v in mults)
+    tw = [TwistPair.from_multipliers(out[i], out[i + 2]) for i in (0, 1)]
+    for kind, data in g.word:
+        out = _atom_mults(kind, data, out)
+    al2, be2 = sp4_char_transport(g.sp4(), [t.alpha for t in tw],
+                                  [t.beta for t in tw])
+    expected = (*-np.exp(-TWO_PI_I * be2), *-np.exp(TWO_PI_I * al2))
+    if max(abs(got - exp) for got, exp in zip(out, expected)) > 1e-9:
+        raise SzegosewError(
+            "characteristic transport routes disagree: multiplier map "
+            f"gives {out}, symplectic law {tuple(map(complex, expected))}")
+    return out
 
 
 def act_eps_chars(g: EpsGroupElement,
                   c: GenusTwoCharacteristicsEps) -> GenusTwoCharacteristicsEps:
     """Transport the twist data; multiplier and symplectic routes asserted equal."""
-    mults = (c.tw1.theta, c.tw2.theta, c.tw1.phi, c.tw2.phi)
-    for kind, data in g.word:
-        mults = _eps_atom_mults(kind, data, mults)
-    _assert_char_routes_agree(mults, g.sp4(),
-                              (c.tw1.alpha, c.tw2.alpha),
-                              (c.tw1.beta, c.tw2.beta))
-    return GenusTwoCharacteristicsEps(
-        TwistPair.from_multipliers(mults[0], mults[2]),
-        TwistPair.from_multipliers(mults[1], mults[3]))
+    th1, th2, ph1, ph2 = _transport(g, (c.tw1.theta, c.tw2.theta,
+                                        c.tw1.phi, c.tw2.phi))
+    return GenusTwoCharacteristicsEps(TwistPair.from_multipliers(th1, ph1),
+                                      TwistPair.from_multipliers(th2, ph2))
 
+
+# ----------------------------------------------------------------------
+# epsilon-scheme action
+# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _EpsState:
@@ -344,34 +368,6 @@ def act_eps(g: EpsGroupElement, c: GenusTwoCharacteristicsEps,
 # rho-scheme action
 # ----------------------------------------------------------------------
 
-def _rho_atom_mults(kind, data, mults):
-    th1, th2, ph1, ph2 = mults
-    if kind == "A":
-        step = 1 if data >= 0 else -1
-        for _ in range(abs(int(data))):
-            if step > 0:
-                th1, th2, ph1, ph2 = th1, -th2 * th1, -ph1 / ph2, ph2
-            else:
-                th1, th2, ph1, ph2 = th1, -th2 / th1, -ph1 * ph2, ph2
-        return th1, th2, ph1, ph2
-    if kind == "B":
-        step = 1 if data >= 0 else -1
-        for _ in range(abs(int(data))):
-            if step > 0:
-                th1, th2 = -th1 * ph2, -th2 * ph1
-            else:
-                th1, th2 = -th1 / ph2, -th2 / ph1
-        return th1, th2, ph1, ph2
-    if kind == "C":
-        # C: theta2 -> theta2 phi2 per full turn of rho (the symplectic
-        # characteristic law fixes this sign)
-        return th1, th2 * ph2 ** int(data), ph1, ph2
-    if kind == "gamma1":
-        a, b, c, d = data
-        return th1 ** a * ph1 ** b, th2, th1 ** c * ph1 ** d, ph2
-    raise DomainError(f"unknown rho-scheme generator {kind}")
-
-
 @dataclass(frozen=True)
 class _RhoState:
     tau: complex
@@ -380,7 +376,6 @@ class _RhoState:
     log_rho: complex
     xi: complex
     z_ref: complex
-    log_a_ref: complex
     winding: int
     contour_radius: float
 
@@ -392,16 +387,17 @@ def _winding_jump(st: _RhoState, a: int, b: int) -> int:
     quasi-periodicity of log A(z) = log(theta1(z-w)/theta1(z)),
         log A(z + 2 pi i (a tau + b)) = log A(z) + a w  (mod 2 pi i),
     on the contours around the puncture at w.  Straight-path tracking
-    from the anchor realizes this with a position-dependent integer
-    sheet; this probe measures it at the actual contour radii so the
-    atom can absorb the jump into the moduli's winding datum.
+    from z_ref realizes this with a position-dependent integer sheet;
+    this probe measures it at the actual contour radii so the atom can
+    absorb the jump into the moduli's winding datum.  Only differences
+    of tracked values are read, so the anchor value is 0.
     """
     delta = TWO_PI_I * (a * st.tau + b)
     # probes on the x and y contour radii (rows) and their shifts (columns),
     # tracked in one sweep
     p = st.w + np.array([X_RADIUS_FACTOR, Y_RADIUS_FACTOR]) * st.contour_radius
     la = log_a_torus(p[:, None] + np.array([0.0, delta]), TorusModulus(st.tau),
-                     st.w, z_ref=st.z_ref, log_a_ref=st.log_a_ref)
+                     st.w, z_ref=st.z_ref, log_a_ref=0.0)
     sheets = []
     for l0, l1 in la:
         n = (l1 - l0 - a * st.w) / TWO_PI_I
@@ -423,51 +419,28 @@ def _rho_atom_moduli(kind, data, st: _RhoState):
     The point step is c tau + d for gamma1, which rescales points, and
     None for the generators that leave points in place.
     """
-    # Lattice shifts of the puncture, w -> w + 2 pi i (a tau + b), move the
-    # branch anchor of log A(z) = log(theta1(z - w)/theta1(z)) on the
-    # covering space.  Theta quasi-periodicity gives the exact law
-    #     log A_new(z) = log A_old(z) + a (z - w + i pi)
-    #                    - i pi tau a^2 - i pi b,
-    # applied here at the fixed reference point z_ref so that all branch
-    # tracking in the transformed moduli stays coherent with the original.
-    # On the covering space the puncture shifts also move the recorded
-    # rho branch: with the anchored log A convention, a unit shift
-    # w -> w + 2 pi i tau carries log_rho -> log_rho + 2 pi i and
-    # w -> w + 2 pi i carries log_rho -> log_rho - 2 pi i, which is what
-    # makes the kernel exactly invariant with the canonical (Sp4) action
-    # on the characteristics.  Multi-step shifts are applied one unit at
-    # a time so each anchor update uses the current w.
-    if kind == "A":
-        for _ in range(abs(int(data))):
-            a = 1 if data > 0 else -1
-            shift = a * (st.z_ref - st.w + 1j * math.pi) \
-                - 1j * math.pi * st.tau
-            winding = st.winding - a - _winding_jump(st, a, 0)
-            st = replace(st, w=st.w + TWO_PI_I * a * st.tau,
-                         log_rho=st.log_rho + TWO_PI_I * a,
-                         log_a_ref=st.log_a_ref + shift, winding=winding)
-        return st, None
-    if kind == "B":
-        for _ in range(abs(int(data))):
-            b = 1 if data > 0 else -1
-            winding = st.winding + b - _winding_jump(st, 0, b)
-            st = replace(st, w=st.w + TWO_PI_I * b,
-                         log_rho=st.log_rho - TWO_PI_I * b,
-                         log_a_ref=st.log_a_ref - 1j * math.pi * b,
+    if kind in ("A", "B"):
+        # A^n and B^n move the puncture w -> w + 2 pi i (a tau + b) one
+        # unit step at a time, so each sheet probe reads the current w.
+        # On the covering space a unit step also moves the recorded rho
+        # branch, log_rho -> log_rho + 2 pi i (a - b), which makes the
+        # kernel exactly invariant with the Sp(4) action on the
+        # characteristics.
+        unit = 1 if data > 0 else -1
+        a, b = (unit, 0) if kind == "A" else (0, unit)
+        for _ in range(abs(data)):
+            winding = st.winding + b - a - _winding_jump(st, a, b)
+            st = replace(st, w=st.w + TWO_PI_I * (a * st.tau + b),
+                         log_rho=st.log_rho + TWO_PI_I * (a - b),
                          winding=winding)
         return st, None
     if kind == "C":
         return replace(st, log_rho=st.log_rho + TWO_PI_I * data), None
     a, b, c, d = data
     j = c * st.tau + d
-    # theta1 modular covariance: the Gaussian factors exp(c z^2 / (4 pi i j))
-    # cancel between numerator and denominator of A up to the exact linear
-    # correction c (w^2 - 2 z w) / (4 pi i j) in log A at z.
-    shift = c * (st.w * st.w - 2.0 * st.z_ref * st.w) / (2.0 * TWO_PI_I * j)
     return _RhoState((a * st.tau + b) / j, st.w / j, st.rho / (j * j),
-                     st.log_rho - 2.0 * cmath.log(j), st.xi,
-                     st.z_ref / j, st.log_a_ref + shift, st.winding,
-                     st.contour_radius / abs(j)), j
+                     st.log_rho - 2.0 * cmath.log(j), st.xi, st.z_ref / j,
+                     st.winding, st.contour_radius / abs(j)), j
 
 
 def _rho_walk(g: RhoGroupElement, m: RhoModuliTorus):
@@ -476,8 +449,8 @@ def _rho_walk(g: RhoGroupElement, m: RhoModuliTorus):
     gamma1 rescales points by 1/(c tau + d) with half-form factor
     sqrt(c tau + d); the other generators leave points in place.
     """
-    st = _RhoState(m.tau.tau, m.w, m.rho, m.log_rho, m.xi,
-                   m.z_ref, m.log_a_ref, m.winding, m.contour_radius)
+    st = _RhoState(m.tau.tau, m.w, m.rho, m.log_rho, m.xi, m.z_ref,
+                   m.winding, m.contour_radius)
     steps = []
     for kind, data in g.word:
         st, j = _rho_atom_moduli(kind, data, st)
@@ -493,31 +466,14 @@ def _rho_walk(g: RhoGroupElement, m: RhoModuliTorus):
         return z, factor
 
     moduli = RhoModuliTorus(tau=TorusModulus(st.tau), w=st.w, rho=st.rho,
-                            log_rho=st.log_rho, xi=st.xi,
-                            z_ref=st.z_ref, log_a_ref=st.log_a_ref,
+                            log_rho=st.log_rho, xi=st.xi, z_ref=st.z_ref,
                             winding=st.winding)
     return moduli, point
 
 
-def _rho_mults(g: RhoGroupElement, mults) -> tuple:
-    """Multipliers (theta1, theta2, phi1, phi2) transported along g.
-
-    The multiplier maps and the symplectic route are asserted equal.
-    """
-    tw1 = TwistPair.from_multipliers(mults[0], mults[2])
-    tw2 = TwistPair.from_multipliers(mults[1], mults[3])
-    out = tuple(complex(v) for v in mults)
-    for kind, data in g.word:
-        out = _rho_atom_mults(kind, data, out)
-    _assert_char_routes_agree(out, g.sp4(), (tw1.alpha, tw2.alpha),
-                              (tw1.beta, tw2.beta))
-    return out
-
-
 def act_rho(g: RhoGroupElement, m: RhoModuliTorus, mults):
     """Transformed (moduli, multiplier tuple (theta1, theta2, phi1, phi2))."""
-    mults = _rho_mults(g, mults)
-    return _rho_walk(g, m)[0], mults
+    return _rho_walk(g, m)[0], _transport(g, mults)
 
 
 def act_rho_point(g: RhoGroupElement, m: RhoModuliTorus, z):

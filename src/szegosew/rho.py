@@ -161,10 +161,10 @@ class RhoModuliTorus:
     log_rho: complex
     xi: complex
     z_ref: complex | None = None
-    log_a_ref: complex | None = None
     winding: int = 0
     radius: float = field(init=False, repr=False, compare=False)
     contour_radius: float = field(init=False, repr=False, compare=False)
+    log_a_ref: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = _finite(self.w, "w")
@@ -189,30 +189,21 @@ class RhoModuliTorus:
         object.__setattr__(self, "xi", _check_xi(self.xi))
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "contour_radius", math.sqrt(abs(rho) / r * r))
-        # branch anchor of log A(z) = log(theta1(z-w)/theta1(z)): value
-        # log_a_ref at the reference point z_ref, given together or not at
-        # all.  Default anchor is w/2, where A = -1 exactly by oddness of
-        # theta1.  Modular generators that move w transport this anchor on
-        # the covering space, which keeps branches of U^kappa coherent
-        # across transformed moduli.
-        if (self.z_ref is None) != (self.log_a_ref is None):
-            raise DomainError("z_ref and log_a_ref must be given together")
-        if self.z_ref is None:
-            z_ref, log_a_ref = w / 2.0, 1j * math.pi
-        else:
-            z_ref = _finite(self.z_ref, "z_ref")
-            log_a_ref = _finite(self.log_a_ref, "log_a_ref")
-            val = complex(_a_values(z_ref, self.tau, w))
-            if abs(cmath.exp(log_a_ref) - val) > 1e-8 * abs(val):
-                raise BranchTrackingError(
-                    "log_a_ref is not a logarithm of theta1(z_ref - w) / "
-                    "theta1(z_ref)")
+        # z_ref is the origin of every log-A tracking path (default w/2)
+        # and log_a_ref = log A(z_ref) on the principal branch; tracked
+        # log A enters the kernel only through differences, so this value
+        # cancels, while z_ref fixes which sheet each tracked point is on
+        z_ref = w / 2.0 if self.z_ref is None else _finite(self.z_ref, "z_ref")
+        if _singular_distance(z_ref, self.tau, w) < POLE_GUARD:
+            raise DomainError("z_ref is at a zero or pole of "
+                              "theta1(z-w)/theta1(z)")
         object.__setattr__(self, "z_ref", z_ref)
-        object.__setattr__(self, "log_a_ref", log_a_ref)
+        object.__setattr__(self, "log_a_ref",
+                           cmath.log(_a_values(z_ref, self.tau, w)))
         # `winding` is the second covering datum beside log_rho: the extra
         # integer number of 2 pi i branch sheets of log A carried by the
         # sewing contours around the puncture at w, relative to the sheet
-        # reached by straight-path tracking from the anchor.  Generators
+        # reached by straight-path tracking from z_ref.  Generators
         # that translate w pick it up when the tracked sheet jumps across
         # a cut of the straight-path trivialization.
         object.__setattr__(self, "winding", int(self.winding))
@@ -498,13 +489,11 @@ def log_a_torus(z, tau: TorusModulus, w: complex, *,
     shape, all points tracked in one sweep; a value does not depend on
     the other points of its call.
 
-    The anchor (z_ref, log_a_ref) is the one a RhoModuliTorus records;
-    moduli transported by modular generators carry their own coherent
-    anchor.  The logarithm is continued along the straight path from the
-    anchor to z (bent around any singularity it meets).  All fractional
-    powers U^kappa in the self-sewing torus kernel use this tracker, so
-    anchor constants cancel between the base kernel and the moment
-    bilinears.
+    The logarithm is continued from the value log_a_ref at z_ref along
+    the straight path from z_ref to z (bent around any singularity it
+    meets); a RhoModuliTorus records both.  All fractional powers
+    U^kappa in the self-sewing torus kernel use this tracker and read
+    only differences of its values, so the anchor value cancels.
     """
     zv = np.asarray(z, dtype=complex)
     val = _track_log_a(zv.ravel(), tau, w, complex(z_ref),
@@ -750,7 +739,6 @@ class TorusMoments:
         self.m_points = m_points
         if self.m_points < 8:
             raise DomainError("need at least 8 quadrature points")
-        self.radius_scale = radius_scale
         r = moduli.contour_radius * radius_scale
         # per label a: the x contour of label abar, over which G row a and
         # hbar_a integrate, and the y contour of label a, over which G
@@ -848,14 +836,13 @@ class RhoTorusContext:
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
                  moduli: RhoModuliTorus, n_order: int = DEFAULT_ORDER,
-                 m_points: int = DEFAULT_QUAD_POINTS,
-                 radius_scale: float = 1.0) -> None:
+                 m_points: int = DEFAULT_QUAD_POINTS) -> None:
         self.tw1 = tw1
         self.handle = handle
         self.moduli = moduli
         self.n_order = n_order
         self.moments = TorusMoments(tw1, handle, self.n_order, moduli,
-                                    m_points, radius_scale)
+                                    m_points)
         self._dth = _d_theta_diag(handle.theta, self.n_order)
         self._lu = LU(np.eye(2 * self.n_order, dtype=complex)
                       - moduli.xi * self.moments.g * self._dth[None, :])

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -91,6 +92,8 @@ class TorusModulus:
     90 degrees, so each cell x b1 + y b2 (0 <= x, y <= 1) splits along
     b2 - b1 into two non-obtuse Delaunay triangles and the lattice point
     nearest any point of the cell is one of its four corners.
+    ``theta1_deriv0``, the prime-form constant theta_1'(0, tau), is
+    computed on first use and kept.
     """
 
     tau: complex
@@ -108,6 +111,15 @@ class TorusModulus:
     @property
     def q(self) -> complex:
         return np.exp(2j * np.pi * self.tau)
+
+    @cached_property
+    def theta1_deriv0(self) -> complex:
+        val = complex(_theta_g1_derivs(0.5, 0.5, np.array(0.0 + 0.0j),
+                                       self.tau, 1)[1])
+        if val == 0:
+            raise ConvergenceError(
+                "theta_1'(0) evaluated to zero; broken theta sum")
+        return val
 
 
 @dataclass(frozen=True)
@@ -352,11 +364,9 @@ def theta1(z, tau: TorusModulus):
 
 
 def theta1_deriv0(tau: TorusModulus) -> complex:
-    """d_z theta_1(0, tau), the prime-form normalization constant."""
-    val = complex(_theta_g1_derivs(0.5, 0.5, np.array(0.0 + 0.0j), tau.tau, 1)[1])
-    if val == 0:
-        raise ConvergenceError("theta_1'(0) evaluated to zero; broken theta sum")
-    return val
+    """d_z theta_1(0, tau), the prime-form normalization constant, kept
+    once per modulus."""
+    return tau.theta1_deriv0
 
 
 def K(z, tau: TorusModulus):

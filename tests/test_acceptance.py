@@ -4,9 +4,17 @@ Each test prints one summary line (even when passing) and asserts the
 corresponding checks from the shared verification suites.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from szegosew.verify import run_suite
+from szegosew.verify import SUITE_NAMES, run_suite
+
+# baseline of every `verify all` residual; no residual may grow past 10x
+# its baseline (1e-14 for a baseline of 0)
+BASELINE = json.loads((Path(__file__).parent / "data"
+                       / "verify_residuals.json").read_text())
 
 _CACHE: dict = {}
 
@@ -150,3 +158,14 @@ def test_truncation_checks_fit_a_rate():
     for name in ("self-sewn torus truncation", "two-tori truncation"):
         check = _find(_suite("convergence"), name)
         assert 0.0 < check["rate"] < 0.7, check
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_residuals_within_ten_times_baseline(name):
+    report = _suite(name)
+    got = {c["name"]: c["residual"] for c in report["checks"]
+           if "residual" in c}
+    assert got.keys() == BASELINE[name].keys()
+    worse = {check: (got[check], base) for check, base in BASELINE[name].items()
+             if got[check] > max(10.0 * base, 1e-14)}
+    assert not worse, worse

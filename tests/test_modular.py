@@ -72,6 +72,57 @@ class TestGroupStructure:
                 shift(1).sp4().astype(float), n)).astype(int)
             assert np.array_equal(shift(n).sp4(), power), (shift, n)
 
+    @pytest.mark.parametrize("build, args", [
+        (EpsGroupElement.gamma1, (1.5, 0, 0, 1)),
+        (EpsGroupElement.gamma2, (1, 0.5, 0, 1)),
+        (RhoGroupElement.gamma1, (1, 0, 0, 1 + 1e-9)),
+        (RhoGroupElement.a_shift, (0.5,)),
+        (RhoGroupElement.b_shift, (-1.5,)),
+        (RhoGroupElement.c_power, (1j,)),
+        (RhoGroupElement.mu, (1, float("nan"), 0)),
+        (EpsGroupElement, ((("gamma1", (1.5, 0, 0, 1)),),)),
+        (RhoGroupElement, ((("A", 2), ("B", 0.5)),))],
+        ids=["eps-gamma1", "eps-gamma2", "rho-gamma1", "A", "B", "C", "mu",
+             "eps-word", "rho-word"])
+    def test_word_entries_must_be_integers(self, build, args):
+        with pytest.raises(DomainError, match="integers"):
+            build(*args)
+
+    def test_integral_entries_accepted(self):
+        assert EpsGroupElement.gamma1(1.0, 1, 0, 1) \
+            == EpsGroupElement.gamma1(1, 1, 0, 1)
+        assert RhoGroupElement.a_shift(np.int64(2)).word == (("A", 2),)
+
+    def test_compose_rejects_the_other_group(self):
+        eps, rho = EpsGroupElement.gamma1(1, 1, 0, 1), RhoGroupElement.a_shift(1)
+        with pytest.raises(DomainError, match="compose"):
+            eps.compose(rho)
+        with pytest.raises(DomainError, match="compose"):
+            rho.compose(EpsGroupElement.identity())
+        # a word built directly holds only its own group's generators
+        with pytest.raises(DomainError, match="not a generator"):
+            EpsGroupElement((("A", 1),))
+        with pytest.raises(DomainError, match="not a generator"):
+            RhoGroupElement((("beta", None),))
+
+    @pytest.mark.parametrize("n", [-3, -2, -1, 1, 2, 3])
+    @pytest.mark.parametrize("shift", ["a_shift", "b_shift"])
+    def test_shift_power_acts_as_repeated_unit_shift(self, shift, n):
+        # the closed-form multiplier maps of A^n, B^n against n unit steps
+        make = getattr(RhoGroupElement, shift)
+        steps = RhoGroupElement.identity()
+        for _ in range(abs(n)):
+            steps = steps.compose(make(1 if n > 0 else -1))
+        tw1, handle = TwistPair(0.17, 0.38), HandleTwist(0.1, -0.22)
+        mults = (tw1.theta, handle.theta, tw1.phi, handle.phi)
+        mr = _rho_moduli()
+        m1, mu1 = act_rho(make(n), mr, mults)
+        m2, mu2 = act_rho(steps, mr, mults)
+        assert max(abs(np.array(mu1) - np.array(mu2))) <= 1e-15
+        assert abs(m1.w - m2.w) <= 1e-15 * abs(m2.w)
+        assert abs(m1.log_rho - m2.log_rho) <= 1e-15 * abs(m2.log_rho)
+        assert m1.winding == m2.winding
+
     def test_identity_acts_trivially(self):
         m = _eps_moduli()
         c2, m2 = act_eps(EpsGroupElement.identity(), CHARS, m)

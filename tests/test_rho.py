@@ -1,6 +1,7 @@
 """Handle-attaching schemes: sphere self-sewing and torus self-sewing."""
 
 import cmath
+import dataclasses
 import warnings
 
 import mpmath
@@ -24,9 +25,9 @@ TW1 = TwistPair(0.17, 0.38)
 HANDLE = HandleTwist(0.1, -0.22)
 
 
-def _torus_moduli(scale=0.05):
-    wd = float(lattice_distance(W, TAU))
-    return RhoModuliTorus.create(TAU, W, scale * (wd / 2) ** 2
+def _torus_moduli(scale=0.05, tau=TAU):
+    wd = float(lattice_distance(W, tau))
+    return RhoModuliTorus.create(tau, W, scale * (wd / 2) ** 2
                                  * np.exp(0.6j))
 
 
@@ -243,14 +244,45 @@ class TestTorusSewing:
         assert devs[1] < 0.25 * devs[0]
 
     def test_quadrature_and_radius_stability(self):
+        # radius independence of the moments is the convergence suite's
+        # check (criterion 11); a context's contours sit at the moduli's
+        # contour radius
         mod = _torus_moduli()
         x, y = _pt(0.09, 0.53), _pt(0.61, 0.12, offset=W)
         v = RhoTorusContext(TW1, HANDLE, mod, 8, 64).kernel(x, y)
         v2 = RhoTorusContext(TW1, HANDLE, mod, 8, 128).kernel(x, y)
-        v3 = RhoTorusContext(TW1, HANDLE, mod, 8, 64,
-                             radius_scale=1.15).kernel(x, y)
         assert abs(v - v2) < 1e-10 * abs(v)
-        assert abs(v - v3) < 1e-10 * abs(v)
+
+    @pytest.mark.parametrize("k", [1, -3])
+    def test_log_a_anchor_value_cancels(self, k):
+        # tracked log A enters only through differences, so moving the
+        # anchor value by 2 pi i k leaves every value in place
+        mod = _torus_moduli()
+        moved = dataclasses.replace(mod)
+        object.__setattr__(moved, "log_a_ref", mod.log_a_ref + TWO_PI_I * k)
+        xs = [_pt(0.09, 0.53), _pt(-0.35, 0.72)]
+        ys = [_pt(0.61, 0.12, offset=W), _pt(0.4, 0.3)]
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 8, 64)
+        ctx2 = RhoTorusContext(TW1, HANDLE, moved, 8, 64)
+        v, v2 = ctx.kernel_matrix(xs, ys), ctx2.kernel_matrix(xs, ys)
+        assert np.max(np.abs(v2 - v)) <= 1e-15 * np.max(np.abs(v))
+        assert abs(ctx2.det() - ctx.det()) <= 1e-15 * abs(ctx.det())
+
+    def test_anchor_value_and_radius_scale_are_not_inputs(self):
+        mod = _torus_moduli()
+        with pytest.raises(TypeError):
+            RhoModuliTorus(mod.tau, mod.w, mod.rho, mod.log_rho, mod.xi,
+                           log_a_ref=mod.log_a_ref)
+        with pytest.raises(TypeError):
+            RhoTorusContext(TW1, HANDLE, mod, 8, 64, radius_scale=1.15)
+        # the derived anchor value is a logarithm of A at z_ref
+        a = theta1(mod.z_ref - W, TAU) / theta1(mod.z_ref, TAU)
+        assert abs(np.exp(mod.log_a_ref) - a) < 1e-12 * abs(a)
+
+    def test_z_ref_at_a_zero_or_pole_rejected(self):
+        for z_ref in (0.0, W):
+            with pytest.raises(DomainError, match="z_ref"):
+                dataclasses.replace(_torus_moduli(), z_ref=z_ref)
 
     def test_kernel_reuses_moduli_geometry(self, monkeypatch):
         # annulus and contour radii and the point margin are fixed when the
@@ -264,7 +296,8 @@ class TestTorusSewing:
 
     def test_kernel_reuses_base_kernel_constants(self, monkeypatch):
         # theta[alpha1;beta1](kappa w) and theta1'(0) are evaluated once
-        # per context build and never per kernel call
+        # per context build and never per kernel call; theta1'(0) is kept
+        # per modulus, so the moduli get a fresh one
         calls = {"theta_kw": 0, "theta1_d0": 0}
         original = specialfn._theta_g1_derivs
 
@@ -277,7 +310,8 @@ class TestTorusSewing:
             return original(alpha, beta, z, tau, nderiv, *box)
         monkeypatch.setattr(specialfn, "_theta_g1_derivs", counting)
         monkeypatch.setattr(rho, "_theta_g1_derivs", counting)
-        ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, 32)
+        ctx = RhoTorusContext(TW1, HANDLE,
+                              _torus_moduli(tau=TorusModulus(TAU.tau)), 6, 32)
         assert calls == {"theta_kw": 1, "theta1_d0": 1}
         ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
         assert calls == {"theta_kw": 1, "theta1_d0": 1}
