@@ -51,7 +51,7 @@ __all__ = [
     "s_kappa_sphere", "sphere_moments", "SphereMoments",
     "det_i_minus_t_sphere", "RhoSphereContext", "torus_from_sphere",
     "log_a_torus", "TorusBaseKernel", "TorusContour",
-    "GridSide", "torus_contour", "TorusMoments",
+    "GridSide", "torus_contours", "TorusMoments",
     "RhoTorusContext",
 ]
 
@@ -664,39 +664,44 @@ class TorusBaseKernel:
                                self.points_side(ys, log_ay))
 
 
-def torus_contour(s: TorusBaseKernel, a: int, radius: float,
-                  m: int) -> TorusContour:
-    """Circle around the puncture of annulus a, log A tracked node to node
-    (integer winding, plus the moduli's winding around w; 0 at kappa = 0).
-    The radius must stay inside the sewing annulus, which also bounds the
-    theta box of the base kernel.
+def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
+    """Circles (label a, radius) of m nodes around the punctures, one
+    TorusContour per entry of specs, log A tracked node to node (integer
+    winding per circle, plus the moduli's winding around w; 0 at
+    kappa = 0).  A is evaluated once over all nodes and the start nodes
+    are tracked from the anchor in one sweep.  Every radius must stay
+    inside the sewing annulus, which also bounds the theta box of the
+    base kernel.
     """
     mod = s.moduli
-    if radius >= mod.radius:
+    radii = np.array([r for _, r in specs], dtype=float)
+    if np.any(radii >= mod.radius):
         raise DomainError(
             "contour radius exceeds the sewing annulus; "
             "rho too close to the domain boundary")
-    center = mod.center(a)
+    centers = np.array([mod.center(a) for a, _ in specs], dtype=complex)
     phi = 2.0 * np.pi * np.arange(m + 1) / m
-    pts = center + radius * np.exp(1j * phi)
-    pts[m] = pts[0]
+    pts = centers[:, None] + radii[:, None] * np.exp(1j * phi)
+    pts[:, m] = pts[:, 0]
+    log_a = np.zeros(pts.shape, dtype=complex)
     if s.tracked:
         vals = _a_values(pts, mod.tau, mod.w)
-        steps = np.log(vals[1:] / vals[:-1])
+        steps = np.log(vals[:, 1:] / vals[:, :-1])
         if np.any(np.abs(steps.imag) > _TRACK_ARG_LIMIT):
             raise BranchTrackingError(
                 "contour too coarse for branch tracking; increase quadrature M")
-        log_a = s.log_a(pts[0]) + np.concatenate([[0.0], np.cumsum(steps)])
-        winding = (log_a[m] - log_a[0]) / TWO_PI_I
-        if abs(winding - round(winding.real)) > 1e-8:
-            raise BranchTrackingError(
-                f"contour winding of log A not an integer: {winding}")
-        if a == 2 and mod.winding:
-            log_a = log_a + TWO_PI_I * mod.winding
-    else:
-        log_a = np.zeros(m + 1, dtype=complex)
-    return TorusContour(pts, math.log(radius) + 1j * phi, log_a,
-                        (pts[:m] - center) / m, center, radius)
+        log_a[:, 1:] = np.cumsum(steps, axis=1)
+        log_a += s.log_a(pts[:, 0])[:, None]
+        for (a, _), la in zip(specs, log_a):
+            winding = (la[m] - la[0]) / TWO_PI_I
+            if abs(winding - round(winding.real)) > 1e-8:
+                raise BranchTrackingError(
+                    f"contour winding of log A not an integer: {winding}")
+            if a == 2 and mod.winding:
+                la += TWO_PI_I * mod.winding
+    return tuple(TorusContour(p, math.log(r) + 1j * phi, la, (p[:m] - c) / m,
+                              c, float(r))
+                 for p, la, c, r in zip(pts, log_a, centers, radii))
 
 
 # ----------------------------------------------------------------------
@@ -747,12 +752,13 @@ class TorusMoments:
         # including the closure node
         self._k, self._rows, self._cols, self._pref = {}, {}, {}, {}
         m = self.m_points
+        contours = torus_contours(
+            self.base, [(3 - a, X_RADIUS_FACTOR * r) for a in (1, 2)]
+            + [(a, Y_RADIUS_FACTOR * r) for a in (1, 2)], m)
         for a in (1, 2):
             ka = mode_index(a, np.arange(1, n_order + 1), handle.kappa)
-            for sides, label, fac, sign in (
-                    (self._rows, 3 - a, X_RADIUS_FACTOR, 1),
-                    (self._cols, a, Y_RADIUS_FACTOR, -1)):
-                c = torus_contour(self.base, label, fac * r, m)
+            for sides, c, sign in ((self._rows, contours[a - 1], 1),
+                                   (self._cols, contours[a + 1], -1)):
                 modes = np.exp(-np.multiply.outer(ka, c.log_local))
                 sides[a] = (self.base.contour_side(c, sign), modes,
                             modes[:, :m] * c.weight)

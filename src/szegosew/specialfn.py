@@ -564,9 +564,10 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus) -> np.ndarray:
     Near the annulus boundary (where the q-series converges too slowly)
     the analytically differentiated theta-quotient route is used instead;
     both routes are exact derivatives, never finite differences.
-    Vectorized over z: the series points share one power table, and each
-    point sums only its own -jmax..jmax terms, so a value does not depend
-    on the other points of its call.
+    Vectorized over z: the series points with equal truncation jmax share
+    one power table of their own width -jmax..jmax, and all boundary
+    points share one theta quotient, so a value does not depend on the
+    other points of its call.
     """
     _check_not_trivial(tw)
     if kmax < 1:
@@ -575,46 +576,41 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus) -> np.ndarray:
     out = np.empty((z_red.size, kmax), dtype=complex)
     interior = edge > _P1_BOUNDARY_MARGIN * TWO_PI * tau.tau.imag
     series, = interior.nonzero()
-    if series.size:
-        zi = z_red[series]
-        jmax = _series_jmax(zi, tau, kmax - 1)
-        mid = int(jmax.max())
-        j, terms = _series_terms(tw, zi, tau, mid)
-        # row k-1 holds (-(j+lam))^{k-1}/(k-1)! t_j; each point sums its
-        # own -jmax..jmax columns, so its value does not depend on the
-        # other points
-        table = _power_table(-j, terms, kmax - 1)
-        for jm in set(jmax.tolist()):
-            rows = jmax == jm
-            # a single group is read in place, not copied
-            sel = slice(None) if rows.all() else rows
-            out[series[rows]] = \
-                -table[:, sel, mid - jm:mid + jm + 1].sum(axis=2).T
-    for i in (~interior).nonzero()[0]:
-        out[i] = _p_k_theta_route(tw, kmax, complex(z_red[i]), tau)
+    jmax = _series_jmax(z_red[series], tau, kmax - 1)
+    for jm in np.unique(jmax).tolist():
+        rows = series[jmax == jm]
+        # row k-1 holds (-(j+lam))^{k-1}/(k-1)! t_j
+        j, terms = _series_terms(tw, z_red[rows], tau, jm)
+        out[rows] = -_power_table(-j, terms, kmax - 1).sum(axis=2).T
+    boundary, = (~interior).nonzero()
+    if boundary.size:
+        out[boundary] = _p_k_theta_route(tw, kmax, z_red[boundary], tau)
     out *= _multiplier(tw, m, n)[:, None]
     return out.reshape(np.shape(z) + (kmax,))
 
 
-def _p_k_theta_route(tw: TwistPair, kmax: int, z_red: complex,
+def _p_k_theta_route(tw: TwistPair, kmax: int, z_red: np.ndarray,
                      tau: TorusModulus) -> np.ndarray:
-    """P_k at z_red from analytic derivatives of the theta quotient.
+    """P_k at the reduced points z_red (1-D) from analytic derivatives of
+    the theta quotient; shape (z_red.size, kmax).
 
     With P1 = A/B, A = theta[a;b](z) and B = theta[a;b](0) K(z,tau), the
-    quotient rule gives the recurrence
-    P1^{(n)} = (A^{(n)} - sum_{j<n} C(n,j) P1^{(j)} B^{(n-j)}) / B.
+    scaled derivatives a_n = (-1)^n A^{(n)}/n!, b_n and p_n of A, B and P1
+    satisfy a_n = sum_{j<=n} p_j b_{n-j}, and P_k = p_{k-1}.  Forward
+    substitution: step n takes p_n b_{m-n} off every later a_m, with
+    p_n = (what is left of a_n) / b_0, for all points at once.
     """
-    nd = kmax - 1
-    num, den = _theta_quotient(tw, np.array([z_red]), tau, nd)
-    a, kk = num[:, 0], den[:, 0]
-    p_derivs = np.empty(nd + 1, dtype=complex)
-    for nn in range(nd + 1):
-        acc = a[nn]
-        for jj in range(nn):
-            acc -= math.comb(nn, jj) * p_derivs[jj] * kk[nn - jj]
-        p_derivs[nn] = acc / kk[0]
-    # P_k = (-1)^{k-1}/(k-1)! P1^{(k-1)}
-    return np.cumprod(np.append(1.0, -1.0 / np.arange(1, kmax))) * p_derivs
+    num, den = _theta_quotient(tw, z_red, tau, kmax - 1)
+    scale = np.cumprod(np.append(1.0, -1.0 / np.arange(1, kmax)))[:, None]
+    # one row per point: every step runs over rows of the same length
+    # whatever the batch, so a value does not depend on it
+    p = (num * scale).T.copy()
+    b = (den * scale).T.copy()
+    b0 = b[:, :1]
+    for nn in range(kmax - 1):
+        p[:, nn + 1:] -= p[:, nn, None] / b0 * b[:, 1:kmax - nn]
+    p /= b0
+    return p
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .modular import (EpsGroupElement, RhoGroupElement, det_residual,
 from .numerics import circle_nodes, determinant, tail_estimate
 from .rho import (X_RADIUS_FACTOR, HandleTwist, RhoModuliSphere,
                   RhoModuliTorus, RhoSphereContext, RhoTorusContext,
-                  TorusMoments, det_i_minus_t_sphere, torus_contour)
+                  TorusMoments, det_i_minus_t_sphere, torus_contours)
 from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
                         lattice_distance, p1_series, p1_theta)
 
@@ -325,17 +325,22 @@ def suite_integral_eq() -> list[dict]:
     #   + (1/2pi i) oint_{C_a} S1_a(x,z) S2(z,y) dz
     chars, moduli, _ = _eps_setup()
     ctx = EpsilonContext(chars, moduli, 16)
+    pairs = _eps_pairs(moduli, 4)
     worst = 0.0
-    for x, y in _eps_pairs(moduli, 4):
-        a = x.which
+    for a in (1, 2):
+        # S2 on the contour nodes of torus a against the y of every pair
+        # whose x lies on torus a: one kernel_matrix call per label
+        on_a = [(x, y) for x, y in pairs if x.which == a]
         tau_a = moduli.tau(a)
         tw_a = chars.tw(a)
         z, wq = circle_nodes(0.0, 0.6 * moduli.radius(a), quad)
-        s1 = p1_theta(tw_a, x.z - z, tau_a)
-        s2 = ctx.kernel_matrix([SurfacePoint(a, zz) for zz in z], [y])[:, 0]
-        base = p1_theta(tw_a, x.z - y.z, tau_a) if y.which == a else 0.0
-        v = ctx.kernel(x, y)
-        worst = max(worst, abs(base + np.sum(wq * s1 * s2) - v) / abs(v))
+        s2 = ctx.kernel_matrix([SurfacePoint(a, zz) for zz in z],
+                               [y for _, y in on_a])
+        for (x, y), col in zip(on_a, s2.T):
+            s1 = p1_theta(tw_a, x.z - z, tau_a)
+            base = p1_theta(tw_a, x.z - y.z, tau_a) if y.which == a else 0.0
+            v = ctx.kernel(x, y)
+            worst = max(worst, abs(base + np.sum(wq * s1 * col) - v) / abs(v))
     checks.append(_check("two-tori contour integral equation", worst, tol))
 
     # self-sewn torus scheme: S2(x,y) = S_kappa(x,y)
@@ -347,12 +352,11 @@ def suite_integral_eq() -> list[dict]:
     xs, ys = (np.array(p) for p in zip(*_rho_torus_pairs(tmod, 4)))
     la_x, la_y = s.log_a(xs), s.log_a(ys)
     total = np.zeros(xs.size, dtype=complex)
-    for a in (1, 2):
-        # the contour must separate the sewing annulus from the
-        # evaluation points, which are cleared to 1.8x the moment
-        # contour radius by the pair filter
-        c = torus_contour(s, a, X_RADIUS_FACTOR * 1.5 * tmod.contour_radius,
-                          quad)
+    # the contours must separate the sewing annulus from the evaluation
+    # points, which are cleared to 1.8x the moment contour radius by the
+    # pair filter
+    radius = X_RADIUS_FACTOR * 1.5 * tmod.contour_radius
+    for c in torus_contours(s, [(a, radius) for a in (1, 2)], quad):
         pts, log_a = c.points[:quad], c.log_a[:quad]
         row = s.grid(xs, la_x, pts, log_a)
         col = rctx.kernel_matrix(pts, ys, log_a, la_y)

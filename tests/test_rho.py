@@ -480,9 +480,9 @@ class TestSeparableGrid:
         mod = _moduli_at(tau_c)
         s = rho.TorusBaseKernel(TW1, HandleTwist(kappa, -0.22), mod)
         r = mod.contour_radius
-        cx = rho.torus_contour(s, 2, rho.X_RADIUS_FACTOR * r, 16)
-        cy = rho.torus_contour(s, 1, rho.Y_RADIUS_FACTOR * r, 16)
-        cz = rho.torus_contour(s, 2, rho.Y_RADIUS_FACTOR * r, 16)
+        cx, cy, cz = rho.torus_contours(
+            s, [(2, rho.X_RADIUS_FACTOR * r), (1, rho.Y_RADIUS_FACTOR * r),
+                (2, rho.Y_RADIUS_FACTOR * r)], 16)
         t = mod.tau.tau
         t = t - round(t.real)  # the same lattice, a shorter second period
         # plain points, one whose offset from 0 lies on the edge
@@ -554,15 +554,15 @@ class TestSeparableGrid:
         mod = _torus_moduli()
         ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
         s = ctx.moments.base
-        c = rho.torus_contour(s, 2, mod.contour_radius, 32)
+        c, y_contour = rho.torus_contours(
+            s, [(2, mod.contour_radius),
+                (1, rho.Y_RADIUS_FACTOR * mod.contour_radius)], 32)
         # a contour against itself, as nodes and as a contour pair
         with pytest.raises(DomainError):
             s.grid(c.points, c.log_a, c.points, c.log_a)
         with pytest.raises(DomainError):
             s.grid_sides(s.contour_side(c, 1), s.contour_side(c, -1))
         # a point on a moment contour
-        y_contour = rho.torus_contour(s, 1, rho.Y_RADIUS_FACTOR
-                                      * mod.contour_radius, 32)
         node = y_contour.points[5]
         with pytest.raises(DomainError):
             ctx.moments.h_vector(node, s.log_a(node))
@@ -588,10 +588,13 @@ class TestSeparableGrid:
     def test_build_work_counts(self, monkeypatch):
         # contour-side theta tables: once per contour and characteristic
         # at build (4 contours x 2 thetas), never per kernel call; the
-        # pole check of a contour pair is one lattice distance, not M x M
+        # pole check of a contour pair is one lattice distance, not M x M;
+        # the four contour starts are tracked from the anchor in one sweep
         tables = []
         shapes = []
+        sweeps = []
         table, distance = rho._theta_table, rho.lattice_distance
+        track = rho._track_log_a
 
         def counting_table(ma, offsets, sign):
             tables.append(offsets.shape)
@@ -600,11 +603,17 @@ class TestSeparableGrid:
         def recording_distance(z, tau):
             shapes.append(np.shape(z))
             return distance(z, tau)
+
+        def counting_track(zs, *args):
+            sweeps.append(np.size(zs))
+            return track(zs, *args)
         monkeypatch.setattr(rho, "_theta_table", counting_table)
         monkeypatch.setattr(rho, "lattice_distance", recording_distance)
+        monkeypatch.setattr(rho, "_track_log_a", counting_track)
         m = 32
         ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, m)
         assert tables == [(1, m + 1)] * 8
-        assert shapes and all(len(sh) < 2 or min(sh) == 1 for sh in shapes)
+        assert shapes and all(sum(d >= m for d in sh) < 2 for sh in shapes)
+        assert sweeps == [4]
         ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
         assert len(tables) == 8

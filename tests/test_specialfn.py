@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from szegosew import specialfn, verify
 from szegosew.errors import ConvergenceError, DomainError, ResonanceError
+from szegosew.numerics import circle_nodes
 from szegosew.specialfn import (Characteristics, K, TorusModulus, TwistPair,
                                 _p_k_theta_route, _theta_g1_derivs,
                                 bernoulli_poly, eisenstein_twisted,
@@ -293,7 +295,7 @@ class TestTwistedKernel:
         tw = TwistPair(0.17, 0.38)
         for z in (-1.3 + 2.0j, -3.0 + 0.3j, -5.883 + 2.985j):
             series = p_k_vector(tw, 6, z, TAU)
-            theta = _p_k_theta_route(tw, 6, z, TAU)
+            theta = _p_k_theta_route(tw, 6, np.array([z]), TAU)
             assert np.all(np.abs(series - theta) < 1e-12 * np.abs(theta)), z
 
     def test_batched_values_do_not_depend_on_the_batch(self):
@@ -313,6 +315,55 @@ class TestTwistedKernel:
         for z, row in zip(zs, pk):
             assert np.all(np.abs(p_k_vector(tw, 12, z, TAU) - row)
                           <= 1e-15 * np.abs(row))
+
+    @staticmethod
+    def _node_batch():
+        # the 128 contour nodes of the two-tori integral equation of
+        # `verify` on torus 1: 114 q-series points with jmax 59..327 at
+        # order 16 and 14 points on the theta route
+        chars, moduli, _ = verify._eps_setup()
+        z, _ = circle_nodes(0.0, 0.6 * moduli.radius(1), 128)
+        return chars.tw(1), z, moduli.tau(1)
+
+    def test_power_tables_sized_per_point(self, monkeypatch):
+        tw, z, tau = self._node_batch()
+        kmax = 16
+        z_red, _, _, edge = specialfn._reduce_off_lattice(z, tau)
+        series = edge > specialfn._P1_BOUNDARY_MARGIN * specialfn.TWO_PI \
+            * tau.tau.imag
+        jmax = specialfn._series_jmax(z_red[series], tau, kmax - 1)
+        assert 0 < series.sum() < z.size and np.unique(jmax).size > 1
+        entries = []
+        table = specialfn._power_table
+
+        def recording(e, x, rows):
+            out = table(e, x, rows)
+            entries.append(out.size)
+            return out
+        monkeypatch.setattr(specialfn, "_power_table", recording)
+        p_k_vector(tw, kmax, z, tau)
+        assert sum(entries) <= kmax * np.sum(2 * jmax + 1)
+
+    def test_boundary_points_share_one_theta_quotient(self, monkeypatch):
+        tw, z, tau = self._node_batch()
+        calls = []
+        quotient = specialfn._theta_quotient
+
+        def counting(tw_, z_red, tau_, nderiv):
+            calls.append(np.size(z_red))
+            return quotient(tw_, z_red, tau_, nderiv)
+        monkeypatch.setattr(specialfn, "_theta_quotient", counting)
+        p_k_vector(tw, 16, z, tau)
+        assert calls == [14]
+
+    def test_mixed_batch_rows_equal_single_point_calls(self):
+        # q-series points of many truncations, theta-route points and a
+        # far point in one call: every row is its single-point value
+        tw, z, tau = self._node_batch()
+        zs = np.append(z[::5], TWO_PI_I * (0.37 + 20.21 * tau.tau))
+        rows = p_k_vector(tw, 16, zs, tau)
+        for zz, row in zip(zs, rows):
+            assert np.array_equal(p_k_vector(tw, 16, zz, tau), row), zz
 
     def test_trivial_twists_rejected(self):
         with pytest.raises(ResonanceError):
