@@ -253,8 +253,8 @@ def logdet_series(f1: np.ndarray, f2: np.ndarray) -> complex:
 class EpsilonContext:
     """Cached assembly data for one (characteristics, moduli, N) configuration.
 
-    I - F1 F2 is factorised once, at construction, and ``det`` reads the
-    factors ungated.  The first kernel call solves once for
+    I - F1 F2 is built once, at construction, and ``det`` is its ungated
+    determinant.  The first kernel call makes the one gated solve for
     X0 = (I - F1 F2)^{-1} and X1 = X0 F1; by push-through
     (I - F2 F1)^{-1} F2 = F2 X0 and (I - F2 F1)^{-1} = I + F2 X1.
     """
@@ -328,6 +328,6 @@ class EpsilonContext:
         return complex(self.kernel_matrix([x], [y])[0, 0])
 
     def det(self) -> complex:
-        """det(I - F1 F2) from the factors; not gated."""
+        """det(I - F1 F2); not gated."""
         return self._lu.det()
 

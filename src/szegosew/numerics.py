@@ -1,21 +1,21 @@
 """Shared numerical infrastructure.
 
-Dense complex linear algebra (one LU factorisation per matrix serving
-gated solves and the determinant), spectrally accurate trapezoidal
-quadrature on circles, and geometric tail fitting.
+Dense complex linear algebra (one matrix object serving gated solves
+and the determinant), spectrally accurate trapezoidal quadrature on
+circles, and geometric tail fitting.
 
 All matrices here are small (at most a few hundred rows), so dense
-LAPACK-backed factorizations are used throughout; the operation contracts
+``numpy.linalg`` routines are used throughout, and the condition is
+computed from the inverse rather than estimated; the operation contracts
 (residual bounds, condition thresholds, determinism) are what the rest of
 the package relies on.
 """
 
 from __future__ import annotations
 
-import warnings
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConvergenceError, DomainError, SingularMatrixError
 
@@ -44,35 +44,43 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 class LU:
-    """Pivoted LU factors of one square complex matrix, computed once.
+    """One square complex matrix with its gated solve and its determinant.
 
-    The matrix is validated, factorised and its one-norm condition
-    estimated here; every ``solve`` and ``det`` reads these factors.
+    The inverse is computed once, on the first ``solve`` (or read of
+    ``cond``/``singular``); it gives the exact one-norm condition and
+    flags an exactly singular matrix.  ``det`` needs neither.
     """
 
     def __init__(self, a) -> None:
         self.a = as_complex_matrix(a, "A")
-        n = self.a.shape[0]
-        if self.a.shape[1] != n:
+        if self.a.shape[1] != self.a.shape[0]:
             raise DomainError("A must be square")
-        # an exactly singular matrix warns here; solve raises instead
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            self.lu, self.piv = sla.lu_factor(self.a, check_finite=False)
-        self.singular = bool(np.any(np.abs(np.diag(self.lu)) == 0.0))
-        self.cond = np.inf
-        if n and not self.singular:
-            rcond, info = sla.lapack.zgecon(
-                self.lu, np.linalg.norm(self.a, 1), norm="1")
-            if info == 0 and rcond > 0.0:
-                self.cond = 1.0 / rcond
+
+    @cached_property
+    def _inverse(self) -> np.ndarray | None:
+        """A^{-1}, or None when LAPACK meets an exactly zero pivot."""
+        try:
+            return np.linalg.inv(self.a)
+        except np.linalg.LinAlgError:
+            return None
+
+    @property
+    def singular(self) -> bool:
+        return self._inverse is None
+
+    @property
+    def cond(self) -> float:
+        """Exact one-norm condition ||A||_1 ||A^{-1}||_1; inf if singular."""
+        if self.singular:
+            return np.inf
+        return float(np.linalg.norm(self.a, 1)
+                     * np.linalg.norm(self._inverse, 1))
 
     def solve(self, b) -> np.ndarray:
         """Solve A X = B for a vector or matrix B.
 
         Enforces ``||AX - B||_inf <= SOLVE_RESIDUAL_TOL * ||B||_inf`` and
-        rejects matrices whose condition estimate exceeds
-        ``CONDITION_THRESHOLD``.
+        rejects matrices whose condition exceeds ``CONDITION_THRESHOLD``.
         """
         bmat = np.asarray(b, dtype=complex)
         squeeze = bmat.ndim == 1
@@ -83,11 +91,12 @@ class LU:
             raise DomainError("A and B have incompatible shapes")
         if self.singular:
             raise SingularMatrixError("matrix is singular to working precision")
-        if self.cond > CONDITION_THRESHOLD:
+        cond = self.cond
+        if cond > CONDITION_THRESHOLD:
             raise SingularMatrixError(
-                f"condition estimate {self.cond:.3e} "
+                f"condition {cond:.3e} "
                 f"exceeds threshold {CONDITION_THRESHOLD:.1e}")
-        x = sla.lu_solve((self.lu, self.piv), bmat, check_finite=False)
+        x = np.linalg.solve(self.a, bmat)
         bnorm = np.linalg.norm(bmat, np.inf)
         resid = np.linalg.norm(self.a @ x - bmat, np.inf)
         if bnorm > 0 and resid > SOLVE_RESIDUAL_TOL * max(bnorm, 1.0):
@@ -97,9 +106,8 @@ class LU:
         return x[:, 0] if squeeze else x
 
     def det(self) -> complex:
-        """Determinant from the factors; not gated (singular gives 0)."""
-        swaps = np.count_nonzero(self.piv != np.arange(len(self.piv)))
-        return complex((-1.0) ** swaps * np.prod(np.diag(self.lu)))
+        """Determinant; not gated (an exactly singular matrix gives 0)."""
+        return complex(np.linalg.det(self.a))
 
 
 def lu_solve(a, b) -> np.ndarray:
@@ -108,7 +116,7 @@ def lu_solve(a, b) -> np.ndarray:
 
 
 def determinant(a) -> complex:
-    """Determinant of a square complex matrix from its pivoted LU factors."""
+    """Determinant of a square complex matrix, ungated."""
     return LU(a).det()
 
 

@@ -337,7 +337,12 @@ def _d_theta_diag(theta_new: complex, n_order: int) -> np.ndarray:
 
 
 class RhoSphereContext:
-    """Closed-form assembly of the self-sewn sphere for one (handle, q, N)."""
+    """Closed-form assembly of the self-sewn sphere for one (handle, q, N).
+
+    I - T is diagonal, so the kernel divides by its diagonal
+    d_i = 1 - T_ii, the twisted denominators of ``det_i_minus_t_sphere``,
+    and needs no factorisation; ``det`` stays the dense determinant.
+    """
 
     def __init__(self, handle: HandleTwist, moduli: RhoModuliSphere,
                  n_order: int = DEFAULT_ORDER) -> None:
@@ -346,7 +351,16 @@ class RhoSphereContext:
         self.n_order = n_order
         self.moments = sphere_moments(handle, self.n_order, moduli)
         self._dth = _d_theta_diag(handle.theta, self.n_order)
-        self._lu = LU(np.eye(2 * self.n_order, dtype=complex) - self.moments.t)
+
+    @cached_property
+    def _middle(self) -> np.ndarray:
+        """Diagonal of D^theta (I - T)^{-1}, guarded against resonance."""
+        d = 1.0 - np.diag(self.moments.t)
+        if np.any(np.abs(d) < RESONANCE_GUARD):
+            raise ResonanceError(
+                f"sewing mode factor 1 - T_ii = {d[np.argmin(np.abs(d))]:.3e} "
+                f"below the resonance guard {RESONANCE_GUARD:.1e}")
+        return self._dth / d
 
     def kernel_matrix(self, xs, ys, log_xs=None, log_ys=None) -> np.ndarray:
         """Sewn genus-one kernel S(x_i, y_j), coefficient of dx^1/2 dy^1/2.
@@ -362,16 +376,17 @@ class RhoSphereContext:
         ly = np.log(ys) if log_ys is None else np.ravel(log_ys).astype(complex)
         base = s_kappa_sphere(self.handle, xs[:, None], ys[None, :],
                               lx[:, None], ly[None, :])
-        hb = self._lu.solve(self.moments.hbar_matrix(ly).T)
-        return base + self.moduli.xi \
-            * (self.moments.h_matrix(lx) * self._dth) @ hb
+        h = self.moments.h_matrix(lx) * self._middle
+        return base + self.moduli.xi * h @ self.moments.hbar_matrix(ly).T
 
     def kernel(self, x, y, log_x=None, log_y=None) -> complex:
         """One value of kernel_matrix."""
         return complex(self.kernel_matrix(x, y, log_x, log_y)[0, 0])
 
     def det(self) -> complex:
-        return self._lu.det()
+        """det(I - T) by the dense route, ungated."""
+        return complex(np.linalg.det(
+            np.eye(2 * self.n_order, dtype=complex) - self.moments.t))
 
 
 def torus_from_sphere(handle: HandleTwist, x, y, moduli: RhoModuliSphere,
@@ -836,8 +851,8 @@ class TorusMoments:
 class RhoTorusContext:
     """Cached genus-two assembly for one (tw1, handle, moduli, N, M).
 
-    I - T is factorised once, at construction, and ``det`` reads the
-    factors ungated; the first kernel call makes the one gated solve.
+    I - T is built once, at construction, and ``det`` is its ungated
+    determinant; the first kernel call makes the one gated solve.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,

@@ -36,7 +36,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.special
 
 from .config import POLE_GUARD, RESONANCE_GUARD, SERIES_TOL, THETA_TOL
 from .errors import ConvergenceError, DomainError, ResonanceError
@@ -619,6 +618,19 @@ def _p_k_theta_route(tw: TwistPair, kmax: int, z_red: np.ndarray,
 
 # largest (order x r) Eisenstein table, 32 MB of complex entries
 _EISENSTEIN_TABLE_CAP = 2_000_000
+# zeta(2), zeta(4), zeta(6), zeta(8) in closed form; zeta(2m) for 2m >= 10
+# sums n^{-2m} over n < _ZETA_TERMS, a tail below 49^{1-2m}/(2m-1) <= 7e-17
+_ZETA_LOW = np.pi ** np.array([2, 4, 6, 8]) / np.array([6.0, 90.0, 945.0, 9450.0])
+_ZETA_TERMS = 50
+
+
+def _zeta_even(k: np.ndarray) -> np.ndarray:
+    """zeta(k) for the even orders k = 2, 4, ..., in that order."""
+    n = np.arange(_ZETA_TERMS - 1, 0, -1, dtype=float)[:, None]
+    zeta = np.sum(n ** -k.astype(float), axis=0)
+    low = min(k.size, _ZETA_LOW.size)
+    zeta[:low] = _ZETA_LOW[:low]
+    return zeta
 
 
 def _bernoulli_scaled(nmax: int, lam: float) -> np.ndarray:
@@ -627,14 +639,12 @@ def _bernoulli_scaled(nmax: int, lam: float) -> np.ndarray:
     The Cauchy product of b_k = B_k/k! and lam^m/m!, with the Bernoulli
     numbers from B_2m/(2m)! = (-1)^{m+1} 2 zeta(2m)/(2 pi)^{2m}: accurate
     to a few ulp and free of terms that grow like n!.
-    (``scipy.special.bernoulli`` is off by 1.7e-12 relative at B_4 in
-    scipy 1.17.)
     """
     k = np.arange(2, nmax + 1, 2)
     numbers = np.zeros(nmax + 1)
     numbers[0] = 1.0
     numbers[1:2] = -0.5
-    numbers[2::2] = (np.where(k % 4 == 2, 2.0, -2.0) * scipy.special.zeta(k)
+    numbers[2::2] = (np.where(k % 4 == 2, 2.0, -2.0) * _zeta_even(k)
                      * TWO_PI ** -k)
     powers = np.cumprod(np.concatenate(([1.0], lam / np.arange(1, nmax + 1))))
     return np.convolve(numbers, powers)[: nmax + 1]

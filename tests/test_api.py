@@ -1,11 +1,14 @@
 """Export consistency: every public name and every traced layer resolves,
-and the README example runs."""
+the README example runs, and the package runs on numpy alone."""
 
 import ast
 import cmath
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,11 @@ MODULES = ("config", "errors", "specialfn", "numerics", "epsilon", "rho",
            "modular", "verify", "cli")
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+# the eval command of the README, run as a module
+README_EVAL = ["-m", "szegosew.cli", "eval", "--scheme", "eps",
+               "--tau1", "0.3,1.0", "--tau2", "0.1,1.2", "--eps", "0.01,0.02",
+               "--alpha1", "0.17", "--beta1", "0.38", "--alpha2", "0.07",
+               "--beta2=-0.29", "--points", "1:0.4,1.1,2:0.2,2.0"]
 
 
 def _traced_functions():
@@ -99,3 +107,23 @@ def test_readme_python_block_runs():
         namespace = {}
         exec(compile(block, "README.md", "exec"), namespace)
     assert cmath.isfinite(namespace["s"])
+
+
+def _imported_modules(args):
+    """Every module a fresh interpreter imports to run ``python args``."""
+    package_dir = str(Path(szegosew.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_dir,
+                                         os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    return [line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
+@pytest.mark.parametrize("args", [["-c", "import szegosew"], README_EVAL],
+                         ids=["import", "cli-eval"])
+def test_runs_without_scipy(args):
+    modules = _imported_modules(args)
+    assert "szegosew" in modules
+    assert [m for m in modules if m.startswith("scipy")] == []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from szegosew import numerics, rho, specialfn
+from szegosew.config import RESONANCE_GUARD
 from szegosew.errors import (BranchTrackingError, DomainError, ResonanceError,
                              SingularMatrixError)
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
@@ -95,6 +96,19 @@ class TestSphereSewing:
         conv = val * np.exp(0.5 * (lx + ly))
         oracle = p1_series(HANDLE, lx - ly, smod.tau)
         assert abs(conv - oracle) < 1e-11 * abs(oracle)
+
+    def test_vanishing_mode_factor_raises_resonance(self):
+        # kappa just above -1/2 and theta = 1: 1 - T_11(1,1) = 1 - q^{kappa
+        # + 1/2} is about 1.5e-14, below the resonance guard
+        handle = HandleTwist(-0.5 + 1.5e-12, 0.5)
+        assert abs(handle.theta - 1.0) < 1e-15
+        ctx = RhoSphereContext(handle, RhoModuliSphere.create(0.99), 8)
+        assert abs(1.0 - ctx.moments.t[0, 0]) < RESONANCE_GUARD
+        with pytest.raises(ResonanceError):
+            ctx.kernel(0.2 + 0.05j, -0.15 + 0.18j)
+        d_mat = ctx.det()  # ungated: the dense route still gives a value
+        d_prod = det_i_minus_t_sphere(handle, 8, ctx.moduli)
+        assert abs(d_mat - d_prod) < 1e-12 * abs(d_prod)
 
     def test_half_kappa_moments_rejected(self):
         half = HandleTwist.from_multipliers(np.exp(0.3j), 1.0)

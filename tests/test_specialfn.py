@@ -386,6 +386,14 @@ class TestEisenstein:
         assert abs(bernoulli_poly(3, lam)
                    - (lam**3 - 1.5 * lam**2 + 0.5 * lam)) < 1e-14
 
+    @pytest.mark.parametrize("lam", [0.0, 0.37])
+    def test_bernoulli_polynomials_at_50_digits(self, lam):
+        with mpmath.workdps(50):
+            for n in range(128):
+                ref = mpmath.bernpoly(n, mpmath.mpf(lam))
+                got = bernoulli_poly(n, lam)
+                assert abs(got - ref) <= 1e-13 * abs(ref), n
+
     def test_laurent_coefficients_of_kernel(self):
         # P1(z) - 1/z = - sum_n E_n z^{n-1}: extract by contour moments
         tw = TwistPair(0.17, 0.38)
