@@ -10,6 +10,6 @@ DEFAULT_ORDER = 16  # moment-matrix truncation order N
 DEFAULT_QUAD_POINTS = 64  # contour quadrature count M of the self-sewn torus
 
 THETA_TOL = 1e-14  # absolute tail bound of theta summation boxes
-SERIES_TOL = 1e-12  # tail bound of q-series (P1, P_k, Eisenstein)
+SERIES_TOL = 1e-12  # tail bound of q-series (P1 oracle, Eisenstein)
 POLE_GUARD = 1e-8  # least distance to kernel poles and lattice points
 RESONANCE_GUARD = 1e-13  # least magnitude of twisted-series denominators

@@ -46,9 +46,9 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 class LU:
     """One square complex matrix with its gated solve and its determinant.
 
-    The inverse is computed once, on the first ``solve`` (or read of
-    ``cond``/``singular``); it gives the exact one-norm condition and
-    flags an exactly singular matrix.  ``det`` needs neither.
+    The inverse is computed once, on first use; it gives the exact
+    one-norm condition, flags an exactly singular matrix and is what
+    ``inverse`` returns.  ``det`` needs neither.
     """
 
     def __init__(self, a) -> None:
@@ -76,6 +76,26 @@ class LU:
         return float(np.linalg.norm(self.a, 1)
                      * np.linalg.norm(self._inverse, 1))
 
+    def _gate(self, bmat: np.ndarray, x=None) -> np.ndarray:
+        """A^{-1} B, or the given x, once A is regular with condition at
+        most ``CONDITION_THRESHOLD`` and the residual meets
+        ``||AX - B||_inf <= SOLVE_RESIDUAL_TOL * max(||B||_inf, 1)``."""
+        cond = self.cond  # inf if singular
+        if cond > CONDITION_THRESHOLD:
+            raise SingularMatrixError(
+                "matrix is singular to working precision" if self.singular
+                else f"condition {cond:.3e} "
+                f"exceeds threshold {CONDITION_THRESHOLD:.1e}")
+        if x is None:
+            x = np.linalg.solve(self.a, bmat)
+        bnorm = np.linalg.norm(bmat, np.inf)
+        resid = np.linalg.norm(self.a @ x - bmat, np.inf)
+        if bnorm > 0 and resid > SOLVE_RESIDUAL_TOL * max(bnorm, 1.0):
+            raise SingularMatrixError(
+                f"solve residual {resid:.3e} exceeds tolerance "
+                f"{SOLVE_RESIDUAL_TOL:.1e} * ||B||")
+        return x
+
     def solve(self, b) -> np.ndarray:
         """Solve A X = B for a vector or matrix B.
 
@@ -89,21 +109,13 @@ class LU:
         bmat = as_complex_matrix(bmat, "B")
         if bmat.shape[0] != self.a.shape[0]:
             raise DomainError("A and B have incompatible shapes")
-        if self.singular:
-            raise SingularMatrixError("matrix is singular to working precision")
-        cond = self.cond
-        if cond > CONDITION_THRESHOLD:
-            raise SingularMatrixError(
-                f"condition {cond:.3e} "
-                f"exceeds threshold {CONDITION_THRESHOLD:.1e}")
-        x = np.linalg.solve(self.a, bmat)
-        bnorm = np.linalg.norm(bmat, np.inf)
-        resid = np.linalg.norm(self.a @ x - bmat, np.inf)
-        if bnorm > 0 and resid > SOLVE_RESIDUAL_TOL * max(bnorm, 1.0):
-            raise SingularMatrixError(
-                f"solve residual {resid:.3e} exceeds tolerance "
-                f"{SOLVE_RESIDUAL_TOL:.1e} * ||B||")
+        x = self._gate(bmat)
         return x[:, 0] if squeeze else x
+
+    def inverse(self) -> np.ndarray:
+        """A^{-1}, the inverse already held for the condition, behind the
+        gates of ``solve`` with B = I; the caller must not modify it."""
+        return self._gate(np.eye(self.a.shape[0]), self._inverse)
 
     def det(self) -> complex:
         """Determinant; not gated (an exactly singular matrix gives 0)."""

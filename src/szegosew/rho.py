@@ -42,7 +42,7 @@ from .config import (DEFAULT_ORDER, DEFAULT_QUAD_POINTS, POLE_GUARD,
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
 from .numerics import LU, as_complex_matrix
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
-                        _theta_g1_derivs, _theta_reduce, lattice_distance,
+                        _theta_g1, _theta_reduce, lattice_distance,
                         theta1_deriv0)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
@@ -413,7 +413,7 @@ def _a_values(z, tau: TorusModulus, w: complex):
     """
     t = tau.tau
     u, _, log_mult = _theta_reduce(np.array([z - w, z], dtype=complex), t, 0.5)
-    th = _theta_g1_derivs(0.5, 0.5, u, t, 0)[0]
+    th = _theta_g1(0.5, 0.5, u, t)
     return np.exp(log_mult[0] - log_mult[1]) * th[0] / th[1]
 
 
@@ -595,8 +595,8 @@ class TorusBaseKernel:
         self.tracked = kap != 0.0
         tau = moduli.tau.tau
         kw, _, log_mult = _theta_reduce(kap * moduli.w, tau, tw1.beta)
-        th0 = complex(np.exp(log_mult) * _theta_g1_derivs(
-            tw1.alpha, tw1.beta, kw, tau, 0)[0])
+        th0 = complex(np.exp(log_mult)
+                      * _theta_g1(tw1.alpha, tw1.beta, kw, tau))
         if abs(th0) < RESONANCE_GUARD:
             raise ResonanceError(
                 "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
@@ -852,7 +852,7 @@ class RhoTorusContext:
     """Cached genus-two assembly for one (tw1, handle, moduli, N, M).
 
     I - T is built once, at construction, and ``det`` is its ungated
-    determinant; the first kernel call makes the one gated solve.
+    determinant; the first kernel call reads its gated inverse.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
@@ -871,9 +871,8 @@ class RhoTorusContext:
 
     @cached_property
     def _middle(self) -> np.ndarray:
-        """Middle factor D^theta (I - T)^{-1}; one gated solve."""
-        eye = np.eye(2 * self.n_order, dtype=complex)
-        return self._dth[:, None] * self._lu.solve(eye)
+        """Middle factor D^theta (I - T)^{-1}, from the gated inverse."""
+        return self._dth[:, None] * self._lu.inverse()
 
     def validate_point(self, z) -> None:
         """Reject a point, or any point of an array, inside the sewing

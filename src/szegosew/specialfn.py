@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -113,8 +112,8 @@ class TorusModulus:
 
     @cached_property
     def theta1_deriv0(self) -> complex:
-        val = complex(_theta_g1_derivs(0.5, 0.5, np.array(0.0 + 0.0j),
-                                       self.tau, 1)[1])
+        val = -complex(_theta_taylor(((0.5, 0.5),), np.zeros(1), self.tau,
+                                     2)[0, 0, 1])
         if val == 0:
             raise ConvergenceError(
                 "theta_1'(0) evaluated to zero; broken theta sum")
@@ -311,15 +310,12 @@ def _theta_reduce(z, tau: complex, beta: float):
     return z_red, n, -1j * np.pi * tau * n * n - n * (z_red + 2j * np.pi * beta)
 
 
-def _theta_g1_derivs(alpha: float, beta: float, z, tau: complex,
-                     nderiv: int) -> np.ndarray:
-    """Vectorized genus-one theta and z-derivatives.
+def _theta_g1(alpha: float, beta: float, z, tau: complex) -> np.ndarray:
+    """Vectorized genus-one theta[alpha;beta](z, tau), shape z.shape.
 
-    Returns an array of shape (nderiv+1,) + z.shape with entry j holding
-    d^j/dz^j theta[alpha;beta](z, tau).  The box covers the strip
-    |Re z| <= 2 pi Im tau, which holds every reduced argument, so for
-    reduced arguments it is fixed by tau and no value depends on its
-    batch; a batch reaching further out widens it.
+    The box covers the strip |Re z| <= 2 pi Im tau, which holds every
+    reduced argument, so for reduced arguments it is fixed by tau and no
+    value depends on its batch; a batch reaching further out widens it.
     """
     zv = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(zv)):
@@ -329,19 +325,45 @@ def _theta_g1_derivs(alpha: float, beta: float, z, tau: complex,
     if zv.size:
         cmax = max(cmax, float(np.abs(zv.real).max()))
     radius = _box_radius(im, cmax, THETA_TOL)
-    # polynomial weights (m+alpha)^j only shift the tail by a few entries
-    radius = min(radius + (2 if nderiv else 0) + nderiv // 8, THETA_BOX_CAP)
     ma = np.arange(-radius, radius + 1, dtype=float) + alpha
     expo = (1j * np.pi * tau) * ma**2 \
         + np.multiply.outer(zv + 2j * np.pi * beta, ma)
-    terms = np.exp(expo)  # shape z.shape + (m,)
-    out = np.empty((nderiv + 1,) + zv.shape, dtype=complex)
-    weighted = terms
-    for j in range(nderiv + 1):
-        out[j] = np.sum(weighted, axis=-1)
-        if j < nderiv:
-            weighted = weighted * ma
-    return out
+    return np.sum(np.exp(expo), axis=-1)
+
+
+@lru_cache(maxsize=128)
+def _taylor_box(chars: tuple, tau: complex, kmax: int) -> tuple:
+    """The z-independent parts of ``_theta_taylor``, kept per (chars, tau,
+    kmax) and read-only: m + alpha, i pi tau (m+alpha)^2 + 2 pi i beta
+    (m+alpha) and the Taylor rows (-(m+alpha))^n/n! of one power table,
+    on a box that covers the strip |Re z| <= 2 pi Im tau of reduced points.
+    """
+    im = tau.imag
+    radius = _box_radius(im, TWO_PI * im, THETA_TOL)
+    # polynomial weights (m+alpha)^n only shift the tail by a few entries
+    if kmax > 1:
+        radius = min(radius + 2 + (kmax - 1) // 8, THETA_BOX_CAP)
+    alpha, beta = np.array(chars, dtype=float).T[:, :, None, None]
+    ma = np.arange(-radius, radius + 1, dtype=float) + alpha
+    expo = (1j * np.pi * tau) * ma ** 2 + (2j * np.pi * beta) * ma
+    rows = _power_table(-ma, np.ones(ma.shape), kmax - 1).transpose(1, 2, 0, 3)
+    for arr in (ma, expo, rows):
+        arr.flags.writeable = False
+    return ma, expo, rows
+
+
+def _theta_taylor(chars: tuple, z: np.ndarray, tau: complex,
+                  kmax: int) -> np.ndarray:
+    """Scaled derivatives (-1)^n/n! d^n/dz^n theta[alpha;beta](z, tau),
+    n < kmax, of each (alpha, beta) in ``chars`` at the reduced points z
+    (1-D), shape (len(chars), z.size, kmax), from one theta sum.  Each
+    entry is reduced over the box on its own row, so no value depends on
+    the other points of its call.
+    """
+    ma, expo, rows = _taylor_box(chars, tau, kmax)
+    terms = np.exp(expo + z[:, None] * ma)
+    # row by row, not a matmul: BLAS rounding would depend on the batch
+    return np.sum(terms[:, :, None, :] * rows, axis=-1)
 
 
 def theta1(z, tau: TorusModulus):
@@ -356,7 +378,7 @@ def theta1(z, tau: TorusModulus):
         z_red, _, log_mult = _theta_reduce(np.asarray(z, dtype=complex),
                                            tau.tau, 0.5)
         val = np.exp(log_mult) \
-            * _theta_g1_derivs(0.5, 0.5, z_red, tau.tau, 0)[0]
+            * _theta_g1(0.5, 0.5, z_red, tau.tau)
     if not np.all(np.isfinite(val)):
         raise ConvergenceError("theta_1 exceeds the double range; |Re z| too large")
     return val
@@ -445,32 +467,47 @@ def _multiplier(tw: TwistPair, m, n):
 def _reduce_off_lattice(z, tau: TorusModulus):
     """lattice_reduce of the flattened z, with the pole guard.
 
-    Also returns each reduced point's distance to the lines Re z = 0 and
-    Re z = -2 pi Im tau that hold the lattice points: a lower bound of its
-    lattice distance, so only points within the guard of a line are
-    measured exactly.
+    Only reduced points within the guard of the lines Re z = 0 and
+    Re z = -2 pi Im tau, which hold the lattice points, are measured
+    exactly.
     """
-    z_red, m, n = lattice_reduce(np.ravel(z), tau)
+    zv = np.ravel(np.asarray(z, dtype=complex))
+    if not np.all(np.isfinite(zv)):
+        raise DomainError("z must be finite")
+    z_red, m, n = lattice_reduce(zv, tau)
     edge = np.minimum(-z_red.real, z_red.real + TWO_PI * tau.tau.imag)
     near = edge < POLE_GUARD
     if near.any() and (lattice_distance(z_red[near], tau) < POLE_GUARD).any():
         raise DomainError("z within pole guard of a lattice point")
-    return z_red, m, n, edge
+    return z_red, m, n
 
 
-def _theta_quotient(tw: TwistPair, z_red, tau: TorusModulus, nderiv: int):
-    """theta[alpha;beta](z) and theta[alpha;beta](0) K(z), numerator and
-    denominator of P1, with z-derivatives 0..nderiv at the reduced points
-    z_red (1-D): two arrays of shape (nderiv+1, z_red.size).  theta at the
-    points and at 0 is one sum, which also decides resonance."""
-    th = _theta_g1_derivs(tw.alpha, tw.beta, np.append(z_red, 0.0), tau.tau,
-                          nderiv)
-    th0 = th[0, -1]
+def _p_k_reduced(tw: TwistPair, kmax: int, z_red: np.ndarray,
+                 tau: TorusModulus) -> np.ndarray:
+    """P_k, k = 1..kmax, at the reduced points z_red (1-D) from analytic
+    derivatives of the theta quotient; shape (z_red.size, kmax).
+
+    With P1 = A/B, A = theta[a;b](z) and B = theta[a;b](0) K(z,tau), the
+    scaled derivatives a_n = (-1)^n A^{(n)}/n!, b_n and p_n of A, B and P1
+    satisfy a_n = sum_{j<=n} p_j b_{n-j}, and P_k = p_{k-1}.  A at the
+    points and at 0 and theta_1 at the points come from one theta sum,
+    which also decides resonance.  Forward substitution, with a_n and
+    b_n divided by b_0 first: step n takes p_n b_{m-n} off every later
+    a_m, for all points at once.
+    """
+    taylor = _theta_taylor(((tw.alpha, tw.beta), (0.5, 0.5)),
+                           np.append(z_red, 0.0), tau.tau, kmax)
+    th0 = taylor[0, -1, 0]
     if abs(th0) < RESONANCE_GUARD:
         raise ResonanceError("theta[alpha;beta](0, tau) vanishes for this twist")
-    k = _theta_g1_derivs(0.5, 0.5, z_red, tau.tau, nderiv) \
-        / theta1_deriv0(tau)
-    return th[:, :-1], th0 * k
+    # one row per point: every step runs over rows of the same length
+    # whatever the batch, so a value does not depend on it
+    a, k = taylor[:, :-1]
+    p = a / (th0 * (k[:, :1] / theta1_deriv0(tau)))
+    b = k / k[:, :1]
+    for n in range(1, kmax):
+        p[:, n:] -= p[:, n - 1, None] * b[:, 1:kmax - n + 1]
+    return p
 
 
 def p1_theta(tw: TwistPair, z, tau: TorusModulus):
@@ -482,21 +519,19 @@ def p1_theta(tw: TwistPair, z, tau: TorusModulus):
     value does not depend on the other points of its call.
     """
     _check_not_trivial(tw)
-    z_red, m, n, _ = _reduce_off_lattice(z, tau)
-    num, den = _theta_quotient(tw, z_red, tau, 0)
-    val = (_multiplier(tw, m, n) * num[0] / den[0]).reshape(np.shape(z))
+    z_red, m, n = _reduce_off_lattice(z, tau)
+    val = (_multiplier(tw, m, n) * _p_k_reduced(tw, 1, z_red, tau)[:, 0]) \
+        .reshape(np.shape(z))
     return val if np.ndim(z) else complex(val)
 
 
-def _series_terms(tw: TwistPair, z_red, tau: TorusModulus, jmax: int):
-    """Terms t_j = q_z^{j+lam}/(1 - theta^{-1} q^{j+lam}), j = -jmax..jmax.
-
-    One row per reduced point of ``z_red`` (a scalar gives one row).  The
-    j+lam < 0 half is rewritten as -theta (q_z/q)^{j+lam} /
-    (1 - theta q^{-(j+lam)}) to keep every exponential bounded.  Returns
-    (exponents j+lam, terms).
+def _series_terms(tw: TwistPair, z_red: complex, tau: TorusModulus,
+                  jmax: int) -> np.ndarray:
+    """Terms t_j = q_z^{j+lam}/(1 - theta^{-1} q^{j+lam}), j = -jmax..jmax,
+    at the reduced point z_red.  The j+lam < 0 half is rewritten as
+    -theta (q_z/q)^{j+lam} / (1 - theta q^{-(j+lam)}) to keep every
+    exponential bounded.
     """
-    z_red = np.asarray(z_red, dtype=complex).reshape(-1, 1)
     th = tw.theta
     t = tau.tau
     j = np.arange(-jmax, jmax + 1) + tw.lam
@@ -511,40 +546,30 @@ def _series_terms(tw: TwistPair, z_red, tau: TorusModulus, jmax: int):
             if (small & pos).any() else
             "resonant denominator 1 - theta q^{-(k+lam)}")
     base = np.where(pos, z_red, z_red - 2j * np.pi * t)
-    return j, np.exp(base * j) * np.where(pos, 1.0, -th) / den
+    return np.exp(base * j) * np.where(pos, 1.0, -th) / den
 
 
-def _series_jmax(z_red, tau: TorusModulus, weight_pow: int) -> np.ndarray:
-    """Truncation index of the q-series at each (reduced) point z_red."""
-    width = TWO_PI * tau.tau.imag
-    logtol = math.log(SERIES_TOL) - 6.0
-    out = []
-    for re in np.asarray(z_red).real.ravel().tolist():
-        # log |e^{z_red}| and log |q / e^{z_red}|
-        rate = max(re, -(re + width))
-        if rate >= -1e-9:
-            raise ConvergenceError(
-                "q-series does not converge: reduced point on the annulus "
-                "boundary")
-        jmax = int(math.ceil(logtol / rate)) + 4
-        if weight_pow:
-            # allow for the polynomial weight (j+lam)^{weight_pow}
-            jmax += int(math.ceil(weight_pow * math.log(jmax + weight_pow + 2)
-                                  / -rate)) + 2
-        if jmax > 200_000:
-            raise ConvergenceError(
-                f"q-series truncation {jmax} unreasonably large; "
-                "point too close to the annulus boundary")
-        out.append(jmax)
-    return np.array(out, dtype=int)
+def _series_jmax(z_red: complex, tau: TorusModulus) -> int:
+    """Truncation index of the q-series at the reduced point z_red."""
+    # log |e^{z_red}| and log |q / e^{z_red}|
+    rate = max(z_red.real, -(z_red.real + TWO_PI * tau.tau.imag))
+    if rate >= -1e-9:
+        raise ConvergenceError(
+            "q-series does not converge: reduced point on the annulus "
+            "boundary")
+    jmax = int(math.ceil((math.log(SERIES_TOL) - 6.0) / rate)) + 4
+    if jmax > 200_000:
+        raise ConvergenceError(
+            f"q-series truncation {jmax} unreasonably large; "
+            "point too close to the annulus boundary")
+    return jmax
 
 
 def p1_series(tw: TwistPair, z, tau: TorusModulus) -> complex:
     """P1 via the q-series route (independent oracle for p1_theta). Scalar z."""
     _check_not_trivial(tw)
-    z_red, m, n, _ = _reduce_off_lattice(complex(z), tau)
-    jmax, = _series_jmax(z_red, tau, 0)
-    _, (terms,) = _series_terms(tw, z_red, tau, jmax)
+    (z_red,), m, n = _reduce_off_lattice(complex(z), tau)
+    terms = _series_terms(tw, z_red, tau, _series_jmax(z_red, tau))
     val = -np.sum(terms)
     tail = max(abs(terms[0]), abs(terms[-1]))
     if tail > 1e3 * SERIES_TOL * max(abs(val), 1.0):
@@ -552,64 +577,23 @@ def p1_series(tw: TwistPair, z, tau: TorusModulus) -> complex:
     return complex(_multiplier(tw, int(m[0]), int(n[0])) * val)
 
 
-_P1_BOUNDARY_MARGIN = 0.04  # fraction of the annulus log-width
-
-
 def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus) -> np.ndarray:
     """P_k(z) for k = 1..kmax, term-wise analytic; shape z.shape + (kmax,).
 
-    Primary route: the reduced q-series differentiated term by term,
-    P_k = (-1)^{k-1}/(k-1)! * (-sum_j (j+lam)^{k-1} t_j) * theta^m phi^n.
-    Near the annulus boundary (where the q-series converges too slowly)
-    the analytically differentiated theta-quotient route is used instead;
-    both routes are exact derivatives, never finite differences.
-    Vectorized over z: the series points with equal truncation jmax share
-    one power table of their own width -jmax..jmax, and all boundary
-    points share one theta quotient, so a value does not depend on the
-    other points of its call.
+    Each point is reduced into the fundamental annulus, and P_k there is
+    the analytically differentiated theta quotient (``_p_k_reduced``,
+    exact derivatives, never finite differences) times the exact lattice
+    multiplier theta^m phi^n.  Vectorized over z: all points share one
+    theta sum, over a box fixed by tau and kmax, and one forward
+    substitution, so a value does not depend on the other points of its
+    call.
     """
     _check_not_trivial(tw)
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    z_red, m, n, edge = _reduce_off_lattice(z, tau)
-    out = np.empty((z_red.size, kmax), dtype=complex)
-    interior = edge > _P1_BOUNDARY_MARGIN * TWO_PI * tau.tau.imag
-    series, = interior.nonzero()
-    jmax = _series_jmax(z_red[series], tau, kmax - 1)
-    for jm in np.unique(jmax).tolist():
-        rows = series[jmax == jm]
-        # row k-1 holds (-(j+lam))^{k-1}/(k-1)! t_j
-        j, terms = _series_terms(tw, z_red[rows], tau, jm)
-        out[rows] = -_power_table(-j, terms, kmax - 1).sum(axis=2).T
-    boundary, = (~interior).nonzero()
-    if boundary.size:
-        out[boundary] = _p_k_theta_route(tw, kmax, z_red[boundary], tau)
-    out *= _multiplier(tw, m, n)[:, None]
+    z_red, m, n = _reduce_off_lattice(z, tau)
+    out = _p_k_reduced(tw, kmax, z_red, tau) * _multiplier(tw, m, n)[:, None]
     return out.reshape(np.shape(z) + (kmax,))
-
-
-def _p_k_theta_route(tw: TwistPair, kmax: int, z_red: np.ndarray,
-                     tau: TorusModulus) -> np.ndarray:
-    """P_k at the reduced points z_red (1-D) from analytic derivatives of
-    the theta quotient; shape (z_red.size, kmax).
-
-    With P1 = A/B, A = theta[a;b](z) and B = theta[a;b](0) K(z,tau), the
-    scaled derivatives a_n = (-1)^n A^{(n)}/n!, b_n and p_n of A, B and P1
-    satisfy a_n = sum_{j<=n} p_j b_{n-j}, and P_k = p_{k-1}.  Forward
-    substitution: step n takes p_n b_{m-n} off every later a_m, with
-    p_n = (what is left of a_n) / b_0, for all points at once.
-    """
-    num, den = _theta_quotient(tw, z_red, tau, kmax - 1)
-    scale = np.cumprod(np.append(1.0, -1.0 / np.arange(1, kmax)))[:, None]
-    # one row per point: every step runs over rows of the same length
-    # whatever the batch, so a value does not depend on it
-    p = (num * scale).T.copy()
-    b = (den * scale).T.copy()
-    b0 = b[:, :1]
-    for nn in range(kmax - 1):
-        p[:, nn + 1:] -= p[:, nn, None] / b0 * b[:, 1:kmax - nn]
-    p /= b0
-    return p
 
 
 # ----------------------------------------------------------------------

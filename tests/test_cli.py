@@ -63,6 +63,20 @@ class TestEval:
                          TorusModulus(0.3 + 1.0j))
         assert abs(s - exact) < 1e-13 * abs(exact)
 
+    def test_annulus_edge_pair_at_order_32(self, capsys):
+        # the pinned two-tori moduli, two points near the annulus edges:
+        # within 1e-8 of the N = 64 value
+        argv = ["eval", *EPS_ARGS, "--order", "32", "--format", "json",
+                "--points", "2:-7.339717554642392,0.6210056003627228,"
+                "1:-6.008404365323131,6.438492853792937"]
+        argv[argv.index("0.01,0.02")] = \
+            "0.17322785430304996,0.09463480811605357"
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        s = complex(*json.loads(out)["rows"][0]["s"])
+        ref = -0.7578845505357283 - 1.0860652053416686j
+        assert abs(s - ref) <= 1e-8 * abs(ref)
+
     def test_sphere_oracle_column(self, capsys):
         code, out, _ = _run(capsys, ["eval", *SPHERE_ARGS, "--points",
                                      "1:0.2,0.05,1:-0.15,0.18", "--oracle",

@@ -145,6 +145,16 @@ class TestKernel:
                      (_pt(1, 0.41, 0.18), _pt(2, 0.33, 0.61))]:
             ctx.kernel(x, y)
 
+    def test_annulus_edge_pair_converges(self):
+        # both points reduce to 0.96-0.97 of the annulus width, where a
+        # term-wise differentiated q-series loses every digit at N >= 32
+        moduli = _moduli()
+        x = SurfacePoint(2, -7.339717554642392 + 0.6210056003627228j)
+        y = SurfacePoint(1, -6.008404365323131 + 6.438492853792937j)
+        v32, v64 = (EpsilonContext(CHARS, moduli, n).kernel(x, y)
+                    for n in (32, 64))
+        assert abs(v32 - v64) <= 1e-8 * abs(v64)
+
     def test_truncation_converges(self):
         moduli = _moduli()
         x, y = _pt(1, 0.41, 0.18), _pt(2, 0.33, 0.61)

@@ -27,8 +27,10 @@ def _random_matrix(n: int) -> np.ndarray:
     return a + 2.0 * n * np.eye(n)
 
 
-# the wrapper and the factor object are two routes through one gate
-SOLVES = (lu_solve, lambda a, b: LU(a).solve(b))
+# the wrapper, the factor object and its held inverse are three routes
+# through one gate
+SOLVES = (lu_solve, lambda a, b: LU(a).solve(b),
+          lambda a, b: LU(a).inverse() @ b)
 DETS = (determinant, lambda a: LU(a).det())
 
 
@@ -56,6 +58,13 @@ class TestLuSolve:
         for solve in SOLVES:
             with pytest.raises(SingularMatrixError):
                 solve(a, np.ones(4, dtype=complex))
+
+    def test_residual_gate(self, monkeypatch):
+        a = _random_matrix(6)
+        monkeypatch.setattr(numerics, "SOLVE_RESIDUAL_TOL", 1e-30)
+        for solve in SOLVES:
+            with pytest.raises(SingularMatrixError, match="residual"):
+                solve(a, np.eye(6))
 
     @pytest.mark.parametrize("n,seed", [(6, 0), (12, 3)])
     def test_condition_is_exact_one_norm(self, n, seed):
@@ -121,14 +130,15 @@ def _sphere_context():
     return ctx, pts
 
 
-@pytest.mark.parametrize("build,inversions", [
-    (_eps_context, 1), (_rho_torus_context, 1), (_sphere_context, 0)],
+@pytest.mark.parametrize("build,inversions,solves", [
+    (_eps_context, 1, 1), (_rho_torus_context, 1, 0), (_sphere_context, 0, 0)],
     ids=["eps", "rho-torus", "sphere"])
 def test_context_factorises_each_sewing_matrix_once(monkeypatch, build,
-                                                    inversions):
+                                                    inversions, solves):
     """Across det, four kernels and det, a two-tori or self-sewn-torus
-    context inverts its sewing matrix once (the exact condition) and makes
-    one gated solve; the diagonal sphere context divides instead."""
+    context inverts its sewing matrix once (the exact condition); the
+    two-tori context makes one gated solve, the self-sewn torus uses the
+    gated inverse itself, and the diagonal sphere context divides."""
     calls = {"inv": 0, "solve": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name),
@@ -141,7 +151,7 @@ def test_context_factorises_each_sewing_matrix_once(monkeypatch, build,
     for x, y in pts:
         ctx.kernel(x, y)
     ctx.det()
-    assert calls == {"inv": inversions, "solve": inversions}
+    assert calls == {"inv": inversions, "solve": solves}
 
 
 class TestCircleQuadrature:

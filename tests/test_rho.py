@@ -313,17 +313,20 @@ class TestTorusSewing:
         # per context build and never per kernel call; theta1'(0) is kept
         # per modulus, so the moduli get a fresh one
         calls = {"theta_kw": 0, "theta1_d0": 0}
-        original = specialfn._theta_g1_derivs
+        value, taylor = specialfn._theta_g1, specialfn._theta_taylor
 
-        def counting(alpha, beta, z, tau, nderiv, *box):
-            if np.ndim(z) == 0:
-                if (alpha, beta, nderiv) == (0.5, 0.5, 1) and z == 0:
-                    calls["theta1_d0"] += 1
-                elif (alpha, beta) == (TW1.alpha, TW1.beta):
-                    calls["theta_kw"] += 1
-            return original(alpha, beta, z, tau, nderiv, *box)
-        monkeypatch.setattr(specialfn, "_theta_g1_derivs", counting)
-        monkeypatch.setattr(rho, "_theta_g1_derivs", counting)
+        def counting_value(alpha, beta, z, tau):
+            if np.ndim(z) == 0 and (alpha, beta) == (TW1.alpha, TW1.beta):
+                calls["theta_kw"] += 1
+            return value(alpha, beta, z, tau)
+
+        def counting_taylor(chars, z, tau, kmax):
+            if chars == ((0.5, 0.5),):
+                calls["theta1_d0"] += 1
+            return taylor(chars, z, tau, kmax)
+        monkeypatch.setattr(specialfn, "_theta_g1", counting_value)
+        monkeypatch.setattr(rho, "_theta_g1", counting_value)
+        monkeypatch.setattr(specialfn, "_theta_taylor", counting_taylor)
         ctx = RhoTorusContext(TW1, HANDLE,
                               _torus_moduli(tau=TorusModulus(TAU.tau)), 6, 32)
         assert calls == {"theta_kw": 1, "theta1_d0": 1}
@@ -450,7 +453,7 @@ def _moduli_at(tau_c, scale=0.05):
 
 
 def _direct_reference(s, xs, lax, ys, lay, bump=0.0):
-    """S_kappa from direct theta sums (specialfn._theta_g1_derivs) at every
+    """S_kappa from direct theta sums (specialfn._theta_g1) at every
     pair, and its error scale sum|num terms|/|num| + sum|den terms|/|den|.
 
     ``bump`` moves the numerator sum by +bump * sum|terms| and the
@@ -460,19 +463,18 @@ def _direct_reference(s, xs, lax, ys, lay, bump=0.0):
     diff = np.subtract.outer(np.asarray(xs), np.asarray(ys))
 
     def sums(alpha, beta, z):
-        val = specialfn._theta_g1_derivs(alpha, beta, z, tau, 0)[0]
+        val = specialfn._theta_g1(alpha, beta, z, tau)
         # |terms| of theta[alpha;beta](z|tau) are the terms of
         # theta[alpha;0](Re z | i Im tau), all positive
-        size = specialfn._theta_g1_derivs(alpha, 0.0, z.real, 1j * tau.imag,
-                                          0)[0].real
+        size = specialfn._theta_g1(alpha, 0.0, z.real, 1j * tau.imag).real
         return val, size
 
     num, num_size = sums(s.tw1.alpha, s.tw1.beta, diff + s.kappa * s.moduli.w)
     den, den_size = sums(0.5, 0.5, diff)
     num = num + bump * num_size * num / np.abs(num)
     den = den - bump * den_size * den / np.abs(den)
-    th0 = specialfn._theta_g1_derivs(s.tw1.alpha, s.tw1.beta,
-                                     s.kappa * s.moduli.w, tau, 0)[0]
+    th0 = specialfn._theta_g1(s.tw1.alpha, s.tw1.beta,
+                              s.kappa * s.moduli.w, tau)
     u_pow = np.exp(s.kappa * np.subtract.outer(np.asarray(lax),
                                                np.asarray(lay)))
     ref = u_pow * num / (th0 * den / specialfn.theta1_deriv0(s.moduli.tau))

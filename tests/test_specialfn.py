@@ -4,7 +4,7 @@ Oracles: the Jacobi triple product for theta_1, hand-derived
 quasi-periodicity factors, the independent q-series route for the
 twisted genus-one kernel, brute-force lattice enumeration, and 50-digit
 mpmath sums for theta and its derivatives and for the twisted Eisenstein
-series.
+series.  The P_k vector is checked against a float64 twisted lattice sum.
 """
 
 import math
@@ -20,14 +20,29 @@ from szegosew import specialfn, verify
 from szegosew.errors import ConvergenceError, DomainError, ResonanceError
 from szegosew.numerics import circle_nodes
 from szegosew.specialfn import (Characteristics, K, TorusModulus, TwistPair,
-                                _p_k_theta_route, _theta_g1_derivs,
-                                bernoulli_poly, eisenstein_twisted,
-                                lattice_distance, lattice_reduce,
-                                min_lattice_distance, p1_series, p1_theta,
-                                p_k_vector, theta1, theta1_deriv0, theta_char)
+                                _theta_taylor, bernoulli_poly,
+                                eisenstein_twisted, lattice_distance,
+                                lattice_reduce, min_lattice_distance,
+                                p1_series, p1_theta, p_k_vector, theta1,
+                                theta1_deriv0, theta_char)
 
 TAU = TorusModulus(0.3 + 1.0j)
 TWO_PI_I = 2j * np.pi
+# one square-ish, one thin and two strongly skewed lattices
+CELL_TAUS = [0.3 + 1.0j, 0.45 + 0.08j, 0.1 + 0.3j, 3.7 + 0.2j]
+
+
+def _cell_points(tau: TorusModulus, count: int, seed: int = 3) -> np.ndarray:
+    """Seeded random points 2 pi i (u + v tau) of the cell, u, v in [0, 1),
+    at least 0.1 from the lattice."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        u, v = rng.uniform(0.0, 1.0, 2)
+        z = TWO_PI_I * (u + v * tau.tau)
+        if lattice_distance(z, tau) >= 0.1:
+            out.append(z)
+    return np.array(out)
 
 
 def _theta1_triple_product(z: complex, tau: complex) -> complex:
@@ -158,7 +173,10 @@ class TestTheta1:
         tw = TwistPair(0.17, 0.38)
         zs = np.array([TWO_PI_I * (u + v * tau)
                        for u, v in [(0.23, 0.31), (0.67, -0.52), (-0.41, 0.18)]])
-        derivs = _theta_g1_derivs(tw.alpha, tw.beta, zs, tau, 3)
+        # scaled Taylor rows (-1)^n theta^{(n)}/n! back to derivatives
+        unscale = np.array([1.0, -1.0, 2.0, -6.0])
+        derivs = (_theta_taylor(((tw.alpha, tw.beta),), zs, tau, 4)[0]
+                  * unscale).T
         odd = theta1(zs, torus)
         # errors are measured against the sum of the absolute values of
         # the terms, the scale of the rounding error of the sum
@@ -290,18 +308,39 @@ class TestTwistedKernel:
             assert abs(z * p1_theta(tw, z, TAU) - 1.0) < 1e-3
 
     def test_p_k_routes_agree(self):
-        # the q-series differentiated term by term against the analytically
-        # differentiated theta quotient, at reduced points inside the annulus
+        # the P1 column of the theta quotient against the q-series oracle,
+        # at points across the annulus, its edges included
         tw = TwistPair(0.17, 0.38)
-        for z in (-1.3 + 2.0j, -3.0 + 0.3j, -5.883 + 2.985j):
-            series = p_k_vector(tw, 6, z, TAU)
-            theta = _p_k_theta_route(tw, 6, np.array([z]), TAU)
-            assert np.all(np.abs(series - theta) < 1e-12 * np.abs(theta)), z
+        for tau in map(TorusModulus, CELL_TAUS):
+            zs = _cell_points(tau, 12)
+            got = p_k_vector(tw, 8, zs, tau)[:, 0]
+            ref = np.array([p1_series(tw, z, tau) for z in zs])
+            assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref)), tau
+
+    @pytest.mark.parametrize("tau", CELL_TAUS)
+    def test_p_k_matches_twisted_lattice_sum(self, tau):
+        # P_k, 8 <= k <= 64, against the absolutely convergent sum
+        # sum theta^{-m} phi^{-n} (z + 2 pi i (m tau + n))^{-k} over a box
+        # of the reduced basis, converged to ~1e-15 at k = 8
+        tw = TwistPair(0.17, 0.38)
+        torus = TorusModulus(tau)
+        zs = _cell_points(torus, 12)
+        (m1, n1), (m2, n2) = torus.reduced_basis
+        a, b = np.meshgrid(np.arange(-60, 61), np.arange(-60, 61))
+        m, n = (a * m1 + b * m2).ravel(), (a * n1 + b * n2).ravel()
+        chi = tw.theta ** -m * tw.phi ** -n
+        w = 1.0 / (zs[:, None] + TWO_PI_I * (m * tau + n))
+        power = w ** 8
+        got = p_k_vector(tw, 64, zs, torus)
+        for k in range(8, 65):
+            ref = power @ chi
+            err = np.abs(got[:, k - 1] - ref)
+            assert np.all(err <= 1e-12 * np.abs(ref)), k
+            power *= w
 
     def test_batched_values_do_not_depend_on_the_batch(self):
-        # p1_theta's theta box comes from the reduction strip, p_k_vector
-        # keeps each point's own q-series terms (a point near the annulus
-        # boundary needs many more, one on it takes the theta route)
+        # the theta box is fixed by tau and kmax, so a far point or points
+        # near the annulus edges change no value of the others
         tw = TwistPair(0.17, 0.38)
         zs = np.array([-1.3 + 2.0j, -3.0 + 0.3j, 0.4 + 1.1j])
         far = np.array([TWO_PI_I * (0.37 + 20.21 * TAU.tau), -0.2 + 0.5j,
@@ -319,46 +358,28 @@ class TestTwistedKernel:
     @staticmethod
     def _node_batch():
         # the 128 contour nodes of the two-tori integral equation of
-        # `verify` on torus 1: 114 q-series points with jmax 59..327 at
-        # order 16 and 14 points on the theta route
+        # `verify` on torus 1, spread across the annulus and near its edges
         chars, moduli, _ = verify._eps_setup()
         z, _ = circle_nodes(0.0, 0.6 * moduli.radius(1), 128)
         return chars.tw(1), z, moduli.tau(1)
 
-    def test_power_tables_sized_per_point(self, monkeypatch):
+    def test_one_theta_sum_holds_all_points(self, monkeypatch):
         tw, z, tau = self._node_batch()
-        kmax = 16
-        z_red, _, _, edge = specialfn._reduce_off_lattice(z, tau)
-        series = edge > specialfn._P1_BOUNDARY_MARGIN * specialfn.TWO_PI \
-            * tau.tau.imag
-        jmax = specialfn._series_jmax(z_red[series], tau, kmax - 1)
-        assert 0 < series.sum() < z.size and np.unique(jmax).size > 1
-        entries = []
-        table = specialfn._power_table
-
-        def recording(e, x, rows):
-            out = table(e, x, rows)
-            entries.append(out.size)
-            return out
-        monkeypatch.setattr(specialfn, "_power_table", recording)
-        p_k_vector(tw, kmax, z, tau)
-        assert sum(entries) <= kmax * np.sum(2 * jmax + 1)
-
-    def test_boundary_points_share_one_theta_quotient(self, monkeypatch):
-        tw, z, tau = self._node_batch()
+        theta1_deriv0(tau)  # kept per modulus, computed before counting
         calls = []
-        quotient = specialfn._theta_quotient
+        taylor = specialfn._theta_taylor
 
-        def counting(tw_, z_red, tau_, nderiv):
-            calls.append(np.size(z_red))
-            return quotient(tw_, z_red, tau_, nderiv)
-        monkeypatch.setattr(specialfn, "_theta_quotient", counting)
+        def counting(chars, zs, tau_, kmax):
+            calls.append((len(chars), zs.size, kmax))
+            return taylor(chars, zs, tau_, kmax)
+        monkeypatch.setattr(specialfn, "_theta_taylor", counting)
         p_k_vector(tw, 16, z, tau)
-        assert calls == [14]
+        # theta[alpha;beta] and theta_1 at every point, and at the origin
+        assert calls == [(2, z.size + 1, 16)]
 
     def test_mixed_batch_rows_equal_single_point_calls(self):
-        # q-series points of many truncations, theta-route points and a
-        # far point in one call: every row is its single-point value
+        # points across the annulus, near its edges and a far point in one
+        # call: every row is its single-point value
         tw, z, tau = self._node_batch()
         zs = np.append(z[::5], TWO_PI_I * (0.37 + 20.21 * tau.tau))
         rows = p_k_vector(tw, 16, zs, tau)
