@@ -254,8 +254,8 @@ class EpsilonContext:
     """Cached assembly data for one (characteristics, moduli, N) configuration.
 
     I - F1 F2 is built once, at construction, and ``det`` is its ungated
-    determinant.  The first kernel call makes the one gated solve for
-    X0 = (I - F1 F2)^{-1} and X1 = X0 F1; by push-through
+    determinant.  The first kernel call reads the gated inverse
+    X0 = (I - F1 F2)^{-1} and forms X1 = X0 F1; by push-through
     (I - F2 F1)^{-1} F2 = F2 X0 and (I - F2 F1)^{-1} = I + F2 X1.
     """
 
@@ -280,11 +280,12 @@ class EpsilonContext:
     def _blocks(self) -> dict:
         """Correction block (a, b) between x rows on torus a and y rows on
         torus b, with the signs and xi (-1)^b of the cross blocks folded
-        in; one gated solve."""
+        in; X0 = (I - F1 F2)^{-1} is the gated inverse and X1 = X0 F1."""
         xi = self.moduli.xi
         f1, f2 = self._f
+        x0 = self._lu.inverse()
+        x1 = x0 @ f1
         eye = np.eye(self.n_order, dtype=complex)
-        x0, x1 = np.hsplit(self._lu.solve(np.hstack([eye, f1])), 2)
         return {(1, 1): f2 @ x0, (1, 2): xi * (eye + f2 @ x1),
                 (2, 1): -xi * x0, (2, 2): x1}
 

@@ -472,11 +472,9 @@ def _track_log_a(zs: np.ndarray, tau: TorusModulus, w: complex,
 
     Each point is reached along the straight path from the anchor; a
     path that fails is bent through a waypoint beside its midpoint, on
-    one side and then the other.
+    one side and then the other.  The points must be checked clear of A's
+    zeros and poles first.
     """
-    zs = np.asarray(zs, dtype=complex)
-    if np.any(_singular_distance(zs, tau, w) < POLE_GUARD):
-        raise DomainError("point is at a zero or pole of theta1(z-w)/theta1(z)")
     inc = _segment_steps(z_ref, zs, tau, w)
     bad = np.flatnonzero(np.isnan(inc))
     for sign in (1.0, -1.0):
@@ -511,6 +509,8 @@ def log_a_torus(z, tau: TorusModulus, w: complex, *,
     only differences of its values, so the anchor value cancels.
     """
     zv = np.asarray(z, dtype=complex)
+    if np.any(_singular_distance(zv, tau, w) < POLE_GUARD):
+        raise DomainError("point is at a zero or pole of theta1(z-w)/theta1(z)")
     val = _track_log_a(zv.ravel(), tau, w, complex(z_ref),
                        complex(log_a_ref)).reshape(zv.shape)
     return val if zv.ndim else complex(val)
@@ -551,6 +551,11 @@ class GridSide:
     radius: float
     tables: tuple
 
+    def __getitem__(self, k: slice) -> "GridSide":
+        """The centres k, as a side of views."""
+        return GridSide(self.centers[k], self.offsets[k], self.log_a[k],
+                        self.radius, tuple(t[k] for t in self.tables))
+
 
 def _theta_table(ma: np.ndarray, offsets: np.ndarray, sign: int) -> np.ndarray:
     """exp(sign (m + alpha) offset), shape (K, 2R+1, L) for (K, L) offsets."""
@@ -580,7 +585,7 @@ class TorusBaseKernel:
                   e^{(m+a) xi} e^{-(m+a) eta},
 
     so a grid of contour nodes is (P x R) diag(g) (R x Q) from tables
-    built once per contour.  The box radius R depends on tau and the
+    built once per grid side.  The box radius R depends on tau and the
     annulus radius ``moduli.radius`` only, which bounds every contour.
     """
 
@@ -633,8 +638,14 @@ class TorusBaseKernel:
     def contour_side(self, c: TorusContour, sign: int) -> GridSide:
         """Grid side of the nodes of c with its theta tables; sign +1 for
         the x side, -1 for the y side."""
-        off = (c.points - c.center)[None, :]
-        return GridSide(np.array([c.center]), off, c.log_a[None, :], c.radius,
+        return self._contours_side((c,), sign)
+
+    def _contours_side(self, cs, sign: int) -> GridSide:
+        """contour_side of the contours cs, one centre each."""
+        off = np.array([c.points - c.center for c in cs])
+        return GridSide(np.array([c.center for c in cs]), off,
+                        np.array([c.log_a for c in cs]),
+                        max(c.radius for c in cs),
                         tuple(_theta_table(ma, off, sign)
                               for ma, _, _ in self._chars))
 
@@ -723,12 +734,15 @@ def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
 # torus: quadrature moments
 # ----------------------------------------------------------------------
 
-def _check_closure(first, last, scale, what: str) -> None:
+def _check_closure(first, last, scale, what) -> None:
     """Verify the phi = 2 pi node reproduces the phi = 0 node, element-wise:
     max |last - first| along the last axis within _CLOSURE_TOL of scale
-    (broadcast over the leading axes, one check per point)."""
+    (broadcast over the leading axes, one check per point); ``what``
+    names the integrand, or each index of the error's last axis."""
     err = np.max(np.abs(last - first), axis=-1) / np.maximum(scale, 1e-300)
     if np.any(err > _CLOSURE_TOL):
+        if not isinstance(what, str):  # the name with the largest error
+            what = what[int(np.argmax(err.reshape(-1, len(what)).max(0)))]
         raise BranchTrackingError(
             f"{what} integrand not single-valued on the contour "
             f"(closure error {np.max(err):.2e})")
@@ -760,35 +774,37 @@ class TorusMoments:
         if self.m_points < 8:
             raise DomainError("need at least 8 quadrature points")
         r = moduli.contour_radius * radius_scale
-        # per label a: the x contour of label abar, over which G row a and
-        # hbar_a integrate, and the y contour of label a, over which G
-        # column a and h_a integrate, each as a grid side with its theta
-        # tables and with its mode weights z_local^{-k_a} at every node
-        # including the closure node
-        self._k, self._rows, self._cols, self._pref = {}, {}, {}, {}
+        # the x contours of labels abar, over which G row a and hbar_a
+        # integrate, and the y contours of labels a, over which G column a
+        # and h_a integrate (a = 1, 2), each pair as one grid side with its
+        # theta tables, its modes z_local^{-k_a} at every node with the
+        # closure node (2, N, m+1), their largest per node, and the
+        # trapezoid-weighted modes
         m = self.m_points
         contours = torus_contours(
             self.base, [(3 - a, X_RADIUS_FACTOR * r) for a in (1, 2)]
             + [(a, Y_RADIUS_FACTOR * r) for a in (1, 2)], m)
-        for a in (1, 2):
-            ka = mode_index(a, np.arange(1, n_order + 1), handle.kappa)
-            for sides, c, sign in ((self._rows, contours[a - 1], 1),
-                                   (self._cols, contours[a + 1], -1)):
-                modes = np.exp(-np.multiply.outer(ka, c.log_local))
-                sides[a] = (self.base.contour_side(c, sign), modes,
-                            modes[:, :m] * c.weight)
-            self._k[a] = ka
-            self._pref[a] = moduli.rho_pow(0.5 * (ka - 0.5))
+        self._k = [mode_index(a, np.arange(1, n_order + 1), handle.kappa)
+                   for a in (1, 2)]
+        self._pref = np.concatenate(
+            [moduli.rho_pow(0.5 * (ka - 0.5)) for ka in self._k])
+        sides = []
+        for cs, sign in ((contours[:2], 1), (contours[2:], -1)):
+            modes = np.array([np.exp(-np.multiply.outer(ka, c.log_local))
+                              for ka, c in zip(self._k, cs)])
+            sides.append((self.base._contours_side(cs, sign), modes,
+                          np.max(np.abs(modes), axis=1),
+                          [w[:, :m] * c.weight for w, c in zip(modes, cs)]))
+        self._rows, self._cols = sides
         self.g = self._build_g()
 
     def _build_g(self) -> np.ndarray:
         m = self.m_points
+        (sx, wxs, _, qxs), (sy, wys, _, qys) = self._rows, self._cols
         blocks = {}
-        for a in (1, 2):
-            sx, wx, qx = self._rows[a]
-            for b in (1, 2):
-                sy, wy, qy = self._cols[b]
-                grid = self.base.grid_sides(sx, sy)
+        for a, wx, qx in zip((1, 2), wxs, qxs):
+            for b, wy, qy in zip((1, 2), wys, qys):
+                grid = self.base.grid_sides(sx[a - 1:a], sy[b - 1:b])
                 # single-valuedness at the closure node, element-wise on the
                 # raw weighted integrand (before any cancelling summation)
                 for side, first, last in (
@@ -799,41 +815,38 @@ class TorusMoments:
                     scale = max(np.max(np.abs(first)), np.max(np.abs(last)))
                     _check_closure(first, last, scale,
                                    f"G_{a}{b} {side}-contour")
-                pref = self.moduli.rho_pow(
-                    0.5 * (self._k[a][:, None] + self._k[b][None, :] - 1.0))
+                pref = self.moduli.rho_pow(0.5 * (
+                    self._k[a - 1][:, None] + self._k[b - 1][None, :] - 1.0))
                 blocks[(a, b)] = pref * (qx @ grid[:m, :m] @ qy.T)
         return as_complex_matrix(
             np.block([[blocks[(1, 1)], blocks[(1, 2)]],
                       [blocks[(2, 1)], blocks[(2, 2)]]]), "moment matrix G")
 
-    def _moments(self, sides: dict, integrand, what: str) -> np.ndarray:
+    def _moments(self, sides: tuple, f: np.ndarray, what: str) -> np.ndarray:
         """rho^{(k_a-1/2)/2} (1/2pi i) oint z_local^{-k_a} f dz_local, a = 1, 2,
-        with f = integrand(grid side) at the contour nodes, one row of f
-        and of the result per point."""
+        from f at the nodes of both contours of a grid side, shape
+        (points, 2 (m+1)): one row of f and of the result per point."""
         m = self.m_points
-        out = []
-        for a in (1, 2):
-            side, modes, weighted = sides[a]
-            f = integrand(side)
-            _check_closure(f[:, :1] * modes[:, 0], f[:, -1:] * modes[:, -1],
-                           np.max(np.abs(f) * np.max(np.abs(modes), axis=0),
-                                  axis=1), f"{what}_{a} contour")
-            out.append(self._pref[a] * (f[:, :m] @ weighted.T))
-        return np.concatenate(out, axis=1)
+        _, modes, size, weighted = sides
+        scale = np.max(np.abs(f).reshape(len(f), 2, m + 1) * size, axis=2)
+        _check_closure(f[:, ::m + 1, None] * modes[:, :, 0],
+                       f[:, m::m + 1, None] * modes[:, :, -1], scale,
+                       [f"{what}_{a} contour" for a in (1, 2)])
+        return self._pref * np.concatenate(
+            [f[:, :m] @ weighted[0].T, f[:, m + 1:-1] @ weighted[1].T], axis=1)
 
     def h_matrix(self, xs, log_a_xs=None) -> np.ndarray:
         """Rows (h_1(k,x), h_2(k,x)), k = 1..N, one per point of xs, by
         contour quadrature; log A is tracked unless supplied."""
         pts = self.base.points_side(xs, self.base.log_a(xs, log_a_xs))
         return self._moments(
-            self._cols, lambda side: self.base.grid_sides(pts, side), "h")
+            self._cols, self.base.grid_sides(pts, self._cols[0]), "h")
 
     def hbar_matrix(self, ys, log_a_ys=None) -> np.ndarray:
         """Rows (hbar_1(k,y), hbar_2(k,y)), k = 1..N, one per point of ys."""
         pts = self.base.points_side(ys, self.base.log_a(ys, log_a_ys))
         return self._moments(
-            self._rows, lambda side: self.base.grid_sides(side, pts).T,
-            "hbar")
+            self._rows, self.base.grid_sides(self._rows[0], pts).T, "hbar")
 
     def h_vector(self, x, log_a_x=None) -> np.ndarray:
         """The one-point h_matrix."""
@@ -877,8 +890,7 @@ class RhoTorusContext:
     def validate_point(self, z) -> None:
         """Reject a point, or any point of an array, inside the sewing
         contours."""
-        d = np.ravel(_singular_distance(np.asarray(z, dtype=complex),
-                                        self.moduli.tau, self.moduli.w))
+        d = np.ravel(_singular_distance(z, self.moduli.tau, self.moduli.w))
         bad = d <= self._margin
         if np.any(bad):
             raise DomainError(
@@ -897,11 +909,15 @@ class RhoTorusContext:
         xs = np.ravel(np.asarray(xs, dtype=complex))
         ys = np.ravel(np.asarray(ys, dtype=complex))
         self.validate_point(np.concatenate([xs, ys]))
-        s = self.moments.base
+        s, mod = self.moments.base, self.moduli
         lax, lay = log_a_xs, log_a_ys
         if lax is None or lay is None:
-            swept = s.log_a(np.concatenate(
-                [z for z, la in ((xs, lax), (ys, lay)) if la is None]))
+            zs = np.concatenate(
+                [z for z, la in ((xs, lax), (ys, lay)) if la is None])
+            # validate_point keeps every point beyond the contour margin,
+            # above POLE_GUARD in a built context, from A's zeros and poles
+            swept = _track_log_a(zs, mod.tau, mod.w, mod.z_ref,
+                                 mod.log_a_ref) if s.tracked else s.log_a(zs)
             if lax is None:
                 lax, swept = swept[:xs.size], swept[xs.size:]
             if lay is None:

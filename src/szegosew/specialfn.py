@@ -90,8 +90,10 @@ class TorusModulus:
     90 degrees, so each cell x b1 + y b2 (0 <= x, y <= 1) splits along
     b2 - b1 into two non-obtuse Delaunay triangles and the lattice point
     nearest any point of the cell is one of its four corners.
-    ``theta1_deriv0``, the prime-form constant theta_1'(0, tau), is
-    computed on first use and kept.
+    ``cell`` (2 pi i b1, 2 pi i b2, their cross product and the cell's
+    four corners, which ``lattice_distance`` reads) and ``theta1_deriv0``,
+    the prime-form constant theta_1'(0, tau), are computed on first use
+    and kept.
     """
 
     tau: complex
@@ -109,6 +111,13 @@ class TorusModulus:
     @property
     def q(self) -> complex:
         return np.exp(2j * np.pi * self.tau)
+
+    @cached_property
+    def cell(self) -> tuple:
+        b1, b2 = (2j * np.pi * (m * self.tau + n)
+                  for m, n in self.reduced_basis)
+        return (b1, b2, (b1.conjugate() * b2).imag,
+                np.array([0.0, b1, b2, b1 + b2]))
 
     @cached_property
     def theta1_deriv0(self) -> complex:
@@ -428,17 +437,12 @@ def lattice_distance(z, tau: TorusModulus):
     cell of the reduced basis that contains z (see ``TorusModulus``).
     """
     zv = np.asarray(z, dtype=complex)
-    t = tau.tau
-    (m1, n1), (m2, n2) = tau.reduced_basis
-    b1 = 2j * np.pi * (m1 * t + n1)
-    b2 = 2j * np.pi * (m2 * t + n2)
+    b1, b2, cross, corners = tau.cell
     # cell coordinates: z = x b1 + y b2 for real x, y
-    cross = (b1.conjugate() * b2).imag
     zc = zv.conjugate()
     x = np.floor((b2 * zc).imag / cross)
     y = np.floor((zc * b1).imag / -cross)
     r = zv - (x * b1 + y * b2)
-    corners = np.array([0.0, b1, b2, b1 + b2])
     return np.abs(r[..., None] - corners).min(axis=-1)
 
 

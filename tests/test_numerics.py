@@ -131,14 +131,14 @@ def _sphere_context():
 
 
 @pytest.mark.parametrize("build,inversions,solves", [
-    (_eps_context, 1, 1), (_rho_torus_context, 1, 0), (_sphere_context, 0, 0)],
+    (_eps_context, 1, 0), (_rho_torus_context, 1, 0), (_sphere_context, 0, 0)],
     ids=["eps", "rho-torus", "sphere"])
 def test_context_factorises_each_sewing_matrix_once(monkeypatch, build,
                                                     inversions, solves):
     """Across det, four kernels and det, a two-tori or self-sewn-torus
-    context inverts its sewing matrix once (the exact condition); the
-    two-tori context makes one gated solve, the self-sewn torus uses the
-    gated inverse itself, and the diagonal sphere context divides."""
+    context inverts its sewing matrix once (the exact condition) and
+    uses that gated inverse with no solve; the diagonal sphere context
+    divides."""
     calls = {"inv": 0, "solve": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name),

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import warnings
 
 import mpmath
@@ -308,6 +309,33 @@ class TestTorusSewing:
         monkeypatch.setattr(rho, "min_lattice_distance", forbidden)
         ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
 
+    def test_lattice_cell_built_once_per_modulus(self, monkeypatch):
+        # lattice_distance reads the cell geometry of its modulus, built
+        # on first use: one build serves the moduli checks, the context
+        # build and every kernel call, however many distances they take
+        built, reads = [], []
+        cell, distance = TorusModulus.cell.func, rho.lattice_distance
+
+        def counting_cell(tau):
+            built.append(tau)
+            return cell(tau)
+
+        def counting_distance(z, tau):
+            reads.append(tau)
+            return distance(z, tau)
+        counted = functools.cached_property(counting_cell)
+        counted.__set_name__(TorusModulus, "cell")
+        monkeypatch.setattr(TorusModulus, "cell", counted)
+        monkeypatch.setattr(rho, "lattice_distance", counting_distance)
+        ctx = RhoTorusContext(TW1, HANDLE,
+                              _torus_moduli(tau=TorusModulus(TAU.tau)), 6, 32)
+        xs, ys = _rho_points(ctx.moduli)
+        for x, y in zip(xs, ys):
+            ctx.kernel(x, y)
+        assert len(built) == 1 and len(reads) > 3 * xs.size
+        lattice_distance(W, TorusModulus(TAU.tau))
+        assert len(built) == 2
+
     def test_kernel_reuses_base_kernel_constants(self, monkeypatch):
         # theta[alpha1;beta1](kappa w) and theta1'(0) are evaluated once
         # per context build and never per kernel call; theta1'(0) is kept
@@ -364,6 +392,27 @@ def _rho_points(mod):
     ys = np.array([_pt(0.61, 0.12, offset=W) + 0.4, _pt(0.52, 0.26),
                    _pt(0.18, 0.67, offset=W)])
     return xs, ys
+
+
+def _per_contour_moments(ctx, zs, log_a):
+    """h and hbar rows at zs, one grid side and one product per contour."""
+    s, mod, m = ctx.moments.base, ctx.moduli, ctx.moments.m_points
+    r = mod.contour_radius
+    cs = rho.torus_contours(
+        s, [(3 - a, rho.X_RADIUS_FACTOR * r) for a in (1, 2)]
+        + [(a, rho.Y_RADIUS_FACTOR * r) for a in (1, 2)], m)
+    pts = s.points_side(zs, log_a)
+    h, hb = [], []
+    for a in (1, 2):
+        ka = mode_index(a, np.arange(1, ctx.n_order + 1), ctx.handle.kappa)
+        x_c, y_c = cs[a - 1], cs[a + 1]
+        for out, c, f in (
+                (hb, x_c, s.grid_sides(s.contour_side(x_c, 1), pts).T),
+                (h, y_c, s.grid_sides(pts, s.contour_side(y_c, -1)))):
+            modes = np.exp(-np.multiply.outer(ka, c.log_local))
+            out.append(mod.rho_pow(0.5 * (ka - 0.5))
+                       * (f[:, :m] @ (modes[:, :m] * c.weight).T))
+    return np.concatenate(h, axis=1), np.concatenate(hb, axis=1)
 
 
 class TestKernelMatrix:
@@ -431,6 +480,46 @@ class TestKernelMatrix:
         s = ctx.moments.base
         ctx.kernel_matrix(xs, ys, [s.log_a(x) for x in xs])
         assert sweeps[-1] == ys.size
+
+    def test_one_singular_distance_pass_per_call(self, monkeypatch):
+        # validate_point measures every point against the zeros and poles
+        # of A once; the tracker does not repeat that pass (its segment
+        # checks take path nodes, one row per point), while the public
+        # log_a_torus keeps its own check
+        mod = _torus_moduli()
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
+        xs, ys = _rho_points(mod)
+        passes = []
+        measure = rho._singular_distance
+
+        def recording(z, *args):
+            passes.append(np.array(z))
+            return measure(z, *args)
+        monkeypatch.setattr(rho, "_singular_distance", recording)
+        ctx.kernel_matrix(xs, ys)
+        points = [z for z in passes if z.ndim == 1]
+        assert len(points) == 1
+        assert np.array_equal(points[0], np.concatenate([xs, ys]))
+        for z in (0.0, np.array([xs[0], W + TWO_PI_I * TAU.tau])):
+            with pytest.raises(DomainError, match="zero or pole"):
+                log_a_torus(z, TAU, W, z_ref=mod.z_ref,
+                            log_a_ref=mod.log_a_ref)
+
+    @pytest.mark.parametrize("kappa,winding",
+                             [(0.1, 0), (0.0, 0), (0.1, 1), (-0.3, -2)])
+    def test_stacked_rows_match_per_contour_route(self, kappa, winding):
+        # h and hbar from the two-contour grid sides equal the moments
+        # taken contour by contour, each from its own grid side
+        mod = dataclasses.replace(_torus_moduli(), winding=winding)
+        ctx = RhoTorusContext(TW1, HandleTwist(kappa, -0.22), mod, 10, 64)
+        xs, ys = _rho_points(mod)
+        zs = np.concatenate([xs, ys])
+        la = ctx.moments.base.log_a(zs)
+        ref_h, ref_hb = _per_contour_moments(ctx, zs, la)
+        for got, ref in ((ctx.moments.h_matrix(zs, la), ref_h),
+                         (ctx.moments.hbar_matrix(zs, la), ref_hb)):
+            assert got.shape == ref.shape == (zs.size, 20)
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
     def test_det_ungated_while_every_kernel_call_raises(self, monkeypatch):
         # the context builds and factorises I - T; only the kernel's
@@ -602,10 +691,11 @@ class TestSeparableGrid:
             s.grid_sides(s.contour_side(near, 1), s.contour_side(far, -1))
 
     def test_build_work_counts(self, monkeypatch):
-        # contour-side theta tables: once per contour and characteristic
-        # at build (4 contours x 2 thetas), never per kernel call; the
-        # pole check of a contour pair is one lattice distance, not M x M;
-        # the four contour starts are tracked from the anchor in one sweep
+        # contour-side theta tables: once per grid side and characteristic
+        # at build (2 sides of two contours each x 2 thetas), never per
+        # kernel call; the pole check of a contour pair is one lattice
+        # distance, not M x M; the four contour starts are tracked from
+        # the anchor in one sweep
         tables = []
         shapes = []
         sweeps = []
@@ -628,8 +718,8 @@ class TestSeparableGrid:
         monkeypatch.setattr(rho, "_track_log_a", counting_track)
         m = 32
         ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, m)
-        assert tables == [(1, m + 1)] * 8
+        assert tables == [(2, m + 1)] * 4
         assert shapes and all(sum(d >= m for d in sh) < 2 for sh in shapes)
         assert sweeps == [4]
         ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
-        assert len(tables) == 8
+        assert len(tables) == 4
