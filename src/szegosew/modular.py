@@ -286,17 +286,8 @@ def act_eps_chars(g: EpsGroupElement,
 # epsilon-scheme action
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _EpsState:
-    tau1: complex
-    tau2: complex
-    epsilon: complex
-    sqrt_epsilon: complex
-    xi: complex
-
-
-def _eps_atom_moduli(kind, data, st: _EpsState):
-    """One generator on the moduli: (new state, point step).
+def _eps_atom_moduli(kind, data, m: EpsilonModuli):
+    """One generator on the moduli: (new moduli, point step).
 
     The point step is None for the swap, else (a, c tau_a + d) for the
     torus a whose points gamma_a rescales.
@@ -304,18 +295,15 @@ def _eps_atom_moduli(kind, data, st: _EpsState):
     if kind == "beta":
         # the swap exchanges the tori; the sewing-relation branch xi flips
         # so that the cross-torus kernel values are preserved
-        return (_EpsState(st.tau2, st.tau1, st.epsilon, st.sqrt_epsilon,
-                           -st.xi), None)
+        return replace(m, tau1=m.tau2, tau2=m.tau1, xi=-m.xi), None
     a, b, c, d = data
-    tau = st.tau1 if kind == "gamma1" else st.tau2
+    which = 1 if kind == "gamma1" else 2
+    tau = m.tau(which).tau
     j = c * tau + d
-    s = cmath.sqrt(j)
-    tau2 = (a * tau + b) / j
-    if kind == "gamma1":
-        return (_EpsState(tau2, st.tau2, st.epsilon / j, st.sqrt_epsilon / s,
-                          st.xi), (1, j))
-    return (_EpsState(st.tau1, tau2, st.epsilon / j, st.sqrt_epsilon / s,
-                      st.xi), (2, j))
+    step = {f"tau{which}": TorusModulus((a * tau + b) / j),
+            "epsilon": m.epsilon / j,
+            "sqrt_epsilon": m.sqrt_epsilon / cmath.sqrt(j)}
+    return replace(m, **step), (which, j)
 
 
 def _eps_walk(g: EpsGroupElement, m: EpsilonModuli):
@@ -325,10 +313,9 @@ def _eps_walk(g: EpsGroupElement, m: EpsilonModuli):
     the half-form factor sqrt(c tau_a + d); beta relabels the torus a
     point lives on without moving its complex coordinate.
     """
-    st = _EpsState(m.tau1.tau, m.tau2.tau, m.epsilon, m.sqrt_epsilon, m.xi)
     steps = []
     for kind, data in g.word:
-        st, step = _eps_atom_moduli(kind, data, st)
+        m, step = _eps_atom_moduli(kind, data, m)
         steps.append(step)
 
     def point(pt: SurfacePoint):
@@ -342,10 +329,7 @@ def _eps_walk(g: EpsGroupElement, m: EpsilonModuli):
                 factor *= cmath.sqrt(step[1])
         return SurfacePoint(which, z), factor
 
-    moduli = EpsilonModuli(tau1=TorusModulus(st.tau1),
-                           tau2=TorusModulus(st.tau2), epsilon=st.epsilon,
-                           sqrt_epsilon=st.sqrt_epsilon, xi=st.xi)
-    return moduli, point
+    return m, point
 
 
 def act_eps_moduli(g: EpsGroupElement, m: EpsilonModuli) -> EpsilonModuli:
@@ -368,19 +352,7 @@ def act_eps(g: EpsGroupElement, c: GenusTwoCharacteristicsEps,
 # rho-scheme action
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _RhoState:
-    tau: complex
-    w: complex
-    rho: complex
-    log_rho: complex
-    xi: complex
-    z_ref: complex
-    winding: int
-    contour_radius: float
-
-
-def _winding_jump(st: _RhoState, a: int, b: int) -> int:
+def _winding_jump(m: RhoModuliTorus, a: int, b: int) -> int:
     """Branch-sheet jump of the sewing contours under w -> w + 2pi i(a tau + b).
 
     The moment relations between the old and shifted moduli use the
@@ -392,15 +364,15 @@ def _winding_jump(st: _RhoState, a: int, b: int) -> int:
     absorb the jump into the moduli's winding datum.  Only differences
     of tracked values are read, so the anchor value is 0.
     """
-    delta = TWO_PI_I * (a * st.tau + b)
+    delta = TWO_PI_I * (a * m.tau.tau + b)
     # probes on the x and y contour radii (rows) and their shifts (columns),
     # tracked in one sweep
-    p = st.w + np.array([X_RADIUS_FACTOR, Y_RADIUS_FACTOR]) * st.contour_radius
-    la = log_a_torus(p[:, None] + np.array([0.0, delta]), TorusModulus(st.tau),
-                     st.w, z_ref=st.z_ref, log_a_ref=0.0)
+    p = m.w + np.array([X_RADIUS_FACTOR, Y_RADIUS_FACTOR]) * m.contour_radius
+    la = log_a_torus(p[:, None] + np.array([0.0, delta]), m.tau, m.w,
+                     z_ref=m.z_ref, log_a_ref=0.0)
     sheets = []
     for l0, l1 in la:
-        n = (l1 - l0 - a * st.w) / TWO_PI_I
+        n = (l1 - l0 - a * m.w) / TWO_PI_I
         ni = round(n.real)
         if abs(n - ni) > 1e-8:
             raise BranchTrackingError(
@@ -413,8 +385,8 @@ def _winding_jump(st: _RhoState, a: int, b: int) -> int:
     return sheets[0]
 
 
-def _rho_atom_moduli(kind, data, st: _RhoState):
-    """One generator on the moduli: (new state, point step).
+def _rho_atom_moduli(kind, data, m: RhoModuliTorus):
+    """One generator on the moduli: (new moduli, point step).
 
     The point step is c tau + d for gamma1, which rescales points, and
     None for the generators that leave points in place.
@@ -429,18 +401,19 @@ def _rho_atom_moduli(kind, data, st: _RhoState):
         unit = 1 if data > 0 else -1
         a, b = (unit, 0) if kind == "A" else (0, unit)
         for _ in range(abs(data)):
-            winding = st.winding + b - a - _winding_jump(st, a, b)
-            st = replace(st, w=st.w + TWO_PI_I * (a * st.tau + b),
-                         log_rho=st.log_rho + TWO_PI_I * (a - b),
-                         winding=winding)
-        return st, None
+            winding = m.winding + b - a - _winding_jump(m, a, b)
+            m = replace(m, w=m.w + TWO_PI_I * (a * m.tau.tau + b),
+                        log_rho=m.log_rho + TWO_PI_I * (a - b),
+                        winding=winding)
+        return m, None
     if kind == "C":
-        return replace(st, log_rho=st.log_rho + TWO_PI_I * data), None
+        return replace(m, log_rho=m.log_rho + TWO_PI_I * data), None
     a, b, c, d = data
-    j = c * st.tau + d
-    return _RhoState((a * st.tau + b) / j, st.w / j, st.rho / (j * j),
-                     st.log_rho - 2.0 * cmath.log(j), st.xi, st.z_ref / j,
-                     st.winding, st.contour_radius / abs(j)), j
+    tau = m.tau.tau
+    j = c * tau + d
+    return replace(m, tau=TorusModulus((a * tau + b) / j), w=m.w / j,
+                   rho=m.rho / (j * j), log_rho=m.log_rho - 2.0 * cmath.log(j),
+                   z_ref=m.z_ref / j), j
 
 
 def _rho_walk(g: RhoGroupElement, m: RhoModuliTorus):
@@ -449,11 +422,9 @@ def _rho_walk(g: RhoGroupElement, m: RhoModuliTorus):
     gamma1 rescales points by 1/(c tau + d) with half-form factor
     sqrt(c tau + d); the other generators leave points in place.
     """
-    st = _RhoState(m.tau.tau, m.w, m.rho, m.log_rho, m.xi, m.z_ref,
-                   m.winding, m.contour_radius)
     steps = []
     for kind, data in g.word:
-        st, j = _rho_atom_moduli(kind, data, st)
+        m, j = _rho_atom_moduli(kind, data, m)
         if j is not None:
             steps.append(j)
 
@@ -465,10 +436,7 @@ def _rho_walk(g: RhoGroupElement, m: RhoModuliTorus):
             factor *= cmath.sqrt(j)
         return z, factor
 
-    moduli = RhoModuliTorus(tau=TorusModulus(st.tau), w=st.w, rho=st.rho,
-                            log_rho=st.log_rho, xi=st.xi, z_ref=st.z_ref,
-                            winding=st.winding)
-    return moduli, point
+    return m, point
 
 
 def act_rho(g: RhoGroupElement, m: RhoModuliTorus, mults):

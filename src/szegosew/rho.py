@@ -42,15 +42,13 @@ from .config import (DEFAULT_ORDER, DEFAULT_QUAD_POINTS, POLE_GUARD,
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
 from .numerics import LU, as_complex_matrix
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
-                        _theta_g1, _theta_reduce, lattice_distance,
-                        theta1_deriv0)
+                        _theta_g1, _theta_reduce, lattice_distance)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
 __all__ = [
     "HandleTwist", "RhoModuliSphere", "RhoModuliTorus", "mode_index",
-    "s_kappa_sphere", "sphere_moments", "SphereMoments",
-    "det_i_minus_t_sphere", "RhoSphereContext", "torus_from_sphere",
-    "log_a_torus", "TorusBaseKernel", "TorusContour",
+    "s_kappa_sphere", "det_i_minus_t_sphere", "RhoSphereContext",
+    "torus_from_sphere", "log_a_torus", "TorusBaseKernel", "TorusContour",
     "GridSide", "torus_contours", "TorusMoments",
     "RhoTorusContext",
 ]
@@ -249,6 +247,8 @@ def s_kappa_sphere(handle: HandleTwist, x, y, log_x=None, log_y=None):
         raise DomainError("x, y must avoid the punctures 0 and infinity")
     lx = np.log(xv) if log_x is None else np.asarray(log_x, dtype=complex)
     ly = np.log(yv) if log_y is None else np.asarray(log_y, dtype=complex)
+    if not all(np.all(np.isfinite(v)) for v in (xv, yv, lx, ly)):
+        raise DomainError("points and their logarithms must be finite")
     diff = xv - yv
     scale = np.maximum(np.abs(xv), np.abs(yv))
     if np.any(np.abs(diff) < POLE_GUARD * scale):
@@ -262,59 +262,6 @@ def s_kappa_sphere(handle: HandleTwist, x, y, log_x=None, log_y=None):
                 "kappa = -1/2 with theta = 1: delta term denominator vanishes")
         val = val + th / (1.0 - th) * np.exp(-0.5 * (lx + ly))
     return val if (np.ndim(x) or np.ndim(y)) else complex(val)
-
-
-@dataclass(frozen=True)
-class SphereMoments:
-    """Closed-form sphere moments: diagonal T and the h / hbar evaluators."""
-
-    handle: HandleTwist
-    moduli: RhoModuliSphere
-    n_order: int
-    t: np.ndarray
-
-    def _k(self, a: int) -> np.ndarray:
-        return mode_index(a, np.arange(1, self.n_order + 1), self.handle.kappa)
-
-    def h_matrix(self, log_x) -> np.ndarray:
-        """Rows (h_1(k,x), h_2(k,x)), k = 1..N, one per log x."""
-        lx = np.reshape(log_x, (-1, 1))
-        k1, k2 = self._k(1), self._k(2)
-        qp = self.moduli.q_pow
-        h1 = -self.moduli.xi * qp(0.5 * (k1 - 0.5)) * np.exp((k1 - 1.0) * lx)
-        h2 = qp(0.5 * (k2 - 0.5)) * np.exp(-k2 * lx)
-        return np.concatenate([h1, h2], axis=1)
-
-    def hbar_matrix(self, log_y) -> np.ndarray:
-        """Rows (hbar_1(k,y), hbar_2(k,y)), k = 1..N, one per log y."""
-        ly = np.reshape(log_y, (-1, 1))
-        k1, k2 = self._k(1), self._k(2)
-        qp = self.moduli.q_pow
-        hb1 = -qp(0.5 * (k1 - 0.5)) * np.exp(-k1 * ly)
-        hb2 = self.moduli.xi * qp(0.5 * (k2 - 0.5)) * np.exp((k2 - 1.0) * ly)
-        return np.concatenate([hb1, hb2], axis=1)
-
-
-def sphere_moments(handle: HandleTwist, n_order: int,
-                   moduli: RhoModuliSphere) -> SphereMoments:
-    """Closed-form moments of the self-sewn sphere.
-
-    T is exactly diagonal with T_aa(k,k) = theta^{-(-1)^a} q^{k_a - 1/2}
-    on the recorded branch of log q.
-    """
-    if n_order < 1:
-        raise DomainError("order must be >= 1")
-    kap = handle.kappa
-    if _is_half(kap):
-        raise DomainError(
-            "kappa = -1/2: closed-form sphere moments are only stated for "
-            "kappa != -1/2 (the extra delta term changes the moments)")
-    k = np.arange(1, n_order + 1)
-    t11 = np.diag(moduli.q_pow(mode_index(1, k, kap) - 0.5) / handle.theta)
-    t22 = np.diag(moduli.q_pow(mode_index(2, k, kap) - 0.5) * handle.theta)
-    zero = np.zeros((n_order, n_order), dtype=complex)
-    t = np.block([[t11, zero], [zero, t22]])
-    return SphereMoments(handle=handle, moduli=moduli, n_order=n_order, t=t)
 
 
 def det_i_minus_t_sphere(handle: HandleTwist, n_order: int,
@@ -339,23 +286,43 @@ def _d_theta_diag(theta_new: complex, n_order: int) -> np.ndarray:
 class RhoSphereContext:
     """Closed-form assembly of the self-sewn sphere for one (handle, q, N).
 
-    I - T is diagonal, so the kernel divides by its diagonal
-    d_i = 1 - T_ii, the twisted denominators of ``det_i_minus_t_sphere``,
-    and needs no factorisation; ``det`` stays the dense determinant.
+    T is exactly diagonal, T_aa(k,k) = theta^{-(-1)^a} q^{k_a - 1/2} on
+    the recorded branch of log q, and is kept as its diagonal ``t``, built
+    once with the mode indices and the weights q^{(k_a - 1/2)/2} of the
+    closed-form h / hbar rows.  The kernel divides by d_i = 1 - t_i, the
+    twisted denominators of ``det_i_minus_t_sphere``, and factorises
+    nothing; ``det`` stays the dense determinant.
     """
 
     def __init__(self, handle: HandleTwist, moduli: RhoModuliSphere,
                  n_order: int = DEFAULT_ORDER) -> None:
+        if n_order < 1:
+            raise DomainError("order must be >= 1")
+        if _is_half(handle.kappa):
+            raise DomainError(
+                "kappa = -1/2: closed-form sphere moments are only stated for "
+                "kappa != -1/2 (the extra delta term changes the moments)")
         self.handle = handle
         self.moduli = moduli
         self.n_order = n_order
-        self.moments = sphere_moments(handle, self.n_order, moduli)
+        k = np.arange(1, n_order + 1)
+        k1, k2 = (mode_index(a, k, handle.kappa) for a in (1, 2))
+        self.t = np.concatenate([moduli.q_pow(k1 - 0.5) / handle.theta,
+                                 moduli.q_pow(k2 - 0.5) * handle.theta])
+        q1, q2 = (moduli.q_pow(0.5 * (ka - 0.5)) for ka in (k1, k2))
+        xi = moduli.xi
+        # (prefactor, power of z) of the blocks a = 1, 2 of the h and hbar
+        # rows: h_1 = -xi q^{(k_1-1/2)/2} x^{k_1-1},
+        # h_2 = q^{(k_2-1/2)/2} x^{-k_2}, hbar_1 = -q^{(k_1-1/2)/2} y^{-k_1},
+        # hbar_2 = xi q^{(k_2-1/2)/2} y^{k_2-1}
+        self._h = ((-xi * q1, k1 - 1.0), (q2, -k2))
+        self._hbar = ((-q1, -k1), (xi * q2, k2 - 1.0))
         self._dth = _d_theta_diag(handle.theta, self.n_order)
 
     @cached_property
     def _middle(self) -> np.ndarray:
         """Diagonal of D^theta (I - T)^{-1}, guarded against resonance."""
-        d = 1.0 - np.diag(self.moments.t)
+        d = 1.0 - self.t
         if np.any(np.abs(d) < RESONANCE_GUARD):
             raise ResonanceError(
                 f"sewing mode factor 1 - T_ii = {d[np.argmin(np.abs(d))]:.3e} "
@@ -374,10 +341,14 @@ class RhoSphereContext:
         ys = np.ravel(np.asarray(ys, dtype=complex))
         lx = np.log(xs) if log_xs is None else np.ravel(log_xs).astype(complex)
         ly = np.log(ys) if log_ys is None else np.ravel(log_ys).astype(complex)
+        if lx.size != xs.size or ly.size != ys.size:
+            raise DomainError("need one logarithm per point")
         base = s_kappa_sphere(self.handle, xs[:, None], ys[None, :],
                               lx[:, None], ly[None, :])
-        h = self.moments.h_matrix(lx) * self._middle
-        return base + self.moduli.xi * h @ self.moments.hbar_matrix(ly).T
+        h, hb = (np.concatenate([p * np.exp(k * lz[:, None])
+                                 for p, k in blocks], axis=1)
+                 for blocks, lz in ((self._h, lx), (self._hbar, ly)))
+        return base + self.moduli.xi * (h * self._middle) @ hb.T
 
     def kernel(self, x, y, log_x=None, log_y=None) -> complex:
         """One value of kernel_matrix."""
@@ -386,7 +357,7 @@ class RhoSphereContext:
     def det(self) -> complex:
         """det(I - T) by the dense route, ungated."""
         return complex(np.linalg.det(
-            np.eye(2 * self.n_order, dtype=complex) - self.moments.t))
+            np.eye(2 * self.n_order, dtype=complex) - np.diag(self.t)))
 
 
 def torus_from_sphere(handle: HandleTwist, x, y, moduli: RhoModuliSphere,
@@ -605,7 +576,7 @@ class TorusBaseKernel:
         if abs(th0) < RESONANCE_GUARD:
             raise ResonanceError(
                 "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
-        self._scale = theta1_deriv0(moduli.tau) / th0
+        self._scale = moduli.tau.theta1_deriv0 / th0
         self._lattice_min = min_lattice_distance(moduli.tau)
         radius = _box_radius(tau.imag, math.pi * tau.imag + 2.0 * moduli.radius,
                              THETA_TOL)
@@ -628,20 +599,18 @@ class TorusBaseKernel:
         return val if np.ndim(z) else complex(val)
 
     def points_side(self, zs, log_a) -> GridSide:
-        """Grid side of single points, each its own centre."""
+        """Grid side of single points, each its own centre, with one finite
+        log A branch per point."""
         zs = np.ravel(np.asarray(zs, dtype=complex))
+        log_a = np.reshape(np.asarray(log_a, dtype=complex), (-1, 1))
+        if log_a.size != zs.size or not np.isfinite(log_a).all():
+            raise DomainError("need one finite log A branch per point")
         ones = np.ones((zs.size, self._chars[0][0].size, 1))
-        return GridSide(zs, np.zeros((zs.size, 1)),
-                        np.reshape(np.asarray(log_a, dtype=complex), (-1, 1)),
-                        0.0, (ones, ones))
+        return GridSide(zs, np.zeros((zs.size, 1)), log_a, 0.0, (ones, ones))
 
-    def contour_side(self, c: TorusContour, sign: int) -> GridSide:
-        """Grid side of the nodes of c with its theta tables; sign +1 for
-        the x side, -1 for the y side."""
-        return self._contours_side((c,), sign)
-
-    def _contours_side(self, cs, sign: int) -> GridSide:
-        """contour_side of the contours cs, one centre each."""
+    def contours_side(self, cs, sign: int) -> GridSide:
+        """Grid side of the nodes of the contours cs, one centre each, with
+        their theta tables; sign +1 for the x side, -1 for the y side."""
         off = np.array([c.points - c.center for c in cs])
         return GridSide(np.array([c.center for c in cs]), off,
                         np.array([c.log_a for c in cs]),
@@ -792,7 +761,7 @@ class TorusMoments:
         for cs, sign in ((contours[:2], 1), (contours[2:], -1)):
             modes = np.array([np.exp(-np.multiply.outer(ka, c.log_local))
                               for ka, c in zip(self._k, cs)])
-            sides.append((self.base._contours_side(cs, sign), modes,
+            sides.append((self.base.contours_side(cs, sign), modes,
                           np.max(np.abs(modes), axis=1),
                           [w[:, :m] * c.weight for w, c in zip(modes, cs)]))
         self._rows, self._cols = sides
@@ -888,8 +857,10 @@ class RhoTorusContext:
         return self._dth[:, None] * self._lu.inverse()
 
     def validate_point(self, z) -> None:
-        """Reject a point, or any point of an array, inside the sewing
-        contours."""
+        """Reject a point, or any point of an array, that is not finite or
+        lies inside the sewing contours."""
+        if not np.isfinite(z).all():
+            raise DomainError("points must be finite")
         d = np.ravel(_singular_distance(z, self.moduli.tau, self.moduli.w))
         bad = d <= self._margin
         if np.any(bad):

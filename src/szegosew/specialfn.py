@@ -45,7 +45,7 @@ _UNIT_TOL = 1e-9  # allowed | |multiplier| - 1 | of twist multipliers
 
 __all__ = [
     "TorusModulus", "PeriodMatrix", "Characteristics", "TwistPair",
-    "theta_char", "theta1", "theta1_deriv0", "K",
+    "theta_char", "theta1", "K",
     "lattice_reduce", "lattice_distance", "min_lattice_distance",
     "p1_theta", "p1_series", "p_k_vector",
     "eisenstein_twisted", "bernoulli_poly",
@@ -393,19 +393,13 @@ def theta1(z, tau: TorusModulus):
     return val
 
 
-def theta1_deriv0(tau: TorusModulus) -> complex:
-    """d_z theta_1(0, tau), the prime-form normalization constant, kept
-    once per modulus."""
-    return tau.theta1_deriv0
-
-
 def K(z, tau: TorusModulus):
     """Genus-one prime-form factor K(z,tau) = theta_1(z,tau)/theta_1'(0,tau).
 
     Odd in z with K(z)/z -> 1 as z -> 0. Vanishes on the lattice; callers
     dividing by K are responsible for pole guards.
     """
-    return theta1(z, tau) / theta1_deriv0(tau)
+    return theta1(z, tau) / tau.theta1_deriv0
 
 
 # ----------------------------------------------------------------------
@@ -507,7 +501,7 @@ def _p_k_reduced(tw: TwistPair, kmax: int, z_red: np.ndarray,
     # one row per point: every step runs over rows of the same length
     # whatever the batch, so a value does not depend on it
     a, k = taylor[:, :-1]
-    p = a / (th0 * (k[:, :1] / theta1_deriv0(tau)))
+    p = a / (th0 * (k[:, :1] / tau.theta1_deriv0))
     b = k / k[:, :1]
     for n in range(1, kmax):
         p[:, n:] -= p[:, n - 1, None] * b[:, 1:kmax - n + 1]

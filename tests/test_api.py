@@ -89,14 +89,14 @@ def test_traced_layers_resolve():
 @pytest.mark.parametrize("context", ["EpsilonContext", "RhoTorusContext",
                                      "RhoSphereContext"])
 def test_contexts_share_the_evaluation_interface(context):
-    # kernel is the 1x1 case of kernel_matrix; h/hbar vectors of the
-    # sphere are gone in favour of its batched moment rows
+    # kernel is the 1x1 case of kernel_matrix; the sphere context builds
+    # its closed-form moment rows itself, with no moments record
     cls = getattr(szegosew, context)
     assert all(callable(getattr(cls, m, None))
                for m in ("kernel_matrix", "kernel", "det"))
-    moments = importlib.import_module("szegosew.rho").SphereMoments
-    assert not hasattr(moments, "h_vector")
-    assert not hasattr(moments, "hbar_vector")
+    rho = importlib.import_module("szegosew.rho")
+    assert not any(hasattr(rho, name)
+                   for name in ("SphereMoments", "sphere_moments", "h_vector"))
 
 
 def test_readme_python_block_runs():

@@ -125,6 +125,16 @@ class TestEval:
         code, _, err = _run(capsys, ["eval", *EPS_ARGS, *POINTS])
         assert code == 3 and "numerical failure" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("scheme", ["sphere", "torus"])
+    def test_non_finite_point_exit_2(self, capsys, scheme, bad):
+        # rejected before any arithmetic, so no warning either (warnings
+        # are errors here)
+        args, pts = {"sphere": (SPHERE_ARGS, f"1:{bad},0.05,1:-0.15,0.18"),
+                     "torus": (TORUS_ARGS, f"1:{bad},3.5,1:-2.9,1.4")}[scheme]
+        code, out, err = _run(capsys, ["eval", *args, "--points", pts])
+        assert code == 2 and "finite" in err and not out
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "rows.csv"
         code, out, _ = _run(capsys, ["eval", *EPS_ARGS, *POINTS,

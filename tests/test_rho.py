@@ -16,7 +16,7 @@ from szegosew.errors import (BranchTrackingError, DomainError, ResonanceError,
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                           RhoSphereContext, RhoTorusContext, TorusBaseKernel,
                           det_i_minus_t_sphere, log_a_torus, mode_index,
-                          s_kappa_sphere, sphere_moments, torus_from_sphere)
+                          s_kappa_sphere, torus_from_sphere)
 from szegosew.specialfn import (TorusModulus, TwistPair, lattice_distance,
                                 p1_series, theta1)
 
@@ -75,12 +75,6 @@ class TestSphereKernel:
 
 
 class TestSphereSewing:
-    def test_moments_diagonal(self):
-        smod = RhoModuliSphere.create(0.1 * np.exp(0.7j))
-        mom = sphere_moments(HANDLE, 6, smod)
-        off = mom.t - np.diag(np.diag(mom.t))
-        assert np.max(np.abs(off)) == 0.0
-
     def test_det_product_vs_matrix(self):
         smod = RhoModuliSphere.create(0.1 * np.exp(0.7j))
         d_mat = RhoSphereContext(HANDLE, smod, 8).det()
@@ -104,7 +98,7 @@ class TestSphereSewing:
         handle = HandleTwist(-0.5 + 1.5e-12, 0.5)
         assert abs(handle.theta - 1.0) < 1e-15
         ctx = RhoSphereContext(handle, RhoModuliSphere.create(0.99), 8)
-        assert abs(1.0 - ctx.moments.t[0, 0]) < RESONANCE_GUARD
+        assert abs(1.0 - ctx.t[0]) < RESONANCE_GUARD
         with pytest.raises(ResonanceError):
             ctx.kernel(0.2 + 0.05j, -0.15 + 0.18j)
         d_mat = ctx.det()  # ungated: the dense route still gives a value
@@ -114,7 +108,7 @@ class TestSphereSewing:
     def test_half_kappa_moments_rejected(self):
         half = HandleTwist.from_multipliers(np.exp(0.3j), 1.0)
         with pytest.raises(DomainError):
-            sphere_moments(half, 8, RhoModuliSphere.create(0.1))
+            RhoSphereContext(half, RhoModuliSphere.create(0.1), 8)
 
     def test_bad_q_rejected(self):
         with pytest.raises(DomainError):
@@ -136,6 +130,26 @@ class TestSphereSewing:
         assert grid.shape == (3, 2)
         assert np.all(np.abs(grid - loop) <= 1e-14 * np.abs(loop))
         assert ctx.kernel_matrix([], np.exp(ly), [], ly).shape == (0, 2)
+
+    def test_log_branches_must_match_the_points(self):
+        # one logarithm for two x points used to broadcast to a (2, 1)
+        # value off by O(1)
+        ctx = RhoSphereContext(HANDLE, RhoModuliSphere.create(0.05 + 0.02j))
+        xs, ys = [0.2 + 0.05j, 0.3 - 0.1j], [-0.15 + 0.18j]
+        for lx, ly in ((np.log(xs[:1]), None), (None, np.log(xs))):
+            with pytest.raises(DomainError):
+                ctx.kernel_matrix(xs, ys, lx, ly)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        ctx = RhoSphereContext(HANDLE, RhoModuliSphere.create(0.05 + 0.02j))
+        for x, y, lx in ((complex(bad, 0.05), -0.15 + 0.18j, None),
+                         (0.2 + 0.05j, complex(-0.15, bad), None),
+                         (0.2 + 0.05j, -0.15 + 0.18j, complex(bad, 0.0))):
+            with pytest.raises(DomainError):
+                ctx.kernel(x, y, lx)
+            with pytest.raises(DomainError):
+                s_kappa_sphere(HANDLE, x, y, lx)
 
     def test_mode_index_shifts(self):
         k = np.arange(1, 4)
@@ -407,8 +421,8 @@ def _per_contour_moments(ctx, zs, log_a):
         ka = mode_index(a, np.arange(1, ctx.n_order + 1), ctx.handle.kappa)
         x_c, y_c = cs[a - 1], cs[a + 1]
         for out, c, f in (
-                (hb, x_c, s.grid_sides(s.contour_side(x_c, 1), pts).T),
-                (h, y_c, s.grid_sides(pts, s.contour_side(y_c, -1)))):
+                (hb, x_c, s.grid_sides(s.contours_side((x_c,), 1), pts).T),
+                (h, y_c, s.grid_sides(pts, s.contours_side((y_c,), -1)))):
             modes = np.exp(-np.multiply.outer(ka, c.log_local))
             out.append(mod.rho_pow(0.5 * (ka - 0.5))
                        * (f[:, :m] @ (modes[:, :m] * c.weight).T))
@@ -461,6 +475,35 @@ class TestKernelMatrix:
         xs, ys = _rho_points(mod)
         assert ctx.kernel_matrix([], ys).shape == (0, ys.size)
         assert ctx.kernel_matrix(xs, []).shape == (xs.size, 0)
+
+    def test_log_a_branches_must_match_the_points(self):
+        mod = _torus_moduli()
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
+        s = ctx.moments.base
+        xs, ys = _rho_points(mod)
+        lax, lay = s.log_a(xs), s.log_a(ys)
+        # two x points with one branch used to broadcast to a wrong value,
+        # here and in the grids and moment rows behind it
+        for x, lx, ly in ((xs[:2], lax[:1], None), (xs[:2], lax[:1], lay),
+                          (xs, lax, lay[1:]), (xs, lax, lay + np.nan)):
+            with pytest.raises(DomainError):
+                ctx.kernel_matrix(x, ys, lx, ly)
+        for call in (lambda: s.grid(xs[:2], lax[:1], ys, lay),
+                     lambda: ctx.moments.h_matrix(xs[:2], lax[:1]),
+                     lambda: ctx.moments.hbar_matrix(ys, lay[1:])):
+            with pytest.raises(DomainError):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        mod = _torus_moduli()
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
+        xs, ys = _rho_points(mod)
+        for z in (complex(bad, 3.5), complex(0.6, bad)):
+            with pytest.raises(DomainError):
+                ctx.kernel(z, ys[0])
+            with pytest.raises(DomainError):
+                ctx.kernel_matrix(xs, np.append(ys, z))
 
     def test_one_tracking_sweep_per_call(self, monkeypatch):
         # log A of every point comes from one vectorised sweep, not one
@@ -566,7 +609,7 @@ def _direct_reference(s, xs, lax, ys, lay, bump=0.0):
                               s.kappa * s.moduli.w, tau)
     u_pow = np.exp(s.kappa * np.subtract.outer(np.asarray(lax),
                                                np.asarray(lay)))
-    ref = u_pow * num / (th0 * den / specialfn.theta1_deriv0(s.moduli.tau))
+    ref = u_pow * num / (th0 * den / s.moduli.tau.theta1_deriv0)
     return ref, num_size / np.abs(num) + den_size / np.abs(den)
 
 
@@ -597,14 +640,15 @@ class TestSeparableGrid:
                         TWO_PI_I * (0.23 + 0.5 * t),
                         TWO_PI_I * (0.37 + 2.21 * t)])
         lap = np.array([s.log_a(z) for z in pts])
-        side_x = s.contour_side(cx, 1)
+        side_x = s.contours_side((cx,), 1)
         cases = [  # (grid, x points, x log A, y points, y log A)
-            (s.grid_sides(side_x, s.contour_side(cy, -1)),
+            (s.grid_sides(side_x, s.contours_side((cy,), -1)),
              cx.points, cx.log_a, cy.points, cy.log_a),
             # same centre, different radii
-            (s.grid_sides(side_x, s.contour_side(cz, -1)),
+            (s.grid_sides(side_x, s.contours_side((cz,), -1)),
              cx.points, cx.log_a, cz.points, cz.log_a),
-            (s.grid_sides(s.points_side(pts, lap), s.contour_side(cy, -1)),
+            (s.grid_sides(s.points_side(pts, lap),
+                          s.contours_side((cy,), -1)),
              pts, lap, cy.points, cy.log_a),
             (s.grid_sides(side_x, s.points_side(pts, lap)),
              cx.points, cx.log_a, pts, lap),
@@ -666,14 +710,15 @@ class TestSeparableGrid:
         with pytest.raises(DomainError):
             s.grid(c.points, c.log_a, c.points, c.log_a)
         with pytest.raises(DomainError):
-            s.grid_sides(s.contour_side(c, 1), s.contour_side(c, -1))
+            s.grid_sides(s.contours_side((c,), 1),
+                         s.contours_side((c,), -1))
         # a point on a moment contour
         node = y_contour.points[5]
         with pytest.raises(DomainError):
             ctx.moments.h_vector(node, s.log_a(node))
         with pytest.raises(DomainError):
             s.grid_sides(s.points_side([node], [s.log_a(node)]),
-                         s.contour_side(y_contour, -1))
+                         s.contours_side((y_contour,), -1))
         # circles whose nodes meet modulo the lattice: x node r of the
         # circle around 0 and y node 2 pi i + r of the circle around
         # 2 pi i + 2r
@@ -688,7 +733,8 @@ class TestSeparableGrid:
         far = circle(TWO_PI_I + 2 * r, TWO_PI_I + 2 * r - offsets)
         assert lattice_distance(near.points[0] - far.points[0], TAU) < 1e-12
         with pytest.raises(DomainError):
-            s.grid_sides(s.contour_side(near, 1), s.contour_side(far, -1))
+            s.grid_sides(s.contours_side((near,), 1),
+                         s.contours_side((far,), -1))
 
     def test_build_work_counts(self, monkeypatch):
         # contour-side theta tables: once per grid side and characteristic

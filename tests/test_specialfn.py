@@ -24,7 +24,7 @@ from szegosew.specialfn import (Characteristics, K, TorusModulus, TwistPair,
                                 eisenstein_twisted, lattice_distance,
                                 lattice_reduce, min_lattice_distance,
                                 p1_series, p1_theta, p_k_vector, theta1,
-                                theta1_deriv0, theta_char)
+                                theta_char)
 
 TAU = TorusModulus(0.3 + 1.0j)
 TWO_PI_I = 2j * np.pi
@@ -187,7 +187,7 @@ class TestTheta1:
             ref1, scale1, _ = _theta_reference(0.5, 0.5, z, tau, 0)
             assert abs(odd[i] - ref1[0]) <= 1e-14 * scale1[0], z
         ref0, scale0, _ = _theta_reference(0.5, 0.5, 0.0, tau, 1)
-        assert abs(theta1_deriv0(torus) - ref0[1]) <= 1e-14 * scale0[1]
+        assert abs(torus.theta1_deriv0 - ref0[1]) <= 1e-14 * scale0[1]
 
     def test_values_do_not_depend_on_the_batch(self):
         # arguments are reduced before the sum, whose box is then fixed by
@@ -365,7 +365,7 @@ class TestTwistedKernel:
 
     def test_one_theta_sum_holds_all_points(self, monkeypatch):
         tw, z, tau = self._node_batch()
-        theta1_deriv0(tau)  # kept per modulus, computed before counting
+        tau.theta1_deriv0  # kept per modulus, computed before counting
         calls = []
         taylor = specialfn._theta_taylor
 
