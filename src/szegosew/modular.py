@@ -358,15 +358,15 @@ def _winding_jump(m: RhoModuliTorus, a: int, b: int) -> int:
     The moment relations between the old and shifted moduli use the
     quasi-periodicity of log A(z) = log(theta1(z-w)/theta1(z)),
         log A(z + 2 pi i (a tau + b)) = log A(z) + a w  (mod 2 pi i),
-    on the contours around the puncture at w.  Straight-path tracking
-    from z_ref realizes this with a position-dependent integer sheet;
-    this probe measures it at the actual contour radii so the atom can
-    absorb the jump into the moduli's winding datum.  Only differences
-    of tracked values are read, so the anchor value is 0.
+    on the contours around the puncture at w.  The closed-form
+    continuation from z_ref realizes this with a position-dependent
+    integer sheet; this probe measures it at the actual contour radii
+    so the atom can absorb the jump into the moduli's winding datum.
+    Only differences of continued values are read: the anchor value is 0.
     """
     delta = TWO_PI_I * (a * m.tau.tau + b)
-    # probes on the x and y contour radii (rows) and their shifts (columns),
-    # tracked in one sweep
+    # probes on the x and y contour radii (rows) and their shifts
+    # (columns), continued in one call
     p = m.w + np.array([X_RADIUS_FACTOR, Y_RADIUS_FACTOR]) * m.contour_radius
     la = log_a_torus(p[:, None] + np.array([0.0, delta]), m.tau, m.w,
                      z_ref=m.z_ref, log_a_ref=0.0)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -187,23 +187,24 @@ class RhoModuliTorus:
         object.__setattr__(self, "xi", _check_xi(self.xi))
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "contour_radius", math.sqrt(abs(rho) / r * r))
-        # z_ref is the origin of every log-A tracking path (default w/2)
-        # and log_a_ref = log A(z_ref) on the principal branch; tracked
-        # log A enters the kernel only through differences, so this value
-        # cancels, while z_ref fixes which sheet each tracked point is on
+        # z_ref is the origin of every straight log-A continuation
+        # segment (default w/2) and log_a_ref = log A(z_ref), the explicit
+        # value of the closed form; continued log A enters the kernel only
+        # through differences, so this value cancels, while z_ref fixes
+        # which sheet each point is on
         z_ref = w / 2.0 if self.z_ref is None else _finite(self.z_ref, "z_ref")
         if _singular_distance(z_ref, self.tau, w) < POLE_GUARD:
             raise DomainError("z_ref is at a zero or pole of "
                               "theta1(z-w)/theta1(z)")
         object.__setattr__(self, "z_ref", z_ref)
-        object.__setattr__(self, "log_a_ref",
-                           cmath.log(_a_values(z_ref, self.tau, w)))
+        val, _ = _log_theta1(np.array([z_ref - w, z_ref]), self.tau.tau)
+        object.__setattr__(self, "log_a_ref", complex(val[0] - val[1]))
         # `winding` is the second covering datum beside log_rho: the extra
         # integer number of 2 pi i branch sheets of log A carried by the
         # sewing contours around the puncture at w, relative to the sheet
-        # reached by straight-path tracking from z_ref.  Generators
-        # that translate w pick it up when the tracked sheet jumps across
-        # a cut of the straight-path trivialization.
+        # reached along the straight segment from z_ref.  Generators
+        # that translate w pick it up when that sheet jumps across a cut
+        # of the straight-segment trivialization.
         object.__setattr__(self, "winding", int(self.winding))
 
     @classmethod
@@ -368,11 +369,11 @@ def torus_from_sphere(handle: HandleTwist, x, y, moduli: RhoModuliSphere,
 
 
 # ----------------------------------------------------------------------
-# torus: branch-tracked logarithm of A(z) = theta1(z-w)/theta1(z)
+# torus: closed-form logarithm of A(z) = theta1(z-w)/theta1(z)
 # ----------------------------------------------------------------------
 
-_TRACK_MAX_NODES = 4096
-_TRACK_ARG_LIMIT = 1.5  # max |arg| and |log magnitude| step per node
+_TRACK_ARG_LIMIT = 1.5  # max |arg| step of log A between contour nodes
+_MAX_CROSSINGS = 1000  # lattice lines one log-A segment may cross
 
 
 def _a_values(z, tau: TorusModulus, w: complex):
@@ -395,74 +396,71 @@ def _singular_distance(z, tau: TorusModulus, w: complex):
     return np.minimum(d[0], d[1])
 
 
-def _segment_steps(z0, z1, tau: TorusModulus, w: complex) -> np.ndarray:
-    """Continuous increments log A(z1) - log A(z0) along straight segments.
+@lru_cache(maxsize=64)
+def _even_series(tau: complex) -> tuple:
+    """(j, c_j) with sum_{k>=1} log((1 - q^k e^v)(1 - q^k e^-v))
+    = sum_j c_j (e^{jv} + e^{-jv}), c_j = -q^j / (j (1 - q^j)), summed to
+    1e-17 for |Re v| <= pi Im tau."""
+    h = math.pi * tau.imag  # term j is at most of order e^{-h j}
+    j = np.arange(1.0, math.ceil(math.log(2e17 / -math.expm1(-h)) / h) + 1.0)
+    q = np.exp(2j * np.pi * tau * j)
+    return j, -q / (j * (1.0 - q))
 
-    Vectorized over the endpoints z1; z0 is one point or one per z1.
-    Each segment starts with 16 equal steps and halves its own steps,
-    evaluating A only at the new nodes, until every step of log A stays
-    below the limit; NaN marks a segment that passes too close to a zero
-    or pole of A, or does not stabilize.
+
+def _log_theta1(u: np.ndarray, t: complex) -> tuple:
+    """(L, g): log theta1(u), up to a constant of tau, and the index g of
+    the nearest line Re u = -2 pi Im tau m through lattice points at or
+    left of u; L is analytic between these lines.  With v = u - 2 pi i
+    tau n reduced into |Re v| <= pi Im tau and v' = +-v, Re v' >= 0, every
+    logarithm of the product formula L = i pi g - n (v + i pi tau n) + v'/2
+    + Log(1 - e^{-v'}) + sum_j c_j (e^{jv} + e^{-jv}) is principal."""
+    s, re2 = TWO_PI * t.imag, TWO_PI * t.real
+    n = np.rint(u.real / -s)
+    v = u + (s - 1j * re2) * n
+    left = v.real < 0
+    vv = np.where(left, -v, v)
+    j, c = _even_series(t)
+    e = np.exp(np.multiply.outer(vv, j))
+    g = n + left
+    return (0.5 * vv + np.log(1.0 - np.exp(-vv)) + (e + 1.0 / e) @ c
+            + 1j * np.pi * g - n * (v + 1j * np.pi * t * n)), g
+
+
+def _continue_log_a(zs: np.ndarray, tau: TorusModulus, w: complex,
+                    z_ref: complex, log_a_ref: complex) -> np.ndarray:
+    """log A at every point of zs, continued from the anchor along the
+    straight segment [z_ref, z], in closed form.
+
+    log A is L(z - w) - L(z) (see _log_theta1) less 2 pi i times the
+    jumps of L where the segment crosses a line m through lattice points:
+    leftward at height y, -floor((y - 2 pi m Re tau) / 2 pi), which
+    counts the lattice points the segment passes above, the side it
+    really takes (through a lattice point counts as above).  The
+    points must be finite and clear of A's zeros and poles; a segment
+    that crosses over _MAX_CROSSINGS lines raises DomainError.
     """
-    z1 = np.ravel(np.asarray(z1, dtype=complex))
-    z0 = np.asarray(z0, dtype=complex) + np.zeros_like(z1)
-    seg = z1 - z0
-    out = np.full(z1.shape, np.nan, dtype=complex)
-    todo = np.arange(z1.size)
-    n = 16
-    new = z0[:, None] + seg[:, None] * (np.arange(n + 1) / n)
-    inner = new[:, 1:-1]
-    while True:
-        clear = _singular_distance(inner, tau, w).min(axis=1) \
-            >= 10.0 * POLE_GUARD
-        if not clear.all():
-            todo, new = todo[clear], new[clear]
-        if n == 16:
-            vals = _a_values(new, tau, w)
-        else:
-            both = np.empty((todo.size, n + 1), dtype=complex)
-            both[:, 0::2] = vals[clear]
-            both[:, 1::2] = _a_values(new, tau, w)
-            vals = both
-        steps = np.log(vals[:, 1:] / vals[:, :-1])
-        ok = ((np.abs(steps.imag) < _TRACK_ARG_LIMIT)
-              & (np.abs(steps.real) < _TRACK_ARG_LIMIT)).all(axis=1)
-        out[todo[ok]] = steps[ok].sum(axis=1)
-        todo, vals = todo[~ok], vals[~ok]
-        n *= 2
-        if not todo.size or n > _TRACK_MAX_NODES:
-            return out
-        # the odd nodes of the halved steps
-        new = inner = z0[todo, None] \
-            + seg[todo, None] * (np.arange(1, n, 2) / n)
-
-
-def _track_log_a(zs: np.ndarray, tau: TorusModulus, w: complex,
-                 z_ref: complex, log_a_ref: complex) -> np.ndarray:
-    """log A at every point of zs, continued from the anchor in one sweep.
-
-    Each point is reached along the straight path from the anchor; a
-    path that fails is bent through a waypoint beside its midpoint, on
-    one side and then the other.  The points must be checked clear of A's
-    zeros and poles first.
-    """
-    inc = _segment_steps(z_ref, zs, tau, w)
-    bad = np.flatnonzero(np.isnan(inc))
-    for sign in (1.0, -1.0):
-        if not bad.size:
-            break
-        d = zs[bad] - z_ref
-        direction = np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)
-        way = z_ref + 0.5 * d \
-            + sign * 0.2j * min_lattice_distance(tau) * direction
-        inc[bad] = _segment_steps(z_ref, way, tau, w) \
-            + _segment_steps(way, zs[bad], tau, w)
-        bad = bad[np.isnan(inc[bad])]
-    if bad.size:
-        raise BranchTrackingError(
-            "branch tracking did not stabilize; path too close to a "
-            "zero or pole of theta1(z-w)/theta1(z)")
-    return log_a_ref + inc
+    s, re2 = TWO_PI * tau.tau.imag, TWO_PI * tau.tau.real
+    # rows z - w and z, column 0 the anchor
+    u = np.concatenate(([z_ref], zs)) - np.array([[w], [0.0]])
+    val, g = _log_theta1(u, tau.tau)
+    # the segment crosses lines min(g)..max(g) - 1 at y = 2 pi (alpha + beta m)
+    dg = g[:, 1:] - g[:, :1]
+    out = val[:, 1:] - val[:, :1]
+    rows = np.abs(dg).max(initial=0.0)
+    if not rows <= _MAX_CROSSINGS:
+        raise DomainError(f"the segment from z_ref crosses over "
+                          f"{_MAX_CROSSINGS} lines through lattice points")
+    if rows:
+        a, d = u[:, :1], u[:, 1:] - u[:, :1]
+        slope = d.imag / (d.real + (d.real == 0))
+        alpha = (a.imag - slope * a.real) / TWO_PI
+        beta = (slope * s + re2) / -TWO_PI
+        k = np.arange(int(rows))
+        m = np.minimum(g[:, :1], g[:, 1:])[..., None] + k
+        level = np.floor(alpha[..., None] + beta[..., None] * m)
+        out = out + TWO_PI_I * np.sign(dg) * (
+            level * (k < np.abs(dg)[..., None])).sum(axis=-1)
+    return log_a_ref + (out[0] - out[1])
 
 
 def log_a_torus(z, tau: TorusModulus, w: complex, *,
@@ -470,20 +468,22 @@ def log_a_torus(z, tau: TorusModulus, w: complex, *,
     """log of A(z) = theta1(z-w)/theta1(z), continued from a branch anchor.
 
     Vectorized in z: a scalar gives a complex, an array an array of its
-    shape, all points tracked in one sweep; a value does not depend on
-    the other points of its call.
+    shape; a value does not depend on the other points of its call.
 
     The logarithm is continued from the value log_a_ref at z_ref along
-    the straight path from z_ref to z (bent around any singularity it
-    meets); a RhoModuliTorus records both.  All fractional powers
-    U^kappa in the self-sewing torus kernel use this tracker and read
-    only differences of its values, so the anchor value cancels.
+    the straight segment from z_ref to z, passing each zero and pole on
+    the side the segment takes (see _continue_log_a); a RhoModuliTorus
+    records both.  All fractional powers U^kappa in the self-sewing
+    torus kernel use this continuation and read only differences of its
+    values, so the anchor value cancels.
     """
     zv = np.asarray(z, dtype=complex)
+    if not np.isfinite(zv).all():
+        raise DomainError("points must be finite")
     if np.any(_singular_distance(zv, tau, w) < POLE_GUARD):
         raise DomainError("point is at a zero or pole of theta1(z-w)/theta1(z)")
-    val = _track_log_a(zv.ravel(), tau, w, complex(z_ref),
-                       complex(log_a_ref)).reshape(zv.shape)
+    val = _continue_log_a(zv.ravel(), tau, w, _finite(z_ref, "z_ref"),
+                          _finite(log_a_ref, "log_a_ref")).reshape(zv.shape)
     return val if zv.ndim else complex(val)
 
 
@@ -540,11 +540,11 @@ class TorusBaseKernel:
                        (theta[a1;b1](kappa w) K(x-y)),
         U(x,y) = theta1(x-w) theta1(y) / (theta1(x) theta1(y-w)),
 
-    with U^kappa = exp(kappa (log A(x) - log A(y))) on the tracked branch
-    of log A (see log_a_torus).  The kappa = -1/2 rejection, the constant
-    theta[a1;b1](kappa w) with its resonance guard, theta1'(0), and
-    whether log A is needed at all (not at kappa = 0) are settled once,
-    at construction.
+    with U^kappa = exp(kappa (log A(x) - log A(y))) on the continued
+    branch of log A (see log_a_torus).  The kappa = -1/2 rejection, the
+    constant theta[a1;b1](kappa w) with its resonance guard, theta1'(0),
+    and whether log A is needed at all (not at kappa = 0) are settled
+    once, at construction.
 
     Both thetas are summed separably.  With x = c_x + xi, y = c_y + eta
     and the centre offset c = c_x - c_y (+ kappa w) = c' + 2 pi i tau n,
@@ -589,7 +589,7 @@ class TorusBaseKernel:
 
     def log_a(self, z, log_a_z=None):
         """Branch of log A at a point or an array of points: the supplied
-        one, else tracked (all points in one sweep); 0 if untracked."""
+        one, else continued in closed form; 0 if untracked."""
         mod = self.moduli
         if self.tracked and log_a_z is None:
             return log_a_torus(z, mod.tau, mod.w, z_ref=mod.z_ref,
@@ -664,7 +664,7 @@ def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
     TorusContour per entry of specs, log A tracked node to node (integer
     winding per circle, plus the moduli's winding around w; 0 at
     kappa = 0).  A is evaluated once over all nodes and the start nodes
-    are tracked from the anchor in one sweep.  Every radius must stay
+    are continued from the anchor in closed form.  Every radius must stay
     inside the sewing annulus, which also bounds the theta box of the
     base kernel.
     """
@@ -806,7 +806,7 @@ class TorusMoments:
 
     def h_matrix(self, xs, log_a_xs=None) -> np.ndarray:
         """Rows (h_1(k,x), h_2(k,x)), k = 1..N, one per point of xs, by
-        contour quadrature; log A is tracked unless supplied."""
+        contour quadrature; log A is continued unless supplied."""
         pts = self.base.points_side(xs, self.base.log_a(xs, log_a_xs))
         return self._moments(
             self._cols, self.base.grid_sides(pts, self._cols[0]), "h")
@@ -873,7 +873,7 @@ class RhoTorusContext:
         """Sewn genus-two kernel S(x_i, y_j), coefficient of dx^1/2 dy^1/2.
 
         Shape (P, Q).  Every point is validated; log A at the points whose
-        branch is not supplied comes from one tracking sweep; the base
+        branch is not supplied comes from one closed-form call; the base
         kernel is one grid and the correction the product
         h (D^theta (I - T)^{-1}) hbar^T.
         """
@@ -887,12 +887,12 @@ class RhoTorusContext:
                 [z for z, la in ((xs, lax), (ys, lay)) if la is None])
             # validate_point keeps every point beyond the contour margin,
             # above POLE_GUARD in a built context, from A's zeros and poles
-            swept = _track_log_a(zs, mod.tau, mod.w, mod.z_ref,
-                                 mod.log_a_ref) if s.tracked else s.log_a(zs)
+            log_a = _continue_log_a(zs, mod.tau, mod.w, mod.z_ref,
+                                    mod.log_a_ref) if s.tracked else s.log_a(zs)
             if lax is None:
-                lax, swept = swept[:xs.size], swept[xs.size:]
+                lax, log_a = log_a[:xs.size], log_a[xs.size:]
             if lay is None:
-                lay = swept
+                lay = log_a
         base = s.grid(xs, lax, ys, lay)
         h = self.moments.h_matrix(xs, lax)
         hb = self.moments.hbar_matrix(ys, lay)

@@ -11,8 +11,7 @@ import pytest
 
 from szegosew import numerics, rho, specialfn
 from szegosew.config import RESONANCE_GUARD
-from szegosew.errors import (BranchTrackingError, DomainError, ResonanceError,
-                             SingularMatrixError)
+from szegosew.errors import DomainError, ResonanceError, SingularMatrixError
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                           RhoSphereContext, RhoTorusContext, TorusBaseKernel,
                           det_i_minus_t_sphere, log_a_torus, mode_index,
@@ -38,7 +37,7 @@ def _pt(u, v, offset=0.0):
 
 
 def _s_kappa(tw1, handle, x, y, mod):
-    """S_kappa(x, y), log A tracked at both points."""
+    """S_kappa(x, y), log A continued at both points."""
     s = TorusBaseKernel(tw1, handle, mod)
     return complex(s.grid([x], [s.log_a(x)], [y], [s.log_a(y)])[0, 0])
 
@@ -173,7 +172,7 @@ class TestTrackedLogarithm:
         mod = _torus_moduli()
         z = _pt(0.09, 0.53)
         la = log_a_torus(z, TAU, W, z_ref=mod.z_ref, log_a_ref=mod.log_a_ref)
-        # A(z + 2 pi i) = A(z): the tracked logs differ by 2 pi i Z
+        # A(z + 2 pi i) = A(z): the continued logs differ by 2 pi i Z
         la_b = log_a_torus(z + TWO_PI_I, TAU, W, z_ref=mod.z_ref,
                            log_a_ref=mod.log_a_ref)
         n = (la_b - la) / TWO_PI_I
@@ -186,18 +185,15 @@ class TestTrackedLogarithm:
 
 
 class TestTrackedLogarithmFarPoints:
-    def test_far_point_matches_quotient_or_raises_typed(self):
+    def test_far_point_matches_quotient(self):
         # twenty periods out theta1(z) itself overflows; the reduced
-        # quotient and the tracked branch must not
+        # quotient and the continued branch must not
         mod = _torus_moduli()
         z = TWO_PI_I * (0.37 + 20.21 * TAU.tau)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            try:
-                la = log_a_torus(z, TAU, W, z_ref=mod.z_ref,
-                                 log_a_ref=mod.log_a_ref)
-            except BranchTrackingError:
-                return
+            la = log_a_torus(z, TAU, W, z_ref=mod.z_ref,
+                             log_a_ref=mod.log_a_ref)
         with mpmath.workdps(40):
             t = mpmath.mpc(TAU.tau)
 
@@ -284,7 +280,7 @@ class TestTorusSewing:
 
     @pytest.mark.parametrize("k", [1, -3])
     def test_log_a_anchor_value_cancels(self, k):
-        # tracked log A enters only through differences, so moving the
+        # continued log A enters only through differences, so moving the
         # anchor value by 2 pi i k leaves every value in place
         mod = _torus_moduli()
         moved = dataclasses.replace(mod)
@@ -307,6 +303,15 @@ class TestTorusSewing:
         # the derived anchor value is a logarithm of A at z_ref
         a = theta1(mod.z_ref - W, TAU) / theta1(mod.z_ref, TAU)
         assert abs(np.exp(mod.log_a_ref) - a) < 1e-12 * abs(a)
+
+    def test_far_anchor_value_is_a_log_of_a(self):
+        # 400 periods out A(z_ref) itself leaves the floating-point range;
+        # its logarithm does not, and moves by 400 w mod 2 pi i
+        near = TWO_PI_I * (0.3 + 0.4 * TAU.tau)
+        base = dataclasses.replace(_torus_moduli(), z_ref=near)
+        far = dataclasses.replace(base, z_ref=near + TWO_PI_I * 400 * TAU.tau)
+        k = (far.log_a_ref - base.log_a_ref - 400 * W) / TWO_PI_I
+        assert abs(k - round(k.real)) < 1e-9
 
     def test_z_ref_at_a_zero_or_pole_rejected(self):
         for z_ref in (0.0, W):
@@ -398,6 +403,42 @@ class TestTorusSewing:
         with pytest.raises((DomainError, ResonanceError)):
             RhoTorusContext(TW1, half, _torus_moduli(), 6, 32)
 
+    @pytest.mark.parametrize("n,m", [(12, 64), (16, 128)])
+    def test_contour_starts_share_a_sheet(self, n, m):
+        # w lies 6.7e-3 below the real axis, so the segments from
+        # z_ref = w/2 to the start nodes of the inner (radius 0.260) and
+        # outer (0.407) contours around 0 pass 3.1e-4 and 4.6e-4 below
+        # the pole at 0; both must pass it on that side.  Split sheets
+        # gave converged values with skew residuals of 2.76 and 4.65
+        mod = RhoModuliTorus.create(
+            -0.3518043646580238 + 1.22239291091299j,
+            -5.036862195863973 - 0.0066573642131724335j,
+            -0.03691333467243803 + 0.09921609567269367j)
+        tw1 = TwistPair(0.03710664164609295, -0.42027656207476505)
+        handle = HandleTwist(-0.3846086372884161, 0.015979698791629082)
+        ctx = RhoTorusContext(tw1, handle, mod, n, m)
+        inv = RhoTorusContext(tw1.inverse(),
+                              HandleTwist(-handle.alpha, -handle.beta),
+                              mod, n, m)
+        for x, y in [(-1.18905621106495 + 3.613527106611669j,
+                      -2.8809316289178626 + 1.5833342695196764j),
+                     (-1.29100001220246 + 2.3448930022544556j,
+                      -5.371278021552781 + 1.5044198246311897j)]:
+            v = ctx.kernel(x, y)
+            assert abs(v + inv.kernel(y, x)) <= 1e-12 * abs(v)
+        r = mod.contour_radius
+        s = ctx.moments.base
+        for a in (1, 2):
+            outer, inner = rho.torus_contours(
+                s, [(a, rho.X_RADIUS_FACTOR * r),
+                    (a, rho.Y_RADIUS_FACTOR * r)], m)
+            # the radial segment between the start nodes meets no zero or
+            # pole, so continuing along it must land on the outer sheet
+            radial = log_a_torus(outer.points[0], mod.tau, mod.w,
+                                 z_ref=inner.points[0],
+                                 log_a_ref=inner.log_a[0])
+            assert abs(radial - outer.log_a[0]) < 1e-12
+
 
 def _rho_points(mod):
     """Grid points clear of the sewing contours, around both punctures."""
@@ -449,7 +490,7 @@ class TestKernelMatrix:
         ctx = RhoTorusContext(TW1, HANDLE, mod, 10, 64)
         xs, ys = _rho_points(mod)
         grid = ctx.kernel_matrix(xs, ys)
-        # a point twenty periods out, tracked in the same sweep
+        # a point twenty periods out, continued in the same call
         far = xs[0] + TWO_PI_I * 20 * TAU.tau
         wide = ctx.kernel_matrix(np.append(xs, far), np.append(far + 1.3, ys))
         assert np.all(np.abs(wide[:xs.size, 1:] - grid)
@@ -505,30 +546,29 @@ class TestKernelMatrix:
             with pytest.raises(DomainError):
                 ctx.kernel_matrix(xs, np.append(ys, z))
 
-    def test_one_tracking_sweep_per_call(self, monkeypatch):
-        # log A of every point comes from one vectorised sweep, not one
-        # tracking run per point
+    def test_one_closed_form_call_per_call(self, monkeypatch):
+        # log A of every point comes from one vectorised closed-form
+        # call, not one call per point
         mod = _torus_moduli()
         ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
         xs, ys = _rho_points(mod)
-        sweeps = []
-        track = rho._track_log_a
+        calls = []
+        closed = rho._continue_log_a
 
         def counting(zs, *args):
-            sweeps.append(np.size(zs))
-            return track(zs, *args)
-        monkeypatch.setattr(rho, "_track_log_a", counting)
+            calls.append(np.size(zs))
+            return closed(zs, *args)
+        monkeypatch.setattr(rho, "_continue_log_a", counting)
         ctx.kernel_matrix(xs, ys)
-        assert sweeps == [xs.size + ys.size]
+        assert calls == [xs.size + ys.size]
         s = ctx.moments.base
         ctx.kernel_matrix(xs, ys, [s.log_a(x) for x in xs])
-        assert sweeps[-1] == ys.size
+        assert calls[-1] == ys.size
 
     def test_one_singular_distance_pass_per_call(self, monkeypatch):
         # validate_point measures every point against the zeros and poles
-        # of A once; the tracker does not repeat that pass (its segment
-        # checks take path nodes, one row per point), while the public
-        # log_a_torus keeps its own check
+        # of A once; the closed form does not repeat that pass, while the
+        # public log_a_torus keeps its own check
         mod = _torus_moduli()
         ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
         xs, ys = _rho_points(mod)
@@ -740,13 +780,13 @@ class TestSeparableGrid:
         # contour-side theta tables: once per grid side and characteristic
         # at build (2 sides of two contours each x 2 thetas), never per
         # kernel call; the pole check of a contour pair is one lattice
-        # distance, not M x M; the four contour starts are tracked from
-        # the anchor in one sweep
+        # distance, not M x M; the four contour starts are continued from
+        # the anchor in one closed-form call
         tables = []
         shapes = []
-        sweeps = []
+        calls = []
         table, distance = rho._theta_table, rho.lattice_distance
-        track = rho._track_log_a
+        closed = rho._continue_log_a
 
         def counting_table(ma, offsets, sign):
             tables.append(offsets.shape)
@@ -756,16 +796,16 @@ class TestSeparableGrid:
             shapes.append(np.shape(z))
             return distance(z, tau)
 
-        def counting_track(zs, *args):
-            sweeps.append(np.size(zs))
-            return track(zs, *args)
+        def counting_closed(zs, *args):
+            calls.append(np.size(zs))
+            return closed(zs, *args)
         monkeypatch.setattr(rho, "_theta_table", counting_table)
         monkeypatch.setattr(rho, "lattice_distance", recording_distance)
-        monkeypatch.setattr(rho, "_track_log_a", counting_track)
+        monkeypatch.setattr(rho, "_continue_log_a", counting_closed)
         m = 32
         ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, m)
         assert tables == [(2, m + 1)] * 4
         assert shapes and all(sum(d >= m for d in sh) < 2 for sh in shapes)
-        assert sweeps == [4]
+        assert calls == [4]
         ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
         assert len(tables) == 4
