@@ -31,9 +31,10 @@ import numpy as np
 from .config import DEFAULT_ORDER, POLE_GUARD
 from .errors import DomainError
 from .numerics import LU
-from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
-                        lattice_distance, min_lattice_distance, p1_theta,
-                        p_k_vector)
+from .specialfn import (TorusModulus, TwistPair, _multiplier,
+                        _reduce_off_lattice, _substitute, _theta_stage,
+                        eisenstein_twisted, lattice_distance,
+                        min_lattice_distance)
 
 __all__ = [
     "EpsilonModuli", "GenusTwoCharacteristicsEps", "SurfacePoint",
@@ -45,6 +46,8 @@ __all__ = [
 
 RADIUS_FACTOR = 0.45  # contour radii r_a = 0.45 D(q_a), strict domain margin
 _LOGDET_TERMS = 40  # terms of the logdet_series cross-check
+# (indices, coordinates) of a label without points
+_NO_POINTS = (np.zeros(0, dtype=int), np.zeros(0, dtype=complex))
 
 
 def _finite(value, name: str) -> complex:
@@ -186,6 +189,9 @@ def _by_label(pts) -> dict:
     order; empty labels left out."""
     groups = {}
     for i, p in enumerate(pts):
+        if not isinstance(p, SurfacePoint):
+            raise DomainError("kernel points must be SurfacePoint, got "
+                              f"{type(p).__name__}")
         idx, zs = groups.setdefault(p.which, ([], []))
         idx.append(i)
         zs.append(p.z)
@@ -267,10 +273,6 @@ class EpsilonContext:
         self._f = tuple(f_matrix(chars.tw(a), n_order, moduli.tau(a), moduli)
                         for a in (1, 2))
         self._lu = LU(np.eye(n_order, dtype=complex) - self._f[0] @ self._f[1])
-        # h(x) hbar(y) carries sqrt_epsilon^{k+l-1}: k-1 powers on the x
-        # rows, l on the y rows, so epsilon = 0 needs no division
-        self._sq_pow = moduli.sqrt_epsilon ** np.arange(n_order + 1)
-        self._inverse = chars.inverse()
 
     def f_block(self, a: int) -> np.ndarray:
         self.moduli.tau(a)  # checks the label
@@ -279,49 +281,77 @@ class EpsilonContext:
     @cached_property
     def _blocks(self) -> dict:
         """Correction block (a, b) between x rows on torus a and y rows on
-        torus b, with the signs and xi (-1)^b of the cross blocks folded
-        in; X0 = (I - F1 F2)^{-1} is the gated inverse and X1 = X0 F1."""
+        torus b, transposed for row-wise products, with the signs and
+        xi (-1)^b of the cross blocks folded in; X0 = (I - F1 F2)^{-1} is
+        the gated inverse and X1 = X0 F1.
+
+        The row scales are folded in too.  h(x) hbar(y) carries
+        sqrt_epsilon^{k+l-1}: k-1 powers on the x rows and l on the y
+        rows, so epsilon = 0 needs no division.  A y row is
+        -P_l[c^{-1}](y) = (-1)^{l+1} P_l[c](-y), the same characteristic
+        as the x rows (theta[-alpha;-beta](-z) = theta[alpha;beta](z) and
+        theta_1 is odd).
+        """
         xi = self.moduli.xi
         f1, f2 = self._f
         x0 = self._lu.inverse()
         x1 = x0 @ f1
         eye = np.eye(self.n_order, dtype=complex)
-        return {(1, 1): f2 @ x0, (1, 2): xi * (eye + f2 @ x1),
-                (2, 1): -xi * x0, (2, 2): x1}
-
-    def _rows(self, a: int, zs: np.ndarray, inverse: bool) -> np.ndarray:
-        """x rows sqrt_epsilon^{k-1} P_k(z), or y rows
-        -sqrt_epsilon^k P_k[c^{-1}](z), k = 1..N, one per point."""
-        tw = (self._inverse if inverse else self.chars).tw(a)
-        pk = p_k_vector(tw, self.n_order, zs, self.moduli.tau(a))
-        return -self._sq_pow[1:] * pk if inverse else self._sq_pow[:-1] * pk
+        blocks = {(1, 1): f2 @ x0, (1, 2): xi * (eye + f2 @ x1),
+                  (2, 1): -xi * x0, (2, 2): x1}
+        sq_pow = self.moduli.sqrt_epsilon ** np.arange(self.n_order + 1)
+        y_scale = (-1.0) ** np.arange(2, self.n_order + 2) * sq_pow[1:]
+        return {key: np.ascontiguousarray((sq_pow[:-1, None] * blk * y_scale).T)
+                for key, blk in blocks.items()}
 
     def kernel_matrix(self, xs, ys) -> np.ndarray:
         """S(x_i, y_j) for SurfacePoint sequences xs, ys: shape (P, Q).
 
-        Points are grouped by torus label and validated per group; each
-        group gets its P_k rows from one batched call, each same-label
-        block its base kernel from one p1_theta call on the x - y grid,
-        and each label pair one product with its correction block.
+        Points are grouped by torus label and validated per label.  Each
+        label makes one lattice reduction and one theta sum
+        (``_theta_stage``) over its x points, its reflected y points -y
+        and, for a same-label block, the x - y grid, whose points need P1
+        alone (the base kernel, pole-guarded by the reduction); the P_k
+        rows of every x and y point of the call then take one forward
+        substitution, and each label pair one row-wise bilinear form with
+        its correction block.
         """
-        mod = self.moduli
+        mod, n_order = self.moduli, self.n_order
         gx, gy = _by_label(xs), _by_label(ys)
-        for a in (1, 2):
-            zs = [g[a][1] for g in (gx, gy) if a in g]
-            if zs:
-                _validate_label(a, np.concatenate(zs), mod)
+        labels = sorted(gx.keys() | gy.keys())
+        for a in labels:
+            _validate_label(a, np.concatenate(
+                [g[a][1] for g in (gx, gy) if a in g]), mod)
         out = np.zeros((len(xs), len(ys)), dtype=complex)
-        for a in gx.keys() & gy.keys():
-            (ix, zx), (iy, zy) = gx[a], gy[a]
-            # p1_theta guards the pole at x - y on the lattice
-            out[ix[:, None], iy] = p1_theta(self.chars.tw(a),
-                                            zx[:, None] - zy[None, :],
-                                            mod.tau(a))
-        v = {b: self._rows(b, zy, inverse=True) for b, (_, zy) in gy.items()}
-        for a, (ix, zx) in gx.items():
-            u = self._rows(a, zx, inverse=False)
+        if not (gx and gy):
+            return out
+        # rows[a, 0] and rows[a, 1]: the x and y rows of label a in p
+        a_rows, b_rows, mults, rows, start = [], [], [], {}, 0
+        for a in labels:
+            (ix, zx), (iy, zy) = gx.get(a, _NO_POINTS), gy.get(a, _NO_POINTS)
+            tw, n_rows = self.chars.tw(a), zx.size + zy.size
+            z_red, m, n = _reduce_off_lattice(
+                np.concatenate([zx, -zy, (zx[:, None] - zy).ravel()]),
+                mod.tau(a))
+            ra, rb, p1 = _theta_stage(tw, n_order, z_red, n_rows, mod.tau(a))
+            mult = _multiplier(tw, m, n)
+            if p1.size:
+                out[ix[:, None], iy] = (mult[n_rows:] * p1).reshape(ix.size,
+                                                                     iy.size)
+            a_rows.append(ra)
+            b_rows.append(rb)
+            mults.append(mult[:n_rows])
+            rows[a, 0] = slice(start, start + zx.size)
+            rows[a, 1] = slice(start + zx.size, start + n_rows)
+            start += n_rows
+        p = _substitute(np.concatenate(a_rows), np.concatenate(b_rows)) \
+            * np.concatenate(mults)[:, None]
+        for a, (ix, _) in gx.items():
             for b, (iy, _) in gy.items():
-                out[ix[:, None], iy] += u @ self._blocks[(a, b)] @ v[b].T
+                # row by row, not a matmul: BLAS rounding would depend on
+                # the batch
+                w = (p[rows[a, 0], None] * self._blocks[(a, b)]).sum(axis=-1)
+                out[ix[:, None], iy] += (w[:, None] * p[rows[b, 1]]).sum(axis=-1)
         return out
 
     def kernel(self, x: SurfacePoint, y: SurfacePoint) -> complex:

@@ -42,6 +42,7 @@ from .errors import ConvergenceError, DomainError, ResonanceError
 TWO_PI = 2.0 * np.pi
 THETA_BOX_CAP = 64
 _UNIT_TOL = 1e-9  # allowed | |multiplier| - 1 | of twist multipliers
+_ORIGIN = np.zeros(1, dtype=complex)  # the last point of every theta stage
 
 __all__ = [
     "TorusModulus", "PeriodMatrix", "Characteristics", "TwistPair",
@@ -121,8 +122,8 @@ class TorusModulus:
 
     @cached_property
     def theta1_deriv0(self) -> complex:
-        val = -complex(_theta_taylor(((0.5, 0.5),), np.zeros(1), self.tau,
-                                     2)[0, 0, 1])
+        val = -complex(_theta_sums(((0.5, 0.5),), np.zeros(1), self.tau,
+                                   2, 1)[0][0, 0, 1])
         if val == 0:
             raise ConvergenceError(
                 "theta_1'(0) evaluated to zero; broken theta sum")
@@ -342,7 +343,7 @@ def _theta_g1(alpha: float, beta: float, z, tau: complex) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _taylor_box(chars: tuple, tau: complex, kmax: int) -> tuple:
-    """The z-independent parts of ``_theta_taylor``, kept per (chars, tau,
+    """The z-independent parts of ``_theta_sums``, kept per (chars, tau,
     kmax) and read-only: m + alpha, i pi tau (m+alpha)^2 + 2 pi i beta
     (m+alpha) and the Taylor rows (-(m+alpha))^n/n! of one power table,
     on a box that covers the strip |Re z| <= 2 pi Im tau of reduced points.
@@ -361,18 +362,21 @@ def _taylor_box(chars: tuple, tau: complex, kmax: int) -> tuple:
     return ma, expo, rows
 
 
-def _theta_taylor(chars: tuple, z: np.ndarray, tau: complex,
-                  kmax: int) -> np.ndarray:
-    """Scaled derivatives (-1)^n/n! d^n/dz^n theta[alpha;beta](z, tau),
-    n < kmax, of each (alpha, beta) in ``chars`` at the reduced points z
-    (1-D), shape (len(chars), z.size, kmax), from one theta sum.  Each
-    entry is reduced over the box on its own row, so no value depends on
-    the other points of its call.
+def _theta_sums(chars: tuple, z: np.ndarray, tau: complex, kmax: int,
+                n_rows: int) -> tuple:
+    """One theta sum of each (alpha, beta) in ``chars`` at the reduced
+    points z (1-D): the scaled derivatives (-1)^n/n! d^n/dz^n
+    theta[alpha;beta](z, tau), n < kmax, at the first n_rows points,
+    shape (len(chars), n_rows, kmax), and the values at the rest, shape
+    (len(chars), z.size - n_rows).  Every point reads one exp table over
+    the box of (chars, tau, kmax), and each entry is reduced over the box
+    on its own row, so no value depends on the other points of its call.
     """
     ma, expo, rows = _taylor_box(chars, tau, kmax)
     terms = np.exp(expo + z[:, None] * ma)
     # row by row, not a matmul: BLAS rounding would depend on the batch
-    return np.sum(terms[:, :, None, :] * rows, axis=-1)
+    return ((terms[:, :n_rows, None, :] * rows).sum(axis=-1),
+            terms[:, n_rows:].sum(axis=-1))
 
 
 def theta1(z, tau: TorusModulus):
@@ -480,32 +484,44 @@ def _reduce_off_lattice(z, tau: TorusModulus):
     return z_red, m, n
 
 
-def _p_k_reduced(tw: TwistPair, kmax: int, z_red: np.ndarray,
-                 tau: TorusModulus) -> np.ndarray:
-    """P_k, k = 1..kmax, at the reduced points z_red (1-D) from analytic
-    derivatives of the theta quotient; shape (z_red.size, kmax).
+def _theta_stage(tw: TwistPair, kmax: int, z_red: np.ndarray, n_rows: int,
+                 tau: TorusModulus) -> tuple:
+    """Theta stage of P_k: the normalised Taylor rows (a, b) at the first
+    n_rows reduced points z_red (1-D) and P1 at the rest, from one theta
+    sum.
 
     With P1 = A/B, A = theta[a;b](z) and B = theta[a;b](0) K(z,tau), the
     scaled derivatives a_n = (-1)^n A^{(n)}/n!, b_n and p_n of A, B and P1
-    satisfy a_n = sum_{j<=n} p_j b_{n-j}, and P_k = p_{k-1}.  A at the
-    points and at 0 and theta_1 at the points come from one theta sum,
-    which also decides resonance.  Forward substitution, with a_n and
-    b_n divided by b_0 first: step n takes p_n b_{m-n} off every later
-    a_m, for all points at once.
+    satisfy a_n = sum_{j<=n} p_j b_{n-j}, and P_k = p_{k-1}.  The rows
+    are a_n and b_n, n < kmax, divided by b_0, shape (n_rows, kmax) each,
+    for ``_substitute``; a value-only point needs P1 = a_0/b_0 alone.  A
+    at every point and at 0 and theta_1 at every point come from one
+    theta sum, which also decides resonance.
     """
-    taylor = _theta_taylor(((tw.alpha, tw.beta), (0.5, 0.5)),
-                           np.append(z_red, 0.0), tau.tau, kmax)
-    th0 = taylor[0, -1, 0]
+    (a, k), (val, val1) = _theta_sums(((tw.alpha, tw.beta), (0.5, 0.5)),
+                                      np.concatenate((z_red, _ORIGIN)),
+                                      tau.tau, kmax, n_rows)
+    th0 = val[-1]
     if abs(th0) < RESONANCE_GUARD:
         raise ResonanceError("theta[alpha;beta](0, tau) vanishes for this twist")
-    # one row per point: every step runs over rows of the same length
-    # whatever the batch, so a value does not depend on it
-    a, k = taylor[:, :-1]
-    p = a / (th0 * (k[:, :1] / tau.theta1_deriv0))
-    b = k / k[:, :1]
+    d0 = tau.theta1_deriv0
+    p1 = val[:-1] / (th0 * (val1[:-1] / d0))
+    return a / (th0 * (k[:, :1] / d0)), k / k[:, :1], p1
+
+
+def _substitute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Substitution stage of P_k: the rows p with a_n = sum_{j<=n} p_j
+    b_{n-j} (b_0 = 1) from the rows of ``_theta_stage``, written over a.
+
+    Forward substitution: step n takes p_n b_{m-n} off every later a_m,
+    for all rows at once.  One row per point: every step runs over rows
+    of the same length whatever the batch, so a value does not depend
+    on it.
+    """
+    kmax = a.shape[1]
     for n in range(1, kmax):
-        p[:, n:] -= p[:, n - 1, None] * b[:, 1:kmax - n + 1]
-    return p
+        a[:, n:] -= a[:, n - 1, None] * b[:, 1:kmax - n + 1]
+    return a
 
 
 def p1_theta(tw: TwistPair, z, tau: TorusModulus):
@@ -514,11 +530,12 @@ def p1_theta(tw: TwistPair, z, tau: TorusModulus):
     Reduces z into the fundamental annulus -2 pi Im tau < Re z <= 0 first
     and multiplies by the exact lattice multiplier theta^m phi^n, so
     arbitrarily large arguments are handled without overflow, and a
-    value does not depend on the other points of its call.
+    value does not depend on the other points of its call.  Every point
+    is a value-only point of the theta stage.
     """
     _check_not_trivial(tw)
     z_red, m, n = _reduce_off_lattice(z, tau)
-    val = (_multiplier(tw, m, n) * _p_k_reduced(tw, 1, z_red, tau)[:, 0]) \
+    val = (_multiplier(tw, m, n) * _theta_stage(tw, 1, z_red, 0, tau)[2]) \
         .reshape(np.shape(z))
     return val if np.ndim(z) else complex(val)
 
@@ -579,18 +596,19 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus) -> np.ndarray:
     """P_k(z) for k = 1..kmax, term-wise analytic; shape z.shape + (kmax,).
 
     Each point is reduced into the fundamental annulus, and P_k there is
-    the analytically differentiated theta quotient (``_p_k_reduced``,
-    exact derivatives, never finite differences) times the exact lattice
-    multiplier theta^m phi^n.  Vectorized over z: all points share one
-    theta sum, over a box fixed by tau and kmax, and one forward
-    substitution, so a value does not depend on the other points of its
-    call.
+    the analytically differentiated theta quotient (exact derivatives,
+    never finite differences) times the exact lattice multiplier
+    theta^m phi^n.  Vectorized over z: all points share one theta sum
+    (``_theta_stage``), over a box fixed by tau and kmax, and one forward
+    substitution (``_substitute``), so a value does not depend on the
+    other points of its call.
     """
     _check_not_trivial(tw)
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
     z_red, m, n = _reduce_off_lattice(z, tau)
-    out = _p_k_reduced(tw, kmax, z_red, tau) * _multiplier(tw, m, n)[:, None]
+    a, b, _ = _theta_stage(tw, kmax, z_red, z_red.size, tau)
+    out = _substitute(a, b) * _multiplier(tw, m, n)[:, None]
     return out.reshape(np.shape(z) + (kmax,))
 
 

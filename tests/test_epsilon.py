@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from szegosew import epsilon, numerics
+from szegosew import epsilon, numerics, specialfn
 from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
                               GenusTwoCharacteristicsEps, SurfacePoint,
                               build_q, c_matrix, epsilon_bound, f_matrix,
@@ -254,6 +254,77 @@ class TestKernelMatrix:
         with pytest.raises(SingularMatrixError):
             ctx.kernel_matrix(xs, ys)
         assert ctx.det() == expected
+
+    @pytest.mark.parametrize("bad", [0.4 + 1.1j, (1, 0.4 + 1.1j)])
+    def test_bare_coordinates_raise_typed_error(self, bad):
+        ctx = EpsilonContext(CHARS, _moduli(), 8)
+        xs, ys = _grid_points()
+        for args, batch_args in [((xs[0], bad), (xs, ys[:2] + [bad])),
+                                 ((bad, ys[0]), ([bad] + xs, ys))]:
+            with pytest.raises(DomainError, match="SurfacePoint") as scalar:
+                ctx.kernel(*args)
+            with pytest.raises(DomainError) as batch:
+                ctx.kernel_matrix(*batch_args)
+            assert str(batch.value) == str(scalar.value)
+
+    def test_one_theta_sum_per_label_one_substitution_per_call(
+            self, monkeypatch):
+        ctx = EpsilonContext(CHARS, _moduli(), 16)
+        xs, ys = _grid_points()
+        # theta_1'(0) of both moduli and the correction blocks are kept;
+        # a first call computes them before counting
+        ctx.kernel_matrix(xs, ys)
+        calls = []
+        sums, substitute = specialfn._theta_sums, epsilon._substitute
+
+        def counting_sums(chars, zs, tau, kmax, n_rows):
+            calls.append(("theta", zs.size, kmax, n_rows))
+            return sums(chars, zs, tau, kmax, n_rows)
+
+        def counting_substitute(a, b):
+            calls.append(("substitute", a.shape))
+            return substitute(a, b)
+        monkeypatch.setattr(specialfn, "_theta_sums", counting_sums)
+        monkeypatch.setattr(epsilon, "_substitute", counting_substitute)
+        # same label: x, -y, x - y and the origin in one sum, Taylor rows
+        # at x and -y only
+        ctx.kernel(xs[0], ys[1])
+        assert calls == [("theta", 4, 16, 2), ("substitute", (2, 16))]
+        calls.clear()
+        # cross label: one sum per label, both rows in one substitution
+        ctx.kernel(xs[0], ys[0])
+        assert calls == [("theta", 2, 16, 1), ("theta", 2, 16, 1),
+                         ("substitute", (2, 16))]
+        calls.clear()
+        # x labels 1, 2, 1, 2, 1 and y labels 2, 1, 1, 2: label 1 holds
+        # 3 x, 2 y and 3 x 2 differences, label 2 2 x, 2 y and 2 x 2
+        ctx.kernel_matrix(xs, ys)
+        assert calls == [("theta", 3 + 2 + 6 + 1, 16, 5),
+                         ("theta", 2 + 2 + 4 + 1, 16, 4),
+                         ("substitute", (9, 16))]
+        calls.clear()
+        # an empty side validates its points and sums nothing
+        ctx.kernel_matrix([], ys)
+        ctx.kernel_matrix(xs, [])
+        assert calls == []
+
+    def test_batch_entries_equal_single_kernel_calls(self):
+        # bit for bit: every stage works row by row, whatever the batch
+        ctx = EpsilonContext(CHARS, _moduli(0.3), 16)
+        xs, ys = _grid_points()
+        ys_1 = [y for y in ys if y.which == 1]
+        xs_2 = [x for x in xs if x.which == 2]
+        for bx, by in [(xs, ys), (xs, ys_1), (xs_2, ys)]:
+            grid = ctx.kernel_matrix(bx, by)
+            single = np.array([[ctx.kernel(x, y) for y in by] for x in bx])
+            assert np.array_equal(grid, single)
+            for i, x in enumerate(bx):
+                assert np.array_equal(ctx.kernel_matrix([x], by)[0], grid[i])
+            for j, y in enumerate(by):
+                assert np.array_equal(ctx.kernel_matrix(bx, [y])[:, 0],
+                                      grid[:, j])
+        assert ctx.kernel_matrix([], ys).shape == (0, len(ys))
+        assert ctx.kernel_matrix(xs, []).shape == (len(xs), 0)
 
     def test_empty_inputs(self):
         ctx = EpsilonContext(CHARS, _moduli(), 8)

@@ -360,20 +360,20 @@ class TestTorusSewing:
         # per context build and never per kernel call; theta1'(0) is kept
         # per modulus, so the moduli get a fresh one
         calls = {"theta_kw": 0, "theta1_d0": 0}
-        value, taylor = specialfn._theta_g1, specialfn._theta_taylor
+        value, sums = specialfn._theta_g1, specialfn._theta_sums
 
         def counting_value(alpha, beta, z, tau):
             if np.ndim(z) == 0 and (alpha, beta) == (TW1.alpha, TW1.beta):
                 calls["theta_kw"] += 1
             return value(alpha, beta, z, tau)
 
-        def counting_taylor(chars, z, tau, kmax):
+        def counting_sums(chars, z, tau, kmax, n_rows):
             if chars == ((0.5, 0.5),):
                 calls["theta1_d0"] += 1
-            return taylor(chars, z, tau, kmax)
+            return sums(chars, z, tau, kmax, n_rows)
         monkeypatch.setattr(specialfn, "_theta_g1", counting_value)
         monkeypatch.setattr(rho, "_theta_g1", counting_value)
-        monkeypatch.setattr(specialfn, "_theta_taylor", counting_taylor)
+        monkeypatch.setattr(specialfn, "_theta_sums", counting_sums)
         ctx = RhoTorusContext(TW1, HANDLE,
                               _torus_moduli(tau=TorusModulus(TAU.tau)), 6, 32)
         assert calls == {"theta_kw": 1, "theta1_d0": 1}

@@ -20,7 +20,7 @@ from szegosew import specialfn, verify
 from szegosew.errors import ConvergenceError, DomainError, ResonanceError
 from szegosew.numerics import circle_nodes
 from szegosew.specialfn import (Characteristics, K, TorusModulus, TwistPair,
-                                _theta_taylor, bernoulli_poly,
+                                _theta_sums, bernoulli_poly,
                                 eisenstein_twisted, lattice_distance,
                                 lattice_reduce, min_lattice_distance,
                                 p1_series, p1_theta, p_k_vector, theta1,
@@ -175,8 +175,10 @@ class TestTheta1:
                        for u, v in [(0.23, 0.31), (0.67, -0.52), (-0.41, 0.18)]])
         # scaled Taylor rows (-1)^n theta^{(n)}/n! back to derivatives
         unscale = np.array([1.0, -1.0, 2.0, -6.0])
-        derivs = (_theta_taylor(((tw.alpha, tw.beta),), zs, tau, 4)[0]
-                  * unscale).T
+        chars = ((tw.alpha, tw.beta),)
+        derivs = (_theta_sums(chars, zs, tau, 4, zs.size)[0][0] * unscale).T
+        # the same points as value-only points of the sum
+        values = _theta_sums(chars, zs, tau, 4, 0)[1][0]
         odd = theta1(zs, torus)
         # errors are measured against the sum of the absolute values of
         # the terms, the scale of the rounding error of the sum
@@ -184,6 +186,7 @@ class TestTheta1:
             ref, scale, last = _theta_reference(tw.alpha, tw.beta, z, tau, 3)
             assert last < 1e-30  # the reference sums are converged
             assert np.all(np.abs(derivs[:, i] - ref) <= 1e-14 * scale), (z, i)
+            assert abs(values[i] - ref[0]) <= 1e-14 * scale[0], (z, i)
             ref1, scale1, _ = _theta_reference(0.5, 0.5, z, tau, 0)
             assert abs(odd[i] - ref1[0]) <= 1e-14 * scale1[0], z
         ref0, scale0, _ = _theta_reference(0.5, 0.5, 0.0, tau, 1)
@@ -338,6 +341,22 @@ class TestTwistedKernel:
             assert np.all(err <= 1e-12 * np.abs(ref)), k
             power *= w
 
+    @pytest.mark.parametrize("tau", CELL_TAUS)
+    def test_inverse_twist_is_the_reflection(self, tau):
+        # theta[-alpha;-beta](-z) = theta[alpha;beta](z) and theta_1 is
+        # odd, so P_k[c^{-1}](z) = (-1)^k P_k[c](-z), k <= 64.  The two
+        # sides reduce z and -z apart, and P_k ~ z^{-k} turns the rounding
+        # of a reduced point into k times its relative error: the largest
+        # difference is 8e-15 at k = 1 and 5.9e-13 at k = 64 (tau =
+        # 3.7+0.2i), as close as either side comes to the lattice sum
+        tw = TwistPair(0.17, 0.38)
+        torus = TorusModulus(tau)
+        zs = _cell_points(torus, 12)
+        k = np.arange(1, 65)
+        got = p_k_vector(tw.inverse(), 64, zs, torus)
+        ref = (-1.0) ** k * p_k_vector(tw, 64, -zs, torus)
+        assert np.all(np.abs(got - ref) <= 2e-14 * k * np.abs(ref)), tau
+
     def test_batched_values_do_not_depend_on_the_batch(self):
         # the theta box is fixed by tau and kmax, so a far point or points
         # near the annulus edges change no value of the others
@@ -367,15 +386,27 @@ class TestTwistedKernel:
         tw, z, tau = self._node_batch()
         tau.theta1_deriv0  # kept per modulus, computed before counting
         calls = []
-        taylor = specialfn._theta_taylor
+        sums, substitute = specialfn._theta_sums, specialfn._substitute
 
-        def counting(chars, zs, tau_, kmax):
-            calls.append((len(chars), zs.size, kmax))
-            return taylor(chars, zs, tau_, kmax)
-        monkeypatch.setattr(specialfn, "_theta_taylor", counting)
+        def counting_sums(chars, zs, tau_, kmax, n_rows):
+            calls.append(("theta", len(chars), zs.size, kmax, n_rows))
+            return sums(chars, zs, tau_, kmax, n_rows)
+
+        def counting_substitute(a, b):
+            calls.append(("substitute", a.shape))
+            return substitute(a, b)
+        monkeypatch.setattr(specialfn, "_theta_sums", counting_sums)
+        monkeypatch.setattr(specialfn, "_substitute", counting_substitute)
         p_k_vector(tw, 16, z, tau)
-        # theta[alpha;beta] and theta_1 at every point, and at the origin
-        assert calls == [(2, z.size + 1, 16)]
+        # the theta stage: theta[alpha;beta] and theta_1 with Taylor rows
+        # at every point and the values alone at the origin; then one
+        # substitution over all rows
+        assert calls == [("theta", 2, z.size + 1, 16, z.size),
+                         ("substitute", (z.size, 16))]
+        calls.clear()
+        p1_theta(tw, z, tau)
+        # P1 alone: every point value-only, nothing to substitute
+        assert calls == [("theta", 2, z.size + 1, 1, 0)]
 
     def test_mixed_batch_rows_equal_single_point_calls(self):
         # points across the annulus, near its edges and a far point in one
