@@ -19,9 +19,12 @@ shifted mode indices k_a = k + (-1)^{abar} kappa, and weighted moments
                  S_kappa(x,y) dx,
 
 where z_a is the local coordinate of the annulus C_a.  On the sphere the
-moments collapse to closed forms and T is exactly diagonal; on the torus
-they are computed by trapezoidal contour quadrature with all fractional
-powers tracked continuously in the contour angle.
+moments collapse to closed forms and T is exactly diagonal.  On the
+torus G is computed by trapezoidal contour quadrature with all
+fractional powers tracked continuously in the contour angle, while h and
+hbar are Laurent coefficients at the punctures: Taylor rows of the
+genus-one P_k at x - c_a and c_abar - y, folded with contour moments of
+U^kappa alone that are taken once per context (see TorusMoments).
 
 Half-integer powers of rho are taken from the recorded branch log_rho
 (never from a fresh principal root), so the handle Dehn move
@@ -42,7 +45,9 @@ from .config import (DEFAULT_ORDER, DEFAULT_QUAD_POINTS, POLE_GUARD,
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
 from .numerics import LU, as_complex_matrix
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
-                        _theta_g1, _theta_reduce, lattice_distance)
+                        _multiplier, _reduce_off_lattice, _substitute,
+                        _theta_g1, _theta_reduce, _theta_stage,
+                        lattice_distance)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
 __all__ = [
@@ -346,10 +351,13 @@ class RhoSphereContext:
             raise DomainError("need one logarithm per point")
         base = s_kappa_sphere(self.handle, xs[:, None], ys[None, :],
                               lx[:, None], ly[None, :])
-        h, hb = (np.concatenate([p * np.exp(k * lz[:, None])
+        # p[None]: operands of equal rank (see TorusMoments.taylor_rows)
+        h, hb = (np.concatenate([p[None] * np.exp(k * lz[:, None])
                                  for p, k in blocks], axis=1)
                  for blocks, lz in ((self._h, lx), (self._hbar, ly)))
-        return base + self.moduli.xi * (h * self._middle) @ hb.T
+        # row by row, not a matmul: BLAS rounding would depend on the batch
+        u = self.moduli.xi * h * self._middle
+        return base + (u[:, None] * hb).sum(axis=-1)
 
     def kernel(self, x, y, log_x=None, log_y=None) -> complex:
         """One value of kernel_matrix."""
@@ -528,6 +536,15 @@ class GridSide:
                         self.radius, tuple(t[k] for t in self.tables))
 
 
+def _branches(zs: np.ndarray, log_a) -> np.ndarray:
+    """The log A branches of the 1-D points zs as a 1-D array; DomainError
+    unless there is one finite branch per point."""
+    log_a = np.ravel(np.asarray(log_a, dtype=complex))
+    if log_a.size != zs.size or not np.isfinite(log_a).all():
+        raise DomainError("need one finite log A branch per point")
+    return log_a
+
+
 def _theta_table(ma: np.ndarray, offsets: np.ndarray, sign: int) -> np.ndarray:
     """exp(sign (m + alpha) offset), shape (K, 2R+1, L) for (K, L) offsets."""
     return np.exp(sign * ma[None, :, None] * offsets[:, None, :])
@@ -602,9 +619,7 @@ class TorusBaseKernel:
         """Grid side of single points, each its own centre, with one finite
         log A branch per point."""
         zs = np.ravel(np.asarray(zs, dtype=complex))
-        log_a = np.reshape(np.asarray(log_a, dtype=complex), (-1, 1))
-        if log_a.size != zs.size or not np.isfinite(log_a).all():
-            raise DomainError("need one finite log A branch per point")
+        log_a = _branches(zs, log_a)[:, None]
         ones = np.ones((zs.size, self._chars[0][0].size, 1))
         return GridSide(zs, np.zeros((zs.size, 1)), log_a, 0.0, (ones, ones))
 
@@ -718,7 +733,8 @@ def _check_closure(first, last, scale, what) -> None:
 
 
 class TorusMoments:
-    """Quadrature moments of the self-sewn torus: G plus h / hbar evaluators.
+    """Moments of the self-sewn torus: G by quadrature, h / hbar as Taylor
+    rows.
 
     Contours C_a are circles of radius ``radius_scale`` times the
     geometric-mean annulus radius around the punctures 0 and w, with the
@@ -728,6 +744,26 @@ class TorusMoments:
     of each integrand is verified at the closure node.  The base kernel
     ``base``, the contours with their theta tables and their mode weights
     are built once.
+
+    h and hbar are Laurent coefficients at the punctures.  With
+    w = 2 pi i (u + v tau), S_kappa(x,y) = e^{kappa (log A(x) - log A(y))}
+    f(x - y), where f(z) = e^{-kappa v z} P1[c](z) for the shifted
+    characteristic c = [alpha1 + kappa v; beta1 + kappa u] (``char``).
+    Near c_a, y_a^{-k_a} e^{-kappa log A(y)} = y_a^{-k} E_a(y) with E_a
+    analytic inside the y contour, so
+
+        h_a(k,x) = rho^{(k_a-1/2)/2} e^{kappa log A(x)}
+                   sum_{j<k} E_{a,j} [t^{k-1-j}] f(x - c_a - t),
+
+    and hbar_a(k,y) likewise, from Ebar_a = x_abar^{k-k_a} e^{kappa log A}
+    on the x contour and [s^n] f(c_abar - y + s).  The coefficients are
+    contour moments of e^{-+kappa log A} alone, taken at build (which
+    runs their closure check once); with the prefactors, the series of
+    e^{-+kappa v t} and e^{kappa v (c_a - c_1)} they are folded into one
+    lower-triangular N x N matrix per block (``_taylor_blocks``), and
+    [t^n] f(z - t) = e^{-kappa v z} sum_{i+l=n} (kappa v)^i/i! P_{l+1}(z).
+    ``h_matrix`` / ``hbar_matrix`` keep the contour quadrature of h and
+    hbar, the oracle of ``taylor_rows``.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
@@ -766,6 +802,13 @@ class TorusMoments:
                           [w[:, :m] * c.weight for w, c in zip(modes, cs)]))
         self._rows, self._cols = sides
         self.g = self._build_g()
+        t = moduli.tau.tau
+        uv = moduli.w / TWO_PI_I
+        v = uv.imag / t.imag
+        self._kv = handle.kappa * v
+        self.char = TwistPair(tw1.alpha + self._kv,
+                              tw1.beta + handle.kappa * (uv.real - v * t.real))
+        self._taylor_h, self._taylor_hbar = self._taylor_blocks()
 
     def _build_g(self) -> np.ndarray:
         m = self.m_points
@@ -792,29 +835,93 @@ class TorusMoments:
                       [blocks[(2, 1)], blocks[(2, 2)]]]), "moment matrix G")
 
     def _moments(self, sides: tuple, f: np.ndarray, what: str) -> np.ndarray:
-        """rho^{(k_a-1/2)/2} (1/2pi i) oint z_local^{-k_a} f dz_local, a = 1, 2,
-        from f at the nodes of both contours of a grid side, shape
-        (points, 2 (m+1)): one row of f and of the result per point."""
+        """(1/2pi i) oint z_local^{-k_a} f dz_local, a = 1, 2, from f at the
+        nodes of both contours of a grid side, shape (points, 2 (m+1)):
+        one row of f and of the result per point."""
         m = self.m_points
         _, modes, size, weighted = sides
         scale = np.max(np.abs(f).reshape(len(f), 2, m + 1) * size, axis=2)
         _check_closure(f[:, ::m + 1, None] * modes[:, :, 0],
                        f[:, m::m + 1, None] * modes[:, :, -1], scale,
                        [f"{what}_{a} contour" for a in (1, 2)])
-        return self._pref * np.concatenate(
+        return np.concatenate(
             [f[:, :m] @ weighted[0].T, f[:, m + 1:-1] @ weighted[1].T], axis=1)
+
+    def _taylor_blocks(self) -> tuple:
+        """The lower-triangular matrices of h and of hbar, shape (2, N, N)
+        each: row k - 1 of block a maps the rows (P_1..P_N) at x - c_a
+        (at c_abar - y for hbar) to h_a(k) / e^{kappa log A(x) - kappa v x}
+        (hbar_a(k) / e^{kappa v y - kappa log A(y)})."""
+        n, kap, kv = self.n_order, self.base.kappa, self._kv
+        d = np.subtract.outer(np.arange(n), np.arange(n))  # k - l
+        lower = d >= 0
+        d = np.where(lower, d, 0)
+        shift = np.exp(kv * self.moduli.w)  # e^{kappa v (c_2 - c_1)}
+        out = []
+        # h: the y contours, E_{a,j} from e^{-kappa log A}, f(x - c_a - t);
+        # hbar: the x contours, Ebar_{a,j} from e^{kappa log A}, and
+        # [s^n] f(c_abar - y + s) = (-1)^n [t^n] f(c_abar - y - t), which
+        # turns the sign of kappa v in the series and puts (-1)^{l-1} on
+        # P_l
+        for sides, sign, centre in ((self._cols, -1.0, [1.0, shift]),
+                                    (self._rows, 1.0, [1.0 / shift, 1.0])):
+            e = self._moments(sides, np.exp(sign * kap * sides[0].log_a)
+                              .reshape(1, -1), "U^kappa")
+            series = np.cumprod(np.concatenate(
+                ([1.0], -sign * kv / np.arange(1, n))))
+            g = np.array([np.convolve(ea, series)[:n]
+                          for ea in e.reshape(2, n)])
+            out.append(np.where(lower, g[:, d], 0.0)
+                       * (self._pref.reshape(2, n, 1)
+                          * np.array(centre)[:, None, None])
+                       * (-sign) ** np.arange(n))
+        return tuple(out)
+
+    def taylor_rows(self, xs, log_a_xs, ys, log_a_ys) -> tuple:
+        """(h, hbar, S_kappa): the rows h(x_i) and hbar(y_j), shape (P, 2N)
+        and (Q, 2N), and the base kernel S_kappa(x_i, y_j), shape (P, Q),
+        at 1-D points with one log A branch each.
+
+        One lattice reduction, one theta stage and one forward
+        substitution: Taylor rows of P_k[char] at x - c_1, x - c_2,
+        c_2 - y and c_1 - y, and the value-only points x - y (pole-guarded
+        by the reduction).  Each row and entry is reduced on its own, so
+        no value depends on the other points of its call.  The points are
+        not validated here (``RhoTorusContext.kernel_matrix`` does that).
+        """
+        n, kap, kv = self.n_order, self.base.kappa, self._kv
+        w, tau = self.moduli.w, self.moduli.tau
+        p, q = xs.size, ys.size
+        n_rows = 2 * (p + q)
+        c = np.array([0.0, w])
+        z_red, m, k = _reduce_off_lattice(np.concatenate(
+            [np.subtract.outer(xs, c).ravel(),
+             -np.subtract.outer(ys, c[::-1]).ravel(),
+             np.subtract.outer(xs, ys).ravel()]), tau)
+        a, b, p1 = _theta_stage(self.char, n, z_red, n_rows, tau)
+        mult = _multiplier(self.char, m, k)
+        rows = (_substitute(a, b) * mult[:n_rows, None]).reshape(-1, 2, 1, n)
+        ex = np.exp(kap * log_a_xs - kv * xs)
+        ey = np.exp(kv * ys - kap * log_a_ys)
+        # row by row, not a matmul: BLAS rounding would depend on the batch
+        h = (rows[:p] * self._taylor_h).sum(axis=-1).reshape(p, 2 * n)
+        hb = (rows[p:] * self._taylor_hbar).sum(axis=-1).reshape(q, 2 * n)
+        # operands of equal rank: a one-entry product broadcast from a
+        # lower-rank operand takes another numpy loop, which rounds apart
+        base = (ex[:, None] * ey[None, :]) * (mult[n_rows:] * p1).reshape(p, q)
+        return ex[:, None] * h, ey[:, None] * hb, base
 
     def h_matrix(self, xs, log_a_xs=None) -> np.ndarray:
         """Rows (h_1(k,x), h_2(k,x)), k = 1..N, one per point of xs, by
         contour quadrature; log A is continued unless supplied."""
         pts = self.base.points_side(xs, self.base.log_a(xs, log_a_xs))
-        return self._moments(
+        return self._pref * self._moments(
             self._cols, self.base.grid_sides(pts, self._cols[0]), "h")
 
     def hbar_matrix(self, ys, log_a_ys=None) -> np.ndarray:
         """Rows (hbar_1(k,y), hbar_2(k,y)), k = 1..N, one per point of ys."""
         pts = self.base.points_side(ys, self.base.log_a(ys, log_a_ys))
-        return self._moments(
+        return self._pref * self._moments(
             self._rows, self.base.grid_sides(self._rows[0], pts).T, "hbar")
 
     def h_vector(self, x, log_a_x=None) -> np.ndarray:
@@ -853,8 +960,10 @@ class RhoTorusContext:
 
     @cached_property
     def _middle(self) -> np.ndarray:
-        """Middle factor D^theta (I - T)^{-1}, from the gated inverse."""
-        return self._dth[:, None] * self._lu.inverse()
+        """Middle factor xi D^theta (I - T)^{-1}, from the gated inverse,
+        held transposed for row-wise products."""
+        return np.ascontiguousarray(
+            (self.moduli.xi * self._dth[:, None] * self._lu.inverse()).T)
 
     def validate_point(self, z) -> None:
         """Reject a point, or any point of an array, that is not finite or
@@ -874,8 +983,10 @@ class RhoTorusContext:
 
         Shape (P, Q).  Every point is validated; log A at the points whose
         branch is not supplied comes from one closed-form call; the base
-        kernel is one grid and the correction the product
-        h (D^theta (I - T)^{-1}) hbar^T.
+        kernel and the Taylor rows h and hbar come from one theta stage
+        (``TorusMoments.taylor_rows``), and the correction is the
+        bilinear form h (xi D^theta (I - T)^{-1}) hbar^T, reduced row by
+        row, so each entry equals its single ``kernel`` call bit for bit.
         """
         xs = np.ravel(np.asarray(xs, dtype=complex))
         ys = np.ravel(np.asarray(ys, dtype=complex))
@@ -893,10 +1004,13 @@ class RhoTorusContext:
                 lax, log_a = log_a[:xs.size], log_a[xs.size:]
             if lay is None:
                 lay = log_a
-        base = s.grid(xs, lax, ys, lay)
-        h = self.moments.h_matrix(xs, lax)
-        hb = self.moments.hbar_matrix(ys, lay)
-        return base + (self.moduli.xi * h) @ self._middle @ hb.T
+        lax, lay = _branches(xs, lax), _branches(ys, lay)
+        if not (xs.size and ys.size):
+            return np.zeros((xs.size, ys.size), dtype=complex)
+        h, hb, base = self.moments.taylor_rows(xs, lax, ys, lay)
+        # row by row, not a matmul: BLAS rounding would depend on the batch
+        u = (h[:, None] * self._middle).sum(axis=-1)
+        return base + (u[:, None] * hb).sum(axis=-1)
 
     def kernel(self, x, y, log_a_x=None, log_a_y=None) -> complex:
         """One value of kernel_matrix."""

@@ -367,6 +367,19 @@ def suite_integral_eq() -> list[dict]:
     checks.append(_check("self-sewn torus contour integral equation",
                          worst, tol))
 
+    # the kernel's h / hbar, Laurent coefficients from Taylor rows, against
+    # their contour quadrature, each row relative to its largest entry:
+    # 1.3e-14 at most over 12 seeded contexts at (12, 64) and (16, 128)
+    mom = rctx.moments
+    h, hb, _ = mom.taylor_rows(xs, la_x, ys, la_y)
+    worst = max(float(np.max(np.max(np.abs(rows - quad), axis=1)
+                             / np.max(np.abs(quad), axis=1)))
+                for rows, quad in ((h, mom.h_matrix(xs, la_x)),
+                                   (hb, mom.hbar_matrix(ys, la_y))))
+    checks.append(_check(
+        "self-sewn torus h/hbar Taylor rows match contour quadrature",
+        worst, 1e-12))
+
     # Laurent extraction: coefficients of P1 - 1/z match minus the
     # twisted Eisenstein series; odd untwisted series vanish
     tau = TorusModulus(0.3 + 1.0j)

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from szegosew import numerics, rho, specialfn
+from szegosew import numerics, rho, specialfn, verify
 from szegosew.config import RESONANCE_GUARD
 from szegosew.errors import DomainError, ResonanceError, SingularMatrixError
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
@@ -129,6 +129,32 @@ class TestSphereSewing:
         assert grid.shape == (3, 2)
         assert np.all(np.abs(grid - loop) <= 1e-14 * np.abs(loop))
         assert ctx.kernel_matrix([], np.exp(ly), [], ly).shape == (0, 2)
+
+    @pytest.mark.parametrize("n", [1, 6, 24])
+    def test_batch_entries_equal_single_kernel_calls(self, n):
+        # bit for bit: the bilinear form is reduced row by row, and no
+        # one-entry product broadcasts from a lower-rank operand (at N = 1
+        # each h block of one point is one entry)
+        ctx = RhoSphereContext(HANDLE, RhoModuliSphere.create(
+            0.2 * np.exp(0.7j)), n)
+        rng = np.random.default_rng(5)
+        big_l = -np.log(0.2)
+        lx, ly = (-rng.uniform(0.35, 0.65, 8) * big_l
+                  + 1j * rng.uniform(-3.0, 3.0, 8) for _ in range(2))
+        xs, ys = np.exp(lx), np.exp(ly)
+        grid = ctx.kernel_matrix(xs, ys, lx, ly)
+        single = np.array([[ctx.kernel(x, y, a, b) for y, b in zip(ys, ly)]
+                           for x, a in zip(xs, lx)])
+        assert np.array_equal(grid, single)
+        for i in range(xs.size):
+            assert np.array_equal(
+                ctx.kernel_matrix(xs[i:i + 1], ys, lx[i:i + 1], ly)[0],
+                grid[i])
+            assert np.array_equal(
+                ctx.kernel_matrix(xs, ys[i:i + 1], lx, ly[i:i + 1])[:, 0],
+                grid[:, i])
+        assert ctx.kernel_matrix([], ys, [], ly).shape == (0, ys.size)
+        assert ctx.kernel_matrix(xs, [], lx, []).shape == (xs.size, 0)
 
     def test_log_branches_must_match_the_points(self):
         # one logarithm for two x points used to broadcast to a (2, 1)
@@ -348,10 +374,14 @@ class TestTorusSewing:
         monkeypatch.setattr(rho, "lattice_distance", counting_distance)
         ctx = RhoTorusContext(TW1, HANDLE,
                               _torus_moduli(tau=TorusModulus(TAU.tau)), 6, 32)
-        xs, ys = _rho_points(ctx.moduli)
-        for x, y in zip(xs, ys):
+        at_build = len(reads)
+        pairs = list(zip(*_rho_points(ctx.moduli)))
+        for x, y in pairs:
             ctx.kernel(x, y)
-        assert len(built) == 1 and len(reads) > 3 * xs.size
+        # the build reads several distances, and each kernel call one
+        # (its validation pass)
+        assert len(built) == 1 and at_build > 3
+        assert len(reads) - at_build == len(pairs)
         lattice_distance(W, TorusModulus(TAU.tau))
         assert len(built) == 2
 
@@ -604,6 +634,79 @@ class TestKernelMatrix:
             assert got.shape == ref.shape == (zs.size, 20)
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_batch_entries_equal_single_kernel_calls(self, n):
+        # bit for bit: every stage works row by row, whatever the batch
+        mod = _torus_moduli()
+        ctx = RhoTorusContext(TW1, HANDLE, mod, n, 32)
+        xs, ys = _rho_points(mod)
+        grid = ctx.kernel_matrix(xs, ys)
+        single = np.array([[ctx.kernel(x, y) for y in ys] for x in xs])
+        assert np.array_equal(grid, single)
+        for i, x in enumerate(xs):
+            assert np.array_equal(ctx.kernel_matrix([x], ys)[0], grid[i])
+        for j, y in enumerate(ys):
+            assert np.array_equal(ctx.kernel_matrix(xs, [y])[:, 0], grid[:, j])
+        assert ctx.kernel_matrix([], ys).shape == (0, ys.size)
+        assert ctx.kernel_matrix(xs, []).shape == (xs.size, 0)
+
+    def test_one_theta_stage_no_quadrature_per_call(self, monkeypatch):
+        # h, hbar and the base kernel of every point come from one theta
+        # sum and one substitution; no call takes a contour grid
+        mod = _torus_moduli()
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 10, 32)
+        xs, ys = _rho_points(mod)
+        ctx.kernel(xs[0], ys[0])  # the gated inverse is kept
+        calls = []
+        sums, substitute = specialfn._theta_sums, rho._substitute
+        grid_sides = TorusBaseKernel.grid_sides
+
+        def counting_sums(chars, zs, tau, kmax, n_rows):
+            calls.append(("theta", zs.size, kmax, n_rows))
+            return sums(chars, zs, tau, kmax, n_rows)
+
+        def counting_substitute(a, b):
+            calls.append(("substitute", a.shape))
+            return substitute(a, b)
+
+        def counting_grid(self, xs, ys):
+            calls.append(("grid",))
+            return grid_sides(self, xs, ys)
+        monkeypatch.setattr(specialfn, "_theta_sums", counting_sums)
+        monkeypatch.setattr(rho, "_substitute", counting_substitute)
+        monkeypatch.setattr(TorusBaseKernel, "grid_sides", counting_grid)
+        # Taylor rows at x, x - w, w - y and -y, the value x - y and the
+        # origin
+        ctx.kernel(xs[0], ys[0])
+        assert calls == [("theta", 6, 10, 4), ("substitute", (4, 10))]
+        calls.clear()
+        ctx.kernel_matrix(xs, ys)
+        p, q = xs.size, ys.size
+        assert calls == [("theta", 2 * (p + q) + p * q + 1, 10, 2 * (p + q)),
+                         ("substitute", (2 * (p + q), 10))]
+        calls.clear()
+        # the quadrature h stays, as the oracle of the Taylor rows
+        ctx.moments.h_matrix(xs)
+        assert calls == [("grid",)]
+
+    def test_closure_checks_run_at_build_only(self, monkeypatch):
+        # the U^kappa moments of both Taylor-row families are checked for
+        # single-valuedness once, when the context is built; a kernel call
+        # checks nothing
+        names = []
+        check = rho._check_closure
+
+        def recording(first, last, scale, what):
+            names.append(what if isinstance(what, str) else tuple(what))
+            return check(first, last, scale, what)
+        monkeypatch.setattr(rho, "_check_closure", recording)
+        mod = _torus_moduli()
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 8, 32)
+        assert names.count(("U^kappa_1 contour", "U^kappa_2 contour")) == 2
+        built = len(names)
+        ctx.kernel_matrix(*_rho_points(mod))
+        assert len(names) == built
+
     def test_det_ungated_while_every_kernel_call_raises(self, monkeypatch):
         # the context builds and factorises I - T; only the kernel's
         # solve is gated
@@ -615,6 +718,103 @@ class TestKernelMatrix:
         assert ctx.det() == expected
         with pytest.raises(SingularMatrixError):
             ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=mod.w))
+
+
+def _seeded_torus(seed, n, m, kappa=None):
+    """A self-sewn torus context drawn from the seed (kappa replaced when
+    given) and six points that clear its x contours by 1.8 times their
+    radius, where the quadrature oracle is converged."""
+    rng = np.random.default_rng(seed)
+    tau = TorusModulus(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.7, 1.5)))
+    w = TWO_PI_I * (rng.uniform(0.2, 0.8) + rng.uniform(0.2, 0.8) * tau.tau)
+    wd = float(lattice_distance(w, tau))
+    r = rho.RADIUS_FACTOR * min(specialfn.min_lattice_distance(tau), wd)
+    mod = RhoModuliTorus.create(
+        tau, w, rng.uniform(0.02, 0.08) * min(r * r, wd * wd / 4)
+        * np.exp(TWO_PI_I * rng.uniform()))
+    tw1 = TwistPair(*rng.uniform(-0.5, 0.5, 2))
+    alpha, beta = rng.uniform(-0.45, 0.45, 2)
+    handle = HandleTwist(alpha if kappa is None else kappa, beta)
+    margin = 1.8 * rho.X_RADIUS_FACTOR * mod.contour_radius
+    pts = []
+    while len(pts) < 6:
+        z = TWO_PI_I * (rng.uniform() + rng.uniform() * tau.tau)
+        if min(lattice_distance(z, tau), lattice_distance(z - w, tau)) \
+                > margin:
+            pts.append(z)
+    return RhoTorusContext(tw1, handle, mod, n, m), np.array(pts)
+
+
+def _rows_error(ctx, zs):
+    """Largest deviation of the Taylor rows h and hbar at zs from their
+    contour quadrature, each row relative to its largest entry."""
+    mom = ctx.moments
+    la = mom.base.log_a(zs)
+    k = zs.size // 2  # x - y must avoid the lattice: two calls
+    h1, hb1, _ = mom.taylor_rows(zs[:k], la[:k], zs[k:], la[k:])
+    h2, hb2, _ = mom.taylor_rows(zs[k:], la[k:], zs[:k], la[:k])
+    return max(float(np.max(np.max(np.abs(rows - quad), axis=1)
+                            / np.max(np.abs(quad), axis=1)))
+               for rows, quad in ((np.vstack([h1, h2]), mom.h_matrix(zs, la)),
+                                  (np.vstack([hb2, hb1]),
+                                   mom.hbar_matrix(zs, la))))
+
+
+class TestTaylorRows:
+    """h and hbar as Laurent coefficients (TorusMoments.taylor_rows)
+    against their contour quadrature, the route the kernel used before."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n,m", [(12, 64), (16, 128)])
+    def test_rows_match_quadrature(self, seed, n, m):
+        ctx, zs = _seeded_torus(seed, n, m)
+        assert ctx.moments.base.tracked
+        assert _rows_error(ctx, zs) < 1e-13
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_untwisted_handle(self, seed):
+        # kappa = 0: no log A, no kappa v shift of the characteristic
+        ctx, zs = _seeded_torus(seed, 12, 64, kappa=0.0)
+        assert not ctx.moments.base.tracked
+        assert _rows_error(ctx, zs) < 1e-13
+
+    @pytest.mark.parametrize("name", ["A", "B", "C", "gamma1-T"])
+    def test_modular_images(self, name):
+        # the images move w by periods, pick up a winding of log A around
+        # w or rescale tau; their rows still match their quadrature
+        g = dict(verify._RHO_GENERATORS)[name]
+        ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 12, 64)
+        image, point = g.transform(ctx)
+        xs, _ = _rho_points(ctx.moduli)
+        zs = np.array([point(z)[0] for z in xs])
+        assert _rows_error(image, zs) < 1e-13
+
+    def test_near_pole_pair(self):
+        # the split-sheet configuration: the start nodes of both contours
+        # around 0 are continued just below the pole at 0; the U^kappa
+        # moments read those sheets
+        mod = RhoModuliTorus.create(
+            -0.3518043646580238 + 1.22239291091299j,
+            -5.036862195863973 - 0.0066573642131724335j,
+            -0.03691333467243803 + 0.09921609567269367j)
+        ctx = RhoTorusContext(
+            TwistPair(0.03710664164609295, -0.42027656207476505),
+            HandleTwist(-0.3846086372884161, 0.015979698791629082), mod,
+            12, 64)
+        zs = np.array([-1.18905621106495 + 3.613527106611669j,
+                       -2.8809316289178626 + 1.5833342695196764j,
+                       -1.29100001220246 + 2.3448930022544556j,
+                       -5.371278021552781 + 1.5044198246311897j])
+        assert _rows_error(ctx, zs) < 1e-13
+
+    def test_base_kernel_matches_grid(self):
+        # the value-only points x - y give S_kappa of the separable grid
+        ctx, zs = _seeded_torus(7, 8, 32)
+        s = ctx.moments.base
+        la = s.log_a(zs)
+        _, _, base = ctx.moments.taylor_rows(zs[:3], la[:3], zs[3:], la[3:])
+        grid = s.grid(zs[:3], la[:3], zs[3:], la[3:])
+        assert np.all(np.abs(base - grid) <= 1e-14 * np.abs(grid))
 
 
 def _moduli_at(tau_c, scale=0.05):
