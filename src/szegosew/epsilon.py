@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import DEFAULT_ORDER, POLE_GUARD
 from .errors import DomainError
-from .numerics import LU
+from .numerics import LU, binomials, row_products
 from .specialfn import (TorusModulus, TwistPair, _multiplier,
                         _reduce_off_lattice, _substitute, _theta_stage,
                         eisenstein_twisted, lattice_distance,
@@ -208,13 +208,9 @@ def c_matrix(tw: TwistPair, n_order: int, tau: TorusModulus) -> np.ndarray:
     if n_order < 1:
         raise DomainError("order must be >= 1")
     eis = eisenstein_twisted(tw, np.arange(1, 2 * n_order), tau)
-    # binom[i, j] = binom(i + j, i) by Pascal's rule, row by row
-    binom = np.ones((n_order, n_order))
-    for i in range(1, n_order):
-        binom[i] = np.cumsum(binom[i - 1])
     idx = np.arange(n_order)
     sign = (-1.0) ** (idx + 1)
-    return sign * binom * eis[idx[:, None] + idx[None, :]]
+    return sign * binomials(n_order) * eis[idx[:, None] + idx[None, :]]
 
 
 def f_matrix(tw: TwistPair, n_order: int, tau: TorusModulus,
@@ -348,10 +344,8 @@ class EpsilonContext:
             * np.concatenate(mults)[:, None]
         for a, (ix, _) in gx.items():
             for b, (iy, _) in gy.items():
-                # row by row, not a matmul: BLAS rounding would depend on
-                # the batch
-                w = (p[rows[a, 0], None] * self._blocks[(a, b)]).sum(axis=-1)
-                out[ix[:, None], iy] += (w[:, None] * p[rows[b, 1]]).sum(axis=-1)
+                w = row_products(p[rows[a, 0]], self._blocks[(a, b)])
+                out[ix[:, None], iy] += row_products(w, p[rows[b, 1]])
         return out
 
     def kernel(self, x: SurfacePoint, y: SurfacePoint) -> complex:

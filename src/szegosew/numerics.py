@@ -1,8 +1,9 @@
 """Shared numerical infrastructure.
 
 Dense complex linear algebra (one matrix object serving gated solves
-and the determinant), spectrally accurate trapezoidal quadrature on
-circles, and geometric tail fitting.
+and the determinant), row-wise products whose entries do not depend on
+the batch, binomial tables, spectrally accurate trapezoidal quadrature
+on circles, and geometric tail fitting.
 
 All matrices here are small (at most a few hundred rows), so dense
 ``numpy.linalg`` routines are used throughout, and the condition is
@@ -17,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import BLOCK_ENTRIES
 from .errors import ConvergenceError, DomainError, SingularMatrixError
 
 CONDITION_THRESHOLD = 1e12
@@ -120,6 +122,33 @@ class LU:
     def det(self) -> complex:
         """Determinant; not gated (an exactly singular matrix gives 0)."""
         return complex(np.linalg.det(self.a))
+
+
+def row_products(u, v) -> np.ndarray:
+    """out[i, j] = sum_k u[i, k] v[j, k], shape (P, Q) for u (P, K) and
+    v (Q, K).
+
+    Not a matmul: each entry is reduced on its own, over contiguous k, so
+    no value depends on the shapes of u and v, where BLAS rounding would
+    depend on the batch.  The rows of u are taken a block at a time, and
+    each block's product array holds at most BLOCK_ENTRIES entries (or
+    one row of u), so memory does not grow with P.
+    """
+    step = max(1, BLOCK_ENTRIES // max(v.size, 1))
+    if len(u) > step:
+        return np.concatenate([row_products(u[i:i + step], v)
+                               for i in range(0, len(u), step)])
+    # operands of equal rank: a one-entry product broadcast from a
+    # lower-rank operand takes another numpy loop, which rounds apart
+    return (u[:, None] * v[None]).sum(axis=-1)
+
+
+def binomials(n: int) -> np.ndarray:
+    """The table C(i + j, i), i, j < n, by Pascal's rule row by row."""
+    table = np.ones((n, n))
+    for i in range(1, n):
+        table[i] = np.cumsum(table[i - 1])
+    return table
 
 
 def lu_solve(a, b) -> np.ndarray:

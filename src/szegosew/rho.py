@@ -20,11 +20,13 @@ shifted mode indices k_a = k + (-1)^{abar} kappa, and weighted moments
 
 where z_a is the local coordinate of the annulus C_a.  On the sphere the
 moments collapse to closed forms and T is exactly diagonal.  On the
-torus G is computed by trapezoidal contour quadrature with all
-fractional powers tracked continuously in the contour angle, while h and
-hbar are Laurent coefficients at the punctures: Taylor rows of the
-genus-one P_k at x - c_a and c_abar - y, folded with contour moments of
-U^kappa alone that are taken once per context (see TorusMoments).
+torus all three are Laurent data at the punctures (see TorusMoments):
+h and hbar are Taylor rows of the genus-one P_k at x - c_a and
+c_abar - y, and G, the x-contour moment of h, is built from the same
+matrices and the Taylor coefficients of P1 at +-w and of its regular
+part at 0, all from theta sums.  Only the contour moments of U^kappa
+alone are taken by trapezoidal quadrature, once per context, with all
+fractional powers tracked continuously in the contour angle.
 
 Half-integer powers of rho are taken from the recorded branch log_rho
 (never from a fresh principal root), so the handle Dehn move
@@ -43,10 +45,10 @@ import numpy as np
 from .config import (DEFAULT_ORDER, DEFAULT_QUAD_POINTS, POLE_GUARD,
                      RESONANCE_GUARD, THETA_TOL)
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
-from .numerics import LU, as_complex_matrix
+from .numerics import LU, as_complex_matrix, binomials, row_products
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
                         _multiplier, _reduce_off_lattice, _substitute,
-                        _theta_g1, _theta_reduce, _theta_stage,
+                        _theta_g1, _theta_reduce, _theta_stage, _theta_sums,
                         lattice_distance)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
@@ -355,9 +357,7 @@ class RhoSphereContext:
         h, hb = (np.concatenate([p[None] * np.exp(k * lz[:, None])
                                  for p, k in blocks], axis=1)
                  for blocks, lz in ((self._h, lx), (self._hbar, ly)))
-        # row by row, not a matmul: BLAS rounding would depend on the batch
-        u = self.moduli.xi * h * self._middle
-        return base + (u[:, None] * hb).sum(axis=-1)
+        return base + row_products(self.moduli.xi * h * self._middle, hb)
 
     def kernel(self, x, y, log_x=None, log_y=None) -> complex:
         """One value of kernel_matrix."""
@@ -733,17 +733,7 @@ def _check_closure(first, last, scale, what) -> None:
 
 
 class TorusMoments:
-    """Moments of the self-sewn torus: G by quadrature, h / hbar as Taylor
-    rows.
-
-    Contours C_a are circles of radius ``radius_scale`` times the
-    geometric-mean annulus radius around the punctures 0 and w, with the
-    x and y copies split by fixed factors so same-center double contours
-    never collide.  All fractional powers (local coordinate weights and
-    U^kappa) are continuous in the contour angle, and single-valuedness
-    of each integrand is verified at the closure node.  The base kernel
-    ``base``, the contours with their theta tables and their mode weights
-    are built once.
+    """Moments of the self-sewn torus from Laurent data at the punctures.
 
     h and hbar are Laurent coefficients at the punctures.  With
     w = 2 pi i (u + v tau), S_kappa(x,y) = e^{kappa (log A(x) - log A(y))}
@@ -762,8 +752,36 @@ class TorusMoments:
     e^{-+kappa v t} and e^{kappa v (c_a - c_1)} they are folded into one
     lower-triangular N x N matrix per block (``_taylor_blocks``), and
     [t^n] f(z - t) = e^{-kappa v z} sum_{i+l=n} (kappa v)^i/i! P_{l+1}(z).
-    ``h_matrix`` / ``hbar_matrix`` keep the contour quadrature of h and
-    hbar, the oracle of ``taylor_rows``.
+
+    G is the x-contour moment of h,
+
+        G_ab(k,l) = rho^{(k_a-1/2)/2} (1/2pi i) oint_{C_abar}
+                    x_abar^{-k_a} h_b(l,x) dx,
+
+    and with x = c_abar + s, x_abar^{-k_a} e^{kappa log A(x) - kappa v x}
+    = e^{-kappa v c_abar} s^{-k} D_a(s), D_a(s) = sum_i d_{a,i} s^i
+    = Ebar_a(s) e^{-kappa v s}.  So G_ab = Hbar_a K_ab H_b^T, with Hbar
+    and H the matrices of hbar and h and K_ab(m,j) = (-1)^m [s^m]
+    P_{j+1}(c_abar - c_b + s): across the punctures (a = b)
+    C(m+j, j) P_{m+j+1}[c](c_abar - c_a); at one puncture (a != b), where
+    P1[c](s) = 1/s + sum_n R_n s^{n-1}, (-1)^{m+j} C(m+j, j) R_{m+j+1},
+    and the polar part s^{-j-1} of P_{j+1}(s) adds
+    rho^{(k_a-1/2)/2} e^{-kappa v c_abar} d_{a,k+j+1} to Hbar_a K_ab
+    (``_closed_g``).  The R_n and the P_n at +-w come from one theta sum
+    and one forward substitution (``_laurent``), never from a q-series.
+
+    Contours C_a are circles of radius ``radius_scale`` times the
+    geometric-mean annulus radius around the punctures 0 and w, with the
+    x and y copies split by fixed factors so same-center double contours
+    never collide.  Their M nodes serve the U^kappa moments, taken once
+    per context from mode tables (to k = 2N on the x contours, to k = N
+    on the y contours).  All fractional powers (local coordinate weights
+    and U^kappa) are continuous in the contour angle, and single-valuedness
+    of each integrand is verified at the closure node.  The contour
+    quadrature of G (``_build_g``) and of h and hbar (``h_matrix`` /
+    ``hbar_matrix``) stays as the oracle of the Laurent route; the grid
+    sides of the contours, with their theta tables, are built when one of
+    them first asks.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
@@ -781,34 +799,56 @@ class TorusMoments:
         r = moduli.contour_radius * radius_scale
         # the x contours of labels abar, over which G row a and hbar_a
         # integrate, and the y contours of labels a, over which G column a
-        # and h_a integrate (a = 1, 2), each pair as one grid side with its
-        # theta tables, its modes z_local^{-k_a} at every node with the
-        # closure node (2, N, m+1), their largest per node, and the
-        # trapezoid-weighted modes
-        m = self.m_points
+        # and h_a integrate (a = 1, 2)
         contours = torus_contours(
             self.base, [(3 - a, X_RADIUS_FACTOR * r) for a in (1, 2)]
-            + [(a, Y_RADIUS_FACTOR * r) for a in (1, 2)], m)
+            + [(a, Y_RADIUS_FACTOR * r) for a in (1, 2)], self.m_points)
+        self._x, self._y = contours[:2], contours[2:]
         self._k = [mode_index(a, np.arange(1, n_order + 1), handle.kappa)
                    for a in (1, 2)]
         self._pref = np.concatenate(
             [moduli.rho_pow(0.5 * (ka - 0.5)) for ka in self._k])
-        sides = []
-        for cs, sign in ((contours[:2], 1), (contours[2:], -1)):
-            modes = np.array([np.exp(-np.multiply.outer(ka, c.log_local))
-                              for ka, c in zip(self._k, cs)])
-            sides.append((self.base.contours_side(cs, sign), modes,
-                          np.max(np.abs(modes), axis=1),
-                          [w[:, :m] * c.weight for w, c in zip(modes, cs)]))
-        self._rows, self._cols = sides
-        self.g = self._build_g()
+        # the mode tables of the U^kappa moments: to k = 2N on the x
+        # contours, since G reads Ebar_{a,j} to j = 2N - 1, and to k = N
+        # on the y contours
+        self._x_modes = self._mode_table(self._x, 2 * n_order)
+        self._y_modes = self._mode_table(self._y, n_order)
         t = moduli.tau.tau
         uv = moduli.w / TWO_PI_I
         v = uv.imag / t.imag
         self._kv = handle.kappa * v
         self.char = TwistPair(tw1.alpha + self._kv,
                               tw1.beta + handle.kappa * (uv.real - v * t.real))
-        self._taylor_h, self._taylor_hbar = self._taylor_blocks()
+        self._taylor_h, self._taylor_hbar, d = self._taylor_blocks()
+        self.g = self._closed_g(d)
+
+    def _mode_table(self, cs: tuple, n: int) -> tuple:
+        """The modes z_local^{-k_a}, k = 1..n, of the contours cs of labels
+        a = 1, 2 at every node with the closure node, shape (2, n, M+1),
+        their largest per node, and the trapezoid-weighted modes."""
+        m = self.m_points
+        modes = np.array([np.exp(-np.multiply.outer(
+            mode_index(a, np.arange(1, n + 1), self.base.kappa), c.log_local))
+            for a, c in zip((1, 2), cs)])
+        return (modes, np.max(np.abs(modes), axis=1),
+                [w[:, :m] * c.weight for w, c in zip(modes, cs)])
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """The x contours as one grid side with their theta tables, and
+        their first N modes (``_mode_table``): the side of the quadrature
+        oracles ``_build_g`` and ``hbar_matrix``."""
+        n = self.n_order
+        modes, _, weighted = self._x_modes
+        return (self.base.contours_side(self._x, 1), modes[:, :n],
+                np.max(np.abs(modes[:, :n]), axis=1),
+                [w[:n] for w in weighted])
+
+    @cached_property
+    def _cols(self) -> tuple:
+        """The y contours as one grid side with their theta tables and
+        modes: the side of the oracles ``_build_g`` and ``h_matrix``."""
+        return (self.base.contours_side(self._y, -1), *self._y_modes)
 
     def _build_g(self) -> np.ndarray:
         m = self.m_points
@@ -834,12 +874,12 @@ class TorusMoments:
             np.block([[blocks[(1, 1)], blocks[(1, 2)]],
                       [blocks[(2, 1)], blocks[(2, 2)]]]), "moment matrix G")
 
-    def _moments(self, sides: tuple, f: np.ndarray, what: str) -> np.ndarray:
+    def _moments(self, table: tuple, f: np.ndarray, what: str) -> np.ndarray:
         """(1/2pi i) oint z_local^{-k_a} f dz_local, a = 1, 2, from f at the
-        nodes of both contours of a grid side, shape (points, 2 (m+1)):
-        one row of f and of the result per point."""
+        nodes of both contours of a mode table (``_mode_table``), shape
+        (points, 2 (m+1)): one row of f and of the result per point."""
         m = self.m_points
-        _, modes, size, weighted = sides
+        modes, size, weighted = table
         scale = np.max(np.abs(f).reshape(len(f), 2, m + 1) * size, axis=2)
         _check_closure(f[:, ::m + 1, None] * modes[:, :, 0],
                        f[:, m::m + 1, None] * modes[:, :, -1], scale,
@@ -849,8 +889,9 @@ class TorusMoments:
 
     def _taylor_blocks(self) -> tuple:
         """The lower-triangular matrices of h and of hbar, shape (2, N, N)
-        each: row k - 1 of block a maps the rows (P_1..P_N) at x - c_a
-        (at c_abar - y for hbar) to h_a(k) / e^{kappa log A(x) - kappa v x}
+        each, and e^{-kappa v c_abar} d_{a,i}, i < 2N, shape (2, 2N): row
+        k - 1 of block a maps the rows (P_1..P_N) at x - c_a (at c_abar - y
+        for hbar) to h_a(k) / e^{kappa log A(x) - kappa v x}
         (hbar_a(k) / e^{kappa v y - kappa log A(y)})."""
         n, kap, kv = self.n_order, self.base.kappa, self._kv
         d = np.subtract.outer(np.arange(n), np.arange(n))  # k - l
@@ -859,23 +900,71 @@ class TorusMoments:
         shift = np.exp(kv * self.moduli.w)  # e^{kappa v (c_2 - c_1)}
         out = []
         # h: the y contours, E_{a,j} from e^{-kappa log A}, f(x - c_a - t);
-        # hbar: the x contours, Ebar_{a,j} from e^{kappa log A}, and
-        # [s^n] f(c_abar - y + s) = (-1)^n [t^n] f(c_abar - y - t), which
-        # turns the sign of kappa v in the series and puts (-1)^{l-1} on
-        # P_l
-        for sides, sign, centre in ((self._cols, -1.0, [1.0, shift]),
-                                    (self._rows, 1.0, [1.0 / shift, 1.0])):
-            e = self._moments(sides, np.exp(sign * kap * sides[0].log_a)
-                              .reshape(1, -1), "U^kappa")
+        # hbar: the x contours, Ebar_{a,j} from e^{kappa log A} up to
+        # j = 2N - 1 for G, and [s^n] f(c_abar - y + s)
+        # = (-1)^n [t^n] f(c_abar - y - t), which turns the sign of kappa v
+        # in the series and puts (-1)^{l-1} on P_l
+        for cs, table, sign, centre in (
+                (self._y, self._y_modes, -1.0, [1.0, shift]),
+                (self._x, self._x_modes, 1.0, [1.0 / shift, 1.0])):
+            e = self._moments(table, np.exp(sign * kap * np.array(
+                [c.log_a for c in cs])).reshape(1, -1), "U^kappa")
+            k = e.size // 2
             series = np.cumprod(np.concatenate(
-                ([1.0], -sign * kv / np.arange(1, n))))
-            g = np.array([np.convolve(ea, series)[:n]
-                          for ea in e.reshape(2, n)])
+                ([1.0], -sign * kv / np.arange(1, k))))
+            g = np.array([np.convolve(ea, series)[:k]
+                          for ea in e.reshape(2, k)]) \
+                * np.array(centre)[:, None]
             out.append(np.where(lower, g[:, d], 0.0)
-                       * (self._pref.reshape(2, n, 1)
-                          * np.array(centre)[:, None, None])
-                       * (-sign) ** np.arange(n))
-        return tuple(out)
+                       * self._pref.reshape(2, n, 1) * (-sign) ** np.arange(n))
+        # g of the x contours, the last pass: e^{-kappa v c_abar} d_{a,i}
+        return (*out, g)
+
+    def _laurent(self) -> tuple:
+        """(P, R): P_1..P_{2N-1} of the characteristic ``char`` at w and at
+        -w, shape (2, 2N - 1), and R_1..R_{2N-1} of its P1(z) = 1/z
+        + sum_{n>=1} R_n z^{n-1}, shape (2N - 1,).
+
+        One theta sum gives the Taylor rows at w, -w and 0, and one forward
+        substitution all three quotients.  At 0 the quotient is
+        z P1(z) = (theta1'(0) / theta[c](0)) theta[c](z) / (theta1(z) / z),
+        whose denominator row is the theta1 row shifted by one (theta1 is
+        odd, so the entry past its end is 0); its n-th entry is
+        (-1)^n R_n.
+        """
+        kmax, tau, char = 2 * self.n_order, self.moduli.tau, self.char
+        z_red, m, k = _reduce_off_lattice(
+            np.array([self.moduli.w, -self.moduli.w]), tau)
+        (a, b), _ = _theta_sums(((char.alpha, char.beta), (0.5, 0.5)),
+                                np.append(z_red, 0.0), tau.tau, kmax, 3)
+        th0 = a[2, 0]
+        if abs(th0) < RESONANCE_GUARD:
+            raise ResonanceError("theta[alpha;beta](0, tau) vanishes for the "
+                                 "shifted characteristic of the handle")
+        b[2] = np.append(b[2, 1:], 0.0)
+        # the rows at +-w normalised as in _theta_stage
+        a[:2] /= th0 * (b[:2, :1] / tau.theta1_deriv0)
+        a[2] /= th0
+        p = _substitute(a, b / b[:, :1])
+        signs = (-1.0) ** np.arange(1, kmax)
+        return (p[:2, :-1] * _multiplier(char, m, k)[:, None],
+                signs * p[2, 1:])
+
+    def _closed_g(self, d: np.ndarray) -> np.ndarray:
+        """G from the matrices of h and hbar, the scaled d_{a,i} of
+        ``_taylor_blocks`` and the Laurent data of ``_laurent``."""
+        n = self.n_order
+        p, r = self._laurent()
+        mj = np.add.outer(np.arange(n), np.arange(n))
+        binom = binomials(n)
+        hb, h = self._taylor_hbar, self._taylor_h
+        # a = 1 reads P at c_2 - c_1 = w, a = 2 at c_1 - c_2 = -w
+        cross = [hb[a] @ (binom * p[a, mj]) for a in (0, 1)]
+        same = [self._pref[n * a:n * (a + 1), None] * d[a, mj + 1]
+                + hb[a] @ ((-1.0) ** mj * binom * r[mj]) for a in (0, 1)]
+        return as_complex_matrix(np.block(
+            [[(cross[a] if a == b else same[a]) @ h[b].T for b in (0, 1)]
+             for a in (0, 1)]), "moment matrix G")
 
     def taylor_rows(self, xs, log_a_xs, ys, log_a_ys) -> tuple:
         """(h, hbar, S_kappa): the rows h(x_i) and hbar(y_j), shape (P, 2N)
@@ -916,13 +1005,13 @@ class TorusMoments:
         contour quadrature; log A is continued unless supplied."""
         pts = self.base.points_side(xs, self.base.log_a(xs, log_a_xs))
         return self._pref * self._moments(
-            self._cols, self.base.grid_sides(pts, self._cols[0]), "h")
+            self._cols[1:], self.base.grid_sides(pts, self._cols[0]), "h")
 
     def hbar_matrix(self, ys, log_a_ys=None) -> np.ndarray:
         """Rows (hbar_1(k,y), hbar_2(k,y)), k = 1..N, one per point of ys."""
         pts = self.base.points_side(ys, self.base.log_a(ys, log_a_ys))
         return self._pref * self._moments(
-            self._rows, self.base.grid_sides(self._rows[0], pts).T, "hbar")
+            self._rows[1:], self.base.grid_sides(self._rows[0], pts).T, "hbar")
 
     def h_vector(self, x, log_a_x=None) -> np.ndarray:
         """The one-point h_matrix."""
@@ -1008,9 +1097,7 @@ class RhoTorusContext:
         if not (xs.size and ys.size):
             return np.zeros((xs.size, ys.size), dtype=complex)
         h, hb, base = self.moments.taylor_rows(xs, lax, ys, lay)
-        # row by row, not a matmul: BLAS rounding would depend on the batch
-        u = (h[:, None] * self._middle).sum(axis=-1)
-        return base + (u[:, None] * hb).sum(axis=-1)
+        return base + row_products(row_products(h, self._middle), hb)
 
     def kernel(self, x, y, log_a_x=None, log_a_y=None) -> complex:
         """One value of kernel_matrix."""

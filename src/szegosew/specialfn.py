@@ -36,7 +36,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .config import POLE_GUARD, RESONANCE_GUARD, SERIES_TOL, THETA_TOL
+from .config import (BLOCK_ENTRIES, POLE_GUARD, RESONANCE_GUARD, SERIES_TOL,
+                     THETA_TOL)
 from .errors import ConvergenceError, DomainError, ResonanceError
 
 TWO_PI = 2.0 * np.pi
@@ -371,8 +372,23 @@ def _theta_sums(chars: tuple, z: np.ndarray, tau: complex, kmax: int,
     (len(chars), z.size - n_rows).  Every point reads one exp table over
     the box of (chars, tau, kmax), and each entry is reduced over the box
     on its own row, so no value depends on the other points of its call.
+    The points are taken a block at a time, each block's Taylor product
+    holding at most BLOCK_ENTRIES entries, so memory does not grow with
+    the batch.
     """
     ma, expo, rows = _taylor_box(chars, tau, kmax)
+    step = max(1, BLOCK_ENTRIES // rows.size)
+    if z.size <= step:
+        return _box_sums(ma, expo, rows, z, n_rows)
+    parts = [_box_sums(ma, expo, rows, z[i:i + step],
+                       min(max(n_rows - i, 0), step))
+             for i in range(0, z.size, step)]
+    return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+
+
+def _box_sums(ma, expo, rows, z: np.ndarray, n_rows: int) -> tuple:
+    """``_theta_sums`` of one block of points over the box (ma, expo,
+    rows) of ``_taylor_box``."""
     terms = np.exp(expo + z[:, None] * ma)
     # row by row, not a matmul: BLAS rounding would depend on the batch
     return ((terms[:, :n_rows, None, :] * rows).sum(axis=-1),

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import functools
+import tracemalloc
 import warnings
 
 import mpmath
@@ -378,9 +379,9 @@ class TestTorusSewing:
         pairs = list(zip(*_rho_points(ctx.moduli)))
         for x, y in pairs:
             ctx.kernel(x, y)
-        # the build reads several distances, and each kernel call one
-        # (its validation pass)
-        assert len(built) == 1 and at_build > 3
+        # the build reads several distances (w, z_ref and the contour
+        # starts), and each kernel call one (its validation pass)
+        assert len(built) == 1 and at_build >= 3
         assert len(reads) - at_build == len(pairs)
         lattice_distance(W, TorusModulus(TAU.tau))
         assert len(built) == 2
@@ -707,6 +708,23 @@ class TestKernelMatrix:
         ctx.kernel_matrix(*_rho_points(mod))
         assert len(names) == built
 
+    def test_grid_memory_does_not_grow_with_the_batch(self):
+        # a 200 x 200 grid at the pinned verify moduli and (12, 64): the
+        # theta sums and the bilinear form take a block of points at a
+        # time; 5.3 MB at peak, 56.9 MB when both held the whole grid
+        tw1, handle, mod = verify._rho_torus_setup()
+        ctx = RhoTorusContext(tw1, handle, mod, 12, 64)
+        xs, ys = (np.array(p) for p in zip(*verify._rho_torus_pairs(mod, 200)))
+        assert xs.size == ys.size == 200
+        ctx.kernel(xs[0], ys[0])  # the gated inverse is kept
+        tracemalloc.start()
+        try:
+            ctx.kernel_matrix(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
     def test_det_ungated_while_every_kernel_call_raises(self, monkeypatch):
         # the context builds and factorises I - T; only the kernel's
         # solve is gated
@@ -815,6 +833,74 @@ class TestTaylorRows:
         _, _, base = ctx.moments.taylor_rows(zs[:3], la[:3], zs[3:], la[3:])
         grid = s.grid(zs[:3], la[:3], zs[3:], la[3:])
         assert np.all(np.abs(base - grid) <= 1e-14 * np.abs(grid))
+
+
+def _g_error(mom):
+    """Largest deviation of each N x N block of the closed-form G from its
+    contour quadrature, relative to the block's largest entry."""
+    n = mom.n_order
+    g, quad = mom.g, mom._build_g()
+    blocks = [(slice(i, i + n), slice(j, j + n)) for i in (0, n) for j in (0, n)]
+    return max(float(np.max(np.abs(g[b] - quad[b])) / np.max(np.abs(quad[b])))
+               for b in blocks)
+
+
+# small Im tau, where the twisted Eisenstein q-series loses digits (one
+# chart of the square torus, one far from the reduced strip, and 0.05)
+SMALL_IM_TAU = [0.3 + 0.1j, 2.3 + 0.1j, 0.3 + 0.05j]
+
+
+class TestClosedFormG:
+    """G from Laurent data at the punctures (TorusMoments._closed_g)
+    against its M x M contour quadrature, the route the context used
+    before; measured at most 6.5e-14 per block over these cases."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n,m", [(12, 64), (16, 128)])
+    def test_matches_quadrature(self, seed, n, m):
+        ctx, _ = _seeded_torus(seed, n, m)
+        assert ctx.moments.base.tracked
+        assert _g_error(ctx.moments) < 5e-13
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_untwisted_handle(self, seed):
+        # kappa = 0: d_{a,i} is 1 at i = 0 and 0 beyond
+        ctx, _ = _seeded_torus(seed, 12, 64, kappa=0.0)
+        assert _g_error(ctx.moments) < 5e-13
+
+    @pytest.mark.parametrize("name", ["A", "B", "C", "gamma1-T"])
+    def test_modular_images(self, name):
+        g = dict(verify._RHO_GENERATORS)[name]
+        image, _ = g.transform(RhoTorusContext(TW1, HANDLE, _torus_moduli(),
+                                               12, 64))
+        assert _g_error(image.moments) < 5e-13
+
+    @pytest.mark.parametrize("scale", [0.05, 0.3])
+    @pytest.mark.parametrize("tau_c", SMALL_IM_TAU)
+    def test_small_im_tau(self, tau_c, scale):
+        mod = _moduli_at(tau_c, scale)
+        for n, m in [(12, 64), (16, 128)]:
+            ctx = RhoTorusContext(TW1, HANDLE, mod, n, m)
+            assert _g_error(ctx.moments) < 5e-13
+
+    @pytest.mark.parametrize("tau_c", SMALL_IM_TAU)
+    def test_laurent_data(self, tau_c):
+        # R_n of P1[char](z) = 1/z + sum R_n z^{n-1} against a Cauchy sum
+        # of p1_theta - 1/z on a circle of 0.75 times the shortest period
+        # (1024 nodes, good to about 1e-12 here; the theta route reads
+        # 2.3e-13 at most, the Eisenstein q-series 4.9e-5 to 8.8e-4), and
+        # P_n at +-w against p_k_vector
+        mom = RhoTorusContext(TW1, HANDLE, _moduli_at(tau_c), 12, 64).moments
+        tau, w = mom.moduli.tau, mom.moduli.w
+        p, r = mom._laurent()
+        assert p.shape == (2, 23) and r.shape == (23,)
+        z, wq = numerics.circle_nodes(
+            0.0, 0.75 * specialfn.min_lattice_distance(tau), 1024)
+        vals = wq * (specialfn.p1_theta(mom.char, z, tau) - 1.0 / z)
+        cauchy = vals @ z[:, None] ** -np.arange(1.0, 24.0)
+        assert np.all(np.abs(r - cauchy) <= 1e-11 * np.abs(cauchy))
+        ref = specialfn.p_k_vector(mom.char, 23, np.array([w, -w]), tau)
+        assert np.all(np.abs(p - ref) <= 1e-14 * np.abs(ref))
 
 
 def _moduli_at(tau_c, scale=0.05):
@@ -977,9 +1063,10 @@ class TestSeparableGrid:
                          s.contours_side((far,), -1))
 
     def test_build_work_counts(self, monkeypatch):
-        # contour-side theta tables: once per grid side and characteristic
-        # at build (2 sides of two contours each x 2 thetas), never per
-        # kernel call; the pole check of a contour pair is one lattice
+        # contour-side theta tables: none at build and none per kernel
+        # call; the quadrature oracles build them on first use, once per
+        # grid side and characteristic (2 sides of two contours each x 2
+        # thetas); the pole check of a contour pair is one lattice
         # distance, not M x M; the four contour starts are continued from
         # the anchor in one closed-form call
         tables = []
@@ -1004,8 +1091,12 @@ class TestSeparableGrid:
         monkeypatch.setattr(rho, "_continue_log_a", counting_closed)
         m = 32
         ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, m)
-        assert tables == [(2, m + 1)] * 4
-        assert shapes and all(sum(d >= m for d in sh) < 2 for sh in shapes)
+        assert tables == []
         assert calls == [4]
         ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
-        assert len(tables) == 4
+        assert tables == []
+        ctx.moments._build_g()
+        ctx.moments.h_matrix([_pt(0.09, 0.53)])
+        ctx.moments.hbar_matrix([_pt(0.61, 0.12, offset=W)])
+        assert tables == [(2, m + 1)] * 4
+        assert shapes and all(sum(d >= m for d in sh) < 2 for sh in shapes)
