@@ -33,7 +33,7 @@ from .errors import DomainError
 from .numerics import LU, binomials, row_products
 from .specialfn import (TorusModulus, TwistPair, _multiplier,
                         _reduce_off_lattice, _substitute, _theta_stage,
-                        eisenstein_twisted, lattice_distance,
+                        eisenstein_theta, lattice_distance,
                         min_lattice_distance)
 
 __all__ = [
@@ -171,9 +171,10 @@ class SurfacePoint:
         object.__setattr__(self, "z", _finite(self.z, "point coordinate"))
 
 
-def _validate_label(a: int, zs, moduli: EpsilonModuli) -> None:
+def _validate_label(a: int, zs, moduli: EpsilonModuli) -> np.ndarray:
     """Check that the points zs on torus a avoid the excised disk and the
-    lattice poles; the first failing point raises."""
+    lattice poles; the first failing point raises.  Returns their lattice
+    distances."""
     dist = np.ravel(lattice_distance(zs, moduli.tau(a)))
     inner = abs(moduli.epsilon) / moduli.radius(3 - a)
     bad = dist <= max(inner, POLE_GUARD)
@@ -182,6 +183,7 @@ def _validate_label(a: int, zs, moduli: EpsilonModuli) -> None:
             f"point on torus {a} lies inside the excised disk or at a pole "
             f"(lattice distance {dist[np.argmax(bad)]:.3e}, "
             f"inner radius {inner:.3e})")
+    return dist
 
 
 def _by_label(pts) -> dict:
@@ -204,10 +206,11 @@ def _by_label(pts) -> dict:
 # ----------------------------------------------------------------------
 
 def c_matrix(tw: TwistPair, n_order: int, tau: TorusModulus) -> np.ndarray:
-    """Laurent moment matrix C(k,l) = (-1)^l binom(k+l-2,k-1) E_{k+l-1}."""
+    """Laurent moment matrix C(k,l) = (-1)^l binom(k+l-2,k-1) E_{k+l-1},
+    the E_n from the theta-stage row that the self-sewn torus G reads."""
     if n_order < 1:
         raise DomainError("order must be >= 1")
-    eis = eisenstein_twisted(tw, np.arange(1, 2 * n_order), tau)
+    eis = eisenstein_theta(tw, 2 * n_order - 1, tau)
     idx = np.arange(n_order)
     sign = (-1.0) ** (idx + 1)
     return sign * binomials(n_order) * eis[idx[:, None] + idx[None, :]]
@@ -303,24 +306,38 @@ class EpsilonContext:
     def kernel_matrix(self, xs, ys) -> np.ndarray:
         """S(x_i, y_j) for SurfacePoint sequences xs, ys: shape (P, Q).
 
-        Points are grouped by torus label and validated per label.  Each
-        label makes one lattice reduction and one theta sum
-        (``_theta_stage``) over its x points, its reflected y points -y
-        and, for a same-label block, the x - y grid, whose points need P1
-        alone (the base kernel, pole-guarded by the reduction); the P_k
-        rows of every x and y point of the call then take one forward
-        substitution, and each label pair one row-wise bilinear form with
-        its correction block.
+        Points are grouped by torus label and validated per label, and a
+        cross-torus pair with lattice distances d(x) d(y) <= |epsilon|,
+        where its series diverges, raises DomainError.  Each label makes
+        one lattice reduction and one theta sum (``_theta_stage``) over
+        its x points, its reflected y points -y and, for a same-label
+        block, the x - y grid, whose points need P1 alone (the base
+        kernel, pole-guarded by the reduction); the P_k rows of every x
+        and y point of the call then take one forward substitution, and
+        each label pair one row-wise bilinear form with its correction
+        block.
         """
         mod, n_order = self.moduli, self.n_order
         gx, gy = _by_label(xs), _by_label(ys)
         labels = sorted(gx.keys() | gy.keys())
-        for a in labels:
-            _validate_label(a, np.concatenate(
-                [g[a][1] for g in (gx, gy) if a in g]), mod)
+        # lattice distances of each label's x points, then its y points
+        dist = {a: _validate_label(a, np.concatenate(
+            [g[a][1] for g in (gx, gy) if a in g]), mod) for a in labels}
         out = np.zeros((len(xs), len(ys)), dtype=complex)
         if not (gx and gy):
             return out
+        # a cross-torus block is a series in |epsilon| / (d(x) d(y)), the
+        # ratio at which the two points meet through the annulus
+        # z_1 z_2 = epsilon, so it diverges unless d(x) d(y) > |epsilon|
+        for a, (_, zx) in gx.items():
+            if 3 - a in gy:
+                r = (dist[a][:zx.size].min()
+                     * dist[3 - a][-gy[3 - a][1].size:].min())
+                if r <= abs(mod.epsilon):
+                    raise DomainError(
+                        f"points on tori {a} and {3 - a} overlap through the "
+                        f"sewing annulus: d(x) d(y) = {r:.3e} <= "
+                        f"|epsilon| = {abs(mod.epsilon):.3e}")
         # rows[a, 0] and rows[a, 1]: the x and y rows of label a in p
         a_rows, b_rows, mults, rows, start = [], [], [], {}, 0
         for a in labels:

@@ -14,7 +14,7 @@ the package relies on.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -143,11 +143,14 @@ def row_products(u, v) -> np.ndarray:
     return (u[:, None] * v[None]).sum(axis=-1)
 
 
+@lru_cache(maxsize=64)
 def binomials(n: int) -> np.ndarray:
-    """The table C(i + j, i), i, j < n, by Pascal's rule row by row."""
+    """The table C(i + j, i), i, j < n, by Pascal's rule row by row, kept
+    per n and read-only."""
     table = np.ones((n, n))
     for i in range(1, n):
         table[i] = np.cumsum(table[i - 1])
+    table.flags.writeable = False
     return table
 
 

@@ -48,7 +48,7 @@ from .errors import (BranchTrackingError, DomainError, ResonanceError)
 from .numerics import LU, as_complex_matrix, binomials, row_products
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
                         _multiplier, _reduce_off_lattice, _substitute,
-                        _theta_g1, _theta_reduce, _theta_stage, _theta_sums,
+                        _theta_g1, _theta_reduce, _theta_stage,
                         lattice_distance)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
@@ -767,8 +767,8 @@ class TorusMoments:
     P1[c](s) = 1/s + sum_n R_n s^{n-1}, (-1)^{m+j} C(m+j, j) R_{m+j+1},
     and the polar part s^{-j-1} of P_{j+1}(s) adds
     rho^{(k_a-1/2)/2} e^{-kappa v c_abar} d_{a,k+j+1} to Hbar_a K_ab
-    (``_closed_g``).  The R_n and the P_n at +-w come from one theta sum
-    and one forward substitution (``_laurent``), never from a q-series.
+    (``_closed_g``).  The R_n (the row the two-tori C reads too) and the
+    P_n at +-w come from one theta stage (``_laurent``), not a q-series.
 
     Contours C_a are circles of radius ``radius_scale`` times the
     geometric-mean annulus radius around the punctures 0 and w, with the
@@ -923,32 +923,15 @@ class TorusMoments:
     def _laurent(self) -> tuple:
         """(P, R): P_1..P_{2N-1} of the characteristic ``char`` at w and at
         -w, shape (2, 2N - 1), and R_1..R_{2N-1} of its P1(z) = 1/z
-        + sum_{n>=1} R_n z^{n-1}, shape (2N - 1,).
-
-        One theta sum gives the Taylor rows at w, -w and 0, and one forward
-        substitution all three quotients.  At 0 the quotient is
-        z P1(z) = (theta1'(0) / theta[c](0)) theta[c](z) / (theta1(z) / z),
-        whose denominator row is the theta1 row shifted by one (theta1 is
-        odd, so the entry past its end is 0); its n-th entry is
-        (-1)^n R_n.
-        """
+        + sum_{n>=1} R_n z^{n-1}, shape (2N - 1,), from one theta stage
+        (``laurent``) and one forward substitution."""
         kmax, tau, char = 2 * self.n_order, self.moduli.tau, self.char
         z_red, m, k = _reduce_off_lattice(
             np.array([self.moduli.w, -self.moduli.w]), tau)
-        (a, b), _ = _theta_sums(((char.alpha, char.beta), (0.5, 0.5)),
-                                np.append(z_red, 0.0), tau.tau, kmax, 3)
-        th0 = a[2, 0]
-        if abs(th0) < RESONANCE_GUARD:
-            raise ResonanceError("theta[alpha;beta](0, tau) vanishes for the "
-                                 "shifted characteristic of the handle")
-        b[2] = np.append(b[2, 1:], 0.0)
-        # the rows at +-w normalised as in _theta_stage
-        a[:2] /= th0 * (b[:2, :1] / tau.theta1_deriv0)
-        a[2] /= th0
-        p = _substitute(a, b / b[:, :1])
-        signs = (-1.0) ** np.arange(1, kmax)
+        a, b, _ = _theta_stage(char, kmax, z_red, 2, tau, laurent=True)
+        p = _substitute(a, b)
         return (p[:2, :-1] * _multiplier(char, m, k)[:, None],
-                signs * p[2, 1:])
+                (-1.0) ** np.arange(1, kmax) * p[2, 1:])
 
     def _closed_g(self, d: np.ndarray) -> np.ndarray:
         """G from the matrices of h and hbar, the scaled d_{a,i} of

@@ -25,7 +25,7 @@ Conventions (fixed everywhere in this package, normative for all tests):
   ``P1(z + 2 pi i (m tau + n)) = theta^m phi^n P1(z)``;
 * ``P_k = (-1)^{k-1}/(k-1)! d^{k-1}_z P1`` so that ``z^k P_k(z) -> 1``;
 * the Laurent expansion ``P1(z) = 1/z - sum_{n>=1} E_n z^{n-1}`` defines the
-  twisted Eisenstein series, evaluated directly from their q-series.
+  twisted Eisenstein series, from the theta stage (the q-series is an oracle).
 """
 
 from __future__ import annotations
@@ -43,13 +43,13 @@ from .errors import ConvergenceError, DomainError, ResonanceError
 TWO_PI = 2.0 * np.pi
 THETA_BOX_CAP = 64
 _UNIT_TOL = 1e-9  # allowed | |multiplier| - 1 | of twist multipliers
-_ORIGIN = np.zeros(1, dtype=complex)  # the last point of every theta stage
+_ORIGIN = np.zeros(1, dtype=complex)  # a point of every theta stage
 
 __all__ = [
     "TorusModulus", "PeriodMatrix", "Characteristics", "TwistPair",
     "theta_char", "theta1", "K",
     "lattice_reduce", "lattice_distance", "min_lattice_distance",
-    "p1_theta", "p1_series", "p_k_vector",
+    "p1_theta", "p1_series", "p_k_vector", "eisenstein_theta",
     "eisenstein_twisted", "bernoulli_poly",
 ]
 
@@ -501,7 +501,7 @@ def _reduce_off_lattice(z, tau: TorusModulus):
 
 
 def _theta_stage(tw: TwistPair, kmax: int, z_red: np.ndarray, n_rows: int,
-                 tau: TorusModulus) -> tuple:
+                 tau: TorusModulus, laurent: bool = False) -> tuple:
     """Theta stage of P_k: the normalised Taylor rows (a, b) at the first
     n_rows reduced points z_red (1-D) and P1 at the rest, from one theta
     sum.
@@ -512,17 +512,23 @@ def _theta_stage(tw: TwistPair, kmax: int, z_red: np.ndarray, n_rows: int,
     are a_n and b_n, n < kmax, divided by b_0, shape (n_rows, kmax) each,
     for ``_substitute``; a value-only point needs P1 = a_0/b_0 alone.  A
     at every point and at 0 and theta_1 at every point come from one
-    theta sum, which also decides resonance.
+    theta sum, which also decides resonance.  With ``laurent`` (even
+    kmax) the rows of z P1(z) at 0 come last, B = K(z)/z shifting the odd
+    theta_1's row by one, so p_n = (-1)^n R_n of P1 = 1/z + sum R_n z^{n-1}.
     """
-    (a, k), (val, val1) = _theta_sums(((tw.alpha, tw.beta), (0.5, 0.5)),
-                                      np.concatenate((z_red, _ORIGIN)),
-                                      tau.tau, kmax, n_rows)
-    th0 = val[-1]
+    z = np.concatenate((z_red[:n_rows], _ORIGIN, z_red[n_rows:]))
+    (a, k), (val, val1) = _theta_sums(((tw.alpha, tw.beta), (0.5, 0.5)), z,
+                                      tau.tau, kmax, n_rows + laurent)
+    th0 = a[-1, 0] if laurent else val[0]
     if abs(th0) < RESONANCE_GUARD:
         raise ResonanceError("theta[alpha;beta](0, tau) vanishes for this twist")
     d0 = tau.theta1_deriv0
-    p1 = val[:-1] / (th0 * (val1[:-1] / d0))
-    return a / (th0 * (k[:, :1] / d0)), k / k[:, :1], p1
+    b0 = k[:, :1] / d0  # B / theta[a;b](0) at the row points
+    if laurent:
+        k[-1] = np.append(k[-1, 1:], 0.0)
+        b0[-1] = 1.0
+    p1 = val[1 - laurent:] / (th0 * (val1[1 - laurent:] / d0))
+    return a / (th0 * b0), k / k[:, :1], p1
 
 
 def _substitute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -626,6 +632,16 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus) -> np.ndarray:
     a, b, _ = _theta_stage(tw, kmax, z_red, z_red.size, tau)
     out = _substitute(a, b) * _multiplier(tw, m, n)[:, None]
     return out.reshape(np.shape(z) + (kmax,))
+
+
+def eisenstein_theta(tw: TwistPair, nmax: int, tau: TorusModulus) -> np.ndarray:
+    """E_1..E_nmax: minus the R_n of one theta stage's origin row
+    (``_theta_stage`` with ``laurent``), not the q-series."""
+    if nmax < 1:
+        raise DomainError("nmax must be >= 1")
+    a, b, _ = _theta_stage(tw, 2 * (nmax // 2 + 1), _ORIGIN[:0], 0, tau,
+                           laurent=True)
+    return (-1.0) ** np.arange(2, nmax + 2) * _substitute(a, b)[0, 1:nmax + 1]
 
 
 # ----------------------------------------------------------------------

@@ -86,6 +86,17 @@ def test_traced_layers_resolve():
     assert not missing
 
 
+def test_pipeline_reads_no_q_series():
+    # the two-tori C and the self-sewn-torus G read their Laurent data
+    # from the theta stage of specialfn; the twisted Eisenstein q-series
+    # is an oracle for the tests and verify, and rho sums no theta of its
+    # own for that data
+    src = ROOT / "src" / "szegosew"
+    for name in ("epsilon", "rho"):
+        assert "eisenstein_twisted" not in (src / f"{name}.py").read_text()
+    assert "_theta_sums" not in (src / "rho.py").read_text()
+
+
 @pytest.mark.parametrize("context", ["EpsilonContext", "RhoTorusContext",
                                      "RhoSphereContext"])
 def test_contexts_share_the_evaluation_interface(context):

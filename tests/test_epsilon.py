@@ -15,7 +15,8 @@ from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
 from szegosew.errors import DomainError, SingularMatrixError
 from szegosew.numerics import determinant
 from szegosew.rho import RhoModuliSphere, RhoModuliTorus
-from szegosew.specialfn import (TorusModulus, TwistPair, eisenstein_twisted,
+from szegosew.specialfn import (TorusModulus, TwistPair, eisenstein_theta,
+                                eisenstein_twisted, lattice_distance,
                                 p1_theta, p_k_vector)
 
 TWO_PI_I = 2j * np.pi
@@ -82,6 +83,41 @@ class TestDomain:
         ctx = EpsilonContext(CHARS, _moduli(), 8)
         with pytest.raises(DomainError):
             ctx.kernel(SurfacePoint(1, 1e-4 + 1e-4j), _pt(1, 0.5, 0.5))
+
+
+class TestOverlap:
+    # a cross-torus block is a series in |epsilon| / (d(x) d(y)), with d
+    # the lattice distance: at r = d(x) d(y) / |epsilon| = 0.93 it read
+    # -0.087+1.43i at N = 16 and -43.3+6.3i at N = 64
+    X = SurfacePoint(1, 1.1 * np.exp(0.3j))
+    Y = SurfacePoint(2, 2.5 * np.exp(2.0j))
+
+    def _ratio(self, moduli, x, y):
+        return (lattice_distance(x.z, moduli.tau(x.which))
+                * lattice_distance(y.z, moduli.tau(y.which))
+                / abs(moduli.epsilon))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_overlapping_pair_raises(self, n):
+        moduli = _moduli(0.3)
+        assert 0.9 < self._ratio(moduli, self.X, self.Y) < 1.0
+        ctx = EpsilonContext(CHARS, moduli, n)
+        for xs, ys in (([self.X], [self.Y]), ([self.Y], [self.X]),
+                       ([_pt(2, 0.3, 0.4), self.X], [_pt(1, 0.6, 0.5), self.Y])):
+            with pytest.raises(DomainError, match="overlap"):
+                ctx.kernel_matrix(xs, ys)
+
+    def test_pair_just_outside_overlap_evaluates(self):
+        moduli = _moduli(0.3)
+        x = SurfacePoint(1, 1.21 * np.exp(0.3j))
+        assert 1.0 < self._ratio(moduli, x, self.Y) < 1.05
+        assert np.isfinite(EpsilonContext(CHARS, moduli, 16).kernel(x, self.Y))
+
+    def test_same_torus_pair_not_refused(self):
+        # the refusal reads cross-torus pairs only
+        moduli = _moduli(0.3)
+        y = SurfacePoint(1, 2.5 * np.exp(2.0j))
+        assert np.isfinite(EpsilonContext(CHARS, moduli, 16).kernel(self.X, y))
 
 
 class TestDegeneration:
@@ -358,11 +394,38 @@ class TestKernelMatrix:
 class TestMoments:
     def test_c_matrix_matches_loop(self):
         n = 20  # every binomial below 2^53, so the table is exact
-        eis = eisenstein_twisted(CHARS.tw1, np.arange(1, 2 * n), T1)
+        eis = eisenstein_theta(CHARS.tw1, 2 * n - 1, T1)
         loop = np.array([[(-1.0) ** l * math.comb(k + l - 2, k - 1)
                           * eis[k + l - 2] for l in range(1, n + 1)]
                          for k in range(1, n + 1)])
         assert np.array_equal(c_matrix(CHARS.tw1, n, T1), loop)
+
+    @pytest.mark.parametrize("tau", [T1, T2, TorusModulus(-0.4 + 1.5j)])
+    def test_theta_route_matches_q_series(self, tau):
+        # at Im tau >= 1 the q-series keeps its digits: the theta-route
+        # E_n agree with it within 4.2e-14 relative per order, n < 64
+        for tw in (CHARS.tw1, CHARS.tw2):
+            got = eisenstein_theta(tw, 63, tau)
+            ref = eisenstein_twisted(tw, np.arange(1, 64), tau)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-12
+
+    def test_small_im_tau_converges_in_order(self):
+        # tau_2 = 0.3+0.1i, where the q-series of E_n cancels (its sum of
+        # |terms| exceeds |E_n| by 1e9 near n = 16) and the value it gave
+        # moved from 1.0582+0.5062i at N = 32 to 2.1739-1.5242i at N = 48;
+        # from the theta stage N = 32, 48 and 64 agree within 1.5e-12
+        # relative and skew is 2.1e-15 at most
+        t2 = TorusModulus(0.3 + 0.1j)
+        moduli = EpsilonModuli.create(
+            T1, t2, 0.3 * epsilon_bound(T1, t2) * np.exp(0.5j))
+        x, y = SurfacePoint(1, 0.4 + 1.1j), SurfacePoint(1, -1.5 + 3.0j)
+        vals = []
+        for n in (32, 48, 64):
+            s = EpsilonContext(CHARS, moduli, n).kernel(x, y)
+            s_inv = EpsilonContext(CHARS.inverse(), moduli, n).kernel(y, x)
+            assert abs(s + s_inv) <= 1e-12 * abs(s)
+            vals.append(s)
+        assert max(abs(v - vals[-1]) for v in vals) <= 1e-9 * abs(vals[-1])
 
 
 class TestDeterminant:

@@ -1,5 +1,6 @@
 """Linear-algebra and quadrature helpers: solved against independent oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -187,3 +188,13 @@ def test_fixed_tolerances():
             config.POLE_GUARD, config.RESONANCE_GUARD) \
         == (1e-14, 1e-12, 1e-12, 1e-8, 1e-13)
     assert numerics.CONDITION_THRESHOLD == 1e12
+
+
+def test_binomials_kept_per_order_and_read_only():
+    # every binomial below 2^53 at n = 20, so the table is exact
+    table = numerics.binomials(20)
+    assert numerics.binomials(20) is table
+    assert all(table[i, j] == math.comb(i + j, i)
+               for i in range(20) for j in range(20))
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
