@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import DEFAULT_ORDER, POLE_GUARD
 from .errors import DomainError
-from .numerics import LU, binomials, row_products
+from .numerics import LU, binomials, check_count, row_products
 from .specialfn import (TorusModulus, TwistPair, _multiplier,
                         _reduce_off_lattice, _substitute, _theta_stage,
                         eisenstein_theta, lattice_distance,
@@ -208,8 +208,7 @@ def _by_label(pts) -> dict:
 def c_matrix(tw: TwistPair, n_order: int, tau: TorusModulus) -> np.ndarray:
     """Laurent moment matrix C(k,l) = (-1)^l binom(k+l-2,k-1) E_{k+l-1},
     the E_n from the theta-stage row that the self-sewn torus G reads."""
-    if n_order < 1:
-        raise DomainError("order must be >= 1")
+    n_order = check_count(n_order, 1, "order must be >= 1")
     eis = eisenstein_theta(tw, 2 * n_order - 1, tau)
     idx = np.arange(n_order)
     sign = (-1.0) ** (idx + 1)

@@ -31,4 +31,6 @@ class SingularMatrixError(SzegosewError):
 
 
 class BranchTrackingError(SzegosewError):
-    """Continuous branch tracking of a fractional power or log failed."""
+    """A fractional power or log is not single-valued where it must be: a
+    contour integrand misses its start value at the closure node, or a
+    modular action cannot carry the covering data."""

@@ -14,6 +14,7 @@ the package relies on.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -27,6 +28,7 @@ _TAIL_SPREAD = 8.0  # max spread of per-step decay ratios of a geometric tail
 
 __all__ = [
     "as_complex_matrix",
+    "check_count",
     "LU",
     "lu_solve",
     "determinant",
@@ -43,6 +45,18 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} contains NaN or Inf entries")
     return arr
+
+
+def check_count(value, least: int, message: str) -> int:
+    """An order or node count as an int of at least ``least`` (a numpy
+    integer passes, a float does not), else DomainError(message)."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{message} (an integer, not {value!r})") from None
+    if n < least:
+        raise DomainError(message)
+    return n
 
 
 class LU:
@@ -174,8 +188,7 @@ def circle_nodes(center: complex, radius: float, m: int):
     """
     if radius <= 0:
         raise DomainError("contour radius must be positive")
-    if m < 2:
-        raise DomainError("need at least 2 quadrature points")
+    m = check_count(m, 2, "need at least 2 quadrature points")
     phi = 2.0 * np.pi * np.arange(m) / m
     unit = np.exp(1j * phi)
     z = center + radius * unit

@@ -25,8 +25,8 @@ h and hbar are Taylor rows of the genus-one P_k at x - c_a and
 c_abar - y, and G, the x-contour moment of h, is built from the same
 matrices and the Taylor coefficients of P1 at +-w and of its regular
 part at 0, all from theta sums.  Only the contour moments of U^kappa
-alone are taken by trapezoidal quadrature, once per context, with all
-fractional powers tracked continuously in the contour angle.
+alone are taken by trapezoidal quadrature, once per context, with log A
+continued in closed form along one path from z_ref per contour.
 
 Half-integer powers of rho are taken from the recorded branch log_rho
 (never from a fresh principal root), so the handle Dehn move
@@ -45,10 +45,11 @@ import numpy as np
 from .config import (DEFAULT_ORDER, DEFAULT_QUAD_POINTS, POLE_GUARD,
                      RESONANCE_GUARD, THETA_TOL)
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
-from .numerics import LU, as_complex_matrix, binomials, row_products
+from .numerics import (LU, as_complex_matrix, binomials, check_count,
+                       row_products)
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
                         _multiplier, _reduce_off_lattice, _substitute,
-                        _theta_g1, _theta_reduce, _theta_stage,
+                        _theta_reduce, _theta_stage, _theta_value,
                         lattice_distance)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
@@ -194,8 +195,8 @@ class RhoModuliTorus:
         object.__setattr__(self, "xi", _check_xi(self.xi))
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "contour_radius", math.sqrt(abs(rho) / r * r))
-        # z_ref is the origin of every straight log-A continuation
-        # segment (default w/2) and log_a_ref = log A(z_ref), the explicit
+        # z_ref is the origin of every log-A continuation path (default
+        # w/2) and log_a_ref = log A(z_ref), the explicit
         # value of the closed form; continued log A enters the kernel only
         # through differences, so this value cancels, while z_ref fixes
         # which sheet each point is on
@@ -209,9 +210,9 @@ class RhoModuliTorus:
         # `winding` is the second covering datum beside log_rho: the extra
         # integer number of 2 pi i branch sheets of log A carried by the
         # sewing contours around the puncture at w, relative to the sheet
-        # reached along the straight segment from z_ref.  Generators
-        # that translate w pick it up when that sheet jumps across a cut
-        # of the straight-segment trivialization.
+        # reached along the straight segment from z_ref to a contour's
+        # start node.  Generators that translate w pick it up when that
+        # sheet jumps across a cut of the straight-segment trivialization.
         object.__setattr__(self, "winding", int(self.winding))
 
     @classmethod
@@ -276,8 +277,7 @@ def det_i_minus_t_sphere(handle: HandleTwist, n_order: int,
                          moduli: RhoModuliSphere) -> complex:
     """Truncated product det(I-T) = prod_k (1 - theta^{-1} q^{k+kappa-1/2})
     (1 - theta q^{k-kappa-1/2}), k = 1..N."""
-    if n_order < 1:
-        raise DomainError("order must be >= 1")
+    n_order = check_count(n_order, 1, "order must be >= 1")
     kap = handle.kappa
     k = np.arange(1, n_order + 1)
     f1 = 1.0 - moduli.q_pow(mode_index(1, k, kap) - 0.5) / handle.theta
@@ -304,8 +304,7 @@ class RhoSphereContext:
 
     def __init__(self, handle: HandleTwist, moduli: RhoModuliSphere,
                  n_order: int = DEFAULT_ORDER) -> None:
-        if n_order < 1:
-            raise DomainError("order must be >= 1")
+        n_order = check_count(n_order, 1, "order must be >= 1")
         if _is_half(handle.kappa):
             raise DomainError(
                 "kappa = -1/2: closed-form sphere moments are only stated for "
@@ -380,20 +379,21 @@ def torus_from_sphere(handle: HandleTwist, x, y, moduli: RhoModuliSphere,
 # torus: closed-form logarithm of A(z) = theta1(z-w)/theta1(z)
 # ----------------------------------------------------------------------
 
-_TRACK_ARG_LIMIT = 1.5  # max |arg| step of log A between contour nodes
-_MAX_CROSSINGS = 1000  # lattice lines one log-A segment may cross
+_MAX_CROSSINGS = 1000  # lattice lines one log-A path edge may cross
+# least contour radius of a tracked build: log A at a node a distance r
+# from its puncture rounds by about 7e-17 / r absolute (5e-7 at 1e-10)
+_LOG_A_RADIUS_FLOOR = 1e-10
 
 
 def _a_values(z, tau: TorusModulus, w: complex):
-    """A(z) = theta1(z - w) / theta1(z), vectorized in z.
+    """A(z) = theta1(z - w) / theta1(z), vectorized in z: the tests'
+    reference of the closed form.
 
     Both arguments are reduced by theta1's exact quasi-periodicity and
     the two multipliers are combined in log space, so far points do not
     overflow and a value does not depend on the other points of its call.
     """
-    t = tau.tau
-    u, _, log_mult = _theta_reduce(np.array([z - w, z], dtype=complex), t, 0.5)
-    th = _theta_g1(0.5, 0.5, u, t)
+    log_mult, th = _theta_value((0.5, 0.5), np.array([z - w, z]), tau.tau)
     return np.exp(log_mult[0] - log_mult[1]) * th[0] / th[1]
 
 
@@ -434,41 +434,52 @@ def _log_theta1(u: np.ndarray, t: complex) -> tuple:
             + 1j * np.pi * g - n * (v + 1j * np.pi * t * n)), g
 
 
-def _continue_log_a(zs: np.ndarray, tau: TorusModulus, w: complex,
+def _continue_log_a(paths: np.ndarray, tau: TorusModulus, w: complex,
                     z_ref: complex, log_a_ref: complex) -> np.ndarray:
-    """log A at every point of zs, continued from the anchor along the
-    straight segment [z_ref, z], in closed form.
-
-    log A is L(z - w) - L(z) (see _log_theta1) less 2 pi i times the
-    jumps of L where the segment crosses a line m through lattice points:
-    leftward at height y, -floor((y - 2 pi m Re tau) / 2 pi), which
-    counts the lattice points the segment passes above, the side it
-    really takes (through a lattice point counts as above).  The
-    points must be finite and clear of A's zeros and poles; a segment
-    that crosses over _MAX_CROSSINGS lines raises DomainError.
+    """log A at every vertex of the paths z_ref -> paths[i, 0] ->
+    paths[i, 1] -> ... (2-D paths; a point is a one-edge path), in closed
+    form: L(z - w) - L(z) (see _log_theta1), which telescopes, less 2 pi i
+    times the jumps of L where each edge crosses a line m through lattice
+    points: leftward at height y, -floor((y - 2 pi m Re tau) / 2 pi),
+    which counts the lattice points the edge passes above, the side it
+    really takes (through a lattice point counts as above).  The vertices
+    must be finite and clear of A's zeros and poles; an edge that crosses
+    over _MAX_CROSSINGS lines raises DomainError.
     """
     s, re2 = TWO_PI * tau.tau.imag, TWO_PI * tau.tau.real
-    # rows z - w and z, column 0 the anchor
-    u = np.concatenate(([z_ref], zs)) - np.array([[w], [0.0]])
+    # rows z - w and z, column 0 the anchor, column j + 1 vertex j
+    u = np.concatenate(([z_ref], paths.ravel())) - np.array([[w], [0.0]])
     val, g = _log_theta1(u, tau.tau)
-    # the segment crosses lines min(g)..max(g) - 1 at y = 2 pi (alpha + beta m)
-    dg = g[:, 1:] - g[:, :1]
+    # each edge's start column: the anchor, or the vertex before; points
+    # (one-edge paths) take the anchor as a slice and need no running sum
+    # of turns; the gather and the sum would cost a kernel call about 6%
+    start = slice(0, 1)
+    if paths.shape[1] > 1:
+        start = np.arange(paths.size)
+        start[::paths.shape[1]] = 0
+    g0 = g[:, start]
+    dg = g[:, 1:] - g0
     out = val[:, 1:] - val[:, :1]
     rows = np.abs(dg).max(initial=0.0)
     if not rows <= _MAX_CROSSINGS:
-        raise DomainError(f"the segment from z_ref crosses over "
+        raise DomainError(f"a path edge crosses over "
                           f"{_MAX_CROSSINGS} lines through lattice points")
     if rows:
-        a, d = u[:, :1], u[:, 1:] - u[:, :1]
+        a = u[:, start]
+        d = u[:, 1:] - a
         slope = d.imag / (d.real + (d.real == 0))
         alpha = (a.imag - slope * a.real) / TWO_PI
         beta = (slope * s + re2) / -TWO_PI
         k = np.arange(int(rows))
-        m = np.minimum(g[:, :1], g[:, 1:])[..., None] + k
+        m = np.minimum(g0, g[:, 1:])[..., None] + k
         level = np.floor(alpha[..., None] + beta[..., None] * m)
-        out = out + TWO_PI_I * np.sign(dg) * (
-            level * (k < np.abs(dg)[..., None])).sum(axis=-1)
-    return log_a_ref + (out[0] - out[1])
+        # whole turns per edge, exact integers, summed along each path
+        turns = np.sign(dg) * (level * (k < np.abs(dg)[..., None])).sum(axis=-1)
+        if paths.shape[1] > 1:
+            turns = np.cumsum(turns.reshape((2,) + paths.shape),
+                              axis=-1).reshape(2, -1)
+        out = out + TWO_PI_I * turns
+    return (log_a_ref + (out[0] - out[1])).reshape(paths.shape)
 
 
 def log_a_torus(z, tau: TorusModulus, w: complex, *,
@@ -490,7 +501,7 @@ def log_a_torus(z, tau: TorusModulus, w: complex, *,
         raise DomainError("points must be finite")
     if np.any(_singular_distance(zv, tau, w) < POLE_GUARD):
         raise DomainError("point is at a zero or pole of theta1(z-w)/theta1(z)")
-    val = _continue_log_a(zv.ravel(), tau, w, _finite(z_ref, "z_ref"),
+    val = _continue_log_a(zv.reshape(-1, 1), tau, w, _finite(z_ref, "z_ref"),
                           _finite(log_a_ref, "log_a_ref")).reshape(zv.shape)
     return val if zv.ndim else complex(val)
 
@@ -587,9 +598,8 @@ class TorusBaseKernel:
         self.moduli = moduli
         self.tracked = kap != 0.0
         tau = moduli.tau.tau
-        kw, _, log_mult = _theta_reduce(kap * moduli.w, tau, tw1.beta)
-        th0 = complex(np.exp(log_mult)
-                      * _theta_g1(tw1.alpha, tw1.beta, kw, tau))
+        log_mult, th0 = _theta_value((tw1.alpha, tw1.beta), kap * moduli.w, tau)
+        th0 = complex(np.exp(log_mult) * th0)
         if abs(th0) < RESONANCE_GUARD:
             raise ResonanceError(
                 "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
@@ -676,12 +686,13 @@ class TorusBaseKernel:
 
 def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
     """Circles (label a, radius) of m nodes around the punctures, one
-    TorusContour per entry of specs, log A tracked node to node (integer
-    winding per circle, plus the moduli's winding around w; 0 at
-    kappa = 0).  A is evaluated once over all nodes and the start nodes
-    are continued from the anchor in closed form.  Every radius must stay
+    TorusContour per entry of specs, with log A at every node (0 at
+    kappa = 0) from one closed-form call: each circle is the path z_ref
+    -> its start node -> every node in order (see _continue_log_a), and
+    the moduli's winding is added around w.  Every radius must stay
     inside the sewing annulus, which also bounds the theta box of the
-    base kernel.
+    base kernel, and with kappa != 0 stay at or above
+    _LOG_A_RADIUS_FLOOR.
     """
     mod = s.moduli
     radii = np.array([r for _, r in specs], dtype=float)
@@ -689,26 +700,18 @@ def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
         raise DomainError(
             "contour radius exceeds the sewing annulus; "
             "rho too close to the domain boundary")
+    if s.tracked and np.any(radii < _LOG_A_RADIUS_FLOOR):
+        raise DomainError(
+            f"contour radius below {_LOG_A_RADIUS_FLOOR:.0e}: log A at its "
+            "nodes would round too coarsely; rho too small")
     centers = np.array([mod.center(a) for a, _ in specs], dtype=complex)
     phi = 2.0 * np.pi * np.arange(m + 1) / m
     pts = centers[:, None] + radii[:, None] * np.exp(1j * phi)
     pts[:, m] = pts[:, 0]
     log_a = np.zeros(pts.shape, dtype=complex)
     if s.tracked:
-        vals = _a_values(pts, mod.tau, mod.w)
-        steps = np.log(vals[:, 1:] / vals[:, :-1])
-        if np.any(np.abs(steps.imag) > _TRACK_ARG_LIMIT):
-            raise BranchTrackingError(
-                "contour too coarse for branch tracking; increase quadrature M")
-        log_a[:, 1:] = np.cumsum(steps, axis=1)
-        log_a += s.log_a(pts[:, 0])[:, None]
-        for (a, _), la in zip(specs, log_a):
-            winding = (la[m] - la[0]) / TWO_PI_I
-            if abs(winding - round(winding.real)) > 1e-8:
-                raise BranchTrackingError(
-                    f"contour winding of log A not an integer: {winding}")
-            if a == 2 and mod.winding:
-                la += TWO_PI_I * mod.winding
+        log_a = _continue_log_a(pts, mod.tau, mod.w, mod.z_ref, mod.log_a_ref)
+        log_a[[a == 2 for a, _ in specs]] += TWO_PI_I * mod.winding
     return tuple(TorusContour(p, math.log(r) + 1j * phi, la, (p[:m] - c) / m,
                               c, float(r))
                  for p, la, c, r in zip(pts, log_a, centers, radii))
@@ -724,7 +727,7 @@ def _check_closure(first, last, scale, what) -> None:
     (broadcast over the leading axes, one check per point); ``what``
     names the integrand, or each index of the error's last axis."""
     err = np.max(np.abs(last - first), axis=-1) / np.maximum(scale, 1e-300)
-    if np.any(err > _CLOSURE_TOL):
+    if not np.all(err <= _CLOSURE_TOL):  # a NaN error fails too
         if not isinstance(what, str):  # the name with the largest error
             what = what[int(np.argmax(err.reshape(-1, len(what)).max(0)))]
         raise BranchTrackingError(
@@ -775,9 +778,10 @@ class TorusMoments:
     x and y copies split by fixed factors so same-center double contours
     never collide.  Their M nodes serve the U^kappa moments, taken once
     per context from mode tables (to k = 2N on the x contours, to k = N
-    on the y contours).  All fractional powers (local coordinate weights
-    and U^kappa) are continuous in the contour angle, and single-valuedness
-    of each integrand is verified at the closure node.  The contour
+    on the y contours).  log A at the nodes is the closed form along one
+    path per contour (``torus_contours``), and the closure check of each
+    integrand (``_check_closure``) is the one branch check of a build.
+    The contour
     quadrature of G (``_build_g``) and of h and hbar (``h_matrix`` /
     ``hbar_matrix``) stays as the oracle of the Laurent route; the grid
     sides of the contours, with their theta tables, are built when one of
@@ -788,14 +792,12 @@ class TorusMoments:
                  n_order: int, moduli: RhoModuliTorus,
                  m_points: int = DEFAULT_QUAD_POINTS,
                  radius_scale: float = 1.0) -> None:
-        if n_order < 1:
-            raise DomainError("order must be >= 1")
+        n_order = check_count(n_order, 1, "order must be >= 1")
+        self.m_points = check_count(m_points, 8,
+                                    "need at least 8 quadrature points")
         self.base = TorusBaseKernel(tw1, handle, moduli)
         self.moduli = moduli
         self.n_order = n_order
-        self.m_points = m_points
-        if self.m_points < 8:
-            raise DomainError("need at least 8 quadrature points")
         r = moduli.contour_radius * radius_scale
         # the x contours of labels abar, over which G row a and hbar_a
         # integrate, and the y contours of labels a, over which G column a
@@ -1022,9 +1024,8 @@ class RhoTorusContext:
         self.tw1 = tw1
         self.handle = handle
         self.moduli = moduli
-        self.n_order = n_order
-        self.moments = TorusMoments(tw1, handle, self.n_order, moduli,
-                                    m_points)
+        self.moments = TorusMoments(tw1, handle, n_order, moduli, m_points)
+        self.n_order = self.moments.n_order
         self._dth = _d_theta_diag(handle.theta, self.n_order)
         self._lu = LU(np.eye(2 * self.n_order, dtype=complex)
                       - moduli.xi * self.moments.g * self._dth[None, :])
@@ -1069,9 +1070,10 @@ class RhoTorusContext:
             zs = np.concatenate(
                 [z for z, la in ((xs, lax), (ys, lay)) if la is None])
             # validate_point keeps every point beyond the contour margin,
-            # above POLE_GUARD in a built context, from A's zeros and poles
-            log_a = _continue_log_a(zs, mod.tau, mod.w, mod.z_ref,
-                                    mod.log_a_ref) if s.tracked else s.log_a(zs)
+            # so clear of A's zeros and poles
+            log_a = _continue_log_a(zs[:, None], mod.tau, mod.w, mod.z_ref,
+                                    mod.log_a_ref)[:, 0] if s.tracked \
+                else s.log_a(zs)
             if lax is None:
                 lax, log_a = log_a[:xs.size], log_a[xs.size:]
             if lay is None:

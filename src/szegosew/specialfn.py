@@ -321,27 +321,6 @@ def _theta_reduce(z, tau: complex, beta: float):
     return z_red, n, -1j * np.pi * tau * n * n - n * (z_red + 2j * np.pi * beta)
 
 
-def _theta_g1(alpha: float, beta: float, z, tau: complex) -> np.ndarray:
-    """Vectorized genus-one theta[alpha;beta](z, tau), shape z.shape.
-
-    The box covers the strip |Re z| <= 2 pi Im tau, which holds every
-    reduced argument, so for reduced arguments it is fixed by tau and no
-    value depends on its batch; a batch reaching further out widens it.
-    """
-    zv = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(zv)):
-        raise DomainError("z must be finite")
-    im = tau.imag
-    cmax = TWO_PI * im
-    if zv.size:
-        cmax = max(cmax, float(np.abs(zv.real).max()))
-    radius = _box_radius(im, cmax, THETA_TOL)
-    ma = np.arange(-radius, radius + 1, dtype=float) + alpha
-    expo = (1j * np.pi * tau) * ma**2 \
-        + np.multiply.outer(zv + 2j * np.pi * beta, ma)
-    return np.sum(np.exp(expo), axis=-1)
-
-
 @lru_cache(maxsize=128)
 def _taylor_box(chars: tuple, tau: complex, kmax: int) -> tuple:
     """The z-independent parts of ``_theta_sums``, kept per (chars, tau,
@@ -395,19 +374,29 @@ def _box_sums(ma, expo, rows, z: np.ndarray, n_rows: int) -> tuple:
             terms[:, n_rows:].sum(axis=-1))
 
 
+def _theta_value(char: tuple, z, tau: complex) -> tuple:
+    """(log_mult, val), shape z.shape each, with theta[alpha;beta](z, tau)
+    = e^{log_mult} val for char = (alpha, beta): z reduced by
+    ``_theta_reduce``, val a value-only point of ``_theta_sums``."""
+    z_red, _, log_mult = _theta_reduce(np.asarray(z, dtype=complex), tau,
+                                       char[1])
+    if not np.all(np.isfinite(z_red)):
+        raise DomainError("z must be finite")
+    return log_mult, _theta_sums((char,), np.ravel(z_red), tau, 1, 0)[1][0] \
+        .reshape(z_red.shape)
+
+
 def theta1(z, tau: TorusModulus):
     """theta_1 = theta[1/2;1/2], vectorized in z.
 
-    Each argument is reduced by the exact quasi-periodicity first, so a
-    value does not depend on the other points of its call; a value
-    outside the double range raises ConvergenceError.
+    Each argument is reduced by the exact quasi-periodicity first
+    (``_theta_value``), so a value does not depend on the other points of
+    its call; a value outside the double range raises ConvergenceError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        # a non-finite z reduces to NaN, which the theta sum rejects
-        z_red, _, log_mult = _theta_reduce(np.asarray(z, dtype=complex),
-                                           tau.tau, 0.5)
-        val = np.exp(log_mult) \
-            * _theta_g1(0.5, 0.5, z_red, tau.tau)
+        # a non-finite z reduces to NaN, which _theta_value rejects
+        log_mult, val = _theta_value((0.5, 0.5), z, tau.tau)
+        val = np.exp(log_mult) * val
     if not np.all(np.isfinite(val)):
         raise ConvergenceError("theta_1 exceeds the double range; |Re z| too large")
     return val

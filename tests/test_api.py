@@ -11,9 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import szegosew
+from szegosew import verify
 
 MODULES = ("config", "errors", "specialfn", "numerics", "epsilon", "rho",
            "modular", "verify", "cli")
@@ -108,6 +110,37 @@ def test_contexts_share_the_evaluation_interface(context):
     rho = importlib.import_module("szegosew.rho")
     assert not any(hasattr(rho, name)
                    for name in ("SphereMoments", "sphere_moments", "h_vector"))
+
+
+def _context_args(context):
+    """Positional arguments of each context before N (and M)."""
+    if context == "EpsilonContext":
+        chars, moduli, _ = verify._eps_setup()
+        return chars, moduli
+    if context == "RhoTorusContext":
+        return verify._rho_torus_setup()
+    _, _, handle, moduli = verify._sphere_setups()[0]
+    return handle, moduli
+
+
+@pytest.mark.parametrize("context,orders,message", [
+    ("EpsilonContext", (16.0,), "order must be >= 1"),
+    ("RhoSphereContext", (24.0,), "order must be >= 1"),
+    ("RhoTorusContext", (12.0, 64), "order must be >= 1"),
+    ("RhoTorusContext", (12, 64.0), "need at least 8 quadrature points")])
+def test_float_orders_rejected(context, orders, message):
+    # N and M pass one check (numerics.check_count): a float is a
+    # DomainError with the count's own message
+    with pytest.raises(szegosew.DomainError, match=re.escape(message)):
+        getattr(szegosew, context)(*_context_args(context), *orders)
+
+
+@pytest.mark.parametrize("context,orders", [
+    ("EpsilonContext", (np.int64(16),)), ("RhoSphereContext", (np.int64(24),)),
+    ("RhoTorusContext", (np.int64(12), np.int64(64)))])
+def test_numpy_integer_orders_accepted(context, orders):
+    ctx = getattr(szegosew, context)(*_context_args(context), *orders)
+    assert ctx.n_order == orders[0] and cmath.isfinite(ctx.det())
 
 
 def test_readme_python_block_runs():

@@ -10,17 +10,19 @@ other side of it is what split the sheets of the sewing contours.
 """
 
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szegosew import rho
+from szegosew import rho, verify
 from szegosew.config import POLE_GUARD
 from szegosew.errors import DomainError
 from szegosew.rho import log_a_torus
-from szegosew.specialfn import TorusModulus, min_lattice_distance
+from szegosew.specialfn import (TorusModulus, TwistPair, lattice_distance,
+                                min_lattice_distance)
 
 TWO_PI_I = 2j * np.pi
 _TRACK_MAX_NODES = 4096
@@ -61,6 +63,12 @@ def _segment_steps(z0, z1, tau, w):
             return out
         new = inner = z0[todo, None] \
             + seg[todo, None] * (np.arange(1, n, 2) / n)
+
+
+def _closed(zs, tau, w, z_ref, log_a_ref):
+    """The closed form at single points: one one-edge path per point."""
+    return rho._continue_log_a(np.reshape(zs, (-1, 1)), tau, w, z_ref,
+                               log_a_ref)[:, 0]
 
 
 def _clearance(z0, zs, tau, w, skip=None):
@@ -114,7 +122,7 @@ class TestAgainstTracker:
             zs = zs[rho._singular_distance(zs, tau, w) >= 1e-3]
             z_ref = w / 2
         log_ref = cmath.log(rho._a_values(z_ref, tau, w))
-        closed = rho._continue_log_a(zs, tau, w, z_ref, log_ref)
+        closed = _closed(zs, tau, w, z_ref, log_ref)
         tracked = log_ref + _segment_steps(z_ref, zs, tau, w)
         clear = _clearance(z_ref, zs, tau, w) >= 1e-3
         compared = clear & ~np.isnan(tracked)
@@ -157,7 +165,7 @@ class TestAgainstTracker:
         assert keep.sum() >= 10
         before, past, lam = before[keep], past[keep], lam[keep]
         log_ref = cmath.log(rho._a_values(z_ref, tau, w))
-        la_before, la_past = rho._continue_log_a(
+        la_before, la_past = _closed(
             np.concatenate([before, past]), tau, w, z_ref,
             log_ref).reshape(2, -1)
         # A / (z - lam)^e is analytic and nonzero near lam (e = 1 at a
@@ -178,7 +186,7 @@ class TestSideRule:
         # real axis through the pole at 0 and takes the upper side
         tau, w = TorusModulus(0.1 + 1.0j), 2.5 + 0.0j
         log_ref = cmath.log(rho._a_values(w / 2, tau, w))
-        through, above, below = rho._continue_log_a(
+        through, above, below = _closed(
             np.array([-1.0, -1.0 + 1e-9j, -1.0 - 1e-9j], dtype=complex),
             tau, w, w / 2, log_ref)
         assert abs(through - above) < 1e-7
@@ -193,9 +201,9 @@ class TestSideRule:
                          * tau.tau)
         # one point twenty periods out widens the batch's crossing rows
         zs = np.append(zs, zs[0] + TWO_PI_I * 20 * tau.tau)
-        batch = rho._continue_log_a(zs, tau, w, w / 2, 0.3j)
+        batch = _closed(zs, tau, w, w / 2, 0.3j)
         for i in range(zs.size):
-            alone = rho._continue_log_a(zs[i:i + 1], tau, w, w / 2, 0.3j)
+            alone = _closed(zs[i:i + 1], tau, w, w / 2, 0.3j)
             assert abs(alone[0] - batch[i]) <= 1e-15 * max(1.0, abs(alone[0]))
 
 
@@ -225,3 +233,65 @@ class TestRefusals:
         with pytest.raises(DomainError, match="lattice points"):
             log_a_torus(np.array([near, far]), tau, w, z_ref=w / 2,
                         log_a_ref=0.0)
+
+
+def _split_sheet_setup():
+    """The moduli of test_contour_starts_share_a_sheet: w 6.7e-3 below the
+    real axis, so the first edges pass the pole at 0 at 3e-4 to 5e-4."""
+    mod = rho.RhoModuliTorus.create(
+        -0.3518043646580238 + 1.22239291091299j,
+        -5.036862195863973 - 0.0066573642131724335j,
+        -0.03691333467243803 + 0.09921609567269367j)
+    return (TwistPair(0.03710664164609295, -0.42027656207476505),
+            rho.HandleTwist(-0.3846086372884161, 0.015979698791629082), mod)
+
+
+def _small_im_tau_setup():
+    tau = TorusModulus(0.3 + 0.05j)
+    w = TWO_PI_I * (0.31 + 0.27 * tau.tau)
+    wd = float(lattice_distance(w, tau))
+    mod = rho.RhoModuliTorus.create(tau, w, 0.05 * (wd / 2) ** 2
+                                    * np.exp(0.6j))
+    return TwistPair(0.17, 0.38), rho.HandleTwist(0.1, -0.22), mod
+
+
+def _verify_setup(kappa):
+    tw1, _, mod = verify._rho_torus_setup()
+    return tw1, rho.HandleTwist(kappa, -0.22), mod
+
+
+def _winding_setup():
+    tw1, handle, mod = verify._rho_torus_setup()
+    return tw1, handle, dataclasses.replace(mod, winding=1)
+
+
+class TestContourPaths:
+    """log A on the four contours of a build, one closed-form path per
+    contour, against the node-to-node tracker."""
+
+    @pytest.mark.parametrize("m", [16, 128])
+    @pytest.mark.parametrize("setup", [
+        _split_sheet_setup, _small_im_tau_setup, lambda: _verify_setup(0.37),
+        lambda: _verify_setup(-0.37), _winding_setup],
+        ids=["split-sheet", "small-im-tau", "kappa+0.37", "kappa-0.37", "winding"])
+    def test_nodes_follow_the_tracker(self, setup, m):
+        tw1, handle, mod = setup()
+        ctx = rho.RhoTorusContext(tw1, handle, mod, 6, m)
+        tau, w = mod.tau, mod.w
+        contours = ctx.moments._x + ctx.moments._y
+        assert len(contours) == 4
+        for c in contours:
+            a = 1 if c.center == 0 else 2
+            # the start node: the one-edge path from z_ref, on the
+            # moduli's sheet around w
+            start = log_a_torus(c.points[0], tau, w, z_ref=mod.z_ref,
+                                log_a_ref=mod.log_a_ref)
+            assert abs(c.log_a[0] - start
+                       - TWO_PI_I * mod.winding * (a == 2)) <= 1e-13
+            steps = _segment_steps(c.points[:-1], c.points[1:], tau, w)
+            assert not np.isnan(steps).any()
+            tracked = c.log_a[0] + np.concatenate(([0.0], np.cumsum(steps)))
+            assert np.all(np.abs(c.log_a - tracked) <= 1e-12)
+            # once round the pole at 0 or the zero at w
+            turn = -TWO_PI_I if a == 1 else TWO_PI_I
+            assert abs(c.log_a[-1] - (c.log_a[0] + turn)) <= 1e-14

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from szegosew import numerics, rho, specialfn, verify
-from szegosew.config import RESONANCE_GUARD
-from szegosew.errors import DomainError, ResonanceError, SingularMatrixError
+from szegosew.config import POLE_GUARD, RESONANCE_GUARD
+from szegosew.errors import (BranchTrackingError, DomainError, ResonanceError,
+                             SingularMatrixError)
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                           RhoSphereContext, RhoTorusContext, TorusBaseKernel,
                           det_i_minus_t_sphere, log_a_torus, mode_index,
@@ -379,9 +380,9 @@ class TestTorusSewing:
         pairs = list(zip(*_rho_points(ctx.moduli)))
         for x, y in pairs:
             ctx.kernel(x, y)
-        # the build reads several distances (w, z_ref and the contour
-        # starts), and each kernel call one (its validation pass)
-        assert len(built) == 1 and at_build >= 3
+        # the build reads several distances (w and z_ref), and each
+        # kernel call one (its validation pass)
+        assert len(built) == 1 and at_build >= 2
         assert len(reads) - at_build == len(pairs)
         lattice_distance(W, TorusModulus(TAU.tau))
         assert len(built) == 2
@@ -389,21 +390,17 @@ class TestTorusSewing:
     def test_kernel_reuses_base_kernel_constants(self, monkeypatch):
         # theta[alpha1;beta1](kappa w) and theta1'(0) are evaluated once
         # per context build and never per kernel call; theta1'(0) is kept
-        # per modulus, so the moduli get a fresh one
+        # per modulus, so the moduli get a fresh one; it is the one
+        # theta_1 sum of a build, since the contour log A takes none
         calls = {"theta_kw": 0, "theta1_d0": 0}
-        value, sums = specialfn._theta_g1, specialfn._theta_sums
-
-        def counting_value(alpha, beta, z, tau):
-            if np.ndim(z) == 0 and (alpha, beta) == (TW1.alpha, TW1.beta):
-                calls["theta_kw"] += 1
-            return value(alpha, beta, z, tau)
+        sums = specialfn._theta_sums
 
         def counting_sums(chars, z, tau, kmax, n_rows):
+            if chars == ((TW1.alpha, TW1.beta),):
+                calls["theta_kw"] += 1
             if chars == ((0.5, 0.5),):
                 calls["theta1_d0"] += 1
             return sums(chars, z, tau, kmax, n_rows)
-        monkeypatch.setattr(specialfn, "_theta_g1", counting_value)
-        monkeypatch.setattr(rho, "_theta_g1", counting_value)
         monkeypatch.setattr(specialfn, "_theta_sums", counting_sums)
         ctx = RhoTorusContext(TW1, HANDLE,
                               _torus_moduli(tau=TorusModulus(TAU.tau)), 6, 32)
@@ -469,6 +466,63 @@ class TestTorusSewing:
                                  z_ref=inner.points[0],
                                  log_a_ref=inner.log_a[0])
             assert abs(radial - outer.log_a[0]) < 1e-12
+
+    def test_contours_below_the_pole_guard(self, monkeypatch):
+        # rho = 1e-18 puts the contours 1.5e-9 from the punctures, inside
+        # POLE_GUARD: their log A takes no point check, so the build runs,
+        # and the kernel converges in N and is skew
+        tw1, handle, mod = verify._rho_torus_setup(1e-18)
+        assert mod.contour_radius < POLE_GUARD
+        xs, ys = (np.array(p) for p in zip(*verify._rho_torus_pairs(mod, 4)))
+        ctx8, ctx12 = (RhoTorusContext(tw1, handle, mod, n) for n in (8, 12))
+        v8, v12 = (c.kernel_matrix(xs, ys) for c in (ctx8, ctx12))
+        inv = RhoTorusContext(tw1.inverse(),
+                              HandleTwist(-handle.alpha, -handle.beta), mod, 8)
+        assert np.all(np.abs(v12 - v8) <= 1e-13 * np.abs(v12))
+        assert np.all(np.abs(v8 + inv.kernel_matrix(ys, xs).T)
+                      <= 1e-13 * np.abs(v8))
+        # both read the same contour log A, which rounds by ~7e-17 / r at
+        # a node r from its puncture (4.6e-8 here); rebuild with log A at
+        # the nodes tracked from 40-digit theta_1 quotients, keeping only
+        # the integer sheet of each start node, and the kernel and det
+        # must not see the difference
+        closed_form = rho._continue_log_a
+
+        def tracked(paths, tau, w, z_ref, log_a_ref):
+            val = closed_form(paths, tau, w, z_ref, log_a_ref)
+            if paths.shape[1] == 1:  # points, not contours
+                return val
+            with mpmath.workdps(40):
+                q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.tau))
+                a = [[mpmath.jtheta(1, (mpmath.mpc(z) - w) / 2j, q)
+                      / mpmath.jtheta(1, mpmath.mpc(z) / 2j, q) for z in p]
+                     for p in paths]
+                ref = np.array([np.cumsum([complex(mpmath.log(p[0]))] + [
+                    complex(mpmath.log(p[j] / p[j - 1]))
+                    for j in range(1, len(p))]) for p in a])
+            sheet = TWO_PI_I * np.round(
+                (val[:, :1] - ref[:, :1]).imag / (2 * np.pi))
+            assert np.max(np.abs(val - ref - sheet)) < 1e-6
+            return ref + sheet
+
+        monkeypatch.setattr(rho, "_continue_log_a", tracked)
+        ref = RhoTorusContext(tw1, handle, mod, 8)
+        assert np.all(np.abs(v8 - ref.kernel_matrix(xs, ys))
+                      <= 1e-13 * np.abs(v8))
+        assert abs(ctx8.det() - ref.det()) <= 1e-13 * abs(ref.det())
+
+    def test_contours_below_the_log_a_floor(self):
+        # below _LOG_A_RADIUS_FLOOR the closed-form log A at the nodes would
+        # round by over 5e-7 (at a contour 1.5e-17 from a puncture, to
+        # -inf), so the build refuses with a typed error
+        for scale in (1e-24, 1e-34):
+            tw1, handle, mod = verify._rho_torus_setup(scale)
+            with pytest.raises(DomainError, match="contour radius below"):
+                RhoTorusContext(tw1, handle, mod, 8)
+        # at kappa = 0 log A does not enter, and the build runs
+        tw1, _, mod = verify._rho_torus_setup(1e-34)
+        assert np.isfinite(RhoTorusContext(tw1, HandleTwist(0.0, -0.22),
+                                           mod, 8).det())
 
 
 def _rho_points(mod):
@@ -708,6 +762,28 @@ class TestKernelMatrix:
         ctx.kernel_matrix(*_rho_points(mod))
         assert len(names) == built
 
+    def test_closure_error_names_the_contour(self):
+        # the closure check is the one branch check of a build: an
+        # integrand whose closure node misses its start node by 1e-6
+        # relative (or is NaN), or a contour log A without its turn round
+        # the puncture, raises BranchTrackingError naming the contour
+        m = 32
+        mom = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, m).moments
+        log_a = np.array([c.log_a for c in mom._y])
+        f = np.exp(-mom.base.kappa * log_a).reshape(1, -1)
+        mom._moments(mom._y_modes, f, "U^kappa")
+        for a in (1, 2):
+            moved = f.copy()
+            moved[0, a * (m + 1) - 1] *= 1.0 + 1e-6
+            lost = f.copy()
+            lost[0, a * (m + 1) - 1] = np.nan
+            unturned = log_a.copy()
+            unturned[a - 1, m] = unturned[a - 1, 0]
+            for bad in (moved, lost, np.exp(-mom.base.kappa * unturned)):
+                with pytest.raises(BranchTrackingError,
+                                   match=rf"U\^kappa_{a} contour"):
+                    mom._moments(mom._y_modes, bad.reshape(1, -1), "U^kappa")
+
     def test_grid_memory_does_not_grow_with_the_batch(self):
         # a 200 x 200 grid at the pinned verify moduli and (12, 64): the
         # theta sums and the bilinear form take a block of points at a
@@ -910,29 +986,35 @@ def _moduli_at(tau_c, scale=0.05):
     return RhoModuliTorus.create(tau, w, scale * (wd / 2) ** 2 * np.exp(0.6j))
 
 
+def _theta_box(alpha, beta, z, tau):
+    """theta[alpha;beta](z|tau) and the sum of the absolute values of its
+    terms, summed directly, unreduced, over the terms m + alpha within
+    R of each argument's largest term Re z / (2 pi Im tau): the rest lie
+    below e^{-60} of it.  Independent of specialfn."""
+    z = np.asarray(z, dtype=complex)
+    radius = int(np.ceil(np.sqrt(60.0 / (np.pi * tau.imag)))) + 2
+    peak = np.rint(z.real / (2.0 * np.pi * tau.imag) - alpha)
+    ma = peak[..., None] + np.arange(-radius, radius + 1.0) + alpha
+    terms = np.exp(1j * np.pi * tau * ma ** 2
+                   + ma * (z[..., None] + 2j * np.pi * beta))
+    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+
+
 def _direct_reference(s, xs, lax, ys, lay, bump=0.0):
-    """S_kappa from direct theta sums (specialfn._theta_g1) at every
-    pair, and its error scale sum|num terms|/|num| + sum|den terms|/|den|.
+    """S_kappa from direct theta sums (``_theta_box``) at every pair, and
+    its error scale sum|num terms|/|num| + sum|den terms|/|den|.
 
     ``bump`` moves the numerator sum by +bump * sum|terms| and the
     denominator sum by -bump * sum|terms|, each along its own phase.
     """
     tau = s.moduli.tau.tau
     diff = np.subtract.outer(np.asarray(xs), np.asarray(ys))
-
-    def sums(alpha, beta, z):
-        val = specialfn._theta_g1(alpha, beta, z, tau)
-        # |terms| of theta[alpha;beta](z|tau) are the terms of
-        # theta[alpha;0](Re z | i Im tau), all positive
-        size = specialfn._theta_g1(alpha, 0.0, z.real, 1j * tau.imag).real
-        return val, size
-
-    num, num_size = sums(s.tw1.alpha, s.tw1.beta, diff + s.kappa * s.moduli.w)
-    den, den_size = sums(0.5, 0.5, diff)
+    num, num_size = _theta_box(s.tw1.alpha, s.tw1.beta,
+                               diff + s.kappa * s.moduli.w, tau)
+    den, den_size = _theta_box(0.5, 0.5, diff, tau)
     num = num + bump * num_size * num / np.abs(num)
     den = den - bump * den_size * den / np.abs(den)
-    th0 = specialfn._theta_g1(s.tw1.alpha, s.tw1.beta,
-                              s.kappa * s.moduli.w, tau)
+    th0, _ = _theta_box(s.tw1.alpha, s.tw1.beta, s.kappa * s.moduli.w, tau)
     u_pow = np.exp(s.kappa * np.subtract.outer(np.asarray(lax),
                                                np.asarray(lay)))
     ref = u_pow * num / (th0 * den / s.moduli.tau.theta1_deriv0)
@@ -1067,8 +1149,9 @@ class TestSeparableGrid:
         # call; the quadrature oracles build them on first use, once per
         # grid side and characteristic (2 sides of two contours each x 2
         # thetas); the pole check of a contour pair is one lattice
-        # distance, not M x M; the four contour starts are continued from
-        # the anchor in one closed-form call
+        # distance, not M x M; log A at every node of the four contours
+        # comes from one closed-form call, one path per contour, and no
+        # theta_1 sum
         tables = []
         shapes = []
         calls = []
@@ -1083,16 +1166,20 @@ class TestSeparableGrid:
             shapes.append(np.shape(z))
             return distance(z, tau)
 
-        def counting_closed(zs, *args):
-            calls.append(np.size(zs))
-            return closed(zs, *args)
+        def counting_closed(paths, *args):
+            calls.append(np.shape(paths))
+            return closed(paths, *args)
+
+        def forbidden(*args):
+            raise AssertionError("A evaluated by theta_1 sums in a build")
         monkeypatch.setattr(rho, "_theta_table", counting_table)
+        monkeypatch.setattr(rho, "_a_values", forbidden)
         monkeypatch.setattr(rho, "lattice_distance", recording_distance)
         monkeypatch.setattr(rho, "_continue_log_a", counting_closed)
         m = 32
         ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, m)
         assert tables == []
-        assert calls == [4]
+        assert calls == [(4, m + 1)]
         ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
         assert tables == []
         ctx.moments._build_g()
