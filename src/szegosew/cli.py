@@ -385,7 +385,7 @@ def _add_common(p: argparse.ArgumentParser, points: bool = True) -> None:
     p.add_argument("--order", type=int, metavar="N", default=DEFAULT_ORDER,
                    help=f"truncation order (default {DEFAULT_ORDER})")
     p.add_argument("--quad", type=int, metavar="M", default=DEFAULT_QUAD_POINTS,
-                   help="quadrature points per contour "
+                   help="nodes of the quadrature oracle per contour "
                    f"(default {DEFAULT_QUAD_POINTS})")
     p.add_argument("--xi", default="+i", help="half-form branch: +i or -i (use --xi=-i)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -1,13 +1,14 @@
 """Fixed numerical constants of the whole pipeline.
 
 The truncation order N and the quadrature count M are arguments of the
-contexts, defaulting to the constants below.  The tolerances are fixed:
+contexts, defaulting to the constants below; M sets only the nodes of the
+self-sewn torus's quadrature oracle.  The tolerances are fixed:
 each is read where its check is made.  The two gates of a dense solve,
 ``CONDITION_THRESHOLD`` and ``SOLVE_RESIDUAL_TOL``, live in ``numerics``.
 """
 
 DEFAULT_ORDER = 16  # moment-matrix truncation order N
-DEFAULT_QUAD_POINTS = 64  # contour quadrature count M of the self-sewn torus
+DEFAULT_QUAD_POINTS = 64  # nodes of the quadrature oracle, per contour (M)
 
 THETA_TOL = 1e-14  # absolute tail bound of theta summation boxes
 SERIES_TOL = 1e-12  # tail bound of q-series (P1 oracle, Eisenstein)

@@ -345,7 +345,8 @@ class EpsilonContext:
             z_red, m, n = _reduce_off_lattice(
                 np.concatenate([zx, -zy, (zx[:, None] - zy).ravel()]),
                 mod.tau(a))
-            ra, rb, p1 = _theta_stage(tw, n_order, z_red, n_rows, mod.tau(a))
+            ra, rb, p1, _ = _theta_stage(tw, n_order, z_red, n_rows,
+                                         mod.tau(a))
             mult = _multiplier(tw, m, n)
             if p1.size:
                 out[ix[:, None], iy] = (mult[n_rows:] * p1).reshape(ix.size,

@@ -38,7 +38,7 @@ from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,
                       SurfacePoint)
 from .errors import BranchTrackingError, DomainError, SzegosewError
 from .rho import (X_RADIUS_FACTOR, Y_RADIUS_FACTOR, HandleTwist,
-                  RhoModuliTorus, RhoTorusContext, log_a_torus)
+                  RhoModuliTorus, RhoTorusContext, _continue_log_a)
 from .specialfn import TorusModulus, TwistPair
 
 __all__ = [
@@ -362,19 +362,26 @@ def _winding_jump(m: RhoModuliTorus, a: int, b: int) -> int:
     continuation from z_ref realizes this with a position-dependent
     integer sheet; this probe measures it at the actual contour radii
     so the atom can absorb the jump into the moduli's winding datum.
-    Only differences of continued values are read: the anchor value is 0.
+    The probes are the contours' start nodes, continued from z_ref as a
+    build reads them (one closed-form call, no point check, so probes
+    inside POLE_GUARD of w work).  Only differences of continued values
+    are read: the anchor value is 0.
     """
     delta = TWO_PI_I * (a * m.tau.tau + b)
     # probes on the x and y contour radii (rows) and their shifts
     # (columns), continued in one call
-    p = m.w + np.array([X_RADIUS_FACTOR, Y_RADIUS_FACTOR]) * m.contour_radius
-    la = log_a_torus(p[:, None] + np.array([0.0, delta]), m.tau, m.w,
-                     z_ref=m.z_ref, log_a_ref=0.0)
+    r = np.array([X_RADIUS_FACTOR, Y_RADIUS_FACTOR]) * m.contour_radius
+    probes = m.w + r[:, None] + np.array([0.0, delta])
+    la = _continue_log_a(probes.reshape(-1, 1), m.tau, m.w, m.z_ref,
+                         0.0).reshape(2, 2)
+    # a probe a distance r from a zero of A is rounded by ulp(|probe|),
+    # which moves its log A by up to about 1e-16 |probe| / r
+    tol = 1e-8 + 1e-14 * np.abs(probes).max() / r.min()
     sheets = []
     for l0, l1 in la:
         n = (l1 - l0 - a * m.w) / TWO_PI_I
         ni = round(n.real)
-        if abs(n - ni) > 1e-8:
+        if abs(n - ni) > tol:
             raise BranchTrackingError(
                 f"contour sheet jump is not an integer: {n}")
         sheets.append(ni)

@@ -24,9 +24,12 @@ torus all three are Laurent data at the punctures (see TorusMoments):
 h and hbar are Taylor rows of the genus-one P_k at x - c_a and
 c_abar - y, and G, the x-contour moment of h, is built from the same
 matrices and the Taylor coefficients of P1 at +-w and of its regular
-part at 0, all from theta sums.  Only the contour moments of U^kappa
-alone are taken by trapezoidal quadrature, once per context, with log A
-continued in closed form along one path from z_ref per contour.
+part at 0, all from theta sums.  The moments of U^kappa alone that
+these matrices fold in are Taylor coefficients too: powers of
+S = B_w / b_0, the ratio of the theta_1 rows at w and at the origin,
+times one exact branch constant per contour, whose sheet is read from
+log A continued in closed form from z_ref.  A build takes no contour;
+the trapezoidal quadrature on the contours stays as the oracle.
 
 Half-integer powers of rho are taken from the recorded branch log_rho
 (never from a fresh principal root), so the handle Dehn move
@@ -67,6 +70,11 @@ TWO_PI_I = 2j * np.pi
 X_RADIUS_FACTOR = 1.25
 Y_RADIUS_FACTOR = 0.8
 _CLOSURE_TOL = 1e-8
+# where a build reads the sheet of each contour's U^kappa constant, as a
+# fraction of its radius: over 3000 random moduli (Im tau down to 0.05,
+# rho up to 0.999 of its bound) |arg S| reached 0.067 there and 1.2 at
+# the start node, where the 2-term series of S at N = 1 misread 3 sheets
+_SHEET_RADIUS = 1.0 / 16.0
 
 
 class HandleTwist(TwistPair):
@@ -380,8 +388,10 @@ def torus_from_sphere(handle: HandleTwist, x, y, moduli: RhoModuliSphere,
 # ----------------------------------------------------------------------
 
 _MAX_CROSSINGS = 1000  # lattice lines one log-A path edge may cross
-# least contour radius of a tracked build: log A at a node a distance r
-# from its puncture rounds by about 7e-17 / r absolute (5e-7 at 1e-10)
+# least contour radius of a tracked context: a node round w is held as
+# w + offset, which rounds the offset by ulp(|w|), about 2e-16 |w| / r
+# relative; log A itself stays at rounding level there (3.7e-15 against
+# a 40-digit theta_1 quotient down to r = 1.5e-11)
 _LOG_A_RADIUS_FLOOR = 1e-10
 
 
@@ -430,7 +440,7 @@ def _log_theta1(u: np.ndarray, t: complex) -> tuple:
     j, c = _even_series(t)
     e = np.exp(np.multiply.outer(vv, j))
     g = n + left
-    return (0.5 * vv + np.log(1.0 - np.exp(-vv)) + (e + 1.0 / e) @ c
+    return (0.5 * vv + np.log(-np.expm1(-vv)) + (e + 1.0 / e) @ c
             + 1j * np.pi * g - n * (v + 1j * np.pi * t * n)), g
 
 
@@ -684,26 +694,31 @@ class TorusBaseKernel:
                                self.points_side(ys, log_ay))
 
 
-def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
-    """Circles (label a, radius) of m nodes around the punctures, one
-    TorusContour per entry of specs, with log A at every node (0 at
-    kappa = 0) from one closed-form call: each circle is the path z_ref
-    -> its start node -> every node in order (see _continue_log_a), and
-    the moduli's winding is added around w.  Every radius must stay
-    inside the sewing annulus, which also bounds the theta box of the
-    base kernel, and with kappa != 0 stay at or above
-    _LOG_A_RADIUS_FLOOR.
-    """
-    mod = s.moduli
-    radii = np.array([r for _, r in specs], dtype=float)
-    if np.any(radii >= mod.radius):
+def _check_radii(s: TorusBaseKernel, radii: np.ndarray) -> None:
+    """DomainError unless every contour radius stays inside the sewing
+    annulus, which also bounds the theta box of the base kernel, and with
+    kappa != 0 at or above _LOG_A_RADIUS_FLOOR."""
+    if np.any(radii >= s.moduli.radius):
         raise DomainError(
             "contour radius exceeds the sewing annulus; "
             "rho too close to the domain boundary")
     if s.tracked and np.any(radii < _LOG_A_RADIUS_FLOOR):
         raise DomainError(
-            f"contour radius below {_LOG_A_RADIUS_FLOOR:.0e}: log A at its "
-            "nodes would round too coarsely; rho too small")
+            f"contour radius below {_LOG_A_RADIUS_FLOOR:.0e}: its nodes "
+            "round w would round too coarsely; rho too small")
+
+
+def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
+    """Circles (label a, radius) of m nodes around the punctures, one
+    TorusContour per entry of specs, with log A at every node (0 at
+    kappa = 0) from one closed-form call: each circle is the path z_ref
+    -> its start node -> every node in order (see _continue_log_a), and
+    the moduli's winding is added around w.  The radii must pass
+    ``_check_radii``.
+    """
+    mod = s.moduli
+    radii = np.array([r for _, r in specs], dtype=float)
+    _check_radii(s, radii)
     centers = np.array([mod.center(a) for a, _ in specs], dtype=complex)
     phi = 2.0 * np.pi * np.arange(m + 1) / m
     pts = centers[:, None] + radii[:, None] * np.exp(1j * phi)
@@ -718,8 +733,26 @@ def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# torus: quadrature moments
+# torus: moments, closed form and quadrature oracle
 # ----------------------------------------------------------------------
+
+def _series_powers(s: np.ndarray, kappa: float) -> np.ndarray:
+    """[t^n] S^{-kappa} and [t^n] S^{kappa}, n < K, shape (2, K), of the
+    series S(t) = sum_{n<K} s_n t^n with s_0 = 1, by J. C. P. Miller's
+    recurrence for a power p = S^alpha (from p' S = alpha S' p):
+    n p_n = sum_{k=1}^n ((alpha + 1) k - n) s_k p_{n-k}, both powers in
+    one pass of K - 1 steps."""
+    size = s.size
+    alpha = np.array([-kappa, kappa])[:, None, None]
+    k = np.arange(1.0, size)
+    # coef[i, n - 1, k - 1] = ((alpha_i + 1) k / n - 1) s_k, read at k <= n
+    coef = ((alpha + 1.0) * k / k[:, None] - 1.0) * s[1:]
+    p = np.zeros((2, size), dtype=complex)
+    p[:, 0] = 1.0
+    for j in range(1, size):
+        p[:, j] = (coef[:, j - 1, :j] * p[:, j - 1::-1]).sum(axis=1)
+    return p
+
 
 def _check_closure(first, last, scale, what) -> None:
     """Verify the phi = 2 pi node reproduces the phi = 0 node, element-wise:
@@ -749,12 +782,19 @@ class TorusMoments:
                    sum_{j<k} E_{a,j} [t^{k-1-j}] f(x - c_a - t),
 
     and hbar_a(k,y) likewise, from Ebar_a = x_abar^{k-k_a} e^{kappa log A}
-    on the x contour and [s^n] f(c_abar - y + s).  The coefficients are
-    contour moments of e^{-+kappa log A} alone, taken at build (which
-    runs their closure check once); with the prefactors, the series of
-    e^{-+kappa v t} and e^{kappa v (c_a - c_1)} they are folded into one
-    lower-triangular N x N matrix per block (``_taylor_blocks``), and
-    [t^n] f(z - t) = e^{-kappa v z} sum_{i+l=n} (kappa v)^i/i! P_{l+1}(z).
+    on the x contour and [s^n] f(c_abar - y + s).  With the prefactors,
+    the series of e^{-+kappa v t} and e^{kappa v (c_a - c_1)} the
+    moments are folded into one lower-triangular N x N matrix per block
+    (``_taylor_blocks``), and [t^n] f(z - t) = e^{-kappa v z}
+    sum_{i+l=n} (kappa v)^i/i! P_{l+1}(z).
+
+    The moments E_{a,j} and Ebar_{a,j} of e^{-+kappa log A} are Taylor
+    coefficients too (``_u_moments``): t A(t) = U_1 S(t) near 0 and
+    A(w + t)/t = U_2 / S(-t) near w, with S = B_w / b_0 from the theta
+    stage of ``_laurent``, so each contour's moments are one row of
+    S^{-+kappa} (``_series_powers``) times one branch constant
+    e^{-+kappa log U}, whose sheet is the one log A reaches at the
+    contour's start node.
 
     G is the x-contour moment of h,
 
@@ -770,22 +810,20 @@ class TorusMoments:
     P1[c](s) = 1/s + sum_n R_n s^{n-1}, (-1)^{m+j} C(m+j, j) R_{m+j+1},
     and the polar part s^{-j-1} of P_{j+1}(s) adds
     rho^{(k_a-1/2)/2} e^{-kappa v c_abar} d_{a,k+j+1} to Hbar_a K_ab
-    (``_closed_g``).  The R_n (the row the two-tori C reads too) and the
-    P_n at +-w come from one theta stage (``_laurent``), not a q-series.
+    (``_closed_g``).  The R_n (the row the two-tori C reads too), the
+    P_n at +-w and S come from one theta stage (``_laurent``), not a
+    q-series, and a build takes no contour.
 
     Contours C_a are circles of radius ``radius_scale`` times the
     geometric-mean annulus radius around the punctures 0 and w, with the
     x and y copies split by fixed factors so same-center double contours
-    never collide.  Their M nodes serve the U^kappa moments, taken once
-    per context from mode tables (to k = 2N on the x contours, to k = N
-    on the y contours).  log A at the nodes is the closed form along one
-    path per contour (``torus_contours``), and the closure check of each
-    integrand (``_check_closure``) is the one branch check of a build.
-    The contour
-    quadrature of G (``_build_g``) and of h and hbar (``h_matrix`` /
-    ``hbar_matrix``) stays as the oracle of the Laurent route; the grid
-    sides of the contours, with their theta tables, are built when one of
-    them first asks.
+    never collide.  A build reads only their start nodes (one
+    closed-form log A call) and checks their radii.  Their M nodes are
+    the quadrature oracle of the closed forms: the U^kappa moments
+    (``_quadrature_moments``), G (``_build_g``) and h and hbar
+    (``h_matrix`` / ``hbar_matrix``), each integrand with its closure
+    check (``_check_closure``).  The contours, their mode tables and
+    their grid sides are built when an oracle first asks.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
@@ -799,30 +837,50 @@ class TorusMoments:
         self.moduli = moduli
         self.n_order = n_order
         r = moduli.contour_radius * radius_scale
-        # the x contours of labels abar, over which G row a and hbar_a
-        # integrate, and the y contours of labels a, over which G column a
-        # and h_a integrate (a = 1, 2)
-        contours = torus_contours(
-            self.base, [(3 - a, X_RADIUS_FACTOR * r) for a in (1, 2)]
-            + [(a, Y_RADIUS_FACTOR * r) for a in (1, 2)], self.m_points)
-        self._x, self._y = contours[:2], contours[2:]
+        # (label, radius) of the x contours of labels abar, over which
+        # G row a and hbar_a integrate, and of the y contours of labels a,
+        # over which G column a and h_a integrate (a = 1, 2)
+        self._specs = ([(3 - a, X_RADIUS_FACTOR * r) for a in (1, 2)]
+                       + [(a, Y_RADIUS_FACTOR * r) for a in (1, 2)])
+        _check_radii(self.base, np.array([r for _, r in self._specs]))
         self._k = [mode_index(a, np.arange(1, n_order + 1), handle.kappa)
                    for a in (1, 2)]
         self._pref = np.concatenate(
             [moduli.rho_pow(0.5 * (ka - 0.5)) for ka in self._k])
-        # the mode tables of the U^kappa moments: to k = 2N on the x
-        # contours, since G reads Ebar_{a,j} to j = 2N - 1, and to k = N
-        # on the y contours
-        self._x_modes = self._mode_table(self._x, 2 * n_order)
-        self._y_modes = self._mode_table(self._y, n_order)
         t = moduli.tau.tau
         uv = moduli.w / TWO_PI_I
         v = uv.imag / t.imag
         self._kv = handle.kappa * v
         self.char = TwistPair(tw1.alpha + self._kv,
                               tw1.beta + handle.kappa * (uv.real - v * t.real))
-        self._taylor_h, self._taylor_hbar, d = self._taylor_blocks()
-        self.g = self._closed_g(d)
+        p, r_n, s, log_k = self._laurent()
+        self._taylor_h, self._taylor_hbar, d = self._taylor_blocks(
+            *self._u_moments(s, log_k))
+        self.g = self._closed_g(d, p, r_n)
+
+    @cached_property
+    def _contours(self) -> tuple:
+        """The four contours of ``_specs`` (``torus_contours``)."""
+        return torus_contours(self.base, self._specs, self.m_points)
+
+    @property
+    def _x(self) -> tuple:
+        return self._contours[:2]
+
+    @property
+    def _y(self) -> tuple:
+        return self._contours[2:]
+
+    @cached_property
+    def _x_modes(self) -> tuple:
+        """Mode table of the x contours to k = 2N: G reads Ebar_{a,j} to
+        j = 2N - 1."""
+        return self._mode_table(self._x, 2 * self.n_order)
+
+    @cached_property
+    def _y_modes(self) -> tuple:
+        """Mode table of the y contours to k = N."""
+        return self._mode_table(self._y, self.n_order)
 
     def _mode_table(self, cs: tuple, n: int) -> tuple:
         """The modes z_local^{-k_a}, k = 1..n, of the contours cs of labels
@@ -889,33 +947,86 @@ class TorusMoments:
         return np.concatenate(
             [f[:, :m] @ weighted[0].T, f[:, m + 1:-1] @ weighted[1].T], axis=1)
 
-    def _taylor_blocks(self) -> tuple:
+    def _quadrature_moments(self) -> tuple:
+        """The U^kappa moments of ``_u_moments`` by trapezoidal quadrature
+        on the contours, each integrand with its closure check: the
+        oracle of the closed form."""
+        out = []
+        for cs, table, sign in ((self._y, self._y_modes, -1.0),
+                                (self._x, self._x_modes, 1.0)):
+            f = np.exp(sign * self.base.kappa
+                       * np.array([c.log_a for c in cs]).reshape(1, -1))
+            out.append(self._moments(table, f, "U^kappa").reshape(2, -1))
+        return tuple(out)
+
+    def _u_moments(self, s: np.ndarray, log_k: complex) -> tuple:
+        """The U^kappa moments in closed form: E_{a,j}, j < N, of the y
+        contours and Ebar_{a,j}, j < 2N, of the x contours, shape (2, N)
+        and (2, 2N), from the series S (S(0) = 1) and log K(w) of
+        ``_laurent``.
+
+        With U_1 = -K(w) and U_2 = 1/K(w), (t A)^{-+kappa}
+        = U_1^{-+kappa} S(t)^{-+kappa} round 0 and (A/t)^{-+kappa}
+        = U_2^{-+kappa} S(-t)^{+-kappa} round w, so the y moments are
+        e^{-kappa log U_a} times [t^j] S^{-kappa} at 0 and (-1)^j [t^j]
+        S^{kappa} at w, and the x moments e^{kappa log U_abar} times
+        (-1)^j [t^j] S^{-kappa} at w and [t^j] S^{kappa} at 0.  Each
+        contour's log U is the exact value of U on the sheet of its
+        integrand, which continues log A from z_ref to the contour's
+        start node c + r (plus the moduli's winding round w); that sheet
+        is read, as an integer, at c + r/16 on the radius from the start
+        node (one closed-form call of two-vertex paths), where log A
+        + log t round 0, or log A - log t round w, is log U less
+        +-log S(+-r/16), whose imaginary part stays far below pi
+        (``_SHEET_RADIUS``).
+        """
+        n, kap, mod = self.n_order, self.base.kappa, self.moduli
+        out = np.zeros((4, 2 * n), dtype=complex)
+        out[:, 0] = 1.0
+        if self.base.tracked:
+            radii = np.array([r for _, r in self._specs])
+            at_w = np.array([a == 2 for a, _ in self._specs])
+            sign = np.where(at_w, -1.0, 1.0)
+            paths = np.where(at_w, mod.w, 0.0)[:, None] \
+                + np.multiply.outer(radii, [1.0, _SHEET_RADIUS])
+            near = _continue_log_a(paths, mod.tau, mod.w, mod.z_ref,
+                                   mod.log_a_ref)[:, 1] \
+                + TWO_PI_I * mod.winding * at_w \
+                + sign * np.log(_SHEET_RADIUS * radii)
+            log_u = np.where(at_w, -log_k, log_k + 1j * np.pi)
+            log_u = log_u + TWO_PI_I * np.round((near - log_u).imag / TWO_PI)
+            # rows S^{-kappa}, S^{kappa} for labels a = 1, 2 of both
+            # families; e^{+kappa log U} on the x contours, e^{-kappa log U}
+            # on the y contours
+            out = (_series_powers(s, kap)[[0, 1, 0, 1]]
+                   * sign[:, None] ** np.arange(2 * n)
+                   * np.exp(kap * np.array([1.0, 1.0, -1.0, -1.0])
+                            * log_u)[:, None])
+        return out[2:, :n], out[:2]
+
+    def _taylor_blocks(self, e: np.ndarray, ebar: np.ndarray) -> tuple:
         """The lower-triangular matrices of h and of hbar, shape (2, N, N)
-        each, and e^{-kappa v c_abar} d_{a,i}, i < 2N, shape (2, 2N): row
-        k - 1 of block a maps the rows (P_1..P_N) at x - c_a (at c_abar - y
-        for hbar) to h_a(k) / e^{kappa log A(x) - kappa v x}
+        each, and e^{-kappa v c_abar} d_{a,i}, i < 2N, shape (2, 2N), from
+        the moments E (shape (2, N)) and Ebar (shape (2, 2N)): row k - 1
+        of block a maps the rows (P_1..P_N) at x - c_a (at c_abar - y for
+        hbar) to h_a(k) / e^{kappa log A(x) - kappa v x}
         (hbar_a(k) / e^{kappa v y - kappa log A(y)})."""
-        n, kap, kv = self.n_order, self.base.kappa, self._kv
+        n, kv = self.n_order, self._kv
         d = np.subtract.outer(np.arange(n), np.arange(n))  # k - l
         lower = d >= 0
         d = np.where(lower, d, 0)
         shift = np.exp(kv * self.moduli.w)  # e^{kappa v (c_2 - c_1)}
         out = []
-        # h: the y contours, E_{a,j} from e^{-kappa log A}, f(x - c_a - t);
-        # hbar: the x contours, Ebar_{a,j} from e^{kappa log A} up to
-        # j = 2N - 1 for G, and [s^n] f(c_abar - y + s)
-        # = (-1)^n [t^n] f(c_abar - y - t), which turns the sign of kappa v
-        # in the series and puts (-1)^{l-1} on P_l
-        for cs, table, sign, centre in (
-                (self._y, self._y_modes, -1.0, [1.0, shift]),
-                (self._x, self._x_modes, 1.0, [1.0 / shift, 1.0])):
-            e = self._moments(table, np.exp(sign * kap * np.array(
-                [c.log_a for c in cs])).reshape(1, -1), "U^kappa")
-            k = e.size // 2
+        # h: E_{a,j} with f(x - c_a - t); hbar: Ebar_{a,j} up to j = 2N - 1
+        # for G, with [s^n] f(c_abar - y + s) = (-1)^n [t^n] f(c_abar - y
+        # - t), which turns the sign of kappa v in the series and puts
+        # (-1)^{l-1} on P_l
+        for mom, sign, centre in ((e, -1.0, [1.0, shift]),
+                                  (ebar, 1.0, [1.0 / shift, 1.0])):
+            k = mom.shape[1]
             series = np.cumprod(np.concatenate(
                 ([1.0], -sign * kv / np.arange(1, k))))
-            g = np.array([np.convolve(ea, series)[:k]
-                          for ea in e.reshape(2, k)]) \
+            g = np.array([np.convolve(ea, series)[:k] for ea in mom]) \
                 * np.array(centre)[:, None]
             out.append(np.where(lower, g[:, d], 0.0)
                        * self._pref.reshape(2, n, 1) * (-sign) ** np.arange(n))
@@ -923,23 +1034,35 @@ class TorusMoments:
         return (*out, g)
 
     def _laurent(self) -> tuple:
-        """(P, R): P_1..P_{2N-1} of the characteristic ``char`` at w and at
-        -w, shape (2, 2N - 1), and R_1..R_{2N-1} of its P1(z) = 1/z
-        + sum_{n>=1} R_n z^{n-1}, shape (2N - 1,), from one theta stage
-        (``laurent``) and one forward substitution."""
+        """(P, R, S, log K(w)) from one theta stage (``laurent``) and one
+        forward substitution: P_1..P_{2N-1} of the characteristic
+        ``char`` at w and at -w, shape (2, 2N - 1); R_1..R_{2N-1} of its
+        P1(z) = 1/z + sum_{n>=1} R_n z^{n-1}, shape (2N - 1,); the first
+        2N Taylor coefficients of S(t) = B_w(t) / b_0(t), with
+        B_w(t) = theta_1(w - t)/theta_1(w) and b_0(t) = K(t)/t (the
+        theta_1 rows at w and at the origin), shape (2N,); and a
+        logarithm of K(w) = theta_1(w)/theta_1'(0)."""
         kmax, tau, char = 2 * self.n_order, self.moduli.tau, self.char
         z_red, m, k = _reduce_off_lattice(
             np.array([self.moduli.w, -self.moduli.w]), tau)
-        a, b, _ = _theta_stage(char, kmax, z_red, 2, tau, laurent=True)
-        p = _substitute(a, b)
+        a, b, _, kz = _theta_stage(char, kmax, z_red, 2, tau, laurent=True)
+        # w = z_red + 2 pi i (m tau + k): theta_1(w - t)/theta_1(w) is
+        # e^{m t} times its value at the reduced point, and theta_1(w) is
+        # (-1)^k e^{-i pi tau m^2 - m (z_red + i pi)} theta_1(z_red)
+        m0 = m[0]
+        b_w = np.convolve(b[0], np.cumprod(np.concatenate(
+            ([1.0], m0 / np.arange(1.0, kmax)))))[:kmax]
+        p = _substitute(np.vstack([a, b_w]), np.vstack([b, b[2:]]))
+        log_k = (np.log(kz[0]) + 1j * np.pi * k[0]
+                 - m0 * (z_red[0] + 1j * np.pi * (tau.tau * m0 + 1.0)))
         return (p[:2, :-1] * _multiplier(char, m, k)[:, None],
-                (-1.0) ** np.arange(1, kmax) * p[2, 1:])
+                (-1.0) ** np.arange(1, kmax) * p[2, 1:], p[3], log_k)
 
-    def _closed_g(self, d: np.ndarray) -> np.ndarray:
+    def _closed_g(self, d: np.ndarray, p: np.ndarray,
+                  r: np.ndarray) -> np.ndarray:
         """G from the matrices of h and hbar, the scaled d_{a,i} of
-        ``_taylor_blocks`` and the Laurent data of ``_laurent``."""
+        ``_taylor_blocks`` and the Laurent data P and R of ``_laurent``."""
         n = self.n_order
-        p, r = self._laurent()
         mj = np.add.outer(np.arange(n), np.arange(n))
         binom = binomials(n)
         hb, h = self._taylor_hbar, self._taylor_h
@@ -972,7 +1095,7 @@ class TorusMoments:
             [np.subtract.outer(xs, c).ravel(),
              -np.subtract.outer(ys, c[::-1]).ravel(),
              np.subtract.outer(xs, ys).ravel()]), tau)
-        a, b, p1 = _theta_stage(self.char, n, z_red, n_rows, tau)
+        a, b, p1, _ = _theta_stage(self.char, n, z_red, n_rows, tau)
         mult = _multiplier(self.char, m, k)
         rows = (_substitute(a, b) * mult[:n_rows, None]).reshape(-1, 2, 1, n)
         ex = np.exp(kap * log_a_xs - kv * xs)
@@ -1012,10 +1135,12 @@ class TorusMoments:
 # ----------------------------------------------------------------------
 
 class RhoTorusContext:
-    """Cached genus-two assembly for one (tw1, handle, moduli, N, M).
+    """Cached genus-two assembly for one (tw1, handle, moduli, N).
 
     I - T is built once, at construction, and ``det`` is its ungated
-    determinant; the first kernel call reads its gated inverse.
+    determinant; the first kernel call reads its gated inverse.  The
+    quadrature count M sets only the nodes of the quadrature oracle of
+    ``moments``.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,

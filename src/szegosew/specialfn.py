@@ -504,6 +504,8 @@ def _theta_stage(tw: TwistPair, kmax: int, z_red: np.ndarray, n_rows: int,
     theta sum, which also decides resonance.  With ``laurent`` (even
     kmax) the rows of z P1(z) at 0 come last, B = K(z)/z shifting the odd
     theta_1's row by one, so p_n = (-1)^n R_n of P1 = 1/z + sum R_n z^{n-1}.
+    The fourth entry is K(z) = theta_1(z)/theta_1'(0) at the row points
+    (1 at the origin row, the limit of K(z)/z).
     """
     z = np.concatenate((z_red[:n_rows], _ORIGIN, z_red[n_rows:]))
     (a, k), (val, val1) = _theta_sums(((tw.alpha, tw.beta), (0.5, 0.5)), z,
@@ -517,7 +519,7 @@ def _theta_stage(tw: TwistPair, kmax: int, z_red: np.ndarray, n_rows: int,
         k[-1] = np.append(k[-1, 1:], 0.0)
         b0[-1] = 1.0
     p1 = val[1 - laurent:] / (th0 * (val1[1 - laurent:] / d0))
-    return a / (th0 * b0), k / k[:, :1], p1
+    return a / (th0 * b0), k / k[:, :1], p1, b0[:, 0]
 
 
 def _substitute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -618,7 +620,7 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus) -> np.ndarray:
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
     z_red, m, n = _reduce_off_lattice(z, tau)
-    a, b, _ = _theta_stage(tw, kmax, z_red, z_red.size, tau)
+    a, b = _theta_stage(tw, kmax, z_red, z_red.size, tau)[:2]
     out = _substitute(a, b) * _multiplier(tw, m, n)[:, None]
     return out.reshape(np.shape(z) + (kmax,))
 
@@ -628,8 +630,8 @@ def eisenstein_theta(tw: TwistPair, nmax: int, tau: TorusModulus) -> np.ndarray:
     (``_theta_stage`` with ``laurent``), not the q-series."""
     if nmax < 1:
         raise DomainError("nmax must be >= 1")
-    a, b, _ = _theta_stage(tw, 2 * (nmax // 2 + 1), _ORIGIN[:0], 0, tau,
-                           laurent=True)
+    a, b = _theta_stage(tw, 2 * (nmax // 2 + 1), _ORIGIN[:0], 0, tau,
+                        laurent=True)[:2]
     return (-1.0) ** np.arange(2, nmax + 2) * _substitute(a, b)[0, 1:nmax + 1]
 
 

@@ -158,6 +158,32 @@ def _sphere_log_pairs(qabs: float, count: int = 4):
     return sx * big_l + 1j * tx, sy * big_l + 1j * ty
 
 
+def _g_error(mom: TorusMoments) -> float:
+    """Largest deviation of the closed-form G from its M x M contour
+    quadrature, each N x N block relative to its largest entry."""
+    n = mom.n_order
+    g, quad = mom.g, mom._build_g()
+    return max(float(np.max(np.abs(g[i:i + n, j:j + n] - quad[i:i + n, j:j + n]))
+                     / np.max(np.abs(quad[i:i + n, j:j + n])))
+               for i in (0, n) for j in (0, n))
+
+
+def _moments_error(mom: TorusMoments) -> float:
+    """Largest deviation of the closed-form U^kappa moments from their
+    contour quadrature, coefficient j scaled by r^j for the contour's
+    radius r, each row relative to its largest scaled entry (unscaled,
+    the high orders differ by quadrature aliasing)."""
+    worst = 0.0
+    for closed, quad, cs in zip(mom._u_moments(*mom._laurent()[2:]),
+                                mom._quadrature_moments(), (mom._y, mom._x)):
+        scale = np.array([c.radius for c in cs])[:, None] \
+            ** np.arange(closed.shape[1])
+        ref = np.abs(quad * scale).max(axis=1)
+        worst = max(worst, float(np.max(
+            np.abs((closed - quad) * scale).max(axis=1) / ref)))
+    return worst
+
+
 def _check(name: str, residual: float, tolerance: float, **extra) -> dict:
     entry = {"name": name, "residual": float(residual),
              "tolerance": float(tolerance),
@@ -385,14 +411,9 @@ def suite_integral_eq() -> list[dict]:
     # quadrature, each N x N block relative to its largest entry: 6.5e-14
     # at most at (12, 64) and (16, 128) over seeded contexts, the modular
     # images and Im tau down to 0.05
-    n = mom.n_order
-    g, quad = mom.g, mom._build_g()
-    worst = max(float(np.max(np.abs(g[i:i + n, j:j + n] - quad[i:i + n, j:j + n]))
-                      / np.max(np.abs(quad[i:i + n, j:j + n])))
-                for i in (0, n) for j in (0, n))
     checks.append(_check(
         "self-sewn torus closed-form G matches contour quadrature",
-        worst, 1e-12))
+        _g_error(mom), 1e-12))
 
     # Laurent extraction: coefficients of P1 - 1/z match minus the
     # twisted Eisenstein series; odd untwisted series vanish
@@ -474,11 +495,15 @@ def suite_convergence() -> list[dict]:
     tw1, handle, tmod = _rho_torus_setup()
     x, y = _rho_torus_pairs(tmod, 1)[0]
 
-    v64 = RhoTorusContext(tw1, handle, tmod, 12, 64).kernel(x, y)
-    v128 = RhoTorusContext(tw1, handle, tmod, 12, 128).kernel(x, y)
+    # a build takes no contour, so M reaches only the quadrature oracle:
+    # the closed-form U^kappa moments and G against it at M and 2M nodes
+    worst = 0.0
+    for m in (64, 128):
+        mom = TorusMoments(tw1, handle, 12, tmod, m)
+        worst = max(worst, _moments_error(mom), _g_error(mom))
     checks.append(_check(
-        "quadrature refinement M to 2M leaves the kernel unchanged",
-        abs(v64 - v128) / abs(v64), 1e-9))
+        "quadrature refinement M to 2M: the closed-form moments match "
+        "the contour quadrature at both", worst, 1e-9))
 
     vals = [RhoTorusContext(tw1, handle, tmod, n, 64).kernel(x, y)
             for n in (4, 8, 12, 16)]
@@ -498,15 +523,18 @@ def suite_convergence() -> list[dict]:
                    "rate": float(rate), "maximum": 0.7,
                    "passed": bool(rate < 0.7)})
 
-    base = TorusMoments(tw1, handle, 8, tmod, 64)
+    # the same oracle on contours 20% inside and outside the default
+    # radius: G and the h row at x, largest entry change
     worst = 0.0
     for scale in (0.8, 1.2):
         mom = TorusMoments(tw1, handle, 8, tmod, 64, radius_scale=scale)
-        worst = max(worst, float(np.max(np.abs(mom.g - base.g))))
-        hx = base.h_vector(x)
-        worst = max(worst, float(np.max(np.abs(mom.h_vector(x) - hx))))
+        h, _, _ = mom.taylor_rows(np.array([x]), np.array([mom.base.log_a(x)]),
+                                  np.array([y]), np.array([mom.base.log_a(y)]))
+        worst = max(worst, float(np.max(np.abs(mom.g - mom._build_g()))),
+                    float(np.max(np.abs(h[0] - mom.h_vector(x)))))
     checks.append(_check(
-        "moment contours are radius-independent within the annuli",
+        "moment contours are radius-independent within the annuli: the "
+        "closed-form G and h match the contour quadrature at both radii",
         worst, 1e-9))
     return checks
 

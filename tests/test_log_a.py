@@ -12,6 +12,7 @@ other side of it is what split the sheets of the sewing contours.
 import cmath
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,25 @@ class TestSideRule:
         for i in range(zs.size):
             alone = _closed(zs[i:i + 1], tau, w, w / 2, 0.3j)
             assert abs(alone[0] - batch[i]) <= 1e-15 * max(1.0, abs(alone[0]))
+
+
+class TestNearPunctures:
+    def test_contour_nodes_match_a_40_digit_quotient(self):
+        # at rho = 1e-18 the contours lie 1.2e-9 to 1.9e-9 from their
+        # punctures; Log(1 - e^{-v}) rounded 1 - e^{-v} to 1e-16 absolute,
+        # which put log A there 4.2e-8 off; Log(-expm1(-v)) reads 3.7e-15
+        tw1, handle, mod = verify._rho_torus_setup(1e-18)
+        ctx = rho.RhoTorusContext(tw1, handle, mod, 6, 16)
+        zs = np.concatenate([c.points for c in ctx.moments._contours])
+        val = _closed(zs, mod.tau, mod.w, mod.z_ref, mod.log_a_ref)
+        with mpmath.workdps(40):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(mod.tau.tau))
+            ref = np.array([complex(mpmath.log(
+                mpmath.jtheta(1, (mpmath.mpc(z) - mod.w) / 2j, q)
+                / mpmath.jtheta(1, mpmath.mpc(z) / 2j, q))) for z in zs])
+        diff = val - ref
+        diff -= TWO_PI_I * np.round(diff.imag / (2 * np.pi))
+        assert np.max(np.abs(diff)) <= 1e-13
 
 
 class TestRefusals:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from szegosew import verify
+from szegosew.config import POLE_GUARD
 from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
                               GenusTwoCharacteristicsEps, SurfacePoint,
                               epsilon_bound)
@@ -253,6 +255,22 @@ class TestInvariance:
         assert abs(m2.log_rho - m.log_rho) < 1e-12
         assert m2.winding == m.winding
         assert max(abs(np.array(mu2) - np.array(mults))) < 1e-12
+
+    @pytest.mark.parametrize("g", [RhoGroupElement.a_shift(1),
+                                   RhoGroupElement.b_shift(1)],
+                             ids=["A", "B"])
+    def test_shifts_transform_below_the_pole_guard(self, g):
+        # at rho = 1e-18 the contour start nodes lie 1.5e-9 from w, inside
+        # POLE_GUARD; the sheet probes of the shifts are continued as a
+        # build reads its start nodes, with no point check, so A and B
+        # transform and leave the kernel and det invariant
+        tw1, handle, mod = verify._rho_torus_setup(1e-18)
+        assert mod.contour_radius < POLE_GUARD
+        ctx = RhoTorusContext(tw1, handle, mod, 8)
+        image = g.transform(ctx)
+        pairs = verify._rho_torus_pairs(mod, 2)
+        assert invariance_residual(ctx, image, pairs) < 1e-12
+        assert det_residual(ctx, image) < 1e-12
 
     def test_transform_rejects_other_scheme_context(self):
         eps_ctx = EpsilonContext(CHARS, _eps_moduli(), 4)

@@ -481,16 +481,17 @@ class TestTorusSewing:
         assert np.all(np.abs(v12 - v8) <= 1e-13 * np.abs(v12))
         assert np.all(np.abs(v8 + inv.kernel_matrix(ys, xs).T)
                       <= 1e-13 * np.abs(v8))
-        # both read the same contour log A, which rounds by ~7e-17 / r at
-        # a node r from its puncture (4.6e-8 here); rebuild with log A at
-        # the nodes tracked from 40-digit theta_1 quotients, keeping only
-        # the integer sheet of each start node, and the kernel and det
-        # must not see the difference
+        # a build reads log A on one two-vertex path per contour (its
+        # start node, then r/16 from the puncture) for the sheet of its
+        # U^kappa constant; rebuild with log A on those paths tracked from
+        # 40-digit theta_1 quotients, keeping only the integer sheet of
+        # each start node, and the kernel and det must not see the
+        # difference
         closed_form = rho._continue_log_a
 
         def tracked(paths, tau, w, z_ref, log_a_ref):
             val = closed_form(paths, tau, w, z_ref, log_a_ref)
-            if paths.shape[1] == 1:  # points, not contours
+            if paths.shape[1] == 1:  # points, not contour paths
                 return val
             with mpmath.workdps(40):
                 q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.tau))
@@ -512,9 +513,9 @@ class TestTorusSewing:
         assert abs(ctx8.det() - ref.det()) <= 1e-13 * abs(ref.det())
 
     def test_contours_below_the_log_a_floor(self):
-        # below _LOG_A_RADIUS_FLOOR the closed-form log A at the nodes would
-        # round by over 5e-7 (at a contour 1.5e-17 from a puncture, to
-        # -inf), so the build refuses with a typed error
+        # below _LOG_A_RADIUS_FLOOR the nodes round w would lose their
+        # offset from w to rounding (at a contour 1.5e-17 from a puncture,
+        # all of it), so the build refuses with a typed error
         for scale in (1e-24, 1e-34):
             tw1, handle, mod = verify._rho_torus_setup(scale)
             with pytest.raises(DomainError, match="contour radius below"):
@@ -744,10 +745,10 @@ class TestKernelMatrix:
         ctx.moments.h_matrix(xs)
         assert calls == [("grid",)]
 
-    def test_closure_checks_run_at_build_only(self, monkeypatch):
-        # the U^kappa moments of both Taylor-row families are checked for
-        # single-valuedness once, when the context is built; a kernel call
-        # checks nothing
+    def test_closure_checks_run_in_oracle_calls_only(self, monkeypatch):
+        # a build takes the U^kappa moments in closed form and a kernel
+        # call reads Taylor rows, so neither checks a contour integrand;
+        # each quadrature oracle checks its own integrands
         names = []
         check = rho._check_closure
 
@@ -757,14 +758,20 @@ class TestKernelMatrix:
         monkeypatch.setattr(rho, "_check_closure", recording)
         mod = _torus_moduli()
         ctx = RhoTorusContext(TW1, HANDLE, mod, 8, 32)
-        assert names.count(("U^kappa_1 contour", "U^kappa_2 contour")) == 2
-        built = len(names)
         ctx.kernel_matrix(*_rho_points(mod))
-        assert len(names) == built
+        assert names == []
+        ctx.moments._quadrature_moments()
+        assert names == [("U^kappa_1 contour", "U^kappa_2 contour")] * 2
+        names.clear()
+        ctx.moments.h_matrix(_rho_points(mod)[0])
+        assert names == [("h_1 contour", "h_2 contour")]
+        names.clear()
+        ctx.moments._build_g()
+        assert len(names) == 8 and all(n.startswith("G_") for n in names)
 
     def test_closure_error_names_the_contour(self):
-        # the closure check is the one branch check of a build: an
-        # integrand whose closure node misses its start node by 1e-6
+        # the closure check is the branch check of the quadrature oracle:
+        # an integrand whose closure node misses its start node by 1e-6
         # relative (or is NaN), or a contour log A without its turn round
         # the puncture, raises BranchTrackingError naming the contour
         m = 32
@@ -911,16 +918,6 @@ class TestTaylorRows:
         assert np.all(np.abs(base - grid) <= 1e-14 * np.abs(grid))
 
 
-def _g_error(mom):
-    """Largest deviation of each N x N block of the closed-form G from its
-    contour quadrature, relative to the block's largest entry."""
-    n = mom.n_order
-    g, quad = mom.g, mom._build_g()
-    blocks = [(slice(i, i + n), slice(j, j + n)) for i in (0, n) for j in (0, n)]
-    return max(float(np.max(np.abs(g[b] - quad[b])) / np.max(np.abs(quad[b])))
-               for b in blocks)
-
-
 # small Im tau, where the twisted Eisenstein q-series loses digits (one
 # chart of the square torus, one far from the reduced strip, and 0.05)
 SMALL_IM_TAU = [0.3 + 0.1j, 2.3 + 0.1j, 0.3 + 0.05j]
@@ -936,20 +933,20 @@ class TestClosedFormG:
     def test_matches_quadrature(self, seed, n, m):
         ctx, _ = _seeded_torus(seed, n, m)
         assert ctx.moments.base.tracked
-        assert _g_error(ctx.moments) < 5e-13
+        assert verify._g_error(ctx.moments) < 5e-13
 
     @pytest.mark.parametrize("seed", range(3))
     def test_untwisted_handle(self, seed):
         # kappa = 0: d_{a,i} is 1 at i = 0 and 0 beyond
         ctx, _ = _seeded_torus(seed, 12, 64, kappa=0.0)
-        assert _g_error(ctx.moments) < 5e-13
+        assert verify._g_error(ctx.moments) < 5e-13
 
     @pytest.mark.parametrize("name", ["A", "B", "C", "gamma1-T"])
     def test_modular_images(self, name):
         g = dict(verify._RHO_GENERATORS)[name]
         image, _ = g.transform(RhoTorusContext(TW1, HANDLE, _torus_moduli(),
                                                12, 64))
-        assert _g_error(image.moments) < 5e-13
+        assert verify._g_error(image.moments) < 5e-13
 
     @pytest.mark.parametrize("scale", [0.05, 0.3])
     @pytest.mark.parametrize("tau_c", SMALL_IM_TAU)
@@ -957,7 +954,7 @@ class TestClosedFormG:
         mod = _moduli_at(tau_c, scale)
         for n, m in [(12, 64), (16, 128)]:
             ctx = RhoTorusContext(TW1, HANDLE, mod, n, m)
-            assert _g_error(ctx.moments) < 5e-13
+            assert verify._g_error(ctx.moments) < 5e-13
 
     @pytest.mark.parametrize("tau_c", SMALL_IM_TAU)
     def test_laurent_data(self, tau_c):
@@ -968,7 +965,7 @@ class TestClosedFormG:
         # P_n at +-w against p_k_vector
         mom = RhoTorusContext(TW1, HANDLE, _moduli_at(tau_c), 12, 64).moments
         tau, w = mom.moduli.tau, mom.moduli.w
-        p, r = mom._laurent()
+        p, r, _, _ = mom._laurent()
         assert p.shape == (2, 23) and r.shape == (23,)
         z, wq = numerics.circle_nodes(
             0.0, 0.75 * specialfn.min_lattice_distance(tau), 1024)
@@ -977,6 +974,86 @@ class TestClosedFormG:
         assert np.all(np.abs(r - cauchy) <= 1e-11 * np.abs(cauchy))
         ref = specialfn.p_k_vector(mom.char, 23, np.array([w, -w]), tau)
         assert np.all(np.abs(p - ref) <= 1e-14 * np.abs(ref))
+        # the theta_1 data of the U^kappa moments: K(w) against theta1, and
+        # S(t) = theta_1(w - t) t theta_1'(0) / (theta_1(w) theta_1(t))
+        # against a Cauchy sum on a circle inside its disc, scaled by r^j
+        s, log_k = mom._laurent()[2:]
+        assert abs(np.exp(log_k) - specialfn.K(w, tau)) \
+            <= 1e-14 * abs(np.exp(log_k))
+        rad = 0.4 * min(specialfn.min_lattice_distance(tau),
+                        lattice_distance(w, tau))
+        t, wt = numerics.circle_nodes(0.0, rad, 256)
+        quot = (theta1(w - t, tau) * t * tau.theta1_deriv0
+                / (theta1(w, tau) * theta1(t, tau)))
+        scale = rad ** np.arange(24.0)
+        cauchy = (wt * quot) @ t[:, None] ** -np.arange(1.0, 25.0) * scale
+        assert np.max(np.abs(s * scale - cauchy)) <= 1e-13
+
+
+class TestClosedFormMoments:
+    """The U^kappa moments from Laurent data at the punctures
+    (TorusMoments._u_moments) against their contour quadrature, the
+    route the build used before: coefficient j scaled by r^j of its
+    contour, each row relative to its largest scaled entry (unscaled,
+    the high orders differ by quadrature aliasing, up to 0.5 relative)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n,m", [(12, 64), (16, 128)])
+    def test_matches_quadrature(self, seed, n, m):
+        ctx, _ = _seeded_torus(seed, n, m)
+        assert ctx.moments.base.tracked
+        assert verify._moments_error(ctx.moments) < 1e-13
+
+    def test_untwisted_handle(self):
+        # kappa = 0: E_{a,0} = 1 and every other moment 0
+        ctx, _ = _seeded_torus(0, 12, 64, kappa=0.0)
+        e, ebar = ctx.moments._u_moments(*ctx.moments._laurent()[2:])
+        assert np.all(e[:, 0] == 1.0) and not e[:, 1:].any()
+        assert np.all(ebar[:, 0] == 1.0) and not ebar[:, 1:].any()
+        assert verify._moments_error(ctx.moments) < 1e-13
+
+    @pytest.mark.parametrize("name", ["A", "B", "C", "gamma1-T"])
+    def test_modular_images(self, name):
+        g = dict(verify._RHO_GENERATORS)[name]
+        image, _ = g.transform(RhoTorusContext(TW1, HANDLE, _torus_moduli(),
+                                               12, 64))
+        assert verify._moments_error(image.moments) < 1e-13
+
+    @pytest.mark.parametrize("winding", [1, -2])
+    def test_winding(self, winding):
+        mod = dataclasses.replace(_torus_moduli(), winding=winding)
+        ctx = RhoTorusContext(TW1, HANDLE, mod, 12, 64)
+        assert verify._moments_error(ctx.moments) < 1e-13
+
+    def test_split_sheet_moduli(self):
+        # the start nodes of both contours round 0 are continued just
+        # below the pole at 0 (test_contour_starts_share_a_sheet)
+        mod = RhoModuliTorus.create(
+            -0.3518043646580238 + 1.22239291091299j,
+            -5.036862195863973 - 0.0066573642131724335j,
+            -0.03691333467243803 + 0.09921609567269367j)
+        ctx = RhoTorusContext(
+            TwistPair(0.03710664164609295, -0.42027656207476505),
+            HandleTwist(-0.3846086372884161, 0.015979698791629082), mod,
+            12, 64)
+        assert verify._moments_error(ctx.moments) < 1e-13
+
+    @pytest.mark.parametrize("n,m", [(12, 64), (16, 128)])
+    def test_small_im_tau(self, n, m):
+        ctx = RhoTorusContext(TW1, HANDLE, _moduli_at(0.3 + 0.05j), n, m)
+        assert verify._moments_error(ctx.moments) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_near_the_rho_bound(self, n):
+        # rho at 0.97 of the largest |rho| whose x contours fit in the
+        # sewing annulus: there the 2N-term series of S at a start node
+        # is off by about 1e-8 at N = 8, so only an exact branch constant
+        # passes, and at N = 1 it can misread the sheet
+        base = _torus_moduli()
+        bound = (base.radius / rho.X_RADIUS_FACTOR) ** 2
+        mod = RhoModuliTorus.create(TAU, W, 0.97 * bound * np.exp(0.6j))
+        ctx = RhoTorusContext(TW1, HANDLE, mod, n, 64)
+        assert verify._moments_error(ctx.moments) < 1e-13
 
 
 def _moduli_at(tau_c, scale=0.05):
@@ -1145,18 +1222,20 @@ class TestSeparableGrid:
                          s.contours_side((far,), -1))
 
     def test_build_work_counts(self, monkeypatch):
-        # contour-side theta tables: none at build and none per kernel
-        # call; the quadrature oracles build them on first use, once per
-        # grid side and characteristic (2 sides of two contours each x 2
-        # thetas); the pole check of a contour pair is one lattice
-        # distance, not M x M; log A at every node of the four contours
-        # comes from one closed-form call, one path per contour, and no
-        # theta_1 sum
+        # a build takes no contour: log A at the start nodes of the four
+        # contours (and r/16 inside them, for their sheets) comes from one
+        # closed-form call, one two-vertex path per contour, and no
+        # theta_1 sum; no contour-side theta tables at build or per kernel
+        # call; the quadrature oracles build the contours and their tables
+        # on first use, once per grid side and characteristic (2 sides of
+        # two contours each x 2 thetas); the pole check of a contour pair
+        # is one lattice distance, not M x M
         tables = []
         shapes = []
         calls = []
+        contours = []
         table, distance = rho._theta_table, rho.lattice_distance
-        closed = rho._continue_log_a
+        closed, build_contours = rho._continue_log_a, rho.torus_contours
 
         def counting_table(ma, offsets, sign):
             tables.append(offsets.shape)
@@ -1170,20 +1249,40 @@ class TestSeparableGrid:
             calls.append(np.shape(paths))
             return closed(paths, *args)
 
+        def counting_contours(s, specs, m):
+            contours.append(len(specs))
+            return build_contours(s, specs, m)
+
+        def counting(name):
+            method = getattr(rho.TorusMoments, name)
+
+            def wrapper(self, *args):
+                contours.append(name)
+                return method(self, *args)
+            return wrapper
+
         def forbidden(*args):
             raise AssertionError("A evaluated by theta_1 sums in a build")
         monkeypatch.setattr(rho, "_theta_table", counting_table)
         monkeypatch.setattr(rho, "_a_values", forbidden)
         monkeypatch.setattr(rho, "lattice_distance", recording_distance)
         monkeypatch.setattr(rho, "_continue_log_a", counting_closed)
+        monkeypatch.setattr(rho, "torus_contours", counting_contours)
+        for name in ("_mode_table", "_moments"):
+            monkeypatch.setattr(rho.TorusMoments, name, counting(name))
         m = 32
         ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, m)
-        assert tables == []
-        assert calls == [(4, m + 1)]
+        assert tables == [] and contours == []
+        assert calls == [(4, 2)]
         ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
-        assert tables == []
+        assert tables == [] and contours == []
         ctx.moments._build_g()
         ctx.moments.h_matrix([_pt(0.09, 0.53)])
         ctx.moments.hbar_matrix([_pt(0.61, 0.12, offset=W)])
+        # one torus_contours call of four contours, with log A at their
+        # nodes from one closed-form call; the rest are the build, the
+        # kernel's two points and the oracles' points
+        assert contours[0] == 4 and contours.count(4) == 1
+        assert calls == [(4, 2), (2, 1), (4, m + 1), (1, 1), (1, 1)]
         assert tables == [(2, m + 1)] * 4
         assert shapes and all(sum(d >= m for d in sh) < 2 for sh in shapes)
