@@ -4,8 +4,13 @@ Subcommands
 -----------
 eval    evaluate the genus-two kernel at point pairs, CSV or JSON output
 det     block determinants of the truncated sewing systems
-scan    sweep one axis (epsilon | rho | N | M) and fit the tail decay
+scan    sweep one axis (epsilon | rho | N) and fit the tail decay
 verify  run a named verification suite (or "all"), JSON report
+
+The truncation order N is ``--order``.  The self-sewn torus's contour
+count M has no flag: it reaches only the quadrature oracles of its
+moments, which ``verify`` runs at pinned counts, and no value printed
+here.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 input or domain error, 3 numerical failure.
@@ -20,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .config import DEFAULT_ORDER, DEFAULT_QUAD_POINTS
+from .config import DEFAULT_ORDER
 from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,
                       SurfacePoint, build_q)
 from .errors import ConvergenceError, DomainError, SzegosewError
@@ -132,7 +137,7 @@ class _Evaluator:
     """
 
     def __init__(self, args) -> None:
-        n, m = args.order, args.quad
+        n = args.order
         xi = _parse_xi(args.xi)
         if args.scheme == "eps":
             _require(args, "--tau1", "--tau2", "--eps")
@@ -157,8 +162,7 @@ class _Evaluator:
                 _parse_complex(args.w, "--w"),
                 _parse_complex(args.rho, "--rho"), xi=xi)
             ctx = RhoTorusContext(_twist(args, 1),
-                                  HandleTwist(tw2.alpha, tw2.beta), moduli,
-                                  n, m)
+                                  HandleTwist(tw2.alpha, tw2.beta), moduli, n)
             self._point = _plain_point
             self._det_routes = (("det_I_minus_T", ctx.det),)
         elif args.scheme == "rho-sphere":
@@ -288,7 +292,7 @@ def _scan_values(args):
     if args.values is None:
         raise DomainError("--values is required for scan")
     try:
-        if args.axis in ("N", "M"):
+        if args.axis == "N":
             vals = [int(v) for v in args.values.split(",")]
         else:
             vals = [float(v) for v in args.values.split(",")]
@@ -314,12 +318,8 @@ def _scan_kernel(args, value) -> complex:
             raise DomainError("axis rho requires a rho-* scheme")
         base = _parse_complex(args.rho, "--rho") * value
         sub.rho = f"{base.real!r},{base.imag!r}"
-    elif args.axis == "N":
-        sub.order = value
     else:
-        if args.scheme != "rho-torus":
-            raise DomainError("axis M requires --scheme rho-torus")
-        sub.quad = value
+        sub.order = value
     ev = _Evaluator(sub)
     wx, x, wy, y = _parse_points(args.points)[0]
     return ev.kernel(wx, x, wy, y)
@@ -384,9 +384,6 @@ def _add_common(p: argparse.ArgumentParser, points: bool = True) -> None:
                        help="semicolon-separated 'which:re,im,which:re,im' pairs")
     p.add_argument("--order", type=int, metavar="N", default=DEFAULT_ORDER,
                    help=f"truncation order (default {DEFAULT_ORDER})")
-    p.add_argument("--quad", type=int, metavar="M", default=DEFAULT_QUAD_POINTS,
-                   help="nodes of the quadrature oracle per contour "
-                   f"(default {DEFAULT_QUAD_POINTS})")
     p.add_argument("--xi", default="+i", help="half-form branch: +i or -i (use --xi=-i)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="PATH", help="write output to PATH")
@@ -412,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("scan", help="sweep one axis and fit the tail")
     _add_common(ps)
-    ps.add_argument("--axis", choices=("epsilon", "rho", "N", "M"),
+    ps.add_argument("--axis", choices=("epsilon", "rho", "N"),
                     required=True)
     ps.add_argument("--values", help="comma-separated increasing axis values "
                     "(multipliers of the base modulus for epsilon/rho)")

@@ -8,7 +8,9 @@ each is read where its check is made.  The two gates of a dense solve,
 """
 
 DEFAULT_ORDER = 16  # moment-matrix truncation order N
-DEFAULT_QUAD_POINTS = 64  # nodes of the quadrature oracle, per contour (M)
+# M: nodes per contour of the self-sewn torus's quadrature oracle, which
+# the tests and verify run; no pipeline value reads it
+DEFAULT_QUAD_POINTS = 64
 
 THETA_TOL = 1e-14  # absolute tail bound of theta summation boxes
 SERIES_TOL = 1e-12  # tail bound of q-series (P1 oracle, Eisenstein)

@@ -28,8 +28,10 @@ part at 0, all from theta sums.  The moments of U^kappa alone that
 these matrices fold in are Taylor coefficients too: powers of
 S = B_w / b_0, the ratio of the theta_1 rows at w and at the origin,
 times one exact branch constant per contour, whose sheet is read from
-log A continued in closed form from z_ref.  A build takes no contour;
-the trapezoidal quadrature on the contours stays as the oracle.
+log A continued in closed form from z_ref.  A build takes no contour.
+The trapezoidal quadrature of these integrals stays as the oracle:
+S_kappa at the nodes for h and hbar, from its one evaluator
+TorusBaseKernel.grid, and the Taylor rows h at the x nodes for G.
 
 Half-integer powers of rho are taken from the recorded branch log_rho
 (never from a fresh principal root), so the handle Dehn move
@@ -46,21 +48,20 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .config import (DEFAULT_ORDER, DEFAULT_QUAD_POINTS, POLE_GUARD,
-                     RESONANCE_GUARD, THETA_TOL)
+                     RESONANCE_GUARD)
 from .errors import (BranchTrackingError, DomainError, ResonanceError)
 from .numerics import (LU, as_complex_matrix, binomials, check_count,
                        row_products)
-from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
-                        _multiplier, _reduce_off_lattice, _substitute,
-                        _theta_reduce, _theta_stage, _theta_value,
-                        lattice_distance)
+from .specialfn import (TWO_PI, TorusModulus, TwistPair, _multiplier,
+                        _reduce_off_lattice, _substitute, _theta_stage,
+                        _theta_value, lattice_distance, p1_theta)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
 __all__ = [
     "HandleTwist", "RhoModuliSphere", "RhoModuliTorus", "mode_index",
     "s_kappa_sphere", "det_i_minus_t_sphere", "RhoSphereContext",
     "torus_from_sphere", "log_a_torus", "TorusBaseKernel", "TorusContour",
-    "GridSide", "torus_contours", "TorusMoments",
+    "torus_contours", "TorusMoments",
     "RhoTorusContext",
 ]
 
@@ -388,10 +389,11 @@ def torus_from_sphere(handle: HandleTwist, x, y, moduli: RhoModuliSphere,
 # ----------------------------------------------------------------------
 
 _MAX_CROSSINGS = 1000  # lattice lines one log-A path edge may cross
-# least contour radius of a tracked context: a node round w is held as
+# least radius of a tracked oracle contour: a node round w is held as
 # w + offset, which rounds the offset by ulp(|w|), about 2e-16 |w| / r
 # relative; log A itself stays at rounding level there (3.7e-15 against
-# a 40-digit theta_1 quotient down to r = 1.5e-11)
+# a 40-digit theta_1 quotient down to r = 1.5e-11).  A build reads only
+# integer sheets and takes no node, so it has no such floor
 _LOG_A_RADIUS_FLOOR = 1e-10
 
 
@@ -536,27 +538,6 @@ class TorusContour:
     radius: float
 
 
-@dataclass(frozen=True)
-class GridSide:
-    """One side of an S_kappa grid: points centers_k + offsets_{k,l}.
-
-    ``tables`` holds, per theta characteristic of the base kernel, the
-    array exp(sign (m + alpha) offsets) of shape (K, 2R+1, L), with sign
-    +1 on the x side and -1 on the y side; ``radius`` bounds |offsets|.
-    """
-
-    centers: np.ndarray
-    offsets: np.ndarray
-    log_a: np.ndarray
-    radius: float
-    tables: tuple
-
-    def __getitem__(self, k: slice) -> "GridSide":
-        """The centres k, as a side of views."""
-        return GridSide(self.centers[k], self.offsets[k], self.log_a[k],
-                        self.radius, tuple(t[k] for t in self.tables))
-
-
 def _branches(zs: np.ndarray, log_a) -> np.ndarray:
     """The log A branches of the 1-D points zs as a 1-D array; DomainError
     unless there is one finite branch per point."""
@@ -564,11 +545,6 @@ def _branches(zs: np.ndarray, log_a) -> np.ndarray:
     if log_a.size != zs.size or not np.isfinite(log_a).all():
         raise DomainError("need one finite log A branch per point")
     return log_a
-
-
-def _theta_table(ma: np.ndarray, offsets: np.ndarray, sign: int) -> np.ndarray:
-    """exp(sign (m + alpha) offset), shape (K, 2R+1, L) for (K, L) offsets."""
-    return np.exp(sign * ma[None, :, None] * offsets[:, None, :])
 
 
 class TorusBaseKernel:
@@ -579,23 +555,19 @@ class TorusBaseKernel:
         U(x,y) = theta1(x-w) theta1(y) / (theta1(x) theta1(y-w)),
 
     with U^kappa = exp(kappa (log A(x) - log A(y))) on the continued
-    branch of log A (see log_a_torus).  The kappa = -1/2 rejection, the
-    constant theta[a1;b1](kappa w) with its resonance guard, theta1'(0),
-    and whether log A is needed at all (not at kappa = 0) are settled
-    once, at construction.
+    branch of log A (see log_a_torus).  With w = 2 pi i (u + v tau),
+    theta[a1;b1](z + kappa w) is e^{-kappa v z} theta[c](z) up to a
+    constant, for the shifted characteristic c = [alpha1 + kappa v;
+    beta1 + kappa u] (``char``, with ``kv`` = kappa v), so
 
-    Both thetas are summed separably.  With x = c_x + xi, y = c_y + eta
-    and the centre offset c = c_x - c_y (+ kappa w) = c' + 2 pi i tau n,
-    |Re c'| <= pi Im tau,
+        S_kappa(x,y) = e^{kappa (log A(x) - log A(y)) - kappa v (x - y)}
+                       P1[c](x - y).
 
-        theta[a;b](c + xi - eta) = e^{-i pi tau n^2 - n (c' + xi - eta
-                                                        + 2 pi i b)}
-            sum_m e^{i pi tau (m+a)^2 + (m+a)(c' + 2 pi i b)}
-                  e^{(m+a) xi} e^{-(m+a) eta},
-
-    so a grid of contour nodes is (P x R) diag(g) (R x Q) from tables
-    built once per grid side.  The box radius R depends on tau and the
-    annulus radius ``moduli.radius`` only, which bounds every contour.
+    ``grid`` evaluates that form; TorusMoments.taylor_rows folds the same
+    factors into its theta stage.  The kappa = -1/2 rejection, the
+    constant theta[a1;b1](kappa w) with its resonance guard, and whether
+    log A is needed at all (not at kappa = 0) are settled once, at
+    construction.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
@@ -609,20 +581,14 @@ class TorusBaseKernel:
         self.tracked = kap != 0.0
         tau = moduli.tau.tau
         log_mult, th0 = _theta_value((tw1.alpha, tw1.beta), kap * moduli.w, tau)
-        th0 = complex(np.exp(log_mult) * th0)
-        if abs(th0) < RESONANCE_GUARD:
+        if abs(complex(np.exp(log_mult) * th0)) < RESONANCE_GUARD:
             raise ResonanceError(
                 "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
-        self._scale = moduli.tau.theta1_deriv0 / th0
-        self._lattice_min = min_lattice_distance(moduli.tau)
-        radius = _box_radius(tau.imag, math.pi * tau.imag + 2.0 * moduli.radius,
-                             THETA_TOL)
-        m = np.arange(-radius, radius + 1, dtype=float)
-        # (m + alpha, i pi tau (m + alpha)^2, beta) of theta[a1;b1] and of
-        # theta1 = theta[1/2;1/2]
-        self._chars = tuple(
-            (m + al, (1j * np.pi * tau) * (m + al) ** 2, be)
-            for al, be in ((tw1.alpha, tw1.beta), (0.5, 0.5)))
+        uv = moduli.w / TWO_PI_I
+        v = uv.imag / tau.imag
+        self.kv = kap * v
+        self.char = TwistPair(tw1.alpha + self.kv,
+                              tw1.beta + kap * (uv.real - v * tau.real))
 
     def log_a(self, z, log_a_z=None):
         """Branch of log A at a point or an array of points: the supplied
@@ -635,77 +601,25 @@ class TorusBaseKernel:
             else np.asarray(log_a_z, dtype=complex)
         return val if np.ndim(z) else complex(val)
 
-    def points_side(self, zs, log_a) -> GridSide:
-        """Grid side of single points, each its own centre, with one finite
-        log A branch per point."""
-        zs = np.ravel(np.asarray(zs, dtype=complex))
-        log_a = _branches(zs, log_a)[:, None]
-        ones = np.ones((zs.size, self._chars[0][0].size, 1))
-        return GridSide(zs, np.zeros((zs.size, 1)), log_a, 0.0, (ones, ones))
-
-    def contours_side(self, cs, sign: int) -> GridSide:
-        """Grid side of the nodes of the contours cs, one centre each, with
-        their theta tables; sign +1 for the x side, -1 for the y side."""
-        off = np.array([c.points - c.center for c in cs])
-        return GridSide(np.array([c.center for c in cs]), off,
-                        np.array([c.log_a for c in cs]),
-                        max(c.radius for c in cs),
-                        tuple(_theta_table(ma, off, sign)
-                              for ma, _, _ in self._chars))
-
-    def _theta(self, char: int, xs: GridSide, ys: GridSide, c: np.ndarray):
-        """Separable theta of characteristic ``char`` on xs x ys, with
-        (K1, K2) centre offsets c: (log multiplier, n, reduced sums)."""
-        ma, quad, beta = self._chars[char]
-        c_red, n, log_mult = _theta_reduce(c, self.moduli.tau.tau, beta)
-        g = np.exp(quad + (c_red + 2j * np.pi * beta)[..., None] * ma)
-        sums = np.matmul(np.swapaxes(xs.tables[char], 1, 2)[:, None],
-                         g[..., None] * ys.tables[char][None])
-        return log_mult, n, sums
-
-    def grid_sides(self, xs: GridSide, ys: GridSide) -> np.ndarray:
-        """S_kappa on the grid of two sides, shape (K1 L1, K2 L2)."""
-        dc = xs.centers[:, None] - ys.centers[None, :]
-        # lower bound of |x - y - lambda| over the circles |x - c_x| = r_x,
-        # |y - c_y| = r_y and the lattice; exact for single points
-        d = lattice_distance(dc, self.moduli.tau)
-        rx, ry = xs.radius, ys.radius
-        near = np.maximum(np.maximum(d - rx - ry, abs(rx - ry) - d), 0.0)
-        gap = np.minimum(near, np.maximum(d, self._lattice_min - d) - rx - ry)
-        if np.any(gap < POLE_GUARD):
-            raise DomainError("x - y hits the lattice: kernel pole")
-        log_num, n_num, num = self._theta(0, xs, ys,
-                                          dc + self.kappa * self.moduli.w)
-        log_den, n_den, den = self._theta(1, xs, ys, dc)
-        # the multipliers' xi, eta parts and U^kappa are rank one per block
-        dn = (n_num - n_den)[:, :, None, None]
-        ux = np.exp(self.kappa * xs.log_a[:, None, :, None]
-                    - dn * xs.offsets[:, None, :, None])
-        uy = np.exp(dn * ys.offsets[None, :, None, :]
-                    - self.kappa * ys.log_a[None, :, None, :])
-        mult = self._scale * np.exp(log_num - log_den)[:, :, None, None]
-        val = mult * ux * uy * num / den
-        k1, k2, l1, l2 = val.shape
-        return val.transpose(0, 2, 1, 3).reshape(k1 * l1, k2 * l2)
-
     def grid(self, xs, log_ax, ys, log_ay) -> np.ndarray:
-        """S_kappa on the grid xs x ys with the given log A branches."""
-        return self.grid_sides(self.points_side(xs, log_ax),
-                               self.points_side(ys, log_ay))
+        """S_kappa(x_i, y_j), shape (P, Q), at points with one finite log A
+        branch each, through p1_theta: its lattice reduction is the pole
+        guard, and no value depends on the other points of its call."""
+        xs = np.ravel(np.asarray(xs, dtype=complex))
+        ys = np.ravel(np.asarray(ys, dtype=complex))
+        z = np.subtract.outer(xs, ys)
+        u = np.subtract.outer(_branches(xs, log_ax), _branches(ys, log_ay))
+        return np.exp(self.kappa * u - self.kv * z) \
+            * p1_theta(self.char, z, self.moduli.tau)
 
 
 def _check_radii(s: TorusBaseKernel, radii: np.ndarray) -> None:
     """DomainError unless every contour radius stays inside the sewing
-    annulus, which also bounds the theta box of the base kernel, and with
-    kappa != 0 at or above _LOG_A_RADIUS_FLOOR."""
+    annulus."""
     if np.any(radii >= s.moduli.radius):
         raise DomainError(
             "contour radius exceeds the sewing annulus; "
             "rho too close to the domain boundary")
-    if s.tracked and np.any(radii < _LOG_A_RADIUS_FLOOR):
-        raise DomainError(
-            f"contour radius below {_LOG_A_RADIUS_FLOOR:.0e}: its nodes "
-            "round w would round too coarsely; rho too small")
 
 
 def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
@@ -714,11 +628,16 @@ def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
     kappa = 0) from one closed-form call: each circle is the path z_ref
     -> its start node -> every node in order (see _continue_log_a), and
     the moduli's winding is added around w.  The radii must pass
-    ``_check_radii``.
+    ``_check_radii`` and, with kappa != 0, be at least
+    ``_LOG_A_RADIUS_FLOOR``.
     """
     mod = s.moduli
     radii = np.array([r for _, r in specs], dtype=float)
     _check_radii(s, radii)
+    if s.tracked and np.any(radii < _LOG_A_RADIUS_FLOOR):
+        raise DomainError(
+            f"contour radius below {_LOG_A_RADIUS_FLOOR:.0e}: its nodes "
+            "round w would round too coarsely; rho too small")
     centers = np.array([mod.center(a) for a, _ in specs], dtype=complex)
     phi = 2.0 * np.pi * np.arange(m + 1) / m
     pts = centers[:, None] + radii[:, None] * np.exp(1j * phi)
@@ -820,10 +739,12 @@ class TorusMoments:
     never collide.  A build reads only their start nodes (one
     closed-form log A call) and checks their radii.  Their M nodes are
     the quadrature oracle of the closed forms: the U^kappa moments
-    (``_quadrature_moments``), G (``_build_g``) and h and hbar
-    (``h_matrix`` / ``hbar_matrix``), each integrand with its closure
-    check (``_check_closure``).  The contours, their mode tables and
-    their grid sides are built when an oracle first asks.
+    (``_quadrature_moments``), h and hbar (``h_matrix`` /
+    ``hbar_matrix``, S_kappa at the nodes from ``TorusBaseKernel.grid``)
+    and G (``_build_g``, by its definition the x-contour moment of h,
+    from the Taylor rows at the nodes), each integrand with its closure
+    check (``_check_closure``).  The contours and their mode tables are
+    built when an oracle first asks.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
@@ -847,12 +768,6 @@ class TorusMoments:
                    for a in (1, 2)]
         self._pref = np.concatenate(
             [moduli.rho_pow(0.5 * (ka - 0.5)) for ka in self._k])
-        t = moduli.tau.tau
-        uv = moduli.w / TWO_PI_I
-        v = uv.imag / t.imag
-        self._kv = handle.kappa * v
-        self.char = TwistPair(tw1.alpha + self._kv,
-                              tw1.beta + handle.kappa * (uv.real - v * t.real))
         p, r_n, s, log_k = self._laurent()
         self._taylor_h, self._taylor_hbar, d = self._taylor_blocks(
             *self._u_moments(s, log_k))
@@ -873,9 +788,8 @@ class TorusMoments:
 
     @cached_property
     def _x_modes(self) -> tuple:
-        """Mode table of the x contours to k = 2N: G reads Ebar_{a,j} to
-        j = 2N - 1."""
-        return self._mode_table(self._x, 2 * self.n_order)
+        """Mode table of the x contours to k = N."""
+        return self._mode_table(self._x, self.n_order)
 
     @cached_property
     def _y_modes(self) -> tuple:
@@ -893,46 +807,15 @@ class TorusMoments:
         return (modes, np.max(np.abs(modes), axis=1),
                 [w[:, :m] * c.weight for w, c in zip(modes, cs)])
 
-    @cached_property
-    def _rows(self) -> tuple:
-        """The x contours as one grid side with their theta tables, and
-        their first N modes (``_mode_table``): the side of the quadrature
-        oracles ``_build_g`` and ``hbar_matrix``."""
-        n = self.n_order
-        modes, _, weighted = self._x_modes
-        return (self.base.contours_side(self._x, 1), modes[:, :n],
-                np.max(np.abs(modes[:, :n]), axis=1),
-                [w[:n] for w in weighted])
-
-    @cached_property
-    def _cols(self) -> tuple:
-        """The y contours as one grid side with their theta tables and
-        modes: the side of the oracles ``_build_g`` and ``h_matrix``."""
-        return (self.base.contours_side(self._y, -1), *self._y_modes)
-
     def _build_g(self) -> np.ndarray:
-        m = self.m_points
-        (sx, wxs, _, qxs), (sy, wys, _, qys) = self._rows, self._cols
-        blocks = {}
-        for a, wx, qx in zip((1, 2), wxs, qxs):
-            for b, wy, qy in zip((1, 2), wys, qys):
-                grid = self.base.grid_sides(sx[a - 1:a], sy[b - 1:b])
-                # single-valuedness at the closure node, element-wise on the
-                # raw weighted integrand (before any cancelling summation)
-                for side, first, last in (
-                        ("x", wx[:, 0, None] * grid[None, 0, :],
-                         wx[:, -1, None] * grid[None, -1, :]),
-                        ("y", wy[:, 0, None] * grid[None, :, 0],
-                         wy[:, -1, None] * grid[None, :, -1])):
-                    scale = max(np.max(np.abs(first)), np.max(np.abs(last)))
-                    _check_closure(first, last, scale,
-                                   f"G_{a}{b} {side}-contour")
-                pref = self.moduli.rho_pow(0.5 * (
-                    self._k[a - 1][:, None] + self._k[b - 1][None, :] - 1.0))
-                blocks[(a, b)] = pref * (qx @ grid[:m, :m] @ qy.T)
+        """G by its definition, the x-contour moment of h: the Taylor rows
+        h at the nodes of both x contours, each column integrated with
+        its closure check (``_moments``)."""
+        nodes, log_a = self._nodes(self._x)
+        h = self.taylor_rows(nodes, log_a, nodes[:0], log_a[:0])[0]
         return as_complex_matrix(
-            np.block([[blocks[(1, 1)], blocks[(1, 2)]],
-                      [blocks[(2, 1)], blocks[(2, 2)]]]), "moment matrix G")
+            self._pref[:, None] * self._moments(self._x_modes, h.T, "G").T,
+            "moment matrix G")
 
     def _moments(self, table: tuple, f: np.ndarray, what: str) -> np.ndarray:
         """(1/2pi i) oint z_local^{-k_a} f dz_local, a = 1, 2, from f at the
@@ -952,10 +835,11 @@ class TorusMoments:
         on the contours, each integrand with its closure check: the
         oracle of the closed form."""
         out = []
-        for cs, table, sign in ((self._y, self._y_modes, -1.0),
-                                (self._x, self._x_modes, 1.0)):
-            f = np.exp(sign * self.base.kappa
-                       * np.array([c.log_a for c in cs]).reshape(1, -1))
+        # G reads Ebar_{a,j} to j = 2N - 1
+        for cs, table, sign in (
+                (self._y, self._y_modes, -1.0),
+                (self._x, self._mode_table(self._x, 2 * self.n_order), 1.0)):
+            f = np.exp(sign * self.base.kappa * self._nodes(cs)[1])[None]
             out.append(self._moments(table, f, "U^kappa").reshape(2, -1))
         return tuple(out)
 
@@ -978,7 +862,8 @@ class TorusMoments:
         node (one closed-form call of two-vertex paths), where log A
         + log t round 0, or log A - log t round w, is log U less
         +-log S(+-r/16), whose imaginary part stays far below pi
-        (``_SHEET_RADIUS``).
+        (``_SHEET_RADIUS``).  Only where c + r/16 rounds to c is a build
+        refused, since it reads no node.
         """
         n, kap, mod = self.n_order, self.base.kappa, self.moduli
         out = np.zeros((4, 2 * n), dtype=complex)
@@ -987,8 +872,13 @@ class TorusMoments:
             radii = np.array([r for _, r in self._specs])
             at_w = np.array([a == 2 for a, _ in self._specs])
             sign = np.where(at_w, -1.0, 1.0)
-            paths = np.where(at_w, mod.w, 0.0)[:, None] \
+            centres = np.where(at_w, mod.w, 0.0)
+            paths = centres[:, None] \
                 + np.multiply.outer(radii, [1.0, _SHEET_RADIUS])
+            if np.any(paths[:, 1] == centres):
+                raise DomainError(
+                    "contour radius too small: the sheet probe r/16 from "
+                    "w rounds to w; rho too small")
             near = _continue_log_a(paths, mod.tau, mod.w, mod.z_ref,
                                    mod.log_a_ref)[:, 1] \
                 + TWO_PI_I * mod.winding * at_w \
@@ -1011,7 +901,7 @@ class TorusMoments:
         of block a maps the rows (P_1..P_N) at x - c_a (at c_abar - y for
         hbar) to h_a(k) / e^{kappa log A(x) - kappa v x}
         (hbar_a(k) / e^{kappa v y - kappa log A(y)})."""
-        n, kv = self.n_order, self._kv
+        n, kv = self.n_order, self.base.kv
         d = np.subtract.outer(np.arange(n), np.arange(n))  # k - l
         lower = d >= 0
         d = np.where(lower, d, 0)
@@ -1042,7 +932,7 @@ class TorusMoments:
         B_w(t) = theta_1(w - t)/theta_1(w) and b_0(t) = K(t)/t (the
         theta_1 rows at w and at the origin), shape (2N,); and a
         logarithm of K(w) = theta_1(w)/theta_1'(0)."""
-        kmax, tau, char = 2 * self.n_order, self.moduli.tau, self.char
+        kmax, tau, char = 2 * self.n_order, self.moduli.tau, self.base.char
         z_red, m, k = _reduce_off_lattice(
             np.array([self.moduli.w, -self.moduli.w]), tau)
         a, b, _, kz = _theta_stage(char, kmax, z_red, 2, tau, laurent=True)
@@ -1086,7 +976,8 @@ class TorusMoments:
         no value depends on the other points of its call.  The points are
         not validated here (``RhoTorusContext.kernel_matrix`` does that).
         """
-        n, kap, kv = self.n_order, self.base.kappa, self._kv
+        s = self.base
+        n, kap, kv, char = self.n_order, s.kappa, s.kv, s.char
         w, tau = self.moduli.w, self.moduli.tau
         p, q = xs.size, ys.size
         n_rows = 2 * (p + q)
@@ -1095,8 +986,8 @@ class TorusMoments:
             [np.subtract.outer(xs, c).ravel(),
              -np.subtract.outer(ys, c[::-1]).ravel(),
              np.subtract.outer(xs, ys).ravel()]), tau)
-        a, b, p1, _ = _theta_stage(self.char, n, z_red, n_rows, tau)
-        mult = _multiplier(self.char, m, k)
+        a, b, p1, _ = _theta_stage(char, n, z_red, n_rows, tau)
+        mult = _multiplier(char, m, k)
         rows = (_substitute(a, b) * mult[:n_rows, None]).reshape(-1, 2, 1, n)
         ex = np.exp(kap * log_a_xs - kv * xs)
         ey = np.exp(kv * ys - kap * log_a_ys)
@@ -1108,18 +999,25 @@ class TorusMoments:
         base = (ex[:, None] * ey[None, :]) * (mult[n_rows:] * p1).reshape(p, q)
         return ex[:, None] * h, ey[:, None] * hb, base
 
+    def _nodes(self, cs: tuple) -> tuple:
+        """The nodes of the contours cs, closure nodes included, and their
+        log A, each as one 1-D array."""
+        return (np.concatenate([c.points for c in cs]),
+                np.concatenate([c.log_a for c in cs]))
+
     def h_matrix(self, xs, log_a_xs=None) -> np.ndarray:
         """Rows (h_1(k,x), h_2(k,x)), k = 1..N, one per point of xs, by
-        contour quadrature; log A is continued unless supplied."""
-        pts = self.base.points_side(xs, self.base.log_a(xs, log_a_xs))
-        return self._pref * self._moments(
-            self._cols[1:], self.base.grid_sides(pts, self._cols[0]), "h")
+        contour quadrature of S_kappa; log A is continued unless
+        supplied."""
+        f = self.base.grid(xs, self.base.log_a(xs, log_a_xs),
+                           *self._nodes(self._y))
+        return self._pref * self._moments(self._y_modes, f, "h")
 
     def hbar_matrix(self, ys, log_a_ys=None) -> np.ndarray:
         """Rows (hbar_1(k,y), hbar_2(k,y)), k = 1..N, one per point of ys."""
-        pts = self.base.points_side(ys, self.base.log_a(ys, log_a_ys))
-        return self._pref * self._moments(
-            self._rows[1:], self.base.grid_sides(self._rows[0], pts).T, "hbar")
+        f = self.base.grid(*self._nodes(self._x), ys,
+                           self.base.log_a(ys, log_a_ys))
+        return self._pref * self._moments(self._x_modes, f.T, "hbar")
 
     def h_vector(self, x, log_a_x=None) -> np.ndarray:
         """The one-point h_matrix."""

@@ -159,8 +159,9 @@ def _sphere_log_pairs(qabs: float, count: int = 4):
 
 
 def _g_error(mom: TorusMoments) -> float:
-    """Largest deviation of the closed-form G from its M x M contour
-    quadrature, each N x N block relative to its largest entry."""
+    """Largest deviation of the closed-form G from its contour quadrature,
+    the x-contour moment of the Taylor rows h (``_build_g``), each N x N
+    block relative to its largest entry."""
     n = mom.n_order
     g, quad = mom.g, mom._build_g()
     return max(float(np.max(np.abs(g[i:i + n, j:j + n] - quad[i:i + n, j:j + n]))
@@ -407,10 +408,12 @@ def suite_integral_eq() -> list[dict]:
         "self-sewn torus h/hbar Taylor rows match contour quadrature",
         worst, 1e-12))
 
-    # G from Laurent data at the punctures against its M x M contour
-    # quadrature, each N x N block relative to its largest entry: 6.5e-14
-    # at most at (12, 64) and (16, 128) over seeded contexts, the modular
-    # images and Im tau down to 0.05
+    # G from Laurent data at the punctures against its contour
+    # quadrature, the x-contour moment of the Taylor rows h, each N x N
+    # block relative to its largest entry: 1.8e-13 at most at (12, 64)
+    # and (16, 128) over seeded contexts, the modular images and Im tau
+    # down to 0.05.  The oracle shares H with the closed form; the h/hbar
+    # rows check above is the one that sees a wrong H
     checks.append(_check(
         "self-sewn torus closed-form G matches contour quadrature",
         _g_error(mom), 1e-12))

@@ -127,10 +127,11 @@ def _context_args(context):
     ("EpsilonContext", (16.0,), "order must be >= 1"),
     ("RhoSphereContext", (24.0,), "order must be >= 1"),
     ("RhoTorusContext", (12.0, 64), "order must be >= 1"),
-    ("RhoTorusContext", (12, 64.0), "need at least 8 quadrature points")])
+    ("RhoTorusContext", (12, 64.0), "need at least 8 quadrature points"),
+    ("RhoTorusContext", (12, 4), "need at least 8 quadrature points")])
 def test_float_orders_rejected(context, orders, message):
-    # N and M pass one check (numerics.check_count): a float is a
-    # DomainError with the count's own message
+    # N and M pass one check (numerics.check_count): a float, or an M
+    # below 8, is a DomainError with the count's own message
     with pytest.raises(szegosew.DomainError, match=re.escape(message)):
         getattr(szegosew, context)(*_context_args(context), *orders)
 

@@ -16,8 +16,7 @@ SPHERE_ARGS = ["--scheme", "rho-sphere", "--rho", "0.05,0.02",
                "--alpha2", "0.1", "--beta2=-0.22"]
 TORUS_ARGS = ["--scheme", "rho-torus", "--tau", "0.2,1.1", "--w=-1.866,2.315",
               "--rho", "0.001,0.0006", "--alpha1", "0.17", "--beta1", "0.38",
-              "--alpha2", "0.1", "--beta2=-0.22", "--order", "8",
-              "--quad", "64"]
+              "--alpha2", "0.1", "--beta2=-0.22", "--order", "8"]
 POINTS = ["--points", "1:0.4,1.1,1:1.5,2.2"]
 
 
@@ -185,19 +184,6 @@ class TestDet:
         code, out, _ = _run(capsys, ["det", *TORUS_ARGS])
         assert code == 0
         assert out.splitlines()[1] == "quantity,re,im"
-
-
-class TestQuadratureCount:
-    @pytest.mark.parametrize("m", [48, 4])
-    def test_quad_flag_meets_the_moment_check(self, capsys, m):
-        # M is checked once, by the self-sewn torus moments
-        base = TORUS_ARGS[:TORUS_ARGS.index("--quad")]
-        code, _, err = _run(capsys, ["det", *base, "--quad", str(m)])
-        if m == 4:
-            assert code == 2
-            assert err == "error: need at least 8 quadrature points\n"
-        else:
-            assert code == 0
 
 
 class TestScan:

@@ -20,8 +20,7 @@ SPHERE_ARGS = ["--scheme", "rho-sphere", "--rho", "0.05,0.02",
                "--alpha2", "0.1", "--beta2=-0.22"]
 TORUS_ARGS = ["--scheme", "rho-torus", "--tau", "0.2,1.1", "--w=-1.866,2.315",
               "--rho", "0.001,0.0006", "--alpha1", "0.17", "--beta1", "0.38",
-              "--alpha2", "0.1", "--beta2=-0.22", "--order", "8",
-              "--quad", "64"]
+              "--alpha2", "0.1", "--beta2=-0.22", "--order", "8"]
 
 EVAL_GOLDEN = [
     ("eps-11", EPS_ARGS, "1:0.4,1.1,1:1.5,2.2",

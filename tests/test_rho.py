@@ -513,15 +513,32 @@ class TestTorusSewing:
         assert abs(ctx8.det() - ref.det()) <= 1e-13 * abs(ref.det())
 
     def test_contours_below_the_log_a_floor(self):
-        # below _LOG_A_RADIUS_FLOOR the nodes round w would lose their
-        # offset from w to rounding (at a contour 1.5e-17 from a puncture,
-        # all of it), so the build refuses with a typed error
-        for scale in (1e-24, 1e-34):
-            tw1, handle, mod = verify._rho_torus_setup(scale)
-            with pytest.raises(DomainError, match="contour radius below"):
+        # a build reads only integer sheets of log A, so it takes contour
+        # radii below _LOG_A_RADIUS_FLOOR, the floor of the oracle's nodes:
+        # at rho scale 1e-24 (contour radius 1.5e-12) the kernel converges
+        # in N and is skew
+        tw1, handle, mod = verify._rho_torus_setup(1e-24)
+        assert mod.contour_radius < rho._LOG_A_RADIUS_FLOOR
+        xs, ys = (np.array(p) for p in zip(*verify._rho_torus_pairs(mod, 4)))
+        ctx8, ctx12 = (RhoTorusContext(tw1, handle, mod, n) for n in (8, 12))
+        v8, v12 = (c.kernel_matrix(xs, ys) for c in (ctx8, ctx12))
+        inv = RhoTorusContext(tw1.inverse(),
+                              HandleTwist(-handle.alpha, -handle.beta), mod, 8)
+        assert np.all(np.abs(v12 - v8) <= 1e-13 * np.abs(v12))
+        assert np.all(np.abs(v8 + inv.kernel_matrix(ys, xs).T)
+                      <= 1e-13 * np.abs(v8))
+        # the oracle's nodes round w would lose their offset from w to
+        # rounding, so its contours keep the floor
+        with pytest.raises(DomainError, match="contour radius below"):
+            ctx8.moments.h_matrix(xs)
+        # at 1e-34 (a contour 1.5e-17 from a puncture) the sheet probe
+        # r/16 from w rounds to w: a typed error before any log of 0
+        tw1, handle, mod = verify._rho_torus_setup(1e-34)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="sheet probe"):
                 RhoTorusContext(tw1, handle, mod, 8)
         # at kappa = 0 log A does not enter, and the build runs
-        tw1, _, mod = verify._rho_torus_setup(1e-34)
         assert np.isfinite(RhoTorusContext(tw1, HandleTwist(0.0, -0.22),
                                            mod, 8).det())
 
@@ -533,27 +550,6 @@ def _rho_points(mod):
     ys = np.array([_pt(0.61, 0.12, offset=W) + 0.4, _pt(0.52, 0.26),
                    _pt(0.18, 0.67, offset=W)])
     return xs, ys
-
-
-def _per_contour_moments(ctx, zs, log_a):
-    """h and hbar rows at zs, one grid side and one product per contour."""
-    s, mod, m = ctx.moments.base, ctx.moduli, ctx.moments.m_points
-    r = mod.contour_radius
-    cs = rho.torus_contours(
-        s, [(3 - a, rho.X_RADIUS_FACTOR * r) for a in (1, 2)]
-        + [(a, rho.Y_RADIUS_FACTOR * r) for a in (1, 2)], m)
-    pts = s.points_side(zs, log_a)
-    h, hb = [], []
-    for a in (1, 2):
-        ka = mode_index(a, np.arange(1, ctx.n_order + 1), ctx.handle.kappa)
-        x_c, y_c = cs[a - 1], cs[a + 1]
-        for out, c, f in (
-                (hb, x_c, s.grid_sides(s.contours_side((x_c,), 1), pts).T),
-                (h, y_c, s.grid_sides(pts, s.contours_side((y_c,), -1)))):
-            modes = np.exp(-np.multiply.outer(ka, c.log_local))
-            out.append(mod.rho_pow(0.5 * (ka - 0.5))
-                       * (f[:, :m] @ (modes[:, :m] * c.weight).T))
-    return np.concatenate(h, axis=1), np.concatenate(hb, axis=1)
 
 
 class TestKernelMatrix:
@@ -674,22 +670,6 @@ class TestKernelMatrix:
                 log_a_torus(z, TAU, W, z_ref=mod.z_ref,
                             log_a_ref=mod.log_a_ref)
 
-    @pytest.mark.parametrize("kappa,winding",
-                             [(0.1, 0), (0.0, 0), (0.1, 1), (-0.3, -2)])
-    def test_stacked_rows_match_per_contour_route(self, kappa, winding):
-        # h and hbar from the two-contour grid sides equal the moments
-        # taken contour by contour, each from its own grid side
-        mod = dataclasses.replace(_torus_moduli(), winding=winding)
-        ctx = RhoTorusContext(TW1, HandleTwist(kappa, -0.22), mod, 10, 64)
-        xs, ys = _rho_points(mod)
-        zs = np.concatenate([xs, ys])
-        la = ctx.moments.base.log_a(zs)
-        ref_h, ref_hb = _per_contour_moments(ctx, zs, la)
-        for got, ref in ((ctx.moments.h_matrix(zs, la), ref_h),
-                         (ctx.moments.hbar_matrix(zs, la), ref_hb)):
-            assert got.shape == ref.shape == (zs.size, 20)
-            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
-
     @pytest.mark.parametrize("n", [1, 12])
     def test_batch_entries_equal_single_kernel_calls(self, n):
         # bit for bit: every stage works row by row, whatever the batch
@@ -715,7 +695,7 @@ class TestKernelMatrix:
         ctx.kernel(xs[0], ys[0])  # the gated inverse is kept
         calls = []
         sums, substitute = specialfn._theta_sums, rho._substitute
-        grid_sides = TorusBaseKernel.grid_sides
+        grid = TorusBaseKernel.grid
 
         def counting_sums(chars, zs, tau, kmax, n_rows):
             calls.append(("theta", zs.size, kmax, n_rows))
@@ -725,12 +705,12 @@ class TestKernelMatrix:
             calls.append(("substitute", a.shape))
             return substitute(a, b)
 
-        def counting_grid(self, xs, ys):
+        def counting_grid(self, *args):
             calls.append(("grid",))
-            return grid_sides(self, xs, ys)
+            return grid(self, *args)
         monkeypatch.setattr(specialfn, "_theta_sums", counting_sums)
         monkeypatch.setattr(rho, "_substitute", counting_substitute)
-        monkeypatch.setattr(TorusBaseKernel, "grid_sides", counting_grid)
+        monkeypatch.setattr(TorusBaseKernel, "grid", counting_grid)
         # Taylor rows at x, x - w, w - y and -y, the value x - y and the
         # origin
         ctx.kernel(xs[0], ys[0])
@@ -741,9 +721,12 @@ class TestKernelMatrix:
         assert calls == [("theta", 2 * (p + q) + p * q + 1, 10, 2 * (p + q)),
                          ("substitute", (2 * (p + q), 10))]
         calls.clear()
-        # the quadrature h stays, as the oracle of the Taylor rows
+        # the quadrature h stays, as the oracle of the Taylor rows: one
+        # grid of S_kappa at the points and the nodes of both y contours,
+        # all value-only points of one theta sum
         ctx.moments.h_matrix(xs)
-        assert calls == [("grid",)]
+        nodes = 2 * (ctx.moments.m_points + 1)
+        assert calls == [("grid",), ("theta", xs.size * nodes + 1, 1, 0)]
 
     def test_closure_checks_run_in_oracle_calls_only(self, monkeypatch):
         # a build takes the U^kappa moments in closed form and a kernel
@@ -766,8 +749,9 @@ class TestKernelMatrix:
         ctx.moments.h_matrix(_rho_points(mod)[0])
         assert names == [("h_1 contour", "h_2 contour")]
         names.clear()
+        # G, the x-contour moment of the Taylor rows h, checks those
         ctx.moments._build_g()
-        assert len(names) == 8 and all(n.startswith("G_") for n in names)
+        assert names == [("G_1 contour", "G_2 contour")]
 
     def test_closure_error_names_the_contour(self):
         # the closure check is the branch check of the quadrature oracle:
@@ -909,7 +893,7 @@ class TestTaylorRows:
         assert _rows_error(ctx, zs) < 1e-13
 
     def test_base_kernel_matches_grid(self):
-        # the value-only points x - y give S_kappa of the separable grid
+        # the value-only points x - y give S_kappa of TorusBaseKernel.grid
         ctx, zs = _seeded_torus(7, 8, 32)
         s = ctx.moments.base
         la = s.log_a(zs)
@@ -923,10 +907,19 @@ class TestTaylorRows:
 SMALL_IM_TAU = [0.3 + 0.1j, 2.3 + 0.1j, 0.3 + 0.05j]
 
 
+# the closed-form ingredients of G, h and hbar, as (TorusMoments method,
+# index of the output that carries it)
+_INGREDIENTS = {"H": ("_taylor_blocks", 0), "Hbar": ("_taylor_blocks", 1),
+                "d": ("_taylor_blocks", 2), "P(+-w)": ("_laurent", 0),
+                "R_n": ("_laurent", 1), "E": ("_u_moments", 0),
+                "Ebar": ("_u_moments", 1)}
+
+
 class TestClosedFormG:
     """G from Laurent data at the punctures (TorusMoments._closed_g)
-    against its M x M contour quadrature, the route the context used
-    before; measured at most 6.5e-14 per block over these cases."""
+    against its contour quadrature, the x-contour moment of the Taylor
+    rows h; measured at most 1.8e-13 per block over these cases (at
+    tau = 2.3+0.1i; 4.8e-14 elsewhere)."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n,m", [(12, 64), (16, 128)])
@@ -969,10 +962,10 @@ class TestClosedFormG:
         assert p.shape == (2, 23) and r.shape == (23,)
         z, wq = numerics.circle_nodes(
             0.0, 0.75 * specialfn.min_lattice_distance(tau), 1024)
-        vals = wq * (specialfn.p1_theta(mom.char, z, tau) - 1.0 / z)
+        vals = wq * (specialfn.p1_theta(mom.base.char, z, tau) - 1.0 / z)
         cauchy = vals @ z[:, None] ** -np.arange(1.0, 24.0)
         assert np.all(np.abs(r - cauchy) <= 1e-11 * np.abs(cauchy))
-        ref = specialfn.p_k_vector(mom.char, 23, np.array([w, -w]), tau)
+        ref = specialfn.p_k_vector(mom.base.char, 23, np.array([w, -w]), tau)
         assert np.all(np.abs(p - ref) <= 1e-14 * np.abs(ref))
         # the theta_1 data of the U^kappa moments: K(w) against theta1, and
         # S(t) = theta_1(w - t) t theta_1'(0) / (theta_1(w) theta_1(t))
@@ -988,6 +981,34 @@ class TestClosedFormG:
         scale = rad ** np.arange(24.0)
         cauchy = (wt * quot) @ t[:, None] ** -np.arange(1.0, 25.0) * scale
         assert np.max(np.abs(s * scale - cauchy)) <= 1e-13
+
+    @pytest.mark.parametrize("name", [None, *_INGREDIENTS])
+    def test_oracles_see_every_ingredient(self, monkeypatch, name):
+        # the G oracle is the x-contour moment of the Taylor rows h, so it
+        # shares H with _closed_g; each closed-form ingredient moved by
+        # 1e-9 relative (a fixed random phase per entry) must still fail
+        # a gate of these tests at the verify setup: G, the h/hbar rows
+        # or the U^kappa moments (a wrong H only the rows see)
+        if name is not None:
+            method, index = _INGREDIENTS[name]
+            closed = getattr(rho.TorusMoments, method)
+
+            def perturbed(self, *args):
+                out = list(closed(self, *args))
+                phase = np.random.default_rng(0).uniform(
+                    size=np.shape(out[index]))
+                out[index] = out[index] * (1.0 + 1e-9
+                                           * np.exp(TWO_PI_I * phase))
+                return tuple(out)
+            monkeypatch.setattr(rho.TorusMoments, method, perturbed)
+        tw1, handle, mod = verify._rho_torus_setup()
+        ctx = RhoTorusContext(tw1, handle, mod, 12, 64)
+        xs, ys = (np.array(p) for p in zip(*verify._rho_torus_pairs(mod, 4)))
+        errors = (verify._g_error(ctx.moments),
+                  _rows_error(ctx, np.concatenate([xs, ys])),
+                  verify._moments_error(ctx.moments))
+        failed = [e >= gate for e, gate in zip(errors, (5e-13, 1e-13, 1e-13))]
+        assert any(failed) == (name is not None)
 
 
 class TestClosedFormMoments:
@@ -1104,8 +1125,9 @@ def _within(grid, ref, scale, tol=1e-14):
 
 
 class TestSeparableGrid:
-    """TorusBaseKernel grids: separable sums from contour tables, batch
-    independence, the pole contract and the work a build does."""
+    """TorusBaseKernel.grid, one p1_theta call: the definition of
+    S_kappa, batch independence, the pole contract and the work a build
+    does."""
 
     @pytest.mark.parametrize("kappa", [0.37, 0.0, -0.3])
     @pytest.mark.parametrize("tau_c", [0.2 + 1.1j, 0.3 + 1.0j, 3.7 + 0.2j])
@@ -1125,24 +1147,17 @@ class TestSeparableGrid:
                         TWO_PI_I * (0.23 + 0.5 * t),
                         TWO_PI_I * (0.37 + 2.21 * t)])
         lap = np.array([s.log_a(z) for z in pts])
-        side_x = s.contours_side((cx,), 1)
-        cases = [  # (grid, x points, x log A, y points, y log A)
-            (s.grid_sides(side_x, s.contours_side((cy,), -1)),
-             cx.points, cx.log_a, cy.points, cy.log_a),
+        cases = [  # (x points, x log A, y points, y log A)
+            (cx.points, cx.log_a, cy.points, cy.log_a),
             # same centre, different radii
-            (s.grid_sides(side_x, s.contours_side((cz,), -1)),
-             cx.points, cx.log_a, cz.points, cz.log_a),
-            (s.grid_sides(s.points_side(pts, lap),
-                          s.contours_side((cy,), -1)),
-             pts, lap, cy.points, cy.log_a),
-            (s.grid_sides(side_x, s.points_side(pts, lap)),
-             cx.points, cx.log_a, pts, lap),
-            (s.grid(pts[:1], lap[:1], pts[3:], lap[3:]),
-             pts[:1], lap[:1], pts[3:], lap[3:]),
-            (s.grid(pts[:2], lap[:2], pts[2:], lap[2:]),
-             pts[:2], lap[:2], pts[2:], lap[2:]),
+            (cx.points, cx.log_a, cz.points, cz.log_a),
+            (pts, lap, cy.points, cy.log_a),
+            (cx.points, cx.log_a, pts, lap),
+            (pts[:1], lap[:1], pts[3:], lap[3:]),
+            (pts[:2], lap[:2], pts[2:], lap[2:]),
         ]
-        for grid, xs, lax, ys, lay in cases:
+        for xs, lax, ys, lay in cases:
+            grid = s.grid(xs, lax, ys, lay)
             ref, scale = _direct_reference(s, xs, lax, ys, lay)
             assert grid.shape == ref.shape
             assert np.all(_within(grid, ref, scale))
@@ -1191,55 +1206,37 @@ class TestSeparableGrid:
         c, y_contour = rho.torus_contours(
             s, [(2, mod.contour_radius),
                 (1, rho.Y_RADIUS_FACTOR * mod.contour_radius)], 32)
-        # a contour against itself, as nodes and as a contour pair
+        # a contour against itself
         with pytest.raises(DomainError):
             s.grid(c.points, c.log_a, c.points, c.log_a)
-        with pytest.raises(DomainError):
-            s.grid_sides(s.contours_side((c,), 1),
-                         s.contours_side((c,), -1))
         # a point on a moment contour
         node = y_contour.points[5]
         with pytest.raises(DomainError):
             ctx.moments.h_vector(node, s.log_a(node))
         with pytest.raises(DomainError):
-            s.grid_sides(s.points_side([node], [s.log_a(node)]),
-                         s.contours_side((y_contour,), -1))
+            s.grid([node], [s.log_a(node)], y_contour.points,
+                   y_contour.log_a)
         # circles whose nodes meet modulo the lattice: x node r of the
         # circle around 0 and y node 2 pi i + r of the circle around
         # 2 pi i + 2r
         r = 0.5 * mod.contour_radius
-        offsets = r * np.exp(TWO_PI_I * np.arange(33) / 32)
-
-        def circle(center, pts):
-            return rho.TorusContour(pts, y_contour.log_local,
-                                    y_contour.log_a, y_contour.weight,
-                                    center, r)
-        near = circle(0.0, offsets)
-        far = circle(TWO_PI_I + 2 * r, TWO_PI_I + 2 * r - offsets)
-        assert lattice_distance(near.points[0] - far.points[0], TAU) < 1e-12
+        near = r * np.exp(TWO_PI_I * np.arange(33) / 32)
+        far = TWO_PI_I + 2 * r - near
+        assert lattice_distance(near[0] - far[0], TAU) < 1e-12
         with pytest.raises(DomainError):
-            s.grid_sides(s.contours_side((near,), 1),
-                         s.contours_side((far,), -1))
+            s.grid(near, y_contour.log_a, far, y_contour.log_a)
 
     def test_build_work_counts(self, monkeypatch):
         # a build takes no contour: log A at the start nodes of the four
         # contours (and r/16 inside them, for their sheets) comes from one
         # closed-form call, one two-vertex path per contour, and no
-        # theta_1 sum; no contour-side theta tables at build or per kernel
-        # call; the quadrature oracles build the contours and their tables
-        # on first use, once per grid side and characteristic (2 sides of
-        # two contours each x 2 thetas); the pole check of a contour pair
-        # is one lattice distance, not M x M
-        tables = []
+        # theta_1 sum; the quadrature oracles build the contours on first
+        # use; rho measures no M x M lattice distance
         shapes = []
         calls = []
         contours = []
-        table, distance = rho._theta_table, rho.lattice_distance
+        distance = rho.lattice_distance
         closed, build_contours = rho._continue_log_a, rho.torus_contours
-
-        def counting_table(ma, offsets, sign):
-            tables.append(offsets.shape)
-            return table(ma, offsets, sign)
 
         def recording_distance(z, tau):
             shapes.append(np.shape(z))
@@ -1263,7 +1260,6 @@ class TestSeparableGrid:
 
         def forbidden(*args):
             raise AssertionError("A evaluated by theta_1 sums in a build")
-        monkeypatch.setattr(rho, "_theta_table", counting_table)
         monkeypatch.setattr(rho, "_a_values", forbidden)
         monkeypatch.setattr(rho, "lattice_distance", recording_distance)
         monkeypatch.setattr(rho, "_continue_log_a", counting_closed)
@@ -1272,10 +1268,10 @@ class TestSeparableGrid:
             monkeypatch.setattr(rho.TorusMoments, name, counting(name))
         m = 32
         ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, m)
-        assert tables == [] and contours == []
+        assert contours == []
         assert calls == [(4, 2)]
         ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
-        assert tables == [] and contours == []
+        assert contours == []
         ctx.moments._build_g()
         ctx.moments.h_matrix([_pt(0.09, 0.53)])
         ctx.moments.hbar_matrix([_pt(0.61, 0.12, offset=W)])
@@ -1284,5 +1280,4 @@ class TestSeparableGrid:
         # kernel's two points and the oracles' points
         assert contours[0] == 4 and contours.count(4) == 1
         assert calls == [(4, 2), (2, 1), (4, m + 1), (1, 1), (1, 1)]
-        assert tables == [(2, m + 1)] * 4
         assert shapes and all(sum(d >= m for d in sh) < 2 for sh in shapes)
