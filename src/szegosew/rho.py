@@ -84,13 +84,10 @@ class HandleTwist(TwistPair):
     Same content as a genus-one TwistPair: multipliers
     theta_new = -e^{-2 pi i beta} and phi_new = -e^{2 pi i alpha} on the
     new cycles, with kappa = ((alpha + 1/2) mod 1) - 1/2 in [-1/2, 1/2).
-    Torus self-sewing requires kappa != -1/2 (the sphere supports it
-    through the delta term of the genus-zero kernel).
+    Both self-sewing schemes take every kappa in that range; kappa = -1/2
+    (phi_new = 1, a handle periodic round its new cycle) goes through the
+    same formulas as any other value.
     """
-
-
-def _is_half(kappa: float) -> bool:
-    return abs(kappa + 0.5) < 1e-12
 
 
 def mode_index(a: int, k, kappa: float):
@@ -253,10 +250,10 @@ def s_kappa_sphere(handle: HandleTwist, x, y, log_x=None, log_y=None):
     """Twisted genus-zero kernel coefficient of dx^1/2 dy^1/2.
 
         x^kappa y^{-kappa} / (x - y)
-        + [theta/(1-theta)] x^{-1/2} y^{-1/2}   (only at kappa = -1/2)
 
-    Fractional powers are principal unless explicit logarithms of x and
-    y are supplied (used by phase-tracked contour quadrature).
+    for every kappa in [-1/2, 1/2).  Fractional powers are principal
+    unless explicit logarithms of x and y are supplied (used by
+    phase-tracked contour quadrature).
     Broadcasts over array arguments.
     """
     xv = np.asarray(x, dtype=complex)
@@ -271,14 +268,7 @@ def s_kappa_sphere(handle: HandleTwist, x, y, log_x=None, log_y=None):
     scale = np.maximum(np.abs(xv), np.abs(yv))
     if np.any(np.abs(diff) < POLE_GUARD * scale):
         raise DomainError("x = y pole of the genus-zero kernel")
-    kap = handle.kappa
-    val = np.exp(kap * (lx - ly)) / diff
-    if _is_half(kap):
-        th = handle.theta
-        if abs(1.0 - th) < RESONANCE_GUARD:
-            raise ResonanceError(
-                "kappa = -1/2 with theta = 1: delta term denominator vanishes")
-        val = val + th / (1.0 - th) * np.exp(-0.5 * (lx + ly))
+    val = np.exp(handle.kappa * (lx - ly)) / diff
     return val if (np.ndim(x) or np.ndim(y)) else complex(val)
 
 
@@ -314,10 +304,6 @@ class RhoSphereContext:
     def __init__(self, handle: HandleTwist, moduli: RhoModuliSphere,
                  n_order: int = DEFAULT_ORDER) -> None:
         n_order = check_count(n_order, 1, "order must be >= 1")
-        if _is_half(handle.kappa):
-            raise DomainError(
-                "kappa = -1/2: closed-form sphere moments are only stated for "
-                "kappa != -1/2 (the extra delta term changes the moments)")
         self.handle = handle
         self.moduli = moduli
         self.n_order = n_order
@@ -564,17 +550,15 @@ class TorusBaseKernel:
                        P1[c](x - y).
 
     ``grid`` evaluates that form; TorusMoments.taylor_rows folds the same
-    factors into its theta stage.  The kappa = -1/2 rejection, the
-    constant theta[a1;b1](kappa w) with its resonance guard, and whether
-    log A is needed at all (not at kappa = 0) are settled once, at
-    construction.
+    factors into its theta stage.  The constant theta[a1;b1](kappa w)
+    with its resonance guard, and whether log A is needed at all (not at
+    kappa = 0), are settled once, at construction; kappa = -1/2 is an
+    ordinary value.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
                  moduli: RhoModuliTorus) -> None:
         kap = handle.kappa
-        if _is_half(kap):
-            raise DomainError("kappa = -1/2 torus self-sewing is not supported")
         self.tw1 = tw1
         self.kappa = kap
         self.moduli = moduli

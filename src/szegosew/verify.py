@@ -128,7 +128,9 @@ def _rho_torus_pairs(moduli: RhoModuliTorus, count: int = 4):
 
 def _sphere_setups():
     out = []
-    for lam, th in ((0.25, -np.exp(0.3j)), (0.6, -1.0 + 0.0j)):
+    # lam = 0 is phi_new = 1, the periodic handle kappa = -1/2
+    for lam, th in ((0.25, -np.exp(0.3j)), (0.6, -1.0 + 0.0j),
+                    (0.0, -np.exp(0.3j))):
         for qabs in (0.05, 0.15):
             handle = HandleTwist.from_multipliers(th, np.exp(TWO_PI_I * lam))
             moduli = RhoModuliSphere.create(qabs * np.exp(0.7j))

@@ -234,14 +234,20 @@ class TestInvariance:
         assert invariance_residual(ctx, image, pairs) < 1e-8
         assert det_residual(ctx, image) < 1e-9
 
-    def test_rho_invariance_small_order(self):
+    @pytest.mark.parametrize("g", [g for _, g in verify._RHO_GENERATORS],
+                             ids=[name for name, _ in verify._RHO_GENERATORS])
+    @pytest.mark.parametrize("alpha2", [0.1, 0.5])
+    def test_rho_invariance_small_order(self, alpha2, g):
+        # alpha2 = 0.5 is the periodic handle, kappa = -1/2; every
+        # residual reads at most 7.9e-16
         m = _rho_moduli()
         x = TWO_PI_I * (0.09 + 0.53 * TAU.tau)
         y = TWO_PI_I * (0.61 + 0.12 * TAU.tau) + W
-        tw1, handle = TwistPair(0.17, 0.38), HandleTwist(0.1, -0.22)
-        g = RhoGroupElement.b_shift(1)
+        tw1, handle = TwistPair(0.17, 0.38), HandleTwist(alpha2, -0.22)
         ctx = RhoTorusContext(tw1, handle, m, 10, 64)
-        assert invariance_residual(ctx, g.transform(ctx), [(x, y)]) < 1e-7
+        image = g.transform(ctx)
+        assert invariance_residual(ctx, image, [(x, y)]) < 1e-12
+        assert det_residual(ctx, image) < 1e-12
 
     def test_winding_survives_roundtrip(self):
         # translating the puncture up the lattice and back restores the

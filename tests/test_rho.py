@@ -9,6 +9,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szegosew import numerics, rho, specialfn, verify
 from szegosew.config import POLE_GUARD, RESONANCE_GUARD
@@ -62,17 +64,31 @@ class TestSphereKernel:
         with pytest.raises(DomainError):
             s_kappa_sphere(HANDLE, 0.0, 1.0)
 
-    def test_half_kappa_delta_term_and_resonance(self):
-        half = HandleTwist.from_multipliers(np.exp(0.3j), 1.0)  # kappa = -1/2
-        assert abs(half.kappa + 0.5) < 1e-12
+    def test_half_kappa_plain_kernel_and_resonance(self):
+        # kappa = -1/2 takes the general formula; with theta = 1 as well
+        # the sewn kernel hits 1 - T_11 = 0 and raises
+        half = HandleTwist.from_multipliers(np.exp(0.3j), 1.0)
+        assert half.kappa == -0.5
         x, y = 0.8 + 0.3j, -1.1 + 0.6j
         plain = np.exp(half.kappa * (np.log(x) - np.log(y))) / (x - y)
-        th = half.theta
-        delta = th / (1 - th) / np.sqrt(x) / np.sqrt(y)
-        assert abs(s_kappa_sphere(half, x, y) - plain - delta) < 1e-12
+        assert abs(s_kappa_sphere(half, x, y) - plain) < 1e-15 * abs(plain)
         resonant = HandleTwist.from_multipliers(1.0, 1.0)
+        ctx = RhoSphereContext(resonant, RhoModuliSphere.create(0.1), 8)
         with pytest.raises(ResonanceError):
-            s_kappa_sphere(resonant, x, y)
+            ctx.kernel(0.2 + 0.05j, -0.15 + 0.18j)
+
+
+def _sphere_error(handle, q, n=24):
+    """Relative distance of the sewn sphere at one pair from the exact
+    genus-one kernel P1 of the same twist."""
+    smod = RhoModuliSphere.create(q)
+    big_l = -np.log(abs(q))
+    lx, ly = -0.45 * big_l + 0.4j, -0.55 * big_l - 1.3j
+    val = torus_from_sphere(handle, np.exp(lx), np.exp(ly), smod, n,
+                            log_x=lx, log_y=ly)
+    conv = val * np.exp(0.5 * (lx + ly))
+    oracle = p1_series(handle, lx - ly, smod.tau)
+    return abs(conv - oracle) / abs(oracle)
 
 
 class TestSphereSewing:
@@ -83,15 +99,7 @@ class TestSphereSewing:
         assert abs(d_mat - d_prod) < 1e-14
 
     def test_sewn_kernel_matches_genus_one(self):
-        qabs = 0.1
-        smod = RhoModuliSphere.create(qabs * np.exp(0.7j))
-        big_l = -np.log(qabs)
-        lx, ly = -0.45 * big_l + 0.4j, -0.55 * big_l - 1.3j
-        val = torus_from_sphere(HANDLE, np.exp(lx), np.exp(ly), smod, 24,
-                                log_x=lx, log_y=ly)
-        conv = val * np.exp(0.5 * (lx + ly))
-        oracle = p1_series(HANDLE, lx - ly, smod.tau)
-        assert abs(conv - oracle) < 1e-11 * abs(oracle)
+        assert _sphere_error(HANDLE, 0.1 * np.exp(0.7j)) < 1e-11
 
     def test_vanishing_mode_factor_raises_resonance(self):
         # kappa just above -1/2 and theta = 1: 1 - T_11(1,1) = 1 - q^{kappa
@@ -106,10 +114,19 @@ class TestSphereSewing:
         d_prod = det_i_minus_t_sphere(handle, 8, ctx.moduli)
         assert abs(d_mat - d_prod) < 1e-12 * abs(d_prod)
 
-    def test_half_kappa_moments_rejected(self):
+    def test_half_kappa_matches_genus_one(self):
+        # the periodic handle, phi_new = 1, sews by the general moments
         half = HandleTwist.from_multipliers(np.exp(0.3j), 1.0)
-        with pytest.raises(DomainError):
-            RhoSphereContext(half, RhoModuliSphere.create(0.1), 8)
+        assert _sphere_error(half, 0.05 + 0.02j) < 1e-12
+
+    @given(alpha=st.sampled_from([0.5]) | st.floats(
+               -0.5, 0.5, exclude_min=True, exclude_max=True),
+           beta=st.floats(-0.4, 0.4))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_every_kappa_matches_genus_one(self, alpha, beta):
+        # kappa = -1/2 (alpha = 1/2) is drawn exactly, beside kappa in
+        # (-1/2, 1/2); |beta| <= 0.4 keeps theta_new away from 1
+        assert _sphere_error(HandleTwist(alpha, beta), 0.05 + 0.02j) < 1e-10
 
     def test_bad_q_rejected(self):
         with pytest.raises(DomainError):
@@ -426,10 +443,27 @@ class TestTorusSewing:
             assert abs(near.kernel(x, y) - v) < 1e-7 * abs(v)
             assert abs(near.det() - d) < 1e-7 * abs(d)
 
-    def test_half_kappa_handle_rejected(self):
-        half = HandleTwist.from_multipliers(np.exp(0.3j), 1.0)
-        with pytest.raises((DomainError, ResonanceError)):
-            RhoTorusContext(TW1, half, _torus_moduli(), 6, 32)
+    def test_half_kappa_handle(self):
+        # kappa = -1/2 builds and converges in N; kappa = -1/2 + delta and
+        # 1/2 - delta (the same phi_new from the other side) approach it
+        # at O(delta), the slope reading 7.3; the inverse handle has
+        # kappa = -1/2 again
+        mod = _torus_moduli()
+        x, y = _pt(0.09, 0.53), _pt(0.61, 0.12, offset=W)
+        half = HandleTwist(0.5, -0.22)
+        assert half.kappa == -0.5
+        vals = [RhoTorusContext(TW1, half, mod, n, 64).kernel(x, y)
+                for n in (8, 16, 32)]
+        v = vals[-1]
+        assert max(abs(u - v) for u in vals) < 1e-13 * abs(v)
+        for delta in (1e-9, 1e-6):
+            for kap in (-0.5 + delta, 0.5 - delta):
+                near = HandleTwist(kap, -0.22)
+                val = RhoTorusContext(TW1, near, mod, 32, 64).kernel(x, y)
+                assert abs(val - v) < 20 * delta * abs(v)
+        inv = RhoTorusContext(TW1.inverse(), HandleTwist(-0.5, 0.22), mod,
+                              32, 64)
+        assert abs(v + inv.kernel(y, x)) < 1e-12 * abs(v)
 
     @pytest.mark.parametrize("n,m", [(12, 64), (16, 128)])
     def test_contour_starts_share_a_sheet(self, n, m):
