@@ -4,8 +4,8 @@ Two tori with moduli tau_1, tau_2 are sewn through annuli identified by
 z_1 z_2 = epsilon. The sewn Szego kernel is assembled from closed-form
 moments of the genus-one kernels:
 
-    C[theta;phi](k,l)   = (-1)^l binom(k+l-2, k-1) E_{k+l-1}[theta;phi](tau)
-    F_a(k,l)            = epsilon^{(k+l-1)/2} C[theta_a;phi_a](k,l, tau_a)
+    F_a(k,l)            = epsilon^{(k+l-1)/2} (-1)^l binom(k+l-2, k-1)
+                          E_{k+l-1}[theta_a;phi_a](tau_a)
     h_a(k,x)            = epsilon^{k/2-1/4} P_k[theta_a;phi_a](x, tau_a)
     hbar_a[c](k,y)      = -h_a[c^{-1}](k,y)
 
@@ -32,14 +32,13 @@ from .config import DEFAULT_ORDER, POLE_GUARD
 from .errors import DomainError
 from .numerics import LU, binomials, check_count, row_products
 from .specialfn import (TorusModulus, TwistPair, _multiplier,
-                        _reduce_off_lattice, _substitute, _theta_stage,
-                        eisenstein_theta, lattice_distance,
-                        min_lattice_distance)
+                        _origin_eisenstein, _reduce_off_lattice, _substitute,
+                        _theta_stage, lattice_distance, min_lattice_distance)
 
 __all__ = [
     "EpsilonModuli", "GenusTwoCharacteristicsEps", "SurfacePoint",
     "min_lattice_distance", "epsilon_bound",
-    "c_matrix", "f_matrix",
+    "f_matrix",
     "build_q", "logdet_series",
     "EpsilonContext",
 ]
@@ -128,6 +127,11 @@ class EpsilonModuli:
         self.tau(a)  # checks the label
         return self._radii[a - 1]
 
+    def sqrt_epsilon_powers(self, n: int) -> np.ndarray:
+        """sqrt_epsilon^j, j = 0..n, from the recorded branch: the one
+        vector whose products scale F and the kernel rows."""
+        return self.sqrt_epsilon ** np.arange(n + 1)
+
     def dehn_twist(self) -> "EpsilonModuli":
         """epsilon -> e^{2 pi i} epsilon: flip (sqrt_epsilon, xi)."""
         return EpsilonModuli(tau1=self.tau1, tau2=self.tau2, epsilon=self.epsilon,
@@ -205,24 +209,26 @@ def _by_label(pts) -> dict:
 # moments
 # ----------------------------------------------------------------------
 
-def c_matrix(tw: TwistPair, n_order: int, tau: TorusModulus) -> np.ndarray:
-    """Laurent moment matrix C(k,l) = (-1)^l binom(k+l-2,k-1) E_{k+l-1},
-    the E_n from the theta-stage row that the self-sewn torus G reads."""
+def f_matrix(chars: GenusTwoCharacteristicsEps, n_order: int,
+             moduli: EpsilonModuli) -> tuple:
+    """(F_1, F_2), F_a(k,l) = sqrt_epsilon^{k+l-1} (-1)^l binom(k+l-2,k-1)
+    E_{k+l-1}[theta_a;phi_a](tau_a), k, l = 1..N.
+
+    The E_n of both tori come from one theta stage per torus at the
+    origin, the Laurent row that the self-sewn torus G reads too, and
+    one forward substitution over the two rows stacked
+    (``_origin_eisenstein``).  The factor sqrt_epsilon^k sqrt_epsilon^{l-1}
+    is the outer product of ``moduli.sqrt_epsilon_powers``, shared by
+    both blocks with the signs and binomials.
+    """
     n_order = check_count(n_order, 1, "order must be >= 1")
-    eis = eisenstein_theta(tw, 2 * n_order - 1, tau)
+    eis = _origin_eisenstein(((chars.tw1, moduli.tau1),
+                              (chars.tw2, moduli.tau2)), 2 * n_order)
     idx = np.arange(n_order)
-    sign = (-1.0) ** (idx + 1)
-    return sign * binomials(n_order) * eis[idx[:, None] + idx[None, :]]
-
-
-def f_matrix(tw: TwistPair, n_order: int, tau: TorusModulus,
-             moduli: EpsilonModuli) -> np.ndarray:
-    """F_a(k,l) = epsilon^{(k+l-1)/2} C(k,l) with the recorded sqrt branch."""
-    c = c_matrix(tw, n_order, tau)
-    sq = moduli.sqrt_epsilon
-    kl = np.arange(1, n_order + 1)
-    powers = sq ** (kl[:, None] + kl[None, :] - 1)
-    return powers * c
+    sq_pow = moduli.sqrt_epsilon_powers(n_order)
+    scale = ((-1.0) ** (idx + 1) * sq_pow[:-1]) * binomials(n_order) \
+        * sq_pow[1:, None]
+    return tuple(scale * eis[:, idx[:, None] + idx[None, :]])
 
 
 # ----------------------------------------------------------------------
@@ -268,8 +274,7 @@ class EpsilonContext:
         self.chars = chars
         self.moduli = moduli
         self.n_order = n_order
-        self._f = tuple(f_matrix(chars.tw(a), n_order, moduli.tau(a), moduli)
-                        for a in (1, 2))
+        self._f = f_matrix(chars, n_order, moduli)
         self._lu = LU(np.eye(n_order, dtype=complex) - self._f[0] @ self._f[1])
 
     def f_block(self, a: int) -> np.ndarray:
@@ -297,7 +302,7 @@ class EpsilonContext:
         eye = np.eye(self.n_order, dtype=complex)
         blocks = {(1, 1): f2 @ x0, (1, 2): xi * (eye + f2 @ x1),
                   (2, 1): -xi * x0, (2, 2): x1}
-        sq_pow = self.moduli.sqrt_epsilon ** np.arange(self.n_order + 1)
+        sq_pow = self.moduli.sqrt_epsilon_powers(self.n_order)
         y_scale = (-1.0) ** np.arange(2, self.n_order + 2) * sq_pow[1:]
         return {key: np.ascontiguousarray((sq_pow[:-1, None] * blk * y_scale).T)
                 for key, blk in blocks.items()}

@@ -713,7 +713,7 @@ class TorusMoments:
     P1[c](s) = 1/s + sum_n R_n s^{n-1}, (-1)^{m+j} C(m+j, j) R_{m+j+1},
     and the polar part s^{-j-1} of P_{j+1}(s) adds
     rho^{(k_a-1/2)/2} e^{-kappa v c_abar} d_{a,k+j+1} to Hbar_a K_ab
-    (``_closed_g``).  The R_n (the row the two-tori C reads too), the
+    (``_closed_g``).  The R_n (the row the two-tori F reads too), the
     P_n at +-w and S come from one theta stage (``_laurent``), not a
     q-series, and a build takes no contour.
 

@@ -325,8 +325,11 @@ def _theta_reduce(z, tau: complex, beta: float):
 def _taylor_box(chars: tuple, tau: complex, kmax: int) -> tuple:
     """The z-independent parts of ``_theta_sums``, kept per (chars, tau,
     kmax) and read-only: m + alpha, i pi tau (m+alpha)^2 + 2 pi i beta
-    (m+alpha) and the Taylor rows (-(m+alpha))^n/n! of one power table,
-    on a box that covers the strip |Re z| <= 2 pi Im tau of reduced points.
+    (m+alpha) and the Taylor rows (-(m+alpha))^n/n!, on a box that covers
+    the strip |Re z| <= 2 pi Im tau of reduced points.  The rows are one
+    real cumulative product row_n = row_{n-1} (-(m+alpha))/n (the
+    recurrence of ``_power_table``, equal to it bit for bit), made in the
+    C-contiguous (chars, 1, n, m) layout that ``_box_sums`` reads.
     """
     im = tau.imag
     radius = _box_radius(im, TWO_PI * im, THETA_TOL)
@@ -336,7 +339,10 @@ def _taylor_box(chars: tuple, tau: complex, kmax: int) -> tuple:
     alpha, beta = np.array(chars, dtype=float).T[:, :, None, None]
     ma = np.arange(-radius, radius + 1, dtype=float) + alpha
     expo = (1j * np.pi * tau) * ma ** 2 + (2j * np.pi * beta) * ma
-    rows = _power_table(-ma, np.ones(ma.shape), kmax - 1).transpose(1, 2, 0, 3)
+    rows = np.empty((len(chars), 1, kmax, ma.shape[-1]))
+    rows[:, :, 0] = 1.0
+    rows[:, :, 1:] = -ma[:, :, None] / np.arange(1, kmax)[:, None]
+    np.cumprod(rows, axis=2, out=rows)
     for arr in (ma, expo, rows):
         arr.flags.writeable = False
     return ma, expo, rows
@@ -625,14 +631,27 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus) -> np.ndarray:
     return out.reshape(np.shape(z) + (kmax,))
 
 
+def _origin_eisenstein(tori, kmax: int) -> np.ndarray:
+    """E_1..E_{kmax-1} of each (tw, tau) in ``tori``, shape (len(tori),
+    kmax - 1): one theta stage per torus, its origin row alone (``laurent``,
+    even kmax), and one forward substitution over the rows stacked.  The
+    substitution takes kmax - 1 steps however many rows it carries, and
+    each row is reduced on its own, so a row does not depend on the
+    others."""
+    a, b = zip(*(_theta_stage(tw, kmax, _ORIGIN[:0], 0, tau, laurent=True)[:2]
+                 for tw, tau in tori))
+    return (-1.0) ** np.arange(2, kmax + 1) \
+        * _substitute(np.concatenate(a), np.concatenate(b))[:, 1:]
+
+
 def eisenstein_theta(tw: TwistPair, nmax: int, tau: TorusModulus) -> np.ndarray:
-    """E_1..E_nmax: minus the R_n of one theta stage's origin row
-    (``_theta_stage`` with ``laurent``), not the q-series."""
+    """E_1..E_nmax: minus the R_n of one theta stage's origin row, not the
+    q-series; the one-torus case of the stacked rows that the two-tori
+    ``f_matrix`` reads (``_origin_eisenstein``), equal to them bit for
+    bit."""
     if nmax < 1:
         raise DomainError("nmax must be >= 1")
-    a, b = _theta_stage(tw, 2 * (nmax // 2 + 1), _ORIGIN[:0], 0, tau,
-                        laurent=True)[:2]
-    return (-1.0) ** np.arange(2, nmax + 2) * _substitute(a, b)[0, 1:nmax + 1]
+    return _origin_eisenstein(((tw, tau),), 2 * (nmax // 2 + 1))[0, :nmax]
 
 
 # ----------------------------------------------------------------------

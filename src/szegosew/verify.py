@@ -439,7 +439,7 @@ def suite_integral_eq() -> list[dict]:
     checks.append(_check("odd untwisted Eisenstein series vanish",
                          worst, 1e-12))
 
-    # the E_n that C reads from the theta stage against the q-series, at
+    # the E_n that F reads from the theta stage against the q-series, at
     # both pinned tori (Im tau >= 1, where the q-series keeps its
     # digits), n < 32, relative per order: 4.2e-14 at most
     worst = 0.0

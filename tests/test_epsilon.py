@@ -10,7 +10,7 @@ import pytest
 from szegosew import epsilon, numerics, specialfn
 from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
                               GenusTwoCharacteristicsEps, SurfacePoint,
-                              build_q, c_matrix, epsilon_bound, f_matrix,
+                              build_q, epsilon_bound, f_matrix,
                               logdet_series, min_lattice_distance)
 from szegosew.errors import DomainError, SingularMatrixError
 from szegosew.numerics import determinant
@@ -254,8 +254,7 @@ class TestKernelMatrix:
         ctx = EpsilonContext(CHARS, moduli, n)
         xs, ys = _grid_points()
         sq, xi = moduli.sqrt_epsilon, moduli.xi
-        f = {a: f_matrix(CHARS.tw(a), n, moduli.tau(a), moduli)
-             for a in (1, 2)}
+        f = dict(zip((1, 2), f_matrix(CHARS, n, moduli)))
         powers = sq ** np.arange(1, n + 1)
 
         def h(c, p):
@@ -392,13 +391,66 @@ class TestKernelMatrix:
 
 
 class TestMoments:
-    def test_c_matrix_matches_loop(self):
-        n = 20  # every binomial below 2^53, so the table is exact
-        eis = eisenstein_theta(CHARS.tw1, 2 * n - 1, T1)
-        loop = np.array([[(-1.0) ** l * math.comb(k + l - 2, k - 1)
-                          * eis[k + l - 2] for l in range(1, n + 1)]
-                         for k in range(1, n + 1)])
-        assert np.array_equal(c_matrix(CHARS.tw1, n, T1), loop)
+    def test_f_matrix_matches_loop(self):
+        # every entry of both blocks against the explicit loop, with the
+        # E_n of the one-torus eisenstein_theta and exact integer
+        # binomials (the float table rounds the largest above N = 29).
+        # The power sqrt_epsilon^{k+l-1} is taken as sqrt_epsilon^k
+        # sqrt_epsilon^{l-1}: two routes to a power of degree j differ by
+        # up to about j ulp (1e-14 relative at j = 127).  Measured 7.4e-16
+        # relative at most
+        moduli = _moduli()
+        sq = moduli.sqrt_epsilon
+        for n in (1, 2, 20, 64):
+            blocks = f_matrix(CHARS, n, moduli)
+            assert len(blocks) == 2
+            for a, f in zip((1, 2), blocks):
+                eis = eisenstein_theta(CHARS.tw(a), 2 * n - 1, moduli.tau(a))
+                loop = np.array([[sq ** k * sq ** (l - 1) * (-1.0) ** l
+                                  * math.comb(k + l - 2, k - 1)
+                                  * eis[k + l - 2] for l in range(1, n + 1)]
+                                 for k in range(1, n + 1)])
+                assert f.shape == (n, n)
+                assert np.all(np.abs(f - loop) <= 1e-15 * np.abs(loop)), \
+                    (n, a)
+
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_one_theta_stage_per_torus_one_substitution_per_build(
+            self, monkeypatch, n):
+        moduli = _moduli()
+        # theta_1'(0) of both moduli is kept per modulus; a first build
+        # computes it before counting
+        EpsilonContext(CHARS, moduli, n)
+        calls, rows = [], []
+        sums, substitute = specialfn._theta_sums, specialfn._substitute
+        origin_eisenstein = epsilon._origin_eisenstein
+
+        def counting_sums(chars, zs, tau, kmax, n_rows):
+            calls.append(("theta", zs.tolist(), kmax, n_rows))
+            return sums(chars, zs, tau, kmax, n_rows)
+
+        def counting_substitute(a, b):
+            calls.append(("substitute", a.shape))
+            return substitute(a, b)
+
+        def recording_eisenstein(tori, kmax):
+            rows.append(origin_eisenstein(tori, kmax))
+            return rows[-1]
+        monkeypatch.setattr(specialfn, "_theta_sums", counting_sums)
+        monkeypatch.setattr(specialfn, "_substitute", counting_substitute)
+        monkeypatch.setattr(epsilon, "_origin_eisenstein",
+                            recording_eisenstein)
+        EpsilonContext(CHARS, moduli, n)
+        # one theta sum per torus, at the origin alone, and one
+        # substitution over both origin rows
+        assert calls == [("theta", [0j], 2 * n, 1), ("theta", [0j], 2 * n, 1),
+                         ("substitute", (2, 2 * n))]
+        monkeypatch.undo()
+        (eis,) = rows
+        assert eis.shape == (2, 2 * n - 1)
+        for a in (1, 2):
+            assert np.array_equal(eis[a - 1], eisenstein_theta(
+                CHARS.tw(a), 2 * n - 1, moduli.tau(a)))
 
     @pytest.mark.parametrize("tau", [T1, T2, TorusModulus(-0.4 + 1.5j)])
     def test_theta_route_matches_q_series(self, tau):

@@ -27,6 +27,8 @@ EVAL_GOLDEN = [
      complex(-0.314133603995499, 0.6450987546244519)),
     ("eps-12", EPS_ARGS, "1:0.4,1.1,2:0.2,2.0",
      complex(-0.06475690352223501, 0.04186698931241542)),
+    ("eps-12-n64", [*EPS_ARGS, "--order", "64"], "1:0.4,1.1,2:0.2,2.0",
+     complex(-0.06475690352223501, 0.04186698931241524)),
     ("eps-21", EPS_ARGS, "2:0.2,2.0,1:1.5,2.2",
      complex(0.03930922983310186, -0.027145875394884608)),
     ("eps-22", EPS_ARGS, "2:0.2,2.0,2:1.5,2.2",
@@ -42,6 +44,10 @@ DET_GOLDEN = [
         "det_I_minus_Q": complex(0.9998449345047089, -0.0004431212586618795),
         "det_I_minus_F1F2": complex(0.9998449345047089,
                                     -0.0004431212586618795)}),
+    ("eps-n64", [*EPS_ARGS, "--order", "64"], {
+        "det_I_minus_Q": complex(0.9998449345047089, -0.00044312125866187934),
+        "det_I_minus_F1F2": complex(0.9998449345047089,
+                                    -0.00044312125866187934)}),
     ("rho-sphere", [*SPHERE_ARGS, "--order", "16"], {
         "det_I_minus_T_product": complex(1.130781295626427, 0.1835021953242384),
         "det_I_minus_T_matrix": complex(1.1307812956264276,

@@ -221,6 +221,21 @@ class TestTheta1:
             with pytest.raises(ConvergenceError):
                 f(np.array([0.3 + 0.7j, z]), torus)
 
+    @pytest.mark.parametrize("kmax", [1, 2, 16, 128])
+    @pytest.mark.parametrize("chars", [((0.17, 0.38), (0.5, 0.5)),
+                                       ((0.5, 0.5),)])
+    def test_taylor_box_rows_are_the_power_table(self, chars, kmax):
+        # the real cumulative product gives the complex power table's
+        # rows bit for bit, laid out C-contiguous for the Taylor product
+        ma, expo, rows = specialfn._taylor_box(chars, TAU.tau, kmax)
+        ref = specialfn._power_table(-ma, np.ones(ma.shape), kmax - 1) \
+            .transpose(1, 2, 0, 3)
+        assert rows.shape == ref.shape == (len(chars), 1, kmax, ma.shape[-1])
+        assert np.array_equal(rows, ref)
+        for arr in (ma, expo, rows):
+            assert not arr.flags.writeable
+            assert arr.flags.c_contiguous
+
     def test_genus_one_theta_char_consistent(self):
         z = TWO_PI_I * (0.23 + 0.31 * TAU.tau)
         chars = Characteristics(alpha=(0.5,), beta=(0.5,))
