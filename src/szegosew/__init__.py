@@ -5,8 +5,9 @@ explicit sewing schemes: joining two tori through an annulus (the
 ``epsilon`` module) and attaching a handle to a sphere or a torus (the
 ``rho`` module).  The ``specialfn`` module provides the theta-function and
 twisted-Eisenstein substrate, ``modular`` the symmetry-group actions and
-invariance residuals, ``verify`` the identity/property suites, and
-``cli`` the command-line front end.
+invariance residuals, ``oracle`` the independent routes that check the
+pipeline, ``verify`` the identity/property suites, and ``cli`` the
+command-line front end.
 """
 
 from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,
@@ -16,11 +17,12 @@ from .errors import (BranchTrackingError, ConvergenceError, DomainError,
 from .modular import (EpsGroupElement, RhoGroupElement, act_eps, act_rho,
                       det_residual, invariance_residual)
 from .numerics import determinant, lu_solve, tail_estimate
+from .oracle import p1_series, theta_char
 from .rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                   RhoSphereContext, RhoTorusContext, det_i_minus_t_sphere,
                   s_kappa_sphere, torus_from_sphere)
-from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted, p1_series,
-                        p1_theta, theta1, theta_char)
+from .specialfn import (TorusModulus, TwistPair, eisenstein_twisted, p1_theta,
+                        theta1)
 from .verify import SUITE_NAMES, run_all, run_suite
 
 __version__ = "0.1.0"

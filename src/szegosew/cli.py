@@ -8,9 +8,7 @@ scan    sweep one axis (epsilon | rho | N) and fit the tail decay
 verify  run a named verification suite (or "all"), JSON report
 
 The truncation order N is ``--order``.  The self-sewn torus's contour
-count M has no flag: it reaches only the quadrature oracles of its
-moments, which ``verify`` runs at pinned counts, and no value printed
-here.
+count M has no flag: no value printed here reads it.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 input or domain error, 3 numerical failure.
@@ -27,12 +25,13 @@ import numpy as np
 
 from .config import DEFAULT_ORDER
 from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,
-                      SurfacePoint, build_q)
+                      SurfacePoint)
 from .errors import ConvergenceError, DomainError, SzegosewError
 from .numerics import determinant, tail_estimate
+from .oracle import build_q, p1_series
 from .rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                   RhoSphereContext, RhoTorusContext, det_i_minus_t_sphere)
-from .specialfn import TwistPair, p1_series
+from .specialfn import TwistPair
 from .verify import SUITE_NAMES, run_all, run_suite
 
 CSV_VERSION = "szegosew-csv v1"
@@ -204,17 +203,26 @@ def _c2l(z: complex):
     return [float(z.real), float(z.imag)]
 
 
+def _write(path, text: str) -> None:
+    """Write text to path, or to stdout without one; a path that cannot
+    be written is an input error."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(args, csv_lines, json_obj) -> None:
     if args.format == "csv":
         text = "\n".join(csv_lines) + "\n"
     else:
         json_obj["format"] = "szegosew-json v1"
         text = json.dumps(json_obj, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, text)
 
 
 EVAL_SCHEMA = f"""\
@@ -242,9 +250,6 @@ JSON: {{"format","command","scheme","axis","rows":[{{"value","s":[re,im]}}],
 # ----------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    if args.schema:
-        print(EVAL_SCHEMA)
-        return 0
     if args.points is None:
         raise DomainError("--points is required")
     if args.oracle and args.scheme != "rho-sphere":
@@ -275,9 +280,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_det(args) -> int:
-    if args.schema:
-        print(DET_SCHEMA)
-        return 0
     ev = _Evaluator(args)
     values = ev.determinants()
     lines = [f"# {CSV_VERSION}", "quantity,re,im"]
@@ -326,9 +328,6 @@ def _scan_kernel(args, value) -> complex:
 
 
 def cmd_scan(args) -> int:
-    if args.schema:
-        print(SCAN_SCHEMA)
-        return 0
     if args.points is None:
         raise DomainError("--points is required")
     values = _scan_values(args)
@@ -353,12 +352,7 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_all() if args.suite == "all" else run_suite(args.suite)
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, json.dumps(report, indent=2) + "\n")
     return 0 if report["passed"] else 1
 
 
@@ -401,11 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pe)
     pe.add_argument("--oracle", action="store_true",
                     help="rho-sphere only: add the exact genus-one column")
-    pe.set_defaults(func=cmd_eval)
+    pe.set_defaults(func=cmd_eval, schema_text=EVAL_SCHEMA)
 
     pd = sub.add_parser("det", help="sewing-system block determinants")
     _add_common(pd, points=False)
-    pd.set_defaults(func=cmd_det)
+    pd.set_defaults(func=cmd_det, schema_text=DET_SCHEMA)
 
     ps = sub.add_parser("scan", help="sweep one axis and fit the tail")
     _add_common(ps)
@@ -413,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     ps.add_argument("--values", help="comma-separated increasing axis values "
                     "(multipliers of the base modulus for epsilon/rho)")
-    ps.set_defaults(func=cmd_scan)
+    ps.set_defaults(func=cmd_scan, schema_text=SCAN_SCHEMA)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=SUITE_NAMES + ("all",))
@@ -424,6 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "schema", False):
+        print(args.schema_text)
+        return 0
     try:
         return args.func(args)
     except DomainError as exc:

@@ -1,15 +1,15 @@
 """Fixed numerical constants of the whole pipeline.
 
 The truncation order N and the quadrature count M are arguments of the
-contexts, defaulting to the constants below; M sets only the nodes of the
-self-sewn torus's quadrature oracle.  The tolerances are fixed:
+contexts, defaulting to the constants below; no value of the pipeline
+reads M.  The tolerances are fixed:
 each is read where its check is made.  The two gates of a dense solve,
 ``CONDITION_THRESHOLD`` and ``SOLVE_RESIDUAL_TOL``, live in ``numerics``.
 """
 
 DEFAULT_ORDER = 16  # moment-matrix truncation order N
-# M: nodes per contour of the self-sewn torus's quadrature oracle, which
-# the tests and verify run; no pipeline value reads it
+# M: nodes per contour of oracle.TorusQuadrature; a torus context carries
+# it for the benchmark and two quadrature shims, and no value reads it
 DEFAULT_QUAD_POINTS = 64
 
 THETA_TOL = 1e-14  # absolute tail bound of theta summation boxes

@@ -38,13 +38,10 @@ from .specialfn import (TorusModulus, TwistPair, _multiplier,
 __all__ = [
     "EpsilonModuli", "GenusTwoCharacteristicsEps", "SurfacePoint",
     "min_lattice_distance", "epsilon_bound",
-    "f_matrix",
-    "build_q", "logdet_series",
-    "EpsilonContext",
+    "f_matrix", "EpsilonContext",
 ]
 
 RADIUS_FACTOR = 0.45  # contour radii r_a = 0.45 D(q_a), strict domain margin
-_LOGDET_TERMS = 40  # terms of the logdet_series cross-check
 # (indices, coordinates) of a label without points
 _NO_POINTS = (np.zeros(0, dtype=int), np.zeros(0, dtype=complex))
 
@@ -229,31 +226,6 @@ def f_matrix(chars: GenusTwoCharacteristicsEps, n_order: int,
     scale = ((-1.0) ** (idx + 1) * sq_pow[:-1]) * binomials(n_order) \
         * sq_pow[1:, None]
     return tuple(scale * eis[:, idx[:, None] + idx[None, :]])
-
-
-# ----------------------------------------------------------------------
-# block matrices and determinant
-# ----------------------------------------------------------------------
-
-def build_q(f1: np.ndarray, f2: np.ndarray, xi: complex) -> np.ndarray:
-    """Block matrix Q = [[0, xi F1], [-xi F2, 0]]; det(I - Q) = det(I - F1 F2)."""
-    f1 = np.asarray(f1, dtype=complex)
-    f2 = np.asarray(f2, dtype=complex)
-    if f1.shape != f2.shape or f1.shape[0] != f1.shape[1]:
-        raise DomainError("F1, F2 must be square with equal shapes")
-    zero = np.zeros_like(f1)
-    return np.block([[zero, xi * f1], [-xi * f2, zero]])
-
-
-def logdet_series(f1: np.ndarray, f2: np.ndarray) -> complex:
-    """Cross-check: log det(I-F1F2) = -sum_{n>=1} tr((F1 F2)^n)/n."""
-    prod = np.asarray(f1, dtype=complex) @ np.asarray(f2, dtype=complex)
-    acc = 0.0 + 0.0j
-    power = np.eye(prod.shape[0], dtype=complex)
-    for n in range(1, _LOGDET_TERMS + 1):
-        power = power @ prod
-        acc -= np.trace(power) / n
-    return complex(acc)
 
 
 # ----------------------------------------------------------------------

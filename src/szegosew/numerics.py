@@ -2,8 +2,7 @@
 
 Dense complex linear algebra (one matrix object serving gated solves
 and the determinant), row-wise products whose entries do not depend on
-the batch, binomial tables, spectrally accurate trapezoidal quadrature
-on circles, and geometric tail fitting.
+the batch, binomial tables and geometric tail fitting.
 
 All matrices here are small (at most a few hundred rows), so dense
 ``numpy.linalg`` routines are used throughout, and the condition is
@@ -32,7 +31,6 @@ __all__ = [
     "LU",
     "lu_solve",
     "determinant",
-    "circle_nodes",
     "tail_estimate",
 ]
 
@@ -176,24 +174,6 @@ def lu_solve(a, b) -> np.ndarray:
 def determinant(a) -> complex:
     """Determinant of a square complex matrix, ungated."""
     return LU(a).det()
-
-
-def circle_nodes(center: complex, radius: float, m: int):
-    """Sample points and quadrature weights for (1/2pi i) oint f dz.
-
-    Returns ``(z, w)`` with ``z_j = center + r e^{i phi_j}`` at the M
-    equispaced angles ``phi_j = 2 pi j / M`` and weights such that
-    ``sum(w * f(z))`` is the trapezoidal approximation of the contour
-    integral divided by 2 pi i.
-    """
-    if radius <= 0:
-        raise DomainError("contour radius must be positive")
-    m = check_count(m, 2, "need at least 2 quadrature points")
-    phi = 2.0 * np.pi * np.arange(m) / m
-    unit = np.exp(1j * phi)
-    z = center + radius * unit
-    w = radius * unit / m
-    return z, w
 
 
 def tail_estimate(seq):

@@ -28,10 +28,9 @@ part at 0, all from theta sums.  The moments of U^kappa alone that
 these matrices fold in are Taylor coefficients too: powers of
 S = B_w / b_0, the ratio of the theta_1 rows at w and at the origin,
 times one exact branch constant per contour, whose sheet is read from
-log A continued in closed form from z_ref.  A build takes no contour.
-The trapezoidal quadrature of these integrals stays as the oracle:
-S_kappa at the nodes for h and hbar, from its one evaluator
-TorusBaseKernel.grid, and the Taylor rows h at the x nodes for G.
+log A continued in closed form from z_ref.  A build takes no contour:
+the quadrature of these integrals is the oracle (``oracle``), and the
+count M is carried for the benchmark and two quadrature shims alone.
 
 Half-integer powers of rho are taken from the recorded branch log_rho
 (never from a fresh principal root), so the handle Dehn move
@@ -49,19 +48,18 @@ import numpy as np
 
 from .config import (DEFAULT_ORDER, DEFAULT_QUAD_POINTS, POLE_GUARD,
                      RESONANCE_GUARD)
-from .errors import (BranchTrackingError, DomainError, ResonanceError)
+from .errors import DomainError, ResonanceError
 from .numerics import (LU, as_complex_matrix, binomials, check_count,
                        row_products)
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _multiplier,
                         _reduce_off_lattice, _substitute, _theta_stage,
-                        _theta_value, lattice_distance, p1_theta)
+                        _theta_value, lattice_distance)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
 __all__ = [
     "HandleTwist", "RhoModuliSphere", "RhoModuliTorus", "mode_index",
     "s_kappa_sphere", "det_i_minus_t_sphere", "RhoSphereContext",
-    "torus_from_sphere", "log_a_torus", "TorusBaseKernel", "TorusContour",
-    "torus_contours", "TorusMoments",
+    "torus_from_sphere", "log_a_torus", "TorusBaseKernel", "TorusMoments",
     "RhoTorusContext",
 ]
 
@@ -70,7 +68,6 @@ TWO_PI_I = 2j * np.pi
 # and the y contour in relative to the geometric-mean radius
 X_RADIUS_FACTOR = 1.25
 Y_RADIUS_FACTOR = 0.8
-_CLOSURE_TOL = 1e-8
 # where a build reads the sheet of each contour's U^kappa constant, as a
 # fraction of its radius: over 3000 random moduli (Im tau down to 0.05,
 # rho up to 0.999 of its bound) |arg S| reached 0.067 there and 1.2 at
@@ -375,24 +372,6 @@ def torus_from_sphere(handle: HandleTwist, x, y, moduli: RhoModuliSphere,
 # ----------------------------------------------------------------------
 
 _MAX_CROSSINGS = 1000  # lattice lines one log-A path edge may cross
-# least radius of a tracked oracle contour: a node round w is held as
-# w + offset, which rounds the offset by ulp(|w|), about 2e-16 |w| / r
-# relative; log A itself stays at rounding level there (3.7e-15 against
-# a 40-digit theta_1 quotient down to r = 1.5e-11).  A build reads only
-# integer sheets and takes no node, so it has no such floor
-_LOG_A_RADIUS_FLOOR = 1e-10
-
-
-def _a_values(z, tau: TorusModulus, w: complex):
-    """A(z) = theta1(z - w) / theta1(z), vectorized in z: the tests'
-    reference of the closed form.
-
-    Both arguments are reduced by theta1's exact quasi-periodicity and
-    the two multipliers are combined in log space, so far points do not
-    overflow and a value does not depend on the other points of its call.
-    """
-    log_mult, th = _theta_value((0.5, 0.5), np.array([z - w, z]), tau.tau)
-    return np.exp(log_mult[0] - log_mult[1]) * th[0] / th[1]
 
 
 def _singular_distance(z, tau: TorusModulus, w: complex):
@@ -505,24 +484,8 @@ def log_a_torus(z, tau: TorusModulus, w: complex, *,
 
 
 # ----------------------------------------------------------------------
-# torus: twisted base kernel S_kappa and its contours
+# torus: twisted base kernel S_kappa
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TorusContour:
-    """m trapezoidal nodes on a circle plus the closure node.
-
-    Index m of ``points``, ``log_local`` and ``log_a`` continues index 0
-    through phi = 2 pi; (1/2 pi i) oint f dz_local = sum_{j<m} weight_j f_j.
-    """
-
-    points: np.ndarray
-    log_local: np.ndarray
-    log_a: np.ndarray
-    weight: np.ndarray
-    center: complex
-    radius: float
-
 
 def _branches(zs: np.ndarray, log_a) -> np.ndarray:
     """The log A branches of the 1-D points zs as a 1-D array; DomainError
@@ -549,11 +512,11 @@ class TorusBaseKernel:
         S_kappa(x,y) = e^{kappa (log A(x) - log A(y)) - kappa v (x - y)}
                        P1[c](x - y).
 
-    ``grid`` evaluates that form; TorusMoments.taylor_rows folds the same
-    factors into its theta stage.  The constant theta[a1;b1](kappa w)
-    with its resonance guard, and whether log A is needed at all (not at
-    kappa = 0), are settled once, at construction; kappa = -1/2 is an
-    ordinary value.
+    TorusMoments.taylor_rows folds these factors into its theta stage,
+    and ``oracle.s_kappa_grid`` evaluates the form itself.  The constant
+    theta[a1;b1](kappa w) with its resonance guard, and whether log A is
+    needed at all (not at kappa = 0), are settled once, at construction;
+    kappa = -1/2 is an ordinary value.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
@@ -585,17 +548,6 @@ class TorusBaseKernel:
             else np.asarray(log_a_z, dtype=complex)
         return val if np.ndim(z) else complex(val)
 
-    def grid(self, xs, log_ax, ys, log_ay) -> np.ndarray:
-        """S_kappa(x_i, y_j), shape (P, Q), at points with one finite log A
-        branch each, through p1_theta: its lattice reduction is the pole
-        guard, and no value depends on the other points of its call."""
-        xs = np.ravel(np.asarray(xs, dtype=complex))
-        ys = np.ravel(np.asarray(ys, dtype=complex))
-        z = np.subtract.outer(xs, ys)
-        u = np.subtract.outer(_branches(xs, log_ax), _branches(ys, log_ay))
-        return np.exp(self.kappa * u - self.kv * z) \
-            * p1_theta(self.char, z, self.moduli.tau)
-
 
 def _check_radii(s: TorusBaseKernel, radii: np.ndarray) -> None:
     """DomainError unless every contour radius stays inside the sewing
@@ -606,37 +558,8 @@ def _check_radii(s: TorusBaseKernel, radii: np.ndarray) -> None:
             "rho too close to the domain boundary")
 
 
-def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
-    """Circles (label a, radius) of m nodes around the punctures, one
-    TorusContour per entry of specs, with log A at every node (0 at
-    kappa = 0) from one closed-form call: each circle is the path z_ref
-    -> its start node -> every node in order (see _continue_log_a), and
-    the moduli's winding is added around w.  The radii must pass
-    ``_check_radii`` and, with kappa != 0, be at least
-    ``_LOG_A_RADIUS_FLOOR``.
-    """
-    mod = s.moduli
-    radii = np.array([r for _, r in specs], dtype=float)
-    _check_radii(s, radii)
-    if s.tracked and np.any(radii < _LOG_A_RADIUS_FLOOR):
-        raise DomainError(
-            f"contour radius below {_LOG_A_RADIUS_FLOOR:.0e}: its nodes "
-            "round w would round too coarsely; rho too small")
-    centers = np.array([mod.center(a) for a, _ in specs], dtype=complex)
-    phi = 2.0 * np.pi * np.arange(m + 1) / m
-    pts = centers[:, None] + radii[:, None] * np.exp(1j * phi)
-    pts[:, m] = pts[:, 0]
-    log_a = np.zeros(pts.shape, dtype=complex)
-    if s.tracked:
-        log_a = _continue_log_a(pts, mod.tau, mod.w, mod.z_ref, mod.log_a_ref)
-        log_a[[a == 2 for a, _ in specs]] += TWO_PI_I * mod.winding
-    return tuple(TorusContour(p, math.log(r) + 1j * phi, la, (p[:m] - c) / m,
-                              c, float(r))
-                 for p, la, c, r in zip(pts, log_a, centers, radii))
-
-
 # ----------------------------------------------------------------------
-# torus: moments, closed form and quadrature oracle
+# torus: moments in closed form
 # ----------------------------------------------------------------------
 
 def _series_powers(s: np.ndarray, kappa: float) -> np.ndarray:
@@ -655,20 +578,6 @@ def _series_powers(s: np.ndarray, kappa: float) -> np.ndarray:
     for j in range(1, size):
         p[:, j] = (coef[:, j - 1, :j] * p[:, j - 1::-1]).sum(axis=1)
     return p
-
-
-def _check_closure(first, last, scale, what) -> None:
-    """Verify the phi = 2 pi node reproduces the phi = 0 node, element-wise:
-    max |last - first| along the last axis within _CLOSURE_TOL of scale
-    (broadcast over the leading axes, one check per point); ``what``
-    names the integrand, or each index of the error's last axis."""
-    err = np.max(np.abs(last - first), axis=-1) / np.maximum(scale, 1e-300)
-    if not np.all(err <= _CLOSURE_TOL):  # a NaN error fails too
-        if not isinstance(what, str):  # the name with the largest error
-            what = what[int(np.argmax(err.reshape(-1, len(what)).max(0)))]
-        raise BranchTrackingError(
-            f"{what} integrand not single-valued on the contour "
-            f"(closure error {np.max(err):.2e})")
 
 
 class TorusMoments:
@@ -717,31 +626,24 @@ class TorusMoments:
     P_n at +-w and S come from one theta stage (``_laurent``), not a
     q-series, and a build takes no contour.
 
-    Contours C_a are circles of radius ``radius_scale`` times the
-    geometric-mean annulus radius around the punctures 0 and w, with the
-    x and y copies split by fixed factors so same-center double contours
-    never collide.  A build reads only their start nodes (one
-    closed-form log A call) and checks their radii.  Their M nodes are
-    the quadrature oracle of the closed forms: the U^kappa moments
-    (``_quadrature_moments``), h and hbar (``h_matrix`` /
-    ``hbar_matrix``, S_kappa at the nodes from ``TorusBaseKernel.grid``)
-    and G (``_build_g``, by its definition the x-contour moment of h,
-    from the Taylor rows at the nodes), each integrand with its closure
-    check (``_check_closure``).  The contours and their mode tables are
-    built when an oracle first asks.
+    Contours C_a (``_specs``) are circles of the geometric-mean annulus
+    radius round 0 and w, the x and y copies split by fixed factors so
+    same-center contours never collide.  A build checks their radii and
+    holds no contour; their quadrature is the oracle
+    (``oracle.TorusQuadrature``), and M is carried for the benchmark and
+    the shims ``h_vector`` / ``hbar_vector``.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
                  n_order: int, moduli: RhoModuliTorus,
-                 m_points: int = DEFAULT_QUAD_POINTS,
-                 radius_scale: float = 1.0) -> None:
+                 m_points: int = DEFAULT_QUAD_POINTS) -> None:
         n_order = check_count(n_order, 1, "order must be >= 1")
         self.m_points = check_count(m_points, 8,
                                     "need at least 8 quadrature points")
         self.base = TorusBaseKernel(tw1, handle, moduli)
         self.moduli = moduli
         self.n_order = n_order
-        r = moduli.contour_radius * radius_scale
+        r = moduli.contour_radius
         # (label, radius) of the x contours of labels abar, over which
         # G row a and hbar_a integrate, and of the y contours of labels a,
         # over which G column a and h_a integrate (a = 1, 2)
@@ -756,76 +658,6 @@ class TorusMoments:
         self._taylor_h, self._taylor_hbar, d = self._taylor_blocks(
             *self._u_moments(s, log_k))
         self.g = self._closed_g(d, p, r_n)
-
-    @cached_property
-    def _contours(self) -> tuple:
-        """The four contours of ``_specs`` (``torus_contours``)."""
-        return torus_contours(self.base, self._specs, self.m_points)
-
-    @property
-    def _x(self) -> tuple:
-        return self._contours[:2]
-
-    @property
-    def _y(self) -> tuple:
-        return self._contours[2:]
-
-    @cached_property
-    def _x_modes(self) -> tuple:
-        """Mode table of the x contours to k = N."""
-        return self._mode_table(self._x, self.n_order)
-
-    @cached_property
-    def _y_modes(self) -> tuple:
-        """Mode table of the y contours to k = N."""
-        return self._mode_table(self._y, self.n_order)
-
-    def _mode_table(self, cs: tuple, n: int) -> tuple:
-        """The modes z_local^{-k_a}, k = 1..n, of the contours cs of labels
-        a = 1, 2 at every node with the closure node, shape (2, n, M+1),
-        their largest per node, and the trapezoid-weighted modes."""
-        m = self.m_points
-        modes = np.array([np.exp(-np.multiply.outer(
-            mode_index(a, np.arange(1, n + 1), self.base.kappa), c.log_local))
-            for a, c in zip((1, 2), cs)])
-        return (modes, np.max(np.abs(modes), axis=1),
-                [w[:, :m] * c.weight for w, c in zip(modes, cs)])
-
-    def _build_g(self) -> np.ndarray:
-        """G by its definition, the x-contour moment of h: the Taylor rows
-        h at the nodes of both x contours, each column integrated with
-        its closure check (``_moments``)."""
-        nodes, log_a = self._nodes(self._x)
-        h = self.taylor_rows(nodes, log_a, nodes[:0], log_a[:0])[0]
-        return as_complex_matrix(
-            self._pref[:, None] * self._moments(self._x_modes, h.T, "G").T,
-            "moment matrix G")
-
-    def _moments(self, table: tuple, f: np.ndarray, what: str) -> np.ndarray:
-        """(1/2pi i) oint z_local^{-k_a} f dz_local, a = 1, 2, from f at the
-        nodes of both contours of a mode table (``_mode_table``), shape
-        (points, 2 (m+1)): one row of f and of the result per point."""
-        m = self.m_points
-        modes, size, weighted = table
-        scale = np.max(np.abs(f).reshape(len(f), 2, m + 1) * size, axis=2)
-        _check_closure(f[:, ::m + 1, None] * modes[:, :, 0],
-                       f[:, m::m + 1, None] * modes[:, :, -1], scale,
-                       [f"{what}_{a} contour" for a in (1, 2)])
-        return np.concatenate(
-            [f[:, :m] @ weighted[0].T, f[:, m + 1:-1] @ weighted[1].T], axis=1)
-
-    def _quadrature_moments(self) -> tuple:
-        """The U^kappa moments of ``_u_moments`` by trapezoidal quadrature
-        on the contours, each integrand with its closure check: the
-        oracle of the closed form."""
-        out = []
-        # G reads Ebar_{a,j} to j = 2N - 1
-        for cs, table, sign in (
-                (self._y, self._y_modes, -1.0),
-                (self._x, self._mode_table(self._x, 2 * self.n_order), 1.0)):
-            f = np.exp(sign * self.base.kappa * self._nodes(cs)[1])[None]
-            out.append(self._moments(table, f, "U^kappa").reshape(2, -1))
-        return tuple(out)
 
     def _u_moments(self, s: np.ndarray, log_k: complex) -> tuple:
         """The U^kappa moments in closed form: E_{a,j}, j < N, of the y
@@ -983,33 +815,21 @@ class TorusMoments:
         base = (ex[:, None] * ey[None, :]) * (mult[n_rows:] * p1).reshape(p, q)
         return ex[:, None] * h, ey[:, None] * hb, base
 
-    def _nodes(self, cs: tuple) -> tuple:
-        """The nodes of the contours cs, closure nodes included, and their
-        log A, each as one 1-D array."""
-        return (np.concatenate([c.points for c in cs]),
-                np.concatenate([c.log_a for c in cs]))
-
-    def h_matrix(self, xs, log_a_xs=None) -> np.ndarray:
-        """Rows (h_1(k,x), h_2(k,x)), k = 1..N, one per point of xs, by
-        contour quadrature of S_kappa; log A is continued unless
-        supplied."""
-        f = self.base.grid(xs, self.base.log_a(xs, log_a_xs),
-                           *self._nodes(self._y))
-        return self._pref * self._moments(self._y_modes, f, "h")
-
-    def hbar_matrix(self, ys, log_a_ys=None) -> np.ndarray:
-        """Rows (hbar_1(k,y), hbar_2(k,y)), k = 1..N, one per point of ys."""
-        f = self.base.grid(*self._nodes(self._x), ys,
-                           self.base.log_a(ys, log_a_ys))
-        return self._pref * self._moments(self._x_modes, f.T, "hbar")
-
+    # the benchmark traces h_vector, hbar_vector and the twisted
+    # Eisenstein q-series of specialfn by name, and passes M and reads
+    # ``m_points``: these two oracle shims, ``m_points`` (here and on
+    # RhoTorusContext) and that q-series stay until the next benchmark change
     def h_vector(self, x, log_a_x=None) -> np.ndarray:
-        """The one-point h_matrix."""
-        return self.h_matrix(np.ravel(x), log_a_x)[0]
+        """The one-point h row by contour quadrature (the oracle)."""
+        from .oracle import TorusQuadrature
+        return TorusQuadrature(self, self.m_points).h_matrix(
+            np.ravel(x), log_a_x)[0]
 
     def hbar_vector(self, y, log_a_y=None) -> np.ndarray:
-        """The one-point hbar_matrix."""
-        return self.hbar_matrix(np.ravel(y), log_a_y)[0]
+        """The one-point hbar row by contour quadrature (the oracle)."""
+        from .oracle import TorusQuadrature
+        return TorusQuadrature(self, self.m_points).hbar_matrix(
+            np.ravel(y), log_a_y)[0]
 
 
 # ----------------------------------------------------------------------
@@ -1020,9 +840,8 @@ class RhoTorusContext:
     """Cached genus-two assembly for one (tw1, handle, moduli, N).
 
     I - T is built once, at construction, and ``det`` is its ungated
-    determinant; the first kernel call reads its gated inverse.  The
-    quadrature count M sets only the nodes of the quadrature oracle of
-    ``moments``.
+    determinant; the first kernel call reads its gated inverse.  No value
+    reads M, carried on ``moments`` for the benchmark and its shims.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,

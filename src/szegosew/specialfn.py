@@ -46,10 +46,9 @@ _UNIT_TOL = 1e-9  # allowed | |multiplier| - 1 | of twist multipliers
 _ORIGIN = np.zeros(1, dtype=complex)  # a point of every theta stage
 
 __all__ = [
-    "TorusModulus", "PeriodMatrix", "Characteristics", "TwistPair",
-    "theta_char", "theta1", "K",
+    "TorusModulus", "TwistPair", "theta1", "K",
     "lattice_reduce", "lattice_distance", "min_lattice_distance",
-    "p1_theta", "p1_series", "p_k_vector", "eisenstein_theta",
+    "p1_theta", "p_k_vector", "eisenstein_theta",
     "eisenstein_twisted", "bernoulli_poly",
 ]
 
@@ -131,65 +130,11 @@ class TorusModulus:
         return val
 
 
-@dataclass(frozen=True)
-class PeriodMatrix:
-    """Symmetric g x g period matrix with positive-definite imaginary part."""
-
-    omega: np.ndarray
-
-    def __post_init__(self) -> None:
-        om = np.atleast_2d(np.asarray(self.omega, dtype=complex))
-        if om.shape[0] != om.shape[1]:
-            raise DomainError("period matrix must be square")
-        if not np.all(np.isfinite(om)):
-            raise DomainError("period matrix must be finite")
-        om = 0.5 * (om + om.T)  # enforce exact symmetry
-        try:
-            np.linalg.cholesky(om.imag)
-        except np.linalg.LinAlgError as exc:
-            raise DomainError("Im(omega) must be positive definite") from exc
-        object.__setattr__(self, "omega", om)
-
-    @classmethod
-    def from_tau(cls, tau) -> "PeriodMatrix":
-        t = tau.tau if isinstance(tau, TorusModulus) else complex(tau)
-        return cls(np.array([[t]], dtype=complex))
-
-    @property
-    def genus(self) -> int:
-        return self.omega.shape[0]
-
-
 def _reduce_mod1(values) -> tuple:
     out = tuple(float(v) % 1.0 for v in np.atleast_1d(np.asarray(values, dtype=float)))
     if not all(math.isfinite(v) for v in out):
         raise DomainError("characteristics must be finite reals")
     return out
-
-
-@dataclass(frozen=True)
-class Characteristics:
-    """Real theta characteristics (alpha, beta), stored reduced mod 1.
-
-    Reduction changes theta[alpha;beta] only by the unit factor
-    e^{2 pi i alpha.s} of the characteristic periodicity law; the cycle
-    multipliers are unchanged.
-    """
-
-    alpha: tuple
-    beta: tuple
-
-    def __post_init__(self) -> None:
-        a = _reduce_mod1(self.alpha)
-        b = _reduce_mod1(self.beta)
-        if len(a) != len(b):
-            raise DomainError("alpha and beta must have equal length")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-
-    @property
-    def genus(self) -> int:
-        return len(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -208,8 +153,7 @@ class TwistPair:
     phi: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a, = _reduce_mod1([self.alpha])
-        b, = _reduce_mod1([self.beta])
+        a, b = _reduce_mod1([self.alpha, self.beta])
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "theta", complex(-np.exp(-2j * np.pi * b)))
@@ -262,50 +206,6 @@ def _box_radius(lam_min: float, cmax: float, tol: float) -> int:
             f"theta box radius {radius} exceeds cap {THETA_BOX_CAP}; "
             "Im(Omega) too small or |Re z| too large")
     return max(radius, 1)
-
-
-def theta_char(chars: Characteristics, z, omega) -> complex:
-    """Genus-g theta function with real characteristics.
-
-    ``z`` is a length-g complex vector (scalar at g=1) in the package's
-    2 pi i scaled convention; ``omega`` is a PeriodMatrix (a TorusModulus
-    or bare complex is promoted at g=1).  The box radius is chosen from
-    ``THETA_TOL``, and the boundary shell is checked against it.
-    """
-    if not isinstance(omega, PeriodMatrix):
-        omega = PeriodMatrix.from_tau(omega)
-    g = omega.genus
-    if chars.genus != g:
-        raise DomainError("characteristics genus does not match omega")
-    zv = np.atleast_1d(np.asarray(z, dtype=complex))
-    if zv.shape != (g,):
-        raise DomainError(f"z must have length {g}")
-    if not np.all(np.isfinite(zv)):
-        raise DomainError("z must be finite")
-
-    lam_min = float(np.linalg.eigvalsh(omega.omega.imag)[0])
-    cmax = float(np.max(np.abs(zv.real))) if g else 0.0
-    radius = _box_radius(lam_min, cmax, THETA_TOL)
-
-    rng = np.arange(-radius, radius + 1)
-    mesh = np.meshgrid(*([rng] * g), indexing="ij")
-    m = np.stack([mm.ravel() for mm in mesh], axis=1).astype(float)
-    ma = m + np.asarray(chars.alpha)
-    zb = zv + 2j * np.pi * np.asarray(chars.beta)
-    expo = 1j * np.pi * np.einsum("mi,ij,mj->m", ma, omega.omega, ma) + ma @ zb
-    terms = np.exp(expo)
-    total = complex(np.sum(terms))
-
-    # boundary-shell check: the largest term on the outermost shell must be
-    # negligible, otherwise the truncation has not converged.
-    on_boundary = np.max(np.abs(m), axis=1) >= radius - 0.5
-    if np.any(on_boundary):
-        shell = float(np.max(np.abs(terms[on_boundary])))
-        scale = max(abs(total), 1.0)
-        if shell > 100.0 * THETA_TOL * scale:
-            raise ConvergenceError(
-                f"theta tail {shell:.2e} above tolerance at box radius {radius}")
-    return total
 
 
 def _theta_reduce(z, tau: complex, beta: float):
@@ -557,58 +457,6 @@ def p1_theta(tw: TwistPair, z, tau: TorusModulus):
     val = (_multiplier(tw, m, n) * _theta_stage(tw, 1, z_red, 0, tau)[2]) \
         .reshape(np.shape(z))
     return val if np.ndim(z) else complex(val)
-
-
-def _series_terms(tw: TwistPair, z_red: complex, tau: TorusModulus,
-                  jmax: int) -> np.ndarray:
-    """Terms t_j = q_z^{j+lam}/(1 - theta^{-1} q^{j+lam}), j = -jmax..jmax,
-    at the reduced point z_red.  The j+lam < 0 half is rewritten as
-    -theta (q_z/q)^{j+lam} / (1 - theta q^{-(j+lam)}) to keep every
-    exponential bounded.
-    """
-    th = tw.theta
-    t = tau.tau
-    j = np.arange(-jmax, jmax + 1) + tw.lam
-    pos = j >= 0
-    # q^{|j+lam|}: q^{j+lam} on the upper half, q^{-(j+lam)} on the lower
-    qpow = np.exp((2j * np.pi * t) * np.abs(j))
-    den = np.where(pos, 1.0 - qpow / th, 1.0 - th * qpow)
-    small = np.abs(den) < RESONANCE_GUARD
-    if small.any():
-        raise ResonanceError(
-            "resonant denominator 1 - theta^{-1} q^{k+lam}"
-            if (small & pos).any() else
-            "resonant denominator 1 - theta q^{-(k+lam)}")
-    base = np.where(pos, z_red, z_red - 2j * np.pi * t)
-    return np.exp(base * j) * np.where(pos, 1.0, -th) / den
-
-
-def _series_jmax(z_red: complex, tau: TorusModulus) -> int:
-    """Truncation index of the q-series at the reduced point z_red."""
-    # log |e^{z_red}| and log |q / e^{z_red}|
-    rate = max(z_red.real, -(z_red.real + TWO_PI * tau.tau.imag))
-    if rate >= -1e-9:
-        raise ConvergenceError(
-            "q-series does not converge: reduced point on the annulus "
-            "boundary")
-    jmax = int(math.ceil((math.log(SERIES_TOL) - 6.0) / rate)) + 4
-    if jmax > 200_000:
-        raise ConvergenceError(
-            f"q-series truncation {jmax} unreasonably large; "
-            "point too close to the annulus boundary")
-    return jmax
-
-
-def p1_series(tw: TwistPair, z, tau: TorusModulus) -> complex:
-    """P1 via the q-series route (independent oracle for p1_theta). Scalar z."""
-    _check_not_trivial(tw)
-    (z_red,), m, n = _reduce_off_lattice(complex(z), tau)
-    terms = _series_terms(tw, z_red, tau, _series_jmax(z_red, tau))
-    val = -np.sum(terms)
-    tail = max(abs(terms[0]), abs(terms[-1]))
-    if tail > 1e3 * SERIES_TOL * max(abs(val), 1.0):
-        raise ConvergenceError(f"q-series tail {tail:.2e} above tolerance")
-    return complex(_multiplier(tw, int(m[0]), int(n[0])) * val)
 
 
 def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus) -> np.ndarray:

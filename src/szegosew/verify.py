@@ -26,17 +26,18 @@ import time
 import numpy as np
 
 from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,
-                      SurfacePoint, build_q, epsilon_bound)
+                      SurfacePoint, epsilon_bound)
 from .errors import DomainError
 from .modular import (EpsGroupElement, RhoGroupElement, det_residual,
                       invariance_residual)
-from .numerics import circle_nodes, determinant, tail_estimate
+from .numerics import determinant, tail_estimate
+from .oracle import (TorusQuadrature, build_q, circle_nodes, p1_series,
+                     s_kappa_grid, torus_contours)
 from .rho import (X_RADIUS_FACTOR, HandleTwist, RhoModuliSphere,
                   RhoModuliTorus, RhoSphereContext, RhoTorusContext,
-                  TorusMoments, det_i_minus_t_sphere, torus_contours)
+                  TorusMoments, det_i_minus_t_sphere)
 from .specialfn import (TorusModulus, TwistPair, eisenstein_theta,
-                        eisenstein_twisted, lattice_distance, p1_series,
-                        p1_theta)
+                        eisenstein_twisted, lattice_distance, p1_theta)
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
 
@@ -97,17 +98,14 @@ def _rho_torus_setup(rho_scale: float = 0.05):
 
 def _rho_torus_pairs(moduli: RhoModuliTorus, count: int = 4):
     tau = moduli.tau.tau
-    # deterministic low-discrepancy candidates in lattice-basis coordinates,
-    # filtered against the sewing contours below
-    coords = []
-    for i in range(400):
-        u1 = 0.05 + ((0.09 + 0.3819660112501051 * i) % 1.0) * 0.9
-        v1 = 0.05 + ((0.53 + 0.6180339887498949 * i) % 1.0) * 0.9
-        u2 = 0.05 + ((0.61 + 0.2548776662466927 * i) % 1.0) * 0.9
-        v2 = 0.05 + ((0.12 + 0.7548776662466927 * i) % 1.0) * 0.9
-        coords.append((u1, v1, u2, v2))
-    # generous clearance: quadrature error of the moment contours grows
-    # rapidly for evaluation points near the contours themselves
+    # deterministic low-discrepancy candidates (u1, v1, u2, v2) in
+    # lattice-basis coordinates, filtered against the sewing contours below
+    steps = np.array([0.3819660112501051, 0.6180339887498949,
+                      0.2548776662466927, 0.7548776662466927])
+    coords = 0.05 + ((np.array([0.09, 0.53, 0.61, 0.12])
+                      + steps * np.arange(400)[:, None]) % 1.0) * 0.9
+    # the kernel takes no quadrature; 1.8x the x contour radius keeps
+    # the pairs clear of the 1.5x contours of the integral equation
     margin = X_RADIUS_FACTOR * 1.8 * moduli.contour_radius
 
     def clear(z: complex) -> bool:
@@ -160,25 +158,25 @@ def _sphere_log_pairs(qabs: float, count: int = 4):
     return sx * big_l + 1j * tx, sy * big_l + 1j * ty
 
 
-def _g_error(mom: TorusMoments) -> float:
-    """Largest deviation of the closed-form G from its contour quadrature,
-    the x-contour moment of the Taylor rows h (``_build_g``), each N x N
-    block relative to its largest entry."""
-    n = mom.n_order
-    g, quad = mom.g, mom._build_g()
+def _g_error(tq: TorusQuadrature) -> float:
+    """Largest deviation of the closed-form G of ``tq.moments`` from its
+    quadrature ``tq.g_matrix()``, each N x N block relative to its
+    largest entry."""
+    n = tq.moments.n_order
+    g, quad = tq.moments.g, tq.g_matrix()
     return max(float(np.max(np.abs(g[i:i + n, j:j + n] - quad[i:i + n, j:j + n]))
                      / np.max(np.abs(quad[i:i + n, j:j + n])))
                for i in (0, n) for j in (0, n))
 
 
-def _moments_error(mom: TorusMoments) -> float:
-    """Largest deviation of the closed-form U^kappa moments from their
-    contour quadrature, coefficient j scaled by r^j for the contour's
-    radius r, each row relative to its largest scaled entry (unscaled,
-    the high orders differ by quadrature aliasing)."""
-    worst = 0.0
+def _moments_error(tq: TorusQuadrature) -> float:
+    """Largest deviation of the closed-form U^kappa moments of
+    ``tq.moments`` from their quadrature, coefficient j scaled by r^j
+    for the contour's radius r, each row relative to its largest scaled
+    entry (unscaled, the high orders differ by quadrature aliasing)."""
+    mom, worst = tq.moments, 0.0
     for closed, quad, cs in zip(mom._u_moments(*mom._laurent()[2:]),
-                                mom._quadrature_moments(), (mom._y, mom._x)):
+                                tq.u_moments(), (tq.y, tq.x)):
         scale = np.array([c.radius for c in cs])[:, None] \
             ** np.arange(closed.shape[1])
         ref = np.abs(quad * scale).max(axis=1)
@@ -388,10 +386,10 @@ def suite_integral_eq() -> list[dict]:
     radius = X_RADIUS_FACTOR * 1.5 * tmod.contour_radius
     for c in torus_contours(s, [(a, radius) for a in (1, 2)], quad):
         pts, log_a = c.points[:quad], c.log_a[:quad]
-        row = s.grid(xs, la_x, pts, log_a)
+        row = s_kappa_grid(s, xs, la_x, pts, log_a)
         col = rctx.kernel_matrix(pts, ys, log_a, la_y)
         total += np.sum(c.weight * row * col.T, axis=1)
-    base = np.diag(s.grid(xs, la_x, ys, la_y))
+    base = np.diag(s_kappa_grid(s, xs, la_x, ys, la_y))
     v = np.diag(rctx.kernel_matrix(xs, ys, la_x, la_y))
     worst = float(np.max(np.abs(base + total - v) / np.abs(v)))
     checks.append(_check("self-sewn torus contour integral equation",
@@ -400,12 +398,12 @@ def suite_integral_eq() -> list[dict]:
     # the kernel's h / hbar, Laurent coefficients from Taylor rows, against
     # their contour quadrature, each row relative to its largest entry:
     # 1.3e-14 at most over 12 seeded contexts at (12, 64) and (16, 128)
-    mom = rctx.moments
-    h, hb, _ = mom.taylor_rows(xs, la_x, ys, la_y)
+    tq = TorusQuadrature(rctx.moments, rctx.moments.m_points)
+    h, hb, _ = rctx.moments.taylor_rows(xs, la_x, ys, la_y)
     worst = max(float(np.max(np.max(np.abs(rows - quad), axis=1)
                              / np.max(np.abs(quad), axis=1)))
-                for rows, quad in ((h, mom.h_matrix(xs, la_x)),
-                                   (hb, mom.hbar_matrix(ys, la_y))))
+                for rows, quad in ((h, tq.h_matrix(xs, la_x)),
+                                   (hb, tq.hbar_matrix(ys, la_y))))
     checks.append(_check(
         "self-sewn torus h/hbar Taylor rows match contour quadrature",
         worst, 1e-12))
@@ -418,7 +416,7 @@ def suite_integral_eq() -> list[dict]:
     # rows check above is the one that sees a wrong H
     checks.append(_check(
         "self-sewn torus closed-form G matches contour quadrature",
-        _g_error(mom), 1e-12))
+        _g_error(tq), 1e-12))
 
     # Laurent extraction: coefficients of P1 - 1/z match minus the
     # twisted Eisenstein series; odd untwisted series vanish
@@ -502,10 +500,11 @@ def suite_convergence() -> list[dict]:
 
     # a build takes no contour, so M reaches only the quadrature oracle:
     # the closed-form U^kappa moments and G against it at M and 2M nodes
+    mom = TorusMoments(tw1, handle, 12, tmod)
     worst = 0.0
     for m in (64, 128):
-        mom = TorusMoments(tw1, handle, 12, tmod, m)
-        worst = max(worst, _moments_error(mom), _g_error(mom))
+        tq = TorusQuadrature(mom, m)
+        worst = max(worst, _moments_error(tq), _g_error(tq))
     checks.append(_check(
         "quadrature refinement M to 2M: the closed-form moments match "
         "the contour quadrature at both", worst, 1e-9))
@@ -528,15 +527,17 @@ def suite_convergence() -> list[dict]:
                    "rate": float(rate), "maximum": 0.7,
                    "passed": bool(rate < 0.7)})
 
-    # the same oracle on contours 20% inside and outside the default
-    # radius: G and the h row at x, largest entry change
+    # the closed forms against the same oracle on contours 20% inside and
+    # outside the default radius: G and the h row at x, largest entry
+    # change
+    mom = TorusMoments(tw1, handle, 8, tmod)
+    h, _, _ = mom.taylor_rows(np.array([x]), np.array([mom.base.log_a(x)]),
+                              np.array([y]), np.array([mom.base.log_a(y)]))
     worst = 0.0
     for scale in (0.8, 1.2):
-        mom = TorusMoments(tw1, handle, 8, tmod, 64, radius_scale=scale)
-        h, _, _ = mom.taylor_rows(np.array([x]), np.array([mom.base.log_a(x)]),
-                                  np.array([y]), np.array([mom.base.log_a(y)]))
-        worst = max(worst, float(np.max(np.abs(mom.g - mom._build_g()))),
-                    float(np.max(np.abs(h[0] - mom.h_vector(x)))))
+        tq = TorusQuadrature(mom, 64, radius_scale=scale)
+        worst = max(worst, float(np.max(np.abs(mom.g - tq.g_matrix()))),
+                    float(np.max(np.abs(h[0] - tq.h_matrix([x])[0]))))
     checks.append(_check(
         "moment contours are radius-independent within the annuli: the "
         "closed-form G and h match the contour quadrature at both radii",

@@ -18,7 +18,8 @@ import szegosew
 from szegosew import verify
 
 MODULES = ("config", "errors", "specialfn", "numerics", "epsilon", "rho",
-           "modular", "verify", "cli")
+           "modular", "oracle", "verify", "cli")
+PIPELINE = ("specialfn", "numerics", "epsilon", "rho", "modular")
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 # the eval command of the README, run as a module
@@ -97,6 +98,51 @@ def test_pipeline_reads_no_q_series():
     for name in ("epsilon", "rho"):
         assert "eisenstein_twisted" not in (src / f"{name}.py").read_text()
     assert "_theta_sums" not in (src / "rho.py").read_text()
+
+
+def _oracle_imports(tree):
+    """(enclosing function or None, line) of every import of the oracle
+    module in a parsed module, at any depth."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom):
+                names = [child.module or ""] + [
+                    f"{child.module or ''}.{a.name}" for a in child.names]
+            elif isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            else:
+                names = []
+            if any(n.split(".")[-1] == "oracle" for n in names):
+                found.append((func, child.lineno))
+            visit(child, func)
+    visit(tree, None)
+    return found
+
+
+def test_pipeline_does_not_import_the_oracle():
+    # the independent routes live in oracle, which no pipeline module
+    # imports at module level; the two quadrature shims of TorusMoments,
+    # which the benchmark still traces, import it inside the method
+    src = ROOT / "src" / "szegosew"
+    imports = {name: _oracle_imports(ast.parse(
+        (src / f"{name}.py").read_text())) for name in PIPELINE}
+    assert all(func is not None for found in imports.values()
+               for func, _ in found)
+    assert sorted(func for found in imports.values() for func, _ in found) \
+        == ["h_vector", "hbar_vector"]
+    assert [name for name, found in imports.items() if found] == ["rho"]
+    moved = ("torus_contours", "p1_series", "theta_char", "circle_nodes",
+             "build_q")
+    assert not [(name, f) for name in PIPELINE for f in moved
+                if hasattr(importlib.import_module(f"szegosew.{name}"), f)]
+    rho = importlib.import_module("szegosew.rho")
+    params = inspect.signature(rho.TorusMoments).parameters
+    assert "radius_scale" not in params
 
 
 @pytest.mark.parametrize("context", ["EpsilonContext", "RhoTorusContext",

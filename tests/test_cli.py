@@ -161,6 +161,19 @@ class TestEval:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["eval", *EPS_ARGS, *POINTS],
+                                  ["det", *EPS_ARGS], ["verify", "dehn"]],
+                         ids=["eval", "det", "verify-dehn"])
+def test_unwritable_out_exit_2(tmp_path, capsys, argv):
+    # an --out that cannot be opened is an input error (exit 2, one line
+    # on stderr), not a traceback with the exit code of a failed check
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, [*argv, "--out", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert len(err.splitlines()) == 1
+
+
 class TestDet:
     def test_eps_dual_routes_agree(self, capsys):
         code, out, _ = _run(capsys, ["det", *EPS_ARGS, "--order", "16",

@@ -10,10 +10,10 @@ import pytest
 from szegosew import epsilon, numerics, specialfn
 from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
                               GenusTwoCharacteristicsEps, SurfacePoint,
-                              build_q, epsilon_bound, f_matrix,
-                              logdet_series, min_lattice_distance)
+                              epsilon_bound, f_matrix, min_lattice_distance)
 from szegosew.errors import DomainError, SingularMatrixError
 from szegosew.numerics import determinant
+from szegosew.oracle import build_q, logdet_series
 from szegosew.rho import RhoModuliSphere, RhoModuliTorus
 from szegosew.specialfn import (TorusModulus, TwistPair, eisenstein_theta,
                                 eisenstein_twisted, lattice_distance,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szegosew import rho, verify
+from szegosew import oracle, rho, verify
 from szegosew.config import POLE_GUARD
 from szegosew.errors import DomainError
 from szegosew.rho import log_a_torus
@@ -48,11 +48,11 @@ def _segment_steps(z0, z1, tau, w):
         if not clear.all():
             todo, new = todo[clear], new[clear]
         if n == 16:
-            vals = rho._a_values(new, tau, w)
+            vals = oracle._a_values(new, tau, w)
         else:
             both = np.empty((todo.size, n + 1), dtype=complex)
             both[:, 0::2] = vals[clear]
-            both[:, 1::2] = rho._a_values(new, tau, w)
+            both[:, 1::2] = oracle._a_values(new, tau, w)
             vals = both
         steps = np.log(vals[:, 1:] / vals[:, :-1])
         ok = ((np.abs(steps.imag) < _TRACK_ARG_LIMIT)
@@ -122,14 +122,14 @@ class TestAgainstTracker:
         if rho._singular_distance(ends, tau, w).min() < 1e-3:
             zs = zs[rho._singular_distance(zs, tau, w) >= 1e-3]
             z_ref = w / 2
-        log_ref = cmath.log(rho._a_values(z_ref, tau, w))
+        log_ref = cmath.log(oracle._a_values(z_ref, tau, w))
         closed = _closed(zs, tau, w, z_ref, log_ref)
         tracked = log_ref + _segment_steps(z_ref, zs, tau, w)
         clear = _clearance(z_ref, zs, tau, w) >= 1e-3
         compared = clear & ~np.isnan(tracked)
         assert compared.sum() >= 0.95 * zs.size
         assert np.all(np.abs(closed - tracked)[compared] <= 1e-13)
-        assert np.all(np.abs(np.exp(closed) - rho._a_values(zs, tau, w))
+        assert np.all(np.abs(np.exp(closed) - oracle._a_values(zs, tau, w))
                       <= 1e-12 * np.abs(np.exp(closed)))
 
     @given(**_moduli, side=st.sampled_from([1.0, -1.0]),
@@ -165,7 +165,7 @@ class TestAgainstTracker:
              for i in range(count)])
         assert keep.sum() >= 10
         before, past, lam = before[keep], past[keep], lam[keep]
-        log_ref = cmath.log(rho._a_values(z_ref, tau, w))
+        log_ref = cmath.log(oracle._a_values(z_ref, tau, w))
         la_before, la_past = _closed(
             np.concatenate([before, past]), tau, w, z_ref,
             log_ref).reshape(2, -1)
@@ -173,7 +173,7 @@ class TestAgainstTracker:
         # zero, -1 at a pole), so its log moves by the principal log of
         # its ratio; (z - lam) turns by the signed angle of the segment
         e = 1.0 if zero else -1.0
-        regular = [rho._a_values(p, tau, w) / (p - lam) ** e
+        regular = [oracle._a_values(p, tau, w) / (p - lam) ** e
                    for p in (before, past)]
         turn = np.log(np.abs(past - lam) / np.abs(before - lam)) \
             + 1j * np.angle((past - lam) / (before - lam))
@@ -186,7 +186,7 @@ class TestSideRule:
         # w real and z_ref = w/2: the segment to z = -1 runs along the
         # real axis through the pole at 0 and takes the upper side
         tau, w = TorusModulus(0.1 + 1.0j), 2.5 + 0.0j
-        log_ref = cmath.log(rho._a_values(w / 2, tau, w))
+        log_ref = cmath.log(oracle._a_values(w / 2, tau, w))
         through, above, below = _closed(
             np.array([-1.0, -1.0 + 1e-9j, -1.0 - 1e-9j], dtype=complex),
             tau, w, w / 2, log_ref)
@@ -215,7 +215,8 @@ class TestNearPunctures:
         # which put log A there 4.2e-8 off; Log(-expm1(-v)) reads 3.7e-15
         tw1, handle, mod = verify._rho_torus_setup(1e-18)
         ctx = rho.RhoTorusContext(tw1, handle, mod, 6, 16)
-        zs = np.concatenate([c.points for c in ctx.moments._contours])
+        tq = oracle.TorusQuadrature(ctx.moments, ctx.moments.m_points)
+        zs = np.concatenate([c.points for c in tq.x + tq.y])
         val = _closed(zs, mod.tau, mod.w, mod.z_ref, mod.log_a_ref)
         with mpmath.workdps(40):
             q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(mod.tau.tau))
@@ -298,7 +299,8 @@ class TestContourPaths:
         tw1, handle, mod = setup()
         ctx = rho.RhoTorusContext(tw1, handle, mod, 6, m)
         tau, w = mod.tau, mod.w
-        contours = ctx.moments._x + ctx.moments._y
+        tq = oracle.TorusQuadrature(ctx.moments, ctx.moments.m_points)
+        contours = tq.x + tq.y
         assert len(contours) == 4
         for c in contours:
             a = 1 if c.center == 0 else 2

@@ -13,8 +13,8 @@ from szegosew import config
 from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
                               GenusTwoCharacteristicsEps, SurfacePoint)
 from szegosew.errors import ConvergenceError, SingularMatrixError
-from szegosew.numerics import (LU, circle_nodes, determinant, lu_solve,
-                               tail_estimate)
+from szegosew.numerics import LU, determinant, lu_solve, tail_estimate
+from szegosew.oracle import circle_nodes
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                           RhoSphereContext, RhoTorusContext)
 from szegosew.specialfn import TwistPair

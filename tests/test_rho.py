@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szegosew import numerics, rho, specialfn, verify
+from szegosew import numerics, oracle, rho, specialfn, verify
 from szegosew.config import POLE_GUARD, RESONANCE_GUARD
 from szegosew.errors import (BranchTrackingError, DomainError, ResonanceError,
                              SingularMatrixError)
@@ -20,8 +20,9 @@ from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
                           RhoSphereContext, RhoTorusContext, TorusBaseKernel,
                           det_i_minus_t_sphere, log_a_torus, mode_index,
                           s_kappa_sphere, torus_from_sphere)
+from szegosew.oracle import p1_series
 from szegosew.specialfn import (TorusModulus, TwistPair, lattice_distance,
-                                p1_series, theta1)
+                                theta1)
 
 TWO_PI_I = 2j * np.pi
 TAU = TorusModulus(0.2 + 1.1j)
@@ -43,7 +44,8 @@ def _pt(u, v, offset=0.0):
 def _s_kappa(tw1, handle, x, y, mod):
     """S_kappa(x, y), log A continued at both points."""
     s = TorusBaseKernel(tw1, handle, mod)
-    return complex(s.grid([x], [s.log_a(x)], [y], [s.log_a(y)])[0, 0])
+    return complex(oracle.s_kappa_grid(s, [x], [s.log_a(x)], [y],
+                                       [s.log_a(y)])[0, 0])
 
 
 class TestSphereKernel:
@@ -259,10 +261,10 @@ class TestTrackedLogarithmFarPoints:
         # twenty periods out neither overflows nor widens the box
         z = _pt(0.09, 0.53)
         far = TWO_PI_I * (0.37 + 20.21 * TAU.tau)
-        alone = rho._a_values(np.array([z]), TAU, W)
+        alone = oracle._a_values(np.array([z]), TAU, W)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = rho._a_values(np.array([z, far, 9.0 + 0.1j]), TAU, W)
+            batch = oracle._a_values(np.array([z, far, 9.0 + 0.1j]), TAU, W)
         assert batch[0] == alone[0]
         assert np.all(np.isfinite(batch))
 
@@ -345,6 +347,8 @@ class TestTorusSewing:
                            log_a_ref=mod.log_a_ref)
         with pytest.raises(TypeError):
             RhoTorusContext(TW1, HANDLE, mod, 8, 64, radius_scale=1.15)
+        with pytest.raises(TypeError):
+            rho.TorusMoments(TW1, HANDLE, 8, mod, 64, radius_scale=1.15)
         # the derived anchor value is a logarithm of A at z_ref
         a = theta1(mod.z_ref - W, TAU) / theta1(mod.z_ref, TAU)
         assert abs(np.exp(mod.log_a_ref) - a) < 1e-12 * abs(a)
@@ -491,7 +495,7 @@ class TestTorusSewing:
         r = mod.contour_radius
         s = ctx.moments.base
         for a in (1, 2):
-            outer, inner = rho.torus_contours(
+            outer, inner = oracle.torus_contours(
                 s, [(a, rho.X_RADIUS_FACTOR * r),
                     (a, rho.Y_RADIUS_FACTOR * r)], m)
             # the radial segment between the start nodes meets no zero or
@@ -548,11 +552,11 @@ class TestTorusSewing:
 
     def test_contours_below_the_log_a_floor(self):
         # a build reads only integer sheets of log A, so it takes contour
-        # radii below _LOG_A_RADIUS_FLOOR, the floor of the oracle's nodes:
+        # radii below oracle._LOG_A_RADIUS_FLOOR, the floor of its nodes:
         # at rho scale 1e-24 (contour radius 1.5e-12) the kernel converges
         # in N and is skew
         tw1, handle, mod = verify._rho_torus_setup(1e-24)
-        assert mod.contour_radius < rho._LOG_A_RADIUS_FLOOR
+        assert mod.contour_radius < oracle._LOG_A_RADIUS_FLOOR
         xs, ys = (np.array(p) for p in zip(*verify._rho_torus_pairs(mod, 4)))
         ctx8, ctx12 = (RhoTorusContext(tw1, handle, mod, n) for n in (8, 12))
         v8, v12 = (c.kernel_matrix(xs, ys) for c in (ctx8, ctx12))
@@ -564,7 +568,7 @@ class TestTorusSewing:
         # the oracle's nodes round w would lose their offset from w to
         # rounding, so its contours keep the floor
         with pytest.raises(DomainError, match="contour radius below"):
-            ctx8.moments.h_matrix(xs)
+            oracle.TorusQuadrature(ctx8.moments, ctx8.moments.m_points)
         # at 1e-34 (a contour 1.5e-17 from a puncture) the sheet probe
         # r/16 from w rounds to w: a typed error before any log of 0
         tw1, handle, mod = verify._rho_torus_setup(1e-34)
@@ -645,9 +649,10 @@ class TestKernelMatrix:
                           (xs, lax, lay[1:]), (xs, lax, lay + np.nan)):
             with pytest.raises(DomainError):
                 ctx.kernel_matrix(x, ys, lx, ly)
-        for call in (lambda: s.grid(xs[:2], lax[:1], ys, lay),
-                     lambda: ctx.moments.h_matrix(xs[:2], lax[:1]),
-                     lambda: ctx.moments.hbar_matrix(ys, lay[1:])):
+        tq = oracle.TorusQuadrature(ctx.moments, ctx.moments.m_points)
+        for call in (lambda: oracle.s_kappa_grid(s, xs[:2], lax[:1], ys, lay),
+                     lambda: tq.h_matrix(xs[:2], lax[:1]),
+                     lambda: tq.hbar_matrix(ys, lay[1:])):
             with pytest.raises(DomainError):
                 call()
 
@@ -727,9 +732,10 @@ class TestKernelMatrix:
         ctx = RhoTorusContext(TW1, HANDLE, mod, 10, 32)
         xs, ys = _rho_points(mod)
         ctx.kernel(xs[0], ys[0])  # the gated inverse is kept
+        tq = oracle.TorusQuadrature(ctx.moments, ctx.moments.m_points)
         calls = []
         sums, substitute = specialfn._theta_sums, rho._substitute
-        grid = TorusBaseKernel.grid
+        grid = oracle.s_kappa_grid
 
         def counting_sums(chars, zs, tau, kmax, n_rows):
             calls.append(("theta", zs.size, kmax, n_rows))
@@ -739,12 +745,12 @@ class TestKernelMatrix:
             calls.append(("substitute", a.shape))
             return substitute(a, b)
 
-        def counting_grid(self, *args):
+        def counting_grid(*args):
             calls.append(("grid",))
-            return grid(self, *args)
+            return grid(*args)
         monkeypatch.setattr(specialfn, "_theta_sums", counting_sums)
         monkeypatch.setattr(rho, "_substitute", counting_substitute)
-        monkeypatch.setattr(TorusBaseKernel, "grid", counting_grid)
+        monkeypatch.setattr(oracle, "s_kappa_grid", counting_grid)
         # Taylor rows at x, x - w, w - y and -y, the value x - y and the
         # origin
         ctx.kernel(xs[0], ys[0])
@@ -758,8 +764,8 @@ class TestKernelMatrix:
         # the quadrature h stays, as the oracle of the Taylor rows: one
         # grid of S_kappa at the points and the nodes of both y contours,
         # all value-only points of one theta sum
-        ctx.moments.h_matrix(xs)
-        nodes = 2 * (ctx.moments.m_points + 1)
+        tq.h_matrix(xs)
+        nodes = 2 * (tq.m_points + 1)
         assert calls == [("grid",), ("theta", xs.size * nodes + 1, 1, 0)]
 
     def test_closure_checks_run_in_oracle_calls_only(self, monkeypatch):
@@ -767,24 +773,25 @@ class TestKernelMatrix:
         # call reads Taylor rows, so neither checks a contour integrand;
         # each quadrature oracle checks its own integrands
         names = []
-        check = rho._check_closure
+        check = oracle._check_closure
 
         def recording(first, last, scale, what):
             names.append(what if isinstance(what, str) else tuple(what))
             return check(first, last, scale, what)
-        monkeypatch.setattr(rho, "_check_closure", recording)
+        monkeypatch.setattr(oracle, "_check_closure", recording)
         mod = _torus_moduli()
         ctx = RhoTorusContext(TW1, HANDLE, mod, 8, 32)
         ctx.kernel_matrix(*_rho_points(mod))
+        tq = oracle.TorusQuadrature(ctx.moments, ctx.moments.m_points)
         assert names == []
-        ctx.moments._quadrature_moments()
+        tq.u_moments()
         assert names == [("U^kappa_1 contour", "U^kappa_2 contour")] * 2
         names.clear()
-        ctx.moments.h_matrix(_rho_points(mod)[0])
+        tq.h_matrix(_rho_points(mod)[0])
         assert names == [("h_1 contour", "h_2 contour")]
         names.clear()
         # G, the x-contour moment of the Taylor rows h, checks those
-        ctx.moments._build_g()
+        tq.g_matrix()
         assert names == [("G_1 contour", "G_2 contour")]
 
     def test_closure_error_names_the_contour(self):
@@ -794,9 +801,10 @@ class TestKernelMatrix:
         # the puncture, raises BranchTrackingError naming the contour
         m = 32
         mom = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, m).moments
-        log_a = np.array([c.log_a for c in mom._y])
+        tq = oracle.TorusQuadrature(mom, m)
+        log_a = np.array([c.log_a for c in tq.y])
         f = np.exp(-mom.base.kappa * log_a).reshape(1, -1)
-        mom._moments(mom._y_modes, f, "U^kappa")
+        tq._moments(tq._y_modes, f, "U^kappa")
         for a in (1, 2):
             moved = f.copy()
             moved[0, a * (m + 1) - 1] *= 1.0 + 1e-6
@@ -807,7 +815,7 @@ class TestKernelMatrix:
             for bad in (moved, lost, np.exp(-mom.base.kappa * unturned)):
                 with pytest.raises(BranchTrackingError,
                                    match=rf"U\^kappa_{a} contour"):
-                    mom._moments(mom._y_modes, bad.reshape(1, -1), "U^kappa")
+                    tq._moments(tq._y_modes, bad.reshape(1, -1), "U^kappa")
 
     def test_grid_memory_does_not_grow_with_the_batch(self):
         # a 200 x 200 grid at the pinned verify moduli and (12, 64): the
@@ -864,19 +872,24 @@ def _seeded_torus(seed, n, m, kappa=None):
     return RhoTorusContext(tw1, handle, mod, n, m), np.array(pts)
 
 
+def _quadrature(ctx):
+    """The quadrature oracle of a context's moments at its M."""
+    return oracle.TorusQuadrature(ctx.moments, ctx.moments.m_points)
+
+
 def _rows_error(ctx, zs):
     """Largest deviation of the Taylor rows h and hbar at zs from their
     contour quadrature, each row relative to its largest entry."""
-    mom = ctx.moments
+    mom, tq = ctx.moments, _quadrature(ctx)
     la = mom.base.log_a(zs)
     k = zs.size // 2  # x - y must avoid the lattice: two calls
     h1, hb1, _ = mom.taylor_rows(zs[:k], la[:k], zs[k:], la[k:])
     h2, hb2, _ = mom.taylor_rows(zs[k:], la[k:], zs[:k], la[:k])
     return max(float(np.max(np.max(np.abs(rows - quad), axis=1)
                             / np.max(np.abs(quad), axis=1)))
-               for rows, quad in ((np.vstack([h1, h2]), mom.h_matrix(zs, la)),
+               for rows, quad in ((np.vstack([h1, h2]), tq.h_matrix(zs, la)),
                                   (np.vstack([hb2, hb1]),
-                                   mom.hbar_matrix(zs, la))))
+                                   tq.hbar_matrix(zs, la))))
 
 
 class TestTaylorRows:
@@ -927,12 +940,12 @@ class TestTaylorRows:
         assert _rows_error(ctx, zs) < 1e-13
 
     def test_base_kernel_matches_grid(self):
-        # the value-only points x - y give S_kappa of TorusBaseKernel.grid
+        # the value-only points x - y give S_kappa of oracle.s_kappa_grid
         ctx, zs = _seeded_torus(7, 8, 32)
         s = ctx.moments.base
         la = s.log_a(zs)
         _, _, base = ctx.moments.taylor_rows(zs[:3], la[:3], zs[3:], la[3:])
-        grid = s.grid(zs[:3], la[:3], zs[3:], la[3:])
+        grid = oracle.s_kappa_grid(s, zs[:3], la[:3], zs[3:], la[3:])
         assert np.all(np.abs(base - grid) <= 1e-14 * np.abs(grid))
 
 
@@ -960,20 +973,20 @@ class TestClosedFormG:
     def test_matches_quadrature(self, seed, n, m):
         ctx, _ = _seeded_torus(seed, n, m)
         assert ctx.moments.base.tracked
-        assert verify._g_error(ctx.moments) < 5e-13
+        assert verify._g_error(_quadrature(ctx)) < 5e-13
 
     @pytest.mark.parametrize("seed", range(3))
     def test_untwisted_handle(self, seed):
         # kappa = 0: d_{a,i} is 1 at i = 0 and 0 beyond
         ctx, _ = _seeded_torus(seed, 12, 64, kappa=0.0)
-        assert verify._g_error(ctx.moments) < 5e-13
+        assert verify._g_error(_quadrature(ctx)) < 5e-13
 
     @pytest.mark.parametrize("name", ["A", "B", "C", "gamma1-T"])
     def test_modular_images(self, name):
         g = dict(verify._RHO_GENERATORS)[name]
         image, _ = g.transform(RhoTorusContext(TW1, HANDLE, _torus_moduli(),
                                                12, 64))
-        assert verify._g_error(image.moments) < 5e-13
+        assert verify._g_error(_quadrature(image)) < 5e-13
 
     @pytest.mark.parametrize("scale", [0.05, 0.3])
     @pytest.mark.parametrize("tau_c", SMALL_IM_TAU)
@@ -981,7 +994,19 @@ class TestClosedFormG:
         mod = _moduli_at(tau_c, scale)
         for n, m in [(12, 64), (16, 128)]:
             ctx = RhoTorusContext(TW1, HANDLE, mod, n, m)
-            assert verify._g_error(ctx.moments) < 5e-13
+            assert verify._g_error(_quadrature(ctx)) < 5e-13
+
+    def test_rounding_level_on_wide_contours(self):
+        # at the CI moduli the x contours lie 31x inside the sewing
+        # annulus; against the default-radius oracle G reads 3.0e-13 at
+        # M = 64 and 128, on contours 5x (10x) larger 5.8e-15 / 5.1e-15
+        # (3.1e-15 / 1.2e-15): that floor is the oracle's, and the closed
+        # form is at rounding level in its a != b blocks too
+        mod = RhoModuliTorus.create(0.2 + 1.1j, -1.866 + 2.315j,
+                                    0.001 + 0.0006j)
+        mom = rho.TorusMoments(TW1, HANDLE, 16, mod)
+        tq = oracle.TorusQuadrature(mom, 128, radius_scale=5)
+        assert verify._g_error(tq) < 5e-14
 
     @pytest.mark.parametrize("tau_c", SMALL_IM_TAU)
     def test_laurent_data(self, tau_c):
@@ -994,7 +1019,7 @@ class TestClosedFormG:
         tau, w = mom.moduli.tau, mom.moduli.w
         p, r, _, _ = mom._laurent()
         assert p.shape == (2, 23) and r.shape == (23,)
-        z, wq = numerics.circle_nodes(
+        z, wq = oracle.circle_nodes(
             0.0, 0.75 * specialfn.min_lattice_distance(tau), 1024)
         vals = wq * (specialfn.p1_theta(mom.base.char, z, tau) - 1.0 / z)
         cauchy = vals @ z[:, None] ** -np.arange(1.0, 24.0)
@@ -1009,7 +1034,7 @@ class TestClosedFormG:
             <= 1e-14 * abs(np.exp(log_k))
         rad = 0.4 * min(specialfn.min_lattice_distance(tau),
                         lattice_distance(w, tau))
-        t, wt = numerics.circle_nodes(0.0, rad, 256)
+        t, wt = oracle.circle_nodes(0.0, rad, 256)
         quot = (theta1(w - t, tau) * t * tau.theta1_deriv0
                 / (theta1(w, tau) * theta1(t, tau)))
         scale = rad ** np.arange(24.0)
@@ -1038,9 +1063,9 @@ class TestClosedFormG:
         tw1, handle, mod = verify._rho_torus_setup()
         ctx = RhoTorusContext(tw1, handle, mod, 12, 64)
         xs, ys = (np.array(p) for p in zip(*verify._rho_torus_pairs(mod, 4)))
-        errors = (verify._g_error(ctx.moments),
+        errors = (verify._g_error(_quadrature(ctx)),
                   _rows_error(ctx, np.concatenate([xs, ys])),
-                  verify._moments_error(ctx.moments))
+                  verify._moments_error(_quadrature(ctx)))
         failed = [e >= gate for e, gate in zip(errors, (5e-13, 1e-13, 1e-13))]
         assert any(failed) == (name is not None)
 
@@ -1057,7 +1082,7 @@ class TestClosedFormMoments:
     def test_matches_quadrature(self, seed, n, m):
         ctx, _ = _seeded_torus(seed, n, m)
         assert ctx.moments.base.tracked
-        assert verify._moments_error(ctx.moments) < 1e-13
+        assert verify._moments_error(_quadrature(ctx)) < 1e-13
 
     def test_untwisted_handle(self):
         # kappa = 0: E_{a,0} = 1 and every other moment 0
@@ -1065,20 +1090,20 @@ class TestClosedFormMoments:
         e, ebar = ctx.moments._u_moments(*ctx.moments._laurent()[2:])
         assert np.all(e[:, 0] == 1.0) and not e[:, 1:].any()
         assert np.all(ebar[:, 0] == 1.0) and not ebar[:, 1:].any()
-        assert verify._moments_error(ctx.moments) < 1e-13
+        assert verify._moments_error(_quadrature(ctx)) < 1e-13
 
     @pytest.mark.parametrize("name", ["A", "B", "C", "gamma1-T"])
     def test_modular_images(self, name):
         g = dict(verify._RHO_GENERATORS)[name]
         image, _ = g.transform(RhoTorusContext(TW1, HANDLE, _torus_moduli(),
                                                12, 64))
-        assert verify._moments_error(image.moments) < 1e-13
+        assert verify._moments_error(_quadrature(image)) < 1e-13
 
     @pytest.mark.parametrize("winding", [1, -2])
     def test_winding(self, winding):
         mod = dataclasses.replace(_torus_moduli(), winding=winding)
         ctx = RhoTorusContext(TW1, HANDLE, mod, 12, 64)
-        assert verify._moments_error(ctx.moments) < 1e-13
+        assert verify._moments_error(_quadrature(ctx)) < 1e-13
 
     def test_split_sheet_moduli(self):
         # the start nodes of both contours round 0 are continued just
@@ -1091,12 +1116,12 @@ class TestClosedFormMoments:
             TwistPair(0.03710664164609295, -0.42027656207476505),
             HandleTwist(-0.3846086372884161, 0.015979698791629082), mod,
             12, 64)
-        assert verify._moments_error(ctx.moments) < 1e-13
+        assert verify._moments_error(_quadrature(ctx)) < 1e-13
 
     @pytest.mark.parametrize("n,m", [(12, 64), (16, 128)])
     def test_small_im_tau(self, n, m):
         ctx = RhoTorusContext(TW1, HANDLE, _moduli_at(0.3 + 0.05j), n, m)
-        assert verify._moments_error(ctx.moments) < 1e-13
+        assert verify._moments_error(_quadrature(ctx)) < 1e-13
 
     @pytest.mark.parametrize("n", [1, 8])
     def test_near_the_rho_bound(self, n):
@@ -1108,7 +1133,7 @@ class TestClosedFormMoments:
         bound = (base.radius / rho.X_RADIUS_FACTOR) ** 2
         mod = RhoModuliTorus.create(TAU, W, 0.97 * bound * np.exp(0.6j))
         ctx = RhoTorusContext(TW1, HANDLE, mod, n, 64)
-        assert verify._moments_error(ctx.moments) < 1e-13
+        assert verify._moments_error(_quadrature(ctx)) < 1e-13
 
 
 def _moduli_at(tau_c, scale=0.05):
@@ -1159,7 +1184,7 @@ def _within(grid, ref, scale, tol=1e-14):
 
 
 class TestSeparableGrid:
-    """TorusBaseKernel.grid, one p1_theta call: the definition of
+    """oracle.s_kappa_grid, one p1_theta call: the definition of
     S_kappa, batch independence, the pole contract and the work a build
     does."""
 
@@ -1169,7 +1194,7 @@ class TestSeparableGrid:
         mod = _moduli_at(tau_c)
         s = rho.TorusBaseKernel(TW1, HandleTwist(kappa, -0.22), mod)
         r = mod.contour_radius
-        cx, cy, cz = rho.torus_contours(
+        cx, cy, cz = oracle.torus_contours(
             s, [(2, rho.X_RADIUS_FACTOR * r), (1, rho.Y_RADIUS_FACTOR * r),
                 (2, rho.Y_RADIUS_FACTOR * r)], 16)
         t = mod.tau.tau
@@ -1191,7 +1216,7 @@ class TestSeparableGrid:
             (pts[:2], lap[:2], pts[2:], lap[2:]),
         ]
         for xs, lax, ys, lay in cases:
-            grid = s.grid(xs, lax, ys, lay)
+            grid = oracle.s_kappa_grid(s, xs, lax, ys, lay)
             ref, scale = _direct_reference(s, xs, lax, ys, lay)
             assert grid.shape == ref.shape
             assert np.all(_within(grid, ref, scale))
@@ -1210,11 +1235,11 @@ class TestSeparableGrid:
         lay = [s.log_a(z) for z in ys]
         xs = np.append(xs, xs[0] + TWO_PI_I * 20 * TAU.tau)
         lax.append(lax[0] + 20 * W)
-        batch = s.grid(xs, lax, ys, lay)
+        batch = oracle.s_kappa_grid(s, xs, lax, ys, lay)
         for i in range(xs.size):
             for j in range(ys.size):
-                one = s.grid(xs[i:i + 1], lax[i:i + 1], ys[j:j + 1],
-                             lay[j:j + 1])[0, 0]
+                one = oracle.s_kappa_grid(s, xs[i:i + 1], lax[i:i + 1],
+                                          ys[j:j + 1], lay[j:j + 1])[0, 0]
                 assert abs(batch[i, j] - one) <= 1e-15 * abs(one)
 
     @pytest.mark.parametrize("periods", [1, 6, 20])
@@ -1226,9 +1251,10 @@ class TestSeparableGrid:
         s = rho.TorusBaseKernel(TW1, HANDLE, mod)
         x, y = _pt(0.09, 0.53), _pt(0.61, 0.12, offset=W)
         lax, lay = s.log_a(x), s.log_a(y)
-        val = s.grid([x], [lax], [y], [lay])[0, 0]
+        val = oracle.s_kappa_grid(s, [x], [lax], [y], [lay])[0, 0]
         shift = TWO_PI_I * periods * TAU.tau
-        far = s.grid([x + shift], [lax + periods * W], [y], [lay])[0, 0]
+        far = oracle.s_kappa_grid(s, [x + shift], [lax + periods * W], [y],
+                                  [lay])[0, 0]
         mult = np.exp(-TWO_PI_I * periods * (TW1.beta - 0.5))
         # the shifted argument carries a rounding error of ulp(|shift|)
         assert abs(far - mult * val) < 1e-14 * (1 + abs(shift)) * abs(val)
@@ -1237,19 +1263,19 @@ class TestSeparableGrid:
         mod = _torus_moduli()
         ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
         s = ctx.moments.base
-        c, y_contour = rho.torus_contours(
+        c, y_contour = oracle.torus_contours(
             s, [(2, mod.contour_radius),
                 (1, rho.Y_RADIUS_FACTOR * mod.contour_radius)], 32)
         # a contour against itself
         with pytest.raises(DomainError):
-            s.grid(c.points, c.log_a, c.points, c.log_a)
+            oracle.s_kappa_grid(s, c.points, c.log_a, c.points, c.log_a)
         # a point on a moment contour
         node = y_contour.points[5]
         with pytest.raises(DomainError):
             ctx.moments.h_vector(node, s.log_a(node))
         with pytest.raises(DomainError):
-            s.grid([node], [s.log_a(node)], y_contour.points,
-                   y_contour.log_a)
+            oracle.s_kappa_grid(s, [node], [s.log_a(node)],
+                                y_contour.points, y_contour.log_a)
         # circles whose nodes meet modulo the lattice: x node r of the
         # circle around 0 and y node 2 pi i + r of the circle around
         # 2 pi i + 2r
@@ -1258,19 +1284,19 @@ class TestSeparableGrid:
         far = TWO_PI_I + 2 * r - near
         assert lattice_distance(near[0] - far[0], TAU) < 1e-12
         with pytest.raises(DomainError):
-            s.grid(near, y_contour.log_a, far, y_contour.log_a)
+            oracle.s_kappa_grid(s, near, y_contour.log_a, far, y_contour.log_a)
 
     def test_build_work_counts(self, monkeypatch):
         # a build takes no contour: log A at the start nodes of the four
         # contours (and r/16 inside them, for their sheets) comes from one
         # closed-form call, one two-vertex path per contour, and no
-        # theta_1 sum; the quadrature oracles build the contours on first
-        # use; rho measures no M x M lattice distance
+        # theta_1 sum; the quadrature oracle builds the contours; rho
+        # measures no M x M lattice distance
         shapes = []
         calls = []
         contours = []
         distance = rho.lattice_distance
-        closed, build_contours = rho._continue_log_a, rho.torus_contours
+        closed, build_contours = rho._continue_log_a, oracle.torus_contours
 
         def recording_distance(z, tau):
             shapes.append(np.shape(z))
@@ -1285,7 +1311,7 @@ class TestSeparableGrid:
             return build_contours(s, specs, m)
 
         def counting(name):
-            method = getattr(rho.TorusMoments, name)
+            method = getattr(oracle.TorusQuadrature, name)
 
             def wrapper(self, *args):
                 contours.append(name)
@@ -1294,21 +1320,23 @@ class TestSeparableGrid:
 
         def forbidden(*args):
             raise AssertionError("A evaluated by theta_1 sums in a build")
-        monkeypatch.setattr(rho, "_a_values", forbidden)
+        monkeypatch.setattr(oracle, "_a_values", forbidden)
         monkeypatch.setattr(rho, "lattice_distance", recording_distance)
-        monkeypatch.setattr(rho, "_continue_log_a", counting_closed)
-        monkeypatch.setattr(rho, "torus_contours", counting_contours)
+        for module in (rho, oracle):
+            monkeypatch.setattr(module, "_continue_log_a", counting_closed)
+        monkeypatch.setattr(oracle, "torus_contours", counting_contours)
         for name in ("_mode_table", "_moments"):
-            monkeypatch.setattr(rho.TorusMoments, name, counting(name))
+            monkeypatch.setattr(oracle.TorusQuadrature, name, counting(name))
         m = 32
         ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, m)
         assert contours == []
         assert calls == [(4, 2)]
         ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
         assert contours == []
-        ctx.moments._build_g()
-        ctx.moments.h_matrix([_pt(0.09, 0.53)])
-        ctx.moments.hbar_matrix([_pt(0.61, 0.12, offset=W)])
+        tq = oracle.TorusQuadrature(ctx.moments, m)
+        tq.g_matrix()
+        tq.h_matrix([_pt(0.09, 0.53)])
+        tq.hbar_matrix([_pt(0.61, 0.12, offset=W)])
         # one torus_contours call of four contours, with log A at their
         # nodes from one closed-form call; the rest are the build, the
         # kernel's two points and the oracles' points

@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 
 from szegosew import specialfn, verify
 from szegosew.errors import ConvergenceError, DomainError, ResonanceError
-from szegosew.numerics import circle_nodes
-from szegosew.specialfn import (Characteristics, K, TorusModulus, TwistPair,
-                                _theta_sums, bernoulli_poly,
-                                eisenstein_twisted, lattice_distance,
-                                lattice_reduce, min_lattice_distance,
-                                p1_series, p1_theta, p_k_vector, theta1,
-                                theta_char)
+from szegosew.oracle import (Characteristics, circle_nodes, p1_series,
+                             theta_char)
+from szegosew.specialfn import (K, TorusModulus, TwistPair, _theta_sums,
+                                bernoulli_poly, eisenstein_twisted,
+                                lattice_distance, lattice_reduce,
+                                min_lattice_distance, p1_theta, p_k_vector,
+                                theta1)
 
 TAU = TorusModulus(0.3 + 1.0j)
 TWO_PI_I = 2j * np.pi
