@@ -3,11 +3,12 @@
 Genus-two Szego kernels are assembled from lower-genus data through two
 explicit sewing schemes: joining two tori through an annulus (the
 ``epsilon`` module) and attaching a handle to a sphere or a torus (the
-``rho`` module).  The ``specialfn`` module provides the theta-function and
-twisted-Eisenstein substrate, ``modular`` the symmetry-group actions and
-invariance residuals, ``oracle`` the independent routes that check the
-pipeline, ``verify`` the identity/property suites, and ``cli`` the
-command-line front end.
+``rho`` module).  The ``specialfn`` module provides the genus-one theta
+stage, from which both schemes read P_k and their Laurent data at the
+origin (the Eisenstein E_n included), ``modular`` the symmetry-group
+actions and invariance residuals, ``oracle`` the independent routes that
+check the pipeline, ``verify`` the identity/property suites, and ``cli``
+the command-line front end.
 """
 
 from .epsilon import (EpsilonContext, EpsilonModuli, GenusTwoCharacteristicsEps,

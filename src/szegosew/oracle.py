@@ -18,8 +18,8 @@ from .config import RESONANCE_GUARD, SERIES_TOL, THETA_TOL
 from .errors import (BranchTrackingError, ConvergenceError, DomainError,
                      ResonanceError)
 from .numerics import as_complex_matrix, check_count
-from .rho import (TWO_PI_I, TorusBaseKernel, TorusMoments, _branches,
-                  _check_radii, _continue_log_a, mode_index)
+from .rho import (TWO_PI_I, TorusMoments, _branches, _continue_log_a,
+                  mode_index)
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
                         _check_not_trivial, _multiplier, _reduce_mod1,
                         _reduce_off_lattice, _theta_value, p1_theta)
@@ -227,8 +227,8 @@ def _a_values(z, tau: TorusModulus, w: complex):
     return np.exp(log_mult[0] - log_mult[1]) * th[0] / th[1]
 
 
-def s_kappa_grid(s: TorusBaseKernel, xs, log_ax, ys, log_ay) -> np.ndarray:
-    """S_kappa(x_i, y_j) of the base kernel s, shape (P, Q), at points with
+def s_kappa_grid(s: TorusMoments, xs, log_ax, ys, log_ay) -> np.ndarray:
+    """S_kappa(x_i, y_j) of the setup s, shape (P, Q), at points with
     one finite log A branch each: e^{kappa (log A(x) - log A(y)) - kappa v
     (x - y)} P1[char](x - y) through p1_theta, whose lattice reduction is
     the pole guard; no value depends on the other points of its call."""
@@ -253,7 +253,7 @@ class TorusContour:
     radius: float
 
 
-def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
+def torus_contours(s: TorusMoments, specs, m: int) -> tuple:
     """Circles (label a, radius) of m nodes around the punctures, one
     TorusContour per entry of specs, with log A at every node (0 at
     kappa = 0) from one closed-form call: each circle is the path z_ref
@@ -264,7 +264,8 @@ def torus_contours(s: TorusBaseKernel, specs, m: int) -> tuple:
     """
     mod = s.moduli
     radii = np.array([r for _, r in specs], dtype=float)
-    _check_radii(s, radii)
+    if np.any(radii >= mod.radius):
+        raise DomainError("contour radius exceeds the sewing annulus")
     if s.tracked and np.any(radii < _LOG_A_RADIUS_FLOOR):
         raise DomainError(
             f"contour radius below {_LOG_A_RADIUS_FLOOR:.0e}: its nodes "
@@ -315,8 +316,8 @@ class TorusQuadrature:
         self.moments = moments
         self.m_points = check_count(m_points, 8,
                                     "need at least 8 quadrature points")
-        cs = torus_contours(moments.base, [(a, radius_scale * r)
-                                           for a, r in moments._specs],
+        cs = torus_contours(moments, [(a, radius_scale * r)
+                                      for a, r in moments._specs],
                             self.m_points)
         self.x, self.y = cs[:2], cs[2:]
         # the U^kappa moments read Ebar_{a,j} to j = 2N - 1
@@ -330,7 +331,7 @@ class TorusQuadrature:
         their largest per node, and the trapezoid-weighted modes."""
         m = self.m_points
         modes = np.array([np.exp(-np.multiply.outer(
-            mode_index(a, np.arange(1, n + 1), self.moments.base.kappa),
+            mode_index(a, np.arange(1, n + 1), self.moments.kappa),
             c.log_local)) for a, c in zip((1, 2), cs)])
         return (modes, np.max(np.abs(modes), axis=1),
                 [w[:, :m] * c.weight for w, c in zip(modes, cs)])
@@ -351,7 +352,7 @@ class TorusQuadrature:
     def u_moments(self) -> tuple:
         """The U^kappa moments of ``TorusMoments._u_moments``, E of the y
         contours and Ebar of the x contours, by quadrature."""
-        kap = self.moments.base.kappa
+        kap = self.moments.kappa
         return tuple(self._moments(table, np.exp(
             sign * kap * _nodes(cs)[1])[None], "U^kappa").reshape(2, -1)
             for cs, table, sign in ((self.y, self._y_modes, -1.0),
@@ -370,12 +371,12 @@ class TorusQuadrature:
     def h_matrix(self, xs, log_a_xs=None) -> np.ndarray:
         """Rows (h_1(k,x), h_2(k,x)), k = 1..N, one per point of xs, by
         quadrature of S_kappa; log A is continued unless supplied."""
-        s = self.moments.base
-        f = s_kappa_grid(s, xs, s.log_a(xs, log_a_xs), *_nodes(self.y))
-        return self.moments._pref * self._moments(self._y_modes, f, "h")
+        mom = self.moments
+        f = s_kappa_grid(mom, xs, mom.log_a(xs, log_a_xs), *_nodes(self.y))
+        return mom._pref * self._moments(self._y_modes, f, "h")
 
     def hbar_matrix(self, ys, log_a_ys=None) -> np.ndarray:
         """Rows (hbar_1(k,y), hbar_2(k,y)), k = 1..N, one per point of ys."""
-        s = self.moments.base
-        f = s_kappa_grid(s, *_nodes(self.x), ys, s.log_a(ys, log_a_ys))
-        return self.moments._pref * self._moments(self._x_modes, f.T, "hbar")
+        mom = self.moments
+        f = s_kappa_grid(mom, *_nodes(self.x), ys, mom.log_a(ys, log_a_ys))
+        return mom._pref * self._moments(self._x_modes, f.T, "hbar")

@@ -20,17 +20,12 @@ shifted mode indices k_a = k + (-1)^{abar} kappa, and weighted moments
 
 where z_a is the local coordinate of the annulus C_a.  On the sphere the
 moments collapse to closed forms and T is exactly diagonal.  On the
-torus all three are Laurent data at the punctures (see TorusMoments):
-h and hbar are Taylor rows of the genus-one P_k at x - c_a and
-c_abar - y, and G, the x-contour moment of h, is built from the same
-matrices and the Taylor coefficients of P1 at +-w and of its regular
-part at 0, all from theta sums.  The moments of U^kappa alone that
-these matrices fold in are Taylor coefficients too: powers of
-S = B_w / b_0, the ratio of the theta_1 rows at w and at the origin,
-times one exact branch constant per contour, whose sheet is read from
-log A continued in closed form from z_ref.  A build takes no contour:
-the quadrature of these integrals is the oracle (``oracle``), and the
-count M is carried for the benchmark and two quadrature shims alone.
+torus one TorusMoments holds the constants of S_kappa and all three
+moments, as Laurent data at the punctures from theta sums.  A build
+takes no contour: the quadrature of these integrals is the oracle
+(``oracle``), and the count M is carried for the benchmark and two
+quadrature shims alone.  The bound on |rho| is stated once, on
+RhoModuliTorus.
 
 Half-integer powers of rho are taken from the recorded branch log_rho
 (never from a fresh principal root), so the handle Dehn move
@@ -59,8 +54,7 @@ from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 __all__ = [
     "HandleTwist", "RhoModuliSphere", "RhoModuliTorus", "mode_index",
     "s_kappa_sphere", "det_i_minus_t_sphere", "RhoSphereContext",
-    "torus_from_sphere", "log_a_torus", "TorusBaseKernel", "TorusMoments",
-    "RhoTorusContext",
+    "torus_from_sphere", "log_a_torus", "TorusMoments", "RhoTorusContext",
 ]
 
 TWO_PI_I = 2j * np.pi
@@ -157,11 +151,13 @@ class RhoModuliSphere:
 class RhoModuliTorus:
     """Self-sewing data of a torus: (tau, w, rho) with recorded branch.
 
-    Domain: |w - lambda| > 2 |rho|^{1/2} > 0 for every lattice point
-    lambda, plus |rho| < r_1 r_2 for the sewing annulus radii so the
-    moment solve converges.  Fixed at construction: ``radius``, the outer
-    radius r_a of both sewing annuli, and ``contour_radius``, the
-    geometric mean of their inner and outer radii.
+    Domain, stated here alone: 0 < |rho| < (r / X_RADIUS_FACTOR)^2, so
+    the x contours of a build, of radius X_RADIUS_FACTOR |rho|^{1/2},
+    lie inside the sewing annuli; this keeps w off the lattice.  Fixed
+    at construction: ``radius`` r, the outer radius of both annuli,
+    RADIUS_FACTOR times the least of the shortest period and the lattice
+    distance of w, and ``contour_radius`` |rho|^{1/2}, the geometric mean
+    of their radii.  |rho| / r^2 is invariant under gamma_1, A, B and C.
     """
 
     tau: TorusModulus
@@ -183,15 +179,13 @@ class RhoModuliTorus:
             raise DomainError("rho must be nonzero")
         _check_log(rho, log_rho, "rho")
         wdist = float(lattice_distance(w, self.tau))
-        if wdist <= 2.0 * math.sqrt(abs(rho)):
-            raise DomainError(
-                f"|w - lambda| = {wdist:.3e} must exceed 2 |rho|^(1/2) "
-                f"= {2.0 * math.sqrt(abs(rho)):.3e}")
         r = RADIUS_FACTOR * min(min_lattice_distance(self.tau), wdist)
-        if abs(rho) >= r * r:
+        bound = (r / X_RADIUS_FACTOR) ** 2
+        if abs(rho) >= bound:
             raise DomainError(
-                f"|rho| = {abs(rho):.3e} outside the convergence bound "
-                f"r_1 r_2 = {r * r:.3e}")
+                f"|rho| = {abs(rho):.3e} outside the sewing bound "
+                f"(r / {X_RADIUS_FACTOR})^2 = {bound:.3e}, where the "
+                f"distance of w to the lattice is {wdist:.3e}")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "log_rho", log_rho)
@@ -243,6 +237,12 @@ class RhoModuliTorus:
 # sphere: kernel, closed-form moments, determinant, assembly
 # ----------------------------------------------------------------------
 
+def _check_off_puncture(xs: np.ndarray, ys: np.ndarray) -> None:
+    """DomainError at a point 0, before any logarithm is taken of it."""
+    if not (xs.all() and ys.all()):
+        raise DomainError("x, y must avoid the punctures 0 and infinity")
+
+
 def s_kappa_sphere(handle: HandleTwist, x, y, log_x=None, log_y=None):
     """Twisted genus-zero kernel coefficient of dx^1/2 dy^1/2.
 
@@ -255,8 +255,7 @@ def s_kappa_sphere(handle: HandleTwist, x, y, log_x=None, log_y=None):
     """
     xv = np.asarray(x, dtype=complex)
     yv = np.asarray(y, dtype=complex)
-    if np.any(xv == 0) or np.any(yv == 0):
-        raise DomainError("x, y must avoid the punctures 0 and infinity")
+    _check_off_puncture(xv, yv)
     lx = np.log(xv) if log_x is None else np.asarray(log_x, dtype=complex)
     ly = np.log(yv) if log_y is None else np.asarray(log_y, dtype=complex)
     if not all(np.all(np.isfinite(v)) for v in (xv, yv, lx, ly)):
@@ -338,6 +337,7 @@ class RhoSphereContext:
         """
         xs = np.ravel(np.asarray(xs, dtype=complex))
         ys = np.ravel(np.asarray(ys, dtype=complex))
+        _check_off_puncture(xs, ys)
         lx = np.log(xs) if log_xs is None else np.ravel(log_xs).astype(complex)
         ly = np.log(ys) if log_ys is None else np.ravel(log_ys).astype(complex)
         if lx.size != xs.size or ly.size != ys.size:
@@ -484,7 +484,7 @@ def log_a_torus(z, tau: TorusModulus, w: complex, *,
 
 
 # ----------------------------------------------------------------------
-# torus: twisted base kernel S_kappa
+# torus: twisted base kernel S_kappa and its moments in closed form
 # ----------------------------------------------------------------------
 
 def _branches(zs: np.ndarray, log_a) -> np.ndarray:
@@ -495,72 +495,6 @@ def _branches(zs: np.ndarray, log_a) -> np.ndarray:
         raise DomainError("need one finite log A branch per point")
     return log_a
 
-
-class TorusBaseKernel:
-    """Twisted genus-one kernel S_kappa of one self-sewing setup.
-
-        S_kappa(x,y) = U(x,y)^kappa theta[a1;b1](x-y+kappa w) /
-                       (theta[a1;b1](kappa w) K(x-y)),
-        U(x,y) = theta1(x-w) theta1(y) / (theta1(x) theta1(y-w)),
-
-    with U^kappa = exp(kappa (log A(x) - log A(y))) on the continued
-    branch of log A (see log_a_torus).  With w = 2 pi i (u + v tau),
-    theta[a1;b1](z + kappa w) is e^{-kappa v z} theta[c](z) up to a
-    constant, for the shifted characteristic c = [alpha1 + kappa v;
-    beta1 + kappa u] (``char``, with ``kv`` = kappa v), so
-
-        S_kappa(x,y) = e^{kappa (log A(x) - log A(y)) - kappa v (x - y)}
-                       P1[c](x - y).
-
-    TorusMoments.taylor_rows folds these factors into its theta stage,
-    and ``oracle.s_kappa_grid`` evaluates the form itself.  The constant
-    theta[a1;b1](kappa w) with its resonance guard, and whether log A is
-    needed at all (not at kappa = 0), are settled once, at construction;
-    kappa = -1/2 is an ordinary value.
-    """
-
-    def __init__(self, tw1: TwistPair, handle: HandleTwist,
-                 moduli: RhoModuliTorus) -> None:
-        kap = handle.kappa
-        self.tw1 = tw1
-        self.kappa = kap
-        self.moduli = moduli
-        self.tracked = kap != 0.0
-        tau = moduli.tau.tau
-        log_mult, th0 = _theta_value((tw1.alpha, tw1.beta), kap * moduli.w, tau)
-        if abs(complex(np.exp(log_mult) * th0)) < RESONANCE_GUARD:
-            raise ResonanceError(
-                "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
-        uv = moduli.w / TWO_PI_I
-        v = uv.imag / tau.imag
-        self.kv = kap * v
-        self.char = TwistPair(tw1.alpha + self.kv,
-                              tw1.beta + kap * (uv.real - v * tau.real))
-
-    def log_a(self, z, log_a_z=None):
-        """Branch of log A at a point or an array of points: the supplied
-        one, else continued in closed form; 0 if untracked."""
-        mod = self.moduli
-        if self.tracked and log_a_z is None:
-            return log_a_torus(z, mod.tau, mod.w, z_ref=mod.z_ref,
-                               log_a_ref=mod.log_a_ref)
-        val = np.zeros(np.shape(z), dtype=complex) if not self.tracked \
-            else np.asarray(log_a_z, dtype=complex)
-        return val if np.ndim(z) else complex(val)
-
-
-def _check_radii(s: TorusBaseKernel, radii: np.ndarray) -> None:
-    """DomainError unless every contour radius stays inside the sewing
-    annulus."""
-    if np.any(radii >= s.moduli.radius):
-        raise DomainError(
-            "contour radius exceeds the sewing annulus; "
-            "rho too close to the domain boundary")
-
-
-# ----------------------------------------------------------------------
-# torus: moments in closed form
-# ----------------------------------------------------------------------
 
 def _series_powers(s: np.ndarray, kappa: float) -> np.ndarray:
     """[t^n] S^{-kappa} and [t^n] S^{kappa}, n < K, shape (2, K), of the
@@ -581,12 +515,22 @@ def _series_powers(s: np.ndarray, kappa: float) -> np.ndarray:
 
 
 class TorusMoments:
-    """Moments of the self-sewn torus from Laurent data at the punctures.
+    """One self-sewn-torus setup: the twisted base kernel
 
-    h and hbar are Laurent coefficients at the punctures.  With
-    w = 2 pi i (u + v tau), S_kappa(x,y) = e^{kappa (log A(x) - log A(y))}
-    f(x - y), where f(z) = e^{-kappa v z} P1[c](z) for the shifted
-    characteristic c = [alpha1 + kappa v; beta1 + kappa u] (``char``).
+        S_kappa(x,y) = U(x,y)^kappa theta[a1;b1](x-y+kappa w) /
+                       (theta[a1;b1](kappa w) K(x-y)),
+        U(x,y) = theta1(x-w) theta1(y) / (theta1(x) theta1(y-w)),
+
+    and its moments G, h and hbar from Laurent data at the punctures.
+    U^kappa = exp(kappa (log A(x) - log A(y))) on the continued branch of
+    log A (``log_a``).  With w = 2 pi i (u + v tau), theta[a1;b1](z +
+    kappa w) is e^{-kappa v z} theta[c](z) up to a constant, for the
+    shifted characteristic c = [alpha1 + kappa v; beta1 + kappa u]
+    (``char``, ``kv`` = kappa v), so S_kappa(x,y) = e^{kappa (log A(x) -
+    log A(y))} f(x - y), f(z) = e^{-kappa v z} P1[c](z).  These, the
+    resonance guard on theta[a1;b1](kappa w) and whether log A enters at
+    all (``tracked``: not at kappa = 0) are settled once per build.
+
     Near c_a, y_a^{-k_a} e^{-kappa log A(y)} = y_a^{-k} E_a(y) with E_a
     analytic inside the y contour, so
 
@@ -624,14 +568,14 @@ class TorusMoments:
     rho^{(k_a-1/2)/2} e^{-kappa v c_abar} d_{a,k+j+1} to Hbar_a K_ab
     (``_closed_g``).  The R_n (the row the two-tori F reads too), the
     P_n at +-w and S come from one theta stage (``_laurent``), not a
-    q-series, and a build takes no contour.
+    q-series.
 
     Contours C_a (``_specs``) are circles of the geometric-mean annulus
     radius round 0 and w, the x and y copies split by fixed factors so
-    same-center contours never collide.  A build checks their radii and
-    holds no contour; their quadrature is the oracle
-    (``oracle.TorusQuadrature``), and M is carried for the benchmark and
-    the shims ``h_vector`` / ``hbar_vector``.
+    same-center contours never collide; the moduli's domain keeps them
+    inside the sewing annuli.  A build holds no contour: their quadrature
+    is the oracle (``oracle.TorusQuadrature``), and M is carried for the
+    benchmark and the shims ``h_vector``/``hbar_vector``.
     """
 
     def __init__(self, tw1: TwistPair, handle: HandleTwist,
@@ -640,7 +584,20 @@ class TorusMoments:
         n_order = check_count(n_order, 1, "order must be >= 1")
         self.m_points = check_count(m_points, 8,
                                     "need at least 8 quadrature points")
-        self.base = TorusBaseKernel(tw1, handle, moduli)
+        kap = handle.kappa
+        tau = moduli.tau.tau
+        log_mult, th0 = _theta_value((tw1.alpha, tw1.beta), kap * moduli.w, tau)
+        if abs(complex(np.exp(log_mult) * th0)) < RESONANCE_GUARD:
+            raise ResonanceError(
+                "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
+        uv = moduli.w / TWO_PI_I
+        v = uv.imag / tau.imag
+        self.tw1 = tw1
+        self.kappa = kap
+        self.tracked = kap != 0.0
+        self.kv = kap * v
+        self.char = TwistPair(tw1.alpha + self.kv,
+                              tw1.beta + kap * (uv.real - v * tau.real))
         self.moduli = moduli
         self.n_order = n_order
         r = moduli.contour_radius
@@ -649,7 +606,6 @@ class TorusMoments:
         # over which G column a and h_a integrate (a = 1, 2)
         self._specs = ([(3 - a, X_RADIUS_FACTOR * r) for a in (1, 2)]
                        + [(a, Y_RADIUS_FACTOR * r) for a in (1, 2)])
-        _check_radii(self.base, np.array([r for _, r in self._specs]))
         self._k = [mode_index(a, np.arange(1, n_order + 1), handle.kappa)
                    for a in (1, 2)]
         self._pref = np.concatenate(
@@ -658,6 +614,17 @@ class TorusMoments:
         self._taylor_h, self._taylor_hbar, d = self._taylor_blocks(
             *self._u_moments(s, log_k))
         self.g = self._closed_g(d, p, r_n)
+
+    def log_a(self, z, log_a_z=None):
+        """Branch of log A at a point or an array of points: the supplied
+        one, else continued in closed form; 0 if untracked."""
+        mod = self.moduli
+        if self.tracked and log_a_z is None:
+            return log_a_torus(z, mod.tau, mod.w, z_ref=mod.z_ref,
+                               log_a_ref=mod.log_a_ref)
+        val = np.zeros(np.shape(z), dtype=complex) if not self.tracked \
+            else np.asarray(log_a_z, dtype=complex)
+        return val if np.ndim(z) else complex(val)
 
     def _u_moments(self, s: np.ndarray, log_k: complex) -> tuple:
         """The U^kappa moments in closed form: E_{a,j}, j < N, of the y
@@ -681,10 +648,10 @@ class TorusMoments:
         (``_SHEET_RADIUS``).  Only where c + r/16 rounds to c is a build
         refused, since it reads no node.
         """
-        n, kap, mod = self.n_order, self.base.kappa, self.moduli
+        n, kap, mod = self.n_order, self.kappa, self.moduli
         out = np.zeros((4, 2 * n), dtype=complex)
         out[:, 0] = 1.0
-        if self.base.tracked:
+        if self.tracked:
             radii = np.array([r for _, r in self._specs])
             at_w = np.array([a == 2 for a, _ in self._specs])
             sign = np.where(at_w, -1.0, 1.0)
@@ -717,7 +684,7 @@ class TorusMoments:
         of block a maps the rows (P_1..P_N) at x - c_a (at c_abar - y for
         hbar) to h_a(k) / e^{kappa log A(x) - kappa v x}
         (hbar_a(k) / e^{kappa v y - kappa log A(y)})."""
-        n, kv = self.n_order, self.base.kv
+        n, kv = self.n_order, self.kv
         d = np.subtract.outer(np.arange(n), np.arange(n))  # k - l
         lower = d >= 0
         d = np.where(lower, d, 0)
@@ -748,7 +715,7 @@ class TorusMoments:
         B_w(t) = theta_1(w - t)/theta_1(w) and b_0(t) = K(t)/t (the
         theta_1 rows at w and at the origin), shape (2N,); and a
         logarithm of K(w) = theta_1(w)/theta_1'(0)."""
-        kmax, tau, char = 2 * self.n_order, self.moduli.tau, self.base.char
+        kmax, tau, char = 2 * self.n_order, self.moduli.tau, self.char
         z_red, m, k = _reduce_off_lattice(
             np.array([self.moduli.w, -self.moduli.w]), tau)
         a, b, _, kz = _theta_stage(char, kmax, z_red, 2, tau, laurent=True)
@@ -792,8 +759,7 @@ class TorusMoments:
         no value depends on the other points of its call.  The points are
         not validated here (``RhoTorusContext.kernel_matrix`` does that).
         """
-        s = self.base
-        n, kap, kv, char = self.n_order, s.kappa, s.kv, s.char
+        n, kap, kv, char = self.n_order, self.kappa, self.kv, self.char
         w, tau = self.moduli.w, self.moduli.tau
         p, q = xs.size, ys.size
         n_rows = 2 * (p + q)
@@ -890,7 +856,7 @@ class RhoTorusContext:
         xs = np.ravel(np.asarray(xs, dtype=complex))
         ys = np.ravel(np.asarray(ys, dtype=complex))
         self.validate_point(np.concatenate([xs, ys]))
-        s, mod = self.moments.base, self.moduli
+        mom, mod = self.moments, self.moduli
         lax, lay = log_a_xs, log_a_ys
         if lax is None or lay is None:
             zs = np.concatenate(
@@ -898,8 +864,8 @@ class RhoTorusContext:
             # validate_point keeps every point beyond the contour margin,
             # so clear of A's zeros and poles
             log_a = _continue_log_a(zs[:, None], mod.tau, mod.w, mod.z_ref,
-                                    mod.log_a_ref)[:, 0] if s.tracked \
-                else s.log_a(zs)
+                                    mod.log_a_ref)[:, 0] if mom.tracked \
+                else mom.log_a(zs)
             if lax is None:
                 lax, log_a = log_a[:xs.size], log_a[xs.size:]
             if lay is None:

@@ -376,7 +376,7 @@ def suite_integral_eq() -> list[dict]:
     # all pairs at once: row i of each grid is x_i, column i is y_i
     tw1, handle, tmod = _rho_torus_setup()
     rctx = RhoTorusContext(tw1, handle, tmod, 12, 64)
-    s = rctx.moments.base
+    s = rctx.moments
     xs, ys = (np.array(p) for p in zip(*_rho_torus_pairs(tmod, 4)))
     la_x, la_y = s.log_a(xs), s.log_a(ys)
     total = np.zeros(xs.size, dtype=complex)
@@ -531,8 +531,8 @@ def suite_convergence() -> list[dict]:
     # outside the default radius: G and the h row at x, largest entry
     # change
     mom = TorusMoments(tw1, handle, 8, tmod)
-    h, _, _ = mom.taylor_rows(np.array([x]), np.array([mom.base.log_a(x)]),
-                              np.array([y]), np.array([mom.base.log_a(y)]))
+    h, _, _ = mom.taylor_rows(np.array([x]), np.array([mom.log_a(x)]),
+                              np.array([y]), np.array([mom.log_a(y)]))
     worst = 0.0
     for scale in (0.8, 1.2):
         tq = TorusQuadrature(mom, 64, radius_scale=scale)

@@ -134,6 +134,19 @@ class TestEval:
         code, out, err = _run(capsys, ["eval", *args, "--points", pts])
         assert code == 2 and "finite" in err and not out
 
+    @pytest.mark.parametrize("args,pts,what", [
+        (SPHERE_ARGS, "1:0,0,1:0.2,0.1", "punctures"),
+        (["--scheme", "rho-torus", "--tau", "0.2,1.1", "--w=-1.866,2.315",
+          "--rho", "1.6113,0"], "1:0.6,3.5,1:-2.9,1.4", "|rho|")],
+        ids=["sphere-puncture", "torus-rho-bound"])
+    def test_domain_refusal_exit_2(self, capsys, args, pts, what):
+        # the sphere's puncture is refused before its log is taken (no
+        # warning: warnings are errors here), and rho = 0.9 r^2 by the
+        # moduli's one bound (r^2 = 1.790 at these tau and w)
+        code, out, err = _run(capsys, ["eval", *args, "--points", pts])
+        assert code == 2 and not out and what in err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "rows.csv"
         code, out, _ = _run(capsys, ["eval", *EPS_ARGS, *POINTS,

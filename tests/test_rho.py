@@ -16,8 +16,9 @@ from szegosew import numerics, oracle, rho, specialfn, verify
 from szegosew.config import POLE_GUARD, RESONANCE_GUARD
 from szegosew.errors import (BranchTrackingError, DomainError, ResonanceError,
                              SingularMatrixError)
+from szegosew.modular import RhoGroupElement
 from szegosew.rho import (HandleTwist, RhoModuliSphere, RhoModuliTorus,
-                          RhoSphereContext, RhoTorusContext, TorusBaseKernel,
+                          RhoSphereContext, RhoTorusContext, TorusMoments,
                           det_i_minus_t_sphere, log_a_torus, mode_index,
                           s_kappa_sphere, torus_from_sphere)
 from szegosew.oracle import p1_series
@@ -43,7 +44,7 @@ def _pt(u, v, offset=0.0):
 
 def _s_kappa(tw1, handle, x, y, mod):
     """S_kappa(x, y), log A continued at both points."""
-    s = TorusBaseKernel(tw1, handle, mod)
+    s = TorusMoments(tw1, handle, 1, mod)
     return complex(oracle.s_kappa_grid(s, [x], [s.log_a(x)], [y],
                                        [s.log_a(y)])[0, 0])
 
@@ -197,6 +198,17 @@ class TestSphereSewing:
             with pytest.raises(DomainError):
                 s_kappa_sphere(HANDLE, x, y, lx)
 
+    def test_puncture_rejected_before_its_log(self):
+        # the points are checked before the context takes their logs, so
+        # the puncture raises DomainError, not a divide-by-zero warning
+        ctx = RhoSphereContext(HANDLE, RhoModuliSphere.create(0.05 + 0.02j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="punctures"):
+                ctx.kernel(0, 0.2 + 0.1j)
+            with pytest.raises(DomainError, match="punctures"):
+                ctx.kernel_matrix([0.2 + 0.05j], [-0.15 + 0.18j, 0.0])
+
     def test_mode_index_shifts(self):
         k = np.arange(1, 4)
         assert np.allclose(mode_index(1, k, 0.2), k + 0.2)
@@ -277,6 +289,38 @@ class TestTorusSewing:
     def test_domain_rejects_lattice_puncture(self):
         with pytest.raises(DomainError):
             RhoModuliTorus.create(TAU, 0.0, 0.001)
+
+    def test_one_rho_bound_at_the_moduli(self):
+        # the moduli refuse |rho| >= (r / X_RADIUS_FACTOR)^2, the largest
+        # rho whose x contours fit in the sewing annuli, so rho = 0.9 r^2
+        # is refused before any build; the message names |rho|, the
+        # bound and the lattice distance of w
+        r = _torus_moduli().radius
+        bound = (r / rho.X_RADIUS_FACTOR) ** 2
+        with pytest.raises(DomainError) as exc:
+            RhoModuliTorus.create(TAU, W, 0.9 * r * r * np.exp(0.6j))
+        for value in (0.9 * r * r, bound, float(lattice_distance(W, TAU))):
+            assert f"{value:.3e}" in str(exc.value)
+        # only an oracle quadrature scaled past the annulus can leave it
+        mom = TorusMoments(TW1, HANDLE, 1, RhoModuliTorus.create(
+            TAU, W, 0.97 * bound * np.exp(0.6j)))
+        oracle.TorusQuadrature(mom, 32)
+        with pytest.raises(DomainError, match="exceeds the sewing annulus"):
+            oracle.TorusQuadrature(mom, 32, radius_scale=1.1)
+
+    @pytest.mark.parametrize("name", ["gamma1-S", "A"])
+    def test_modular_images_keep_the_rho_bound(self, name):
+        # |rho| / r^2 is invariant under gamma_1 and the shifts of w, so
+        # the images of a context at 0.97 of the bound still build
+        base = _torus_moduli()
+        bound = (base.radius / rho.X_RADIUS_FACTOR) ** 2
+        mod = RhoModuliTorus.create(TAU, W, 0.97 * bound * np.exp(0.6j))
+        g = {"gamma1-S": RhoGroupElement.gamma1(0, -1, 1, 0),
+             "A": RhoGroupElement.a_shift(1)}[name]
+        image, _ = g.transform(RhoTorusContext(TW1, HANDLE, mod, 8, 64))
+        ratio = abs(image.moduli.rho) / image.moduli.radius ** 2
+        assert abs(ratio - 0.97 / rho.X_RADIUS_FACTOR ** 2) < 1e-12
+        assert np.isfinite(image.det())
 
     def test_point_inside_contour_rejected(self):
         ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, 32)
@@ -443,7 +487,7 @@ class TestTorusSewing:
         assert abs(v + inv.kernel(y, x)) < 1e-12 * abs(v)
         for kap in (1e-8, -1e-8):
             near = RhoTorusContext(TW1, HandleTwist(kap, -0.22), mod, 10, 64)
-            assert near.moments.base.tracked
+            assert near.moments.tracked
             assert abs(near.kernel(x, y) - v) < 1e-7 * abs(v)
             assert abs(near.det() - d) < 1e-7 * abs(d)
 
@@ -493,7 +537,7 @@ class TestTorusSewing:
             v = ctx.kernel(x, y)
             assert abs(v + inv.kernel(y, x)) <= 1e-12 * abs(v)
         r = mod.contour_radius
-        s = ctx.moments.base
+        s = ctx.moments
         for a in (1, 2):
             outer, inner = oracle.torus_contours(
                 s, [(a, rho.X_RADIUS_FACTOR * r),
@@ -596,7 +640,7 @@ class TestKernelMatrix:
     def test_matches_looped_kernel(self, kappa, supplied):
         mod = _torus_moduli()
         ctx = RhoTorusContext(TW1, HandleTwist(kappa, -0.22), mod, 10, 64)
-        s = ctx.moments.base
+        s = ctx.moments
         xs, ys = _rho_points(mod)
         lax = [s.log_a(x) for x in xs] if supplied else None
         lay = [s.log_a(y) for y in ys] if supplied else None
@@ -640,7 +684,7 @@ class TestKernelMatrix:
     def test_log_a_branches_must_match_the_points(self):
         mod = _torus_moduli()
         ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
-        s = ctx.moments.base
+        s = ctx.moments
         xs, ys = _rho_points(mod)
         lax, lay = s.log_a(xs), s.log_a(ys)
         # two x points with one branch used to broadcast to a wrong value,
@@ -682,7 +726,7 @@ class TestKernelMatrix:
         monkeypatch.setattr(rho, "_continue_log_a", counting)
         ctx.kernel_matrix(xs, ys)
         assert calls == [xs.size + ys.size]
-        s = ctx.moments.base
+        s = ctx.moments
         ctx.kernel_matrix(xs, ys, [s.log_a(x) for x in xs])
         assert calls[-1] == ys.size
 
@@ -803,7 +847,7 @@ class TestKernelMatrix:
         mom = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, m).moments
         tq = oracle.TorusQuadrature(mom, m)
         log_a = np.array([c.log_a for c in tq.y])
-        f = np.exp(-mom.base.kappa * log_a).reshape(1, -1)
+        f = np.exp(-mom.kappa * log_a).reshape(1, -1)
         tq._moments(tq._y_modes, f, "U^kappa")
         for a in (1, 2):
             moved = f.copy()
@@ -812,7 +856,7 @@ class TestKernelMatrix:
             lost[0, a * (m + 1) - 1] = np.nan
             unturned = log_a.copy()
             unturned[a - 1, m] = unturned[a - 1, 0]
-            for bad in (moved, lost, np.exp(-mom.base.kappa * unturned)):
+            for bad in (moved, lost, np.exp(-mom.kappa * unturned)):
                 with pytest.raises(BranchTrackingError,
                                    match=rf"U\^kappa_{a} contour"):
                     tq._moments(tq._y_modes, bad.reshape(1, -1), "U^kappa")
@@ -881,7 +925,7 @@ def _rows_error(ctx, zs):
     """Largest deviation of the Taylor rows h and hbar at zs from their
     contour quadrature, each row relative to its largest entry."""
     mom, tq = ctx.moments, _quadrature(ctx)
-    la = mom.base.log_a(zs)
+    la = mom.log_a(zs)
     k = zs.size // 2  # x - y must avoid the lattice: two calls
     h1, hb1, _ = mom.taylor_rows(zs[:k], la[:k], zs[k:], la[k:])
     h2, hb2, _ = mom.taylor_rows(zs[k:], la[k:], zs[:k], la[:k])
@@ -900,14 +944,14 @@ class TestTaylorRows:
     @pytest.mark.parametrize("n,m", [(12, 64), (16, 128)])
     def test_rows_match_quadrature(self, seed, n, m):
         ctx, zs = _seeded_torus(seed, n, m)
-        assert ctx.moments.base.tracked
+        assert ctx.moments.tracked
         assert _rows_error(ctx, zs) < 1e-13
 
     @pytest.mark.parametrize("seed", range(3))
     def test_untwisted_handle(self, seed):
         # kappa = 0: no log A, no kappa v shift of the characteristic
         ctx, zs = _seeded_torus(seed, 12, 64, kappa=0.0)
-        assert not ctx.moments.base.tracked
+        assert not ctx.moments.tracked
         assert _rows_error(ctx, zs) < 1e-13
 
     @pytest.mark.parametrize("name", ["A", "B", "C", "gamma1-T"])
@@ -942,7 +986,7 @@ class TestTaylorRows:
     def test_base_kernel_matches_grid(self):
         # the value-only points x - y give S_kappa of oracle.s_kappa_grid
         ctx, zs = _seeded_torus(7, 8, 32)
-        s = ctx.moments.base
+        s = ctx.moments
         la = s.log_a(zs)
         _, _, base = ctx.moments.taylor_rows(zs[:3], la[:3], zs[3:], la[3:])
         grid = oracle.s_kappa_grid(s, zs[:3], la[:3], zs[3:], la[3:])
@@ -972,7 +1016,7 @@ class TestClosedFormG:
     @pytest.mark.parametrize("n,m", [(12, 64), (16, 128)])
     def test_matches_quadrature(self, seed, n, m):
         ctx, _ = _seeded_torus(seed, n, m)
-        assert ctx.moments.base.tracked
+        assert ctx.moments.tracked
         assert verify._g_error(_quadrature(ctx)) < 5e-13
 
     @pytest.mark.parametrize("seed", range(3))
@@ -1021,10 +1065,10 @@ class TestClosedFormG:
         assert p.shape == (2, 23) and r.shape == (23,)
         z, wq = oracle.circle_nodes(
             0.0, 0.75 * specialfn.min_lattice_distance(tau), 1024)
-        vals = wq * (specialfn.p1_theta(mom.base.char, z, tau) - 1.0 / z)
+        vals = wq * (specialfn.p1_theta(mom.char, z, tau) - 1.0 / z)
         cauchy = vals @ z[:, None] ** -np.arange(1.0, 24.0)
         assert np.all(np.abs(r - cauchy) <= 1e-11 * np.abs(cauchy))
-        ref = specialfn.p_k_vector(mom.base.char, 23, np.array([w, -w]), tau)
+        ref = specialfn.p_k_vector(mom.char, 23, np.array([w, -w]), tau)
         assert np.all(np.abs(p - ref) <= 1e-14 * np.abs(ref))
         # the theta_1 data of the U^kappa moments: K(w) against theta1, and
         # S(t) = theta_1(w - t) t theta_1'(0) / (theta_1(w) theta_1(t))
@@ -1081,7 +1125,7 @@ class TestClosedFormMoments:
     @pytest.mark.parametrize("n,m", [(12, 64), (16, 128)])
     def test_matches_quadrature(self, seed, n, m):
         ctx, _ = _seeded_torus(seed, n, m)
-        assert ctx.moments.base.tracked
+        assert ctx.moments.tracked
         assert verify._moments_error(_quadrature(ctx)) < 1e-13
 
     def test_untwisted_handle(self):
@@ -1192,7 +1236,7 @@ class TestSeparableGrid:
     @pytest.mark.parametrize("tau_c", [0.2 + 1.1j, 0.3 + 1.0j, 3.7 + 0.2j])
     def test_grid_matches_direct_reference(self, tau_c, kappa):
         mod = _moduli_at(tau_c)
-        s = rho.TorusBaseKernel(TW1, HandleTwist(kappa, -0.22), mod)
+        s = rho.TorusMoments(TW1, HandleTwist(kappa, -0.22), 1, mod)
         r = mod.contour_radius
         cx, cy, cz = oracle.torus_contours(
             s, [(2, rho.X_RADIUS_FACTOR * r), (1, rho.Y_RADIUS_FACTOR * r),
@@ -1226,7 +1270,7 @@ class TestSeparableGrid:
 
     def test_values_do_not_depend_on_the_batch(self):
         mod = _torus_moduli()
-        s = rho.TorusBaseKernel(TW1, HANDLE, mod)
+        s = rho.TorusMoments(TW1, HANDLE, 1, mod)
         # far points: 9 + 0.1i, and x_0 moved twenty periods, past the
         # largest box a direct theta sum may take (log A moves by 20 w)
         xs = np.array([_pt(0.09, 0.53), 0.3 + 0.7j, 9.0 + 0.1j])
@@ -1248,7 +1292,7 @@ class TestSeparableGrid:
         # S_kappa(x, y) when log A(x) moves by k w; at k = 20 a direct
         # theta sum would overflow
         mod = _torus_moduli()
-        s = rho.TorusBaseKernel(TW1, HANDLE, mod)
+        s = rho.TorusMoments(TW1, HANDLE, 1, mod)
         x, y = _pt(0.09, 0.53), _pt(0.61, 0.12, offset=W)
         lax, lay = s.log_a(x), s.log_a(y)
         val = oracle.s_kappa_grid(s, [x], [lax], [y], [lay])[0, 0]
@@ -1262,7 +1306,7 @@ class TestSeparableGrid:
     def test_kernel_poles_raise(self):
         mod = _torus_moduli()
         ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
-        s = ctx.moments.base
+        s = ctx.moments
         c, y_contour = oracle.torus_contours(
             s, [(2, mod.contour_radius),
                 (1, rho.Y_RADIUS_FACTOR * mod.contour_radius)], 32)
