@@ -214,9 +214,12 @@ def f_matrix(chars: GenusTwoCharacteristicsEps, n_order: int,
     The E_n of both tori come from one theta stage per torus at the
     origin, the Laurent row that the self-sewn torus G reads too, and
     one forward substitution over the two rows stacked
-    (``_origin_eisenstein``).  The factor sqrt_epsilon^k sqrt_epsilon^{l-1}
-    is the outer product of ``moduli.sqrt_epsilon_powers``, shared by
-    both blocks with the signs and binomials.
+    (``_origin_eisenstein``), once per ((tw_1, tau_1), (tw_2, tau_2), N)
+    per process: they do not depend on epsilon, so a build at another
+    epsilon on the same tori makes neither.  The factor sqrt_epsilon^k
+    sqrt_epsilon^{l-1} is the outer product of
+    ``moduli.sqrt_epsilon_powers``, shared by both blocks with the signs
+    and binomials.
     """
     n_order = check_count(n_order, 1, "order must be >= 1")
     eis = _origin_eisenstein(((chars.tw1, moduli.tau1),

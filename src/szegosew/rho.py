@@ -514,6 +514,57 @@ def _series_powers(s: np.ndarray, kappa: float) -> np.ndarray:
     return p
 
 
+@lru_cache(maxsize=128)
+def _handle_laurent(tw1: TwistPair, kappa: float, tau: TorusModulus,
+                    w: complex, n_order: int) -> tuple:
+    """The part of a self-sewn-torus build that rho does not enter:
+    (char, kv, P, R, S, log K(w), S^{-+kappa}), kept per (tw1, kappa,
+    tau, w, N), once per process, as ``specialfn._taylor_box`` keeps its
+    box, so a build repeated at another rho (a rho scan, a handle Dehn
+    move) reads it back.  Every array is read-only and of O(N) entries;
+    a resonant twist raises and is not kept.
+
+    First the resonance guard on theta[alpha1;beta1](kappa w) and the
+    shifted characteristic ``char`` with ``kv`` (``TorusMoments``).
+    Then one theta stage (``laurent``) and one forward substitution:
+    P_1..P_{2N-1} of ``char`` at w and at -w, shape (2, 2N - 1);
+    R_1..R_{2N-1} of its P1(z) = 1/z + sum_{n>=1} R_n z^{n-1}, shape
+    (2N - 1,); the first 2N Taylor coefficients of S(t) = B_w(t) /
+    b_0(t), with B_w(t) = theta_1(w - t)/theta_1(w) and b_0(t) = K(t)/t
+    (the theta_1 rows at w and at the origin), shape (2N,); and a
+    logarithm of K(w) = theta_1(w)/theta_1'(0).  Last the Miller rows
+    S^{-kappa} and S^{kappa} of ``_series_powers``, shape (2, 2N).
+    """
+    log_mult, th0 = _theta_value((tw1.alpha, tw1.beta), kappa * w, tau.tau)
+    if abs(complex(np.exp(log_mult) * th0)) < RESONANCE_GUARD:
+        raise ResonanceError(
+            "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
+    uv = w / TWO_PI_I
+    v = uv.imag / tau.tau.imag
+    kv = kappa * v
+    char = TwistPair(tw1.alpha + kv,
+                     tw1.beta + kappa * (uv.real - v * tau.tau.real))
+    kmax = 2 * n_order
+    z_red, m, k = _reduce_off_lattice(np.array([w, -w]), tau)
+    a, b, _, kz = _theta_stage(char, kmax, z_red, 2, tau, laurent=True)
+    # w = z_red + 2 pi i (m tau + k): theta_1(w - t)/theta_1(w) is
+    # e^{m t} times its value at the reduced point, and theta_1(w) is
+    # (-1)^k e^{-i pi tau m^2 - m (z_red + i pi)} theta_1(z_red)
+    m0 = m[0]
+    b_w = np.convolve(b[0], np.cumprod(np.concatenate(
+        ([1.0], m0 / np.arange(1.0, kmax)))))[:kmax]
+    p = _substitute(np.vstack([a, b_w]), np.vstack([b, b[2:]]))
+    log_k = (np.log(kz[0]) + 1j * np.pi * k[0]
+             - m0 * (z_red[0] + 1j * np.pi * (tau.tau * m0 + 1.0)))
+    p_w = p[:2, :-1] * _multiplier(char, m, k)[:, None]
+    r_n = (-1.0) ** np.arange(1, kmax) * p[2, 1:]
+    s = p[3]
+    powers = _series_powers(s, kappa)
+    for arr in (p_w, r_n, s, powers):
+        arr.flags.writeable = False
+    return char, kv, p_w, r_n, s, log_k, powers
+
+
 class TorusMoments:
     """One self-sewn-torus setup: the twisted base kernel
 
@@ -527,9 +578,11 @@ class TorusMoments:
     kappa w) is e^{-kappa v z} theta[c](z) up to a constant, for the
     shifted characteristic c = [alpha1 + kappa v; beta1 + kappa u]
     (``char``, ``kv`` = kappa v), so S_kappa(x,y) = e^{kappa (log A(x) -
-    log A(y))} f(x - y), f(z) = e^{-kappa v z} P1[c](z).  These, the
-    resonance guard on theta[a1;b1](kappa w) and whether log A enters at
-    all (``tracked``: not at kappa = 0) are settled once per build.
+    log A(y))} f(x - y), f(z) = e^{-kappa v z} P1[c](z).  Whether log A
+    enters at all (``tracked``: not at kappa = 0) is settled per build;
+    ``char``, ``kv``, the resonance guard on theta[a1;b1](kappa w) and
+    the Laurent data below, none of which rho enters, once per (tw1,
+    kappa, tau, w, N) per process (``_handle_laurent``).
 
     Near c_a, y_a^{-k_a} e^{-kappa log A(y)} = y_a^{-k} E_a(y) with E_a
     analytic inside the y contour, so
@@ -585,19 +638,12 @@ class TorusMoments:
         self.m_points = check_count(m_points, 8,
                                     "need at least 8 quadrature points")
         kap = handle.kappa
-        tau = moduli.tau.tau
-        log_mult, th0 = _theta_value((tw1.alpha, tw1.beta), kap * moduli.w, tau)
-        if abs(complex(np.exp(log_mult) * th0)) < RESONANCE_GUARD:
-            raise ResonanceError(
-                "theta[alpha1;beta1](kappa w, tau) vanishes: degenerate twist")
-        uv = moduli.w / TWO_PI_I
-        v = uv.imag / tau.imag
+        self._handle_data = _handle_laurent(tw1, kap, moduli.tau, moduli.w,
+                                            n_order)
         self.tw1 = tw1
         self.kappa = kap
         self.tracked = kap != 0.0
-        self.kv = kap * v
-        self.char = TwistPair(tw1.alpha + self.kv,
-                              tw1.beta + kap * (uv.real - v * tau.real))
+        self.char, self.kv = self._handle_data[:2]
         self.moduli = moduli
         self.n_order = n_order
         r = moduli.contour_radius
@@ -610,9 +656,9 @@ class TorusMoments:
                    for a in (1, 2)]
         self._pref = np.concatenate(
             [moduli.rho_pow(0.5 * (ka - 0.5)) for ka in self._k])
-        p, r_n, s, log_k = self._laurent()
+        p, r_n = self._laurent()[:2]
         self._taylor_h, self._taylor_hbar, d = self._taylor_blocks(
-            *self._u_moments(s, log_k))
+            *self._u_moments())
         self.g = self._closed_g(d, p, r_n)
 
     def log_a(self, z, log_a_z=None):
@@ -626,11 +672,11 @@ class TorusMoments:
             else np.asarray(log_a_z, dtype=complex)
         return val if np.ndim(z) else complex(val)
 
-    def _u_moments(self, s: np.ndarray, log_k: complex) -> tuple:
+    def _u_moments(self) -> tuple:
         """The U^kappa moments in closed form: E_{a,j}, j < N, of the y
         contours and Ebar_{a,j}, j < 2N, of the x contours, shape (2, N)
-        and (2, 2N), from the series S (S(0) = 1) and log K(w) of
-        ``_laurent``.
+        and (2, 2N), from the rows S^{-+kappa} of the series S (S(0) = 1)
+        and log K(w) of ``_laurent`` (kept by ``_handle_laurent``).
 
         With U_1 = -K(w) and U_2 = 1/K(w), (t A)^{-+kappa}
         = U_1^{-+kappa} S(t)^{-+kappa} round 0 and (A/t)^{-+kappa}
@@ -649,6 +695,7 @@ class TorusMoments:
         refused, since it reads no node.
         """
         n, kap, mod = self.n_order, self.kappa, self.moduli
+        log_k, powers = self._handle_data[-2:]
         out = np.zeros((4, 2 * n), dtype=complex)
         out[:, 0] = 1.0
         if self.tracked:
@@ -671,7 +718,7 @@ class TorusMoments:
             # rows S^{-kappa}, S^{kappa} for labels a = 1, 2 of both
             # families; e^{+kappa log U} on the x contours, e^{-kappa log U}
             # on the y contours
-            out = (_series_powers(s, kap)[[0, 1, 0, 1]]
+            out = (powers[[0, 1, 0, 1]]
                    * sign[:, None] ** np.arange(2 * n)
                    * np.exp(kap * np.array([1.0, 1.0, -1.0, -1.0])
                             * log_u)[:, None])
@@ -707,29 +754,10 @@ class TorusMoments:
         return (*out, g)
 
     def _laurent(self) -> tuple:
-        """(P, R, S, log K(w)) from one theta stage (``laurent``) and one
-        forward substitution: P_1..P_{2N-1} of the characteristic
-        ``char`` at w and at -w, shape (2, 2N - 1); R_1..R_{2N-1} of its
-        P1(z) = 1/z + sum_{n>=1} R_n z^{n-1}, shape (2N - 1,); the first
-        2N Taylor coefficients of S(t) = B_w(t) / b_0(t), with
-        B_w(t) = theta_1(w - t)/theta_1(w) and b_0(t) = K(t)/t (the
-        theta_1 rows at w and at the origin), shape (2N,); and a
-        logarithm of K(w) = theta_1(w)/theta_1'(0)."""
-        kmax, tau, char = 2 * self.n_order, self.moduli.tau, self.char
-        z_red, m, k = _reduce_off_lattice(
-            np.array([self.moduli.w, -self.moduli.w]), tau)
-        a, b, _, kz = _theta_stage(char, kmax, z_red, 2, tau, laurent=True)
-        # w = z_red + 2 pi i (m tau + k): theta_1(w - t)/theta_1(w) is
-        # e^{m t} times its value at the reduced point, and theta_1(w) is
-        # (-1)^k e^{-i pi tau m^2 - m (z_red + i pi)} theta_1(z_red)
-        m0 = m[0]
-        b_w = np.convolve(b[0], np.cumprod(np.concatenate(
-            ([1.0], m0 / np.arange(1.0, kmax)))))[:kmax]
-        p = _substitute(np.vstack([a, b_w]), np.vstack([b, b[2:]]))
-        log_k = (np.log(kz[0]) + 1j * np.pi * k[0]
-                 - m0 * (z_red[0] + 1j * np.pi * (tau.tau * m0 + 1.0)))
-        return (p[:2, :-1] * _multiplier(char, m, k)[:, None],
-                (-1.0) ** np.arange(1, kmax) * p[2, 1:], p[3], log_k)
+        """(P, R, S, log K(w)): the Laurent data at the punctures of one
+        theta stage and one forward substitution, kept by
+        ``_handle_laurent``, which states each one."""
+        return self._handle_data[2:6]
 
     def _closed_g(self, d: np.ndarray, p: np.ndarray,
                   r: np.ndarray) -> np.ndarray:

@@ -479,27 +479,39 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus) -> np.ndarray:
     return out.reshape(np.shape(z) + (kmax,))
 
 
-def _origin_eisenstein(tori, kmax: int) -> np.ndarray:
+@lru_cache(maxsize=128)
+def _origin_eisenstein(tori: tuple, kmax: int) -> np.ndarray:
     """E_1..E_{kmax-1} of each (tw, tau) in ``tori``, shape (len(tori),
     kmax - 1): one theta stage per torus, its origin row alone (``laurent``,
     even kmax), and one forward substitution over the rows stacked.  The
     substitution takes kmax - 1 steps however many rows it carries, and
     each row is reduced on its own, so a row does not depend on the
-    others."""
+    others.
+
+    None of it depends on a sewing parameter, so the rows are kept per
+    (tori, kmax), once per process, and read-only, as ``_taylor_box``
+    keeps its box: a two-tori build repeated on the same tori (an epsilon
+    scan, a Dehn twist) reads them back.  The key is the whole tuple, so
+    a miss still makes one substitution for both tori; an error is not
+    kept.
+    """
     a, b = zip(*(_theta_stage(tw, kmax, _ORIGIN[:0], 0, tau, laurent=True)[:2]
                  for tw, tau in tori))
-    return (-1.0) ** np.arange(2, kmax + 1) \
+    eis = (-1.0) ** np.arange(2, kmax + 1) \
         * _substitute(np.concatenate(a), np.concatenate(b))[:, 1:]
+    eis.flags.writeable = False
+    return eis
 
 
 def eisenstein_theta(tw: TwistPair, nmax: int, tau: TorusModulus) -> np.ndarray:
     """E_1..E_nmax: minus the R_n of one theta stage's origin row, not the
     q-series; the one-torus case of the stacked rows that the two-tori
     ``f_matrix`` reads (``_origin_eisenstein``), equal to them bit for
-    bit."""
+    bit.  The array is the caller's own, writable copy of the kept row."""
     if nmax < 1:
         raise DomainError("nmax must be >= 1")
-    return _origin_eisenstein(((tw, tau),), 2 * (nmax // 2 + 1))[0, :nmax]
+    return _origin_eisenstein(((tw, tau),),
+                              2 * (nmax // 2 + 1))[0, :nmax].copy()
 
 
 # ----------------------------------------------------------------------

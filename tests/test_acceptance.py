@@ -4,11 +4,13 @@ Each test prints one summary line (even when passing) and asserts the
 corresponding checks from the shared verification suites.
 """
 
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from szegosew import verify
 from szegosew.verify import SUITE_NAMES, run_suite
 
 # baseline of every `verify all` residual; no residual may grow past 10x
@@ -169,3 +171,15 @@ def test_residuals_within_ten_times_baseline(name):
     worse = {check: (got[check], base) for check, base in BASELINE[name].items()
              if got[check] > max(10.0 * base, 1e-14)}
     assert not worse, worse
+
+
+@pytest.mark.parametrize("name", ["det-identity", "degeneration"])
+def test_timings_read_a_monotonic_clock(monkeypatch, name):
+    # criteria 1 and 2 gate these durations: a wall clock stepped back
+    # (here an hour at every reading) must not make them negative
+    clock = itertools.count(1e9, -3600.0)
+    monkeypatch.setattr(verify.time, "time", lambda: next(clock))
+    report = run_suite(name)
+    timed = [c["seconds"] for c in report["checks"] if "seconds" in c]
+    assert timed and min(timed) >= 0.0
+    assert report["seconds"] >= max(timed)

@@ -11,7 +11,7 @@ from szegosew import epsilon, numerics, specialfn
 from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
                               GenusTwoCharacteristicsEps, SurfacePoint,
                               epsilon_bound, f_matrix, min_lattice_distance)
-from szegosew.errors import DomainError, SingularMatrixError
+from szegosew.errors import DomainError, ResonanceError, SingularMatrixError
 from szegosew.numerics import determinant
 from szegosew.oracle import build_q, logdet_series
 from szegosew.rho import RhoModuliSphere, RhoModuliTorus
@@ -29,6 +29,14 @@ CHARS = GenusTwoCharacteristicsEps(TwistPair(0.17, 0.38),
 def _moduli(scale=0.02, **kw):
     return EpsilonModuli.create(T1, T2, scale * epsilon_bound(T1, T2)
                                 * np.exp(0.5j), **kw)
+
+
+@pytest.fixture
+def cold_rows():
+    """The kept origin rows of ``_origin_eisenstein`` emptied, so a test
+    that counts the work of a build does not depend on which tests ran
+    first."""
+    specialfn._origin_eisenstein.cache_clear()
 
 
 def _pt(which, u, v):
@@ -416,11 +424,11 @@ class TestMoments:
 
     @pytest.mark.parametrize("n", [1, 16, 64])
     def test_one_theta_stage_per_torus_one_substitution_per_build(
-            self, monkeypatch, n):
+            self, monkeypatch, cold_rows, n):
         moduli = _moduli()
-        # theta_1'(0) of both moduli is kept per modulus; a first build
-        # computes it before counting
-        EpsilonContext(CHARS, moduli, n)
+        # theta_1'(0) of both moduli is kept per modulus; it is computed
+        # before counting
+        moduli.tau1.theta1_deriv0, moduli.tau2.theta1_deriv0
         calls, rows = [], []
         sums, substitute = specialfn._theta_sums, specialfn._substitute
         origin_eisenstein = epsilon._origin_eisenstein
@@ -445,8 +453,15 @@ class TestMoments:
         # substitution over both origin rows
         assert calls == [("theta", [0j], 2 * n, 1), ("theta", [0j], 2 * n, 1),
                          ("substitute", (2, 2 * n))]
+        # the rows do not depend on epsilon: a build on the same tori at
+        # another epsilon, or its Dehn twist, makes neither
+        calls.clear()
+        EpsilonContext(CHARS, _moduli(scale=0.07), n)
+        EpsilonContext(CHARS, moduli.dehn_twist(), n)
+        assert calls == []
         monkeypatch.undo()
-        (eis,) = rows
+        eis = rows[0]
+        assert all(r is eis for r in rows[1:]) and len(rows) == 3
         assert eis.shape == (2, 2 * n - 1)
         for a in (1, 2):
             assert np.array_equal(eis[a - 1], eisenstein_theta(
@@ -500,3 +515,60 @@ class TestDeterminant:
         ctx_p = EpsilonContext(CHARS, _moduli(xi=1j), 10)
         ctx_m = EpsilonContext(CHARS, _moduli(xi=-1j), 10)
         assert abs(ctx_p.det() - ctx_m.det()) < 1e-15
+
+
+class TestKeptOriginRows:
+    """The origin rows of ``_origin_eisenstein`` are kept per (tori, 2N)
+    for the process; a build that reads them back gives the same numbers
+    bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_warm_build_equals_cold(self, cold_rows, n):
+        eps = _moduli().epsilon
+        xs = [_pt(1, 0.23, 0.31), _pt(2, 0.41, 0.18), _pt(1, 0.72, 0.44)]
+        ys = [_pt(1, 0.67, 0.52), _pt(2, 0.33, 0.61), _pt(2, 0.15, 0.73)]
+        cold = EpsilonContext(CHARS, _moduli(), n)
+        info = specialfn._origin_eisenstein.cache_info()
+        # equal, not identical, tori: the key compares (tw, tau)
+        warm = EpsilonContext(CHARS, EpsilonModuli.create(T1.tau, T2.tau,
+                                                          eps), n)
+        assert specialfn._origin_eisenstein.cache_info().hits \
+            == info.hits + 1
+        for a in (1, 2):
+            assert np.array_equal(cold.f_block(a), warm.f_block(a))
+        assert cold.det() == warm.det()
+        assert np.array_equal(cold.kernel_matrix(xs, ys),
+                              warm.kernel_matrix(xs, ys))
+
+    def test_kept_rows_are_read_only(self, cold_rows):
+        tori = ((CHARS.tw1, T1), (CHARS.tw2, T2))
+        eis = specialfn._origin_eisenstein(tori, 8)
+        with pytest.raises(ValueError):
+            eis[0, 0] = 0.0
+        assert specialfn._origin_eisenstein(tori, 8) is eis
+
+    def test_eisenstein_theta_is_the_callers_copy(self):
+        moduli = _moduli()
+        before = f_matrix(CHARS, 8, moduli)
+        for a in (1, 2):
+            eis = eisenstein_theta(CHARS.tw(a), 15, moduli.tau(a))
+            ref = eis.copy()
+            eis[:] = 0.0
+            assert np.array_equal(
+                eisenstein_theta(CHARS.tw(a), 15, moduli.tau(a)), ref)
+        after = f_matrix(CHARS, 8, moduli)
+        assert all(np.array_equal(b, c) for b, c in zip(before, after))
+
+    def test_kept_rows_are_bounded(self, cold_rows):
+        for i in range(129):
+            eisenstein_theta(CHARS.tw1, 1, TorusModulus(0.01 * i + 1.0j))
+        info = specialfn._origin_eisenstein.cache_info()
+        assert info.misses == 129 and info.currsize <= 128
+
+    def test_errors_are_not_kept(self, cold_rows):
+        # the untwisted (1, 1) point: theta[1/2;1/2](0) = 0
+        untwisted = TwistPair(0.5, 0.5)
+        for _ in range(2):
+            with pytest.raises(ResonanceError):
+                eisenstein_theta(untwisted, 3, T1)
+        assert specialfn._origin_eisenstein.cache_info().currsize == 0

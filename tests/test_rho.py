@@ -38,6 +38,14 @@ def _torus_moduli(scale=0.05, tau=TAU):
                                  * np.exp(0.6j))
 
 
+@pytest.fixture
+def cold_handle():
+    """The kept Laurent data of ``rho._handle_laurent`` emptied, so a test
+    that counts the work of a build does not depend on which tests ran
+    first."""
+    rho._handle_laurent.cache_clear()
+
+
 def _pt(u, v, offset=0.0):
     return TWO_PI_I * (u + v * TAU.tau) + offset
 
@@ -452,26 +460,44 @@ class TestTorusSewing:
         lattice_distance(W, TorusModulus(TAU.tau))
         assert len(built) == 2
 
-    def test_kernel_reuses_base_kernel_constants(self, monkeypatch):
+    def test_kernel_reuses_base_kernel_constants(self, monkeypatch,
+                                                 cold_handle):
         # theta[alpha1;beta1](kappa w) and theta1'(0) are evaluated once
-        # per context build and never per kernel call; theta1'(0) is kept
+        # by the first build and never per kernel call; theta1'(0) is kept
         # per modulus, so the moduli get a fresh one; it is the one
         # theta_1 sum of a build, since the contour log A takes none
-        calls = {"theta_kw": 0, "theta1_d0": 0}
-        sums = specialfn._theta_sums
+        calls = {"theta_kw": 0, "theta1_d0": 0, "theta": 0, "substitute": 0}
+        sums, substitute = specialfn._theta_sums, rho._substitute
 
         def counting_sums(chars, z, tau, kmax, n_rows):
             if chars == ((TW1.alpha, TW1.beta),):
                 calls["theta_kw"] += 1
             if chars == ((0.5, 0.5),):
                 calls["theta1_d0"] += 1
+            calls["theta"] += 1
             return sums(chars, z, tau, kmax, n_rows)
+
+        def counting_substitute(a, b):
+            calls["substitute"] += 1
+            return substitute(a, b)
         monkeypatch.setattr(specialfn, "_theta_sums", counting_sums)
-        ctx = RhoTorusContext(TW1, HANDLE,
-                              _torus_moduli(tau=TorusModulus(TAU.tau)), 6, 32)
-        assert calls == {"theta_kw": 1, "theta1_d0": 1}
+        monkeypatch.setattr(rho, "_substitute", counting_substitute)
+        tau = TorusModulus(TAU.tau)
+        ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(tau=tau), 6, 32)
+        # the guard, theta1'(0) and the Laurent stage at +-w and 0
+        first = {"theta_kw": 1, "theta1_d0": 1, "theta": 3, "substitute": 1}
+        assert calls == first
         ctx.kernel(_pt(0.09, 0.53), _pt(0.61, 0.12, offset=W))
-        assert calls == {"theta_kw": 1, "theta1_d0": 1}
+        assert calls["theta_kw"] == 1 and calls["theta1_d0"] == 1
+        # none of it depends on rho: builds on the same tau, w and handle
+        # at another rho, or after the handle Dehn move, take no theta sum
+        # and no substitution
+        calls.update(first)
+        mod = _torus_moduli(scale=0.2, tau=tau)
+        RhoTorusContext(TW1, HANDLE, mod, 6, 32)
+        RhoTorusContext(TW1, HANDLE, dataclasses.replace(
+            mod, log_rho=mod.log_rho + TWO_PI_I), 6, 32)
+        assert calls == first
 
     def test_untwisted_handle(self):
         # kappa = 0: S_kappa needs no log A; the tracked kernels at
@@ -1131,7 +1157,7 @@ class TestClosedFormMoments:
     def test_untwisted_handle(self):
         # kappa = 0: E_{a,0} = 1 and every other moment 0
         ctx, _ = _seeded_torus(0, 12, 64, kappa=0.0)
-        e, ebar = ctx.moments._u_moments(*ctx.moments._laurent()[2:])
+        e, ebar = ctx.moments._u_moments()
         assert np.all(e[:, 0] == 1.0) and not e[:, 1:].any()
         assert np.all(ebar[:, 0] == 1.0) and not ebar[:, 1:].any()
         assert verify._moments_error(_quadrature(ctx)) < 1e-13
@@ -1387,3 +1413,49 @@ class TestSeparableGrid:
         assert contours[0] == 4 and contours.count(4) == 1
         assert calls == [(4, 2), (2, 1), (4, m + 1), (1, 1), (1, 1)]
         assert shapes and all(sum(d >= m for d in sh) < 2 for sh in shapes)
+
+
+class TestKeptHandleData:
+    """The Laurent data of ``_handle_laurent`` are kept per (tw1, kappa,
+    tau, w, N) for the process; a build that reads them back gives the
+    same numbers bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_warm_build_equals_cold(self, cold_handle, n):
+        mod = _torus_moduli()
+        xs, ys = _rho_points(mod)
+        cold = RhoTorusContext(TW1, HANDLE, mod, n)
+        info = rho._handle_laurent.cache_info()
+        # equal, not identical, moduli: the key compares tau and w
+        warm = RhoTorusContext(TW1, HANDLE, RhoModuliTorus.create(
+            TAU.tau, W, mod.rho), n)
+        assert rho._handle_laurent.cache_info().hits == info.hits + 1
+        assert np.array_equal(cold.moments.g, warm.moments.g)
+        assert cold.det() == warm.det()
+        assert np.array_equal(cold.kernel_matrix(xs, ys),
+                              warm.kernel_matrix(xs, ys))
+
+    def test_kept_data_are_read_only(self, cold_handle):
+        mom = TorusMoments(TW1, HANDLE, 4, _torus_moduli())
+        arrays = [x for x in mom._handle_data if isinstance(x, np.ndarray)]
+        assert len(arrays) == 4
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # O(N) rows only: no N x N block is kept
+        assert all(arr.size <= 4 * mom.n_order for arr in arrays)
+
+    def test_kept_data_are_bounded(self, cold_handle):
+        for i in range(129):
+            TorusMoments(TW1, HANDLE, 1, _torus_moduli(
+                tau=TorusModulus(0.001 * i + TAU.tau)))
+        info = rho._handle_laurent.cache_info()
+        assert info.misses == 129 and info.currsize <= 128
+
+    def test_errors_are_not_kept(self, cold_handle):
+        # kappa = 0 and tw1 = [1/2; 1/2]: theta[1/2;1/2](kappa w) = 0
+        for _ in range(2):
+            with pytest.raises(ResonanceError, match="degenerate twist"):
+                TorusMoments(TwistPair(0.5, 0.5), HandleTwist(0.0, -0.22), 4,
+                             _torus_moduli())
+        assert rho._handle_laurent.cache_info().currsize == 0
