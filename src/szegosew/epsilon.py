@@ -32,8 +32,9 @@ from .config import DEFAULT_ORDER, POLE_GUARD
 from .errors import DomainError
 from .numerics import LU, binomials, check_count, row_products
 from .specialfn import (TorusModulus, TwistPair, _multiplier,
-                        _origin_eisenstein, _reduce_off_lattice, _substitute,
-                        _theta_stage, lattice_distance, min_lattice_distance)
+                        _origin_eisenstein, _pole_guard, _reduce_off_lattice,
+                        _substitute, _theta_stage, lattice_distance,
+                        min_lattice_distance)
 
 __all__ = [
     "EpsilonModuli", "GenusTwoCharacteristicsEps", "SurfacePoint",
@@ -172,21 +173,6 @@ class SurfacePoint:
         object.__setattr__(self, "z", _finite(self.z, "point coordinate"))
 
 
-def _validate_label(a: int, zs, moduli: EpsilonModuli) -> np.ndarray:
-    """Check that the points zs on torus a avoid the excised disk and the
-    lattice poles; the first failing point raises.  Returns their lattice
-    distances."""
-    dist = np.ravel(lattice_distance(zs, moduli.tau(a)))
-    inner = abs(moduli.epsilon) / moduli.radius(3 - a)
-    bad = dist <= max(inner, POLE_GUARD)
-    if bad.any():
-        raise DomainError(
-            f"point on torus {a} lies inside the excised disk or at a pole "
-            f"(lattice distance {dist[np.argmax(bad)]:.3e}, "
-            f"inner radius {inner:.3e})")
-    return dist
-
-
 def _by_label(pts) -> dict:
     """(indices, coordinates) of the points on each torus label, in label
     order; empty labels left out."""
@@ -285,46 +271,58 @@ class EpsilonContext:
     def kernel_matrix(self, xs, ys) -> np.ndarray:
         """S(x_i, y_j) for SurfacePoint sequences xs, ys: shape (P, Q).
 
-        Points are grouped by torus label and validated per label, and a
-        cross-torus pair with lattice distances d(x) d(y) <= |epsilon|,
-        where its series diverges, raises DomainError.  Each label makes
-        one lattice reduction and one theta sum (``_theta_stage``) over
-        its x points, its reflected y points -y and, for a same-label
-        block, the x - y grid, whose points need P1 alone (the base
-        kernel, pole-guarded by the reduction); the P_k rows of every x
-        and y point of the call then take one forward substitution, and
-        each label pair one row-wise bilinear form with its correction
-        block.
+        Each torus label makes one lattice reduction of its x points, its
+        reflected y points -y and the x - y grid.  Its ``edge`` clears
+        points, exact ``lattice_distance`` measuring the rest: a point in
+        the excised disk or at a pole, then a cross-torus pair with d(x)
+        d(y) <= |epsilon| (a divergent series), then a grid pole raises
+        DomainError.  One theta sum per label over the reduction gives P1
+        at the grid and the Taylor rows; one forward substitution takes
+        all rows, and each label pair one row-wise bilinear form.
         """
         mod, n_order = self.moduli, self.n_order
         gx, gy = _by_label(xs), _by_label(ys)
-        labels = sorted(gx.keys() | gy.keys())
-        # lattice distances of each label's x points, then its y points
-        dist = {a: _validate_label(a, np.concatenate(
-            [g[a][1] for g in (gx, gy) if a in g]), mod) for a in labels}
-        out = np.zeros((len(xs), len(ys)), dtype=complex)
-        if not (gx and gy):
-            return out
+        geo, bound = {}, {}
+        for a in sorted(gx.keys() | gy.keys()):
+            zx, zy = gx.get(a, _NO_POINTS)[1], gy.get(a, _NO_POINTS)[1]
+            geo[a] = _reduce_off_lattice(np.concatenate(
+                [zx, -zy, (zx[:, None] - zy).ravel()]), mod.tau(a))
+            inner = abs(mod.epsilon) / mod.radius(3 - a)
+            d = bound[a] = geo[a][3][:zx.size + zy.size].copy()
+            unsure = d <= max(inner, POLE_GUARD)
+            if unsure.any():  # a point that fails is one of these
+                d[unsure] = lattice_distance(
+                    np.concatenate([zx, zy])[unsure], mod.tau(a))
+                bad = d <= max(inner, POLE_GUARD)
+                if bad.any():
+                    raise DomainError(
+                        f"point on torus {a} lies inside the excised disk or "
+                        f"at a pole (lattice distance {d[np.argmax(bad)]:.3e}"
+                        f", inner radius {inner:.3e})")
         # a cross-torus block is a series in |epsilon| / (d(x) d(y)), the
         # ratio at which the two points meet through the annulus
         # z_1 z_2 = epsilon, so it diverges unless d(x) d(y) > |epsilon|
         for a, (_, zx) in gx.items():
-            if 3 - a in gy:
-                r = (dist[a][:zx.size].min()
-                     * dist[3 - a][-gy[3 - a][1].size:].min())
+            zy = gy.get(3 - a, _NO_POINTS)[1]
+            if zy.size and (bound[a][:zx.size].min()
+                            * bound[3 - a][-zy.size:].min()
+                            <= abs(mod.epsilon)):
+                r = (lattice_distance(zx, mod.tau(a)).min()
+                     * lattice_distance(zy, mod.tau(3 - a)).min())
                 if r <= abs(mod.epsilon):
                     raise DomainError(
                         f"points on tori {a} and {3 - a} overlap through the "
                         f"sewing annulus: d(x) d(y) = {r:.3e} <= "
                         f"|epsilon| = {abs(mod.epsilon):.3e}")
+        out = np.zeros((len(xs), len(ys)), dtype=complex)
+        if not (gx and gy):
+            return out
         # rows[a, 0] and rows[a, 1]: the x and y rows of label a in p
         a_rows, b_rows, mults, rows, start = [], [], [], {}, 0
-        for a in labels:
+        for a in geo:
             (ix, zx), (iy, zy) = gx.get(a, _NO_POINTS), gy.get(a, _NO_POINTS)
             tw, n_rows = self.chars.tw(a), zx.size + zy.size
-            z_red, m, n = _reduce_off_lattice(
-                np.concatenate([zx, -zy, (zx[:, None] - zy).ravel()]),
-                mod.tau(a))
+            z_red, m, n, _ = _pole_guard(geo[a], mod.tau(a))
             ra, rb, p1, _ = _theta_stage(tw, n_order, z_red, n_rows,
                                          mod.tau(a))
             mult = _multiplier(tw, m, n)

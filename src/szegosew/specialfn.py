@@ -378,21 +378,27 @@ def _multiplier(tw: TwistPair, m, n):
 
 
 def _reduce_off_lattice(z, tau: TorusModulus):
-    """lattice_reduce of the flattened z, with the pole guard.
-
-    Only reduced points within the guard of the lines Re z = 0 and
-    Re z = -2 pi Im tau, which hold the lattice points, are measured
-    exactly.
-    """
+    """lattice_reduce of the flattened z and ``edge``, the distance to the
+    nearer line Re z = 0 or -2 pi Im tau, a lower bound on the lattice
+    distance; a point whose rounding |z| 2^-52 exceeds POLE_GUARD raises."""
     zv = np.ravel(np.asarray(z, dtype=complex))
-    if not np.all(np.isfinite(zv)):
-        raise DomainError("z must be finite")
+    size = np.abs(zv).max(initial=0.0)
+    if not size * 2.0 ** -52 <= POLE_GUARD:
+        raise DomainError("z must be finite" if not np.isfinite(zv).all() else
+                          f"|z| = {size:.3e} too far out: its reduction "
+                          f"rounds by more than {POLE_GUARD:.0e}")
     z_red, m, n = lattice_reduce(zv, tau)
-    edge = np.minimum(-z_red.real, z_red.real + TWO_PI * tau.tau.imag)
+    return (z_red, m, n,
+            np.minimum(-z_red.real, z_red.real + TWO_PI * tau.tau.imag))
+
+
+def _pole_guard(reduced: tuple, tau: TorusModulus) -> tuple:
+    """``reduced`` unless a point is within POLE_GUARD of the lattice."""
+    z_red, _, _, edge = reduced
     near = edge < POLE_GUARD
     if near.any() and (lattice_distance(z_red[near], tau) < POLE_GUARD).any():
         raise DomainError("z within pole guard of a lattice point")
-    return z_red, m, n
+    return reduced
 
 
 def _theta_stage(tw: TwistPair, kmax: int, z_red: np.ndarray, n_rows: int,
@@ -447,13 +453,13 @@ def p1_theta(tw: TwistPair, z, tau: TorusModulus):
     """P1 via the theta-quotient route. Vectorized over z.
 
     Reduces z into the fundamental annulus -2 pi Im tau < Re z <= 0 first
-    and multiplies by the exact lattice multiplier theta^m phi^n, so
-    arbitrarily large arguments are handled without overflow, and a
-    value does not depend on the other points of its call.  Every point
-    is a value-only point of the theta stage.
+    and multiplies by the exact lattice multiplier theta^m phi^n, so a
+    value does not depend on the other points of its call; |z| beyond
+    about 4.5e7, where z's own rounding reaches POLE_GUARD, raises
+    DomainError.  Every point is a value-only point of the theta stage.
     """
     _check_not_trivial(tw)
-    z_red, m, n = _reduce_off_lattice(z, tau)
+    z_red, m, n, _ = _pole_guard(_reduce_off_lattice(z, tau), tau)
     val = (_multiplier(tw, m, n) * _theta_stage(tw, 1, z_red, 0, tau)[2]) \
         .reshape(np.shape(z))
     return val if np.ndim(z) else complex(val)
@@ -473,7 +479,7 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus) -> np.ndarray:
     _check_not_trivial(tw)
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    z_red, m, n = _reduce_off_lattice(z, tau)
+    z_red, m, n, _ = _pole_guard(_reduce_off_lattice(z, tau), tau)
     a, b = _theta_stage(tw, kmax, z_red, z_red.size, tau)[:2]
     out = _substitute(a, b) * _multiplier(tw, m, n)[:, None]
     return out.reshape(np.shape(z) + (kmax,))

@@ -352,6 +352,52 @@ class TestKernelMatrix:
         ctx.kernel_matrix(xs, [])
         assert calls == []
 
+    def test_one_lattice_reduction_per_label(self, monkeypatch):
+        # each label's x points, reflected y points and x - y grid take
+        # one reduction, which validation, the overlap check, the pole
+        # guard and the theta stage all read
+        ctx = EpsilonContext(CHARS, _moduli(), 8)
+        xs, ys = _grid_points()
+        sizes = []
+        reduce = epsilon._reduce_off_lattice
+
+        def counting(z, tau):
+            sizes.append(np.size(z))
+            return reduce(z, tau)
+        monkeypatch.setattr(epsilon, "_reduce_off_lattice", counting)
+        ctx.kernel_matrix(xs, ys)
+        # label 1: 3 x, 2 y and 3 x 2 differences; label 2: 2 x, 2 y, 2 x 2
+        assert sizes == [3 + 2 + 6, 2 + 2 + 4]
+        sizes.clear()
+        # an empty side still reduces, and so validates, its points
+        ctx.kernel_matrix(xs, [])
+        assert sizes == [3, 2]
+
+    def test_exact_distance_only_where_the_bound_cannot_clear(
+            self, monkeypatch):
+        measured = []
+        exact = specialfn.lattice_distance
+
+        def counting(z, tau):
+            measured.append(np.size(z))
+            return exact(z, tau)
+        monkeypatch.setattr(epsilon, "lattice_distance", counting)
+        monkeypatch.setattr(specialfn, "lattice_distance", counting)
+        # cell-interior points at Im tau near 1: the reduction's edge
+        # clears the excised disks, the overlap and the pole guard
+        EpsilonContext(CHARS, _moduli(), 8).kernel_matrix(*_grid_points())
+        assert measured == []
+        # at tau_2 = 0.3+0.1i the strip is 0.63 wide, less than twice the
+        # inner radius 0.33 of torus 2: each of its points is measured
+        moduli = EpsilonModuli.create(T1, 0.3 + 0.1j,
+                                      0.8216918606721565 + 0.4488923093695761j)
+        ctx = EpsilonContext(CHARS, moduli, 8)
+        assert abs(moduli.epsilon) / moduli.radius(1) > np.pi * 0.1
+        xs = [SurfacePoint(2, 0.2 + 2.0j), SurfacePoint(2, -0.3 + 0.5j)]
+        assert np.all(np.isfinite(
+            ctx.kernel_matrix(xs, [SurfacePoint(2, -0.15 + 2.5j)])))
+        assert measured == [3]
+
     def test_batch_entries_equal_single_kernel_calls(self):
         # bit for bit: every stage works row by row, whatever the batch;
         # at N = 1 each bilinear-form entry is a one-entry product

@@ -756,28 +756,54 @@ class TestKernelMatrix:
         ctx.kernel_matrix(xs, ys, [s.log_a(x) for x in xs])
         assert calls[-1] == ys.size
 
-    def test_one_singular_distance_pass_per_call(self, monkeypatch):
-        # validate_point measures every point against the zeros and poles
-        # of A once; the closed form does not repeat that pass, while the
-        # public log_a_torus keeps its own check
+    def test_one_lattice_reduction_per_call(self, monkeypatch):
+        # x - c and c - y of every point and the x - y grid take one
+        # reduction, which validation, the pole guard and the theta stage
+        # read; the public log_a_torus keeps its own check of A's zeros
+        # and poles
         mod = _torus_moduli()
         ctx = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
         xs, ys = _rho_points(mod)
-        passes = []
-        measure = rho._singular_distance
+        sizes = []
+        reduce = rho._reduce_off_lattice
 
-        def recording(z, *args):
-            passes.append(np.array(z))
-            return measure(z, *args)
-        monkeypatch.setattr(rho, "_singular_distance", recording)
+        def counting(z, tau):
+            sizes.append(np.size(z))
+            return reduce(z, tau)
+        monkeypatch.setattr(rho, "_reduce_off_lattice", counting)
         ctx.kernel_matrix(xs, ys)
-        points = [z for z in passes if z.ndim == 1]
-        assert len(points) == 1
-        assert np.array_equal(points[0], np.concatenate([xs, ys]))
+        assert sizes == [2 * (xs.size + ys.size) + xs.size * ys.size]
         for z in (0.0, np.array([xs[0], W + TWO_PI_I * TAU.tau])):
             with pytest.raises(DomainError, match="zero or pole"):
                 log_a_torus(z, TAU, W, z_ref=mod.z_ref,
                             log_a_ref=mod.log_a_ref)
+
+    def test_exact_distance_only_where_the_bound_cannot_clear(
+            self, monkeypatch):
+        # the moduli measure w and z_ref when built, before counting
+        ctx = RhoTorusContext(TW1, HANDLE, _torus_moduli(), 6, 32)
+        small = RhoTorusContext(TW1, HANDLE, RhoModuliTorus.create(
+            0.3 + 0.1j, -0.16964600329384885 + 2.456725455107218j,
+            0.03325904015858834 + 0.0227537335826048j), 8)
+        measured = []
+        exact = specialfn.lattice_distance
+
+        def counting(z, tau):
+            measured.append(np.size(z))
+            return exact(z, tau)
+        monkeypatch.setattr(rho, "lattice_distance", counting)
+        monkeypatch.setattr(specialfn, "lattice_distance", counting)
+        # cell-interior points at Im tau = 1.1, far from the lines through
+        # 0 and w: the reduction's edge clears the contour margin
+        ctx.kernel_matrix([_pt(0.1, 0.45), _pt(0.7, 0.5), _pt(0.35, 0.58)],
+                          [_pt(0.4, 0.55), _pt(0.9, 0.42)])
+        assert measured == []
+        # at tau = 0.3+0.1i the strip is 0.63 wide and the margin 0.26:
+        # both points are measured against 0 and w, in one call
+        assert np.isfinite(small.kernel(
+            -0.03262378063221206 + 3.9059694676986854j,
+            -0.2799533522693228 + 6.661605712254575j))
+        assert measured == [2 * 2]
 
     @pytest.mark.parametrize("n", [1, 12])
     def test_batch_entries_equal_single_kernel_calls(self, n):
@@ -953,8 +979,10 @@ def _rows_error(ctx, zs):
     mom, tq = ctx.moments, _quadrature(ctx)
     la = mom.log_a(zs)
     k = zs.size // 2  # x - y must avoid the lattice: two calls
-    h1, hb1, _ = mom.taylor_rows(zs[:k], la[:k], zs[k:], la[k:])
-    h2, hb2, _ = mom.taylor_rows(zs[k:], la[k:], zs[:k], la[:k])
+    h1, hb1, _ = mom.taylor_rows(zs[:k], la[:k], zs[k:], la[k:],
+                                 mom.reduce_points(zs[:k], zs[k:]))
+    h2, hb2, _ = mom.taylor_rows(zs[k:], la[k:], zs[:k], la[:k],
+                                 mom.reduce_points(zs[k:], zs[:k]))
     return max(float(np.max(np.max(np.abs(rows - quad), axis=1)
                             / np.max(np.abs(quad), axis=1)))
                for rows, quad in ((np.vstack([h1, h2]), tq.h_matrix(zs, la)),
@@ -1014,7 +1042,8 @@ class TestTaylorRows:
         ctx, zs = _seeded_torus(7, 8, 32)
         s = ctx.moments
         la = s.log_a(zs)
-        _, _, base = ctx.moments.taylor_rows(zs[:3], la[:3], zs[3:], la[3:])
+        _, _, base = s.taylor_rows(zs[:3], la[:3], zs[3:], la[3:],
+                                   s.reduce_points(zs[:3], zs[3:]))
         grid = oracle.s_kappa_grid(s, zs[:3], la[:3], zs[3:], la[3:])
         assert np.all(np.abs(base - grid) <= 1e-14 * np.abs(grid))
 
