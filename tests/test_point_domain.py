@@ -85,7 +85,6 @@ def _eps_rule(moduli, xs, ys):
     |epsilon|, then a same-label difference x - y within POLE_GUARD of
     the lattice.  Returns a message fragment or None."""
     eps = abs(moduli.epsilon)
-    dist = {}
     for a in (1, 2):
         zs = [p.z for p in list(xs) + list(ys) if p.which == a]
         if not zs:
@@ -95,7 +94,6 @@ def _eps_rule(moduli, xs, ys):
         assume(_clear_of(d, limit))
         if np.any(d <= limit):
             return "excised disk"
-        dist[a] = d
     for a in sorted({p.which for p in xs}):
         dx = [lattice_distance(p.z, moduli.tau(a)) for p in xs
               if p.which == a]
