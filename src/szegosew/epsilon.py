@@ -32,9 +32,8 @@ from .config import DEFAULT_ORDER, POLE_GUARD
 from .errors import DomainError
 from .numerics import LU, binomials, check_count, row_products
 from .specialfn import (TorusModulus, TwistPair, _multiplier,
-                        _origin_eisenstein, _pole_guard, _reduce_off_lattice,
-                        _substitute, _theta_stage, lattice_distance,
-                        min_lattice_distance)
+                        _origin_eisenstein, _reduce_off_lattice, _substitute,
+                        _theta_stage, lattice_distance, min_lattice_distance)
 
 __all__ = [
     "EpsilonModuli", "GenusTwoCharacteristicsEps", "SurfacePoint",
@@ -280,14 +279,14 @@ class EpsilonContext:
         at the grid and the Taylor rows; one forward substitution takes
         all rows, and each label pair one row-wise bilinear form.
         """
-        mod, n_order = self.moduli, self.n_order
+        mod, n_order, eps = self.moduli, self.n_order, abs(self.moduli.epsilon)
         gx, gy = _by_label(xs), _by_label(ys)
         geo, bound = {}, {}
         for a in sorted(gx.keys() | gy.keys()):
             zx, zy = gx.get(a, _NO_POINTS)[1], gy.get(a, _NO_POINTS)[1]
             geo[a] = _reduce_off_lattice(np.concatenate(
                 [zx, -zy, (zx[:, None] - zy).ravel()]), mod.tau(a))
-            inner = abs(mod.epsilon) / mod.radius(3 - a)
+            inner = eps / mod.radius(3 - a)
             d = bound[a] = geo[a][3][:zx.size + zy.size].copy()
             unsure = d <= max(inner, POLE_GUARD)
             if unsure.any():  # a point that fails is one of these
@@ -305,15 +304,14 @@ class EpsilonContext:
         for a, (_, zx) in gx.items():
             zy = gy.get(3 - a, _NO_POINTS)[1]
             if zy.size and (bound[a][:zx.size].min()
-                            * bound[3 - a][-zy.size:].min()
-                            <= abs(mod.epsilon)):
+                            * bound[3 - a][-zy.size:].min() <= eps):
                 r = (lattice_distance(zx, mod.tau(a)).min()
                      * lattice_distance(zy, mod.tau(3 - a)).min())
-                if r <= abs(mod.epsilon):
+                if r <= eps:
                     raise DomainError(
                         f"points on tori {a} and {3 - a} overlap through the "
                         f"sewing annulus: d(x) d(y) = {r:.3e} <= "
-                        f"|epsilon| = {abs(mod.epsilon):.3e}")
+                        f"|epsilon| = {eps:.3e}")
         out = np.zeros((len(xs), len(ys)), dtype=complex)
         if not (gx and gy):
             return out
@@ -322,10 +320,9 @@ class EpsilonContext:
         for a in geo:
             (ix, zx), (iy, zy) = gx.get(a, _NO_POINTS), gy.get(a, _NO_POINTS)
             tw, n_rows = self.chars.tw(a), zx.size + zy.size
-            z_red, m, n, _ = _pole_guard(geo[a], mod.tau(a))
-            ra, rb, p1, _ = _theta_stage(tw, n_order, z_red, n_rows,
+            ra, rb, p1, _ = _theta_stage(tw, n_order, geo[a], n_rows,
                                          mod.tau(a))
-            mult = _multiplier(tw, m, n)
+            mult = _multiplier(tw, *geo[a][1:3])
             if p1.size:
                 out[ix[:, None], iy] = (mult[n_rows:] * p1).reshape(ix.size,
                                                                      iy.size)

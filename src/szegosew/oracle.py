@@ -14,15 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RESONANCE_GUARD, SERIES_TOL, THETA_TOL
+from .config import POLE_GUARD, RESONANCE_GUARD, SERIES_TOL, THETA_TOL
 from .errors import (BranchTrackingError, ConvergenceError, DomainError,
                      ResonanceError)
 from .numerics import as_complex_matrix, check_count
 from .rho import (TWO_PI_I, TorusMoments, _branches, _continue_log_a,
                   mode_index)
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _box_radius,
-                        _check_not_trivial, _multiplier, _pole_guard,
-                        _reduce_mod1, _reduce_off_lattice, _theta_value,
+                        _check_not_trivial, _multiplier, _reduce_mod1,
+                        _reduce_off_lattice, _theta_value, lattice_distance,
                         p1_theta)
 
 __all__ = [
@@ -177,8 +177,9 @@ def _series_jmax(z_red: complex, tau: TorusModulus) -> int:
 def p1_series(tw: TwistPair, z, tau: TorusModulus) -> complex:
     """P1 via the q-series route (independent oracle for p1_theta). Scalar z."""
     _check_not_trivial(tw)
-    (z_red,), m, n, _ = _pole_guard(_reduce_off_lattice(complex(z), tau),
-                                    tau)
+    (z_red,), m, n, (edge,) = _reduce_off_lattice(complex(z), tau)
+    if edge < POLE_GUARD and lattice_distance(z_red, tau) < POLE_GUARD:
+        raise DomainError("z within pole guard of a lattice point")
     terms = _series_terms(tw, z_red, tau, _series_jmax(z_red, tau))
     val = -np.sum(terms)
     tail = max(abs(terms[0]), abs(terms[-1]))
@@ -365,8 +366,7 @@ class TorusQuadrature:
         h at the nodes of both x contours, each column integrated."""
         mom = self.moments
         nodes, log_a = _nodes(self.x)
-        h = mom.taylor_rows(nodes, log_a, nodes[:0], log_a[:0],
-                            mom.reduce_points(nodes, nodes[:0]))[0]
+        h = mom.taylor_rows(nodes, log_a, nodes[:0], log_a[:0])[0]
         return as_complex_matrix(
             mom._pref[:, None] * self._moments(self._x_modes, h.T, "G").T,
             "moment matrix G")

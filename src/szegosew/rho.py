@@ -47,8 +47,8 @@ from .errors import DomainError, ResonanceError
 from .numerics import (LU, as_complex_matrix, binomials, check_count,
                        row_products)
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _multiplier,
-                        _pole_guard, _reduce_off_lattice, _substitute,
-                        _theta_stage, _theta_value, lattice_distance)
+                        _reduce_off_lattice, _substitute, _theta_stage,
+                        _theta_value, lattice_distance)
 from .epsilon import RADIUS_FACTOR, _check_xi, _finite, min_lattice_distance
 
 __all__ = [
@@ -545,9 +545,8 @@ def _handle_laurent(tw1: TwistPair, kappa: float, tau: TorusModulus,
     char = TwistPair(tw1.alpha + kv,
                      tw1.beta + kappa * (uv.real - v * tau.tau.real))
     kmax = 2 * n_order
-    z_red, m, k, _ = _pole_guard(_reduce_off_lattice(np.array([w, -w]), tau),
-                                 tau)
-    a, b, _, kz = _theta_stage(char, kmax, z_red, 2, tau, laurent=True)
+    z_red, m, k, _ = reduced = _reduce_off_lattice(np.array([w, -w]), tau)
+    a, b, _, kz = _theta_stage(char, kmax, reduced, 2, tau, laurent=True)
     # w = z_red + 2 pi i (m tau + k): theta_1(w - t)/theta_1(w) is
     # e^{m t} times its value at the reduced point, and theta_1(w) is
     # (-1)^k e^{-i pi tau m^2 - m (z_red + i pi)} theta_1(z_red)
@@ -776,31 +775,35 @@ class TorusMoments:
             [[(cross[a] if a == b else same[a]) @ h[b].T for b in (0, 1)]
              for a in (0, 1)]), "moment matrix G")
 
-    def reduce_points(self, xs, ys) -> tuple:
-        """A call's one ``_reduce_off_lattice`` pass: x - c_1, x - c_2 of
-        each x, c_2 - y, c_1 - y of each y, then the x - y grid."""
+    def taylor_rows(self, xs, log_a_xs, ys, log_a_ys) -> tuple:
+        """(h, hbar, S_kappa): the rows h(x_i) and hbar(y_j), shape (P, 2N)
+        and (Q, 2N), and the base kernel S_kappa(x_i, y_j), shape (P, Q),
+        at 1-D points with one log A branch each.
+
+        One lattice reduction, one theta stage and one forward
+        substitution: Taylor rows of P_k[char] at x - c_1, x - c_2,
+        c_2 - y and c_1 - y, and the value-only points x - y (pole-guarded
+        by the reduction).  Each row and entry is reduced on its own, so
+        no value depends on the other points of its call.  The points are
+        not validated here (``RhoTorusContext.kernel_matrix`` does that).
+        """
+        return self._rows(self._reduce(xs, ys), xs, log_a_xs, ys, log_a_ys)
+
+    def _reduce(self, xs, ys) -> tuple:
+        """One reduction of x - c_1, x - c_2, c_2 - y, c_1 - y and x - y."""
         c = np.array([0.0, self.moduli.w])
         return _reduce_off_lattice(np.concatenate(
             [np.subtract.outer(xs, c).ravel(),
              -np.subtract.outer(ys, c[::-1]).ravel(),
              np.subtract.outer(xs, ys).ravel()]), self.moduli.tau)
 
-    def taylor_rows(self, xs, log_a_xs, ys, log_a_ys, reduced) -> tuple:
-        """(h, hbar, S_kappa): the rows h(x_i) and hbar(y_j), shape (P, 2N)
-        and (Q, 2N), and the base kernel S_kappa(x_i, y_j), shape (P, Q),
-        at 1-D points with one log A branch each.
-
-        From ``reduced = reduce_points(xs, ys)``, pole-guarded, one theta
-        stage and one forward substitution give the Taylor rows of
-        P_k[char] at x - c and c - y and P1 at x - y, each on its own
-        row, so no value depends on the other points of its call.
-        """
+    def _rows(self, reduced, xs, log_a_xs, ys, log_a_ys) -> tuple:
+        """``taylor_rows`` from ``reduced = _reduce(xs, ys)``."""
         n, kap, kv, char = self.n_order, self.kappa, self.kv, self.char
         p, q = xs.size, ys.size
         n_rows = 2 * (p + q)
-        z_red, m, k, _ = _pole_guard(reduced, self.moduli.tau)
-        a, b, p1, _ = _theta_stage(char, n, z_red, n_rows, self.moduli.tau)
-        mult = _multiplier(char, m, k)
+        a, b, p1, _ = _theta_stage(char, n, reduced, n_rows, self.moduli.tau)
+        mult = _multiplier(char, *reduced[1:3])
         rows = (_substitute(a, b) * mult[:n_rows, None]).reshape(-1, 2, 1, n)
         ex = np.exp(kap * log_a_xs - kv * xs)
         ey = np.exp(kv * ys - kap * log_a_ys)
@@ -865,12 +868,12 @@ class RhoTorusContext:
                       log_a_ys=None) -> np.ndarray:
         """Sewn genus-two kernel S(x_i, y_j), coefficient of dx^1/2 dy^1/2.
 
-        Shape (P, Q).  The call's one lattice reduction (``TorusMoments.
-        reduce_points``) validates every point, measuring exactly only
-        where its ``edge`` cannot clear; log A comes from one closed-form
-        call; h, hbar and S_kappa from one theta stage (``taylor_rows``),
-        and h (xi D^theta (I - T)^{-1}) hbar^T is reduced row by row, so
-        each entry equals its single ``kernel`` call bit for bit.
+        Shape (P, Q).  Validation reads the call's one lattice reduction,
+        measuring exactly only where its ``edge`` cannot clear; log A
+        comes from one closed-form call; h, hbar and S_kappa from one theta
+        stage over the same reduction (``TorusMoments.taylor_rows``), and
+        h (xi D^theta (I - T)^{-1}) hbar^T is reduced row by row, so each
+        entry equals its single ``kernel`` call bit for bit.
         """
         xs = np.ravel(np.asarray(xs, dtype=complex))
         ys = np.ravel(np.asarray(ys, dtype=complex))
@@ -878,7 +881,7 @@ class RhoTorusContext:
         if not np.isfinite(zs).all():
             raise DomainError("points must be finite")
         mom, mod = self.moments, self.moduli
-        reduced = mom.reduce_points(xs, ys)
+        reduced = mom._reduce(xs, ys)
         # each point's lesser edge of its two entries, x - c (c - y)
         d = np.minimum(reduced[3][:2 * zs.size:2], reduced[3][1:2 * zs.size:2])
         near = d <= self._margin
@@ -904,7 +907,7 @@ class RhoTorusContext:
         lax, lay = _branches(xs, lax), _branches(ys, lay)
         if not (xs.size and ys.size):
             return np.zeros((xs.size, ys.size), dtype=complex)
-        h, hb, base = mom.taylor_rows(xs, lax, ys, lay, reduced)
+        h, hb, base = mom._rows(reduced, xs, lax, ys, lay)
         return base + row_products(row_products(h, self._middle), hb)
 
     def kernel(self, x, y, log_a_x=None, log_a_y=None) -> complex:

@@ -378,9 +378,9 @@ def _multiplier(tw: TwistPair, m, n):
 
 
 def _reduce_off_lattice(z, tau: TorusModulus):
-    """lattice_reduce of the flattened z and ``edge``, the distance to the
-    nearer line Re z = 0 or -2 pi Im tau, a lower bound on the lattice
-    distance; a point whose rounding |z| 2^-52 exceeds POLE_GUARD raises."""
+    """lattice_reduce of the flattened z and ``edge``, a lower bound on the
+    lattice distance: the distance to the nearer line Re z = 0 or -2 pi
+    Im tau less z_red's rounding.  |z| 2^-52 above POLE_GUARD raises."""
     zv = np.ravel(np.asarray(z, dtype=complex))
     size = np.abs(zv).max(initial=0.0)
     if not size * 2.0 ** -52 <= POLE_GUARD:
@@ -388,24 +388,16 @@ def _reduce_off_lattice(z, tau: TorusModulus):
                           f"|z| = {size:.3e} too far out: its reduction "
                           f"rounds by more than {POLE_GUARD:.0e}")
     z_red, m, n = lattice_reduce(zv, tau)
-    return (z_red, m, n,
-            np.minimum(-z_red.real, z_red.real + TWO_PI * tau.tau.imag))
+    t = tau.tau  # the shift's terms stay below (|z| + 2 pi |t|)(1 + |t|/Im t)
+    return z_red, m, n, np.minimum(-z_red.real, z_red.real + TWO_PI * t.imag) \
+        - 2.0 ** -48 * (size + TWO_PI * abs(t)) * (1.0 + abs(t) / t.imag)
 
 
-def _pole_guard(reduced: tuple, tau: TorusModulus) -> tuple:
-    """``reduced`` unless a point is within POLE_GUARD of the lattice."""
-    z_red, _, _, edge = reduced
-    near = edge < POLE_GUARD
-    if near.any() and (lattice_distance(z_red[near], tau) < POLE_GUARD).any():
-        raise DomainError("z within pole guard of a lattice point")
-    return reduced
-
-
-def _theta_stage(tw: TwistPair, kmax: int, z_red: np.ndarray, n_rows: int,
+def _theta_stage(tw: TwistPair, kmax: int, reduced: tuple, n_rows: int,
                  tau: TorusModulus, laurent: bool = False) -> tuple:
-    """Theta stage of P_k: the normalised Taylor rows (a, b) at the first
-    n_rows reduced points z_red (1-D) and P1 at the rest, from one theta
-    sum.
+    """Theta stage of P_k, refusing points within POLE_GUARD of the lattice:
+    the normalised Taylor rows (a, b) at the first n_rows points of the
+    reduction ``reduced`` (``_reduce_off_lattice``) and P1 at the rest.
 
     With P1 = A/B, A = theta[a;b](z) and B = theta[a;b](0) K(z,tau), the
     scaled derivatives a_n = (-1)^n A^{(n)}/n!, b_n and p_n of A, B and P1
@@ -419,6 +411,10 @@ def _theta_stage(tw: TwistPair, kmax: int, z_red: np.ndarray, n_rows: int,
     The fourth entry is K(z) = theta_1(z)/theta_1'(0) at the row points
     (1 at the origin row, the limit of K(z)/z).
     """
+    z_red, _, _, edge = reduced
+    near = edge < POLE_GUARD
+    if near.any() and (lattice_distance(z_red[near], tau) < POLE_GUARD).any():
+        raise DomainError("z within pole guard of a lattice point")
     z = np.concatenate((z_red[:n_rows], _ORIGIN, z_red[n_rows:]))
     (a, k), (val, val1) = _theta_sums(((tw.alpha, tw.beta), (0.5, 0.5)), z,
                                       tau.tau, kmax, n_rows + laurent)
@@ -459,8 +455,8 @@ def p1_theta(tw: TwistPair, z, tau: TorusModulus):
     DomainError.  Every point is a value-only point of the theta stage.
     """
     _check_not_trivial(tw)
-    z_red, m, n, _ = _pole_guard(_reduce_off_lattice(z, tau), tau)
-    val = (_multiplier(tw, m, n) * _theta_stage(tw, 1, z_red, 0, tau)[2]) \
+    _, m, n, _ = reduced = _reduce_off_lattice(z, tau)
+    val = (_multiplier(tw, m, n) * _theta_stage(tw, 1, reduced, 0, tau)[2]) \
         .reshape(np.shape(z))
     return val if np.ndim(z) else complex(val)
 
@@ -479,8 +475,8 @@ def p_k_vector(tw: TwistPair, kmax: int, z, tau: TorusModulus) -> np.ndarray:
     _check_not_trivial(tw)
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    z_red, m, n, _ = _pole_guard(_reduce_off_lattice(z, tau), tau)
-    a, b = _theta_stage(tw, kmax, z_red, z_red.size, tau)[:2]
+    z_red, m, n, _ = reduced = _reduce_off_lattice(z, tau)
+    a, b = _theta_stage(tw, kmax, reduced, z_red.size, tau)[:2]
     out = _substitute(a, b) * _multiplier(tw, m, n)[:, None]
     return out.reshape(np.shape(z) + (kmax,))
 
@@ -501,8 +497,8 @@ def _origin_eisenstein(tori: tuple, kmax: int) -> np.ndarray:
     a miss still makes one substitution for both tori; an error is not
     kept.
     """
-    a, b = zip(*(_theta_stage(tw, kmax, _ORIGIN[:0], 0, tau, laurent=True)[:2]
-                 for tw, tau in tori))
+    a, b = zip(*(_theta_stage(tw, kmax, _reduce_off_lattice(_ORIGIN[:0], tau),
+                              0, tau, laurent=True)[:2] for tw, tau in tori))
     eis = (-1.0) ** np.arange(2, kmax + 1) \
         * _substitute(np.concatenate(a), np.concatenate(b))[:, 1:]
     eis.flags.writeable = False

@@ -399,8 +399,7 @@ def suite_integral_eq() -> list[dict]:
     # their contour quadrature, each row relative to its largest entry:
     # 1.3e-14 at most over 12 seeded contexts at (12, 64) and (16, 128)
     tq = TorusQuadrature(rctx.moments, rctx.moments.m_points)
-    h, hb, _ = rctx.moments.taylor_rows(
-        xs, la_x, ys, la_y, rctx.moments.reduce_points(xs, ys))
+    h, hb, _ = rctx.moments.taylor_rows(xs, la_x, ys, la_y)
     worst = max(float(np.max(np.max(np.abs(rows - quad), axis=1)
                              / np.max(np.abs(quad), axis=1)))
                 for rows, quad in ((h, tq.h_matrix(xs, la_x)),
@@ -532,9 +531,8 @@ def suite_convergence() -> list[dict]:
     # outside the default radius: G and the h row at x, largest entry
     # change
     mom = TorusMoments(tw1, handle, 8, tmod)
-    xs, ys = np.array([x]), np.array([y])
-    h = mom.taylor_rows(xs, np.array([mom.log_a(x)]), ys,
-                        np.array([mom.log_a(y)]), mom.reduce_points(xs, ys))[0]
+    h, _, _ = mom.taylor_rows(np.array([x]), np.array([mom.log_a(x)]),
+                              np.array([y]), np.array([mom.log_a(y)]))
     worst = 0.0
     for scale in (0.8, 1.2):
         tq = TorusQuadrature(mom, 64, radius_scale=scale)

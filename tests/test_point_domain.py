@@ -23,8 +23,9 @@ from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
 from szegosew.errors import DomainError
 from szegosew.rho import (X_RADIUS_FACTOR, HandleTwist, RhoModuliTorus,
                           RhoTorusContext)
-from szegosew.specialfn import (TorusModulus, TwistPair, lattice_distance,
-                                min_lattice_distance, p1_theta, p_k_vector)
+from szegosew.specialfn import (TorusModulus, TwistPair, _reduce_off_lattice,
+                                lattice_distance, min_lattice_distance,
+                                p1_theta, p_k_vector)
 
 TWO_PI_I = 2j * np.pi
 T1 = TorusModulus(0.3 + 1.0j)
@@ -42,7 +43,14 @@ EDGE_TOL = 1e-12
 _tau = st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.1, 1.5))
 _unit = st.floats(0.0, 1.0)
 _scale = st.floats(0.9, 1.1)
-_cell = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_near_cell = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+# cells far out, |z| up to about 1e7, where the reduction rounds z by
+# about 1e-9; a self-sewn-torus point stays within 500 lines through
+# lattice points of z_ref, so its log A path crosses fewer than its 1000
+_cell = st.one_of(_near_cell, st.tuples(st.integers(-10**6, 10**6),
+                                        st.integers(-10**6, 10**6)))
+_rho_cell = st.one_of(_near_cell, st.tuples(st.integers(-500, 500),
+                                            st.integers(-10**6, 10**6)))
 
 
 def _eps_context():
@@ -192,7 +200,7 @@ def test_eps_refusals_follow_exact_distances(tau1, tau2, frac, phase,
        frac=st.floats(0.05, 0.5), phase=_unit,
        at_w=st.tuples(st.booleans(), st.booleans()),
        scales=st.tuples(_scale, st.floats(0.9, 3.0)),
-       turns=st.tuples(_unit, _unit), cells=st.tuples(_cell, _cell))
+       turns=st.tuples(_unit, _unit), cells=st.tuples(_rho_cell, _rho_cell))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_rho_refusals_follow_exact_distances(tau, wuv, frac, phase, at_w,
                                              scales, turns, cells):
@@ -219,6 +227,19 @@ def test_rho_refusals_follow_exact_distances(tau, wuv, frac, phase, at_w,
             assume(_rho_rule(ctx, [good] + xs, ys) == expected)
             batch = _outcome(lambda: ctx.kernel_matrix([good] + xs, ys))
             assert batch == scalar
+
+
+@given(tau=_tau, cell=st.tuples(st.integers(-10**6, 10**6),
+                                st.integers(-10**6, 10**6)),
+       d=st.floats(0.01, 0.5), side=st.sampled_from([1.0, -1.0]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_edge_bounds_the_lattice_distance_far_out(tau, cell, d, side):
+    # a point level with its lattice point: its distance is the edge
+    # itself, which the reduction rounds either way by up to about
+    # |z| 2^-53 unless the edge is lowered by that rounding
+    t = TorusModulus(tau)
+    z = TWO_PI_I * (cell[0] * t.tau + cell[1]) + side * d
+    assert _reduce_off_lattice(z, t)[3][0] <= lattice_distance(z, t)
 
 
 # the values of points twenty periods out, from before the far-point

@@ -979,10 +979,8 @@ def _rows_error(ctx, zs):
     mom, tq = ctx.moments, _quadrature(ctx)
     la = mom.log_a(zs)
     k = zs.size // 2  # x - y must avoid the lattice: two calls
-    h1, hb1, _ = mom.taylor_rows(zs[:k], la[:k], zs[k:], la[k:],
-                                 mom.reduce_points(zs[:k], zs[k:]))
-    h2, hb2, _ = mom.taylor_rows(zs[k:], la[k:], zs[:k], la[:k],
-                                 mom.reduce_points(zs[k:], zs[:k]))
+    h1, hb1, _ = mom.taylor_rows(zs[:k], la[:k], zs[k:], la[k:])
+    h2, hb2, _ = mom.taylor_rows(zs[k:], la[k:], zs[:k], la[:k])
     return max(float(np.max(np.max(np.abs(rows - quad), axis=1)
                             / np.max(np.abs(quad), axis=1)))
                for rows, quad in ((np.vstack([h1, h2]), tq.h_matrix(zs, la)),
@@ -1042,8 +1040,7 @@ class TestTaylorRows:
         ctx, zs = _seeded_torus(7, 8, 32)
         s = ctx.moments
         la = s.log_a(zs)
-        _, _, base = s.taylor_rows(zs[:3], la[:3], zs[3:], la[3:],
-                                   s.reduce_points(zs[:3], zs[3:]))
+        _, _, base = ctx.moments.taylor_rows(zs[:3], la[:3], zs[3:], la[3:])
         grid = oracle.s_kappa_grid(s, zs[:3], la[:3], zs[3:], la[3:])
         assert np.all(np.abs(base - grid) <= 1e-14 * np.abs(grid))
 
