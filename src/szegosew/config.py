@@ -17,3 +17,4 @@ SERIES_TOL = 1e-12  # tail bound of q-series (P1 oracle, Eisenstein)
 POLE_GUARD = 1e-8  # least distance to kernel poles and lattice points
 RESONANCE_GUARD = 1e-13  # least magnitude of twisted-series denominators
 BLOCK_ENTRIES = 1 << 16  # most entries of one temporary of a point-wise sum
+POINT_RECORD = 256  # most points a kernel context records, oldest out first

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import DEFAULT_ORDER, POLE_GUARD
 from .errors import DomainError
-from .numerics import LU, binomials, check_count, row_products
+from .numerics import LU, PointRecord, binomials, check_count, row_products
 from .specialfn import (TorusModulus, TwistPair, _multiplier,
                         _origin_eisenstein, _reduce_off_lattice, _substitute,
                         _theta_stage, lattice_distance, min_lattice_distance)
@@ -236,6 +236,7 @@ class EpsilonContext:
         self.n_order = n_order
         self._f = f_matrix(chars, n_order, moduli)
         self._lu = LU(np.eye(n_order, dtype=complex) - self._f[0] @ self._f[1])
+        self._points = PointRecord()
 
     def f_block(self, a: int) -> np.ndarray:
         self.moduli.tau(a)  # checks the label
@@ -270,41 +271,58 @@ class EpsilonContext:
     def kernel_matrix(self, xs, ys) -> np.ndarray:
         """S(x_i, y_j) for SurfacePoint sequences xs, ys: shape (P, Q).
 
-        Each torus label makes one lattice reduction of its x points, its
-        reflected y points -y and the x - y grid.  Its ``edge`` clears
-        points, exact ``lattice_distance`` measuring the rest: a point in
-        the excised disk or at a pole, then a cross-torus pair with d(x)
-        d(y) <= |epsilon| (a divergent series), then a grid pole raises
-        DomainError.  One theta sum per label over the reduction gives P1
-        at the grid and the Taylor rows; one forward substitution takes
-        all rows, and each label pair one row-wise bilinear form.
+        The context records per (label, u), u = x for an x row and -y for
+        a y row, the P_k row times its lattice multiplier and the
+        validated lattice distance, and does not reduce, validate or sum
+        a recorded row again.  Each label makes one lattice reduction of
+        its new rows and the x - y grid, whose ``edge`` clears points and
+        exact ``lattice_distance`` the rest: a point in the excised disk
+        or at a pole, then a cross-torus pair with d(x) d(y) <= |epsilon|,
+        then a grid pole raises DomainError.  One theta sum per label and
+        one forward substitution give the new rows and P1 at the grid.  A
+        call that succeeds records its new rows, the POINT_RECORD latest
+        kept; values are bit-identical to a fresh context's.
         """
         mod, n_order, eps = self.moduli, self.n_order, abs(self.moduli.epsilon)
         gx, gy = _by_label(xs), _by_label(ys)
-        geo, bound = {}, {}
+        # per label, the recorded (row, d) of its x rows, then its y rows
+        got, keys, fresh_d, geo, bound = {}, [], [], {}, {}
         for a in sorted(gx.keys() | gy.keys()):
             zx, zy = gx.get(a, _NO_POINTS)[1], gy.get(a, _NO_POINTS)[1]
-            geo[a] = _reduce_off_lattice(np.concatenate(
-                [zx, -zy, (zx[:, None] - zy).ravel()]), mod.tau(a))
+            k = [(a, z) for z in zx.tolist()] + [(a, -z) for z in zy.tolist()]
+            got[a] = [*map(self._points.get, k)]
+            z = np.concatenate([zx, -zy, (zx[:, None] - zy).ravel()])
+            if got[a].count(None) < len(k):  # reduce the new rows alone
+                new = [g is None for g in got[a]]
+                z = np.concatenate([z[:len(k)][new], z[len(k):]])
+                k = [key for key, f in zip(k, new) if f]
+            keys += k
+            geo[a] = _reduce_off_lattice(z, mod.tau(a)) if z.size else None
             inner = eps / mod.radius(3 - a)
-            d = bound[a] = geo[a][3][:zx.size + zy.size].copy()
+            d = geo[a][3][:len(k)].copy() if k else np.zeros(0)
             unsure = d <= max(inner, POLE_GUARD)
             if unsure.any():  # a point that fails is one of these
-                d[unsure] = lattice_distance(
-                    np.concatenate([zx, zy])[unsure], mod.tau(a))
+                nx = got[a][:zx.size].count(None)  # and -(-y) is y exactly
+                d[unsure] = lattice_distance(np.concatenate(
+                    [z[:nx], -z[nx:len(k)]])[unsure], mod.tau(a))
                 bad = d <= max(inner, POLE_GUARD)
                 if bad.any():
                     raise DomainError(
                         f"point on torus {a} lies inside the excised disk or "
                         f"at a pole (lattice distance {d[np.argmax(bad)]:.3e}"
                         f", inner radius {inner:.3e})")
+            bound[a] = d = d.tolist()
+            fresh_d += d
+            if len(d) < len(got[a]):
+                d = iter(d)
+                bound[a] = [next(d) if g is None else g[1] for g in got[a]]
         # a cross-torus block is a series in |epsilon| / (d(x) d(y)), the
         # ratio at which the two points meet through the annulus
         # z_1 z_2 = epsilon, so it diverges unless d(x) d(y) > |epsilon|
         for a, (_, zx) in gx.items():
             zy = gy.get(3 - a, _NO_POINTS)[1]
-            if zy.size and (bound[a][:zx.size].min()
-                            * bound[3 - a][-zy.size:].min() <= eps):
+            if zy.size and (min(bound[a][:zx.size])
+                            * min(bound[3 - a][-zy.size:]) <= eps):
                 r = (lattice_distance(zx, mod.tau(a)).min()
                      * lattice_distance(zy, mod.tau(3 - a)).min())
                 if r <= eps:
@@ -315,29 +333,39 @@ class EpsilonContext:
         out = np.zeros((len(xs), len(ys)), dtype=complex)
         if not (gx and gy):
             return out
-        # rows[a, 0] and rows[a, 1]: the x and y rows of label a in p
-        a_rows, b_rows, mults, rows, start = [], [], [], {}, 0
-        for a in geo:
+        # rows[a, 0], rows[a, 1]: label a's x and y rows in p; p1[a]: its grid
+        a_rows, b_rows, mults, rows, p1, start = [], [], [], {}, {}, 0
+        for a in got:
             (ix, zx), (iy, zy) = gx.get(a, _NO_POINTS), gy.get(a, _NO_POINTS)
-            tw, n_rows = self.chars.tw(a), zx.size + zy.size
-            ra, rb, p1, _ = _theta_stage(tw, n_order, geo[a], n_rows,
-                                         mod.tau(a))
+            rows[a, 0] = slice(start, start + zx.size)
+            rows[a, 1] = slice(start + zx.size, start + len(got[a]))
+            start += len(got[a])
+            if geo[a] is None:  # every row recorded, no grid
+                continue
+            tw, n_rows = self.chars.tw(a), geo[a][0].size - ix.size * iy.size
+            ra, rb, p1[a], _ = _theta_stage(tw, n_order, geo[a], n_rows,
+                                            mod.tau(a))
             mult = _multiplier(tw, *geo[a][1:3])
-            if p1.size:
-                out[ix[:, None], iy] = (mult[n_rows:] * p1).reshape(ix.size,
-                                                                     iy.size)
+            p1[a] = (mult[n_rows:] * p1[a]).reshape(ix.size, iy.size)
             a_rows.append(ra)
             b_rows.append(rb)
             mults.append(mult[:n_rows])
-            rows[a, 0] = slice(start, start + zx.size)
-            rows[a, 1] = slice(start + zx.size, start + n_rows)
-            start += n_rows
-        p = _substitute(np.concatenate(a_rows), np.concatenate(b_rows)) \
-            * np.concatenate(mults)[:, None]
+        p = fresh = ()
+        if keys:  # one substitution over the new rows of both labels
+            ra, rb, mult = (v[0] if len(v) == 1 else np.concatenate(v)
+                            for v in (a_rows, b_rows, mults))
+            p = fresh = _substitute(ra, rb) * mult[:, None]
+        if len(keys) < start:
+            p = iter(fresh)
+            p = np.array([next(p) if g is None else g[0]
+                          for a in got for g in got[a]])
         for a, (ix, _) in gx.items():
             for b, (iy, _) in gy.items():
                 w = row_products(p[rows[a, 0]], self._blocks[(a, b)])
-                out[ix[:, None], iy] += row_products(w, p[rows[b, 1]])
+                out[ix[:, None], iy] = row_products(w, p[rows[b, 1]]) \
+                    + (p1[a] if a == b else 0.0)
+        if keys:
+            self._points.add(keys, fresh, fresh_d)
         return out
 
     def kernel(self, x: SurfacePoint, y: SurfacePoint) -> complex:

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .config import BLOCK_ENTRIES
+from .config import BLOCK_ENTRIES, POINT_RECORD
 from .errors import ConvergenceError, DomainError, SingularMatrixError
 
 CONDITION_THRESHOLD = 1e12
@@ -153,6 +153,21 @@ def row_products(u, v) -> np.ndarray:
     # operands of equal rank: a one-entry product broadcast from a
     # lower-rank operand takes another numpy loop, which rounds apart
     return (u[:, None] * v[None]).sum(axis=-1)
+
+
+class PointRecord(dict):
+    """A kernel context's (row, datum) per point it has evaluated."""
+
+    def add(self, keys: list, rows: np.ndarray, data: list) -> None:
+        """Record (rows[i], data[i]) under keys[i], oldest out past
+        POINT_RECORD; rows are held, copied only from a longer batch."""
+        n = POINT_RECORD
+        if len(keys) > n:
+            keys, rows, data = keys[-n:], rows[-n:].copy(), data[-n:]
+        self.update(zip(keys, zip(rows, data)))
+        if len(self) > n:
+            for key in list(self)[:len(self) - n]:
+                del self[key]
 
 
 @lru_cache(maxsize=64)

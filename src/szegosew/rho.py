@@ -44,8 +44,8 @@ import numpy as np
 from .config import (DEFAULT_ORDER, DEFAULT_QUAD_POINTS, POLE_GUARD,
                      RESONANCE_GUARD)
 from .errors import DomainError, ResonanceError
-from .numerics import (LU, as_complex_matrix, binomials, check_count,
-                       row_products)
+from .numerics import (LU, PointRecord, as_complex_matrix, binomials,
+                       check_count, row_products)
 from .specialfn import (TWO_PI, TorusModulus, TwistPair, _multiplier,
                         _reduce_off_lattice, _substitute, _theta_stage,
                         _theta_value, lattice_distance)
@@ -646,6 +646,7 @@ class TorusMoments:
         self.char, self.kv = self._handle_data[:2]
         self.moduli = moduli
         self.n_order = n_order
+        self._centres = np.array([0.0, moduli.w])  # c_1, c_2
         r = moduli.contour_radius
         # (label, radius) of the x contours of labels abar, over which
         # G row a and hbar_a integrate, and of the y contours of labels a,
@@ -787,32 +788,37 @@ class TorusMoments:
         no value depends on the other points of its call.  The points are
         not validated here (``RhoTorusContext.kernel_matrix`` does that).
         """
-        return self._rows(self._reduce(xs, ys), xs, log_a_xs, ys, log_a_ys)
+        reduced = self._reduce(xs, ys, np.subtract.outer(xs, ys).ravel())
+        return self._factored(*self._rows(reduced, xs.size, ys.size),
+                              xs, log_a_xs, ys, log_a_ys)
 
-    def _reduce(self, xs, ys) -> tuple:
-        """One reduction of x - c_1, x - c_2, c_2 - y, c_1 - y and x - y."""
-        c = np.array([0.0, self.moduli.w])
+    def _reduce(self, xs, ys, diffs) -> tuple:
+        """One reduction of x - c_1, x - c_2, c_2 - y, c_1 - y and diffs."""
         return _reduce_off_lattice(np.concatenate(
-            [np.subtract.outer(xs, c).ravel(),
-             -np.subtract.outer(ys, c[::-1]).ravel(),
-             np.subtract.outer(xs, ys).ravel()]), self.moduli.tau)
+            [np.subtract.outer(xs, self._centres).ravel(),
+             -np.subtract.outer(ys, self._centres[::-1]).ravel(), diffs]),
+            self.moduli.tau)
 
-    def _rows(self, reduced, xs, log_a_xs, ys, log_a_ys) -> tuple:
-        """``taylor_rows`` from ``reduced = _reduce(xs, ys)``."""
-        n, kap, kv, char = self.n_order, self.kappa, self.kv, self.char
-        p, q = xs.size, ys.size
-        n_rows = 2 * (p + q)
+    def _rows(self, reduced, p: int, q: int) -> tuple:
+        """From ``_reduce`` of p x and q y points: their h and hbar rows
+        before the e^{kappa log A} factors, and f at the differences."""
+        n, char, n_rows = self.n_order, self.char, 2 * (p + q)
         a, b, p1, _ = _theta_stage(char, n, reduced, n_rows, self.moduli.tau)
         mult = _multiplier(char, *reduced[1:3])
-        rows = (_substitute(a, b) * mult[:n_rows, None]).reshape(-1, 2, 1, n)
-        ex = np.exp(kap * log_a_xs - kv * xs)
-        ey = np.exp(kv * ys - kap * log_a_ys)
+        rows = ((_substitute(a, b) if n_rows else a)
+                * mult[:n_rows, None]).reshape(-1, 2, 1, n)
         # row by row, not a matmul: BLAS rounding would depend on the batch
         h = (rows[:p] * self._taylor_h).sum(axis=-1).reshape(p, 2 * n)
         hb = (rows[p:] * self._taylor_hbar).sum(axis=-1).reshape(q, 2 * n)
+        return h, hb, mult[n_rows:] * p1
+
+    def _factored(self, h, hb, f, xs, log_a_xs, ys, log_a_ys) -> tuple:
+        """``taylor_rows`` from the rows and values of ``_rows``."""
+        ex = np.exp(self.kappa * log_a_xs - self.kv * xs)
+        ey = np.exp(self.kv * ys - self.kappa * log_a_ys)
         # operands of equal rank: a one-entry product broadcast from a
         # lower-rank operand takes another numpy loop, which rounds apart
-        base = (ex[:, None] * ey[None, :]) * (mult[n_rows:] * p1).reshape(p, q)
+        base = (ex[:, None] * ey[None, :]) * f.reshape(xs.size, ys.size)
         return ex[:, None] * h, ey[:, None] * hb, base
 
     # the benchmark traces h_vector, hbar_vector and the twisted
@@ -856,6 +862,7 @@ class RhoTorusContext:
         self._lu = LU(np.eye(2 * self.n_order, dtype=complex)
                       - moduli.xi * self.moments.g * self._dth[None, :])
         self._margin = X_RADIUS_FACTOR * moduli.contour_radius * 1.05
+        self._points = PointRecord()
 
     @cached_property
     def _middle(self) -> np.ndarray:
@@ -868,47 +875,70 @@ class RhoTorusContext:
                       log_a_ys=None) -> np.ndarray:
         """Sewn genus-two kernel S(x_i, y_j), coefficient of dx^1/2 dy^1/2.
 
-        Shape (P, Q).  Validation reads the call's one lattice reduction,
-        measuring exactly only where its ``edge`` cannot clear; log A
-        comes from one closed-form call; h, hbar and S_kappa from one theta
-        stage over the same reduction (``TorusMoments.taylor_rows``), and
-        h (xi D^theta (I - T)^{-1}) hbar^T is reduced row by row, so each
-        entry equals its single ``kernel`` call bit for bit.
+        Shape (P, Q).  The context records each x point's h row and each
+        y point's hbar row, before the e^{kappa log A} factor, with its
+        default-branch log A once computed (a supplied branch is used as
+        given).  New points are validated from the call's one lattice
+        reduction, exactly only where its ``edge`` cannot clear; one
+        closed-form call gives their log A, one theta stage their rows and
+        S_kappa (as ``TorusMoments.taylor_rows``), and the bilinear form
+        is reduced row by row.  A call that succeeds records its new
+        points, the POINT_RECORD latest kept; each entry equals its single
+        ``kernel`` call on a fresh context bit for bit.
         """
         xs = np.ravel(np.asarray(xs, dtype=complex))
         ys = np.ravel(np.asarray(ys, dtype=complex))
         zs = np.concatenate([xs, ys])
         if not np.isfinite(zs).all():
             raise DomainError("points must be finite")
-        mom, mod = self.moments, self.moduli
-        reduced = mom._reduce(xs, ys)
+        mom, mod, rec, p = self.moments, self.moduli, self._points, xs.size
+        # the recorded (row, log A) of each x point, then each y point
+        keys = [(0, x) for x in xs.tolist()] + [(1, y) for y in ys.tolist()]
+        got = [*map(rec.get, keys)]
+        new = [g is None for g in got]
+        fx, fy, fresh = (xs, ys, zs) if (all_new := all(new)) else (
+            xs[new[:p]], ys[new[p:]], zs[new])
+        reduced = mom._reduce(fx, fy, np.subtract.outer(xs, ys).ravel())
         # each point's lesser edge of its two entries, x - c (c - y)
-        d = np.minimum(reduced[3][:2 * zs.size:2], reduced[3][1:2 * zs.size:2])
+        d = np.minimum(reduced[3][:2 * fresh.size:2],
+                       reduced[3][1:2 * fresh.size:2])
         near = d <= self._margin
         if near.any():
-            d[near] = _singular_distance(zs[near], mod.tau, mod.w)
+            d[near] = _singular_distance(fresh[near], mod.tau, mod.w)
             bad = d <= self._margin
             if bad.any():
                 raise DomainError(f"point at distance {d[np.argmax(bad)]:.3e} "
                                   f"from a puncture lies inside the sewing "
                                   f"contours (need > {self._margin:.3e})")
-        lax, lay = log_a_xs, log_a_ys
-        if lax is None or lay is None:
-            zs = np.concatenate(
-                [z for z, la in ((xs, lax), (ys, lay)) if la is None])
-            # beyond the contour margin, so clear of A's zeros and poles
-            log_a = _continue_log_a(zs[:, None], mod.tau, mod.w, mod.z_ref,
-                                    mod.log_a_ref)[:, 0] if mom.tracked \
-                else mom.log_a(zs)
-            if lax is None:
-                lax, log_a = log_a[:xs.size], log_a[xs.size:]
-            if lay is None:
-                lay = log_a
-        lax, lay = _branches(xs, lax), _branches(ys, lay)
+        # default-branch log A where none is supplied: recorded, or computed
+        log_a = [None if g is None else g[1] for g in got]
+        todo = [i for i, la in enumerate(log_a) if la is None
+                and (log_a_xs if i < p else log_a_ys) is None]
+        if todo:
+            zt = zs[todo]  # beyond the contour margin: clear of A's poles
+            for i, la in zip(todo, (_continue_log_a(
+                    zt[:, None], mod.tau, mod.w, mod.z_ref, mod.log_a_ref)[:, 0]
+                    if mom.tracked else mom.log_a(zt)).tolist()):
+                log_a[i] = la
+        lax, lay = (np.array(la, dtype=complex) if given is None else
+                    _branches(z, given) for z, la, given in (
+                        (xs, log_a[:p], log_a_xs), (ys, log_a[p:], log_a_ys)))
         if not (xs.size and ys.size):
             return np.zeros((xs.size, ys.size), dtype=complex)
-        h, hb, base = mom._rows(reduced, xs, lax, ys, lay)
-        return base + row_products(row_products(h, self._middle), hb)
+        h_new, hb_new, f = mom._rows(reduced, fx.size, fy.size)
+        h, hb = h_new, hb_new
+        if not all_new:
+            rows = iter([*h_new, *hb_new])
+            rows = [next(rows) if g is None else g[0] for g in got]
+            h, hb = np.array(rows[:p]), np.array(rows[p:])
+        h, hb, base = mom._factored(h, hb, f, xs, lax, ys, lay)
+        out = base + row_products(row_products(h, self._middle), hb)
+        rec.add(keys if all_new else [k for k, n in zip(keys, new) if n],
+                np.concatenate([h_new, hb_new]),
+                log_a if all_new else [la for la, n in zip(log_a, new) if n])
+        rec.update((keys[i], (got[i][0], log_a[i])) for i in todo
+                   if got[i] is not None)  # a recorded point's first branch
+        return out
 
     def kernel(self, x, y, log_a_x=None, log_a_y=None) -> complex:
         """One value of kernel_matrix."""

@@ -295,10 +295,11 @@ def _theta_value(char: tuple, z, tau: complex) -> tuple:
 def theta1(z, tau: TorusModulus):
     """theta_1 = theta[1/2;1/2], vectorized in z.
 
-    Each argument is reduced by the exact quasi-periodicity first
-    (``_theta_value``), so a value does not depend on the other points of
-    its call; a value outside the double range raises ConvergenceError.
+    Each argument is reduced by the exact quasi-periodicity first, so no
+    value depends on the other points of its call; a point too far out
+    raises DomainError (``_far_out``), a value out of range ConvergenceError.
     """
+    _far_out(np.asarray(z, dtype=complex))
     with np.errstate(over="ignore", invalid="ignore"):
         # a non-finite z reduces to NaN, which _theta_value rejects
         log_mult, val = _theta_value((0.5, 0.5), z, tau.tau)
@@ -321,22 +322,27 @@ def K(z, tau: TorusModulus):
 # lattice reduction
 # ----------------------------------------------------------------------
 
+def _far_out(zv: np.ndarray) -> float:
+    """The largest |z| of zv; DomainError unless each z is finite and its
+    reduction's rounding |z| 2^-52 at most POLE_GUARD (|z| <~ 4.5e7)."""
+    size = np.abs(zv).max(initial=0.0)
+    if not size * 2.0 ** -52 <= POLE_GUARD:
+        raise DomainError("z must be finite" if not np.isfinite(zv).all() else
+                          f"|z| = {size:.3e} too far out: its reduction "
+                          f"rounds by more than {POLE_GUARD:.0e}")
+    return size
+
+
 def lattice_reduce(z, tau: TorusModulus):
     """Shift z by a lattice vector into the convergence annulus of the q-series.
 
     Returns ``(z_red, m, n)`` with ``z = z_red + 2 pi i (m tau + n)``,
     ``Re z_red in (-2 pi Im tau, 0]`` (so |q| < |e^{z_red}| <= 1, split
     logarithmically at |q|^{1/2}) and ``Im z_red in [-pi, pi)``.
-    Vectorized over z.
+    Vectorized over z; a point too far out raises (``_far_out``).
     """
-    zv = np.asarray(z, dtype=complex)
-    t = tau.tau
-    v = -zv.real / (TWO_PI * t.imag)
-    m = np.floor(v)
-    rem = zv - 2j * np.pi * m * t
-    n = np.floor(rem.imag / TWO_PI + 0.5)
-    z_red = rem - 2j * np.pi * n
-    return z_red, m.astype(int), n.astype(int)
+    shape = np.shape(z)
+    return tuple(v.reshape(shape) for v in _reduce_off_lattice(z, tau)[:3])
 
 
 def lattice_distance(z, tau: TorusModulus):
@@ -346,6 +352,7 @@ def lattice_distance(z, tau: TorusModulus):
     cell of the reduced basis that contains z (see ``TorusModulus``).
     """
     zv = np.asarray(z, dtype=complex)
+    _far_out(zv)
     b1, b2, cross, corners = tau.cell
     # cell coordinates: z = x b1 + y b2 for real x, y
     zc = zv.conjugate()
@@ -380,16 +387,16 @@ def _multiplier(tw: TwistPair, m, n):
 def _reduce_off_lattice(z, tau: TorusModulus):
     """lattice_reduce of the flattened z and ``edge``, a lower bound on the
     lattice distance: the distance to the nearer line Re z = 0 or -2 pi
-    Im tau less z_red's rounding.  |z| 2^-52 above POLE_GUARD raises."""
+    Im tau less z_red's rounding."""
     zv = np.ravel(np.asarray(z, dtype=complex))
-    size = np.abs(zv).max(initial=0.0)
-    if not size * 2.0 ** -52 <= POLE_GUARD:
-        raise DomainError("z must be finite" if not np.isfinite(zv).all() else
-                          f"|z| = {size:.3e} too far out: its reduction "
-                          f"rounds by more than {POLE_GUARD:.0e}")
-    z_red, m, n = lattice_reduce(zv, tau)
-    t = tau.tau  # the shift's terms stay below (|z| + 2 pi |t|)(1 + |t|/Im t)
-    return z_red, m, n, np.minimum(-z_red.real, z_red.real + TWO_PI * t.imag) \
+    size, t = _far_out(zv), tau.tau
+    m = np.floor(-zv.real / (TWO_PI * t.imag))
+    rem = zv - 2j * np.pi * m * t
+    n = np.floor(rem.imag / TWO_PI + 0.5)
+    z_red = rem - 2j * np.pi * n
+    # the shift's terms stay below (|z| + 2 pi |t|)(1 + |t| / Im t)
+    return z_red, m.astype(int), n.astype(int), np.minimum(
+        -z_red.real, z_red.real + TWO_PI * t.imag) \
         - 2.0 ** -48 * (size + TWO_PI * abs(t)) * (1.0 + abs(t) / t.imag)
 
 

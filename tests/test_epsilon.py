@@ -316,8 +316,10 @@ class TestKernelMatrix:
         ctx = EpsilonContext(CHARS, _moduli(), 16)
         xs, ys = _grid_points()
         # theta_1'(0) of both moduli and the correction blocks are kept;
-        # a first call computes them before counting
+        # a first call computes them before counting, and each call's
+        # recorded points are dropped, so the counts are those of new points
         ctx.kernel_matrix(xs, ys)
+        ctx._points.clear()
         calls = []
         sums, substitute = specialfn._theta_sums, epsilon._substitute
 
@@ -335,11 +337,13 @@ class TestKernelMatrix:
         ctx.kernel(xs[0], ys[1])
         assert calls == [("theta", 4, 16, 2), ("substitute", (2, 16))]
         calls.clear()
+        ctx._points.clear()
         # cross label: one sum per label, both rows in one substitution
         ctx.kernel(xs[0], ys[0])
         assert calls == [("theta", 2, 16, 1), ("theta", 2, 16, 1),
                          ("substitute", (2, 16))]
         calls.clear()
+        ctx._points.clear()
         # x labels 1, 2, 1, 2, 1 and y labels 2, 1, 1, 2: label 1 holds
         # 3 x, 2 y and 3 x 2 differences, label 2 2 x, 2 y and 2 x 2
         ctx.kernel_matrix(xs, ys)
@@ -347,6 +351,7 @@ class TestKernelMatrix:
                          ("theta", 2 + 2 + 4 + 1, 16, 4),
                          ("substitute", (9, 16))]
         calls.clear()
+        ctx._points.clear()
         # an empty side validates its points and sums nothing
         ctx.kernel_matrix([], ys)
         ctx.kernel_matrix(xs, [])
@@ -369,8 +374,8 @@ class TestKernelMatrix:
         # label 1: 3 x, 2 y and 3 x 2 differences; label 2: 2 x, 2 y, 2 x 2
         assert sizes == [3 + 2 + 6, 2 + 2 + 4]
         sizes.clear()
-        # an empty side still reduces, and so validates, its points
-        ctx.kernel_matrix(xs, [])
+        # an empty side still reduces, and so validates, its new points
+        EpsilonContext(CHARS, _moduli(), 8).kernel_matrix(xs, [])
         assert sizes == [3, 2]
 
     def test_exact_distance_only_where_the_bound_cannot_clear(

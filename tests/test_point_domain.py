@@ -23,9 +23,10 @@ from szegosew.epsilon import (EpsilonContext, EpsilonModuli,
 from szegosew.errors import DomainError
 from szegosew.rho import (X_RADIUS_FACTOR, HandleTwist, RhoModuliTorus,
                           RhoTorusContext)
-from szegosew.specialfn import (TorusModulus, TwistPair, _reduce_off_lattice,
-                                lattice_distance, min_lattice_distance,
-                                p1_theta, p_k_vector)
+from szegosew.specialfn import (K, TorusModulus, TwistPair,
+                                _reduce_off_lattice, lattice_distance,
+                                lattice_reduce, min_lattice_distance,
+                                p1_theta, p_k_vector, theta1)
 
 TWO_PI_I = 2j * np.pi
 T1 = TorusModulus(0.3 + 1.0j)
@@ -283,3 +284,31 @@ def test_far_point_raises_in_every_route(far):
         for call in calls:
             with pytest.raises(DomainError, match="too far out"):
                 call()
+
+
+@pytest.mark.parametrize("far", [1e8, 1e20, -3e9 + 1e20j, 1e12 + 2j])
+def test_far_point_raises_in_the_public_lattice_functions(far):
+    # the same refusal as the kernels': no reduced coordinate, lattice
+    # distance or theta value is meaningful that far out (with tau =
+    # 0.3+i, lattice_distance(1e20) read 18308.6 and theta1(1e20 i)
+    # -0.857 without it), and the self-sewn torus moduli read the
+    # lattice distance of w and of z_ref
+    wd = float(lattice_distance(W, RHO_TAU))
+    rho = 0.05 * (wd / 2) ** 2
+    calls = [lambda: lattice_distance(far, T1),
+             lambda: lattice_distance(np.array([0.4 + 1.1j, far]), T1),
+             lambda: lattice_reduce(far, T1),
+             lambda: lattice_reduce(np.array([far, 0.4 + 1.1j]), T1),
+             lambda: theta1(far, T1),
+             lambda: K(np.array([0.4 + 1.1j, far]), T1),
+             lambda: RhoModuliTorus.create(T1, far, 1e-4),
+             lambda: RhoModuliTorus(RHO_TAU, W, rho, np.log(rho), 1j,
+                                    z_ref=far)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError, match="too far out"):
+                call()
+        # just inside the guard every one of them still answers
+        assert lattice_distance(4e7, T1) <= np.pi * abs(T1.tau) + np.pi
+        assert lattice_reduce(4e7, T1)[0].real <= 0.0

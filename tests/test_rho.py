@@ -753,7 +753,8 @@ class TestKernelMatrix:
         ctx.kernel_matrix(xs, ys)
         assert calls == [xs.size + ys.size]
         s = ctx.moments
-        ctx.kernel_matrix(xs, ys, [s.log_a(x) for x in xs])
+        fresh = RhoTorusContext(TW1, HANDLE, mod, 6, 32)
+        fresh.kernel_matrix(xs, ys, [s.log_a(x) for x in xs])
         assert calls[-1] == ys.size
 
     def test_one_lattice_reduction_per_call(self, monkeypatch):
@@ -828,6 +829,7 @@ class TestKernelMatrix:
         ctx = RhoTorusContext(TW1, HANDLE, mod, 10, 32)
         xs, ys = _rho_points(mod)
         ctx.kernel(xs[0], ys[0])  # the gated inverse is kept
+        ctx._points.clear()  # so the counts are those of new points
         tq = oracle.TorusQuadrature(ctx.moments, ctx.moments.m_points)
         calls = []
         sums, substitute = specialfn._theta_sums, rho._substitute
@@ -852,6 +854,7 @@ class TestKernelMatrix:
         ctx.kernel(xs[0], ys[0])
         assert calls == [("theta", 6, 10, 4), ("substitute", (4, 10))]
         calls.clear()
+        ctx._points.clear()
         ctx.kernel_matrix(xs, ys)
         p, q = xs.size, ys.size
         assert calls == [("theta", 2 * (p + q) + p * q + 1, 10, 2 * (p + q)),
